@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -644,6 +645,15 @@ def run_suites(cfg: SuiteConfig) -> dict:
     return assemble_document(reports, cfg.seed)
 
 
+def _failure_text(failure: dict) -> str:
+    """One failure entry of a report as console text, e.g. `trial=3 deviation=2.000e-07`."""
+    if "error" in failure:
+        return str(failure["error"])
+    return " ".join(
+        "%s=%s" % (k, "%.3e" % v if isinstance(v, float) else v) for k, v in failure.items()
+    )
+
+
 def cmd_verify(args) -> int:
     if args.suite in (None, "all"):
         suites = list(SUITES)
@@ -665,10 +675,12 @@ def cmd_verify(args) -> int:
     )
     doc = run_suites(cfg)
     for entry in doc["suites"]:
-        print(
-            "%-4s %-24s %-28s max|err| %9.3e  n=%d"
-            % (entry["status"], entry["suite"], entry["algebra"], entry["max_error"], entry["samples"])
+        line = "%-4s %-24s %-28s max|err| %9.3e  n=%d" % (
+            entry["status"], entry["suite"], entry["algebra"], entry["max_error"], entry["samples"]
         )
+        if entry["failures"]:
+            line += "  first failure: " + _failure_text(entry["failures"][0])
+        print(line)
     n_pass = sum(1 for e in doc["suites"] if e["status"] == "pass")
     print("overall: %s (%d/%d units)" % (doc["status"], n_pass, len(doc["suites"])))
     if cfg.report_path:
@@ -690,6 +702,8 @@ def _parse_point(text: str, dim: int):
         values = [float(p) for p in parts]
     except ValueError:
         raise CliError(EXIT_USAGE, "--at expects comma-separated floats, got %r" % text)
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(EXIT_USAGE, "--at coordinates must be finite, got %r" % text)
     if len(values) != dim:
         raise CliError(EXIT_USAGE, "--at has %d coordinates, field needs %d" % (len(values), dim))
     return values

@@ -1,8 +1,8 @@
 """Expression trees for smooth programs.
 
 Nodes are immutable and shared freely; identity (not structural equality)
-is what the evaluators memoize on, so building trees through the smart
-constructors below keeps common subterms as common Python objects.
+is what a compiled program tape shares slots on, so building trees through
+the smart constructors below keeps common subterms computed once.
 
 The smart constructors fold constants and drop additive/multiplicative
 units so that machine-generated trees (functor lifts, dual-number

@@ -1,17 +1,21 @@
 """Closed smooth programs and vector fields.
 
-A Program is a tuple of expression trees over variables x0..x{n-1}.  The
-single evaluator below is carrier-polymorphic: feed it floats and it
-computes numbers, feed it algebra elements and it computes functor lifts,
-feed it expression trees and it performs capture-free substitution (which
-is all `compose` is).  `evaluate_dual` is a specialized fast path for
-first-order directional derivatives over float dual numbers; it exists so
-that pointwise bracket evaluation does not pay object-allocation costs.
+A Program is a tuple of expression trees over variables x0..x{n-1}.  Each
+Program compiles its trees once, when it is built, into a Tape: straight-line
+code in which every node reachable from the roots has exactly one slot, so
+shared subterms are computed once.  Running the tape is carrier-polymorphic:
+feed `evaluate` floats and it computes numbers, feed it algebra elements and
+it computes functor lifts, feed it expression trees and it performs
+capture-free substitution (which is all `compose` is).  `evaluate_dual` runs
+the same tape over float (value, derivative) pairs, so pointwise bracket
+evaluation pays no object-allocation costs.  `eval_exprs` compiles loose
+trees into a temporary tape and runs it once.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 
 import numpy as np
 
@@ -21,22 +25,114 @@ from .errors import ArityMismatch, DivisionByNilpotent, ShapeMismatch
 from .exprs import Add, Const, Div, Expr, IntPow, Mul, Neg, Prim, Sub, Var
 from .scalars import _numeric, apply_primitive
 
+# Tape opcodes of the computed nodes.  Leaves (constants and variables) are
+# not ops: their values are laid out in the first slots before a run.
+_ADD, _SUB, _MUL, _DIV, _NEG, _POW, _PRIM = range(7)
+_BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
+
+
+class Tape:
+    """Expression trees compiled to straight-line code, children first.
+
+    Slots 0..len(leaves)-1 hold the leaves: `leaves` gives each constant's
+    value, and `inputs` pairs each variable slot with its variable index
+    (one slot per index used).  Op n then writes slot len(leaves) + n from
+    earlier slots: `ops` holds the opcodes, `a` and `b` the operand slots,
+    except that `b` of an integer power or a primitive indexes `pool`, which
+    holds exponents and primitive names.  `outputs` is the slot of each root.
+
+    Every node reachable from the roots gets exactly one slot, so shared
+    subterms are computed once.  Ops run in the order of a children-first
+    walk of the roots in turn, right operand first; verification reports
+    depend on that order through which error a sample raises first.  The
+    operand arrays hold only slot and pool numbers, bounded by the node
+    count; variable indices and exponents read from a program document
+    stay Python integers.
+    """
+
+    __slots__ = ("leaves", "inputs", "ops", "a", "b", "pool", "outputs")
+
+    def __init__(self, body, arity_in: int):
+        # operands of computed nodes are written as ~n for op n and moved
+        # past the leaves once their count is known
+        slot: dict[int, int] = {}
+        var_slot: dict[int, int] = {}
+        leaves: list = []
+        inputs: list = []
+        ops = bytearray()
+        a: list = []
+        b: list = []
+        pool: list = []
+        outputs: list = []
+        for root in body:
+            if not isinstance(root, Expr):
+                raise ShapeMismatch("program body must consist of expressions")
+            stack = [(root, False)]
+            while stack:
+                node, expanded = stack.pop()
+                if id(node) in slot:
+                    continue
+                kids = node.children
+                if kids and not expanded:
+                    stack.append((node, True))
+                    for c in kids:
+                        if id(c) not in slot:
+                            stack.append((c, False))
+                    continue
+                cls = type(node)
+                if cls is Const:
+                    slot[id(node)] = len(leaves)
+                    leaves.append(node.c)
+                    continue
+                if cls is Var:
+                    i = node.i
+                    if i >= arity_in:
+                        raise ArityMismatch(
+                            "expression uses x%d but program has arity %d"
+                            % (exprs.max_var(root), arity_in)
+                        )
+                    s = var_slot.get(i)
+                    if s is None:
+                        s = var_slot[i] = len(leaves)
+                        inputs.append((s, i))
+                        leaves.append(None)
+                    slot[id(node)] = s
+                    continue
+                if cls in _BINARY:
+                    op, x, y = _BINARY[cls], slot[id(node.a)], slot[id(node.b)]
+                elif cls is Neg:
+                    op, x, y = _NEG, slot[id(node.x)], 0
+                elif cls is IntPow:
+                    op, x, y = _POW, slot[id(node.x)], len(pool)
+                    pool.append(node.k)
+                elif cls is Prim:
+                    op, x, y = _PRIM, slot[id(node.x)], len(pool)
+                    pool.append(node.name)
+                else:
+                    raise ShapeMismatch("unknown node %r" % node)
+                slot[id(node)] = ~len(ops)
+                ops.append(op)
+                a.append(x)
+                b.append(y)
+            outputs.append(slot[id(root)])
+        n = len(leaves)
+        self.leaves = leaves
+        self.inputs = inputs
+        self.ops = bytes(ops)
+        self.a = array("i", [s if s >= 0 else n + ~s for s in a])
+        self.b = array("i", [s if s >= 0 else n + ~s for s in b])
+        self.pool = pool
+        self.outputs = [s if s >= 0 else n + ~s for s in outputs]
+
 
 class Program:
     """A smooth map given by arity_in variables and arity_out expressions."""
 
-    __slots__ = ("arity_in", "arity_out", "exprs")
+    __slots__ = ("arity_in", "arity_out", "exprs", "tape")
 
     def __init__(self, arity_in: int, body):
         body = tuple(body)
-        for e in body:
-            if not isinstance(e, Expr):
-                raise ShapeMismatch("program body must consist of expressions")
-            hi = exprs.max_var(e)
-            if hi >= arity_in:
-                raise ArityMismatch(
-                    "expression uses x%d but program has arity %d" % (hi, arity_in)
-                )
+        self.tape = Tape(body, arity_in)
         self.arity_in = int(arity_in)
         self.arity_out = len(body)
         self.exprs = body
@@ -67,54 +163,41 @@ class VectorField:
         return "VectorField(dim=%d)" % self.dim
 
 
-def _ipow(x, k: int):
-    if isinstance(x, float):
-        if x == 0.0 and k < 0:
-            raise DivisionByNilpotent("zero real part raised to a negative power")
-        return x ** k
-    return x ** k
-
-
-def _div(x, y):
-    if isinstance(y, float):
-        if y == 0.0:
-            raise DivisionByNilpotent("division by zero real part")
-        if isinstance(x, float):
-            return x / y
-    return x / y
+def _run(tape: Tape, args) -> list:
+    """Run a tape over any carrier; args[i] is the value of x_i."""
+    ADD, SUB, MUL, DIV, NEG, POW = _ADD, _SUB, _MUL, _DIV, _NEG, _POW
+    pool = tape.pool
+    v = list(tape.leaves)
+    for s, i in tape.inputs:
+        v[s] = args[i]
+    put = v.append
+    for op, a, b in zip(tape.ops, tape.a, tape.b):
+        if op == MUL:
+            put(v[a] * v[b])
+        elif op == ADD:
+            put(v[a] + v[b])
+        elif op == POW:
+            x, k = v[a], pool[b]
+            if k < 0 and isinstance(x, float) and x == 0.0:
+                raise DivisionByNilpotent("zero real part raised to a negative power")
+            put(x ** k)
+        elif op == SUB:
+            put(v[a] - v[b])
+        elif op == NEG:
+            put(-v[a])
+        elif op == DIV:
+            y = v[b]
+            if isinstance(y, float) and y == 0.0:
+                raise DivisionByNilpotent("division by zero real part")
+            put(v[a] / y)
+        else:
+            put(apply_primitive(pool[b], v[a]))
+    return [v[s] for s in tape.outputs]
 
 
 def eval_exprs(body, args) -> list:
-    """Evaluate expression trees over any carrier, sharing work across trees."""
-    memo: dict[int, object] = {}
-    out = []
-    for root in body:
-        for node in exprs.postorder(root):
-            key = id(node)
-            if key in memo:
-                continue
-            if isinstance(node, Var):
-                memo[key] = args[node.i]
-            elif isinstance(node, Const):
-                memo[key] = node.c
-            elif isinstance(node, Add):
-                memo[key] = memo[id(node.a)] + memo[id(node.b)]
-            elif isinstance(node, Sub):
-                memo[key] = memo[id(node.a)] - memo[id(node.b)]
-            elif isinstance(node, Mul):
-                memo[key] = memo[id(node.a)] * memo[id(node.b)]
-            elif isinstance(node, Div):
-                memo[key] = _div(memo[id(node.a)], memo[id(node.b)])
-            elif isinstance(node, Neg):
-                memo[key] = -memo[id(node.x)]
-            elif isinstance(node, IntPow):
-                memo[key] = _ipow(memo[id(node.x)], node.k)
-            elif isinstance(node, Prim):
-                memo[key] = apply_primitive(node.name, memo[id(node.x)])
-            else:
-                raise ShapeMismatch("unknown node %r" % node)
-        out.append(memo[id(root)])
-    return out
+    """Evaluate loose expression trees over any carrier, sharing work across trees."""
+    return _run(Tape(body, len(args)), args)
 
 
 def evaluate(prog: Program, args) -> list:
@@ -122,64 +205,60 @@ def evaluate(prog: Program, args) -> list:
         raise ArityMismatch(
             "program expects %d arguments, got %d" % (prog.arity_in, len(args))
         )
-    return eval_exprs(prog.exprs, list(args))
+    return _run(prog.tape, list(args))
 
 
 def evaluate_dual(prog: Program, re_args, eps_args):
     """First-order directional derivative over float dual numbers.
 
-    Returns (values, derivatives) as float lists; this is the fast path the
-    pointwise bracket evaluation uses.
+    Runs the program's tape over (value, derivative) pairs held in two
+    parallel slot lists and returns (values, derivatives) as float lists.
     """
     if len(re_args) != prog.arity_in or len(eps_args) != prog.arity_in:
         raise ArityMismatch("dual evaluation needs arity_in re and eps arguments")
-    memo: dict[int, tuple[float, float]] = {}
-    vals, ders = [], []
-    for root in prog.exprs:
-        for node in exprs.postorder(root):
-            key = id(node)
-            if key in memo:
-                continue
-            if isinstance(node, Var):
-                memo[key] = (float(re_args[node.i]), float(eps_args[node.i]))
-            elif isinstance(node, Const):
-                memo[key] = (node.c, 0.0)
-            elif isinstance(node, Add):
-                (ra, ea), (rb, eb) = memo[id(node.a)], memo[id(node.b)]
-                memo[key] = (ra + rb, ea + eb)
-            elif isinstance(node, Sub):
-                (ra, ea), (rb, eb) = memo[id(node.a)], memo[id(node.b)]
-                memo[key] = (ra - rb, ea - eb)
-            elif isinstance(node, Mul):
-                (ra, ea), (rb, eb) = memo[id(node.a)], memo[id(node.b)]
-                memo[key] = (ra * rb, ra * eb + ea * rb)
-            elif isinstance(node, Div):
-                (ra, ea), (rb, eb) = memo[id(node.a)], memo[id(node.b)]
-                if rb == 0.0:
-                    raise DivisionByNilpotent("division by zero real part")
-                memo[key] = (ra / rb, (ea * rb - ra * eb) / (rb * rb))
-            elif isinstance(node, Neg):
-                (rx, ex) = memo[id(node.x)]
-                memo[key] = (-rx, -ex)
-            elif isinstance(node, IntPow):
-                (rx, ex) = memo[id(node.x)]
-                k = node.k
-                if rx == 0.0 and k < 0:
-                    raise DivisionByNilpotent("zero real part raised to negative power")
-                if k == 0:
-                    memo[key] = (1.0, 0.0)
-                else:
-                    memo[key] = (rx ** k, float(k) * rx ** (k - 1) * ex)
+    ADD, SUB, MUL, DIV, NEG, POW = _ADD, _SUB, _MUL, _DIV, _NEG, _POW
+    tape = prog.tape
+    pool = tape.pool
+    r = list(tape.leaves)
+    e = [0.0] * len(r)
+    for s, i in tape.inputs:
+        r[s] = float(re_args[i])
+        e[s] = float(eps_args[i])
+    for op, a, b in zip(tape.ops, tape.a, tape.b):
+        if op == MUL:
+            ra, rb = r[a], r[b]
+            r.append(ra * rb)
+            e.append(ra * e[b] + e[a] * rb)
+        elif op == ADD:
+            r.append(r[a] + r[b])
+            e.append(e[a] + e[b])
+        elif op == POW:
+            rx, k = r[a], pool[b]
+            if rx == 0.0 and k < 0:
+                raise DivisionByNilpotent("zero real part raised to negative power")
+            if k == 0:
+                r.append(1.0)
+                e.append(0.0)
             else:
-                (rx, ex) = memo[id(node.x)]
-                memo[key] = (
-                    _numeric(node.name, 0, rx),
-                    _numeric(node.name, 1, rx) * ex,
-                )
-        v, d = memo[id(root)]
-        vals.append(v)
-        ders.append(d)
-    return vals, ders
+                r.append(rx ** k)
+                e.append(float(k) * rx ** (k - 1) * e[a])
+        elif op == SUB:
+            r.append(r[a] - r[b])
+            e.append(e[a] - e[b])
+        elif op == NEG:
+            r.append(-r[a])
+            e.append(-e[a])
+        elif op == DIV:
+            ra, rb = r[a], r[b]
+            if rb == 0.0:
+                raise DivisionByNilpotent("division by zero real part")
+            r.append(ra / rb)
+            e.append((e[a] * rb - ra * e[b]) / (rb * rb))
+        else:
+            rx, name = r[a], pool[b]
+            r.append(_numeric(name, 0, rx))
+            e.append(_numeric(name, 1, rx) * e[a])
+    return [r[s] for s in tape.outputs], [e[s] for s in tape.outputs]
 
 
 def compose(f: Program, g: Program) -> Program:
@@ -189,7 +268,7 @@ def compose(f: Program, g: Program) -> Program:
             "cannot compose: inner produces %d values, outer expects %d"
             % (g.arity_out, f.arity_in)
         )
-    return Program(g.arity_in, eval_exprs(f.exprs, list(g.exprs)))
+    return Program(g.arity_in, _run(f.tape, g.exprs))
 
 
 def jacobian_oracle(field, x, h: float = 1e-5, richardson: bool = False) -> np.ndarray:

@@ -53,7 +53,8 @@ _SLOT_TO_DD = (0, 2, 1, 3)
 _dual_cache = None
 _dd_cache = None
 _s_cache = None
-_exchange_cache: dict[int, tuple] = {}
+# keyed by structure, not by id(): an id can be reused once its algebra is freed
+_exchange_cache: dict[tuple, tuple] = {}
 
 
 def dual_algebra() -> WeilAlgebra:
@@ -280,7 +281,7 @@ class ASecondPair:
 
 
 def _exchange_homs(algebra: WeilAlgebra):
-    key = id(algebra)
+    key = (algebra.dim, algebra.unit_index, algebra.structure.tobytes())
     hit = _exchange_cache.get(key)
     if hit is None:
         dd = dd_algebra()

@@ -8,6 +8,7 @@ import pytest
 
 from weilcalc import cli, strongdiff
 from weilcalc.algebra import algebra_to_json, make_basic, save_algebra
+from weilcalc.errors import DomainError
 from weilcalc.exprs import Const, Var, intpow
 from weilcalc.functional import FunctionalVectorField, functional_field_to_json
 from weilcalc.programs import Program, VectorField, field_to_json
@@ -101,7 +102,25 @@ def test_verify_reports_failures_with_exit_one(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert rc == 1
     assert "fail" in out
+    assert "first failure: trial=0 deviation=2.000e+00" in out
     assert "overall: fail" in out
+
+
+def test_verify_prints_the_error_of_a_unit_that_raised(capsys, monkeypatch):
+    def broken():
+        raise DomainError("log of non-positive real part -1.0")
+
+    monkeypatch.setattr(strongdiff, "check_sigma", broken)
+    assert cli.main(["verify", "--suite", "sigma"]) == 1
+    assert "first failure: DomainError: log of non-positive real part -1.0" in capsys.readouterr().out
+
+
+def test_repeated_verify_runs_reuse_exchange_homs(capsys):
+    # every run builds fresh algebras: a cache keyed by object id would hand
+    # later runs homs of freed algebras whose ids were reused, and would grow
+    for _ in range(20):
+        assert cli.main(["verify", "--suite", "exchange-square", "--samples", "5"]) == 0
+    assert len(strongdiff._exchange_cache) <= 5
 
 
 def test_verify_unwritable_report_path(capsys):
@@ -174,6 +193,13 @@ def test_bracket_usage_errors(capsys, manifold_fields, functional_fields, tmp_pa
         json.dumps(field_to_json(VectorField(2, Program(2, [Var(0), Var(1)]))))
     )
     assert cli.main(["bracket", "--field", sq, "--field", str(dim2)]) == 2
+
+
+@pytest.mark.parametrize("at", ["nan", "inf", "-inf", "1e999"])
+def test_bracket_rejects_non_finite_points(capsys, manifold_fields, at):
+    sq, one = manifold_fields
+    assert cli.main(["bracket", "--field", sq, "--field", one, "--at=" + at]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 # -- algebra --------------------------------------------------------------------

@@ -1,13 +1,23 @@
 """Expression trees and straight-line programs."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from weilcalc.algebra import AlgebraElement, make_basic
 from weilcalc.exprs import (
+    PRIMITIVES,
     Add,
     Const,
+    Div,
+    IntPow,
     Mul,
+    Neg,
+    Prim,
+    Sub,
     Var,
     add,
     div,
@@ -15,6 +25,7 @@ from weilcalc.exprs import (
     intpow,
     mul,
     neg,
+    postorder,
     prim,
     simplify,
     sub,
@@ -38,7 +49,8 @@ from weilcalc.programs import (
     random_poly_program,
     stack_programs,
 )
-from weilcalc.errors import ShapeMismatch
+from weilcalc.errors import ArityMismatch, DivisionByNilpotent, ShapeMismatch, WeilError
+from weilcalc.scalars import apply_primitive
 
 
 # -- smart constructors -------------------------------------------------------
@@ -169,6 +181,175 @@ def test_evaluate_dual_returns_directional_derivative():
     f = Program(1, [intpow(Var(0), 2)])
     val, eps = evaluate_dual(f, [3.0], [1.0])
     assert val == [9.0] and eps == [6.0]
+
+
+def _reference(roots, args):
+    """Recursive evaluation straight from the trees, the meaning a tape must keep.
+
+    Children are visited right operand first and each node once, the order
+    the compiled tape runs in, so the first error raised is comparable.
+    """
+    memo = {}
+
+    def ev(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        if isinstance(node, Var):
+            out = args[node.i]
+        elif isinstance(node, Const):
+            out = node.c
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            b = ev(node.b)
+            a = ev(node.a)
+            if isinstance(node, Add):
+                out = a + b
+            elif isinstance(node, Sub):
+                out = a - b
+            elif isinstance(node, Mul):
+                out = a * b
+            elif b == 0.0:
+                raise DivisionByNilpotent("division by zero real part")
+            else:
+                out = a / b
+        elif isinstance(node, Neg):
+            out = -ev(node.x)
+        elif isinstance(node, IntPow):
+            x = ev(node.x)
+            if x == 0.0 and node.k < 0:
+                raise DivisionByNilpotent("zero real part raised to a negative power")
+            out = x ** node.k
+        else:
+            out = apply_primitive(node.name, ev(node.x))
+        memo[id(node)] = out
+        return out
+
+    return [ev(r) for r in roots]
+
+
+@st.composite
+def _dags(draw, arity=3):
+    """Random DAGs over x0..x2: every node may reuse any earlier node."""
+    nodes = [Var(i) for i in range(arity)]
+    nodes += [Const(c) for c in draw(st.lists(st.floats(-2, 2), min_size=1, max_size=3))]
+    pick = st.integers(0, 10**6).map(lambda i: nodes[i % len(nodes)])
+    ops = st.sampled_from(("add", "sub", "mul", "div", "neg", "intpow") + PRIMITIVES)
+    for _ in range(draw(st.integers(1, 14))):
+        op = draw(ops)
+        x = draw(pick)
+        if op in ("add", "sub", "mul", "div"):
+            cls = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[op]
+            nodes.append(cls(x, draw(pick)))
+        elif op == "neg":
+            nodes.append(Neg(x))
+        elif op == "intpow":
+            nodes.append(IntPow(x, draw(st.integers(-3, 4))))
+        else:
+            nodes.append(Prim(op, x))
+    roots = draw(st.lists(pick, min_size=1, max_size=3))
+    roots.append(nodes[-1])
+    return roots
+
+
+_points = st.lists(st.floats(-2, 2), min_size=3, max_size=3)
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except (WeilError, ArithmeticError, ValueError) as err:
+        return err
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dags(), _points)
+# two failing operands: the right one is evaluated, and raises, first
+@example([Add(Prim("log", Var(0)), Div(Var(1), Var(2)))], [-1.0, 1.0, 0.0])
+def test_tape_matches_recursive_reference(roots, pt):
+    got = _outcome(lambda: evaluate(Program(3, roots), pt))
+    want = _outcome(lambda: _reference(roots, pt))
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+    else:
+        assert not isinstance(got, Exception), got
+        assert _bits(got) == _bits(want)
+    loose = _outcome(lambda: eval_exprs(roots, pt))
+    assert type(loose) is type(got)
+    if not isinstance(got, Exception):
+        assert _bits(loose) == _bits(got)
+
+
+def _near_a_pole(nodes, values):
+    """Whether a quotient, negative power, log or sqrt has its argument near 0.
+
+    There the two dual-number evaluations round differently by far more
+    than their results' size, so only well-conditioned points compare.
+    """
+    value = {id(n): v for n, v in zip(nodes, values)}
+    for n in nodes:
+        if isinstance(n, Div):
+            arg = n.b
+        elif (isinstance(n, IntPow) and n.k < 0) or (isinstance(n, Prim) and n.name in ("log", "sqrt")):
+            arg = n.x
+        else:
+            continue
+        if abs(value[id(arg)]) < 0.25:
+            return True
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dags(), _points, _points)
+def test_evaluate_dual_matches_dual_number_elements(roots, pt, tangent):
+    nodes = []
+    for root in roots:
+        nodes.extend(n for n in postorder(root) if n not in nodes)
+    prog = Program(3, nodes)  # every node is an output
+    dual = make_basic("dual")
+    elements = [AlgebraElement(dual, [x, t]) for x, t in zip(pt, tangent)]
+
+    def generic():
+        out = []
+        for v in evaluate(prog, elements):
+            out.append((v.coeffs[0], v.coeffs[1]) if isinstance(v, AlgebraElement) else (v, 0.0))
+        return out
+
+    want = _outcome(generic)
+    got = _outcome(lambda: evaluate_dual(prog, pt, tangent))
+    if isinstance(want, WeilError):
+        assert isinstance(got, WeilError)
+        return
+    assume(not isinstance(want, Exception) and not isinstance(got, Exception))
+    assume(not _near_a_pole(nodes, got[0]))
+    magnitudes = [abs(v) for pair in want for v in pair] + [abs(v) for v in got[0] + got[1]]
+    assume(all(math.isfinite(v) for v in magnitudes))
+    tol = 1e-12 * max([1.0] + magnitudes)
+    for (rv, dv), r, d in zip(want, *got):
+        assert abs(r - rv) <= tol
+        assert abs(d - dv) <= tol
+
+
+def test_long_chains_compile_without_recursion():
+    one = Const(1.0)
+    e = Var(0)
+    for _ in range(50_000):
+        e = Add(e, one)
+    prog = Program(1, [e])
+    assert evaluate(prog, [0.5]) == [50_000.5]
+    assert evaluate_dual(prog, [0.5], [1.0]) == ([50_000.5], [1.0])
+    assert eval_exprs([e], [0.5]) == [50_000.5]
+
+
+def test_program_documents_with_huge_integers():
+    far = {"in": 1, "exprs": [{"op": "var", "i": 2**40}]}
+    with pytest.raises(ArityMismatch):
+        program_from_json(far)
+    steep = {"in": 1, "exprs": [{"op": "intpow", "k": 10**20, "args": [{"op": "var", "i": 0}]}]}
+    prog = program_from_json(steep)
+    assert evaluate(prog, [0.5]) == [0.0]
 
 
 def test_compose_runs_right_then_left():
