@@ -53,14 +53,6 @@ def factorial_multi(alpha) -> int:
     return out
 
 
-def binom_multi(alpha, beta) -> int:
-    """Product over slots of C(alpha_i + beta_i, alpha_i)."""
-    out = 1
-    for a, b in zip(alpha, beta):
-        out *= math.comb(a + b, a)
-    return out
-
-
 def monomial_label(alpha, stem: str = "x") -> str:
     parts = []
     for i, e in enumerate(alpha):

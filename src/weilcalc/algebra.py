@@ -336,19 +336,6 @@ class AlgebraElement:
         return "<" + (" + ".join(parts) if parts else "0") + ">"
 
 
-def element_arithmetic(a: AlgebraElement, b, op: str):
-    """Binary element arithmetic by op name: add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ShapeMismatch("unknown op %r" % op)
-
-
 def evaluate_analytic(prim: str, a: AlgebraElement) -> AlgebraElement:
     """Apply an analytic primitive (sin cos exp log sqrt, or recip) to an element."""
     return a.analytic(prim, 0)
@@ -386,13 +373,6 @@ class AlgebraHom:
         worst = np.unravel_index(np.argmax(dev), dev.shape)
         if dev[worst] > tol:
             raise NotMultiplicative((int(worst[0]), int(worst[1])), float(dev[worst]))
-
-    def multiplicativity_deviation(self) -> float:
-        """Worst-case |mu(ab) - mu(a)mu(b)| over all basis pairs."""
-        m = self.matrix
-        lhs = np.einsum("ijs,ts->ijt", self.source.structure, m)
-        rhs = np.einsum("pi,qj,pqt->ijt", m, m, self.target.structure)
-        return float(np.abs(lhs - rhs).max())
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         if not (a.algebra is self.source or a.algebra.same_structure(self.source)):
@@ -670,12 +650,16 @@ def exchange(a: WeilAlgebra, b: WeilAlgebra, source: WeilAlgebra | None = None, 
     """Factor swap tensor(a,b) -> tensor(b,a) as a validated hom."""
     src = source if source is not None else tensor(a, b)
     tgt = target if target is not None else tensor(b, a)
-    da, db = a.dim, b.dim
+    return make_hom(src, tgt, swap_matrix(a.dim, b.dim))
+
+
+def swap_matrix(da: int, db: int) -> np.ndarray:
+    """Permutation taking left-major tensor coefficients of (a, b) to (b, a)."""
     m = np.zeros((da * db, da * db))
     for i in range(da):
         for j in range(db):
             m[j * da + i, i * db + j] = 1.0
-    return make_hom(src, tgt, m)
+    return m
 
 
 def hom_tensor(mu: AlgebraHom, c: WeilAlgebra, side: str = "left", source: WeilAlgebra | None = None, target: WeilAlgebra | None = None) -> AlgebraHom:

@@ -8,9 +8,7 @@ constructor expressions.
 Exit codes: 0 all checks passed, 1 a check failed or an algebra violated
 the axioms, 2 malformed input.  Randomness is derived per verification
 unit by hashing (seed, suite, qualifier), so reports are reproducible for
-a fixed seed regardless of suite selection, ordering or thread count.
-The env var WEILCALC_THREADS caps the number of worker threads (default
-1); units are independent and results are assembled in a fixed order.
+a fixed seed regardless of suite selection or ordering.
 """
 
 from __future__ import annotations
@@ -22,10 +20,7 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
-
-import numpy as np
 
 from . import functional, functor, jets, prolong, strongdiff
 from ._monomials import monomials
@@ -37,11 +32,10 @@ from .programs import (
     VectorField,
     evaluate,
     field_from_json,
-    jacobian_oracle,
     random_poly_field,
     random_poly_program,
 )
-from .reports import Report, assemble_document, document_dumps, report_from_check, rng_for
+from .reports import assemble_document, document_dumps, report_from_check, rng_for, tally
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -214,6 +208,8 @@ def _load_json(path: str):
             EXIT_USAGE,
             "%s:%d:%d: invalid JSON: %s" % (path, err.lineno, err.colno, err.msg),
         )
+    except RecursionError:
+        raise CliError(EXIT_USAGE, "%s: input nested too deeply" % path)
 
 
 def resolve_algebra(spec: str):
@@ -251,7 +247,7 @@ def _pr1_algebras(cfg):
     return cfg.algebras if cfg.algebras else _standard_algebras()
 
 
-def _functional_algebras(cfg):
+def _small_algebras(cfg):
     if cfg.algebras:
         return cfg.algebras
     return [("dual", make_basic("dual")), ("truncated(1,2)", make_basic("truncated", 1, 2))]
@@ -299,42 +295,11 @@ def functional_layout_names(m: int, q1: int, q2: int, r: int) -> list:
 # verification units
 
 # A unit is (suite, context label, thunk); thunks close over their own rng
-# so execution order and thread count cannot shift any random stream.
-
-
-def _merge(results):
-    out = {"max_error": 0.0, "samples": 0, "failures": []}
-    for i, r in enumerate(results):
-        out["max_error"] = max(out["max_error"], float(r["max_error"]))
-        out["samples"] += int(r["samples"])
-        for f in r["failures"]:
-            entry = dict(f)
-            entry["unit"] = i
-            out["failures"].append(entry)
-    return out
+# so execution order cannot shift any random stream.
 
 
 def _units_sigma(cfg):
     return [("sigma", "S", strongdiff.check_sigma)]
-
-
-def _custom_bracket_check(x, y, samples, rng, tol):
-    # same oracle as the random-pair suite, on user-supplied fields
-    worst = 0.0
-    failures = []
-    for trial in range(samples):
-        at = rng.uniform(-1.0, 1.0, size=x.dim)
-        got = strongdiff.bracket_value(x, y, at)
-        args = [float(v) for v in at]
-        fx = np.array(evaluate(x.components, args))
-        fy = np.array(evaluate(y.components, args))
-        jx = jacobian_oracle(x, at, richardson=True)
-        jy = jacobian_oracle(y, at, richardson=True)
-        dev = float(np.abs(got - (jy @ fx - jx @ fy)).max(initial=0.0))
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "deviation": dev})
-    return {"max_error": worst, "samples": samples, "failures": failures}
 
 
 def _units_bracket(cfg):
@@ -354,8 +319,17 @@ def _units_bracket(cfg):
             raise CliError(EXIT_USAGE, "--field pair lives on different dimensions")
 
         def run_custom():
+            # same oracle as the random-pair suite, on user-supplied fields
             rng = rng_for(cfg.seed, "bracket", "custom")
-            return _custom_bracket_check(x, y, cfg.count(20), rng, tol)
+
+            def deviations():
+                for trial in range(cfg.count(20)):
+                    at = rng.uniform(-1.0, 1.0, size=x.dim)
+                    yield {"trial": trial}, strongdiff.jacobian_bracket_deviation(
+                        x, y, at, richardson=True
+                    )
+
+            return tally(deviations(), tol)
 
         units.append(("bracket", "custom pair", run_custom))
     return units
@@ -367,17 +341,16 @@ def _units_prolong_manifold(cfg):
 
         def run(label=label, algebra=algebra):
             rng = rng_for(cfg.seed, "prolong-manifold", label)
-            results = []
-            for _ in range(10):
-                xf = random_poly_field(rng, 2, deg=2, scale=0.5)
-                yf = random_poly_field(rng, 2, deg=2, scale=0.5)
-                results.append(
-                    prolong.check_bracket_preserved(
-                        algebra, xf, yf,
-                        samples=cfg.count(50), rng=rng, tol=cfg.tolerance(1e-7),
-                    )
-                )
-            return _merge(results)
+
+            def deviations():
+                # ten random field pairs; a failure names its pair as `unit`
+                for unit in range(10):
+                    xf = random_poly_field(rng, 2, deg=2, scale=0.5)
+                    yf = random_poly_field(rng, 2, deg=2, scale=0.5)
+                    for tag, dev in prolong.bracket_deviations(algebra, xf, yf, cfg.count(50), rng):
+                        yield {**tag, "unit": unit}, dev
+
+            return tally(deviations(), cfg.tolerance(1e-7))
 
         units.append(("prolong-manifold", label, run))
     return units
@@ -398,10 +371,7 @@ def _units_exchange_square(cfg):
 
 
 def _units_projection_squares(cfg):
-    if cfg.algebras:
-        choices = cfg.algebras
-    else:
-        choices = [("dual", make_basic("dual")), ("truncated(1,2)", make_basic("truncated", 1, 2))]
+    choices = _small_algebras(cfg)
     units = []
     for (la, a), (lb, b), (lc, c) in itertools.product(choices, repeat=3):
         label = "%s,%s,%s" % (la, lb, lc)
@@ -541,7 +511,7 @@ def _functional_pair(cfg, suite, label):
 
 def _units_prolong_functional(cfg):
     units = []
-    for label, algebra in _functional_algebras(cfg):
+    for label, algebra in _small_algebras(cfg):
 
         def run(label=label, algebra=algebra):
             x1, x2 = _functional_pair(cfg, "prolong-functional", label)
@@ -605,27 +575,11 @@ _SUITE_BUILDERS = {
 }
 
 
-def _thread_count(n_units: int) -> int:
-    raw = os.environ.get("WEILCALC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        k = int(raw)
-    except ValueError:
-        raise CliError(EXIT_USAGE, "WEILCALC_THREADS must be an integer, got %r" % raw)
-    if k < 1:
-        raise CliError(EXIT_USAGE, "WEILCALC_THREADS must be at least 1")
-    return min(k, max(n_units, 1))
-
-
 def run_suites(cfg: SuiteConfig) -> dict:
     """Execute all configured units and assemble the report document."""
-    units = []
-    for suite in cfg.suites:
-        units.extend(_SUITE_BUILDERS[suite](cfg))
-
-    def run_unit(unit):
-        suite, label, thunk = unit
+    units = [unit for suite in cfg.suites for unit in _SUITE_BUILDERS[suite](cfg)]
+    reports = []
+    for suite, label, thunk in units:
         try:
             result = thunk()
         except WeilError as err:
@@ -634,14 +588,7 @@ def run_suites(cfg: SuiteConfig) -> dict:
                 "samples": 0,
                 "failures": [{"error": "%s: %s" % (type(err).__name__, err)}],
             }
-        return report_from_check(suite, label, result)
-
-    workers = _thread_count(len(units))
-    if workers == 1:
-        reports = [run_unit(u) for u in units]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_unit, units))
+        reports.append(report_from_check(suite, label, result))
     return assemble_document(reports, cfg.seed)
 
 

@@ -11,6 +11,8 @@ differentials) stay small.  Deserialized user programs are built raw.
 
 from __future__ import annotations
 
+import sys
+
 from .errors import ArityMismatch
 
 PRIMITIVES = ("sin", "cos", "exp", "log", "sqrt")
@@ -323,6 +325,8 @@ def node_from_json(data) -> Expr:
         c = data.get("c")
         if not isinstance(c, (int, float)) or isinstance(c, bool):
             raise ArityMismatch("const node needs a numeric 'c'")
+        if not abs(c) <= sys.float_info.max:  # NaN, inf, or an int past the float range
+            raise ArityMismatch("const node needs a finite 'c'")
         return Const(c)
     args = data.get("args")
     need = 2 if op in ("add", "sub", "mul", "div") else 1

@@ -45,6 +45,7 @@ from .programs import (
     random_poly_program,
 )
 from .prolong import field_prolong
+from .reports import tally
 from .strongdiff import bracket, dual_algebra
 
 
@@ -491,30 +492,33 @@ def check_bracket_preserved(algebra: WeilAlgebra, x1: FunctionalVectorField, x2:
     Both sides are evaluated at sampled (lifted base, polynomial lifted
     fiber map, y); the polynomial degree covers the bracket order.
     """
+    return _check_prolonged_bracket(
+        lambda f: functional_field_prolong(algebra, f), x1, x2, samples, rng, tol, box
+    )
+
+
+def _check_prolonged_bracket(prolong, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int, rng, tol: float, box: float) -> dict:
+    """Compare prolong([x1, x2]) with [prolong(x1), prolong(x2)] at sampled
+    (base point, polynomial fiber map, y) of the prolonged bundle."""
     if rng is None:
         rng = np.random.default_rng(0)
-    lhs = functional_field_prolong(algebra, functional_bracket(x1, x2))
-    rhs = functional_bracket(
-        functional_field_prolong(algebra, x1), functional_field_prolong(algebra, x2)
-    )
-    da = algebra.dim
+    lhs = prolong(functional_bracket(x1, x2))
+    rhs = functional_bracket(prolong(x1), prolong(x2))
     deg = 2 * (x1.r + x2.r) + 1
-    worst = 0.0
-    failures = []
-    for trial in range(samples):
-        x = rng.uniform(-box, box, size=x1.m * da)
-        hhat = random_poly_program(rng, x1.q1, x1.q2 * da, deg=deg, scale=0.6)
-        y = rng.uniform(-box, box, size=x1.q1)
-        lb, lv = fvf_value(lhs, x, hhat, y)
-        rb, rv = fvf_value(rhs, x, hhat, y)
-        dev = max(
-            float(np.abs(lb - rb).max(initial=0.0)),
-            float(np.abs(lv - rv).max(initial=0.0)),
-        )
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "deviation": dev})
-    return {"max_error": worst, "samples": samples, "failures": failures}
+
+    def deviations():
+        for trial in range(samples):
+            x = rng.uniform(-box, box, size=lhs.m)
+            hhat = random_poly_program(rng, lhs.q1, lhs.q2, deg=deg, scale=0.6)
+            y = rng.uniform(-box, box, size=lhs.q1)
+            lb, lv = fvf_value(lhs, x, hhat, y)
+            rb, rv = fvf_value(rhs, x, hhat, y)
+            yield {"trial": trial}, max(
+                float(np.abs(lb - rb).max(initial=0.0)),
+                float(np.abs(lv - rv).max(initial=0.0)),
+            )
+
+    return tally(deviations(), tol)
 
 
 # -- quotient-functor prolongation --------------------------------------------
@@ -568,28 +572,9 @@ def g_functional(triple: FunctorTriple, field: FunctionalVectorField) -> Functio
 def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, rng=None, tol: float = 1e-6, box: float = 1.0) -> dict:
     """Quotient prolongation of the bracket equals the bracket of the
     quotient prolongations, at sampled (x, fiber map, y)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    lhs = g_functional(triple, functional_bracket(x1, x2))
-    rhs = functional_bracket(g_functional(triple, x1), g_functional(triple, x2))
-    da = triple.algebra.dim
-    deg = 2 * (x1.r + x2.r) + 1
-    worst = 0.0
-    failures = []
-    for trial in range(samples):
-        x = rng.uniform(-box, box, size=x1.m)
-        hhat = random_poly_program(rng, x1.q1, x1.q2 * da, deg=deg, scale=0.6)
-        y = rng.uniform(-box, box, size=x1.q1)
-        lb, lv = fvf_value(lhs, x, hhat, y)
-        rb, rv = fvf_value(rhs, x, hhat, y)
-        dev = max(
-            float(np.abs(lb - rb).max(initial=0.0)),
-            float(np.abs(lv - rv).max(initial=0.0)),
-        )
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "deviation": dev})
-    return {"max_error": worst, "samples": samples, "failures": failures}
+    return _check_prolonged_bracket(
+        lambda f: g_functional(triple, f), x1, x2, samples, rng, tol, box
+    )
 
 
 # -- independent oracles -------------------------------------------------------
@@ -603,38 +588,36 @@ def check_order_locality(m: int = 1, q1: int = 1, q2: int = 1, r: int = 2, sampl
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    worst = 0.0
-    failures = []
-    for trial in range(samples):
-        fiber = random_poly_program(
-            rng, fiber_arity(m, q1, q2, r) + q1, q2, deg=2, scale=0.6
-        )
-        morph = OrderRMorphism(m, q1, q2, r, fiber)
-        h1 = random_poly_program(rng, q1, q2, deg=r + 2, scale=0.6)
-        y0 = rng.uniform(-0.8, 0.8, size=q1)
-        body = []
-        for s in range(q2):
-            e = h1.exprs[s]
-            for kappa in monomials(q1, r + 1, mindeg=r + 1):
-                term = Const(float(rng.uniform(-1.0, 1.0)))
-                for j, k in enumerate(kappa):
-                    if k:
-                        term = term * (Var(j) - float(y0[j])) ** k
-                e = e + term
-            body.append(e)
-        h2 = Program(q1, body)
-        x = rng.uniform(-1.0, 1.0, size=m)
-        p1 = FunctionalPoint(x, h1)
-        p2 = FunctionalPoint(x, h2)
-        dev = float(
-            np.abs(morphism_apply(morph, p1, y0) - morphism_apply(morph, p2, y0)).max(
-                initial=0.0
+
+    def deviations():
+        for trial in range(samples):
+            fiber = random_poly_program(
+                rng, fiber_arity(m, q1, q2, r) + q1, q2, deg=2, scale=0.6
             )
-        )
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "deviation": dev})
-    return {"max_error": worst, "samples": samples, "failures": failures}
+            morph = OrderRMorphism(m, q1, q2, r, fiber)
+            h1 = random_poly_program(rng, q1, q2, deg=r + 2, scale=0.6)
+            y0 = rng.uniform(-0.8, 0.8, size=q1)
+            body = []
+            for s in range(q2):
+                e = h1.exprs[s]
+                for kappa in monomials(q1, r + 1, mindeg=r + 1):
+                    term = Const(float(rng.uniform(-1.0, 1.0)))
+                    for j, k in enumerate(kappa):
+                        if k:
+                            term = term * (Var(j) - float(y0[j])) ** k
+                    e = e + term
+                body.append(e)
+            h2 = Program(q1, body)
+            x = rng.uniform(-1.0, 1.0, size=m)
+            p1 = FunctionalPoint(x, h1)
+            p2 = FunctionalPoint(x, h2)
+            yield {"trial": trial}, float(
+                np.abs(morphism_apply(morph, p1, y0) - morphism_apply(morph, p2, y0)).max(
+                    initial=0.0
+                )
+            )
+
+    return tally(deviations(), tol)
 
 
 def _poly_family_rate(field: FunctionalVectorField, d: int, nodes: np.ndarray, vander_inv: np.ndarray):
@@ -694,14 +677,11 @@ def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField
             cols.append((f(wp) - f(wm)) / (2.0 * fd_step))
         return np.array(cols).T
 
-    worst = 0.0
-    failures = []
-    for trial in range(samples):
-        w = rng.uniform(-0.8, 0.8, size=n)
-        want = jac(f2, w) @ f1(w) - jac(f1, w) @ f2(w)
-        got = fb(w)
-        dev = float(np.abs(want - got).max(initial=0.0))
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "deviation": dev})
-    return {"max_error": worst, "samples": samples, "failures": failures}
+    def deviations():
+        for trial in range(samples):
+            w = rng.uniform(-0.8, 0.8, size=n)
+            want = jac(f2, w) @ f1(w) - jac(f1, w) @ f2(w)
+            got = fb(w)
+            yield {"trial": trial}, float(np.abs(want - got).max(initial=0.0))
+
+    return tally(deviations(), tol)

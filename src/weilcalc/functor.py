@@ -15,6 +15,7 @@ from .algebra import AlgebraElement, AlgebraHom, WeilAlgebra, apply_matrix, tens
 from .errors import AlgebraMismatch, ShapeMismatch
 from .exprs import Const, Expr, Var
 from .programs import Program, evaluate
+from .reports import tally
 
 
 class WeilPoint:
@@ -196,29 +197,27 @@ def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 
     if rng is None:
         rng = np.random.default_rng(0)
     t = tensor(outer, inner)
-    worst = 0.0
-    failures = []
     prims = ("sin", "cos", "exp")
-    for trial in range(programs):
-        f = random_poly_program(rng, n, n, deg=2, scale=0.5)
-        body = []
-        for i, e in enumerate(f.exprs):
-            if trial % 2 == 0:
-                e = e + Const(0.3) * _exprs.prim(prims[(trial + i) % 3], e)
-            body.append(e)
-        f = Program(n, body)
 
-        flat = rng.uniform(-box, box, size=n * t.dim)
-        p_t = point_from_flat(t, n, flat)
-        direct = lift(t, f)(p_t)
+    def deviations():
+        for trial in range(programs):
+            f = random_poly_program(rng, n, n, deg=2, scale=0.5)
+            body = []
+            for i, e in enumerate(f.exprs):
+                if trial % 2 == 0:
+                    e = e + Const(0.3) * _exprs.prim(prims[(trial + i) % 3], e)
+                body.append(e)
+            f = Program(n, body)
 
-        p_it = unflatten(p_t, outer, inner)
-        inner_rendering = lift_program(inner, f)
-        q_it = lift(outer, inner_rendering)(p_it)
-        twice = flatten(q_it, outer, inner, target=t)
+            flat = rng.uniform(-box, box, size=n * t.dim)
+            p_t = point_from_flat(t, n, flat)
+            direct = lift(t, f)(p_t)
 
-        dev = float(np.abs(direct.flat() - twice.flat()).max(initial=0.0))
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "deviation": dev})
-    return {"max_error": worst, "samples": programs, "failures": failures}
+            p_it = unflatten(p_t, outer, inner)
+            inner_rendering = lift_program(inner, f)
+            q_it = lift(outer, inner_rendering)(p_it)
+            twice = flatten(q_it, outer, inner, target=t)
+
+            yield {"trial": trial}, float(np.abs(direct.flat() - twice.flat()).max(initial=0.0))
+
+    return tally(deviations(), tol)

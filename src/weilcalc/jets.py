@@ -57,6 +57,7 @@ from .functor import WeilPoint, lift_elements
 from .programs import Program, VectorField, evaluate
 from .prolong import field_prolong
 from .scalars import apply_primitive
+from .reports import tally
 from .strongdiff import bracket, bracket_value, dual_algebra
 
 _MIN_DET = 1e-12
@@ -640,11 +641,6 @@ def canonical_frame(m: int, r: int, x) -> Frame:
     return Frame(x, identity_jet(m, r))
 
 
-def frame_compose(frame: Frame, g: JetGroupElement) -> Frame:
-    """Right translation: the frame of (frame map) after g."""
-    return Frame(frame.x, jet_compose(g, frame.jet))
-
-
 def frame_to_flat(frame: Frame) -> np.ndarray:
     """Coordinate-major layout matching the lifted space over truncated(m,r)."""
     m, r = frame.m, frame.r
@@ -740,18 +736,16 @@ def check_frame_prolong(xi: VectorField, r: int, samples: int = 5, rng=None, tol
         rng = np.random.default_rng(0)
     m = xi.dim
     field = frame_prolong(xi, r)
-    worst = 0.0
-    failures = []
-    for trial in range(samples):
-        frame = Frame(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
-        flat = frame_to_flat(frame)
-        want = flow_frame_oracle(xi, r, flat)
-        got = np.array(evaluate(field.components, [float(v) for v in flat]))
-        dev = float(np.abs(want - got).max(initial=0.0))
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "deviation": dev})
-    return {"max_error": worst, "samples": samples, "failures": failures}
+
+    def deviations():
+        for trial in range(samples):
+            frame = Frame(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
+            flat = frame_to_flat(frame)
+            want = flow_frame_oracle(xi, r, flat)
+            got = np.array(evaluate(field.components, [float(v) for v in flat]))
+            yield {"trial": trial}, float(np.abs(want - got).max(initial=0.0))
+
+    return tally(deviations(), tol)
 
 
 # -- associated bundle points ---------------------------------------------
@@ -959,51 +953,48 @@ def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorFi
     g1 = g_field_prolong(triple, x1)
     g2 = g_field_prolong(triple, x2)
     lhs = g_field_prolong(triple, bracket(x1, x2))
-    worst = 0.0
-    failures = []
-    for trial in range(samples):
-        p = rng.uniform(-box, box, size=lhs.dim)
-        args = [float(v) for v in p]
-        want = np.array(evaluate(lhs.components, args))
-        got = bracket_value(g1, g2, args)
-        dev = float(np.abs(want - got).max(initial=0.0))
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "deviation": dev})
-    return {"max_error": worst, "samples": samples, "failures": failures}
+
+    def deviations():
+        for trial in range(samples):
+            p = rng.uniform(-box, box, size=lhs.dim)
+            args = [float(v) for v in p]
+            want = np.array(evaluate(lhs.components, args))
+            got = bracket_value(g1, g2, args)
+            yield {"trial": trial}, float(np.abs(want - got).max(initial=0.0))
+
+    return tally(deviations(), tol)
 
 
 def check_jet_group(m: int, r: int, samples: int = 40, rng=None, tol: float = 1e-10) -> dict:
     """Group axioms with exact rational jets; action homomorphism on floats."""
     if rng is None:
         rng = np.random.default_rng(0)
-    failures = []
     ident = identity_jet(m, r)
-    for trial in range(samples):
-        ja = random_rational_jet(rng, m, r)
-        jb = random_rational_jet(rng, m, r)
-        jc = random_rational_jet(rng, m, r)
-        if jet_compose(jet_compose(ja, jb), jc) != jet_compose(ja, jet_compose(jb, jc)):
-            failures.append({"trial": trial, "axiom": "associativity"})
-        if jet_compose(ja, ident) != ja or jet_compose(ident, ja) != ja:
-            failures.append({"trial": trial, "axiom": "identity"})
-        inv = jet_invert(ja)
-        if jet_compose(ja, inv) != ident or jet_compose(inv, ja) != ident:
-            failures.append({"trial": trial, "axiom": "inverse"})
-    h = canonical_H(m, r)
-    worst = 0.0
-    for trial in range(samples):
-        g1 = random_jet(rng, m, r)
-        g2 = random_jet(rng, m, r)
-        dev = float(
-            np.abs(
-                h(jet_compose(g1, g2)).matrix - h(g1).matrix @ h(g2).matrix
-            ).max()
-        )
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "axiom": "action-homomorphism", "deviation": dev})
-    return {"max_error": worst, "samples": samples, "failures": failures}
+
+    def deviations():
+        # exact axioms yield only their failures, as categorical entries
+        for trial in range(samples):
+            ja = random_rational_jet(rng, m, r)
+            jb = random_rational_jet(rng, m, r)
+            jc = random_rational_jet(rng, m, r)
+            if jet_compose(jet_compose(ja, jb), jc) != jet_compose(ja, jet_compose(jb, jc)):
+                yield {"trial": trial, "axiom": "associativity"}, None
+            if jet_compose(ja, ident) != ja or jet_compose(ident, ja) != ja:
+                yield {"trial": trial, "axiom": "identity"}, None
+            inv = jet_invert(ja)
+            if jet_compose(ja, inv) != ident or jet_compose(inv, ja) != ident:
+                yield {"trial": trial, "axiom": "inverse"}, None
+        h = canonical_H(m, r)
+        for trial in range(samples):
+            g1 = random_jet(rng, m, r)
+            g2 = random_jet(rng, m, r)
+            yield {"trial": trial, "axiom": "action-homomorphism"}, float(
+                np.abs(
+                    h(jet_compose(g1, g2)).matrix - h(g1).matrix @ h(g2).matrix
+                ).max()
+            )
+
+    return tally(deviations(), tol, samples=samples)
 
 
 def check_classical_prolongation(samples: int = 20, rng=None, tol: float = 1e-8, box: float = 1.0) -> dict:
@@ -1019,19 +1010,17 @@ def check_classical_prolongation(samples: int = 20, rng=None, tol: float = 1e-8,
     if rng is None:
         rng = np.random.default_rng(0)
     triple = jet_triple(1, 1)
-    worst = 0.0
-    failures = []
-    for trial in range(samples):
-        phi = random_poly_program(rng, 2, 1, deg=3, scale=0.6)
-        field = VectorField(2, Program(2, [Const(0.0), phi.exprs[0]]))
-        gf = g_field_prolong(triple, field)
-        x, y, y1 = rng.uniform(-box, box, size=3)
-        got = np.array(evaluate(gf.components, [x, y, y1]))
-        val = evaluate(phi, [x, y])[0]
-        grad = jacobian_oracle(phi, [x, y], richardson=True)[0]
-        want = np.array([0.0, val, grad[0] + y1 * grad[1]])
-        dev = float(np.abs(got - want).max(initial=0.0))
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "deviation": dev})
-    return {"max_error": worst, "samples": samples, "failures": failures}
+
+    def deviations():
+        for trial in range(samples):
+            phi = random_poly_program(rng, 2, 1, deg=3, scale=0.6)
+            field = VectorField(2, Program(2, [Const(0.0), phi.exprs[0]]))
+            gf = g_field_prolong(triple, field)
+            x, y, y1 = rng.uniform(-box, box, size=3)
+            got = np.array(evaluate(gf.components, [x, y, y1]))
+            val = evaluate(phi, [x, y])[0]
+            grad = jacobian_oracle(phi, [x, y], richardson=True)[0]
+            want = np.array([0.0, val, grad[0] + y1 * grad[1]])
+            yield {"trial": trial}, float(np.abs(got - want).max(initial=0.0))
+
+    return tally(deviations(), tol)

@@ -13,12 +13,15 @@ evaluation before handing it out.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .algebra import WeilAlgebra
 from .errors import DivisionByNilpotent, DomainError, InvariantViolation, ShapeMismatch
 from .functor import lift_elements, lift_program, point_from_flat
 from .programs import VectorField, evaluate
+from .reports import tally
 from .strongdiff import bracket, bracket_value
 
 RENDER_LIMIT = 8
@@ -85,15 +88,36 @@ def check_base_projection(pf: ProlongedField, samples: int = 10, rng=None, box: 
     n = pf.base_field.dim
     u = pf.algebra.unit_index
     d = pf.algebra.dim
-    worst = 0.0
-    for _ in range(samples):
-        flat = rng.uniform(-box, box, size=pf.dim)
-        vel = pf.value_at(flat).reshape(n, d)
-        base_vel = np.array(
-            evaluate(pf.base_field.components, [float(v) for v in pf.base_values(flat)])
+
+    def deviations():
+        for trial in range(samples):
+            flat = rng.uniform(-box, box, size=pf.dim)
+            vel = pf.value_at(flat).reshape(n, d)
+            base_vel = np.array(
+                evaluate(pf.base_field.components, [float(v) for v in pf.base_values(flat)])
+            )
+            yield {"trial": trial}, float(np.abs(vel[:, u] - base_vel).max(initial=0.0))
+
+    # no acceptance threshold: only a NaN comparison is recorded as a failure
+    return tally(deviations(), math.inf)
+
+
+def bracket_deviations(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int, rng, box: float = 1.0):
+    """(tag, deviation) pairs of check_bracket_preserved, one per sampled point."""
+    if x_field.dim != y_field.dim:
+        raise ShapeMismatch("fields live on different spaces")
+    lhs = field_prolong(algebra, bracket(x_field, y_field))
+    px = field_prolong(algebra, x_field)
+    py = field_prolong(algebra, y_field)
+    if px.rendering is None or py.rendering is None:
+        raise ShapeMismatch(
+            "algebra dim %d too large to render; raise render_limit" % algebra.dim
         )
-        worst = max(worst, float(np.abs(vel[:, u] - base_vel).max(initial=0.0)))
-    return {"max_error": worst, "samples": samples, "failures": []}
+    for trial in range(samples):
+        flat = rng.uniform(-box, box, size=lhs.dim)
+        want = lhs.value_at(flat)
+        got = bracket_value(px.rendering, py.rendering, flat)
+        yield {"trial": trial}, float(np.abs(want - got).max(initial=0.0))
 
 
 def check_bracket_preserved(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int = 30, rng=None, tol: float = 1e-7, box: float = 1.0) -> dict:
@@ -105,23 +129,4 @@ def check_bracket_preserved(algebra: WeilAlgebra, x_field: VectorField, y_field:
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if x_field.dim != y_field.dim:
-        raise ShapeMismatch("fields live on different spaces")
-    lhs = field_prolong(algebra, bracket(x_field, y_field))
-    px = field_prolong(algebra, x_field)
-    py = field_prolong(algebra, y_field)
-    if px.rendering is None or py.rendering is None:
-        raise ShapeMismatch(
-            "algebra dim %d too large to render; raise render_limit" % algebra.dim
-        )
-    worst = 0.0
-    failures = []
-    for trial in range(samples):
-        flat = rng.uniform(-box, box, size=lhs.dim)
-        want = lhs.value_at(flat)
-        got = bracket_value(px.rendering, py.rendering, flat)
-        dev = float(np.abs(want - got).max(initial=0.0))
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "deviation": dev})
-    return {"max_error": worst, "samples": samples, "failures": failures}
+    return tally(bracket_deviations(algebra, x_field, y_field, samples, rng, box), tol)

@@ -1,10 +1,11 @@
 """Verification reports: one entry per (suite, algebra) unit.
 
-Every check function in the package returns a plain dict with the keys
-max_error, samples and failures; this module wraps those into report
-entries with a fixed key set and assembles full documents.  Randomness
-for a unit is derived by hashing (seed, suite, qualifier), so units are
-reproducible independently of execution order or thread count.
+Every check function in the package folds its comparisons with `tally`
+into a plain dict with the keys max_error, samples and failures; this
+module wraps those into report entries with a fixed key set and
+assembles full documents.  Randomness for a unit is derived by hashing
+(seed, suite, qualifier), so units are reproducible independently of
+execution order.
 """
 
 from __future__ import annotations
@@ -47,6 +48,30 @@ class Report:
             "status": self.status,
             "failures": list(self.failures),
         }
+
+
+def tally(deviations, tol: float, samples: int | None = None) -> dict:
+    """Fold (tag, deviation) pairs into a check dict.
+
+    A pair fails unless deviation <= tol, so a NaN deviation fails; its
+    failure entry is the tag dict plus the deviation.  A deviation of None
+    marks a categorical failure (an axiom or a membership test): it fails
+    with the tag alone as its entry.  max_error is the largest deviation
+    seen, which a NaN never raises; samples defaults to the number of
+    pairs.
+    """
+    worst = 0.0
+    failures = []
+    count = 0
+    for tag, dev in deviations:
+        count += 1
+        if dev is None:
+            failures.append(tag)
+            continue
+        worst = max(worst, dev)
+        if not dev <= tol:
+            failures.append({**tag, "deviation": dev})
+    return {"max_error": worst, "samples": count if samples is None else samples, "failures": failures}
 
 
 def report_from_check(suite: str, algebra: str, result: dict) -> Report:

@@ -18,9 +18,6 @@ import math
 from . import exprs
 from .errors import DivisionByNilpotent, DomainError
 
-ANALYTIC = ("sin", "cos", "exp", "log", "sqrt", "recip")
-
-
 def as_real(x):
     """Real part of a carrier scalar, or None if unknowable (symbolic)."""
     if isinstance(x, (int, float)):

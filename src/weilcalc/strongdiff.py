@@ -31,8 +31,10 @@ from .algebra import (
     hom_tensor,
     make_basic,
     make_hom,
+    rho,
     subalgebra,
     sum_algebra,
+    swap_matrix,
     tensor,
 )
 from .errors import IncompatiblePair, ShapeMismatch
@@ -47,6 +49,7 @@ from .programs import (
     jacobian_oracle,
     random_poly_field,
 )
+from .reports import tally
 
 _SLOT_TO_DD = (0, 2, 1, 3)
 
@@ -342,54 +345,38 @@ def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, r
     tas = tensor(algebra, bundle.algebra)
     sig_a = hom_tensor(bundle.sigma, algebra, side="left", source=tas)
     exch = exchange(algebra, dual_algebra(), source=sig_a.target)
-    worst = 0.0
-    failures = []
-    for trial in range(samples):
-        arr = rng.uniform(-1.0, 1.0, size=(n, 5, da))
-        x = np.stack([arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]], axis=1)
-        y = np.stack([arr[:, 0], arr[:, 2], arr[:, 1], arr[:, 4]], axis=1)
-        pair = ASecondPair(algebra, x, y)
 
-        lifted = k_map(pair)
-        if not compatible(lifted.x, lifted.y, tol=0.0):
-            failures.append({"trial": trial, "reason": "membership"})
-            continue
-        base1, vec1 = strong_diff(lifted)
+    def deviations():
+        for trial in range(samples):
+            arr = rng.uniform(-1.0, 1.0, size=(n, 5, da))
+            x = np.stack([arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]], axis=1)
+            y = np.stack([arr[:, 0], arr[:, 2], arr[:, 1], arr[:, 4]], axis=1)
+            pair = ASecondPair(algebra, x, y)
 
-        coords = []
-        for i in range(n):
-            coeffs = [0.0] * (da * 5)
-            for s in range(5):
-                for a in range(da):
-                    coeffs[a * 5 + s] = arr[i, s, a]
-            coords.append(AlgebraElement(tas, coeffs))
-        q = transform(exch, transform(sig_a, WeilPoint(tas, coords)))
-        qa = q.coefficient_array()
-        base2 = qa[:, 0:da].reshape(-1)
-        vec2 = qa[:, da : 2 * da].reshape(-1)
+            lifted = k_map(pair)
+            if not compatible(lifted.x, lifted.y, tol=0.0):
+                yield {"trial": trial, "reason": "membership"}, None
+                continue
+            base1, vec1 = strong_diff(lifted)
 
-        dev = max(
-            np.abs(base1 - base2).max(initial=0.0),
-            np.abs(vec1 - vec2).max(initial=0.0),
-        )
-        worst = max(worst, dev)
-        if dev > tol:
-            failures.append({"trial": trial, "deviation": dev})
-    return {"max_error": worst, "samples": samples, "failures": failures}
+            coords = []
+            for i in range(n):
+                coeffs = [0.0] * (da * 5)
+                for s in range(5):
+                    for a in range(da):
+                        coeffs[a * 5 + s] = arr[i, s, a]
+                coords.append(AlgebraElement(tas, coeffs))
+            q = transform(exch, transform(sig_a, WeilPoint(tas, coords)))
+            qa = q.coefficient_array()
+            base2 = qa[:, 0:da].reshape(-1)
+            vec2 = qa[:, da : 2 * da].reshape(-1)
 
+            yield {"trial": trial}, max(
+                np.abs(base1 - base2).max(initial=0.0),
+                np.abs(vec1 - vec2).max(initial=0.0),
+            )
 
-def _kappa(da: int, db: int) -> np.ndarray:
-    m = np.zeros((da * db, da * db))
-    for i in range(da):
-        for j in range(db):
-            m[j * da + i, i * db + j] = 1.0
-    return m
-
-
-def _rho_row(alg: WeilAlgebra) -> np.ndarray:
-    row = np.zeros((1, alg.dim))
-    row[0, alg.unit_index] = 1.0
-    return row
+    return tally(deviations(), tol)
 
 
 def check_projection_squares(a: WeilAlgebra, b: WeilAlgebra, c: WeilAlgebra) -> dict:
@@ -401,15 +388,14 @@ def check_projection_squares(a: WeilAlgebra, b: WeilAlgebra, c: WeilAlgebra) -> 
     sides must agree exactly.
     """
     da, db, dc = a.dim, b.dim, c.dim
-    k_ab = _kappa(da, db)
-    k_ac = _kappa(da, dc)
-    rb = _rho_row(b)
+    k_ab = swap_matrix(da, db)
+    k_ac = swap_matrix(da, dc)
+    rb = rho(b).matrix
     t1 = np.kron(k_ab, np.eye(dc))
     t2 = np.kron(np.eye(db), k_ac)
     lhs = np.kron(rb, np.eye(dc * da)) @ t2 @ t1
     rhs = k_ac @ np.kron(np.kron(np.eye(da), rb), np.eye(dc))
-    dev = float(np.abs(lhs - rhs).max())
-    return {"max_error": dev, "samples": 1, "failures": [] if dev == 0.0 else [{"identity": "projection-square"}]}
+    return tally([({"identity": "projection-square"}, float(np.abs(lhs - rhs).max()))], 0.0)
 
 
 def check_tangent_projection_identities(a: WeilAlgebra) -> dict:
@@ -420,8 +406,8 @@ def check_tangent_projection_identities(a: WeilAlgebra) -> dict:
     """
     d = a.dim
     i2 = np.eye(2)
-    k = _kappa(d, 2)
-    r = _rho_row(dual_algebra())
+    k = swap_matrix(d, 2)
+    r = rho(dual_algebra()).matrix
     pairs = [
         (
             "project-outer-after-double-flip",
@@ -439,14 +425,7 @@ def check_tangent_projection_identities(a: WeilAlgebra) -> dict:
             np.kron(i2, np.kron(np.eye(d), r)),
         ),
     ]
-    worst = 0.0
-    failures = []
-    for name, lhs, rhs in pairs:
-        dev = float(np.abs(lhs - rhs).max())
-        worst = max(worst, dev)
-        if dev != 0.0:
-            failures.append({"identity": name, "deviation": dev})
-    return {"max_error": worst, "samples": len(pairs), "failures": failures}
+    return tally((({"identity": name}, float(np.abs(lhs - rhs).max())) for name, lhs, rhs in pairs), 0.0)
 
 
 def check_sigma() -> dict:
@@ -461,57 +440,53 @@ def check_sigma() -> dict:
     want = np.array(
         [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]]
     )
-    worst = 0.0
-    failures = []
-    dev = float(np.abs(s.sigma.matrix - want).max())
-    worst = max(worst, dev)
-    if dev != 0.0:
-        failures.append({"check": "basis images", "deviation": dev})
-    # worked value: sigma(2 + b1 + 3 b2 + 5 b3 + 4 b4) = 2 + e
-    got = s.sigma.matrix @ np.array([2.0, 1.0, 3.0, 5.0, 4.0])
-    dev = float(np.abs(got - np.array([2.0, 1.0])).max())
-    worst = max(worst, dev)
-    if dev != 0.0:
-        failures.append({"check": "worked value", "deviation": dev})
     d = dual_algebra()
-    for i in range(5):
-        for j in range(5):
-            lhs = s.sigma.matrix @ s.algebra.structure[i, j]
-            rhs = np.einsum(
-                "a,b,abk->k",
-                s.sigma.matrix[:, i],
-                s.sigma.matrix[:, j],
-                d.structure,
-            )
-            dev = float(np.abs(lhs - rhs).max())
-            worst = max(worst, dev)
-            if dev != 0.0:
-                failures.append({"pair": [i, j], "deviation": dev})
-    return {"max_error": worst, "samples": 25, "failures": failures}
+
+    def deviations():
+        yield {"check": "basis images"}, float(np.abs(s.sigma.matrix - want).max())
+        # worked value: sigma(2 + b1 + 3 b2 + 5 b3 + 4 b4) = 2 + e
+        got = s.sigma.matrix @ np.array([2.0, 1.0, 3.0, 5.0, 4.0])
+        yield {"check": "worked value"}, float(np.abs(got - np.array([2.0, 1.0])).max())
+        for i in range(5):
+            for j in range(5):
+                lhs = s.sigma.matrix @ s.algebra.structure[i, j]
+                rhs = np.einsum(
+                    "a,b,abk->k",
+                    s.sigma.matrix[:, i],
+                    s.sigma.matrix[:, j],
+                    d.structure,
+                )
+                yield {"pair": [i, j]}, float(np.abs(lhs - rhs).max())
+
+    return tally(deviations(), 0.0, samples=25)
+
+
+def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, richardson: bool = False) -> float:
+    """Largest gap at one point between the strong-difference bracket and
+    DY.X - DX.Y with finite-difference Jacobians."""
+    args = [float(v) for v in at]
+    xv = np.array(evaluate(x_field.components, args))
+    yv = np.array(evaluate(y_field.components, args))
+    want = (
+        jacobian_oracle(y_field, at, richardson=richardson) @ xv
+        - jacobian_oracle(x_field, at, richardson=richardson) @ yv
+    )
+    got = bracket_value(x_field, y_field, at)
+    return float(np.abs(want - got).max(initial=0.0))
 
 
 def check_bracket_jacobian(dims=(1, 2, 3), pairs: int = 20, points: int = 20, rng=None, tol: float = 1e-6, deg: int = 3, box: float = 1.0) -> dict:
     """Strong-difference bracket against the finite-difference Jacobian bracket."""
     if rng is None:
         rng = np.random.default_rng(0)
-    worst = 0.0
-    failures = []
-    samples = 0
-    for n in dims:
-        for pair in range(pairs):
-            xf = random_poly_field(rng, n, deg=deg)
-            yf = random_poly_field(rng, n, deg=deg)
-            for _ in range(points):
-                at = rng.uniform(-box, box, size=n)
-                samples += 1
-                xv = np.array(evaluate(xf.components, list(at)))
-                yv = np.array(evaluate(yf.components, list(at)))
-                want = jacobian_oracle(yf, at) @ xv - jacobian_oracle(xf, at) @ yv
-                got = bracket_value(xf, yf, at)
-                dev = float(np.abs(want - got).max(initial=0.0))
-                worst = max(worst, dev)
-                if dev > tol:
-                    failures.append(
-                        {"dim": n, "pair": pair, "deviation": dev}
-                    )
-    return {"max_error": worst, "samples": samples, "failures": failures}
+
+    def deviations():
+        for n in dims:
+            for pair in range(pairs):
+                xf = random_poly_field(rng, n, deg=deg)
+                yf = random_poly_field(rng, n, deg=deg)
+                for _ in range(points):
+                    at = rng.uniform(-box, box, size=n)
+                    yield {"dim": n, "pair": pair}, jacobian_bracket_deviation(xf, yf, at)
+
+    return tally(deviations(), tol)

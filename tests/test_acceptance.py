@@ -202,9 +202,15 @@ def test_criterion_12_verification_is_deterministic():
     cfg = cli.SuiteConfig(suites=list(cli.SUITES), seed=SEED)
     first = cli.run_suites(cfg)
     second = cli.run_suites(cli.SuiteConfig(suites=list(cli.SUITES), seed=SEED))
-    ok = documents_equal(first, second) and first["status"] == "pass"
+    samples = sum(entry["samples"] for entry in first["suites"])
+    ok = (
+        documents_equal(first, second)
+        and first["status"] == "pass"
+        and len(first["suites"]) == 42
+        and samples == 5229
+    )
     print(
-        "criterion 12 %-34s %s  (%d units)"
-        % ("deterministic verification", "PASS" if ok else "FAIL", len(first["suites"]))
+        "criterion 12 %-34s %s  (%d units, %d samples)"
+        % ("deterministic verification", "PASS" if ok else "FAIL", len(first["suites"]), samples)
     )
     assert ok

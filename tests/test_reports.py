@@ -15,6 +15,7 @@ from weilcalc.reports import (
     documents_equal,
     report_from_check,
     rng_for,
+    tally,
 )
 
 
@@ -88,3 +89,38 @@ def test_document_validates_against_the_packaged_schema():
     ]
     doc = assemble_document(reports, seed=3)
     jsonschema.validate(json.loads(document_dumps(doc)), schema)
+
+
+def test_tally_fails_a_nan_deviation():
+    out = tally([({"trial": 0}, 0.0), ({"trial": 1}, float("nan"))], tol=1e-6)
+    assert len(out["failures"]) == 1
+    assert out["failures"][0]["trial"] == 1
+    assert out["max_error"] == 0.0
+
+
+def test_tally_failure_entry_is_the_tag_plus_the_deviation():
+    pairs = [({"dim": 2, "pair": 5}, 3e-6), ({"dim": 2, "pair": 6}, 1e-9)]
+    out = tally(iter(pairs), tol=1e-6)
+    assert out["failures"] == [{"dim": 2, "pair": 5, "deviation": 3e-6}]
+    assert pairs[0][0] == {"dim": 2, "pair": 5}  # the tag itself is left alone
+
+
+def test_tally_counts_pairs_unless_told_otherwise():
+    pairs = [({"trial": t}, 0.0) for t in range(4)]
+    assert tally(pairs, tol=0.0)["samples"] == 4
+    assert tally(pairs, tol=0.0, samples=25)["samples"] == 25
+    assert tally([], tol=0.0) == {"max_error": 0.0, "samples": 0, "failures": []}
+
+
+def test_tally_max_error_is_the_largest_deviation():
+    devs = [1e-9, float("nan"), 4e-7, 2e-8]
+    out = tally((({"trial": t}, d) for t, d in enumerate(devs)), tol=1e-6)
+    assert out["max_error"] == 4e-7
+    assert [f["trial"] for f in out["failures"]] == [1]
+
+
+def test_tally_keeps_categorical_failures_as_their_tag():
+    pairs = [({"trial": 0, "axiom": "inverse"}, None), ({"trial": 0}, 2.0)]
+    out = tally(pairs, tol=1.0)
+    assert out["failures"] == [{"trial": 0, "axiom": "inverse"}, {"trial": 0, "deviation": 2.0}]
+    assert out["max_error"] == 2.0 and out["samples"] == 2
