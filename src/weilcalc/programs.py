@@ -252,8 +252,11 @@ def evaluate_dual(prog: Program, re_args, eps_args):
             ra, rb = r[a], r[b]
             if rb == 0.0:
                 raise DivisionByNilpotent("division by zero real part")
-            r.append(ra / rb)
-            e.append((e[a] * rb - ra * e[b]) / (rb * rb))
+            # (e_a - q e_b) / b rather than (e_a b - a e_b) / b^2: a tiny
+            # nonzero b squares to zero and the quotient rule would divide by it
+            q = ra / rb
+            r.append(q)
+            e.append((e[a] - q * e[b]) / rb)
         else:
             rx, name = r[a], pool[b]
             r.append(_numeric(name, 0, rx))
