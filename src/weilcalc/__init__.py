@@ -76,7 +76,6 @@ from .jets import (
     JetGroupElement,
     canonical_H,
     frame_prolong,
-    g_apply,
     g_field_prolong,
     identity_jet,
     jet_compose,

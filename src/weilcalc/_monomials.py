@@ -34,8 +34,8 @@ def monomials(m: int, maxdeg: int, mindeg: int = 0) -> tuple[tuple[int, ...], ..
 
 
 @lru_cache(maxsize=None)
-def monomial_index(m: int, maxdeg: int, mindeg: int = 0) -> dict:
-    return {a: i for i, a in enumerate(monomials(m, maxdeg, mindeg))}
+def monomial_index(m: int, maxdeg: int) -> dict:
+    return {a: i for i, a in enumerate(monomials(m, maxdeg))}
 
 
 def degree(alpha) -> int:
@@ -53,11 +53,11 @@ def factorial_multi(alpha) -> int:
     return out
 
 
-def monomial_label(alpha, stem: str = "x") -> str:
+def monomial_label(alpha) -> str:
     parts = []
     for i, e in enumerate(alpha):
         if e == 0:
             continue
-        name = "%s%d" % (stem, i + 1) if len(alpha) > 1 else stem
+        name = "x%d" % (i + 1) if len(alpha) > 1 else "x"
         parts.append(name if e == 1 else "%s^%d" % (name, e))
     return "*".join(parts) if parts else "1"

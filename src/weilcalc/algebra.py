@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     SpanNotClosed,
 )
-from .scalars import apply_primitive, as_real
+from .scalars import apply_primitive
 
 DEFAULT_HOM_TOL = 1e-9
 STRUCT_TOL = 1e-12
@@ -298,9 +298,6 @@ class AlgebraElement:
             k >>= 1
         return acc
 
-    def real_part_scalar(self):
-        return as_real(self.coeffs[self.algebra.unit_index])
-
     def nilpotent_part(self) -> "AlgebraElement":
         coeffs = list(self.coeffs)
         coeffs[self.algebra.unit_index] = 0.0
@@ -347,7 +344,7 @@ def evaluate_analytic(prim: str, a: AlgebraElement) -> AlgebraElement:
 class AlgebraHom:
     """Unital algebra homomorphism given by its matrix on basis coefficients."""
 
-    def __init__(self, source: WeilAlgebra, target: WeilAlgebra, matrix, *, validate=True, tol=DEFAULT_HOM_TOL):
+    def __init__(self, source: WeilAlgebra, target: WeilAlgebra, matrix, *, validate=True):
         self.source = source
         self.target = target
         self.matrix = np.asarray(matrix, dtype=float)
@@ -357,21 +354,21 @@ class AlgebraHom:
                 % (target.dim, source.dim, self.matrix.shape)
             )
         if validate:
-            self._validate(tol)
+            self._validate()
 
-    def _validate(self, tol):
+    def _validate(self):
         m = self.matrix
         unit_img = m[:, self.source.unit_index]
         want = np.zeros(self.target.dim)
         want[self.target.unit_index] = 1.0
         dev = np.abs(unit_img - want).max()
-        if dev > tol:
+        if dev > DEFAULT_HOM_TOL:
             raise NotUnital("unit maps with deviation %.3e" % dev)
         lhs = np.einsum("ijs,ts->ijt", self.source.structure, m)
         rhs = np.einsum("pi,qj,pqt->ijt", m, m, self.target.structure)
         dev = np.abs(lhs - rhs)
         worst = np.unravel_index(np.argmax(dev), dev.shape)
-        if dev[worst] > tol:
+        if dev[worst] > DEFAULT_HOM_TOL:
             raise NotMultiplicative((int(worst[0]), int(worst[1])), float(dev[worst]))
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
@@ -411,9 +408,10 @@ def apply_matrix(matrix: np.ndarray, coeffs):
     return out
 
 
-def make_hom(source: WeilAlgebra, target: WeilAlgebra, matrix, tol: float = DEFAULT_HOM_TOL) -> AlgebraHom:
-    """Validated homomorphism; raises NotUnital / NotMultiplicative."""
-    return AlgebraHom(source, target, matrix, validate=True, tol=tol)
+def make_hom(source: WeilAlgebra, target: WeilAlgebra, matrix) -> AlgebraHom:
+    """Validated homomorphism, to within DEFAULT_HOM_TOL; raises NotUnital /
+    NotMultiplicative."""
+    return AlgebraHom(source, target, matrix, validate=True)
 
 
 def identity_hom(a: WeilAlgebra) -> AlgebraHom:
@@ -591,14 +589,14 @@ def _exact_solve(a_rows, b):
     return x
 
 
-def subalgebra(ambient: WeilAlgebra, span, labels=None, name=None, tol: float = DEFAULT_HOM_TOL):
+def subalgebra(ambient: WeilAlgebra, span, labels=None, name=None):
     """Subalgebra on the given span vectors (ambient coefficients).
 
     The unit must be one of the span vectors.  Structure constants are
     derived by exact rational elimination; if a product of span vectors
-    cannot be represented in the span within tol, SpanNotClosed reports the
-    offending pair and the least-squares residual.  Returns the new algebra
-    together with the validated inclusion.
+    cannot be represented in the span within DEFAULT_HOM_TOL, SpanNotClosed
+    reports the offending pair and the least-squares residual.  Returns the
+    new algebra together with the validated inclusion.
     """
     s = np.asarray(span, dtype=float)
     if s.ndim != 2 or s.shape[1] != ambient.dim:
@@ -611,7 +609,7 @@ def subalgebra(ambient: WeilAlgebra, span, labels=None, name=None, tol: float = 
     unit_vec[ambient.unit_index] = 1.0
     unit_index = None
     for i in range(kdim):
-        if np.abs(s[i] - unit_vec).max() <= tol:
+        if np.abs(s[i] - unit_vec).max() <= DEFAULT_HOM_TOL:
             unit_index = i
             break
     if unit_index is None:
@@ -626,7 +624,7 @@ def subalgebra(ambient: WeilAlgebra, span, labels=None, name=None, tol: float = 
             if x is None:
                 sol, res, _, _ = np.linalg.lstsq(s.T, prod, rcond=None)
                 residual = float(np.linalg.norm(s.T @ sol - prod))
-                if residual > tol:
+                if residual > DEFAULT_HOM_TOL:
                     raise SpanNotClosed((i, j), residual)
                 coeffs = sol
             else:
@@ -642,15 +640,14 @@ def subalgebra(ambient: WeilAlgebra, span, labels=None, name=None, tol: float = 
         structure,
         unit_index=unit_index,
     )
-    inclusion = make_hom(sub, ambient, s.T, tol=tol)
+    inclusion = make_hom(sub, ambient, s.T)
     return sub, inclusion
 
 
-def exchange(a: WeilAlgebra, b: WeilAlgebra, source: WeilAlgebra | None = None, target: WeilAlgebra | None = None) -> AlgebraHom:
+def exchange(a: WeilAlgebra, b: WeilAlgebra, source: WeilAlgebra | None = None) -> AlgebraHom:
     """Factor swap tensor(a,b) -> tensor(b,a) as a validated hom."""
     src = source if source is not None else tensor(a, b)
-    tgt = target if target is not None else tensor(b, a)
-    return make_hom(src, tgt, swap_matrix(a.dim, b.dim))
+    return make_hom(src, tensor(b, a), swap_matrix(a.dim, b.dim))
 
 
 def swap_matrix(da: int, db: int) -> np.ndarray:
@@ -662,23 +659,12 @@ def swap_matrix(da: int, db: int) -> np.ndarray:
     return m
 
 
-def hom_tensor(mu: AlgebraHom, c: WeilAlgebra, side: str = "left", source: WeilAlgebra | None = None, target: WeilAlgebra | None = None) -> AlgebraHom:
-    """Tensor a hom with the identity of c on the given side.
-
-    side "left" gives id_c (x) mu on tensor(c, source); side "right" gives
-    mu (x) id_c on tensor(source, c).
-    """
-    if side == "left":
-        src = source if source is not None else tensor(c, mu.source)
-        tgt = target if target is not None else tensor(c, mu.target)
-        m = np.kron(np.eye(c.dim), mu.matrix)
-    elif side == "right":
-        src = source if source is not None else tensor(mu.source, c)
-        tgt = target if target is not None else tensor(mu.target, c)
-        m = np.kron(mu.matrix, np.eye(c.dim))
-    else:
-        raise ShapeMismatch("side must be 'left' or 'right'")
-    return AlgebraHom(src, tgt, m, validate=False)
+def hom_tensor(mu: AlgebraHom, c: WeilAlgebra, source: WeilAlgebra | None = None) -> AlgebraHom:
+    """id_c (x) mu on tensor(c, mu.source); `source` may supply that
+    tensor algebra already built."""
+    src = source if source is not None else tensor(c, mu.source)
+    m = np.kron(np.eye(c.dim), mu.matrix)
+    return AlgebraHom(src, tensor(c, mu.target), m, validate=False)
 
 
 # -- serialization ------------------------------------------------------

@@ -672,11 +672,15 @@ def cmd_bracket(args) -> int:
             print("[X,Y]_%d = %s" % (i, format_expr(simplify(e), names)))
         if args.at is not None:
             at = _parse_point(args.at, br.dim)
-            vals = evaluate(br.components, at)
-            print(
-                "at (%s) -> (%s)"
-                % (", ".join("%g" % v for v in at), ", ".join("%g" % v for v in vals))
-            )
+            point = ", ".join("%g" % v for v in at)
+            try:
+                vals = evaluate(br.components, at)
+            except WeilError as err:
+                raise CliError(
+                    EXIT_USAGE,
+                    "bracket is undefined at (%s): %s: %s" % (point, type(err).__name__, err),
+                )
+            print("at (%s) -> (%s)" % (point, ", ".join("%g" % v for v in vals)))
         return EXIT_PASS
     if isinstance(x, functional.FunctionalVectorField) and isinstance(
         y, functional.FunctionalVectorField

@@ -17,6 +17,8 @@ from .errors import ArityMismatch
 
 PRIMITIVES = ("sin", "cos", "exp", "log", "sqrt")
 
+_MAX_TERMS = 512
+
 
 class Expr:
     __slots__ = ()
@@ -283,6 +285,11 @@ def max_var(root: Expr) -> int:
 _OPS = {"add", "sub", "mul", "div", "neg", "intpow", "var", "const"} | set(PRIMITIVES)
 
 
+def _integral(c: float) -> bool:
+    """An integral constant prints as an int; never true for inf or NaN."""
+    return c.is_integer() and abs(c) < 2**53
+
+
 def node_to_json(root: Expr) -> dict:
     """Encode as nested {"op": ...} dicts (shared subtrees are duplicated)."""
     memo: dict[int, dict] = {}
@@ -291,7 +298,7 @@ def node_to_json(root: Expr) -> dict:
             d = {"op": "var", "i": node.i}
         elif isinstance(node, Const):
             c = node.c
-            d = {"op": "const", "c": int(c) if c == int(c) and abs(c) < 2**53 else c}
+            d = {"op": "const", "c": int(c) if _integral(c) else c}
         elif isinstance(node, Neg):
             d = {"op": "neg", "args": [memo[id(node.x)]]}
         elif isinstance(node, Add):
@@ -362,7 +369,7 @@ def format_expr(root: Expr, names=None) -> str:
             out[id(node)] = (s, _PREC["atom"])
         elif isinstance(node, Const):
             c = node.c
-            s = repr(int(c)) if c == int(c) and abs(c) < 2**53 else repr(c)
+            s = repr(int(c)) if _integral(c) else repr(c)
             out[id(node)] = (s, _PREC["atom"] if c >= 0 else _PREC["neg"])
         elif isinstance(node, Neg):
             xs, xp = out[id(node.x)]
@@ -396,13 +403,13 @@ def format_expr(root: Expr, names=None) -> str:
     return out[id(root)][0]
 
 
-def simplify(root: Expr, max_terms: int = 512) -> Expr:
+def simplify(root: Expr) -> Expr:
     """Collect into a polynomial normal form where possible.
 
     Terms over a commuting atom set (variables, primitive calls, quotients
     with non-constant denominators, negative powers) are expanded and
     merged bottom-up; arguments of opaque atoms are simplified recursively.
-    Subtrees whose expansion would exceed max_terms monomials are rebuilt
+    Subtrees whose expansion would exceed _MAX_TERMS monomials are rebuilt
     structurally instead of expanded, so the result is always equivalent.
     """
     terms: dict = {}
@@ -426,7 +433,7 @@ def simplify(root: Expr, max_terms: int = 512) -> Expr:
         return {m: c for m, c in out.items() if c != 0.0}
 
     def t_mul(a, b):
-        if len(a) * len(b) > max_terms:
+        if len(a) * len(b) > _MAX_TERMS:
             return None
         out = {}
         for ma, ca in a.items():
@@ -434,7 +441,7 @@ def simplify(root: Expr, max_terms: int = 512) -> Expr:
                 m = monomial_mul(ma, mb)
                 out[m] = out.get(m, 0.0) + ca * cb
         out = {m: c for m, c in out.items() if c != 0.0}
-        return out if len(out) <= max_terms else None
+        return out if len(out) <= _MAX_TERMS else None
 
     def atom_terms(key, expr):
         atoms[key] = expr

@@ -48,6 +48,8 @@ from .prolong import field_prolong
 from .reports import tally
 from .strongdiff import bracket, dual_algebra
 
+FAMILY_FD_STEP = 1e-5
+
 
 def fiber_arity(m: int, q1: int, q2: int, r: int) -> int:
     """Input arity of an order-r associated-map program."""
@@ -463,7 +465,7 @@ def functional_field_prolong(algebra: WeilAlgebra, field: FunctionalVectorField)
     """
     m, q1, q2, r = field.m, field.q1, field.q2, field.r
     da = algebra.dim
-    pf = field_prolong(algebra, VectorField(m, field.xi), render_limit=max(m * da, 1))
+    pf = field_prolong(algebra, VectorField(m, field.xi))
     lay = _Layout(m * da, q1, q2 * da, r)
     env = []
     for i in range(m):
@@ -486,18 +488,18 @@ def functional_field_prolong(algebra: WeilAlgebra, field: FunctionalVectorField)
     )
 
 
-def check_bracket_preserved(algebra: WeilAlgebra, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, rng=None, tol: float = 1e-6, box: float = 1.0) -> dict:
+def check_bracket_preserved(algebra: WeilAlgebra, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, rng=None, tol: float = 1e-6) -> dict:
     """Prolonging the bracket equals the bracket of the prolongations.
 
     Both sides are evaluated at sampled (lifted base, polynomial lifted
     fiber map, y); the polynomial degree covers the bracket order.
     """
     return _check_prolonged_bracket(
-        lambda f: functional_field_prolong(algebra, f), x1, x2, samples, rng, tol, box
+        lambda f: functional_field_prolong(algebra, f), x1, x2, samples, rng, tol
     )
 
 
-def _check_prolonged_bracket(prolong, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int, rng, tol: float, box: float) -> dict:
+def _check_prolonged_bracket(prolong, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int, rng, tol: float) -> dict:
     """Compare prolong([x1, x2]) with [prolong(x1), prolong(x2)] at sampled
     (base point, polynomial fiber map, y) of the prolonged bundle."""
     if rng is None:
@@ -508,9 +510,9 @@ def _check_prolonged_bracket(prolong, x1: FunctionalVectorField, x2: FunctionalV
 
     def deviations():
         for trial in range(samples):
-            x = rng.uniform(-box, box, size=lhs.m)
+            x = rng.uniform(-1.0, 1.0, size=lhs.m)
             hhat = random_poly_program(rng, lhs.q1, lhs.q2, deg=deg, scale=0.6)
-            y = rng.uniform(-box, box, size=lhs.q1)
+            y = rng.uniform(-1.0, 1.0, size=lhs.q1)
             lb, lv = fvf_value(lhs, x, hhat, y)
             rb, rv = fvf_value(rhs, x, hhat, y)
             yield {"trial": trial}, max(
@@ -569,11 +571,11 @@ def g_functional(triple: FunctorTriple, field: FunctionalVectorField) -> Functio
     return FunctionalVectorField(m, q1, q2 * da, r, field.xi, Program(lay.arity, body))
 
 
-def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, rng=None, tol: float = 1e-6, box: float = 1.0) -> dict:
+def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, rng=None, tol: float = 1e-6) -> dict:
     """Quotient prolongation of the bracket equals the bracket of the
     quotient prolongations, at sampled (x, fiber map, y)."""
     return _check_prolonged_bracket(
-        lambda f: g_functional(triple, f), x1, x2, samples, rng, tol, box
+        lambda f: g_functional(triple, f), x1, x2, samples, rng, tol
     )
 
 
@@ -647,14 +649,15 @@ def _poly_family_rate(field: FunctionalVectorField, d: int, nodes: np.ndarray, v
     return rate
 
 
-def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField, d: int = 3, samples: int = 10, rng=None, tol: float = 1e-7, fd_step: float = 1e-5) -> dict:
+def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField, d: int = 3, samples: int = 10, rng=None, tol: float = 1e-7) -> dict:
     """Brute-force bracket oracle on a polynomial-invariant family.
 
     For q1 = q2 = 1 fields that keep fiber polynomials of degree <= d
     polynomial, the functional bracket must agree with the Jacobian
     bracket of the induced finite-dimensional fields on coefficient
     space.  The oracle never touches the strong difference: it uses
-    central finite differences on the induced rate maps.
+    central finite differences of step FAMILY_FD_STEP on the induced rate
+    maps.
     """
     if x1.q1 != 1 or x1.q2 != 1 or x2.q1 != 1 or x2.q2 != 1:
         raise ShapeMismatch("the family oracle is built for scalar fibers")
@@ -672,9 +675,9 @@ def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField
         cols = []
         for j in range(n):
             wp, wm = w.copy(), w.copy()
-            wp[j] += fd_step
-            wm[j] -= fd_step
-            cols.append((f(wp) - f(wm)) / (2.0 * fd_step))
+            wp[j] += FAMILY_FD_STEP
+            wm[j] -= FAMILY_FD_STEP
+            cols.append((f(wp) - f(wm)) / (2.0 * FAMILY_FD_STEP))
         return np.array(cols).T
 
     def deviations():

@@ -183,7 +183,7 @@ def point_from_json(data, algebra: WeilAlgebra) -> WeilPoint:
     return WeilPoint(algebra, [AlgebraElement(algebra, row) for row in coords])
 
 
-def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 20, n: int = 2, rng=None, tol: float = 1e-10, box: float = 0.7) -> dict:
+def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 20, n: int = 2, rng=None, tol: float = 1e-10) -> dict:
     """Lifting twice equals lifting once over the tensor algebra.
 
     A random program is lifted over `inner`, the rendering is lifted over
@@ -209,7 +209,7 @@ def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 
                 body.append(e)
             f = Program(n, body)
 
-            flat = rng.uniform(-box, box, size=n * t.dim)
+            flat = rng.uniform(-0.7, 0.7, size=n * t.dim)
             p_t = point_from_flat(t, n, flat)
             direct = lift(t, f)(p_t)
 

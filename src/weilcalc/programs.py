@@ -21,7 +21,7 @@ import numpy as np
 
 from . import exprs
 from ._monomials import monomials
-from .errors import ArityMismatch, DivisionByNilpotent, ShapeMismatch
+from .errors import ArityMismatch, DivisionByNilpotent, DomainError, ShapeMismatch
 from .exprs import Add, Const, Div, Expr, IntPow, Mul, Neg, Prim, Sub, Var
 from .scalars import _numeric, apply_primitive
 
@@ -29,6 +29,8 @@ from .scalars import _numeric, apply_primitive
 # not ops: their values are laid out in the first slots before a run.
 _ADD, _SUB, _MUL, _DIV, _NEG, _POW, _PRIM = range(7)
 _BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
+
+JACOBIAN_STEP = 1e-5
 
 
 class Tape:
@@ -171,27 +173,30 @@ def _run(tape: Tape, args) -> list:
     for s, i in tape.inputs:
         v[s] = args[i]
     put = v.append
-    for op, a, b in zip(tape.ops, tape.a, tape.b):
-        if op == MUL:
-            put(v[a] * v[b])
-        elif op == ADD:
-            put(v[a] + v[b])
-        elif op == POW:
-            x, k = v[a], pool[b]
-            if k < 0 and isinstance(x, float) and x == 0.0:
-                raise DivisionByNilpotent("zero real part raised to a negative power")
-            put(x ** k)
-        elif op == SUB:
-            put(v[a] - v[b])
-        elif op == NEG:
-            put(-v[a])
-        elif op == DIV:
-            y = v[b]
-            if isinstance(y, float) and y == 0.0:
-                raise DivisionByNilpotent("division by zero real part")
-            put(v[a] / y)
-        else:
-            put(apply_primitive(pool[b], v[a]))
+    try:
+        for op, a, b in zip(tape.ops, tape.a, tape.b):
+            if op == MUL:
+                put(v[a] * v[b])
+            elif op == ADD:
+                put(v[a] + v[b])
+            elif op == POW:
+                x, k = v[a], pool[b]
+                if k < 0 and isinstance(x, float) and x == 0.0:
+                    raise DivisionByNilpotent("zero real part raised to a negative power")
+                put(x ** k)
+            elif op == SUB:
+                put(v[a] - v[b])
+            elif op == NEG:
+                put(-v[a])
+            elif op == DIV:
+                y = v[b]
+                if isinstance(y, float) and y == 0.0:
+                    raise DivisionByNilpotent("division by zero real part")
+                put(v[a] / y)
+            else:
+                put(apply_primitive(pool[b], v[a]))
+    except OverflowError as err:
+        raise DomainError("float overflow: %s" % err.args[-1]) from err
     return [v[s] for s in tape.outputs]
 
 
@@ -224,43 +229,46 @@ def evaluate_dual(prog: Program, re_args, eps_args):
     for s, i in tape.inputs:
         r[s] = float(re_args[i])
         e[s] = float(eps_args[i])
-    for op, a, b in zip(tape.ops, tape.a, tape.b):
-        if op == MUL:
-            ra, rb = r[a], r[b]
-            r.append(ra * rb)
-            e.append(ra * e[b] + e[a] * rb)
-        elif op == ADD:
-            r.append(r[a] + r[b])
-            e.append(e[a] + e[b])
-        elif op == POW:
-            rx, k = r[a], pool[b]
-            if rx == 0.0 and k < 0:
-                raise DivisionByNilpotent("zero real part raised to negative power")
-            if k == 0:
-                r.append(1.0)
-                e.append(0.0)
+    try:
+        for op, a, b in zip(tape.ops, tape.a, tape.b):
+            if op == MUL:
+                ra, rb = r[a], r[b]
+                r.append(ra * rb)
+                e.append(ra * e[b] + e[a] * rb)
+            elif op == ADD:
+                r.append(r[a] + r[b])
+                e.append(e[a] + e[b])
+            elif op == POW:
+                rx, k = r[a], pool[b]
+                if rx == 0.0 and k < 0:
+                    raise DivisionByNilpotent("zero real part raised to negative power")
+                if k == 0:
+                    r.append(1.0)
+                    e.append(0.0)
+                else:
+                    r.append(rx ** k)
+                    e.append(float(k) * rx ** (k - 1) * e[a])
+            elif op == SUB:
+                r.append(r[a] - r[b])
+                e.append(e[a] - e[b])
+            elif op == NEG:
+                r.append(-r[a])
+                e.append(-e[a])
+            elif op == DIV:
+                ra, rb = r[a], r[b]
+                if rb == 0.0:
+                    raise DivisionByNilpotent("division by zero real part")
+                # (e_a - q e_b) / b rather than (e_a b - a e_b) / b^2: a tiny
+                # nonzero b squares to zero and the quotient rule would divide by it
+                q = ra / rb
+                r.append(q)
+                e.append((e[a] - q * e[b]) / rb)
             else:
-                r.append(rx ** k)
-                e.append(float(k) * rx ** (k - 1) * e[a])
-        elif op == SUB:
-            r.append(r[a] - r[b])
-            e.append(e[a] - e[b])
-        elif op == NEG:
-            r.append(-r[a])
-            e.append(-e[a])
-        elif op == DIV:
-            ra, rb = r[a], r[b]
-            if rb == 0.0:
-                raise DivisionByNilpotent("division by zero real part")
-            # (e_a - q e_b) / b rather than (e_a b - a e_b) / b^2: a tiny
-            # nonzero b squares to zero and the quotient rule would divide by it
-            q = ra / rb
-            r.append(q)
-            e.append((e[a] - q * e[b]) / rb)
-        else:
-            rx, name = r[a], pool[b]
-            r.append(_numeric(name, 0, rx))
-            e.append(_numeric(name, 1, rx) * e[a])
+                rx, name = r[a], pool[b]
+                r.append(_numeric(name, 0, rx))
+                e.append(_numeric(name, 1, rx) * e[a])
+    except OverflowError as err:
+        raise DomainError("float overflow: %s" % err.args[-1]) from err
     return [r[s] for s in tape.outputs], [e[s] for s in tape.outputs]
 
 
@@ -274,11 +282,12 @@ def compose(f: Program, g: Program) -> Program:
     return Program(g.arity_in, _run(f.tape, g.exprs))
 
 
-def jacobian_oracle(field, x, h: float = 1e-5, richardson: bool = False) -> np.ndarray:
+def jacobian_oracle(field, x, richardson: bool = False) -> np.ndarray:
     """Central-difference Jacobian, the independent oracle for differentials.
 
-    Accepts a VectorField or a Program; with richardson=True combines steps
-    h and h/2 for fourth-order accuracy.
+    Accepts a VectorField or a Program; steps by JACOBIAN_STEP, and with
+    richardson=True combines that step and its half for fourth-order
+    accuracy.
     """
     prog = field.components if isinstance(field, VectorField) else field
     x = [float(v) for v in x]
@@ -295,10 +304,10 @@ def jacobian_oracle(field, x, h: float = 1e-5, richardson: bool = False) -> np.n
             cols.append([(a - b) / (2.0 * step) for a, b in zip(fp, fm)])
         return np.array(cols).T
 
+    d1 = fd(JACOBIAN_STEP)
     if not richardson:
-        return fd(h)
-    d1 = fd(h)
-    d2 = fd(h / 2.0)
+        return d1
+    d2 = fd(JACOBIAN_STEP / 2.0)
     return (4.0 * d2 - d1) / 3.0
 
 

@@ -6,9 +6,9 @@ and read the coefficient blocks back off.  Coordinates are coordinate
 major, so coefficient a of coordinate i sits at flat index i*d + a and the
 real parts form the base copy of R^n.
 
-Small algebras additionally get a symbolic rendering as an ordinary
-Program; the constructor spot-checks the rendering against pointwise
-evaluation before handing it out.
+The symbolic rendering as an ordinary Program is built on first read of
+`rendering`, for an algebra of any size, and spot-checked against
+pointwise evaluation before it is handed out.
 """
 
 from __future__ import annotations
@@ -24,24 +24,30 @@ from .programs import VectorField, evaluate
 from .reports import tally
 from .strongdiff import bracket, bracket_value
 
-RENDER_LIMIT = 8
 _SPOT_TOL = 1e-10
 
 
 class ProlongedField:
-    """A field X prolonged over an algebra, with optional rendering."""
+    """A field X prolonged over an algebra, rendered on first use."""
 
-    __slots__ = ("algebra", "base_field", "dim", "rendering")
+    __slots__ = ("algebra", "base_field", "dim", "_rendering")
 
-    def __init__(self, algebra: WeilAlgebra, base_field: VectorField, render_limit: int = RENDER_LIMIT):
+    def __init__(self, algebra: WeilAlgebra, base_field: VectorField):
         self.algebra = algebra
         self.base_field = base_field
         self.dim = base_field.dim * algebra.dim
-        self.rendering = None
-        if algebra.dim <= render_limit:
-            prog = lift_program(algebra, base_field.components)
-            self.rendering = VectorField(self.dim, prog)
-            self._spot_check()
+        self._rendering = None
+
+    @property
+    def rendering(self) -> VectorField:
+        """The prolongation as a field on R^{n*d}; built and spot-checked
+        on first read, raising InvariantViolation if the check fails."""
+        if self._rendering is None:
+            prog = lift_program(self.algebra, self.base_field.components)
+            rendering = VectorField(self.dim, prog)
+            self._spot_check(rendering)
+            self._rendering = rendering
+        return self._rendering
 
     def value_at(self, flat) -> np.ndarray:
         """Pointwise velocity via evaluation over the algebra carrier."""
@@ -49,7 +55,7 @@ class ProlongedField:
         outs = lift_elements(self.algebra, self.base_field.components, p.coords)
         return np.array([[float(c) for c in el.coeffs] for el in outs]).reshape(-1)
 
-    def _spot_check(self):
+    def _spot_check(self, rendering: VectorField):
         # two fixed points; skip any where the field itself is undefined
         pts = [
             np.linspace(-0.7, 0.7, self.dim),
@@ -60,7 +66,7 @@ class ProlongedField:
                 direct = self.value_at(pt)
             except (DomainError, DivisionByNilpotent):
                 continue
-            rendered = np.array(evaluate(self.rendering.components, [float(v) for v in pt]))
+            rendered = np.array(evaluate(rendering.components, [float(v) for v in pt]))
             dev = float(np.abs(direct - rendered).max(initial=0.0))
             if dev > _SPOT_TOL:
                 raise InvariantViolation(
@@ -77,11 +83,11 @@ class ProlongedField:
         return "ProlongedField(%s, base dim %d)" % (self.algebra.name, self.base_field.dim)
 
 
-def field_prolong(algebra: WeilAlgebra, field: VectorField, render_limit: int = RENDER_LIMIT) -> ProlongedField:
-    return ProlongedField(algebra, field, render_limit=render_limit)
+def field_prolong(algebra: WeilAlgebra, field: VectorField) -> ProlongedField:
+    return ProlongedField(algebra, field)
 
 
-def check_base_projection(pf: ProlongedField, samples: int = 10, rng=None, box: float = 1.0) -> dict:
+def check_base_projection(pf: ProlongedField, samples: int = 10, rng=None) -> dict:
     """Real parts of the prolonged velocity equal the field at the real parts."""
     if rng is None:
         rng = np.random.default_rng(0)
@@ -91,7 +97,7 @@ def check_base_projection(pf: ProlongedField, samples: int = 10, rng=None, box: 
 
     def deviations():
         for trial in range(samples):
-            flat = rng.uniform(-box, box, size=pf.dim)
+            flat = rng.uniform(-1.0, 1.0, size=pf.dim)
             vel = pf.value_at(flat).reshape(n, d)
             base_vel = np.array(
                 evaluate(pf.base_field.components, [float(v) for v in pf.base_values(flat)])
@@ -102,25 +108,25 @@ def check_base_projection(pf: ProlongedField, samples: int = 10, rng=None, box: 
     return tally(deviations(), math.inf)
 
 
-def bracket_deviations(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int, rng, box: float = 1.0):
-    """(tag, deviation) pairs of check_bracket_preserved, one per sampled point."""
+def bracket_deviations(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int, rng):
+    """(tag, deviation) pairs of check_bracket_preserved, one per sampled point.
+
+    Both renderings are read before the first draw, so a failed spot check
+    stops the comparison before it consumes any randomness.
+    """
     if x_field.dim != y_field.dim:
         raise ShapeMismatch("fields live on different spaces")
     lhs = field_prolong(algebra, bracket(x_field, y_field))
-    px = field_prolong(algebra, x_field)
-    py = field_prolong(algebra, y_field)
-    if px.rendering is None or py.rendering is None:
-        raise ShapeMismatch(
-            "algebra dim %d too large to render; raise render_limit" % algebra.dim
-        )
+    rx = field_prolong(algebra, x_field).rendering
+    ry = field_prolong(algebra, y_field).rendering
     for trial in range(samples):
-        flat = rng.uniform(-box, box, size=lhs.dim)
+        flat = rng.uniform(-1.0, 1.0, size=lhs.dim)
         want = lhs.value_at(flat)
-        got = bracket_value(px.rendering, py.rendering, flat)
+        got = bracket_value(rx, ry, flat)
         yield {"trial": trial}, float(np.abs(want - got).max(initial=0.0))
 
 
-def check_bracket_preserved(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int = 30, rng=None, tol: float = 1e-7, box: float = 1.0) -> dict:
+def check_bracket_preserved(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int = 30, rng=None, tol: float = 1e-7) -> dict:
     """Prolonging the bracket equals the bracket of the prolongations.
 
     The left side prolongs the symbolic bracket and evaluates it pointwise
@@ -129,4 +135,4 @@ def check_bracket_preserved(algebra: WeilAlgebra, x_field: VectorField, y_field:
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    return tally(bracket_deviations(algebra, x_field, y_field, samples, rng, box), tol)
+    return tally(bracket_deviations(algebra, x_field, y_field, samples, rng), tol)

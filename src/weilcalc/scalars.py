@@ -18,47 +18,42 @@ import math
 from . import exprs
 from .errors import DivisionByNilpotent, DomainError
 
-def as_real(x):
-    """Real part of a carrier scalar, or None if unknowable (symbolic)."""
-    if isinstance(x, (int, float)):
-        return float(x)
-    r = getattr(x, "real_part_scalar", None)
-    if r is not None:
-        return r()
-    return None
-
 
 def _numeric(name: str, shift: int, x: float) -> float:
-    if name == "exp":
-        return math.exp(x)
-    if name == "sin":
-        return (math.sin, math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t))[
-            shift % 4
-        ](x)
-    if name == "cos":
-        return (math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t), math.sin)[
-            shift % 4
-        ](x)
-    if name == "log":
-        if shift == 0:
-            if x <= 0.0:
-                raise DomainError("log of non-positive real part %r" % x)
-            return math.log(x)
-        if x == 0.0:
-            raise DomainError("log derivative at zero real part")
-        return (-1.0) ** (shift - 1) * math.factorial(shift - 1) * x ** (-shift)
-    if name == "sqrt":
-        if x < 0.0 or (x == 0.0 and shift > 0):
-            raise DomainError("sqrt needs positive real part, got %r" % x)
-        c = 1.0
-        for i in range(shift):
-            c *= 0.5 - i
-        return c * math.sqrt(x) * x ** (-shift) if shift else math.sqrt(x)
-    if name == "recip":
-        if x == 0.0:
-            raise DivisionByNilpotent("division by element with zero real part")
-        return (-1.0) ** shift * math.factorial(shift) * x ** (-shift - 1)
-    raise DomainError("unknown primitive %r" % name)
+    try:
+        if name == "exp":
+            return math.exp(x)
+        if name == "sin":
+            return (math.sin, math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t))[
+                shift % 4
+            ](x)
+        if name == "cos":
+            return (math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t), math.sin)[
+                shift % 4
+            ](x)
+        if name == "log":
+            if shift == 0:
+                if x <= 0.0:
+                    raise DomainError("log of non-positive real part %r" % x)
+                return math.log(x)
+            if x == 0.0:
+                raise DomainError("log derivative at zero real part")
+            return (-1.0) ** (shift - 1) * math.factorial(shift - 1) * x ** (-shift)
+        if name == "sqrt":
+            if x < 0.0 or (x == 0.0 and shift > 0):
+                raise DomainError("sqrt needs positive real part, got %r" % x)
+            c = 1.0
+            for i in range(shift):
+                c *= 0.5 - i
+            return c * math.sqrt(x) * x ** (-shift) if shift else math.sqrt(x)
+        if name == "recip":
+            if x == 0.0:
+                raise DivisionByNilpotent("division by element with zero real part")
+            return (-1.0) ** shift * math.factorial(shift) * x ** (-shift - 1)
+        raise DomainError("unknown primitive %r" % name)
+    # overflow in math.exp or float **, or math.sin or math.cos of an infinity
+    except (OverflowError, ValueError) as err:
+        raise DomainError("%s has no finite value at %r" % (name, x)) from err
 
 
 def _symbolic(name: str, shift: int, x: exprs.Expr) -> exprs.Expr:

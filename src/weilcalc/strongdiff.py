@@ -187,13 +187,13 @@ def s_bundle() -> SAlgebraBundle:
     return _s_cache
 
 
-def strong_diff(x, y=None, tol: float = 1e-9):
+def strong_diff(x, y=None):
     """Tangent vector (base, w(X) - w(Y)), computed through sigma.
 
     Accepts either an SPair or two second tangents; the latter form raises
     IncompatiblePair when the pair conditions fail.
     """
-    pair = x if y is None else SPair(x, y, tol)
+    pair = x if y is None else SPair(x, y)
     out = pair.coords5() @ s_bundle().sigma.matrix.T
     return out[:, 0], out[:, 1]
 
@@ -258,12 +258,13 @@ class ASecondPair:
     """A compatible pair of algebra-coefficient second tangents.
 
     Coefficients are stored as (n, 4, algebra.dim) float arrays in slot
-    order (base, u, v, w); compatibility is checked coefficient-wise.
+    order (base, u, v, w); compatibility is checked coefficient-wise, to
+    within 1e-9.
     """
 
     __slots__ = ("algebra", "n", "x", "y")
 
-    def __init__(self, algebra: WeilAlgebra, x, y, tol: float = 1e-9):
+    def __init__(self, algebra: WeilAlgebra, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 3 or x.shape[1] != 4 or x.shape[2] != algebra.dim:
@@ -275,7 +276,7 @@ class ASecondPair:
             np.abs(x[:, 1] - y[:, 2]).max(initial=0.0),
             np.abs(x[:, 2] - y[:, 1]).max(initial=0.0),
         )
-        if dev > tol:
+        if dev > 1e-9:
             raise IncompatiblePair("pair mismatch of size %g" % dev)
         self.algebra = algebra
         self.n = x.shape[0]
@@ -343,7 +344,7 @@ def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, r
     bundle = s_bundle()
     da = algebra.dim
     tas = tensor(algebra, bundle.algebra)
-    sig_a = hom_tensor(bundle.sigma, algebra, side="left", source=tas)
+    sig_a = hom_tensor(bundle.sigma, algebra, source=tas)
     exch = exchange(algebra, dual_algebra(), source=sig_a.target)
 
     def deviations():
@@ -475,7 +476,7 @@ def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, r
     return float(np.abs(want - got).max(initial=0.0))
 
 
-def check_bracket_jacobian(dims=(1, 2, 3), pairs: int = 20, points: int = 20, rng=None, tol: float = 1e-6, deg: int = 3, box: float = 1.0) -> dict:
+def check_bracket_jacobian(dims=(1, 2, 3), pairs: int = 20, points: int = 20, rng=None, tol: float = 1e-6) -> dict:
     """Strong-difference bracket against the finite-difference Jacobian bracket."""
     if rng is None:
         rng = np.random.default_rng(0)
@@ -483,10 +484,10 @@ def check_bracket_jacobian(dims=(1, 2, 3), pairs: int = 20, points: int = 20, rn
     def deviations():
         for n in dims:
             for pair in range(pairs):
-                xf = random_poly_field(rng, n, deg=deg)
-                yf = random_poly_field(rng, n, deg=deg)
+                xf = random_poly_field(rng, n, deg=3)
+                yf = random_poly_field(rng, n, deg=3)
                 for _ in range(points):
-                    at = rng.uniform(-box, box, size=n)
+                    at = rng.uniform(-1.0, 1.0, size=n)
                     yield {"dim": n, "pair": pair}, jacobian_bracket_deviation(xf, yf, at)
 
     return tally(deviations(), tol)

@@ -153,6 +153,34 @@ def test_verify_rejects_a_field_with_a_non_finite_constant(capsys, manifold_fiel
         assert "finite" in capsys.readouterr().err
 
 
+def _field_doc(expr):
+    return {"dim": 1, "components": {"in": 1, "exprs": [expr]}}
+
+
+_X0 = {"op": "var", "i": 0}
+_INF = {"op": "mul", "args": [{"op": "const", "c": 1e300}, {"op": "const", "c": 1e300}]}
+# exp(1000*x0), (100*x0)^400 and sin(inf*x0): float evaluation overflows
+# for x0 of order 1
+_OVERFLOWING = [
+    _field_doc({"op": "exp", "args": [{"op": "mul", "args": [{"op": "const", "c": 1000}, _X0]}]}),
+    _field_doc({"op": "intpow", "k": 400, "args": [{"op": "mul", "args": [{"op": "const", "c": 100}, _X0]}]}),
+    _field_doc({"op": "sin", "args": [{"op": "mul", "args": [_INF, _X0]}]}),
+]
+
+
+@pytest.mark.parametrize("doc", _OVERFLOWING, ids=["exp", "intpow", "sin"])
+def test_verify_records_an_overflowing_custom_pair_as_failed(capsys, manifold_fields, tmp_path, doc):
+    _, one = manifold_fields
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    rc = cli.main(["verify", "--suite", "bracket", "--samples", "5", "--field", str(big), "--field", one])
+    out = capsys.readouterr().out
+    assert rc == 1
+    lines = {line.split()[2]: line for line in out.splitlines() if line.startswith(("pass", "fail"))}
+    assert lines["dims"].startswith("pass")
+    assert lines["custom"].startswith("fail") and "DomainError" in lines["custom"]
+
+
 # -- bracket --------------------------------------------------------------------
 
 
@@ -205,6 +233,22 @@ def test_bracket_usage_errors(capsys, manifold_fields, functional_fields, tmp_pa
     deep.write_text('{"dim": 1, "components": {"in": 1, "exprs": [%s]}}' % chain)
     assert cli.main(["bracket", "--field", str(deep), "--field", sq]) == 2
     assert "nested too deeply" in capsys.readouterr().err
+    # a point outside the field's domain: log(x0) at -1
+    log = tmp_path / "log.json"
+    log.write_text(json.dumps(_field_doc({"op": "log", "args": [_X0]})))
+    ident = tmp_path / "ident.json"
+    ident.write_text(json.dumps(_field_doc(_X0)))
+    assert cli.main(["bracket", "--field", str(log), "--field", str(ident), "--at", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "undefined at (-1)" in err and "DomainError" in err
+
+
+def test_bracket_prints_a_coefficient_folded_to_infinity(capsys, manifold_fields, tmp_path):
+    _, one = manifold_fields
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(_OVERFLOWING[1]))
+    assert cli.main(["bracket", "--field", str(big), "--field", one]) == 0
+    assert "inf" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("at", ["nan", "inf", "-inf", "1e999"])

@@ -71,6 +71,22 @@ def test_lift_program_agrees_with_lift():
     assert np.allclose(evaluate(flatf, list(flat)), q.flat(), atol=1e-12)
 
 
+@pytest.mark.parametrize("algebra", [T13, T22], ids=lambda a: a.name)
+def test_lift_program_renders_log_sqrt_and_quotients(algebra):
+    # symbolic Taylor coefficients of log, sqrt and 1/x at orders >= 1
+    x, y = Var(0), Var(1)
+    f = Program(2, [
+        prim("log", 2.0 + intpow(x, 2) + y) + prim("sqrt", 3.0 + x * y),
+        x / (2.0 + intpow(y, 2)) - intpow(1.5 + x, -2),
+    ])
+    flatf = lift_program(algebra, f)
+    rng = np.random.default_rng(23)
+    for _ in range(4):
+        flat = rng.uniform(-0.5, 0.5, size=2 * algebra.dim)
+        q = lift(algebra, f)(point_from_flat(algebra, 2, flat))
+        assert np.allclose(evaluate(flatf, list(flat)), q.flat(), rtol=0.0, atol=1e-12)
+
+
 def test_lift_respects_composition():
     rng = np.random.default_rng(17)
     g = random_poly_program(rng, 2, 3, deg=2)

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
+from weilcalc import prolong
 from weilcalc.algebra import make_basic, sum_algebra, tensor
-from weilcalc.errors import ShapeMismatch
-from weilcalc.exprs import Var, intpow
+from weilcalc.functor import lift_program
 from weilcalc.programs import (
-    Program,
     VectorField,
     evaluate,
     linear_program,
@@ -48,15 +47,35 @@ def test_value_at_matches_the_rendering():
         assert np.allclose(pf.value_at(flat), sym, atol=1e-12)
 
 
-def test_large_algebras_skip_rendering_but_still_evaluate():
+def test_large_algebras_render_on_first_use():
     big = tensor(tensor(DUAL, DUAL), tensor(DUAL, DUAL))
-    field = VectorField(1, Program(1, [intpow(Var(0), 2)]))
-    pf = field_prolong(big, field)
-    assert pf.rendering is None
-    flat = np.arange(1.0, big.dim + 1)
-    assert pf.value_at(flat).shape == (big.dim,)
-    with pytest.raises(ShapeMismatch):
-        check_bracket_preserved(big, field, field, samples=2)
+    rng = np.random.default_rng(8)
+    x = random_poly_field(rng, 2, deg=2)
+    y = random_poly_field(rng, 2, deg=2)
+    pf = field_prolong(big, x)
+    for _ in range(3):
+        flat = rng.uniform(-1, 1, size=2 * big.dim)
+        sym = evaluate(pf.rendering.components, list(flat))
+        assert np.allclose(pf.value_at(flat), sym, rtol=0.0, atol=1e-12)
+    out = check_bracket_preserved(big, x, y, samples=5, rng=rng, tol=1e-7)
+    assert out["failures"] == []
+    assert out["samples"] == 5
+
+
+def test_rendering_is_built_once_and_only_when_read(monkeypatch):
+    calls = []
+
+    def counting(algebra, f):
+        calls.append(algebra)
+        return lift_program(algebra, f)
+
+    monkeypatch.setattr(prolong, "lift_program", counting)
+    pf = field_prolong(T12, random_poly_field(np.random.default_rng(9), 2, deg=2))
+    pf.value_at(np.linspace(-0.5, 0.5, pf.dim))
+    assert calls == []
+    first = pf.rendering
+    assert pf.rendering is first
+    assert calls == [T12]
 
 
 def test_prolonged_field_projects_to_the_base_field():
