@@ -321,15 +321,9 @@ def _units_bracket(cfg):
         def run_custom():
             # same oracle as the random-pair suite, on user-supplied fields
             rng = rng_for(cfg.seed, "bracket", "custom")
-
-            def deviations():
-                for trial in range(cfg.count(20)):
-                    at = rng.uniform(-1.0, 1.0, size=x.dim)
-                    yield {"trial": trial}, strongdiff.jacobian_bracket_deviation(
-                        x, y, at, richardson=True
-                    )
-
-            return tally(deviations(), tol)
+            block = rng.uniform(-1.0, 1.0, size=(cfg.count(20), x.dim))
+            devs = strongdiff.jacobian_bracket_deviation(x, y, block, richardson=True)
+            return tally((({"trial": trial}, float(dev)) for trial, dev in enumerate(devs)), tol)
 
         units.append(("bracket", "custom pair", run_custom))
     return units

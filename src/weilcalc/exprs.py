@@ -11,6 +11,7 @@ differentials) stay small.  Deserialized user programs are built raw.
 
 from __future__ import annotations
 
+import math
 import sys
 
 from .errors import ArityMismatch
@@ -409,8 +410,9 @@ def simplify(root: Expr) -> Expr:
     Terms over a commuting atom set (variables, primitive calls, quotients
     with non-constant denominators, negative powers) are expanded and
     merged bottom-up; arguments of opaque atoms are simplified recursively.
-    Subtrees whose expansion would exceed _MAX_TERMS monomials are rebuilt
-    structurally instead of expanded, so the result is always equivalent.
+    Subtrees whose expansion would exceed _MAX_TERMS monomials, or would
+    carry a coefficient past the float range, are rebuilt structurally
+    instead of expanded, so the result is always equivalent.
     """
     terms: dict = {}
     best: dict = {}
@@ -423,14 +425,18 @@ def simplify(root: Expr) -> Expr:
             powers[k] = powers.get(k, 0) + p
         return tuple(sorted((k, p) for k, p in powers.items() if p != 0))
 
+    def finite(t):
+        # an overflowed coefficient makes the expansion unusable, like a long one
+        return t if all(map(math.isfinite, t.values())) else None
+
     def t_scale(t, s):
-        return {m: c * s for m, c in t.items()}
+        return finite({m: c * s for m, c in t.items()})
 
     def t_add(a, b, sign=1.0):
         out = dict(a)
         for m, c in b.items():
             out[m] = out.get(m, 0.0) + sign * c
-        return {m: c for m, c in out.items() if c != 0.0}
+        return finite({m: c for m, c in out.items() if c != 0.0})
 
     def t_mul(a, b):
         if len(a) * len(b) > _MAX_TERMS:
@@ -441,7 +447,7 @@ def simplify(root: Expr) -> Expr:
                 m = monomial_mul(ma, mb)
                 out[m] = out.get(m, 0.0) + ca * cb
         out = {m: c for m, c in out.items() if c != 0.0}
-        return out if len(out) <= _MAX_TERMS else None
+        return finite(out) if len(out) <= _MAX_TERMS else None
 
     def atom_terms(key, expr):
         atoms[key] = expr
@@ -509,7 +515,7 @@ def simplify(root: Expr) -> Expr:
             best[i] = node
         elif isinstance(node, Const):
             c = float(node.c)
-            terms[i] = {(): c} if c != 0.0 else {}
+            terms[i] = finite({(): c}) if c != 0.0 else {}
             best[i] = node
         elif isinstance(node, Neg):
             t = terms[id(node.x)]

@@ -10,6 +10,19 @@ capture-free substitution (which is all `compose` is).  `evaluate_dual` runs
 the same tape over float (value, derivative) pairs, so pointwise bracket
 evaluation pays no object-allocation costs.  `eval_exprs` compiles loose
 trees into a temporary tape and runs it once.
+
+Both runners also take columns: float64 1-D arrays of one length B, entry p
+belonging to point p, so one sweep of the tape evaluates B points (vector
+forward mode).  numpy's + - * / and negation round as Python floats do, so
+those ops run on whole columns; an integer power and a primitive apply
+Python's float `**` and `scalars._numeric` to each entry, because numpy's
+power and exp differ from them in the last ulp.  Zero checks are made
+entry by entry, and an output that does not depend on the inputs stays a
+plain number.  `run_columns` holds the one rule for errors on a block of
+points: a column run goes under numpy's raising error state, and a block
+with a non-finite input, or whose column run raises, is re-run point by
+point on the scalar path, so the first failing point raises what it
+raises on its own.  Single points keep the scalar path, the reference.
 """
 
 from __future__ import annotations
@@ -21,9 +34,11 @@ import numpy as np
 
 from . import exprs
 from ._monomials import monomials
-from .errors import ArityMismatch, DivisionByNilpotent, DomainError, ShapeMismatch
+from .errors import ArityMismatch, DivisionByNilpotent, DomainError, ShapeMismatch, WeilError
 from .exprs import Add, Const, Div, Expr, IntPow, Mul, Neg, Prim, Sub, Var
 from .scalars import _numeric, apply_primitive
+
+_ndarray = np.ndarray  # the type of a column carrier, bound once for cheap type checks
 
 # Tape opcodes of the computed nodes.  Leaves (constants and variables) are
 # not ops: their values are laid out in the first slots before a run.
@@ -181,16 +196,22 @@ def _run(tape: Tape, args) -> list:
                 put(v[a] + v[b])
             elif op == POW:
                 x, k = v[a], pool[b]
-                if k < 0 and isinstance(x, float) and x == 0.0:
-                    raise DivisionByNilpotent("zero real part raised to a negative power")
-                put(x ** k)
+                if type(x) is _ndarray:
+                    put(_column_pow(x, k))
+                else:
+                    if k < 0 and isinstance(x, float) and x == 0.0:
+                        raise DivisionByNilpotent("zero real part raised to a negative power")
+                    put(x ** k)
             elif op == SUB:
                 put(v[a] - v[b])
             elif op == NEG:
                 put(-v[a])
             elif op == DIV:
                 y = v[b]
-                if isinstance(y, float) and y == 0.0:
+                if isinstance(y, float):
+                    if y == 0.0:
+                        raise DivisionByNilpotent("division by zero real part")
+                elif type(y) is _ndarray and not y.all():
                     raise DivisionByNilpotent("division by zero real part")
                 put(v[a] / y)
             else:
@@ -217,7 +238,8 @@ def evaluate_dual(prog: Program, re_args, eps_args):
     """First-order directional derivative over float dual numbers.
 
     Runs the program's tape over (value, derivative) pairs held in two
-    parallel slot lists and returns (values, derivatives) as float lists.
+    parallel slot lists and returns (values, derivatives) as lists, of
+    floats or, for column arguments, of columns and plain numbers.
     """
     if len(re_args) != prog.arity_in or len(eps_args) != prog.arity_in:
         raise ArityMismatch("dual evaluation needs arity_in re and eps arguments")
@@ -227,8 +249,9 @@ def evaluate_dual(prog: Program, re_args, eps_args):
     r = list(tape.leaves)
     e = [0.0] * len(r)
     for s, i in tape.inputs:
-        r[s] = float(re_args[i])
-        e[s] = float(eps_args[i])
+        rv, ev = re_args[i], eps_args[i]
+        r[s] = rv if type(rv) is _ndarray else float(rv)
+        e[s] = ev if type(ev) is _ndarray else float(ev)
     try:
         for op, a, b in zip(tape.ops, tape.a, tape.b):
             if op == MUL:
@@ -240,12 +263,15 @@ def evaluate_dual(prog: Program, re_args, eps_args):
                 e.append(e[a] + e[b])
             elif op == POW:
                 rx, k = r[a], pool[b]
-                if rx == 0.0 and k < 0:
-                    raise DivisionByNilpotent("zero real part raised to negative power")
                 if k == 0:
                     r.append(1.0)
                     e.append(0.0)
+                elif type(rx) is _ndarray:
+                    r.append(_column_pow(rx, k))
+                    e.append(float(k) * _column_pow(rx, k - 1) * e[a])
                 else:
+                    if rx == 0.0 and k < 0:
+                        raise DivisionByNilpotent("zero real part raised to negative power")
                     r.append(rx ** k)
                     e.append(float(k) * rx ** (k - 1) * e[a])
             elif op == SUB:
@@ -256,7 +282,8 @@ def evaluate_dual(prog: Program, re_args, eps_args):
                 e.append(-e[a])
             elif op == DIV:
                 ra, rb = r[a], r[b]
-                if rb == 0.0:
+                zero = not rb.all() if type(rb) is _ndarray else rb == 0.0
+                if zero:
                     raise DivisionByNilpotent("division by zero real part")
                 # (e_a - q e_b) / b rather than (e_a b - a e_b) / b^2: a tiny
                 # nonzero b squares to zero and the quotient rule would divide by it
@@ -265,11 +292,51 @@ def evaluate_dual(prog: Program, re_args, eps_args):
                 e.append((e[a] - q * e[b]) / rb)
             else:
                 rx, name = r[a], pool[b]
-                r.append(_numeric(name, 0, rx))
-                e.append(_numeric(name, 1, rx) * e[a])
+                if type(rx) is _ndarray:
+                    r.append(apply_primitive(name, rx))
+                    e.append(apply_primitive(name, rx, 1) * e[a])
+                else:
+                    r.append(_numeric(name, 0, rx))
+                    e.append(_numeric(name, 1, rx) * e[a])
     except OverflowError as err:
         raise DomainError("float overflow: %s" % err.args[-1]) from err
     return [r[s] for s in tape.outputs], [e[s] for s in tape.outputs]
+
+
+def _column_pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k entry by entry with Python's float power, which np.power
+    does not match in the last ulp."""
+    if k < 0 and not x.all():
+        raise DivisionByNilpotent("zero real part raised to a negative power")
+    return np.array([t ** k for t in x.tolist()])
+
+
+def stack_columns(values, count: int) -> np.ndarray:
+    """Outputs of a column run as a (count, len(values)) array, one row per
+    point; an output that is a plain number fills its whole column."""
+    out = np.empty((count, len(values)))
+    for i, v in enumerate(values):
+        out[:, i] = v
+    return out
+
+
+def run_columns(block, columns, point) -> np.ndarray:
+    """Apply `columns` to a (B, n) block of points at once, or `point` to
+    each row in turn; the results stack along a first axis of length B.
+
+    The column run goes under numpy's raising error state.  A block with a
+    non-finite entry, or whose column run raises a WeilError or a numpy
+    FloatingPointError, is run point by point instead, outside that state,
+    so its first failing point raises the error it raises on its own.
+    """
+    block = np.asarray(block, dtype=float)
+    if np.isfinite(block).all():
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return columns(block)
+        except (WeilError, FloatingPointError):
+            pass
+    return np.array([point(row) for row in block])
 
 
 def compose(f: Program, g: Program) -> Program:
@@ -287,22 +354,41 @@ def jacobian_oracle(field, x, richardson: bool = False) -> np.ndarray:
 
     Accepts a VectorField or a Program; steps by JACOBIAN_STEP, and with
     richardson=True combines that step and its half for fourth-order
-    accuracy.
+    accuracy.  `x` is one point, or a (B, n) block of points that runs as
+    columns through `run_columns` and gives a (B, out, in) array.
     """
     prog = field.components if isinstance(field, VectorField) else field
-    x = [float(v) for v in x]
+    if np.ndim(x) == 2:
+        # each point's matrix is laid out as a single point's is, the
+        # transpose of a C-ordered array: a matrix product rounds by layout
+        rows = run_columns(
+            x,
+            lambda block: _jacobian_rows(prog, block, richardson),
+            lambda pt: jacobian_oracle(prog, pt, richardson).T,
+        )
+        return rows.transpose(0, 2, 1)
+    return _jacobian_rows(prog, [float(v) for v in x], richardson).T
+
+
+def _jacobian_rows(prog: Program, x, richardson: bool) -> np.ndarray:
+    """The transposed Jacobian at a point given as a list of floats, or
+    at each row of a (B, n) block at once."""
+    count = len(x) if type(x) is _ndarray else None
+    args = list(x.T) if count is not None else x
 
     def fd(step):
-        cols = []
+        rows = []
         for j in range(prog.arity_in):
-            xp = list(x)
-            xm = list(x)
-            xp[j] += step
-            xm[j] -= step
+            xp = list(args)
+            xm = list(args)
+            xp[j] = args[j] + step
+            xm[j] = args[j] - step
             fp = evaluate(prog, xp)
             fm = evaluate(prog, xm)
-            cols.append([(a - b) / (2.0 * step) for a, b in zip(fp, fm)])
-        return np.array(cols).T
+            rows.append([(a - b) / (2.0 * step) for a, b in zip(fp, fm)])
+        if count is None:
+            return np.array(rows)
+        return np.stack([stack_columns(r, count) for r in rows], axis=1)
 
     d1 = fd(JACOBIAN_STEP)
     if not richardson:

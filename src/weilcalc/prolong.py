@@ -6,6 +6,10 @@ and read the coefficient blocks back off.  Coordinates are coordinate
 major, so coefficient a of coordinate i sits at flat index i*d + a and the
 real parts form the base copy of R^n.
 
+`value_at` takes one point or a block of points; a block runs the field's
+tape once over algebra elements whose coefficients are columns (one entry
+per point), not once per point.
+
 The symbolic rendering as an ordinary Program is built on first read of
 `rendering`, for an algebra of any size, and spot-checked against
 pointwise evaluation before it is handed out.
@@ -20,7 +24,7 @@ import numpy as np
 from .algebra import WeilAlgebra
 from .errors import DivisionByNilpotent, DomainError, InvariantViolation, ShapeMismatch
 from .functor import lift_elements, lift_program, point_from_flat
-from .programs import VectorField, evaluate
+from .programs import VectorField, evaluate, run_columns, stack_columns
 from .reports import tally
 from .strongdiff import bracket, bracket_value
 
@@ -50,10 +54,22 @@ class ProlongedField:
         return self._rendering
 
     def value_at(self, flat) -> np.ndarray:
-        """Pointwise velocity via evaluation over the algebra carrier."""
+        """Pointwise velocity via evaluation over the algebra carrier.
+
+        `flat` is one point of R^{n*d}, or a (B, n*d) block of points that
+        runs as columns through `run_columns` and gives a (B, n*d) array.
+        """
+        if np.ndim(flat) == 2:
+            return run_columns(flat, self._columns_at, self.value_at)
         p = point_from_flat(self.algebra, self.base_field.dim, flat)
         outs = lift_elements(self.algebra, self.base_field.components, p.coords)
         return np.array([[float(c) for c in el.coeffs] for el in outs]).reshape(-1)
+
+    def _columns_at(self, block: np.ndarray) -> np.ndarray:
+        # elements whose coefficients are columns: one tape run for the block
+        p = point_from_flat(self.algebra, self.base_field.dim, block.T)
+        outs = lift_elements(self.algebra, self.base_field.components, p.coords)
+        return stack_columns([c for el in outs for c in el.coeffs], len(block))
 
     def _spot_check(self, rendering: VectorField):
         # two fixed points; skip any where the field itself is undefined
@@ -119,11 +135,14 @@ def bracket_deviations(algebra: WeilAlgebra, x_field: VectorField, y_field: Vect
     lhs = field_prolong(algebra, bracket(x_field, y_field))
     rx = field_prolong(algebra, x_field).rendering
     ry = field_prolong(algebra, y_field).rendering
-    for trial in range(samples):
-        flat = rng.uniform(-1.0, 1.0, size=lhs.dim)
-        want = lhs.value_at(flat)
-        got = bracket_value(rx, ry, flat)
-        yield {"trial": trial}, float(np.abs(want - got).max(initial=0.0))
+
+    def gaps(pts):
+        # one gap for a point, one per row for a block
+        return np.abs(lhs.value_at(pts) - bracket_value(rx, ry, pts)).max(axis=-1, initial=0.0)
+
+    block = rng.uniform(-1.0, 1.0, size=(samples, lhs.dim))
+    for trial, dev in enumerate(run_columns(block, gaps, gaps)):
+        yield {"trial": trial}, float(dev)
 
 
 def check_bracket_preserved(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int = 30, rng=None, tol: float = 1e-7) -> dict:

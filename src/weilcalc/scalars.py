@@ -1,8 +1,9 @@
 """Carrier-generic application of analytic primitives.
 
 A "carrier" is whatever scalars a program is being evaluated over: plain
-floats, expression trees, algebra elements (possibly nested, e.g. dual
-numbers whose coefficients are again algebra elements).  Everything here
+floats, columns (float64 1-D arrays, one entry per point), expression
+trees, algebra elements (possibly nested, e.g. dual numbers whose
+coefficients are again algebra elements, or columns).  Everything here
 dispatches on the carrier; `shift` asks for the shift-th derivative of the
 primitive, in closed form, which is what truncated Taylor evaluation of an
 algebra element needs.
@@ -14,6 +15,8 @@ division by algebra elements; it is not part of the program AST.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from . import exprs
 from .errors import DivisionByNilpotent, DomainError
@@ -102,4 +105,7 @@ def apply_primitive(name: str, x, shift: int = 0):
         return analytic(name, shift)
     if isinstance(x, exprs.Expr):
         return _symbolic(name, shift, x)
+    if type(x) is np.ndarray:
+        # entry by entry: numpy's exp and friends differ from math's in the last ulp
+        return np.array([_numeric(name, shift, t) for t in x.tolist()])
     return _numeric(name, shift, float(x))

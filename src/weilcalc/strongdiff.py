@@ -48,6 +48,8 @@ from .programs import (
     evaluate_dual,
     jacobian_oracle,
     random_poly_field,
+    run_columns,
+    stack_columns,
 )
 from .reports import tally
 
@@ -209,14 +211,26 @@ def _eps_expr(v) -> Expr:
 
 
 def composite_pair(x_field: VectorField, y_field: VectorField, at) -> SPair:
-    """The compatible pair (lift of Y along X, lift of X along Y) at a point."""
+    """The compatible pair (lift of Y along X, lift of X along Y) at a point.
+
+    For a (B, n) block of points the tapes run over columns and the pair
+    lives on R^{B*n}, point p's coordinates at p*n .. p*n + n - 1.
+    """
     if x_field.dim != y_field.dim:
         raise ShapeMismatch("fields live on different spaces")
-    at = [float(v) for v in at]
-    xv = evaluate(x_field.components, at)
-    yv = evaluate(y_field.components, at)
-    _, dyx = evaluate_dual(y_field.components, at, xv)
-    _, dxy = evaluate_dual(x_field.components, at, yv)
+    count = len(at) if np.ndim(at) == 2 else None
+    if count is None:
+        at = [float(v) for v in at]
+        args = at
+    else:
+        at = np.asarray(at, dtype=float)
+        args = list(at.T)
+    xv = evaluate(x_field.components, args)
+    yv = evaluate(y_field.components, args)
+    _, dyx = evaluate_dual(y_field.components, args, xv)
+    _, dxy = evaluate_dual(x_field.components, args, yv)
+    if count is not None:
+        xv, yv, dyx, dxy = (stack_columns(v, count) for v in (xv, yv, dyx, dxy))
     first = SecondTangent(at, xv, yv, dyx)
     second = SecondTangent(at, yv, xv, dxy)
     return SPair(first, second)
@@ -245,10 +259,19 @@ def bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
 
 
 def bracket_value(x_field: VectorField, y_field: VectorField, at) -> np.ndarray:
-    """Pointwise bracket via float dual numbers; no expression trees built."""
-    pair = composite_pair(x_field, y_field, at)
-    _, vec = strong_diff(pair)
-    return vec
+    """Pointwise bracket via float dual numbers; no expression trees built.
+
+    `at` is one point, or a (B, n) block of points that runs as columns
+    through `run_columns` and gives a (B, n) array.
+    """
+
+    def value(pts):
+        _, vec = strong_diff(composite_pair(x_field, y_field, pts))
+        return vec.reshape(np.shape(pts))
+
+    if np.ndim(at) == 2:
+        return run_columns(at, value, value)
+    return value(at)
 
 
 # -- second tangents with algebra coefficients ---------------------------
@@ -462,9 +485,19 @@ def check_sigma() -> dict:
     return tally(deviations(), 0.0, samples=25)
 
 
-def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, richardson: bool = False) -> float:
+def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, richardson: bool = False):
     """Largest gap at one point between the strong-difference bracket and
-    DY.X - DX.Y with finite-difference Jacobians."""
+    DY.X - DX.Y with finite-difference Jacobians.
+
+    For a (B, n) block of points the gaps of all B come back as an array,
+    from one column run through `run_columns`.
+    """
+    if np.ndim(at) == 2:
+        return run_columns(
+            at,
+            lambda block: _jacobian_bracket_columns(x_field, y_field, block, richardson),
+            lambda pt: jacobian_bracket_deviation(x_field, y_field, pt, richardson),
+        )
     args = [float(v) for v in at]
     xv = np.array(evaluate(x_field.components, args))
     yv = np.array(evaluate(y_field.components, args))
@@ -474,6 +507,22 @@ def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, r
     )
     got = bracket_value(x_field, y_field, at)
     return float(np.abs(want - got).max(initial=0.0))
+
+
+def _jacobian_bracket_columns(x_field, y_field, block, richardson):
+    count = len(block)
+    args = list(block.T)
+    xv = stack_columns(evaluate(x_field.components, args), count)
+    yv = stack_columns(evaluate(y_field.components, args), count)
+    jy = jacobian_oracle(y_field, block, richardson=richardson)
+    jx = jacobian_oracle(x_field, block, richardson=richardson)
+    got = bracket_value(x_field, y_field, block)
+    want = np.empty_like(got)
+    for p in range(count):
+        # one product per point, with a single point's layout: a matrix
+        # product rounds by layout
+        want[p] = jy[p] @ xv[p] - jx[p] @ yv[p]
+    return np.abs(want - got).max(axis=1, initial=0.0)
 
 
 def check_bracket_jacobian(dims=(1, 2, 3), pairs: int = 20, points: int = 20, rng=None, tol: float = 1e-6) -> dict:
@@ -486,8 +535,8 @@ def check_bracket_jacobian(dims=(1, 2, 3), pairs: int = 20, points: int = 20, rn
             for pair in range(pairs):
                 xf = random_poly_field(rng, n, deg=3)
                 yf = random_poly_field(rng, n, deg=3)
-                for _ in range(points):
-                    at = rng.uniform(-1.0, 1.0, size=n)
-                    yield {"dim": n, "pair": pair}, jacobian_bracket_deviation(xf, yf, at)
+                block = rng.uniform(-1.0, 1.0, size=(points, n))
+                for dev in jacobian_bracket_deviation(xf, yf, block):
+                    yield {"dim": n, "pair": pair}, float(dev)
 
     return tally(deviations(), tol)

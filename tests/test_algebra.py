@@ -41,6 +41,12 @@ T21 = make_basic("truncated", 2, 1)
 DD = tensor(DUAL, DUAL)
 SUM = sum_algebra(DUAL, DUAL)
 STANDARD = [DUAL, DD, T12, T21, SUM]
+# dimensions 15, 20 and 16: the sizes a lifted point's columns multiply in
+LARGE = [
+    make_basic("truncated", 2, 4),
+    make_basic("truncated", 3, 3),
+    tensor(sum_algebra(DUAL, T12), DD),
+]
 
 
 # -- construction -----------------------------------------------------------
@@ -194,7 +200,7 @@ coeffs = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def element_triples(draw):
-    a = draw(st.sampled_from(STANDARD))
+    a = draw(st.sampled_from(STANDARD + LARGE))
     rows = draw(
         st.lists(
             st.lists(coeffs, min_size=a.dim, max_size=a.dim),

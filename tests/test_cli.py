@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output text, report files."""
 
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -8,11 +9,11 @@ import pytest
 
 from weilcalc import cli, strongdiff
 from weilcalc.algebra import algebra_to_json, make_basic, save_algebra
-from weilcalc.errors import DomainError
-from weilcalc.exprs import Const, Var, intpow
+from weilcalc.errors import DomainError, WeilError
+from weilcalc.exprs import Const, Var, intpow, simplify
 from weilcalc.functional import FunctionalVectorField, functional_field_to_json
-from weilcalc.programs import Program, VectorField, field_to_json
-from weilcalc.reports import documents_equal
+from weilcalc.programs import Program, VectorField, eval_exprs, field_to_json
+from weilcalc.reports import documents_equal, report_from_check, rng_for, tally
 
 
 @pytest.fixture
@@ -181,6 +182,34 @@ def test_verify_records_an_overflowing_custom_pair_as_failed(capsys, manifold_fi
     assert lines["custom"].startswith("fail") and "DomainError" in lines["custom"]
 
 
+def test_verify_custom_pair_reports_as_a_loop_over_single_points(capsys, manifold_fields, tmp_path):
+    # log(x0) is undefined at about half the sampled points
+    sq, _ = manifold_fields
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps(_field_doc({"op": "log", "args": [_X0]})))
+    report = tmp_path / "report.json"
+    argv = ["verify", "--suite", "bracket", "--seed", "7", "--field", str(path), "--field", sq]
+    assert cli.main(argv + ["--report", str(report)]) == 1
+    capsys.readouterr()
+    got = next(e for e in json.loads(report.read_text())["suites"] if e["algebra"] == "custom pair")
+
+    # the reference: the scalar path, one point at a time, on the unit's draws
+    x, y = cli.load_field(str(path)), cli.load_field(sq)
+    rng = rng_for(7, "bracket", "custom")
+
+    def deviations():
+        for trial in range(20):
+            at = rng.uniform(-1.0, 1.0, size=1)
+            yield {"trial": trial}, strongdiff.jacobian_bracket_deviation(x, y, at, richardson=True)
+
+    try:
+        result = tally(deviations(), 1e-6)
+    except WeilError as err:
+        result = {"max_error": float("inf"), "samples": 0, "failures": [{"error": "%s: %s" % (type(err).__name__, err)}]}
+    want = report_from_check("bracket", "custom pair", result).to_json()
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
 # -- bracket --------------------------------------------------------------------
 
 
@@ -243,12 +272,19 @@ def test_bracket_usage_errors(capsys, manifold_fields, functional_fields, tmp_pa
     assert "undefined at (-1)" in err and "DomainError" in err
 
 
-def test_bracket_prints_a_coefficient_folded_to_infinity(capsys, manifold_fields, tmp_path):
+def test_bracket_prints_no_coefficient_past_the_float_range(capsys, manifold_fields, tmp_path):
+    # expanding (100*x0)^399 folds 100^399 = inf into a coefficient, and
+    # -inf*x^399 is NaN at 0; such a subtree must stay structural
     _, one = manifold_fields
     big = tmp_path / "big.json"
     big.write_text(json.dumps(_OVERFLOWING[1]))
     assert cli.main(["bracket", "--field", str(big), "--field", one]) == 0
-    assert "inf" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "inf" not in out and "nan" not in out
+    e = strongdiff.bracket(cli.load_field(str(big)), cli.load_field(one)).components.exprs[0]
+    s = simplify(e)
+    assert eval_exprs([s], [0.0]) == eval_exprs([e], [0.0]) == [0.0]
+    assert math.isclose(eval_exprs([s], [0.01])[0], eval_exprs([e], [0.01])[0], rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("at", ["nan", "inf", "-inf", "1e999"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from weilcalc.algebra import AlgebraElement, make_basic
+from weilcalc.algebra import AlgebraElement, make_basic, tensor
 from weilcalc.exprs import (
     PRIMITIVES,
     Add,
@@ -47,8 +47,11 @@ from weilcalc.programs import (
     program_from_json,
     program_to_json,
     random_poly_program,
+    run_columns,
+    stack_columns,
     stack_programs,
 )
+from weilcalc.prolong import ProlongedField
 from weilcalc.errors import ArityMismatch, DivisionByNilpotent, DomainError, ShapeMismatch, WeilError
 from weilcalc.scalars import apply_primitive
 
@@ -358,6 +361,89 @@ def test_evaluate_dual_matches_dual_number_elements(roots, pt, tangent):
     for (rv, dv), r, d in zip(want, *got):
         assert abs(r - rv) <= tol
         assert abs(d - dv) <= tol
+
+
+# -- column runs ----------------------------------------------------------------
+
+
+def _same_numbers(got, want):
+    """Bit for bit, except that any NaN matches any NaN."""
+    return len(got) == len(want) and all(
+        (math.isnan(g) and math.isnan(w)) or struct.pack("<d", g) == struct.pack("<d", w)
+        for g, w in zip(got, want)
+    )
+
+
+_blocks = st.lists(_points, min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dags(), _blocks, st.data())
+def test_column_runs_match_point_runs(roots, pts, data):
+    # where every point succeeds alone, one run over columns gives each
+    # point's numbers, also where they overflow to inf or NaN
+    prog = Program(3, roots)
+    count = len(pts)
+    cols = list(np.array(pts).T)
+    single = [_outcome(lambda p=p: evaluate(prog, p)) for p in pts]
+    if not any(isinstance(o, Exception) for o in single):
+        with np.errstate(all="ignore"):
+            got = stack_columns(evaluate(prog, cols), count)
+        for row, want in zip(got, single):
+            assert _same_numbers(row.tolist(), [float(v) for v in want])
+    tangents = data.draw(st.lists(_points, min_size=count, max_size=count))
+    dual = [_outcome(lambda p=p, t=t: evaluate_dual(prog, p, t)) for p, t in zip(pts, tangents)]
+    if not any(isinstance(o, Exception) for o in dual):
+        with np.errstate(all="ignore"):
+            values, slopes = evaluate_dual(prog, cols, list(np.array(tangents).T))
+        for got, side in ((values, 0), (slopes, 1)):
+            for row, want in zip(stack_columns(got, count), dual):
+                assert _same_numbers(row.tolist(), want[side])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dags(), _blocks)
+def test_a_block_fails_as_its_first_failing_point(roots, pts):
+    prog = Program(3, roots)
+    want = _outcome(lambda: [evaluate(prog, p) for p in pts])
+    got = _outcome(
+        lambda: run_columns(
+            pts,
+            lambda block: stack_columns(evaluate(prog, list(block.T)), len(block)),
+            lambda pt: evaluate(prog, pt.tolist()),
+        )
+    )
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        for row, w in zip(got, want):
+            assert _same_numbers(row.tolist(), [float(v) for v in w])
+
+
+_LIFT_ALGEBRAS = [
+    make_basic("dual"),
+    tensor(make_basic("dual"), make_basic("dual")),
+    make_basic("truncated", 2, 2),
+    make_basic("truncated", 3, 3),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_LIFT_ALGEBRAS), _dags(arity=2), st.data())
+def test_value_at_on_a_block_matches_value_at_on_each_point(algebra, roots, data):
+    pf = ProlongedField(algebra, VectorField(2, Program(2, roots[-2:])))
+    flat = st.lists(st.floats(-2, 2), min_size=pf.dim, max_size=pf.dim)
+    block = np.array(data.draw(st.lists(flat, min_size=1, max_size=4)))
+    # numpy float scalars of the point path may overflow; that is no failure
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: [pf.value_at(p) for p in block])
+        got = _outcome(lambda: pf.value_at(block))
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        # == on purpose: a column product keeps the 0*y terms the point
+        # path skips, so a zero may come out with the other sign
+        assert np.array_equal(got, np.array(want), equal_nan=True)
 
 
 def test_long_chains_compile_without_recursion():
