@@ -1,9 +1,14 @@
 """Jet groups, functor triples, frames, and prolongation to jet-like bundles.
 
 A jet group element is an invertible r-jet at 0 of a map R^m -> R^m fixing
-0, stored as coefficients over the positive-degree graded monomials.  The
-group product exposed here is jet_compose(a, b) = "a then b" (the function
-composition of b after a, truncated at degree r).
+0, stored as coefficients over the positive-degree graded monomials.  Its
+m components are nilpotent elements of the Weil algebra truncated(m, r),
+and the group runs on that algebra's products: the table of x^alpha at a
+jet's components, built degree by degree, gives composition (substitute
+the outer jet's coefficients), the inverse (a fixed point over the table)
+and the canonical action (one column per monomial).  The group product
+exposed here is jet_compose(a, b) = "a then b" (the function composition of
+b after a, truncated at degree r).
 
 Actions on algebras: the canonical action on truncated(m, r) is
 precomposition of function jets by the group element, which makes
@@ -22,18 +27,21 @@ frame map; prolongation of a projectable field to the associated bundle
 differentiates the normalization map with a nilpotent dual parameter, so
 the quotient differential is exact rather than finite-differenced.  Carrier
 generic scalars (floats, Fractions, dual elements with expression
-coefficients) flow through the same jet arithmetic, which is what makes
-that trick a one-liner instead of a second code path.
+coefficients) are the coefficients of those algebra elements, so the same
+products and inverse serve every carrier, which is what makes that trick a
+one-liner instead of a second code path.  Rational jets stay exact: exact
+zeros are skipped, never replaced by the float 0.0.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
-from ._monomials import add_indices, degree, monomial_index, monomials
+from ._monomials import degree, monomial_index, monomials
 from .algebra import (
     AlgebraElement,
     AlgebraHom,
@@ -71,7 +79,7 @@ FLOW_GRID = 1e-3
 
 
 def _is_exact_zero(x) -> bool:
-    return isinstance(x, (int, float, Fraction)) and x == 0
+    return isinstance(x, (int, float, Fraction)) and not x
 
 
 def _scalar_size(x):
@@ -160,8 +168,11 @@ class JetGroupElement:
     """Invertible r-jet at 0 of a map R^m -> R^m fixing 0.
 
     coeffs[i][k] is the coefficient of the k-th positive-degree graded
-    monomial in component i.  Scalars are carrier generic; the linear-part
-    determinant is only checked when the carrier admits a numeric size.
+    monomial in component i, so component i is the nilpotent element
+    (0, *coeffs[i]) of truncated(m, r); jet_compose, jet_invert and the
+    canonical action multiply those elements.  Scalars are carrier generic;
+    the linear-part determinant is only checked when the carrier admits a
+    numeric size.
     """
 
     __slots__ = ("m", "r", "coeffs")
@@ -186,15 +197,6 @@ class JetGroupElement:
     def linear_part(self):
         # the first m graded monomials are the degree-1 ones, variable i at slot i
         return [[self.coeffs[i][j] for j in range(self.m)] for i in range(self.m)]
-
-    def polys(self):
-        monos = monomials(self.m, self.r, 1)
-        out = []
-        for row in self.coeffs:
-            out.append(
-                {a: c for a, c in zip(monos, row) if not _is_exact_zero(c)}
-            )
-        return out
 
     def as_array(self) -> np.ndarray:
         return np.array([[float(c) for c in row] for row in self.coeffs])
@@ -223,57 +225,67 @@ def identity_jet(m: int, r: int) -> JetGroupElement:
     return JetGroupElement(m, r, coeffs, check=False)
 
 
-def _jet_from_polys(m: int, r: int, polys) -> JetGroupElement:
-    monos = monomials(m, r, 1)
-    coeffs = [[p.get(a, 0) for a in monos] for p in polys]
-    return JetGroupElement(m, r, coeffs, check=False)
+@lru_cache(maxsize=None)
+def _factor_plan(m: int, r: int) -> tuple:
+    """(parent, i) per positive-degree monomial alpha, with i its last variable.
+
+    parent is the slot of alpha - e_i among the positive-degree monomials, or
+    None when alpha = e_i.
+    """
+    index = monomial_index(m, r)
+    plan = []
+    for alpha in monomials(m, r, 1):
+        i = max(k for k, e in enumerate(alpha) if e)
+        beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+        plan.append((index[beta] - 1 if degree(beta) else None, i))
+    return tuple(plan)
 
 
-def _poly_mul(p: dict, q: dict, r: int) -> dict:
-    out: dict = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            s = add_indices(a, b)
-            if degree(s) > r:
-                continue
-            term = ca * cb
-            cur = out.get(s)
-            out[s] = term if cur is None else cur + term
-    return out
+def _power_table(g: JetGroupElement) -> list:
+    """x^alpha at g's components, one element per positive-degree monomial.
+
+    Built degree by degree as x^alpha = x^(alpha - e_i) * u_i inside the
+    cached truncated(m, r); the product truncates at degree r.
+    """
+    algebra = canonical_H(g.m, g.r).algebra
+    # component i is (0, *g.coeffs[i]); exact zeros become the float 0.0,
+    # which products skip
+    comps = [
+        AlgebraElement(algebra, [0.0] + [0.0 if _is_exact_zero(c) else c for c in row])
+        for row in g.coeffs
+    ]
+    table = []
+    for parent, i in _factor_plan(g.m, g.r):
+        table.append(comps[i] if parent is None else table[parent] * comps[i])
+    return table
 
 
-def _compose_polys(outer, inner, m: int, r: int):
-    """Substitute the inner polynomial list into each outer polynomial."""
-    zero = (0,) * m
-    pow_cache = [{0: {zero: 1}} for _ in inner]
+def _combine(weights, vectors) -> list:
+    """sum_j weights[j] * vectors[j] over coefficient vectors, entry by entry.
 
-    def ipow(i, k):
-        cache = pow_cache[i]
-        if k not in cache:
-            cache[k] = _poly_mul(ipow(i, k - 1), inner[i], r)
-        return cache[k]
-
-    out = []
-    for comp in outer:
-        acc: dict = {}
-        for beta, c in comp.items():
-            term = {zero: 1}
-            for i, e in enumerate(beta):
-                if e:
-                    term = _poly_mul(term, ipow(i, e), r)
-            for a, v in term.items():
-                tv = c if (isinstance(v, int) and v == 1) else v * c
-                cur = acc.get(a)
-                acc[a] = tv if cur is None else cur + tv
-        out.append(acc)
-    return out
+    The entries are carrier scalars, so a weight scales coefficients, never
+    a whole element: a dual-number weight times an element of
+    truncated(1, 1), which has the dual numbers' structure, would multiply
+    in the wrong algebra.  Exact zeros are skipped, and a slot that no term
+    reaches is the int 0, so rational jets stay exact.
+    """
+    acc = [None] * len(vectors[0])
+    for c, vec in zip(weights, vectors):
+        if _is_exact_zero(c):
+            continue
+        for k, v in enumerate(vec):
+            if not _is_exact_zero(v):
+                term = v * c
+                acc[k] = term if acc[k] is None else acc[k] + term
+    return [0 if v is None else v for v in acc]
 
 
 def jet_compose(a: JetGroupElement, b: JetGroupElement) -> JetGroupElement:
     """The group product "a then b": truncated composition of b after a."""
     if a.m != b.m or a.r != b.r:
         raise ShapeMismatch("jets have different (m, r)")
-    return _jet_from_polys(a.m, a.r, _compose_polys(b.polys(), a.polys(), a.m, a.r))
+    table = [t.coeffs[1:] for t in _power_table(a)]
+    return JetGroupElement(a.m, a.r, [_combine(row, table) for row in b.coeffs], check=False)
 
 
 def jet_invert(a: JetGroupElement) -> JetGroupElement:
@@ -285,41 +297,18 @@ def jet_invert(a: JetGroupElement) -> JetGroupElement:
     """
     m, r = a.m, a.r
     linv = _matinv_generic(a.linear_part())
-    monos1 = monomials(m, 1, 1)
-
-    def lin_apply(polys):
-        out = []
-        for i in range(m):
-            acc: dict = {}
-            for j in range(m):
-                c = linv[i][j]
-                if _is_exact_zero(c):
-                    continue
-                for alpha, v in polys[j].items():
-                    tv = v * c
-                    cur = acc.get(alpha)
-                    acc[alpha] = tv if cur is None else cur + tv
-            out.append(acc)
-        return out
-
-    b_polys = lin_apply([{monos1[j]: 1} for j in range(m)])
+    ident = identity_jet(m, r).coeffs
+    b = JetGroupElement(m, r, [_combine(row, ident) for row in linv], check=False)
     if r >= 2:
-        ident = [{monos1[i]: 1} for i in range(m)]
-        ntilde = [
-            {alpha: c for alpha, c in p.items() if degree(alpha) >= 2}
-            for p in a.polys()
-        ]
+        ntilde = [(0,) * m + row[m:] for row in a.coeffs]
         for _ in range(r - 1):
-            nb = _compose_polys(ntilde, b_polys, m, r)
-            resid = []
-            for i in range(m):
-                d = dict(ident[i])
-                for alpha, v in nb[i].items():
-                    cur = d.get(alpha)
-                    d[alpha] = -v if cur is None else cur - v
-                resid.append(d)
-            b_polys = lin_apply(resid)
-    return _jet_from_polys(m, r, b_polys)
+            table = [t.coeffs[1:] for t in _power_table(b)]
+            resid = [
+                [e - v for e, v in zip(ident[i], _combine(ntilde[i], table))]
+                for i in range(m)
+            ]
+            b = JetGroupElement(m, r, [_combine(row, resid) for row in linv], check=False)
+    return b
 
 
 def random_jet(rng, m: int, r: int) -> JetGroupElement:
@@ -380,27 +369,19 @@ class CanonicalAction:
     H(jet_compose(a, b)) = H(a) compose H(b).
     """
 
-    __slots__ = ("m", "r", "algebra", "_monos", "_index")
+    __slots__ = ("m", "r", "algebra")
 
     def __init__(self, m: int, r: int):
         self.m = m
         self.r = r
         self.algebra = make_basic("truncated", m, r)
-        self._monos = monomials(m, r)
-        self._index = monomial_index(m, r)
 
     def matrix_generic(self, g: JetGroupElement):
         if g.m != self.m or g.r != self.r:
             raise ShapeMismatch("jet shape does not match the action")
-        outs = _compose_polys(
-            [{alpha: 1} for alpha in self._monos], g.polys(), self.m, self.r
-        )
-        d = len(self._monos)
-        mat = [[0] * d for _ in range(d)]
-        for col, poly in enumerate(outs):
-            for alpha, v in poly.items():
-                mat[self._index[alpha]][col] = v
-        return mat
+        cols = [(1,) + (0,) * (self.algebra.dim - 1)]
+        cols += [t.coeffs for t in _power_table(g)]
+        return [list(row) for row in zip(*cols)]
 
     def __call__(self, g: JetGroupElement) -> AlgebraHom:
         mat = np.array(

@@ -15,6 +15,7 @@ division by algebra elements; it is not part of the program AST.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,80 +23,62 @@ from . import exprs
 from .errors import DivisionByNilpotent, DomainError
 
 
+_MATH = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log, "sqrt": math.sqrt}
+
+
+@lru_cache(maxsize=None)
+def _rule(name: str, shift: int) -> tuple:
+    """The shift-th derivative of a primitive as c * f(x) * x**k.
+
+    Returns (c, f, k): the constant c, the primitive f applied to x or None
+    for none, and the power k or 0 for none.  The float and the symbolic
+    path both multiply in that order, left to right; a factor 1.0 changes
+    no float and folds away from a tree.
+    """
+    if name == "exp":
+        return 1.0, "exp", 0
+    if name in ("sin", "cos"):
+        # cos is sin shifted by one derivative; the sign flips every two
+        q = (shift + (name == "cos")) % 4
+        return (-1.0 if q >= 2 else 1.0), ("sin", "cos")[q % 2], 0
+    if name == "log":
+        if shift == 0:
+            return 1.0, "log", 0
+        return (-1.0) ** (shift - 1) * math.factorial(shift - 1), None, -shift
+    if name == "sqrt":
+        c = 1.0
+        for i in range(shift):
+            c *= 0.5 - i
+        return c, "sqrt", -shift
+    if name == "recip":
+        return (-1.0) ** shift * math.factorial(shift), None, -shift - 1
+    raise DomainError("unknown primitive %r" % name)
+
+
 def _numeric(name: str, shift: int, x: float) -> float:
+    c, f, k = _rule(name, shift)
+    if name == "log":
+        if shift == 0 and x <= 0.0:
+            raise DomainError("log of non-positive real part %r" % x)
+        if x == 0.0:
+            raise DomainError("log derivative at zero real part")
+    elif name == "sqrt":
+        if x < 0.0 or (x == 0.0 and shift > 0):
+            raise DomainError("sqrt needs positive real part, got %r" % x)
+    elif name == "recip" and x == 0.0:
+        raise DivisionByNilpotent("division by element with zero real part")
     try:
-        if name == "exp":
-            return math.exp(x)
-        if name == "sin":
-            return (math.sin, math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t))[
-                shift % 4
-            ](x)
-        if name == "cos":
-            return (math.cos, lambda t: -math.sin(t), lambda t: -math.cos(t), math.sin)[
-                shift % 4
-            ](x)
-        if name == "log":
-            if shift == 0:
-                if x <= 0.0:
-                    raise DomainError("log of non-positive real part %r" % x)
-                return math.log(x)
-            if x == 0.0:
-                raise DomainError("log derivative at zero real part")
-            return (-1.0) ** (shift - 1) * math.factorial(shift - 1) * x ** (-shift)
-        if name == "sqrt":
-            if x < 0.0 or (x == 0.0 and shift > 0):
-                raise DomainError("sqrt needs positive real part, got %r" % x)
-            c = 1.0
-            for i in range(shift):
-                c *= 0.5 - i
-            return c * math.sqrt(x) * x ** (-shift) if shift else math.sqrt(x)
-        if name == "recip":
-            if x == 0.0:
-                raise DivisionByNilpotent("division by element with zero real part")
-            return (-1.0) ** shift * math.factorial(shift) * x ** (-shift - 1)
-        raise DomainError("unknown primitive %r" % name)
+        v = c if f is None else c * _MATH[f](x)
+        return v * x**k if k else v
     # overflow in math.exp or float **, or math.sin or math.cos of an infinity
     except (OverflowError, ValueError) as err:
         raise DomainError("%s has no finite value at %r" % (name, x)) from err
 
 
 def _symbolic(name: str, shift: int, x: exprs.Expr) -> exprs.Expr:
-    if name == "exp":
-        return exprs.prim("exp", x)
-    if name == "sin":
-        base = (
-            exprs.prim("sin", x),
-            exprs.prim("cos", x),
-            exprs.neg(exprs.prim("sin", x)),
-            exprs.neg(exprs.prim("cos", x)),
-        )
-        return base[shift % 4]
-    if name == "cos":
-        base = (
-            exprs.prim("cos", x),
-            exprs.neg(exprs.prim("sin", x)),
-            exprs.neg(exprs.prim("cos", x)),
-            exprs.prim("sin", x),
-        )
-        return base[shift % 4]
-    if name == "log":
-        if shift == 0:
-            return exprs.prim("log", x)
-        c = (-1.0) ** (shift - 1) * math.factorial(shift - 1)
-        return exprs.mul(exprs.Const(c), exprs.intpow(x, -shift))
-    if name == "sqrt":
-        if shift == 0:
-            return exprs.prim("sqrt", x)
-        c = 1.0
-        for i in range(shift):
-            c *= 0.5 - i
-        return exprs.mul(
-            exprs.Const(c), exprs.mul(exprs.prim("sqrt", x), exprs.intpow(x, -shift))
-        )
-    if name == "recip":
-        c = (-1.0) ** shift * math.factorial(shift)
-        return exprs.mul(exprs.Const(c), exprs.intpow(x, -shift - 1))
-    raise DomainError("unknown primitive %r" % name)
+    c, f, k = _rule(name, shift)
+    v = exprs.Const(c) if f is None else exprs.mul(exprs.Const(c), exprs.prim(f, x))
+    return exprs.mul(v, exprs.intpow(x, k)) if k else v
 
 
 def apply_primitive(name: str, x, shift: int = 0):

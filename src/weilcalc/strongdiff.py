@@ -37,7 +37,7 @@ from .algebra import (
     swap_matrix,
     tensor,
 )
-from .errors import IncompatiblePair, ShapeMismatch
+from .errors import DomainError, IncompatiblePair, ShapeMismatch
 from .exprs import Const, Expr, Var
 from .functor import WeilPoint, transform
 from .programs import (
@@ -112,16 +112,31 @@ class SecondTangent:
         return "SecondTangent(dim=%d)" % self.dim
 
 
+def _pair_gap(x_slots, y_slots) -> float:
+    """Largest gap in the pair conditions: base to base, u to v, v to u.
+
+    Slots come in (base, u, v, w) order.  A non-finite slot on either side
+    comes from a float overflow upstream, so it raises DomainError, like
+    every other overflow, before any arithmetic on it.
+    """
+    if not all(np.isfinite(s).all() for s in (*x_slots, *y_slots)):
+        raise DomainError("float overflow: a second tangent slot is not finite")
+    (xb, xu, xv, _), (yb, yu, yv, _) = x_slots, y_slots
+    return max(
+        np.abs(xb - yb).max(initial=0.0),
+        np.abs(xu - yv).max(initial=0.0),
+        np.abs(xv - yu).max(initial=0.0),
+    )
+
+
 def compatible(x: SecondTangent, y: SecondTangent, tol: float = 1e-9) -> bool:
-    """Equal bases, and the outer part of each is the inner part of the other."""
+    """Equal bases, and the outer part of each is the inner part of the other.
+
+    Raises DomainError when a slot of either side is not finite.
+    """
     if x.dim != y.dim:
         return False
-    dev = max(
-        np.abs(x.base - y.base).max(initial=0.0),
-        np.abs(x.u - y.v).max(initial=0.0),
-        np.abs(x.v - y.u).max(initial=0.0),
-    )
-    return dev <= tol
+    return _pair_gap((x.base, x.u, x.v, x.w), (y.base, y.u, y.v, y.w)) <= tol
 
 
 class SPair:
@@ -282,7 +297,7 @@ class ASecondPair:
 
     Coefficients are stored as (n, 4, algebra.dim) float arrays in slot
     order (base, u, v, w); compatibility is checked coefficient-wise, to
-    within 1e-9.
+    within 1e-9, and a non-finite coefficient raises DomainError.
     """
 
     __slots__ = ("algebra", "n", "x", "y")
@@ -294,11 +309,7 @@ class ASecondPair:
             raise ShapeMismatch("expected (n, 4, dim) slot arrays")
         if y.shape != x.shape:
             raise ShapeMismatch("the two sides must have equal shapes")
-        dev = max(
-            np.abs(x[:, 0] - y[:, 0]).max(initial=0.0),
-            np.abs(x[:, 1] - y[:, 2]).max(initial=0.0),
-            np.abs(x[:, 2] - y[:, 1]).max(initial=0.0),
-        )
+        dev = _pair_gap(x.swapaxes(0, 1), y.swapaxes(0, 1))
         if dev > 1e-9:
             raise IncompatiblePair("pair mismatch of size %g" % dev)
         self.algebra = algebra

@@ -5,6 +5,9 @@ inputs are drawn through the same seeded generator the CLI uses, so this
 file is deterministic run to run.  The full gate stays well under a minute.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from weilcalc import cli
@@ -39,6 +42,7 @@ from weilcalc.strongdiff import (
 )
 
 SEED = 7
+DATA = Path(__file__).parent / "data"
 
 DUAL = make_basic("dual")
 T12 = make_basic("truncated", 1, 2)
@@ -203,8 +207,12 @@ def test_criterion_12_verification_is_deterministic():
     first = cli.run_suites(cfg)
     second = cli.run_suites(cli.SuiteConfig(suites=list(cli.SUITES), seed=SEED))
     samples = sum(entry["samples"] for entry in first["suites"])
+    # the behavioural reference: the committed seed-7 report, which a
+    # refactor must reproduce byte for byte apart from the timestamp
+    golden = json.loads((DATA / "verify_seed7.json").read_text(encoding="utf-8"))
     ok = (
         documents_equal(first, second)
+        and documents_equal(first, golden)
         and first["status"] == "pass"
         and len(first["suites"]) == 42
         and samples == 5229

@@ -182,6 +182,22 @@ def test_verify_records_an_overflowing_custom_pair_as_failed(capsys, manifold_fi
     assert lines["custom"].startswith("fail") and "DomainError" in lines["custom"]
 
 
+def test_verify_records_an_infinite_custom_pair_as_a_domain_error(capsys, tmp_path):
+    # 1e300*(1e300*x0) overflows to inf without raising; the pair's slots
+    # then hold inf, and inf - inf must not slip through membership as NaN
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(_field_doc({"op": "mul", "args": [{"op": "const", "c": 1e300}, {"op": "mul", "args": [{"op": "const", "c": 1e300}, _X0]}]})))
+    sq = tmp_path / "sq.json"
+    sq.write_text(json.dumps(_field_doc({"op": "mul", "args": [_X0, _X0]})))
+    report = tmp_path / "report.json"
+    rc = cli.main(["verify", "--suite", "bracket", "--samples", "5", "--field", str(big), "--field", str(sq), "--report", str(report)])
+    assert rc == 1
+    lines = {line.split()[2]: line for line in capsys.readouterr().out.splitlines() if line.startswith(("pass", "fail"))}
+    assert lines["custom"].startswith("fail") and "DomainError" in lines["custom"]
+    got = next(e for e in json.loads(report.read_text())["suites"] if e["algebra"] == "custom pair")
+    assert got["samples"] == 0 and got["failures"][0]["error"].startswith("DomainError")
+
+
 def test_verify_custom_pair_reports_as_a_loop_over_single_points(capsys, manifold_fields, tmp_path):
     # log(x0) is undefined at about half the sampled points
     sq, _ = manifold_fields

@@ -53,7 +53,7 @@ from weilcalc.programs import (
 )
 from weilcalc.prolong import ProlongedField
 from weilcalc.errors import ArityMismatch, DivisionByNilpotent, DomainError, ShapeMismatch, WeilError
-from weilcalc.scalars import apply_primitive
+from weilcalc.scalars import _numeric, _symbolic, apply_primitive
 
 
 # -- smart constructors -------------------------------------------------------
@@ -444,6 +444,15 @@ def test_value_at_on_a_block_matches_value_at_on_each_point(algebra, roots, data
         # == on purpose: a column product keeps the 0*y terms the point
         # path skips, so a zero may come out with the other sign
         assert np.array_equal(got, np.array(want), equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["exp", "sin", "cos", "log", "sqrt", "recip"])
+def test_symbolic_derivatives_evaluate_to_the_float_ones_exactly(name):
+    # one coefficient rule feeds both paths, multiplied in the same order
+    for shift in range(7):
+        tree = _symbolic(name, shift, Var(0))
+        for x in (0.1, 0.3, 0.5, 1.0, 1.7, 2.2, 3.0, 7.1, 12.5):
+            assert eval_exprs([tree], [x])[0] == _numeric(name, shift, x), (shift, x)
 
 
 def test_long_chains_compile_without_recursion():

@@ -1,10 +1,13 @@
 """Jet groups, their actions on algebras, frames, and field prolongation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from weilcalc.algebra import make_basic, make_hom
+from weilcalc._monomials import monomials
+from weilcalc.algebra import AlgebraElement, make_basic, make_hom
 from weilcalc.errors import (
     DomainError,
     InvariantViolation,
@@ -77,8 +80,6 @@ small_ints = st.integers(-3, 3)
 @st.composite
 def rational_jets(draw, m=2, r=2):
     # unit upper-triangular linear part keeps the jet exactly invertible
-    from weilcalc.jets import monomials
-
     monos = monomials(m, r, 1)
     coeffs = []
     for i in range(m):
@@ -106,6 +107,102 @@ def test_inverses_cancel_exactly(g):
     e = identity_jet(g.m, g.r)
     assert jet_compose(g, jet_invert(g)) == e
     assert jet_compose(jet_invert(g), g) == e
+
+
+# -- the reference: plain polynomial substitution, truncated at degree r --------
+
+
+def _ref_mul(p, q, r):
+    out = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            s = tuple(x + y for x, y in zip(a, b))
+            if sum(s) <= r:
+                out[s] = out.get(s, 0) + ca * cb
+    return out
+
+
+def _ref_substitute(poly, inner, r):
+    """poly (exponent -> coefficient) with x_j replaced by inner[j]."""
+    m = len(inner)
+    out = {}
+    for beta, c in poly.items():
+        term = {(0,) * m: 1}
+        for j, e in enumerate(beta):
+            for _ in range(e):
+                term = _ref_mul(term, inner[j], r)
+        for a, v in term.items():
+            out[a] = out.get(a, 0) + c * v
+    return out
+
+
+def _ref_polys(g):
+    return [dict(zip(monomials(g.m, g.r, 1), row)) for row in g.coeffs]
+
+
+def _ref_coeffs(poly, m, r, mindeg=1):
+    return [poly.get(a, 0) for a in monomials(m, r, mindeg)]
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def fraction_jet_pairs(draw):
+    m, r = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2)]))
+    n_mon = len(monomials(m, r, 1))
+
+    def jet():
+        rows = [[draw(fractions) for _ in range(n_mon)] for _ in range(m)]
+        g = JetGroupElement(m, r, rows, check=False)
+        assume(np.linalg.det(np.array(g.linear_part(), dtype=float)) != 0)
+        return g
+
+    return jet(), jet()
+
+
+def _is_exact(g):
+    return all(type(c) in (int, Fraction) for row in g.coeffs for c in row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fraction_jet_pairs())
+def test_compose_and_the_action_match_polynomial_substitution(pair):
+    a, b = pair
+    m, r = a.m, a.r
+    want = [_ref_coeffs(_ref_substitute(p, _ref_polys(a), r), m, r) for p in _ref_polys(b)]
+    got = jet_compose(a, b)
+    assert [list(row) for row in got.coeffs] == want
+    assert _is_exact(got)
+
+    mat = canonical_H(m, r).matrix_generic(a)
+    for col, alpha in enumerate(monomials(m, r)):
+        column = _ref_coeffs(_ref_substitute({alpha: 1}, _ref_polys(a), r), m, r, mindeg=0)
+        assert [row[col] for row in mat] == column
+
+
+@settings(max_examples=20, deadline=None)
+@given(fraction_jet_pairs())
+def test_rational_inverses_stay_exact(pair):
+    a, _ = pair
+    inv = jet_invert(a)
+    assert _is_exact(inv)
+    e = identity_jet(a.m, a.r)
+    assert jet_compose(a, inv) == e and jet_compose(inv, a) == e
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_dual_coefficient_jets_invert_to_the_identity(r):
+    # truncated(1, 1) has the dual numbers' structure, so a dual coefficient
+    # must scale the jet's elements coefficient by coefficient
+    dual = make_basic("dual")
+    rows = [[AlgebraElement(dual, [2.0, 0.5]), AlgebraElement(dual, [-0.25, 1.5])][:r]]
+    g = JetGroupElement(1, r, rows, check=False)
+    one = AlgebraElement(dual, [1.0, 0.0])
+    for out in (jet_compose(g, jet_invert(g)), jet_compose(jet_invert(g), g)):
+        for k, c in enumerate(out.coeffs[0]):
+            want = one.coeffs if k == 0 else (0.0, 0.0)
+            assert (c.coeffs if isinstance(c, AlgebraElement) else (c, 0.0)) == want
 
 
 def test_group_axioms_check():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weilcalc.algebra import make_basic, sum_algebra, tensor
-from weilcalc.errors import IncompatiblePair, ShapeMismatch
+from weilcalc.errors import DomainError, IncompatiblePair, ShapeMismatch
 from weilcalc.exprs import Const, Var, format_expr, intpow, simplify
 from weilcalc.programs import Program, VectorField, evaluate, random_poly_field
 from weilcalc.strongdiff import (
@@ -86,6 +86,23 @@ def test_incompatible_pairs_are_rejected():
         SPair(x, y)
     with pytest.raises(IncompatiblePair):
         strong_diff(x, y)
+
+
+def test_a_non_finite_slot_fails_membership_with_a_domain_error():
+    # inf - inf is NaN, and max(0.0, nan) is 0.0: a gap taken first would pass
+    for slot in range(4):
+        slots = [[0.0], [1.0], [2.0], [0.0]]
+        slots[slot] = [float("inf")]
+        x = SecondTangent(*slots)
+        y = SecondTangent(slots[0], slots[2], slots[1], [0.0])
+        with pytest.raises(DomainError):
+            compatible(x, y)
+        with pytest.raises(DomainError):
+            SPair(x, y)
+    arr = np.zeros((1, 4, 2))
+    arr[0, 1, 0] = float("nan")
+    with pytest.raises(DomainError):
+        ASecondPair(make_basic("dual"), arr, arr[:, [0, 2, 1, 3]])
 
 
 # -- brackets -----------------------------------------------------------------
