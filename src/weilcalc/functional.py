@@ -33,7 +33,7 @@ from .algebra import (
 from .errors import ArityMismatch, ShapeMismatch
 from .exprs import Const, Expr, Var
 from .functor import WeilPoint, lift_elements, transform
-from .jets import FunctorTriple, _apply_generic_matrix, base_block, moving_frame_dual
+from .jets import FunctorTriple, _combine, base_block, moving_frame_dual
 from .programs import (
     Program,
     VectorField,
@@ -73,6 +73,24 @@ class _Layout:
 
 def _as_expr(v) -> Expr:
     return v if isinstance(v, Expr) else Const(float(v))
+
+
+def _fiber_env(algebra: WeilAlgebra, lay: _Layout) -> list:
+    """The y and z_alpha arguments of D lifted over A, in lay's variables.
+
+    y stays real (its variable in the unit slot); each z_alpha coordinate
+    is a full element over A, read from lay's dim-A coefficient slots.
+    """
+    da = algebra.dim
+    env = []
+    for j in range(lay.q1):
+        coeffs = [0.0] * da
+        coeffs[algebra.unit_index] = Var(lay.m + j)
+        env.append(AlgebraElement(algebra, coeffs))
+    for alpha in lay.monos:
+        for s in range(lay.q2 // da):
+            env.append(AlgebraElement(algebra, [Var(lay.z(alpha, s * da + c)) for c in range(da)]))
+    return env
 
 
 # -- points ----------------------------------------------------------------
@@ -467,21 +485,8 @@ def functional_field_prolong(algebra: WeilAlgebra, field: FunctionalVectorField)
     da = algebra.dim
     pf = field_prolong(algebra, VectorField(m, field.xi))
     lay = _Layout(m * da, q1, q2 * da, r)
-    env = []
-    for i in range(m):
-        env.append(AlgebraElement(algebra, [Var(i * da + c) for c in range(da)]))
-    for j in range(q1):
-        coeffs = [0.0] * da
-        coeffs[algebra.unit_index] = Var(m * da + j)
-        env.append(AlgebraElement(algebra, coeffs))
-    for alpha in monomials(q1, r):
-        for s in range(q2):
-            env.append(
-                AlgebraElement(
-                    algebra, [Var(lay.z(alpha, s * da + c)) for c in range(da)]
-                )
-            )
-    outs = lift_elements(algebra, field.D, env)
+    env = [AlgebraElement(algebra, [Var(i * da + c) for c in range(da)]) for i in range(m)]
+    outs = lift_elements(algebra, field.D, env + _fiber_env(algebra, lay))
     body = [_as_expr(c) for el in outs for c in el.coeffs]
     return FunctionalVectorField(
         m * da, q1, q2 * da, r, pf.rendering.components, Program(lay.arity, body)
@@ -532,8 +537,9 @@ def g_functional(triple: FunctorTriple, field: FunctionalVectorField) -> Functio
     Points of the prolonged bundle are (x, fiber map Q1 -> A^{q2}) with
     the frame pinned to the canonical one at x, so the base stays R^m.
     The fiber velocity is the lift of D over A at the constrained base
-    block, renormalized through the moving frame with a dual parameter,
-    exactly as for finite-dimensional fibers.
+    block, renormalized through the moving frame with a dual parameter.
+    A finite fiber R^q is the case q1 = 0, r = 0 (maps from a point), which
+    is how jets.g_field_prolong runs through here.
     """
     if field.m != triple.m:
         raise ShapeMismatch("field base dimension does not match the triple")
@@ -542,19 +548,11 @@ def g_functional(triple: FunctorTriple, field: FunctionalVectorField) -> Functio
     m, q1, q2, r = field.m, field.q1, field.q2, field.r
     d = dual_algebra()
     lay = _Layout(m, q1, q2 * da, r)
-    xdot, m_dual = moving_frame_dual(triple, field.xi.exprs)
+    # the columns of H(inverse moving frame), the vectors _combine weighs
+    m_cols = list(zip(*moving_frame_dual(triple, field.xi.exprs)))
 
     env = base_block(triple, [Var(i) for i in range(m)])
-    for j in range(q1):
-        coeffs = [0.0] * da
-        coeffs[a.unit_index] = Var(m + j)
-        env.append(AlgebraElement(a, coeffs))
-    for alpha in monomials(q1, r):
-        for s in range(q2):
-            env.append(
-                AlgebraElement(a, [Var(lay.z(alpha, s * da + c)) for c in range(da)])
-            )
-    vel = lift_elements(a, field.D, env)
+    vel = lift_elements(a, field.D, env + _fiber_env(a, lay))
 
     zero = (0,) * q1
     body = []
@@ -563,9 +561,7 @@ def g_functional(triple: FunctorTriple, field: FunctionalVectorField) -> Functio
             AlgebraElement(d, [Var(lay.z(zero, s * da + c)), vel[s].coeffs[c]])
             for c in range(da)
         ]
-        z_norm = _apply_generic_matrix(m_dual, z_dual)
-        for c in range(da):
-            entry = z_norm[c]
+        for entry in _combine(z_dual, m_cols):
             eps = entry.coeffs[1] if isinstance(entry, AlgebraElement) else 0.0
             body.append(_as_expr(eps))
     return FunctionalVectorField(m, q1, q2 * da, r, field.xi, Program(lay.arity, body))

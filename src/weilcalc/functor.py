@@ -13,8 +13,8 @@ import numpy as np
 
 from .algebra import AlgebraElement, AlgebraHom, WeilAlgebra, apply_matrix, tensor
 from .errors import AlgebraMismatch, ShapeMismatch
-from .exprs import Const, Expr, Var
-from .programs import Program, evaluate
+from .exprs import Const, Expr, Var, prim
+from .programs import Program, evaluate, random_poly_program
 from .reports import tally
 
 
@@ -191,9 +191,6 @@ def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 
     over tensor(outer, inner) at random points.  Programs mix polynomial
     layers with sin/cos/exp so the truncated Taylor paths are exercised.
     """
-    from .programs import random_poly_program
-    from . import exprs as _exprs
-
     if rng is None:
         rng = np.random.default_rng(0)
     t = tensor(outer, inner)
@@ -205,7 +202,7 @@ def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 
             body = []
             for i, e in enumerate(f.exprs):
                 if trial % 2 == 0:
-                    e = e + Const(0.3) * _exprs.prim(prims[(trial + i) % 3], e)
+                    e = e + Const(0.3) * prim(prims[(trial + i) % 3], e)
                 body.append(e)
             f = Program(n, body)
 

@@ -25,7 +25,10 @@ value by H(g inverse).
 Prolongation of a base field to frames is the r-jet of the field along the
 frame map; prolongation of a projectable field to the associated bundle
 differentiates the normalization map with a nilpotent dual parameter, so
-the quotient differential is exact rather than finite-differenced.  Carrier
+the quotient differential is exact rather than finite-differenced.  That
+prolongation is written once, in functional.g_functional: a fibre R^q is
+the functional fibre of maps from a point, and g_field_prolong hands its
+field over in that form; this module supplies the frame correction.  Carrier
 generic scalars (floats, Fractions, dual elements with expression
 coefficients) are the coefficients of those algebra elements, so the same
 products and inverse serve every carrier, which is what makes that trick a
@@ -62,11 +65,18 @@ from .errors import (
 )
 from .exprs import Const, Expr, Var, max_var
 from .functor import lift_elements
-from .programs import Program, VectorField, evaluate
-from .prolong import field_prolong
+from .programs import (
+    Program,
+    VectorField,
+    evaluate,
+    jacobian_oracle,
+    random_poly_program,
+    stack_columns,
+)
+from .prolong import field_prolong, sampled_bracket_gaps
 from .scalars import apply_primitive
 from .reports import tally
-from .strongdiff import bracket, bracket_value, dual_algebra
+from .strongdiff import bracket, dual_algebra
 
 _MIN_DET = 1e-12
 # resolution of flow_frame_oracle, certified for the 1e-5 frame-prolong bound
@@ -147,20 +157,6 @@ def _matinv_generic(mat):
     return out
 
 
-def _apply_generic_matrix(mat, vec):
-    """mat @ vec where entries of both may be arbitrary carrier scalars."""
-    out = []
-    for row in mat:
-        acc = None
-        for c, v in zip(row, vec):
-            if _is_exact_zero(c) or _is_exact_zero(v):
-                continue
-            term = v if (isinstance(c, int) and c == 1) else c * v
-            acc = term if acc is None else acc + term
-        out.append(0.0 if acc is None else acc)
-    return out
-
-
 # -- jet group ------------------------------------------------------------
 
 
@@ -178,6 +174,8 @@ class JetGroupElement:
     __slots__ = ("m", "r", "coeffs")
 
     def __init__(self, m: int, r: int, coeffs, check: bool = True):
+        if m < 1 or r < 1:
+            raise ShapeMismatch("a jet needs m >= 1 and r >= 1, got m=%d, r=%d" % (m, r))
         n_mon = len(monomials(m, r, 1))
         coeffs = tuple(tuple(row) for row in coeffs)
         if len(coeffs) != m or any(len(row) != n_mon for row in coeffs):
@@ -753,11 +751,10 @@ def base_block(triple: FunctorTriple, xvals) -> list:
 def moving_frame_dual(triple: FunctorTriple, base_exprs):
     """First-order frame correction for fields written at the canonical frame.
 
-    Returns (xdot, m_dual): the base velocity expressions and the H-matrix,
-    with dual-number entries over symbolic base coordinates, of the inverse
-    of the moving frame jet id + eps*gdot.  Applying m_dual to dual pairs
-    (value, raw velocity) and keeping the epsilon parts renormalizes a
-    fiber velocity back to the canonical frame.
+    Returns the H-matrix, with dual-number entries over symbolic base
+    coordinates, of the inverse of the moving frame jet id + eps*gdot.
+    Applying it to dual pairs (value, raw velocity) and keeping the epsilon
+    parts renormalizes a fiber velocity back to the canonical frame.
     """
     m, r = triple.m, triple.r
     dmr = triple.jet_algebra
@@ -768,7 +765,6 @@ def moving_frame_dual(triple: FunctorTriple, base_exprs):
     jets = lift_elements(
         dmr, Program(m, base_exprs), _canonical_frame_elements(dmr, xs)
     )
-    xdot = [el.coeffs[0] for el in jets]
 
     # moving frame to first order: id + eps * gdot
     idj = identity_jet(m, r)
@@ -782,56 +778,33 @@ def moving_frame_dual(triple: FunctorTriple, base_exprs):
             row.append(AlgebraElement(d, [float(idj.coeffs[i][k]), vel]))
         g_dual_rows.append(row)
     g_dual = JetGroupElement(m, r, g_dual_rows, check=False)
-    return xdot, triple.H.matrix_generic(jet_invert(g_dual))
+    return triple.H.matrix_generic(jet_invert(g_dual))
 
 
 def g_field_prolong(triple: FunctorTriple, field: VectorField) -> VectorField:
     """Prolong a projectable field to normalized bundle coordinates.
 
-    The product motion (frame prolongation of the base part, lift of the
-    whole field over A) is pushed through the normalization map with a
-    nilpotent dual parameter: every scalar of the moving point is a dual
-    number, the frame part is inverted and acted with carrier-generic jet
-    arithmetic, and the epsilon parts of the result are the prolonged
-    field's components.
+    A fibered manifold with fibre R^q is the functional bundle whose fibre
+    maps leave a one-point source, C^inf(pt, R^q) = R^q.  So the field runs
+    through g_functional as the order-0 functional field with q1 = 0, base
+    part its first m components and vertical part the rest, and the result
+    is those two parts stacked on R^{m + q*dimA}.
     """
+    from .functional import FunctionalVectorField, g_functional
+
     m = triple.m
-    a = triple.algebra
-    da = a.dim
     if field.dim < m:
         raise ShapeMismatch("field lives on fewer coordinates than the base")
     q = field.dim - m
-    base_exprs = field.components.exprs[:m]
-    for e in base_exprs:
+    exprs = field.components.exprs
+    for e in exprs[:m]:
         if max_var(e) >= m:
             raise NonProjectable("base components must depend on x only")
-
-    d = dual_algebra()
-    xs = [Var(i) for i in range(m)]
-    xdot, m_dual = moving_frame_dual(triple, base_exprs)
-
-    # the moving point and its velocity over A
-    base_elems = base_block(triple, xs)
-    fiber_elems = [
-        AlgebraElement(a, [Var(m + f_i * da + j) for j in range(da)])
-        for f_i in range(q)
-    ]
-    env = base_elems + fiber_elems
-    vel = lift_elements(a, field.components, env)
-
-    body = [e if isinstance(e, Expr) else Const(float(e)) for e in xdot]
-    for f_i in range(q):
-        val_coeffs = env[m + f_i].coeffs
-        vel_coeffs = vel[m + f_i].coeffs
-        z_dual = [
-            AlgebraElement(d, [val_coeffs[j], vel_coeffs[j]]) for j in range(da)
-        ]
-        z_norm = _apply_generic_matrix(m_dual, z_dual)
-        for j in range(da):
-            entry = z_norm[j]
-            eps = entry.coeffs[1] if isinstance(entry, AlgebraElement) else 0.0
-            body.append(eps if isinstance(eps, Expr) else Const(float(eps)))
-    return VectorField(m + q * da, Program(m + q * da, body))
+    g = g_functional(
+        triple, FunctionalVectorField(m, 0, q, 0, Program(m, exprs[:m]), Program(field.dim, exprs[m:]))
+    )
+    dim = m + q * triple.algebra.dim
+    return VectorField(dim, Program(dim, g.xi.exprs + g.D.exprs))
 
 
 def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorField, samples: int = 30, rng=None, tol: float = 1e-6) -> dict:
@@ -842,17 +815,15 @@ def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorFi
         raise ShapeMismatch("fields live on different spaces")
     g1 = g_field_prolong(triple, x1)
     g2 = g_field_prolong(triple, x2)
-    lhs = g_field_prolong(triple, bracket(x1, x2))
+    lhs = g_field_prolong(triple, bracket(x1, x2)).components
 
-    def deviations():
-        for trial in range(samples):
-            p = rng.uniform(-1.0, 1.0, size=lhs.dim)
-            args = [float(v) for v in p]
-            want = np.array(evaluate(lhs.components, args))
-            got = bracket_value(g1, g2, args)
-            yield {"trial": trial}, float(np.abs(want - got).max(initial=0.0))
+    def lhs_at(pts):
+        # one point, or a (B, n) block as columns
+        if np.ndim(pts) == 2:
+            return stack_columns(evaluate(lhs, list(pts.T)), len(pts))
+        return np.array(evaluate(lhs, [float(v) for v in pts]))
 
-    return tally(deviations(), tol)
+    return tally(sampled_bracket_gaps(lhs_at, g1, g2, samples, rng), tol)
 
 
 def check_jet_group(m: int, r: int, samples: int = 40, rng=None, tol: float = 1e-10) -> dict:
@@ -895,8 +866,6 @@ def check_classical_prolongation(samples: int = 20, rng=None, tol: float = 1e-8)
     The partial derivatives of phi come from a finite-difference oracle, so
     the comparison is independent of the dual-number machinery.
     """
-    from .programs import jacobian_oracle, random_poly_program
-
     if rng is None:
         rng = np.random.default_rng(0)
     triple = jet_triple(1, 1)

@@ -135,12 +135,22 @@ def bracket_deviations(algebra: WeilAlgebra, x_field: VectorField, y_field: Vect
     lhs = field_prolong(algebra, bracket(x_field, y_field))
     rx = field_prolong(algebra, x_field).rendering
     ry = field_prolong(algebra, y_field).rendering
+    return sampled_bracket_gaps(lhs.value_at, rx, ry, samples, rng)
+
+
+def sampled_bracket_gaps(lhs, rx: VectorField, ry: VectorField, samples: int, rng):
+    """(tag, deviation) pairs |lhs(p) - [rx, ry](p)|, one per sampled point.
+
+    The points are one (samples, n) block drawn from the cube [-1, 1]^n.
+    `lhs` takes one point or a block of points, like `bracket_value`, and
+    the block runs as columns through `run_columns`.
+    """
 
     def gaps(pts):
         # one gap for a point, one per row for a block
-        return np.abs(lhs.value_at(pts) - bracket_value(rx, ry, pts)).max(axis=-1, initial=0.0)
+        return np.abs(lhs(pts) - bracket_value(rx, ry, pts)).max(axis=-1, initial=0.0)
 
-    block = rng.uniform(-1.0, 1.0, size=(samples, lhs.dim))
+    block = rng.uniform(-1.0, 1.0, size=(samples, rx.dim))
     for trial, dev in enumerate(run_columns(block, gaps, gaps)):
         yield {"trial": trial}, float(dev)
 

@@ -29,7 +29,8 @@ from weilcalc.functional import (
     reparametrize,
 )
 from weilcalc.jets import TrivialAction, jet_triple, make_triple
-from weilcalc.programs import Program, evaluate
+from weilcalc.programs import Program, VectorField, evaluate, random_poly_program
+from weilcalc.prolong import field_prolong
 
 DUAL = make_basic("dual")
 T12 = make_basic("truncated", 1, 2)
@@ -279,6 +280,27 @@ def test_prolongation_preserves_brackets(algebra):
     out = check_bracket_preserved(algebra, x1, x2, samples=8, rng=rng, tol=1e-6)
     assert out["failures"] == []
     assert out["max_error"] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "algebra", [DUAL, T12, make_basic("truncated", 2, 1)], ids=lambda a: a.name
+)
+@pytest.mark.parametrize("m", [1, 2])
+def test_prolongation_over_a_point_is_the_manifold_prolongation(algebra, m):
+    # a fibered manifold is the functional bundle with fibres C^inf(pt, R^q):
+    # with q1 = 0 and r = 0 the lifted base and vertical parts, read on the
+    # coordinate-major layout, are the prolongation of the whole field
+    rng = np.random.default_rng(37 + m)
+    q, da = 2, algebra.dim
+    xi = random_poly_program(rng, m, m, deg=2, scale=0.5)
+    fibre = random_poly_program(rng, m + q, q, deg=2, scale=0.5)
+    field = VectorField(m + q, Program(m + q, xi.exprs + fibre.exprs))
+    lifted = functional_field_prolong(algebra, FunctionalVectorField(m, 0, q, 0, xi, fibre))
+    pf = field_prolong(algebra, field)
+    for _ in range(50):
+        flat = list(rng.uniform(-1.0, 1.0, size=(m + q) * da))
+        got = evaluate(lifted.xi, flat[: m * da]) + evaluate(lifted.D, flat)
+        assert np.array_equal(got, pf.value_at(flat))
 
 
 def test_jet_prolongation_preserves_brackets():

@@ -12,6 +12,7 @@ from weilcalc.errors import (
     DomainError,
     InvariantViolation,
     NonProjectable,
+    ShapeMismatch,
     SingularLinearPart,
 )
 from weilcalc.exprs import Const, Var, intpow
@@ -39,7 +40,14 @@ from weilcalc.jets import (
     triple_from_json,
     triple_to_json,
 )
-from weilcalc.programs import Program, VectorField, evaluate, random_poly_field
+from weilcalc.programs import (
+    Program,
+    VectorField,
+    evaluate,
+    jacobian_oracle,
+    random_poly_field,
+    random_poly_program,
+)
 
 DUAL = make_basic("dual")
 
@@ -217,6 +225,16 @@ def test_jet_json_round_trip():
     assert np.allclose(again.as_array(), g.as_array(), atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [{"m": 1, "r": 0, "coeffs": [[]]}, {"m": 0, "r": 1, "coeffs": []}],
+    ids=["r=0", "m=0"],
+)
+def test_jets_without_a_variable_or_an_order_are_rejected(doc):
+    with pytest.raises(ShapeMismatch):
+        jet_from_json(doc)
+
+
 # -- actions --------------------------------------------------------------------
 
 
@@ -333,3 +351,26 @@ def test_first_order_prolongation_is_the_contact_formula():
     out = check_classical_prolongation(samples=6, rng=np.random.default_rng(5), tol=1e-8)
     assert out["failures"] == []
     assert out["max_error"] <= 1e-8
+
+
+def test_first_order_prolongation_moves_the_frame_by_the_base_field():
+    # X = xi(x) d/dx + phi(x, y) d/dy prolongs on (x, y, y1) to
+    # (xi, phi, phi_x + y1 phi_y - y1 xi'); the partials come from
+    # finite differences, so the frame correction meets an outside oracle
+    rng = np.random.default_rng(41)
+    triple = jet_triple(1, 1)
+    for _ in range(20):
+        xi = random_poly_program(rng, 1, 1, deg=3, scale=0.6)
+        phi = random_poly_program(rng, 2, 1, deg=3, scale=0.6)
+        field = VectorField(2, Program(2, [xi.exprs[0], phi.exprs[0]]))
+        gf = g_field_prolong(triple, field)
+        x, y, y1 = rng.uniform(-1.0, 1.0, size=3)
+        got = np.array(evaluate(gf.components, [x, y, y1]))
+        dxi = jacobian_oracle(xi, [x], richardson=True)[0, 0]
+        dphi = jacobian_oracle(phi, [x, y], richardson=True)[0]
+        want = [
+            evaluate(xi, [x])[0],
+            evaluate(phi, [x, y])[0],
+            dphi[0] + y1 * dphi[1] - y1 * dxi,
+        ]
+        assert np.abs(got - want).max() <= 1e-8

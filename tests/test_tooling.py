@@ -1,10 +1,15 @@
-"""The test configuration itself: a failing test must not end the session."""
+"""The test configuration itself: a failing test must not end the session;
+and every package module imports on its own, without an import cycle."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
+PACKAGE = ROOT / "src" / "weilcalc"
 
 # a Hypothesis test that fails, then tests that must still run and report
 PROBE = '''
@@ -45,3 +50,25 @@ def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
     assert "INTERNALERROR" not in out, out
     assert "1 failed, 3 passed" in out, out
     assert run.returncode == 1
+
+
+# registers the package without running its __init__, so the named module
+# is the first one imported and its own imports decide the order
+FIRST_IMPORT = """
+import importlib, sys, types
+pkg = types.ModuleType("weilcalc")
+pkg.__path__ = [sys.argv[1]]
+sys.modules["weilcalc"] = pkg
+importlib.import_module("weilcalc." + sys.argv[2])
+"""
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    run = subprocess.run(
+        [sys.executable, "-c", FIRST_IMPORT, str(PACKAGE), module],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
