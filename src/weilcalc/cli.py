@@ -655,6 +655,16 @@ def cmd_bracket(args) -> int:
     if len(paths) != 2:
         raise CliError(EXIT_USAGE, "bracket needs exactly two --field files")
     x, y = (load_field(p) for p in paths)
+    try:
+        _print_bracket(x, y, args.at)
+    except WeilError as err:
+        raise CliError(
+            EXIT_USAGE, "cannot form the bracket: %s: %s" % (type(err).__name__, err)
+        )
+    return EXIT_PASS
+
+
+def _print_bracket(x, y, at_text):
     if isinstance(x, VectorField) and isinstance(y, VectorField):
         if x.dim != y.dim:
             raise CliError(
@@ -664,8 +674,8 @@ def cmd_bracket(args) -> int:
         names = ["x"] if br.dim == 1 else ["x%d" % i for i in range(br.dim)]
         for i, e in enumerate(br.components.exprs):
             print("[X,Y]_%d = %s" % (i, format_expr(simplify(e), names)))
-        if args.at is not None:
-            at = _parse_point(args.at, br.dim)
+        if at_text is not None:
+            at = _parse_point(at_text, br.dim)
             point = ", ".join("%g" % v for v in at)
             try:
                 vals = evaluate(br.components, at)
@@ -675,13 +685,13 @@ def cmd_bracket(args) -> int:
                     "bracket is undefined at (%s): %s: %s" % (point, type(err).__name__, err),
                 )
             print("at (%s) -> (%s)" % (point, ", ".join("%g" % v for v in vals)))
-        return EXIT_PASS
+        return
     if isinstance(x, functional.FunctionalVectorField) and isinstance(
         y, functional.FunctionalVectorField
     ):
         if (x.m, x.q1, x.q2) != (y.m, y.q1, y.q2):
             raise CliError(EXIT_USAGE, "functional fields have mismatched signatures")
-        if args.at is not None:
+        if at_text is not None:
             raise CliError(EXIT_USAGE, "--at needs a fibre map; not supported for functional fields")
         br = functional.functional_bracket(x, y)
         names = functional_layout_names(br.m, br.q1, br.q2, br.r)
@@ -690,7 +700,7 @@ def cmd_bracket(args) -> int:
             print("xi_%d = %s" % (i, format_expr(simplify(e), names[: br.m])))
         for s, e in enumerate(br.D.exprs):
             print("D_%d = %s" % (s, format_expr(simplify(e), names)))
-        return EXIT_PASS
+        return
     raise CliError(EXIT_USAGE, "cannot mix a manifold field with a functional field")
 
 

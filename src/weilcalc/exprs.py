@@ -248,7 +248,10 @@ def intpow(x: Expr, k: int) -> Expr:
             from .errors import DivisionByNilpotent
 
             raise DivisionByNilpotent("0 raised to negative power")
-        return Const(x.c ** k)
+        try:
+            return Const(x.c ** k)
+        except OverflowError:  # a power past the float range stays unfolded
+            pass
     return IntPow(x, k)
 
 
@@ -413,6 +416,12 @@ def simplify(root: Expr) -> Expr:
     Subtrees whose expansion would exceed _MAX_TERMS monomials, or would
     carry a coefficient past the float range, are rebuilt structurally
     instead of expanded, so the result is always equivalent.
+
+    The one children-first sweep makes a structural rebuild only where it
+    is read: one level over the children's best forms for a node whose
+    expansion failed, and the argument of each atom.  A child that
+    expanded is turned back into a tree from its terms only there and at
+    the root, so a fully expandable tree is rebuilt once, at the root.
     """
     terms: dict = {}
     best: dict = {}
@@ -489,9 +498,9 @@ def simplify(root: Expr) -> Expr:
         return expr_of(t) if t is not None else best[id(node)]
 
     def skey(e):
-        r = skey_memo.get(id(e))
-        if r is not None:
-            return r
+        hit = skey_memo.get(id(e))
+        if hit is not None:
+            return hit[1]
         if isinstance(e, Var):
             r = ("v", e.i)
         elif isinstance(e, Const):
@@ -505,35 +514,38 @@ def simplify(root: Expr) -> Expr:
             r = ("pow", skey(e.x), e.k)
         else:
             r = ("prim", e.name, skey(e.x))
-        skey_memo[id(e)] = r
+        # holding e keeps its id from being reused by a later temporary
+        skey_memo[id(e)] = (e, r)
         return r
 
     for node in postorder(root):
         i = id(node)
         if isinstance(node, Var):
             terms[i] = atom_terms(("v", node.i), node)
-            best[i] = node
         elif isinstance(node, Const):
             c = float(node.c)
             terms[i] = finite({(): c}) if c != 0.0 else {}
-            best[i] = node
+            if terms[i] is None:
+                best[i] = node
         elif isinstance(node, Neg):
             t = terms[id(node.x)]
             terms[i] = t_scale(t, -1.0) if t is not None else None
-            best[i] = neg(best_of(node.x))
+            if terms[i] is None:
+                best[i] = neg(best_of(node.x))
         elif isinstance(node, (Add, Sub)):
             ta, tb = terms[id(node.a)], terms[id(node.b)]
             sign = 1.0 if isinstance(node, Add) else -1.0
             terms[i] = t_add(ta, tb, sign) if ta is not None and tb is not None else None
-            op = add if isinstance(node, Add) else sub
-            best[i] = op(best_of(node.a), best_of(node.b))
+            if terms[i] is None:
+                op = add if isinstance(node, Add) else sub
+                best[i] = op(best_of(node.a), best_of(node.b))
         elif isinstance(node, Mul):
             ta, tb = terms[id(node.a)], terms[id(node.b)]
             terms[i] = t_mul(ta, tb) if ta is not None and tb is not None else None
-            best[i] = mul(best_of(node.a), best_of(node.b))
+            if terms[i] is None:
+                best[i] = mul(best_of(node.a), best_of(node.b))
         elif isinstance(node, IntPow):
             t = terms[id(node.x)]
-            base = best_of(node.x)
             if node.k >= 0 and t is not None:
                 acc = {(): 1.0}
                 for _ in range(node.k):
@@ -541,21 +553,23 @@ def simplify(root: Expr) -> Expr:
                     if acc is None:
                         break
                 terms[i] = acc
+                if acc is None:
+                    best[i] = intpow(best_of(node.x), node.k)
             else:
+                base = best_of(node.x)
                 terms[i] = atom_terms(("pow", skey(base), node.k), intpow(base, node.k))
-            best[i] = intpow(base, node.k)
         elif isinstance(node, Div):
             ta, tb = terms[id(node.a)], terms[id(node.b)]
-            num, den = best_of(node.a), best_of(node.b)
             if tb is not None and set(tb) <= {()}:
                 c = tb.get((), 0.0)
                 terms[i] = t_scale(ta, 1.0 / c) if c != 0.0 and ta is not None else None
+                if terms[i] is None:
+                    best[i] = div(best_of(node.a), best_of(node.b))
             else:
+                num, den = best_of(node.a), best_of(node.b)
                 terms[i] = atom_terms(("div", skey(num), skey(den)), div(num, den))
-            best[i] = div(num, den)
         else:
             arg = best_of(node.x)
             terms[i] = atom_terms(("prim", node.name, skey(arg)), prim(node.name, arg))
-            best[i] = prim(node.name, arg)
 
     return best_of(root)

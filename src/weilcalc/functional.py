@@ -28,12 +28,11 @@ from .algebra import (
     AlgebraHom,
     WeilAlgebra,
     apply_matrix,
-    make_basic,
 )
 from .errors import ArityMismatch, ShapeMismatch
 from .exprs import Const, Expr, Var
 from .functor import WeilPoint, lift_elements, transform
-from .jets import FunctorTriple, _combine, base_block, moving_frame_dual
+from .jets import FunctorTriple, _combine, base_block, canonical_H, moving_frame_dual
 from .programs import (
     Program,
     VectorField,
@@ -207,7 +206,7 @@ def jet_values(h: Program, y, r: int) -> np.ndarray:
     y = [float(v) for v in y]
     if r == 0:
         return np.asarray(evaluate(h, y), dtype=float)
-    t = make_basic("truncated", q1, r)
+    t = canonical_H(q1, r).algebra
     tidx = monomial_index(q1, r)
     gens = t.generator_elements()
     outs = lift_elements(t, h, [gens[j] + y[j] for j in range(q1)])
@@ -401,7 +400,7 @@ def _generator_jets(src: FunctionalVectorField, r_to: int, lay: _Layout) -> dict
             env += [Var(lay.z(beta, s)) for s in range(q2)]
         outs = eval_exprs(src.D.exprs, env)
         return {(0,) * q1: [_as_expr(e) for e in outs]}
-    t = make_basic("truncated", q1, r_to)
+    t = canonical_H(q1, r_to).algebra
     tmon = monomials(q1, r_to)
     tidx = monomial_index(q1, r_to)
     gens = t.generator_elements()

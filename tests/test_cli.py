@@ -10,7 +10,7 @@ import pytest
 from weilcalc import cli, strongdiff
 from weilcalc.algebra import algebra_to_json, make_basic, save_algebra
 from weilcalc.errors import DomainError, WeilError
-from weilcalc.exprs import Const, Var, intpow, simplify
+from weilcalc.exprs import Const, IntPow, Mul, Var, intpow, prim, simplify
 from weilcalc.functional import FunctionalVectorField, functional_field_to_json
 from weilcalc.programs import Program, VectorField, eval_exprs, field_to_json
 from weilcalc.reports import documents_equal, report_from_check, rng_for, tally
@@ -258,7 +258,7 @@ def test_functional_bracket_output(capsys, functional_fields):
 
 
 def test_bracket_usage_errors(capsys, manifold_fields, functional_fields, tmp_path):
-    sq, _ = manifold_fields
+    sq, one = manifold_fields
     f1, _ = functional_fields
     assert cli.main(["bracket", "--field", sq]) == 2  # needs exactly two
     assert cli.main(["bracket", "--field", sq, "--field", f1]) == 2  # mixed kinds
@@ -286,6 +286,22 @@ def test_bracket_usage_errors(capsys, manifold_fields, functional_fields, tmp_pa
     assert cli.main(["bracket", "--field", str(log), "--field", str(ident), "--at", "-1"]) == 2
     err = capsys.readouterr().err
     assert "undefined at (-1)" in err and "DomainError" in err
+    # 1e300^40 overflows while the bracket is formed, for either kind of field
+    big = Mul(IntPow(Const(1e300), 40), Var(0))
+    big_doc = tmp_path / "big.json"
+    big_doc.write_text(json.dumps(field_to_json(VectorField(1, Program(1, [big])))))
+    assert cli.main(["bracket", "--field", str(big_doc), "--field", one]) == 2
+    assert "cannot form the bracket: DomainError" in capsys.readouterr().err
+    zero = Program(1, [Const(0.0)])
+    fbig, fone = tmp_path / "fbig.json", tmp_path / "fone.json"
+    fbig.write_text(json.dumps(functional_field_to_json(
+        FunctionalVectorField(1, 1, 1, 0, Program(1, [big]), Program(3, [Var(1) * Var(2)]))
+    )))
+    fone.write_text(json.dumps(functional_field_to_json(
+        FunctionalVectorField(1, 1, 1, 0, zero, Program(3, [Var(2)]))
+    )))
+    assert cli.main(["bracket", "--field", str(fbig), "--field", str(fone)]) == 2
+    assert "cannot form the bracket: DomainError" in capsys.readouterr().err
 
 
 def test_bracket_prints_no_coefficient_past_the_float_range(capsys, manifold_fields, tmp_path):
@@ -301,6 +317,73 @@ def test_bracket_prints_no_coefficient_past_the_float_range(capsys, manifold_fie
     s = simplify(e)
     assert eval_exprs([s], [0.0]) == eval_exprs([e], [0.0]) == [0.0]
     assert math.isclose(eval_exprs([s], [0.01])[0], eval_exprs([e], [0.01])[0], rel_tol=1e-12)
+
+
+def _manifold_doc(*exprs):
+    return field_to_json(VectorField(len(exprs), Program(len(exprs), list(exprs))))
+
+
+_x0, _x1 = Var(0), Var(1)
+# field pairs and the text `weilcalc bracket` printed for them when this
+# test was written; simplify's term order and atom forms are pinned here
+_BRACKET_TEXT = {
+    "sq-one": (
+        _manifold_doc(intpow(_x0, 2)),
+        _manifold_doc(Const(1.0)),
+        "[X,Y]_0 = -2*x\n",
+    ),
+    "sin-cos": (
+        _manifold_doc(prim("sin", _x0) * _x1, _x0 * _x0 + _x1),
+        _manifold_doc(_x1 - 2 * _x0, prim("cos", _x0 * _x1)),
+        "[X,Y]_0 = x1 - cos(x0*x1)*sin(x0) - 2*sin(x0)*x1 + x0^2 + 2*cos(x0)*x0*x1 - cos(x0)*x1^2\n"
+        "[X,Y]_1 = -cos(x0*x1) - 2*x0*x1 + 4*x0^2 - sin(x0*x1)*x0*x1 - sin(x0*x1)*sin(x0)*x1^2"
+        " - sin(x0*x1)*x0^3\n",
+    ),
+    "exp-log": (
+        _manifold_doc(prim("exp", _x0) * _x1, 3 * _x0 - _x1 ** 3),
+        _manifold_doc(prim("log", _x1) + _x0 ** 2, _x0 * _x1),
+        "[X,Y]_0 = 3*x1^-1*x0 - exp(x0)*log(x1)*x1 + exp(x0)*x0*x1 - x1^-1*x1^3 - exp(x0)*x0^2*x1\n"
+        "[X,Y]_1 = -3*log(x1) + exp(x0)*x1^2 + 2*x0*x1^3\n",
+    ),
+    "div": (
+        _manifold_doc(_x0 / _x1, _x1 ** 2 + 1),
+        _manifold_doc(_x1, 1 / (_x0 + _x1 ** 2)),
+        "[X,Y]_0 = 1 - x1^-1*x1 + x1^2 + 1/(x0 + x1^2)*x1^-2*x0\n"
+        "[X,Y]_1 = -2*1/(x0 + x1^2)*x1 - x0/x1*(x0 + x1^2)^-2 - 2*(x0 + x1^2)^-2*x1"
+        " - 2*(x0 + x1^2)^-2*x1^3\n",
+    ),
+    "mixed": (
+        _manifold_doc(prim("sqrt", _x0) * prim("sin", _x1) - _x0 ** -2, prim("exp", _x1 / _x0)),
+        _manifold_doc(prim("cos", _x0 + _x1), _x0 * prim("log", _x0 ** 2 + 1)),
+        "[X,Y]_0 = x0^-2*sin(x0 + x1) - exp(x1/x0)*sin(x0 + x1) - 2*x0^-2*x0^-1*cos(x0 + x1)"
+        " - sin(x0 + x1)*sin(x1)*sqrt(x0) - 0.5*x0^-1*cos(x0 + x1)*sin(x1)*sqrt(x0)"
+        " - cos(x1)*log(1 + x0^2)*sqrt(x0)*x0\n"
+        "[X,Y]_1 = -(x0^-2*log(1 + x0^2)) + log(1 + x0^2)*sin(x1)*sqrt(x0)"
+        " - 2*(1 + x0^2)^-1*x0^-2*x0^2 - x0^-1*exp(x0^-1*x1)*log(1 + x0^2)*x0"
+        " + x0^-2*cos(x0 + x1)*exp(x0^-1*x1)*x1 + 2*(1 + x0^2)^-1*sin(x1)*sqrt(x0)*x0^2\n",
+    ),
+    "functional": (
+        functional_field_to_json(FunctionalVectorField(
+            1, 1, 1, 1, Program(1, [prim("sin", _x0)]), Program(4, [Var(2) * Var(3) + Var(1)])
+        )),
+        functional_field_to_json(FunctionalVectorField(
+            1, 1, 1, 0, Program(1, [_x0 ** 2]), Program(3, [prim("exp", Var(2)) * _x0])
+        )),
+        "functional bracket: m=1 q1=1 q2=1 order=1\n"
+        "xi_0 = 2*sin(x0)*x0 - cos(x0)*x0^2\n"
+        "D_0 = exp(z0)*sin(x0) + exp(z0)*x0*y0 - exp(z0)*x0*z1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BRACKET_TEXT))
+def test_bracket_prints_the_expected_text(capsys, tmp_path, name):
+    x, y, text = _BRACKET_TEXT[name]
+    px, py = tmp_path / "x.json", tmp_path / "y.json"
+    px.write_text(json.dumps(x))
+    py.write_text(json.dumps(y))
+    assert cli.main(["bracket", "--field", str(px), "--field", str(py)]) == 0
+    assert capsys.readouterr().out == text
 
 
 @pytest.mark.parametrize("at", ["nan", "inf", "-inf", "1e999"])

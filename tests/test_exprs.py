@@ -67,6 +67,11 @@ def test_constant_folding():
     out = intpow(Const(2.0), 3)
     assert isinstance(out, Const) and out.c == 8.0
     assert isinstance(mul(Var(0), Var(1)), Mul)
+    # a power past the float range stays unfolded, in simplify too
+    for k in (40, -40):
+        base = 1e300 if k > 0 else 1e-300
+        assert isinstance(intpow(Const(base), k), IntPow)
+        assert format_expr(simplify(IntPow(Const(base), k))) == "%r^%d" % (base, k)
 
 
 def test_operator_sugar_wraps_numbers():
@@ -144,6 +149,55 @@ def test_simplify_keeps_quotients_and_negative_powers_equivalent():
         for p in pts:
             a, b = eval_exprs([e], p)[0], eval_exprs([s], p)[0]
             assert abs(a - b) <= 1e-12 * abs(a)
+
+
+def test_simplify_keeps_atoms_apart_after_temporaries_die():
+    # each tree folds a constant raised to a negative power, so simplify
+    # drops a temporary it has already keyed; a later temporary that got
+    # its id back once inherited its key, and two different atoms merged
+    x0, x1, x2 = Var(0), Var(1), Var(2)
+    trees = [
+        Add(
+            Div(Const(-0.5), Add(Const(-2.0), Prim("log", x2))),
+            Mul(Const(-3.0), Div(
+                IntPow(Sub(Const(1.0), Const(0.5)), -1),
+                Add(Prim("log", x2), IntPow(Const(-0.5), -1)),
+            )),
+        ),
+        Add(
+            Prim("sin", Const(0.25)),
+            Mul(
+                Neg(Mul(Const(-2.0), Mul(Prim("exp", Const(0.25)), Prim("sin", Sub(Const(0.25), Const(-3.0)))))),
+                IntPow(Add(
+                    Sub(IntPow(Mul(Const(0.25), Const(1.0)), -3), Div(x0, Sub(Const(-0.75), x1))),
+                    Sub(Prim("log", Div(Const(1.5), x2)), IntPow(Prim("sqrt", Const(0.25)), -3)),
+                ), 0),
+            ),
+        ),
+    ]
+    for e in trees:
+        s = simplify(e)
+        for p in ([0.3, 0.5, 0.9], [0.9, 0.45, 1.3]):
+            a, b = eval_exprs([e], p)[0], eval_exprs([s], p)[0]
+            assert math.isclose(a, b, rel_tol=1e-9), (format_expr(e), format_expr(s), p)
+
+
+def test_simplify_builds_at_most_twice_its_output_on_an_expandable_tree(monkeypatch):
+    # a polynomial tree expands at every node, so no structural rebuild is
+    # needed anywhere; only the output itself should be made
+    x0, x1 = Var(0), Var(1)
+    e = Const(1.0)
+    for i in range(6):
+        e = Add(Mul(e, Sub(x0, Const(i + 0.5))), Mul(Const(2.0), x1))
+    built = [0]
+    for cls in (Var, Const, Neg, Add, Sub, Mul, Div, IntPow, Prim):
+        def counted(self, *args, _init=cls.__init__):
+            built[0] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    s = simplify(e)
+    assert built[0] <= 2 * sum(1 for _ in postorder(s))
 
 
 _leaf = st.one_of(
