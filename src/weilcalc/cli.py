@@ -41,21 +41,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-SUITES = (
-    "sigma",
-    "bracket",
-    "prolong-manifold",
-    "exchange-square",
-    "projection-squares",
-    "functor-laws",
-    "jet-group",
-    "frame-prolong",
-    "prolong-jet",
-    "prolong-functional",
-    "prolong-functional-jet",
-    "locality",
-)
-
 
 class CliError(Exception):
     """User-facing error with an exit code."""
@@ -567,6 +552,7 @@ _SUITE_BUILDERS = {
     "prolong-functional-jet": _units_prolong_functional_jet,
     "locality": _units_locality,
 }
+SUITES = tuple(_SUITE_BUILDERS)
 
 
 def run_suites(cfg: SuiteConfig) -> dict:

@@ -398,7 +398,7 @@ def _generator_jets(src: FunctionalVectorField, r_to: int, lay: _Layout) -> dict
         env += [Var(m + j) for j in range(q1)]
         for beta in monomials(q1, src.r):
             env += [Var(lay.z(beta, s)) for s in range(q2)]
-        outs = eval_exprs(src.D.exprs, env)
+        outs = evaluate(src.D, env)
         return {(0,) * q1: [_as_expr(e) for e in outs]}
     t = canonical_H(q1, r_to).algebra
     tmon = monomials(q1, r_to)
@@ -537,9 +537,16 @@ def g_functional(triple: FunctorTriple, field: FunctionalVectorField) -> Functio
     the frame pinned to the canonical one at x, so the base stays R^m.
     The fiber velocity is the lift of D over A at the constrained base
     block, renormalized through the moving frame with a dual parameter.
-    A finite fiber R^q is the case q1 = 0, r = 0 (maps from a point), which
-    is how jets.g_field_prolong runs through here.
+    A finite fiber R^q is the case q1 = 0, r = 0 (maps from a point), and
+    jets.g_field_prolong stacks the same vertical body on its base field.
     """
+    body = _normalized_vertical(triple, field)
+    m, q1, q2, r = field.m, field.q1, field.q2 * triple.algebra.dim, field.r
+    return FunctionalVectorField(m, q1, q2, r, field.xi, Program(fiber_arity(m, q1, q2, r), body))
+
+
+def _normalized_vertical(triple: FunctorTriple, field: FunctionalVectorField) -> list:
+    """The fiber velocity of g_functional as expressions over its layout."""
     if field.m != triple.m:
         raise ShapeMismatch("field base dimension does not match the triple")
     a = triple.algebra
@@ -548,7 +555,7 @@ def g_functional(triple: FunctorTriple, field: FunctionalVectorField) -> Functio
     d = dual_algebra()
     lay = _Layout(m, q1, q2 * da, r)
     # the columns of H(inverse moving frame), the vectors _combine weighs
-    m_cols = list(zip(*moving_frame_dual(triple, field.xi.exprs)))
+    m_cols = list(zip(*moving_frame_dual(triple, field.xi)))
 
     env = base_block(triple, [Var(i) for i in range(m)])
     vel = lift_elements(a, field.D, env + _fiber_env(a, lay))
@@ -563,7 +570,7 @@ def g_functional(triple: FunctorTriple, field: FunctionalVectorField) -> Functio
         for entry in _combine(z_dual, m_cols):
             eps = entry.coeffs[1] if isinstance(entry, AlgebraElement) else 0.0
             body.append(_as_expr(eps))
-    return FunctionalVectorField(m, q1, q2 * da, r, field.xi, Program(lay.arity, body))
+    return body
 
 
 def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, rng=None, tol: float = 1e-6) -> dict:

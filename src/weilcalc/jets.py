@@ -71,6 +71,7 @@ from .programs import (
     evaluate,
     jacobian_oracle,
     random_poly_program,
+    run_points,
     stack_columns,
 )
 from .prolong import field_prolong, sampled_bracket_gaps
@@ -439,14 +440,9 @@ class TableAction:
         return AlgebraHom(self.algebra, self.algebra, mat, validate=False)
 
 
-_canonical_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def canonical_H(m: int, r: int) -> CanonicalAction:
-    key = (m, r)
-    if key not in _canonical_cache:
-        _canonical_cache[key] = CanonicalAction(m, r)
-    return _canonical_cache[key]
+    return CanonicalAction(m, r)
 
 
 # -- functor triples -------------------------------------------------------
@@ -515,16 +511,11 @@ def make_triple(algebra: WeilAlgebra, H, t: AlgebraHom, m: int, r: int) -> Funct
     return FunctorTriple(algebra, H, t, m, r)
 
 
-_jet_triple_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def jet_triple(m: int, r: int) -> FunctorTriple:
     """The triple (truncated(m,r), canonical action, identity)."""
-    key = (m, r)
-    if key not in _jet_triple_cache:
-        h = canonical_H(m, r)
-        _jet_triple_cache[key] = make_triple(h.algebra, h, identity_hom(h.algebra), m, r)
-    return _jet_triple_cache[key]
+    h = canonical_H(m, r)
+    return make_triple(h.algebra, h, identity_hom(h.algebra), m, r)
 
 
 def triple_to_json(triple: FunctorTriple) -> dict:
@@ -748,7 +739,7 @@ def base_block(triple: FunctorTriple, xvals) -> list:
 # -- field prolongation on the associated bundle ---------------------------
 
 
-def moving_frame_dual(triple: FunctorTriple, base_exprs):
+def moving_frame_dual(triple: FunctorTriple, xi: Program):
     """First-order frame correction for fields written at the canonical frame.
 
     Returns the H-matrix, with dual-number entries over symbolic base
@@ -761,10 +752,8 @@ def moving_frame_dual(triple: FunctorTriple, base_exprs):
     d = dual_algebra()
     xs = [Var(i) for i in range(m)]
 
-    # r-jet of the base field along the canonical frame
-    jets = lift_elements(
-        dmr, Program(m, base_exprs), _canonical_frame_elements(dmr, xs)
-    )
+    # r-jet of the base field xi along the canonical frame
+    jets = lift_elements(dmr, xi, _canonical_frame_elements(dmr, xs))
 
     # moving frame to first order: id + eps * gdot
     idj = identity_jet(m, r)
@@ -785,12 +774,12 @@ def g_field_prolong(triple: FunctorTriple, field: VectorField) -> VectorField:
     """Prolong a projectable field to normalized bundle coordinates.
 
     A fibered manifold with fibre R^q is the functional bundle whose fibre
-    maps leave a one-point source, C^inf(pt, R^q) = R^q.  So the field runs
-    through g_functional as the order-0 functional field with q1 = 0, base
-    part its first m components and vertical part the rest, and the result
-    is those two parts stacked on R^{m + q*dimA}.
+    maps leave a one-point source, C^inf(pt, R^q) = R^q.  So the field is
+    the order-0 functional field with q1 = 0, base part its first m
+    components and vertical part the rest, and the result stacks that base
+    part on the vertical body g_functional builds, on R^{m + q*dimA}.
     """
-    from .functional import FunctionalVectorField, g_functional
+    from .functional import FunctionalVectorField, _normalized_vertical
 
     m = triple.m
     if field.dim < m:
@@ -800,11 +789,10 @@ def g_field_prolong(triple: FunctorTriple, field: VectorField) -> VectorField:
     for e in exprs[:m]:
         if max_var(e) >= m:
             raise NonProjectable("base components must depend on x only")
-    g = g_functional(
-        triple, FunctionalVectorField(m, 0, q, 0, Program(m, exprs[:m]), Program(field.dim, exprs[m:]))
-    )
+    xi = Program(m, exprs[:m])
+    body = _normalized_vertical(triple, FunctionalVectorField(m, 0, q, 0, xi, Program(field.dim, exprs[m:])))
     dim = m + q * triple.algebra.dim
-    return VectorField(dim, Program(dim, g.xi.exprs + g.D.exprs))
+    return VectorField(dim, Program(dim, xi.exprs + tuple(body)))
 
 
 def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorField, samples: int = 30, rng=None, tol: float = 1e-6) -> dict:
@@ -818,10 +806,7 @@ def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorFi
     lhs = g_field_prolong(triple, bracket(x1, x2)).components
 
     def lhs_at(pts):
-        # one point, or a (B, n) block as columns
-        if np.ndim(pts) == 2:
-            return stack_columns(evaluate(lhs, list(pts.T)), len(pts))
-        return np.array(evaluate(lhs, [float(v) for v in pts]))
+        return run_points(pts, lambda args, count: stack_columns(evaluate(lhs, args), count))
 
     return tally(sampled_bracket_gaps(lhs_at, g1, g2, samples, rng), tol)
 

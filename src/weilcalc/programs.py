@@ -23,6 +23,13 @@ points: a column run goes under numpy's raising error state, and a block
 with a non-finite input, or whose column run raises, is re-run point by
 point on the scalar path, so the first failing point raises what it
 raises on its own.  Single points keep the scalar path, the reference.
+
+`run_points` is the one place that tells a point from a (B, n) block.
+An entry point that takes either writes one body over run_points'
+arguments: a list of floats and count None for a point, or the block's
+n columns and count B.  `stack_columns` turns the body's outputs into a
+row for a point or a (B, k) array for a block, so the body never asks
+which it has.
 """
 
 from __future__ import annotations
@@ -271,7 +278,7 @@ def evaluate_dual(prog: Program, re_args, eps_args):
                     e.append(float(k) * _column_pow(rx, k - 1) * e[a])
                 else:
                     if rx == 0.0 and k < 0:
-                        raise DivisionByNilpotent("zero real part raised to negative power")
+                        raise DivisionByNilpotent("zero real part raised to a negative power")
                     r.append(rx ** k)
                     e.append(float(k) * rx ** (k - 1) * e[a])
             elif op == SUB:
@@ -311,12 +318,13 @@ def _column_pow(x: np.ndarray, k: int) -> np.ndarray:
     return np.array([t ** k for t in x.tolist()])
 
 
-def stack_columns(values, count: int) -> np.ndarray:
-    """Outputs of a column run as a (count, len(values)) array, one row per
-    point; an output that is a plain number fills its whole column."""
-    out = np.empty((count, len(values)))
+def stack_columns(values, count) -> np.ndarray:
+    """Outputs of a run as an array: a row for one point (count None), or
+    (count, len(values)), one row per point, for a column run; an output
+    that is a plain number fills its whole column."""
+    out = np.empty((len(values),) if count is None else (count, len(values)))
     for i, v in enumerate(values):
-        out[:, i] = v
+        out[..., i] = v
     return out
 
 
@@ -339,6 +347,24 @@ def run_columns(block, columns, point) -> np.ndarray:
     return np.array([point(row) for row in block])
 
 
+def run_points(x, body):
+    """`body` at one point, or at each row of a (B, n) block of points.
+
+    A point's coordinates go to `body` as a list of floats with count
+    None.  A block goes through `run_columns`: its n columns with count B,
+    and, on the per-row fallback, each row as a point.  `body` gives its
+    result for one point, or for a block those results stacked along a
+    first axis of length B.
+    """
+    if np.ndim(x) == 2:
+        return run_columns(
+            x,
+            lambda block: body(list(block.T), len(block)),
+            lambda row: body(row.tolist(), None),
+        )
+    return body([float(v) for v in x], None)
+
+
 def compose(f: Program, g: Program) -> Program:
     """f after g, by substitution."""
     if f.arity_in != g.arity_out:
@@ -354,47 +380,33 @@ def jacobian_oracle(field, x, richardson: bool = False) -> np.ndarray:
 
     Accepts a VectorField or a Program; steps by JACOBIAN_STEP, and with
     richardson=True combines that step and its half for fourth-order
-    accuracy.  `x` is one point, or a (B, n) block of points that runs as
-    columns through `run_columns` and gives a (B, out, in) array.
+    accuracy.  `x` is one point, or a (B, n) block of points that gives a
+    (B, out, in) array from one `run_points` call.
     """
     prog = field.components if isinstance(field, VectorField) else field
-    if np.ndim(x) == 2:
-        # each point's matrix is laid out as a single point's is, the
-        # transpose of a C-ordered array: a matrix product rounds by layout
-        rows = run_columns(
-            x,
-            lambda block: _jacobian_rows(prog, block, richardson),
-            lambda pt: jacobian_oracle(prog, pt, richardson).T,
-        )
-        return rows.transpose(0, 2, 1)
-    return _jacobian_rows(prog, [float(v) for v in x], richardson).T
 
+    def transposed(args, count):
+        def fd(step):
+            rows = []
+            for j in range(prog.arity_in):
+                xp = list(args)
+                xm = list(args)
+                xp[j] = args[j] + step
+                xm[j] = args[j] - step
+                fp = evaluate(prog, xp)
+                fm = evaluate(prog, xm)
+                rows.append(stack_columns([(a - b) / (2.0 * step) for a, b in zip(fp, fm)], count))
+            return np.stack(rows, axis=-2)
 
-def _jacobian_rows(prog: Program, x, richardson: bool) -> np.ndarray:
-    """The transposed Jacobian at a point given as a list of floats, or
-    at each row of a (B, n) block at once."""
-    count = len(x) if type(x) is _ndarray else None
-    args = list(x.T) if count is not None else x
+        d1 = fd(JACOBIAN_STEP)
+        if not richardson:
+            return d1
+        d2 = fd(JACOBIAN_STEP / 2.0)
+        return (4.0 * d2 - d1) / 3.0
 
-    def fd(step):
-        rows = []
-        for j in range(prog.arity_in):
-            xp = list(args)
-            xm = list(args)
-            xp[j] = args[j] + step
-            xm[j] = args[j] - step
-            fp = evaluate(prog, xp)
-            fm = evaluate(prog, xm)
-            rows.append([(a - b) / (2.0 * step) for a, b in zip(fp, fm)])
-        if count is None:
-            return np.array(rows)
-        return np.stack([stack_columns(r, count) for r in rows], axis=1)
-
-    d1 = fd(JACOBIAN_STEP)
-    if not richardson:
-        return d1
-    d2 = fd(JACOBIAN_STEP / 2.0)
-    return (4.0 * d2 - d1) / 3.0
+    # each point's matrix is the transpose of a C-ordered array, for a block
+    # as for one point: a matrix product rounds by layout
+    return np.swapaxes(run_points(x, transposed), -1, -2)
 
 
 # -- small builders ------------------------------------------------------

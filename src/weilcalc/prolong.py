@@ -6,9 +6,9 @@ and read the coefficient blocks back off.  Coordinates are coordinate
 major, so coefficient a of coordinate i sits at flat index i*d + a and the
 real parts form the base copy of R^n.
 
-`value_at` takes one point or a block of points; a block runs the field's
-tape once over algebra elements whose coefficients are columns (one entry
-per point), not once per point.
+`value_at` takes one point or a block of points through `run_points`; a
+block runs the field's tape once over algebra elements whose coefficients
+are columns (one entry per point), not once per point.
 
 The symbolic rendering as an ordinary Program is built on first read of
 `rendering`, for an algebra of any size, and spot-checked against
@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import WeilAlgebra
 from .errors import DivisionByNilpotent, DomainError, InvariantViolation, ShapeMismatch
 from .functor import lift_elements, lift_program, point_from_flat
-from .programs import VectorField, evaluate, run_columns, stack_columns
+from .programs import VectorField, evaluate, run_columns, run_points, stack_columns
 from .reports import tally
 from .strongdiff import bracket, bracket_value
 
@@ -57,19 +57,15 @@ class ProlongedField:
         """Pointwise velocity via evaluation over the algebra carrier.
 
         `flat` is one point of R^{n*d}, or a (B, n*d) block of points that
-        runs as columns through `run_columns` and gives a (B, n*d) array.
+        gives a (B, n*d) array from one `run_points` call.
         """
-        if np.ndim(flat) == 2:
-            return run_columns(flat, self._columns_at, self.value_at)
-        p = point_from_flat(self.algebra, self.base_field.dim, flat)
-        outs = lift_elements(self.algebra, self.base_field.components, p.coords)
-        return np.array([[float(c) for c in el.coeffs] for el in outs]).reshape(-1)
 
-    def _columns_at(self, block: np.ndarray) -> np.ndarray:
-        # elements whose coefficients are columns: one tape run for the block
-        p = point_from_flat(self.algebra, self.base_field.dim, block.T)
-        outs = lift_elements(self.algebra, self.base_field.components, p.coords)
-        return stack_columns([c for el in outs for c in el.coeffs], len(block))
+        def velocity(args, count):
+            p = point_from_flat(self.algebra, self.base_field.dim, args)
+            outs = lift_elements(self.algebra, self.base_field.components, p.coords)
+            return stack_columns([c for el in outs for c in el.coeffs], count)
+
+        return run_points(flat, velocity)
 
     def _spot_check(self, rendering: VectorField):
         # two fixed points; skip any where the field itself is undefined
@@ -90,10 +86,9 @@ class ProlongedField:
                 )
 
     def base_values(self, flat) -> np.ndarray:
-        """Real parts of the point, i.e. its image under the base projection."""
-        d = self.algebra.dim
-        u = self.algebra.unit_index
-        return np.asarray(flat, dtype=float).reshape(-1, d)[:, u]
+        """Real parts of the point, i.e. its image under the base projection;
+        for a block of points, one row per point."""
+        return np.asarray(flat, dtype=float)[..., self.algebra.unit_index :: self.algebra.dim]
 
     def __repr__(self):
         return "ProlongedField(%s, base dim %d)" % (self.algebra.name, self.base_field.dim)
@@ -104,24 +99,23 @@ def field_prolong(algebra: WeilAlgebra, field: VectorField) -> ProlongedField:
 
 
 def check_base_projection(pf: ProlongedField, samples: int = 10, rng=None) -> dict:
-    """Real parts of the prolonged velocity equal the field at the real parts."""
+    """Real parts of the prolonged velocity equal the field at the real parts.
+
+    The points are one (samples, n*d) block drawn from the cube [-1, 1]^{n*d}.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
-    n = pf.base_field.dim
-    u = pf.algebra.unit_index
-    d = pf.algebra.dim
+    base = pf.base_field.components
 
-    def deviations():
-        for trial in range(samples):
-            flat = rng.uniform(-1.0, 1.0, size=pf.dim)
-            vel = pf.value_at(flat).reshape(n, d)
-            base_vel = np.array(
-                evaluate(pf.base_field.components, [float(v) for v in pf.base_values(flat)])
-            )
-            yield {"trial": trial}, float(np.abs(vel[:, u] - base_vel).max(initial=0.0))
+    def gaps(pts):
+        # one gap for a point, one per row for a block
+        vel = pf.base_values(pf.value_at(pts))
+        want = run_points(pf.base_values(pts), lambda args, count: stack_columns(evaluate(base, args), count))
+        return np.abs(vel - want).max(axis=-1, initial=0.0)
 
+    block = rng.uniform(-1.0, 1.0, size=(samples, pf.dim))
     # no acceptance threshold: only a NaN comparison is recorded as a failure
-    return tally(deviations(), math.inf)
+    return tally(_trials(block, gaps), math.inf)
 
 
 def bracket_deviations(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int, rng):
@@ -150,7 +144,12 @@ def sampled_bracket_gaps(lhs, rx: VectorField, ry: VectorField, samples: int, rn
         # one gap for a point, one per row for a block
         return np.abs(lhs(pts) - bracket_value(rx, ry, pts)).max(axis=-1, initial=0.0)
 
-    block = rng.uniform(-1.0, 1.0, size=(samples, rx.dim))
+    return _trials(rng.uniform(-1.0, 1.0, size=(samples, rx.dim)), gaps)
+
+
+def _trials(block, gaps):
+    """(tag, deviation) pairs of `gaps` at each row of a block of points,
+    one column run through `run_columns`; `gaps` takes a point or a block."""
     for trial, dev in enumerate(run_columns(block, gaps, gaps)):
         yield {"trial": trial}, float(dev)
 

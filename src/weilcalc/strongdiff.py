@@ -21,6 +21,8 @@ finite-difference Jacobian oracle in the tests.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .algebra import (
@@ -43,38 +45,30 @@ from .functor import WeilPoint, transform
 from .programs import (
     Program,
     VectorField,
-    eval_exprs,
     evaluate,
     evaluate_dual,
     jacobian_oracle,
     random_poly_field,
-    run_columns,
+    run_points,
     stack_columns,
 )
 from .reports import tally
 
 _SLOT_TO_DD = (0, 2, 1, 3)
 
-_dual_cache = None
-_dd_cache = None
-_s_cache = None
 # keyed by structure, not by id(): an id can be reused once its algebra is freed
 _exchange_cache: dict[tuple, tuple] = {}
 
 
+@lru_cache(maxsize=None)
 def dual_algebra() -> WeilAlgebra:
-    global _dual_cache
-    if _dual_cache is None:
-        _dual_cache = make_basic("dual")
-    return _dual_cache
+    return make_basic("dual")
 
 
+@lru_cache(maxsize=None)
 def dd_algebra() -> WeilAlgebra:
-    global _dd_cache
-    if _dd_cache is None:
-        d = dual_algebra()
-        _dd_cache = tensor(d, d)
-    return _dd_cache
+    d = dual_algebra()
+    return tensor(d, d)
 
 
 class SecondTangent:
@@ -197,11 +191,9 @@ def make_S() -> SAlgebraBundle:
     return SAlgebraBundle(sub, amb, inc, sigma)
 
 
+@lru_cache(maxsize=None)
 def s_bundle() -> SAlgebraBundle:
-    global _s_cache
-    if _s_cache is None:
-        _s_cache = make_S()
-    return _s_cache
+    return make_S()
 
 
 def strong_diff(x, y=None):
@@ -226,29 +218,24 @@ def _eps_expr(v) -> Expr:
 
 
 def composite_pair(x_field: VectorField, y_field: VectorField, at) -> SPair:
-    """The compatible pair (lift of Y along X, lift of X along Y) at a point.
+    """The compatible pair (lift of Y along X, lift of X along Y) at a point."""
+    return _composite_pair(x_field, y_field, [float(v) for v in at], None)[1]
 
-    For a (B, n) block of points the tapes run over columns and the pair
-    lives on R^{B*n}, point p's coordinates at p*n .. p*n + n - 1.
+
+def _composite_pair(x_field: VectorField, y_field: VectorField, args, count):
+    """(points, pair) of composite_pair over `run_points` arguments.
+
+    For a block the pair lives on R^{B*n}, point p's coordinates at
+    p*n .. p*n + n - 1.  Three tape runs: X's values, then Y's values and
+    slope along X, then X's slope along Y.
     """
     if x_field.dim != y_field.dim:
         raise ShapeMismatch("fields live on different spaces")
-    count = len(at) if np.ndim(at) == 2 else None
-    if count is None:
-        at = [float(v) for v in at]
-        args = at
-    else:
-        at = np.asarray(at, dtype=float)
-        args = list(at.T)
     xv = evaluate(x_field.components, args)
-    yv = evaluate(y_field.components, args)
-    _, dyx = evaluate_dual(y_field.components, args, xv)
+    yv, dyx = evaluate_dual(y_field.components, args, xv)
     _, dxy = evaluate_dual(x_field.components, args, yv)
-    if count is not None:
-        xv, yv, dyx, dxy = (stack_columns(v, count) for v in (xv, yv, dyx, dxy))
-    first = SecondTangent(at, xv, yv, dyx)
-    second = SecondTangent(at, yv, xv, dxy)
-    return SPair(first, second)
+    at, xv, yv, dyx, dxy = (stack_columns(v, count) for v in (args, xv, yv, dyx, dxy))
+    return at, SPair(SecondTangent(at, xv, yv, dyx), SecondTangent(at, yv, xv, dxy))
 
 
 def bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
@@ -258,8 +245,8 @@ def bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     n = x_field.dim
     d = dual_algebra()
     xs = [Var(i) for i in range(n)]
-    xv = eval_exprs(x_field.components.exprs, xs)
-    yv = eval_exprs(y_field.components.exprs, xs)
+    xv = evaluate(x_field.components, xs)
+    yv = evaluate(y_field.components, xs)
     env_x = [AlgebraElement(d, [xs[i], xv[i]]) for i in range(n)]
     env_y = [AlgebraElement(d, [xs[i], yv[i]]) for i in range(n)]
     w_yx = [_eps_expr(v) for v in evaluate(y_field.components, env_x)]
@@ -276,17 +263,15 @@ def bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
 def bracket_value(x_field: VectorField, y_field: VectorField, at) -> np.ndarray:
     """Pointwise bracket via float dual numbers; no expression trees built.
 
-    `at` is one point, or a (B, n) block of points that runs as columns
-    through `run_columns` and gives a (B, n) array.
+    `at` is one point, or a (B, n) block of points that gives a (B, n)
+    array from one `run_points` call.
     """
 
-    def value(pts):
-        _, vec = strong_diff(composite_pair(x_field, y_field, pts))
-        return vec.reshape(np.shape(pts))
+    def value(args, count):
+        pts, pair = _composite_pair(x_field, y_field, args, count)
+        return strong_diff(pair)[1].reshape(pts.shape)
 
-    if np.ndim(at) == 2:
-        return run_columns(at, value, value)
-    return value(at)
+    return run_points(at, value)
 
 
 # -- second tangents with algebra coefficients ---------------------------
@@ -501,39 +486,22 @@ def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, r
     DY.X - DX.Y with finite-difference Jacobians.
 
     For a (B, n) block of points the gaps of all B come back as an array,
-    from one column run through `run_columns`.
+    from one `run_points` call.
     """
-    if np.ndim(at) == 2:
-        return run_columns(
-            at,
-            lambda block: _jacobian_bracket_columns(x_field, y_field, block, richardson),
-            lambda pt: jacobian_bracket_deviation(x_field, y_field, pt, richardson),
-        )
-    args = [float(v) for v in at]
-    xv = np.array(evaluate(x_field.components, args))
-    yv = np.array(evaluate(y_field.components, args))
-    want = (
-        jacobian_oracle(y_field, at, richardson=richardson) @ xv
-        - jacobian_oracle(x_field, at, richardson=richardson) @ yv
-    )
-    got = bracket_value(x_field, y_field, at)
-    return float(np.abs(want - got).max(initial=0.0))
+    n = x_field.dim
 
-
-def _jacobian_bracket_columns(x_field, y_field, block, richardson):
-    count = len(block)
-    args = list(block.T)
-    xv = stack_columns(evaluate(x_field.components, args), count)
-    yv = stack_columns(evaluate(y_field.components, args), count)
-    jy = jacobian_oracle(y_field, block, richardson=richardson)
-    jx = jacobian_oracle(x_field, block, richardson=richardson)
-    got = bracket_value(x_field, y_field, block)
-    want = np.empty_like(got)
-    for p in range(count):
+    def gap(args, count):
+        pts, pair = _composite_pair(x_field, y_field, args, count)
+        jy = jacobian_oracle(y_field, pts, richardson=richardson).reshape(-1, n, n)
+        jx = jacobian_oracle(x_field, pts, richardson=richardson).reshape(-1, n, n)
+        xv, yv = pair.x.u.reshape(-1, n), pair.x.v.reshape(-1, n)
         # one product per point, with a single point's layout: a matrix
         # product rounds by layout
-        want[p] = jy[p] @ xv[p] - jx[p] @ yv[p]
-    return np.abs(want - got).max(axis=1, initial=0.0)
+        want = np.array([a @ u - b @ v for a, u, b, v in zip(jy, xv, jx, yv)]).reshape(pts.shape)
+        got = strong_diff(pair)[1].reshape(pts.shape)
+        return np.abs(want - got).max(axis=-1, initial=0.0)
+
+    return run_points(at, gap)
 
 
 def check_bracket_jacobian(dims=(1, 2, 3), pairs: int = 20, points: int = 20, rng=None, tol: float = 1e-6) -> dict:

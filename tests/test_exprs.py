@@ -52,6 +52,7 @@ from weilcalc.programs import (
     stack_programs,
 )
 from weilcalc.prolong import ProlongedField
+from weilcalc.strongdiff import bracket_value, jacobian_bracket_deviation
 from weilcalc.errors import ArityMismatch, DivisionByNilpotent, DomainError, ShapeMismatch, WeilError
 from weilcalc.scalars import _numeric, _symbolic, apply_primitive
 
@@ -498,6 +499,62 @@ def test_value_at_on_a_block_matches_value_at_on_each_point(algebra, roots, data
         # == on purpose: a column product keeps the 0*y terms the point
         # path skips, so a zero may come out with the other sign
         assert np.array_equal(got, np.array(want), equal_nan=True)
+
+
+_ENTRY_POINTS = {
+    "bracket_value": bracket_value,
+    "jacobian_oracle": lambda x, y, at: jacobian_oracle(x, at),
+    "jacobian_oracle richardson": lambda x, y, at: jacobian_oracle(x, at, richardson=True),
+    "jacobian_bracket_deviation": jacobian_bracket_deviation,
+    "jacobian_bracket_deviation richardson": lambda x, y, at: jacobian_bracket_deviation(x, y, at, richardson=True),
+}
+
+
+def _block_matches_points(call, block):
+    """A block gives the stacked results of its points, or fails as its
+    first failing point does, with the same error type and text."""
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: [call(p) for p in block])
+        got = _outcome(lambda: call(block))
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert np.array_equal(got, np.array(want), equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_ENTRY_POINTS)), _dags(arity=2), _dags(arity=2), st.data())
+def test_bracket_and_jacobian_on_a_block_match_each_point(name, x_roots, y_roots, data):
+    x = VectorField(2, Program(2, x_roots[-2:]))
+    y = VectorField(2, Program(2, y_roots[-2:]))
+    point = st.lists(st.floats(-2, 2), min_size=2, max_size=2)
+    block = np.array(data.draw(st.lists(point, min_size=1, max_size=4)))
+    _block_matches_points(lambda at: _ENTRY_POINTS[name](x, y, at), block)
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_bracket_and_jacobian_blocks_fall_back_to_single_points(name):
+    # the column run meets point 1's failing log before point 0's division
+    # by zero, and it overflows where a single point's floats give inf
+    x = VectorField(2, Program(2, [Prim("log", Var(0)), Div(Var(0), Var(1))]))
+    big = VectorField(2, Program(2, [Mul(Var(0), Const(1e300)), Var(1)]))
+    y = VectorField(2, Program(2, [Var(1), Var(0)]))
+    call = _ENTRY_POINTS[name]
+    _block_matches_points(lambda at: call(x, y, at), np.array([[1.0, 0.0], [-1.0, 1.0]]))
+    _block_matches_points(lambda at: call(big, y, at), np.array([[0.5, 1.0], [1e10, 1.0]]))
+
+
+def test_a_zero_base_under_a_negative_power_fails_alike_in_both_runners():
+    prog = Program(1, [IntPow(Var(0), -2)])
+    runs = [
+        lambda: evaluate(prog, [0.0]),
+        lambda: evaluate_dual(prog, [0.0], [1.0]),
+        lambda: evaluate(prog, [np.array([1.0, 0.0])]),
+        lambda: evaluate_dual(prog, [np.array([1.0, 0.0])], [np.ones(2)]),
+    ]
+    for run in runs:
+        with pytest.raises(DivisionByNilpotent, match="^zero real part raised to a negative power$"):
+            run()
 
 
 @pytest.mark.parametrize("name", ["exp", "sin", "cos", "log", "sqrt", "recip"])

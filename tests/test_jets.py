@@ -40,6 +40,7 @@ from weilcalc.jets import (
     triple_from_json,
     triple_to_json,
 )
+from weilcalc import programs
 from weilcalc.programs import (
     Program,
     VectorField,
@@ -339,6 +340,25 @@ def test_projectable_fields_prolong_and_commute_with_brackets():
     out = check_bracket_preserved(triple, fields[0], fields[1], samples=10, rng=rng, tol=1e-6)
     assert out["failures"] == []
     assert out["max_error"] <= 1e-6
+
+
+def test_a_projectable_field_prolongs_with_three_compiled_programs(monkeypatch):
+    # the base part, the vertical part, and the stacked result
+    tapes = []
+
+    class CountingTape(programs.Tape):
+        def __init__(self, body, arity_in):
+            tapes.append(arity_in)
+            super().__init__(body, arity_in)
+
+    triple = jet_triple(1, 2)
+    field = VectorField(2, Program(2, [Var(0) * Var(0), Var(0) * Var(1) + intpow(Var(1), 2)]))
+    want = g_field_prolong(triple, field)
+    monkeypatch.setattr(programs, "Tape", CountingTape)
+    got = g_field_prolong(triple, field)
+    assert len(tapes) == 3
+    pt = np.linspace(-0.6, 0.3, got.dim).tolist()
+    assert evaluate(got.components, pt) == evaluate(want.components, pt)
 
 
 def test_non_projectable_base_components_are_rejected():

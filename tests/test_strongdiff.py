@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from weilcalc import strongdiff
 from weilcalc.algebra import make_basic, sum_algebra, tensor
 from weilcalc.errors import DomainError, IncompatiblePair, ShapeMismatch
 from weilcalc.exprs import Const, Var, format_expr, intpow, simplify
@@ -22,6 +23,7 @@ from weilcalc.strongdiff import (
     composite_pair,
     dd_algebra,
     dual_algebra,
+    jacobian_bracket_deviation,
     k_map,
     make_S,
     s_bundle,
@@ -120,6 +122,26 @@ def test_bracket_of_square_and_unit_fields():
     br = bracket(X_SQ, X_ONE)
     assert format_expr(simplify(br.components.exprs[0])) == "-2*x0"
     assert np.array_equal(bracket_value(X_SQ, X_ONE, [3.0]), [-6.0])
+
+
+@pytest.mark.parametrize("entry", [bracket_value, jacobian_bracket_deviation])
+def test_a_block_runs_each_field_tape_no_more_than_the_pair_needs(entry, monkeypatch):
+    # X's values, then Y's values with its slope along X, then X's slope
+    # along Y; the Jacobian check reads X and Y off the pair
+    calls = {"evaluate": 0, "evaluate_dual": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(strongdiff, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(strongdiff, name, counted)
+    rng = np.random.default_rng(4)
+    x = random_poly_field(rng, 2, deg=3)
+    y = random_poly_field(rng, 2, deg=3)
+    block = rng.uniform(-1.0, 1.0, size=(6, 2))
+    got = entry(x, y, block)
+    assert calls == {"evaluate": 1, "evaluate_dual": 2}
+    assert np.array_equal(got, [entry(x, y, p) for p in block])
 
 
 def test_bracket_with_itself_vanishes():

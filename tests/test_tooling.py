@@ -1,6 +1,8 @@
 """The test configuration itself: a failing test must not end the session;
-and every package module imports on its own, without an import cycle."""
+every package module imports on its own, without an import cycle; and
+every name the benchmark's span tracer wraps still exists."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -72,3 +74,21 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_every_name_the_span_tracer_wraps_resolves_in_the_package():
+    # loaded by path: a renamed or deleted traced function fails here, not
+    # only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod_name, path, _ in tracing.TARGETS:
+        owner = importlib.import_module("weilcalc." + mod_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append("%s.%s" % (mod_name, path))
+    exprs = importlib.import_module("weilcalc.exprs")
+    missing += [name for name in tracing.EXPR_NODES if not isinstance(getattr(exprs, name, None), type)]
+    assert missing == []
