@@ -9,6 +9,10 @@ Exit codes: 0 all checks passed, 1 a check failed or an algebra violated
 the axioms, 2 malformed input.  Randomness is derived per verification
 unit by hashing (seed, suite, qualifier), so reports are reproducible for
 a fixed seed regardless of suite selection or ordering.
+
+Each verification unit is one `Unit` row of `_unit_table`, run by
+`run_unit`; adding a suite is one row in that table plus its check
+function.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ import math
 import os
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 from . import functional, functor, jets, prolong, strongdiff
 from ._monomials import monomials
@@ -35,7 +41,7 @@ from .programs import (
     random_poly_field,
     random_poly_program,
 )
-from .reports import assemble_document, document_dumps, report_from_check, rng_for, tally
+from .reports import Report, assemble_document, document_dumps, report_from_check, rng_for, tally
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -56,7 +62,6 @@ class SuiteConfig:
     seed: int = 0
     tol: float | None = None
     samples: int | None = None
-    report_path: str | None = None
     algebras: list | None = None  # [(label, WeilAlgebra)] override
     fields: list = dataclass_field(default_factory=list)
 
@@ -71,6 +76,17 @@ class SuiteConfig:
                     EXIT_USAGE,
                     "unknown suite %r; choose from: all, %s" % (s, ", ".join(SUITES)),
                 )
+        manifold = self.pair(VectorField)
+        if manifold and manifold[0].dim != manifold[1].dim:
+            raise CliError(EXIT_USAGE, "--field pair lives on different dimensions")
+        fibred = self.pair(functional.FunctionalVectorField)
+        if fibred and len({(f.m, f.q1, f.q2) for f in fibred}) > 1:
+            raise CliError(EXIT_USAGE, "--field functional pair has mismatched signatures")
+
+    def pair(self, kind):
+        """The two --field fields of this kind, or None unless there are two."""
+        fields = [f for f in self.fields if isinstance(f, kind)]
+        return fields if len(fields) == 2 else None
 
     def tolerance(self, certified: float) -> float:
         """Effective acceptance threshold for one unit.
@@ -218,26 +234,6 @@ def resolve_algebra(spec: str):
     return built, None
 
 
-def _standard_algebras():
-    return [
-        ("dual", make_basic("dual")),
-        ("tensor(dual,dual)", tensor(make_basic("dual"), make_basic("dual"))),
-        ("truncated(1,2)", make_basic("truncated", 1, 2)),
-        ("truncated(2,1)", make_basic("truncated", 2, 1)),
-        ("sum(dual,dual)", sum_algebra(make_basic("dual"), make_basic("dual"))),
-    ]
-
-
-def _pr1_algebras(cfg):
-    return cfg.algebras if cfg.algebras else _standard_algebras()
-
-
-def _small_algebras(cfg):
-    if cfg.algebras:
-        return cfg.algebras
-    return [("dual", make_basic("dual")), ("truncated(1,2)", make_basic("truncated", 1, 2))]
-
-
 # ---------------------------------------------------------------------------
 # field files
 
@@ -252,7 +248,10 @@ def load_field(path: str):
         raise CliError(EXIT_USAGE, "%s: field file must hold a JSON object" % path)
     try:
         if set(data) == _MANIFOLD_KEYS:
-            return field_from_json(data)
+            field = field_from_json(data)
+            if field.dim < 1:
+                raise CliError(EXIT_USAGE, "%s: a field needs dim >= 1, got %d" % (path, field.dim))
+            return field
         if set(data) == _FUNCTIONAL_KEYS:
             return functional.functional_field_from_json(data)
     except (WeilError, KeyError, ValueError, TypeError) as err:
@@ -279,185 +278,93 @@ def functional_layout_names(m: int, q1: int, q2: int, r: int) -> list:
 # ---------------------------------------------------------------------------
 # verification units
 
-# A unit is (suite, context label, thunk); thunks close over their own rng
-# so execution order cannot shift any random stream.
+
+@dataclass(frozen=True)
+class Unit:
+    """One verification unit: a row of the unit table.
+
+    `check(rng=, samples=, tol=)` returns a check result.  `samples` and
+    `tol` are the unit's default sample count and certified tolerance,
+    both ignored by a check that draws nothing; `stream` names the unit's
+    rng stream when it differs from the label.
+    """
+
+    suite: str
+    label: str
+    check: Callable[..., dict]
+    samples: int = 0
+    tol: float = 0.0
+    stream: str | None = None
 
 
-def _units_sigma(cfg):
-    return [("sigma", "S", strongdiff.check_sigma)]
+def run_unit(cfg: SuiteConfig, unit: Unit) -> Report:
+    """Run one unit under the config's seed, --samples and --tol.
+
+    The unit draws from its own stream, hashed from (seed, suite, stream),
+    so running order cannot shift any random draw.  A WeilError that stops
+    the check becomes the unit's one failure.
+    """
+    rng = rng_for(cfg.seed, unit.suite, unit.stream or unit.label)
+    try:
+        result = unit.check(rng=rng, samples=cfg.count(unit.samples), tol=cfg.tolerance(unit.tol))
+    except WeilError as err:
+        result = {
+            "max_error": float("inf"),
+            "samples": 0,
+            "failures": [{"error": "%s: %s" % (type(err).__name__, err)}],
+        }
+    return report_from_check(unit.suite, unit.label, result)
 
 
-def _units_bracket(cfg):
-    tol = cfg.tolerance(1e-6)
-
-    def run():
-        rng = rng_for(cfg.seed, "bracket", "random")
-        return strongdiff.check_bracket_jacobian(
-            dims=(1, 2, 3), pairs=20, points=cfg.count(20), rng=rng, tol=tol
-        )
-
-    units = [("bracket", "dims 1-3", run)]
-    manifold = [f for f in cfg.fields if isinstance(f, VectorField)]
-    if len(manifold) == 2:
-        x, y = manifold
-        if x.dim != y.dim:
-            raise CliError(EXIT_USAGE, "--field pair lives on different dimensions")
-
-        def run_custom():
-            # same oracle as the random-pair suite, on user-supplied fields
-            rng = rng_for(cfg.seed, "bracket", "custom")
-            block = rng.uniform(-1.0, 1.0, size=(cfg.count(20), x.dim))
-            devs = strongdiff.jacobian_bracket_deviation(x, y, block, richardson=True)
-            return tally((({"trial": trial}, float(dev)) for trial, dev in enumerate(devs)), tol)
-
-        units.append(("bracket", "custom pair", run_custom))
-    return units
+def _unsampled(check, *args, rng, samples, tol):
+    """A check that draws nothing and certifies its own tolerance."""
+    return check(*args)
 
 
-def _units_prolong_manifold(cfg):
-    units = []
-    for label, algebra in _pr1_algebras(cfg):
-
-        def run(label=label, algebra=algebra):
-            rng = rng_for(cfg.seed, "prolong-manifold", label)
-
-            def deviations():
-                # ten random field pairs; a failure names its pair as `unit`
-                for unit in range(10):
-                    xf = random_poly_field(rng, 2, deg=2, scale=0.5)
-                    yf = random_poly_field(rng, 2, deg=2, scale=0.5)
-                    for tag, dev in prolong.bracket_deviations(algebra, xf, yf, cfg.count(50), rng):
-                        yield {**tag, "unit": unit}, dev
-
-            return tally(deviations(), cfg.tolerance(1e-7))
-
-        units.append(("prolong-manifold", label, run))
-    return units
+def _random_brackets(*, rng, samples, tol):
+    return strongdiff.check_bracket_jacobian(
+        dims=(1, 2, 3), pairs=20, points=samples, rng=rng, tol=tol
+    )
 
 
-def _units_exchange_square(cfg):
-    units = []
-    for label, algebra in _pr1_algebras(cfg):
-
-        def run(label=label, algebra=algebra):
-            rng = rng_for(cfg.seed, "exchange-square", label)
-            return strongdiff.check_exchange_square(
-                algebra, n=2, samples=cfg.count(100), rng=rng, tol=cfg.tolerance(1e-12)
-            )
-
-        units.append(("exchange-square", label, run))
-    return units
+def _custom_bracket(x, y, *, rng, samples, tol):
+    """The oracle of the random-pair unit, on the --field pair."""
+    block = rng.uniform(-1.0, 1.0, size=(samples, x.dim))
+    devs = strongdiff.jacobian_bracket_deviation(x, y, block, richardson=True)
+    return tally((({"trial": trial}, float(dev)) for trial, dev in enumerate(devs)), tol)
 
 
-def _units_projection_squares(cfg):
-    choices = _small_algebras(cfg)
-    units = []
-    for (la, a), (lb, b), (lc, c) in itertools.product(choices, repeat=3):
-        label = "%s,%s,%s" % (la, lb, lc)
+def _prolong_manifold(algebra, *, rng, samples, tol):
+    def deviations():
+        # ten random field pairs; a failure names its pair as `unit`
+        for unit in range(10):
+            xf = random_poly_field(rng, 2, deg=2, scale=0.5)
+            yf = random_poly_field(rng, 2, deg=2, scale=0.5)
+            for tag, dev in prolong.bracket_deviations(algebra, xf, yf, samples, rng):
+                yield {**tag, "unit": unit}, dev
 
-        def run(a=a, b=b, c=c):
-            return strongdiff.check_projection_squares(a, b, c)
-
-        units.append(("projection-squares", label, run))
-    for la, a in choices:
-
-        def run_tangent(a=a):
-            return strongdiff.check_tangent_projection_identities(a)
-
-        units.append(("projection-squares", "tangent:" + la, run_tangent))
-    return units
+    return tally(deviations(), tol)
 
 
-def _units_functor_laws(cfg):
-    if cfg.algebras:
-        combos = [(la, a, la, a) for la, a in cfg.algebras]
-    else:
-        dual = make_basic("dual")
-        tr12 = make_basic("truncated", 1, 2)
-        tr21 = make_basic("truncated", 2, 1)
-        combos = [
-            ("dual", dual, "dual", dual),
-            ("dual", dual, "truncated(1,2)", tr12),
-            ("truncated(2,1)", tr21, "dual", dual),
-        ]
-    units = []
-    for lo, outer, li, inner in combos:
-        label = "%s over %s" % (lo, li)
-
-        def run(label=label, outer=outer, inner=inner):
-            rng = rng_for(cfg.seed, "functor-laws", label)
-            return functor.check_iterated_lift(
-                outer, inner, programs=cfg.count(20), n=2, rng=rng, tol=cfg.tolerance(1e-10)
-            )
-
-        units.append(("functor-laws", label, run))
-    return units
+def _iterated_lift(outer, inner, *, rng, samples, tol):
+    return functor.check_iterated_lift(outer, inner, programs=samples, n=2, rng=rng, tol=tol)
 
 
-def _units_jet_group(cfg):
-    units = []
-    for m, r in ((1, 2), (2, 1), (2, 2)):
-        label = "jets(%d,%d)" % (m, r)
-
-        def run(m=m, r=r, label=label):
-            rng = rng_for(cfg.seed, "jet-group", label)
-            return jets.check_jet_group(
-                m, r, samples=cfg.count(200), rng=rng, tol=cfg.tolerance(1e-10)
-            )
-
-        units.append(("jet-group", label, run))
-    return units
+def _frame_prolong(m, r, *, rng, samples, tol):
+    xi = random_poly_field(rng, m, deg=2, scale=0.5)
+    return jets.check_frame_prolong(xi, r, samples=samples, rng=rng, tol=tol)
 
 
-def _units_frame_prolong(cfg):
-    units = []
-    for m, r in ((1, 1), (1, 2), (2, 1)):
-        label = "frames(%d,%d)" % (m, r)
-
-        def run(m=m, r=r, label=label):
-            rng = rng_for(cfg.seed, "frame-prolong", label)
-            xi = random_poly_field(rng, m, deg=2, scale=0.5)
-            return jets.check_frame_prolong(
-                xi, r, samples=cfg.count(20), rng=rng, tol=cfg.tolerance(1e-5)
-            )
-
-        units.append(("frame-prolong", label, run))
-    return units
-
-
-def _projectable_pair(rng, m):
-    """Two projectable fields on a bundle with a one-dimensional fibre."""
-    fields = []
+def _prolong_jet(m, r, *, rng, samples, tol):
+    # two projectable fields on a bundle with a one-dimensional fibre
+    pair = []
     for _ in range(2):
         base = random_poly_program(rng, m, m, deg=2, scale=0.5)
         fiber = random_poly_program(rng, m + 1, 1, deg=2, scale=0.5)
-        fields.append(VectorField(m + 1, Program(m + 1, list(base.exprs) + list(fiber.exprs))))
-    return fields
-
-
-def _units_prolong_jet(cfg):
-    units = []
-    for m, r in ((1, 1), (1, 2), (2, 1)):
-        label = "jet(%d,%d)" % (m, r)
-
-        def run(m=m, r=r, label=label):
-            rng = rng_for(cfg.seed, "prolong-jet", label)
-            triple = jets.jet_triple(m, r)
-            x1, x2 = _projectable_pair(rng, m)
-            return jets.check_bracket_preserved(
-                triple, x1, x2, samples=cfg.count(30), rng=rng, tol=cfg.tolerance(1e-6)
-            )
-
-        units.append(("prolong-jet", label, run))
-
-    def run_classical():
-        rng = rng_for(cfg.seed, "prolong-jet", "classical")
-        return jets.check_classical_prolongation(
-            samples=cfg.count(20), rng=rng, tol=cfg.tolerance(1e-8)
-        )
-
-    units.append(("prolong-jet", "jet(1,1) classical", run_classical))
-    return units
+        pair.append(VectorField(m + 1, Program(m + 1, list(base.exprs) + list(fiber.exprs))))
+    return jets.check_bracket_preserved(
+        jets.jet_triple(m, r), *pair, samples=samples, rng=rng, tol=tol
+    )
 
 
 # fixed order-1 pair whose induced motion preserves cubic fibre maps;
@@ -475,100 +382,111 @@ _POLY_X2 = functional.FunctionalVectorField(
 
 
 def _functional_pair(cfg, suite, label):
-    pair = [f for f in cfg.fields if isinstance(f, functional.FunctionalVectorField)]
-    if len(pair) == 2:
-        a, b = pair
-        if (a.m, a.q1, a.q2) != (b.m, b.q1, b.q2):
-            raise CliError(EXIT_USAGE, "--field functional pair has mismatched signatures")
+    """The --field functional pair, else two random order-1 fields drawn
+    from the unit's separate field stream."""
+    pair = cfg.pair(functional.FunctionalVectorField)
+    if pair is not None:
         return pair
     rng = rng_for(cfg.seed, suite, label, "fields")
+    return [functional.random_functional_field(rng, 1, 1, 1, 1) for _ in range(2)]
+
+
+def _prolong_functional(cfg, label, algebra, *, rng, samples, tol):
+    x1, x2 = _functional_pair(cfg, "prolong-functional", label)
+    return functional.check_bracket_preserved(algebra, x1, x2, samples=samples, rng=rng, tol=tol)
+
+
+def _prolong_functional_jet(cfg, *, rng, samples, tol):
+    x1, x2 = _functional_pair(cfg, "prolong-functional-jet", "jet(1,1)")
+    return functional.check_jet_bracket_preserved(
+        jets.jet_triple(1, 1), x1, x2, samples=samples, rng=rng, tol=tol
+    )
+
+
+SUITES = (
+    "sigma",
+    "bracket",
+    "prolong-manifold",
+    "exchange-square",
+    "projection-squares",
+    "functor-laws",
+    "jet-group",
+    "frame-prolong",
+    "prolong-jet",
+    "prolong-functional",
+    "prolong-functional-jet",
+    "locality",
+)
+
+
+def _unit_table(cfg: SuiteConfig) -> list:
+    """Every unit of every suite, in report order.
+
+    The algebra lists are built here, once per run; an --algebra override
+    replaces each of them.  Adding a suite is one row here plus its check.
+    """
+    dual, tr12, tr21 = (
+        make_basic("dual"), make_basic("truncated", 1, 2), make_basic("truncated", 2, 1)
+    )
+    standard = cfg.algebras or [
+        ("dual", dual),
+        ("tensor(dual,dual)", tensor(dual, dual)),
+        ("truncated(1,2)", tr12),
+        ("truncated(2,1)", tr21),
+        ("sum(dual,dual)", sum_algebra(dual, dual)),
+    ]
+    small = cfg.algebras or [("dual", dual), ("truncated(1,2)", tr12)]
+    combos = [(la, a, la, a) for la, a in cfg.algebras or ()] or [
+        ("dual", dual, "dual", dual),
+        ("dual", dual, "truncated(1,2)", tr12),
+        ("truncated(2,1)", tr21, "dual", dual),
+    ]
+    pair = cfg.pair(VectorField)
+    custom = [] if pair is None else [
+        Unit("bracket", "custom pair", partial(_custom_bracket, *pair), 20, 1e-6, "custom")
+    ]
+    orders = ((1, 1), (1, 2), (2, 1))
     return [
-        functional.random_functional_field(rng, 1, 1, 1, 1),
-        functional.random_functional_field(rng, 1, 1, 1, 1),
+        Unit("sigma", "S", partial(_unsampled, strongdiff.check_sigma)),
+        Unit("bracket", "dims 1-3", _random_brackets, 20, 1e-6, "random"),
+        *custom,
+        *(Unit("prolong-manifold", la, partial(_prolong_manifold, a), 50, 1e-7)
+          for la, a in standard),
+        *(Unit("exchange-square", la, partial(strongdiff.check_exchange_square, a, n=2), 100, 1e-12)
+          for la, a in standard),
+        *(Unit("projection-squares", "%s,%s,%s" % (la, lb, lc),
+               partial(_unsampled, strongdiff.check_projection_squares, a, b, c))
+          for (la, a), (lb, b), (lc, c) in itertools.product(small, repeat=3)),
+        *(Unit("projection-squares", "tangent:" + la,
+               partial(_unsampled, strongdiff.check_tangent_projection_identities, a))
+          for la, a in small),
+        *(Unit("functor-laws", "%s over %s" % (lo, li), partial(_iterated_lift, o, i), 20, 1e-10)
+          for lo, o, li, i in combos),
+        *(Unit("jet-group", "jets(%d,%d)" % mr, partial(jets.check_jet_group, *mr), 200, 1e-10)
+          for mr in ((1, 2), (2, 1), (2, 2))),
+        *(Unit("frame-prolong", "frames(%d,%d)" % mr, partial(_frame_prolong, *mr), 20, 1e-5)
+          for mr in orders),
+        *(Unit("prolong-jet", "jet(%d,%d)" % mr, partial(_prolong_jet, *mr), 30, 1e-6)
+          for mr in orders),
+        Unit("prolong-jet", "jet(1,1) classical", jets.check_classical_prolongation, 20, 1e-8,
+             "classical"),
+        *(Unit("prolong-functional", la, partial(_prolong_functional, cfg, la, a), 30, 1e-6)
+          for la, a in small),
+        Unit("prolong-functional", "poly-family d=3",
+             partial(functional.check_polynomial_family, _POLY_X1, _POLY_X2, d=3), 10, 1e-7,
+             "poly-family"),
+        Unit("prolong-functional-jet", "jet(1,1)", partial(_prolong_functional_jet, cfg), 30, 1e-6),
+        *(Unit("locality", "F(m=%d;%d,%d;r=%d)" % sig,
+               partial(functional.check_order_locality, *sig), 20, 1e-10)
+          for sig in ((1, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 1))),
     ]
 
 
-def _units_prolong_functional(cfg):
-    units = []
-    for label, algebra in _small_algebras(cfg):
-
-        def run(label=label, algebra=algebra):
-            x1, x2 = _functional_pair(cfg, "prolong-functional", label)
-            rng = rng_for(cfg.seed, "prolong-functional", label)
-            return functional.check_bracket_preserved(
-                algebra, x1, x2, samples=cfg.count(30), rng=rng, tol=cfg.tolerance(1e-6)
-            )
-
-        units.append(("prolong-functional", label, run))
-
-    def run_family():
-        rng = rng_for(cfg.seed, "prolong-functional", "poly-family")
-        return functional.check_polynomial_family(
-            _POLY_X1, _POLY_X2, d=3, samples=cfg.count(10), rng=rng, tol=cfg.tolerance(1e-7)
-        )
-
-    units.append(("prolong-functional", "poly-family d=3", run_family))
-    return units
-
-
-def _units_prolong_functional_jet(cfg):
-    def run():
-        x1, x2 = _functional_pair(cfg, "prolong-functional-jet", "jet(1,1)")
-        rng = rng_for(cfg.seed, "prolong-functional-jet", "jet(1,1)")
-        triple = jets.jet_triple(1, 1)
-        return functional.check_jet_bracket_preserved(
-            triple, x1, x2, samples=cfg.count(30), rng=rng, tol=cfg.tolerance(1e-6)
-        )
-
-    return [("prolong-functional-jet", "jet(1,1)", run)]
-
-
-def _units_locality(cfg):
-    units = []
-    for m, q1, q2, r in ((1, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 1)):
-        label = "F(m=%d;%d,%d;r=%d)" % (m, q1, q2, r)
-
-        def run(m=m, q1=q1, q2=q2, r=r, label=label):
-            rng = rng_for(cfg.seed, "locality", label)
-            return functional.check_order_locality(
-                m, q1, q2, r, samples=cfg.count(20), rng=rng, tol=cfg.tolerance(1e-10)
-            )
-
-        units.append(("locality", label, run))
-    return units
-
-
-_SUITE_BUILDERS = {
-    "sigma": _units_sigma,
-    "bracket": _units_bracket,
-    "prolong-manifold": _units_prolong_manifold,
-    "exchange-square": _units_exchange_square,
-    "projection-squares": _units_projection_squares,
-    "functor-laws": _units_functor_laws,
-    "jet-group": _units_jet_group,
-    "frame-prolong": _units_frame_prolong,
-    "prolong-jet": _units_prolong_jet,
-    "prolong-functional": _units_prolong_functional,
-    "prolong-functional-jet": _units_prolong_functional_jet,
-    "locality": _units_locality,
-}
-SUITES = tuple(_SUITE_BUILDERS)
-
-
 def run_suites(cfg: SuiteConfig) -> dict:
-    """Execute all configured units and assemble the report document."""
-    units = [unit for suite in cfg.suites for unit in _SUITE_BUILDERS[suite](cfg)]
-    reports = []
-    for suite, label, thunk in units:
-        try:
-            result = thunk()
-        except WeilError as err:
-            result = {
-                "max_error": float("inf"),
-                "samples": 0,
-                "failures": [{"error": "%s: %s" % (type(err).__name__, err)}],
-            }
-        reports.append(report_from_check(suite, label, result))
+    """Run the units of the configured suites, in the order the suites are
+    given, and assemble the report document."""
+    table = _unit_table(cfg)
+    reports = [run_unit(cfg, u) for suite in cfg.suites for u in table if u.suite == suite]
     return assemble_document(reports, cfg.seed)
 
 
@@ -596,7 +514,6 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         tol=args.tol,
         samples=args.samples,
-        report_path=args.report,
         algebras=algebras,
         fields=fields,
     )
@@ -610,9 +527,9 @@ def cmd_verify(args) -> int:
         print(line)
     n_pass = sum(1 for e in doc["suites"] if e["status"] == "pass")
     print("overall: %s (%d/%d units)" % (doc["status"], n_pass, len(doc["suites"])))
-    if cfg.report_path:
+    if args.report:
         try:
-            with open(cfg.report_path, "w", encoding="utf-8") as fh:
+            with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(document_dumps(doc))
         except OSError as err:
             raise CliError(EXIT_USAGE, "cannot write report: %s" % err)

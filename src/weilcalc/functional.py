@@ -36,7 +36,6 @@ from .jets import FunctorTriple, _combine, base_block, canonical_H, moving_frame
 from .programs import (
     Program,
     VectorField,
-    eval_exprs,
     evaluate,
     identity_program,
     program_from_json,
@@ -289,9 +288,9 @@ def fmorphism_apply(base: Program, f1: Program, f1_inv: Program, f2: Program, p:
         raise ArityMismatch("f2 must map (x, Q2) to Q2")
     x = [float(c) for c in p.x]
     x2 = evaluate(base, x)
-    u = eval_exprs(f1_inv.exprs, x + [Var(j) for j in range(q1)])
-    hv = eval_exprs(p.h.exprs, u)
-    out = eval_exprs(f2.exprs, x + hv)
+    u = evaluate(f1_inv, x + [Var(j) for j in range(q1)])
+    hv = evaluate(p.h, u)
+    out = evaluate(f2, x + hv)
     return FunctionalPoint(x2, Program(q1, [_as_expr(e) for e in out]))
 
 
@@ -492,7 +491,7 @@ def functional_field_prolong(algebra: WeilAlgebra, field: FunctionalVectorField)
     )
 
 
-def check_bracket_preserved(algebra: WeilAlgebra, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, rng=None, tol: float = 1e-6) -> dict:
+def check_bracket_preserved(algebra: WeilAlgebra, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, *, rng, tol: float = 1e-6) -> dict:
     """Prolonging the bracket equals the bracket of the prolongations.
 
     Both sides are evaluated at sampled (lifted base, polynomial lifted
@@ -506,8 +505,6 @@ def check_bracket_preserved(algebra: WeilAlgebra, x1: FunctionalVectorField, x2:
 def _check_prolonged_bracket(prolong, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int, rng, tol: float) -> dict:
     """Compare prolong([x1, x2]) with [prolong(x1), prolong(x2)] at sampled
     (base point, polynomial fiber map, y) of the prolonged bundle."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     lhs = prolong(functional_bracket(x1, x2))
     rhs = functional_bracket(prolong(x1), prolong(x2))
     deg = 2 * (x1.r + x2.r) + 1
@@ -573,7 +570,7 @@ def _normalized_vertical(triple: FunctorTriple, field: FunctionalVectorField) ->
     return body
 
 
-def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, rng=None, tol: float = 1e-6) -> dict:
+def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, *, rng, tol: float = 1e-6) -> dict:
     """Quotient prolongation of the bracket equals the bracket of the
     quotient prolongations, at sampled (x, fiber map, y)."""
     return _check_prolonged_bracket(
@@ -584,14 +581,12 @@ def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField
 # -- independent oracles -------------------------------------------------------
 
 
-def check_order_locality(m: int = 1, q1: int = 1, q2: int = 1, r: int = 2, samples: int = 20, rng=None, tol: float = 1e-10) -> dict:
+def check_order_locality(m: int = 1, q1: int = 1, q2: int = 1, r: int = 2, samples: int = 20, *, rng, tol: float = 1e-10) -> dict:
     """Perturbing h by terms vanishing to order r+1 at y0 is invisible.
 
     Random order-r morphisms are evaluated on h and on h plus random
     degree-(r+1) terms centered at y0; outputs at v = y0 must agree.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     def deviations():
         for trial in range(samples):
@@ -651,7 +646,7 @@ def _poly_family_rate(field: FunctionalVectorField, d: int, nodes: np.ndarray, v
     return rate
 
 
-def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField, d: int = 3, samples: int = 10, rng=None, tol: float = 1e-7) -> dict:
+def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField, d: int = 3, samples: int = 10, *, rng, tol: float = 1e-7) -> dict:
     """Brute-force bracket oracle on a polynomial-invariant family.
 
     For q1 = q2 = 1 fields that keep fiber polynomials of degree <= d
@@ -663,8 +658,6 @@ def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField
     """
     if x1.q1 != 1 or x1.q2 != 1 or x2.q1 != 1 or x2.q2 != 1:
         raise ShapeMismatch("the family oracle is built for scalar fibers")
-    if rng is None:
-        rng = np.random.default_rng(0)
     m = x1.m
     nodes = np.linspace(-1.0, 1.0, d + 1)
     vander_inv = np.linalg.inv(np.vander(nodes, d + 1, increasing=True))

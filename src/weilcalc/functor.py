@@ -183,7 +183,7 @@ def point_from_json(data, algebra: WeilAlgebra) -> WeilPoint:
     return WeilPoint(algebra, [AlgebraElement(algebra, row) for row in coords])
 
 
-def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 20, n: int = 2, rng=None, tol: float = 1e-10) -> dict:
+def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 20, n: int = 2, *, rng, tol: float = 1e-10) -> dict:
     """Lifting twice equals lifting once over the tensor algebra.
 
     A random program is lifted over `inner`, the rendering is lifted over
@@ -191,8 +191,6 @@ def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 
     over tensor(outer, inner) at random points.  Programs mix polynomial
     layers with sin/cos/exp so the truncated Taylor paths are exercised.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     t = tensor(outer, inner)
     prims = ("sin", "cos", "exp")
 

@@ -697,10 +697,8 @@ def flow_frame_oracle(xi: VectorField, r: int, flat) -> np.ndarray:
     return out
 
 
-def check_frame_prolong(xi: VectorField, r: int, samples: int = 5, rng=None, tol: float = 1e-5) -> dict:
+def check_frame_prolong(xi: VectorField, r: int, samples: int = 5, *, rng, tol: float = 1e-5) -> dict:
     """Frame prolongation against the flow finite-difference oracle."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     m = xi.dim
     field = frame_prolong(xi, r)
 
@@ -795,10 +793,8 @@ def g_field_prolong(triple: FunctorTriple, field: VectorField) -> VectorField:
     return VectorField(dim, Program(dim, xi.exprs + tuple(body)))
 
 
-def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorField, samples: int = 30, rng=None, tol: float = 1e-6) -> dict:
+def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorField, samples: int = 30, *, rng, tol: float = 1e-6) -> dict:
     """Prolonging the bracket equals the bracket of the prolongations."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     if x1.dim != x2.dim:
         raise ShapeMismatch("fields live on different spaces")
     g1 = g_field_prolong(triple, x1)
@@ -811,10 +807,8 @@ def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorFi
     return tally(sampled_bracket_gaps(lhs_at, g1, g2, samples, rng), tol)
 
 
-def check_jet_group(m: int, r: int, samples: int = 40, rng=None, tol: float = 1e-10) -> dict:
+def check_jet_group(m: int, r: int, samples: int = 40, *, rng, tol: float = 1e-10) -> dict:
     """Group axioms with exact rational jets; action homomorphism on floats."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     ident = identity_jet(m, r)
 
     def deviations():
@@ -843,7 +837,7 @@ def check_jet_group(m: int, r: int, samples: int = 40, rng=None, tol: float = 1e
     return tally(deviations(), tol, samples=samples)
 
 
-def check_classical_prolongation(samples: int = 20, rng=None, tol: float = 1e-8) -> dict:
+def check_classical_prolongation(samples: int = 20, *, rng, tol: float = 1e-8) -> dict:
     """Vertical fields on the order-1 scalar jet bundle, against the book formula.
 
     For the triple of truncated(1, 1) with the canonical action, a vertical
@@ -851,8 +845,6 @@ def check_classical_prolongation(samples: int = 20, rng=None, tol: float = 1e-8)
     The partial derivatives of phi come from a finite-difference oracle, so
     the comparison is independent of the dual-number machinery.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     triple = jet_triple(1, 1)
 
     def deviations():

@@ -98,13 +98,11 @@ def field_prolong(algebra: WeilAlgebra, field: VectorField) -> ProlongedField:
     return ProlongedField(algebra, field)
 
 
-def check_base_projection(pf: ProlongedField, samples: int = 10, rng=None) -> dict:
+def check_base_projection(pf: ProlongedField, samples: int = 10, *, rng) -> dict:
     """Real parts of the prolonged velocity equal the field at the real parts.
 
     The points are one (samples, n*d) block drawn from the cube [-1, 1]^{n*d}.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     base = pf.base_field.components
 
     def gaps(pts):
@@ -154,13 +152,11 @@ def _trials(block, gaps):
         yield {"trial": trial}, float(dev)
 
 
-def check_bracket_preserved(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int = 30, rng=None, tol: float = 1e-7) -> dict:
+def check_bracket_preserved(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int = 30, *, rng, tol: float = 1e-7) -> dict:
     """Prolonging the bracket equals the bracket of the prolongations.
 
     The left side prolongs the symbolic bracket and evaluates it pointwise
     over the algebra carrier; the right side takes the pointwise bracket of
     the two rendered prolongations.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     return tally(bracket_deviations(algebra, x_field, y_field, samples, rng), tol)

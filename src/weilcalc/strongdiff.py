@@ -350,7 +350,7 @@ def k_map(pair: ASecondPair) -> SPair:
 # -- diagram checks ------------------------------------------------------
 
 
-def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, rng=None, tol: float = 1e-12) -> dict:
+def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, *, rng, tol: float = 1e-12) -> dict:
     """Strong difference commutes with the coefficient-exchange route.
 
     Path one reinterprets the pair on the lifted space and takes the strong
@@ -358,8 +358,6 @@ def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, r
     and then exchanges factors.  Both must agree within tol, and the
     reinterpreted pair must satisfy the membership conditions exactly.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     bundle = s_bundle()
     da = algebra.dim
     tas = tensor(algebra, bundle.algebra)
@@ -504,10 +502,8 @@ def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, r
     return run_points(at, gap)
 
 
-def check_bracket_jacobian(dims=(1, 2, 3), pairs: int = 20, points: int = 20, rng=None, tol: float = 1e-6) -> dict:
+def check_bracket_jacobian(dims=(1, 2, 3), pairs: int = 20, points: int = 20, *, rng, tol: float = 1e-6) -> dict:
     """Strong-difference bracket against the finite-difference Jacobian bracket."""
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     def deviations():
         for n in dims:

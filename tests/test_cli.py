@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output text, report files."""
 
+import inspect
 import json
 import math
 from importlib import resources
@@ -7,7 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from weilcalc import cli, strongdiff
+from weilcalc import cli, functional, functor, jets, prolong, strongdiff
 from weilcalc.algebra import algebra_to_json, make_basic, save_algebra
 from weilcalc.errors import DomainError, WeilError
 from weilcalc.exprs import Const, IntPow, Mul, Var, intpow, prim, simplify
@@ -224,6 +225,104 @@ def test_verify_custom_pair_reports_as_a_loop_over_single_points(capsys, manifol
         result = {"max_error": float("inf"), "samples": 0, "failures": [{"error": "%s: %s" % (type(err).__name__, err)}]}
     want = report_from_check("bracket", "custom pair", result).to_json()
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_verify_runs_a_functional_field_pair(capsys, functional_fields):
+    f1, f2 = functional_fields
+    argv = ["verify", "--suite", "prolong-functional,prolong-functional-jet", "--samples", "3"]
+    assert cli.main(argv + ["--field", f1, "--field", f2]) == 0
+    assert "overall: pass (4/4 units)" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_mismatched_functional_pair(capsys, functional_fields, tmp_path):
+    f1, _ = functional_fields
+    wide = tmp_path / "wide.json"
+    zero = Program(1, [Const(0.0)])
+    field = FunctionalVectorField(1, 2, 1, 0, zero, Program(4, [Var(1) * Var(3)]))
+    wide.write_text(json.dumps(functional_field_to_json(field)))
+    # the pair is checked at input, also when no selected suite reads it
+    for suite in ("prolong-functional", "sigma"):
+        rc = cli.main(["verify", "--suite", suite, "--field", f1, "--field", str(wide)])
+        assert rc == 2
+        assert "mismatched signatures" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "bracket", "--samples", "3"], ["bracket"]])
+def test_a_field_on_r0_is_malformed_input(capsys, tmp_path, command):
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"dim": 0, "components": {"in": 0, "out": 0, "exprs": []}}))
+    assert cli.main(command + ["--field", str(zero), "--field", str(zero)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "dim >= 1" in err and "Traceback" not in err
+
+
+def test_verify_reports_suites_in_the_order_given(capsys):
+    assert cli.main(["verify", "--suite", "locality,sigma", "--samples", "2"]) == 0
+    units = [line.split()[1:3] for line in capsys.readouterr().out.splitlines()[:-1]]
+    assert units == [
+        ["locality", "F(m=1;1,1;r=1)"],
+        ["locality", "F(m=1;1,1;r=2)"],
+        ["locality", "F(m=1;2,1;r=1)"],
+        ["sigma", "S"],
+    ]
+
+
+def test_the_unit_table_lists_the_suites_in_report_order():
+    table = cli._unit_table(cli.SuiteConfig(suites=[]))
+    assert tuple(dict.fromkeys(unit.suite for unit in table)) == cli.SUITES
+
+
+def test_every_sampled_check_takes_its_rng_as_a_required_keyword():
+    modules = (functional, functor, jets, prolong, strongdiff)
+    checks = [
+        f for m in modules for name, f in vars(m).items()
+        if name.startswith("check_") and f.__module__ == m.__name__
+    ]
+    sampled = [f for f in checks if "rng" in inspect.signature(f).parameters]
+    assert len(sampled) == 13
+    for f in sampled:
+        rng = inspect.signature(f).parameters["rng"]
+        assert rng.kind is rng.KEYWORD_ONLY and rng.default is rng.empty, f.__qualname__
+
+
+# (suite, label, samples) of every unit under one --algebra override and
+# --samples 2, as generated by the per-suite builders the unit table replaced
+_OVERRIDE_UNITS = [
+    ("sigma", "S", 25),
+    ("bracket", "dims 1-3", 120),
+    ("prolong-manifold", "truncated(1,2)", 20),
+    ("exchange-square", "truncated(1,2)", 2),
+    ("projection-squares", "truncated(1,2),truncated(1,2),truncated(1,2)", 1),
+    ("projection-squares", "tangent:truncated(1,2)", 3),
+    ("functor-laws", "truncated(1,2) over truncated(1,2)", 2),
+    ("jet-group", "jets(1,2)", 2),
+    ("jet-group", "jets(2,1)", 2),
+    ("jet-group", "jets(2,2)", 2),
+    ("frame-prolong", "frames(1,1)", 2),
+    ("frame-prolong", "frames(1,2)", 2),
+    ("frame-prolong", "frames(2,1)", 2),
+    ("prolong-jet", "jet(1,1)", 2),
+    ("prolong-jet", "jet(1,2)", 2),
+    ("prolong-jet", "jet(2,1)", 2),
+    ("prolong-jet", "jet(1,1) classical", 2),
+    ("prolong-functional", "truncated(1,2)", 2),
+    ("prolong-functional", "poly-family d=3", 2),
+    ("prolong-functional-jet", "jet(1,1)", 2),
+    ("locality", "F(m=1;1,1;r=1)", 2),
+    ("locality", "F(m=1;1,1;r=2)", 2),
+    ("locality", "F(m=1;2,1;r=1)", 2),
+]
+
+
+def test_an_algebra_override_runs_the_pinned_units():
+    cfg = cli.SuiteConfig(
+        suites=list(cli.SUITES),
+        samples=2,
+        algebras=[("truncated(1,2)", make_basic("truncated", 1, 2))],
+    )
+    doc = cli.run_suites(cfg)
+    assert [(e["suite"], e["algebra"], e["samples"]) for e in doc["suites"]] == _OVERRIDE_UNITS
+    assert doc["status"] == "pass"
 
 
 # -- bracket --------------------------------------------------------------------

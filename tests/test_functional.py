@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from weilcalc import programs
 from weilcalc.algebra import make_basic, make_hom, rho
 from weilcalc.errors import ArityMismatch, ShapeMismatch
 from weilcalc.exprs import Const, Var, intpow
@@ -129,6 +130,25 @@ def test_fmorphism_conjugates_the_fiber_map():
     assert np.array_equal(out.x, [3.0])
     # new h(y) = (y/2)^2 + 2 evaluated at the source base point x=2
     assert np.allclose(evaluate(out.h, [4.0]), [6.0])
+
+
+def test_fmorphism_compiles_only_the_new_fiber_map(monkeypatch):
+    # the supplied Programs already hold their tapes; only the result is new
+    base = Program(1, [Var(0) + 1.0])
+    f1 = Program(2, [2.0 * Var(1)])
+    f1_inv = Program(2, [0.5 * Var(1)])
+    f2 = Program(2, [Var(1) + Var(0)])
+    p = FunctionalPoint([2.0], Program(1, [intpow(Var(0), 2)]))
+    compiled = []
+    init = programs.Tape.__init__
+
+    def counting(self, body, arity_in):
+        compiled.append(arity_in)
+        init(self, body, arity_in)
+
+    monkeypatch.setattr(programs.Tape, "__init__", counting)
+    fmorphism_apply(base, f1, f1_inv, f2, p)
+    assert len(compiled) == 1
 
 
 def test_fmorphism_is_functorial_under_composition():
