@@ -30,7 +30,7 @@ from functools import partial
 
 from . import functional, functor, jets, prolong, strongdiff
 from ._monomials import monomials
-from .algebra import WeilAlgebra, algebra_from_json, algebra_to_json, make_basic, sum_algebra, tensor
+from .algebra import WeilAlgebra, algebra_from_json, make_basic, save_algebra, sum_algebra, tensor
 from .errors import InvariantViolation, NotMultiplicative, NotUnital, WeilError
 from .exprs import Const, Var, format_expr, intpow, mul, simplify
 from .programs import (
@@ -46,6 +46,10 @@ from .reports import Report, assemble_document, document_dumps, report_from_chec
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+# an algebra that violates the Weil axioms: exit 1, not malformed input
+_AXIOM_ERRORS = (InvariantViolation, NotMultiplicative, NotUnital)
 
 
 class CliError(Exception):
@@ -76,6 +80,11 @@ class SuiteConfig:
                     EXIT_USAGE,
                     "unknown suite %r; choose from: all, %s" % (s, ", ".join(SUITES)),
                 )
+        kinds = ((VectorField, "manifold"), (functional.FunctionalVectorField, "functional"))
+        for kind, name in kinds:
+            count = sum(isinstance(f, kind) for f in self.fields)
+            if count not in (0, 2):
+                raise CliError(EXIT_USAGE, "--field takes two %s fields, got %d" % (name, count))
         manifold = self.pair(VectorField)
         if manifold and manifold[0].dim != manifold[1].dim:
             raise CliError(EXIT_USAGE, "--field pair lives on different dimensions")
@@ -84,9 +93,8 @@ class SuiteConfig:
             raise CliError(EXIT_USAGE, "--field functional pair has mismatched signatures")
 
     def pair(self, kind):
-        """The two --field fields of this kind, or None unless there are two."""
-        fields = [f for f in self.fields if isinstance(f, kind)]
-        return fields if len(fields) == 2 else None
+        """The two --field fields of this kind, or None if none was given."""
+        return [f for f in self.fields if isinstance(f, kind)] or None
 
     def tolerance(self, certified: float) -> float:
         """Effective acceptance threshold for one unit.
@@ -217,18 +225,19 @@ def resolve_algebra(spec: str):
     """An existing path loads a JSON file; anything else parses as an expression.
 
     Returns (algebra, bundle): bundle is the strong-difference package when
-    the spec was S(), else None.  Axiom violations propagate so callers can
-    map them to exit code 1.
+    the spec was S(), else None.  Axiom violations propagate to `main`,
+    which maps them to exit code 1; any other failure is malformed input.
     """
-    if os.path.exists(spec):
-        data = _load_json(spec)
-        try:
-            return algebra_from_json(data), None
-        except InvariantViolation:
-            raise
-        except (WeilError, KeyError, ValueError, TypeError) as err:
-            raise CliError(EXIT_USAGE, "%s: %s" % (spec, err))
-    built = _SpecParser(spec).parse()
+    try:
+        if os.path.exists(spec):
+            return algebra_from_json(_load_json(spec)), None
+        built = _SpecParser(spec).parse()
+    except _AXIOM_ERRORS:
+        raise
+    except RecursionError:
+        raise CliError(EXIT_USAGE, "algebra spec nested too deeply")
+    except (WeilError, KeyError, ValueError, TypeError) as err:
+        raise CliError(EXIT_USAGE, "%s: %s" % (spec, err))
     if isinstance(built, strongdiff.SAlgebraBundle):
         return built.algebra, built
     return built, None
@@ -667,12 +676,7 @@ def cmd_algebra(args) -> int:
         raise CliError(EXIT_USAGE, "give either a positional spec or --algebra, not both")
     if args.verb == "build" and os.path.exists(spec):
         raise CliError(EXIT_USAGE, "build expects a constructor expression, not a file")
-    try:
-        algebra, bundle = resolve_algebra(spec)
-    except (InvariantViolation, NotMultiplicative, NotUnital) as err:
-        print("axiom failure: %s" % err, file=sys.stderr)
-        return EXIT_FAIL
-
+    algebra, bundle = resolve_algebra(spec)
     if args.verb == "check":
         print(
             "ok: %s satisfies the Weil axioms (dim %d, width %s, height %d)"
@@ -685,9 +689,7 @@ def cmd_algebra(args) -> int:
         print("built %s: dim %d, width %s, height %d" % (algebra.name, algebra.dim, _width_str(algebra), algebra.height))
     if args.verb == "build" and args.report:
         try:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(algebra_to_json(algebra), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            save_algebra(algebra, args.report)
         except OSError as err:
             raise CliError(EXIT_USAGE, "cannot write algebra: %s" % err)
     return EXIT_PASS
@@ -735,6 +737,9 @@ def main(argv=None) -> int:
     except CliError as err:
         print("error: %s" % err, file=sys.stderr)
         return err.code
+    except _AXIOM_ERRORS as err:
+        print("axiom failure: %s" % err, file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -23,15 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from ._monomials import add_indices, factorial_multi, monomial_index, monomials
-from .algebra import (
-    AlgebraElement,
-    AlgebraHom,
-    WeilAlgebra,
-    apply_matrix,
-)
+from .algebra import AlgebraElement, AlgebraHom, WeilAlgebra
 from .errors import ArityMismatch, ShapeMismatch
 from .exprs import Const, Expr, Var
-from .functor import WeilPoint, lift_elements, transform
+from .functor import WeilPoint, lift_elements, point_from_flat, transform
 from .jets import FunctorTriple, _combine, base_block, canonical_H, moving_frame_dual
 from .programs import (
     Program,
@@ -86,8 +81,8 @@ def _fiber_env(algebra: WeilAlgebra, lay: _Layout) -> list:
         coeffs[algebra.unit_index] = Var(lay.m + j)
         env.append(AlgebraElement(algebra, coeffs))
     for alpha in lay.monos:
-        for s in range(lay.q2 // da):
-            env.append(AlgebraElement(algebra, [Var(lay.z(alpha, s * da + c)) for c in range(da)]))
+        block = [Var(lay.z(alpha, t)) for t in range(lay.q2)]
+        env.extend(point_from_flat(algebra, lay.q2 // da, block).coords)
     return env
 
 
@@ -133,16 +128,12 @@ class FunctionalWeilPoint:
     def value(self, y) -> list:
         """The fiber value at y as a list of q2 algebra elements."""
         flat = evaluate(self.hhat, [float(v) for v in y])
-        d = self.algebra.dim
-        return [
-            AlgebraElement(self.algebra, flat[s * d : (s + 1) * d])
-            for s in range(self.q2)
-        ]
+        return list(point_from_flat(self.algebra, self.q2, flat).coords)
 
     def real_point(self) -> FunctionalPoint:
         """Drop nilpotent parts: the underlying functional point."""
-        d, u = self.algebra.dim, self.algebra.unit_index
-        body = [self.hhat.exprs[s * d + u] for s in range(self.q2)]
+        fiber = point_from_flat(self.algebra, self.q2, self.hhat.exprs)
+        body = [el.coeffs[self.algebra.unit_index] for el in fiber.coords]
         return FunctionalPoint(self.a.real_parts(), Program(self.q1, body))
 
     def __repr__(self):
@@ -183,13 +174,9 @@ def reparametrize(mu: AlgebraHom, p: FunctionalWeilPoint) -> FunctionalWeilPoint
     """Push a lifted point through an algebra homomorphism, coordinatewise."""
     if not mu.source.same_structure(p.algebra):
         raise ShapeMismatch("hom source does not match the point's algebra")
-    a2 = transform(mu, p.a)
-    da, db = p.algebra.dim, mu.target.dim
-    body = []
-    for s in range(p.q2):
-        block = apply_matrix(mu.matrix, p.hhat.exprs[s * da : (s + 1) * da])
-        body.extend(_as_expr(c) for c in block)
-    return FunctionalWeilPoint(mu.target, a2, Program(p.q1, body))
+    fiber = transform(mu, point_from_flat(p.algebra, p.q2, p.hhat.exprs))
+    body = [_as_expr(c) for el in fiber.coords for c in el.coeffs]
+    return FunctionalWeilPoint(mu.target, transform(mu, p.a), Program(p.q1, body))
 
 
 # -- jets of fiber maps -----------------------------------------------------
@@ -483,8 +470,8 @@ def functional_field_prolong(algebra: WeilAlgebra, field: FunctionalVectorField)
     da = algebra.dim
     pf = field_prolong(algebra, VectorField(m, field.xi))
     lay = _Layout(m * da, q1, q2 * da, r)
-    env = [AlgebraElement(algebra, [Var(i * da + c) for c in range(da)]) for i in range(m)]
-    outs = lift_elements(algebra, field.D, env + _fiber_env(algebra, lay))
+    x = point_from_flat(algebra, m, [Var(k) for k in range(m * da)])
+    outs = lift_elements(algebra, field.D, [*x.coords, *_fiber_env(algebra, lay)])
     body = [_as_expr(c) for el in outs for c in el.coeffs]
     return FunctionalVectorField(
         m * da, q1, q2 * da, r, pf.rendering.components, Program(lay.arity, body)
@@ -558,12 +545,10 @@ def _normalized_vertical(triple: FunctorTriple, field: FunctionalVectorField) ->
     vel = lift_elements(a, field.D, env + _fiber_env(a, lay))
 
     zero = (0,) * q1
+    z0 = point_from_flat(a, q2, [Var(lay.z(zero, t)) for t in range(q2 * da)])
     body = []
-    for s in range(q2):
-        z_dual = [
-            AlgebraElement(d, [Var(lay.z(zero, s * da + c)), vel[s].coeffs[c]])
-            for c in range(da)
-        ]
+    for z, v in zip(z0.coords, vel):
+        z_dual = [AlgebraElement(d, pair) for pair in zip(z.coeffs, v.coeffs)]
         for entry in _combine(z_dual, m_cols):
             eps = entry.coeffs[1] if isinstance(entry, AlgebraElement) else 0.0
             body.append(_as_expr(eps))

@@ -99,21 +99,13 @@ def lift_elements(algebra: WeilAlgebra, f: Program, elements) -> list:
 def lift_program(algebra: WeilAlgebra, f: Program) -> Program:
     """Symbolic rendering of the lifted map on coefficient coordinates.
 
-    Input layout is coordinate-major: coefficient a of coordinate i sits at
-    flat index i*dim + a, and likewise for the output.
+    Input layout is point_from_flat's coordinate-major one: coefficient a
+    of coordinate i sits at flat index i*dim + a, and likewise for the output.
     """
-    d = algebra.dim
-    env = [
-        AlgebraElement(algebra, [Var(i * d + a) for a in range(d)])
-        for i in range(f.arity_in)
-    ]
-    outs = evaluate(f, env)
-    body = []
-    for v in outs:
-        el = _coerce_element(algebra, v)
-        for c in el.coeffs:
-            body.append(c if isinstance(c, Expr) else Const(c))
-    return Program(f.arity_in * d, body)
+    n = f.arity_in * algebra.dim
+    env = point_from_flat(algebra, f.arity_in, [Var(k) for k in range(n)]).coords
+    outs = lift_elements(algebra, f, env)
+    return Program(n, [c if isinstance(c, Expr) else Const(c) for el in outs for c in el.coeffs])
 
 
 def transform(mu: AlgebraHom, p: WeilPoint) -> WeilPoint:

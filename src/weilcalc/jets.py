@@ -609,14 +609,7 @@ def canonical_frame(m: int, r: int, x) -> Frame:
 
 def frame_to_flat(frame: Frame) -> np.ndarray:
     """Coordinate-major layout matching the lifted space over truncated(m,r)."""
-    m, r = frame.m, frame.r
-    dim_d = len(monomials(m, r))
-    out = np.zeros(m * dim_d)
-    arr = frame.jet.as_array()
-    for i in range(m):
-        out[i * dim_d] = frame.x[i]
-        out[i * dim_d + 1 : (i + 1) * dim_d] = arr[i]
-    return out
+    return np.column_stack([frame.x, frame.jet.as_array()]).reshape(-1)
 
 
 def flat_to_frame(m: int, r: int, flat) -> Frame:
@@ -690,11 +683,7 @@ def flow_frame_oracle(xi: VectorField, r: int, flat) -> np.ndarray:
         coeff, _, _, _ = np.linalg.lstsq(design, images, rcond=None)
         fits.append(coeff / rescale[:, None])  # (n_monos, m)
     deriv = (fits[0] - fits[1]) / (2.0 * FLOW_FD_STEP)
-    dim_d = len(monos)
-    out = np.zeros(m * dim_d)
-    for i in range(m):
-        out[i * dim_d : (i + 1) * dim_d] = deriv[:, i]
-    return out
+    return deriv.T.reshape(-1)
 
 
 def check_frame_prolong(xi: VectorField, r: int, samples: int = 5, *, rng, tol: float = 1e-5) -> dict:

@@ -41,7 +41,7 @@ from .algebra import (
 )
 from .errors import DomainError, IncompatiblePair, ShapeMismatch
 from .exprs import Const, Expr, Var
-from .functor import WeilPoint, transform
+from .functor import WeilPoint, flatten, point_from_flat, transform, unflatten
 from .programs import (
     Program,
     VectorField,
@@ -92,15 +92,8 @@ class SecondTangent:
         return cls(arr[:, 0], arr[:, 2], arr[:, 1], arr[:, 3])
 
     def to_point(self) -> WeilPoint:
-        dd = dd_algebra()
-        slots = (self.base, self.u, self.v, self.w)
-        coords = []
-        for i in range(self.dim):
-            coeffs = [0.0] * 4
-            for s in range(4):
-                coeffs[_SLOT_TO_DD[s]] = float(slots[s][i])
-            coords.append(AlgebraElement(dd, coeffs))
-        return WeilPoint(dd, coords)
+        slots = np.column_stack([self.base, self.u, self.v, self.w])
+        return point_from_flat(dd_algebra(), self.dim, slots[:, _SLOT_TO_DD].reshape(-1))
 
     def __repr__(self):
         return "SecondTangent(dim=%d)" % self.dim
@@ -315,35 +308,20 @@ def _exchange_homs(algebra: WeilAlgebra):
     return hit
 
 
-def _side_to_points(pair: ASecondPair, arr: np.ndarray, tad: WeilAlgebra) -> WeilPoint:
-    da = pair.algebra.dim
-    coords = []
-    for i in range(pair.n):
-        coeffs = [0.0] * (da * 4)
-        for s in range(4):
-            dd_idx = _SLOT_TO_DD[s]
-            for a in range(da):
-                coeffs[a * 4 + dd_idx] = arr[i, s, a]
-        coords.append(AlgebraElement(tad, coeffs))
-    return WeilPoint(tad, coords)
-
-
 def k_map(pair: ASecondPair) -> SPair:
     """Reinterpret an algebra-coefficient pair as a pair on the lifted space.
 
     Routed through the exchange homomorphism tensor(A, DD) -> tensor(DD, A);
     the result uses the coordinate-major flat layout (i, a) -> i*dim + a.
     """
-    tad, exch = _exchange_homs(pair.algebra)
-    da = pair.algebra.dim
+    algebra, dd = pair.algebra, dd_algebra()
+    tad, exch = _exchange_homs(algebra)
     sides = []
     for arr in (pair.x, pair.y):
-        q = transform(exch, _side_to_points(pair, arr, tad))
-        qa = q.coefficient_array()
-        blocks = [qa[:, dd * da : (dd + 1) * da].reshape(-1) for dd in range(4)]
-        sides.append(
-            SecondTangent(blocks[0], blocks[_SLOT_TO_DD[1]], blocks[_SLOT_TO_DD[2]], blocks[3])
-        )
+        # slots into DD basis order: one A-point coordinate per (i, DD index)
+        p = point_from_flat(algebra, 4 * pair.n, arr[:, _SLOT_TO_DD, :].reshape(-1))
+        q = transform(exch, flatten(p, algebra, dd, target=tad))
+        sides.append(SecondTangent.from_point(unflatten(q, dd, algebra)))
     return SPair(sides[0], sides[1], tol=0.0)
 
 
@@ -377,14 +355,8 @@ def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, *
                 continue
             base1, vec1 = strong_diff(lifted)
 
-            coords = []
-            for i in range(n):
-                coeffs = [0.0] * (da * 5)
-                for s in range(5):
-                    for a in range(da):
-                        coeffs[a * 5 + s] = arr[i, s, a]
-                coords.append(AlgebraElement(tas, coeffs))
-            q = transform(exch, transform(sig_a, WeilPoint(tas, coords)))
+            p = point_from_flat(algebra, 5 * n, arr.reshape(-1))
+            q = transform(exch, transform(sig_a, flatten(p, algebra, bundle.algebra, target=tas)))
             qa = q.coefficient_array()
             base2 = qa[:, 0:da].reshape(-1)
             vec2 = qa[:, da : 2 * da].reshape(-1)

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from weilcalc import cli, functional, functor, jets, prolong, strongdiff
-from weilcalc.algebra import algebra_to_json, make_basic, save_algebra
+from weilcalc.algebra import algebra_to_json, make_basic, save_algebra, tensor
 from weilcalc.errors import DomainError, WeilError
 from weilcalc.exprs import Const, IntPow, Mul, Var, intpow, prim, simplify
 from weilcalc.functional import FunctionalVectorField, functional_field_to_json
@@ -245,6 +245,17 @@ def test_verify_rejects_a_mismatched_functional_pair(capsys, functional_fields, 
         rc = cli.main(["verify", "--suite", suite, "--field", f1, "--field", str(wide)])
         assert rc == 2
         assert "mismatched signatures" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_verify_rejects_one_or_three_fields(capsys, manifold_fields, functional_fields, count):
+    # one or three fields of a kind used to be dropped silently
+    for path in (manifold_fields[0], functional_fields[0]):
+        argv = ["verify", "--suite", "bracket", "--samples", "2"] + ["--field", path] * count
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "got %d" % count in captured.err
 
 
 @pytest.mark.parametrize("command", [["verify", "--suite", "bracket", "--samples", "3"], ["bracket"]])
@@ -530,10 +541,39 @@ def test_algebra_check_flags_axiom_failures(tmp_path, capsys):
     del doc["height"]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    rc = cli.main(["algebra", "check", str(path)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "axiom failure" in captured.out + captured.err
+    # verify --algebra reports the same failure the same way
+    for command in (["algebra", "check"], ["verify", "--suite", "sigma", "--algebra"]):
+        rc = cli.main(command + [str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == "" and captured.err.startswith("axiom failure:")
+
+
+def test_algebra_build_report_is_save_algebra_output(tmp_path, capsys):
+    built, saved = tmp_path / "built.json", tmp_path / "saved.json"
+    argv = ["algebra", "build", "tensor(dual,truncated(1,2))", "--report", str(built)]
+    assert cli.main(argv) == 0
+    save_algebra(tensor(make_basic("dual"), make_basic("truncated", 1, 2)), saved)
+    assert built.read_bytes() == saved.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["algebra", "check"], ["verify", "--suite", "sigma", "--algebra"]],
+    ids=["algebra-check", "verify"],
+)
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("truncated(0,2)", "truncated needs k >= 1"),
+        ("sum(dual," * 2000 + "dual" + ")" * 2000, "nested too deeply"),
+    ],
+    ids=["truncated-0", "nested-2000"],
+)
+def test_hostile_algebra_specs_are_malformed_input(capsys, command, spec, message):
+    assert cli.main(command + [spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
 def test_algebra_rejects_malformed_json(tmp_path, capsys):

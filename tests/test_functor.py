@@ -22,7 +22,14 @@ from weilcalc.functor import (
     transform,
     unflatten,
 )
-from weilcalc.programs import Program, compose, evaluate, random_poly_program
+from weilcalc.programs import (
+    Program,
+    compose,
+    evaluate,
+    identity_program,
+    program_dumps,
+    random_poly_program,
+)
 
 DUAL = make_basic("dual")
 T12 = make_basic("truncated", 1, 2)
@@ -69,6 +76,14 @@ def test_lift_program_agrees_with_lift():
     p = point_from_flat(T12, 2, flat)
     q = lift(T12, f)(p)
     assert np.allclose(evaluate(flatf, list(flat)), q.flat(), atol=1e-12)
+
+
+@pytest.mark.parametrize("algebra", [DUAL, T12, T22, tensor(DUAL, DUAL)], ids=lambda a: a.name)
+def test_lift_program_of_the_identity_lists_the_coefficient_variables(algebra):
+    # coordinate-major: the rendering is Var(0) .. Var(n*dimA - 1) in order
+    n = 3
+    lifted = lift_program(algebra, identity_program(n))
+    assert program_dumps(lifted) == program_dumps(identity_program(n * algebra.dim))
 
 
 @pytest.mark.parametrize("algebra", [T13, T22], ids=lambda a: a.name)

@@ -17,6 +17,7 @@ from weilcalc.errors import (
 )
 from weilcalc.exprs import Const, Var, intpow
 from weilcalc.jets import (
+    Frame,
     JetGroupElement,
     TableAction,
     TrivialAction,
@@ -26,8 +27,10 @@ from weilcalc.jets import (
     check_classical_prolongation,
     check_frame_prolong,
     check_jet_group,
+    flat_to_frame,
     frame_evaluate,
     frame_prolong,
+    frame_to_flat,
     g_field_prolong,
     identity_jet,
     jet_compose,
@@ -36,6 +39,7 @@ from weilcalc.jets import (
     jet_to_json,
     jet_triple,
     make_triple,
+    random_jet,
     random_rational_jet,
     triple_from_json,
     triple_to_json,
@@ -305,6 +309,21 @@ def test_jet_triple_round_trips_through_json():
 def test_canonical_frame_is_a_shifted_identity_chart():
     fr = canonical_frame(1, 2, [0.5])
     assert np.allclose(frame_evaluate(fr, [0.25]), [0.75])
+
+
+@pytest.mark.parametrize("m, r", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2)])
+def test_frame_flat_layout_round_trips_bit_for_bit(m, r):
+    rng = np.random.default_rng(6)
+    frame = Frame(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
+    flat = frame_to_flat(frame)
+    # coordinate-major: row i is x_i followed by the jet coefficients of component i
+    rows = flat.reshape(m, len(monomials(m, r)))
+    assert rows[:, 0].tobytes() == frame.x.tobytes()
+    assert rows[:, 1:].tobytes() == frame.jet.as_array().tobytes()
+    back = flat_to_frame(m, r, flat)
+    assert back.x.tobytes() == frame.x.tobytes()
+    assert back.jet == frame.jet
+    assert frame_to_flat(back).tobytes() == flat.tobytes()
 
 
 def test_frame_prolongation_matches_the_flow_oracle():

@@ -83,7 +83,24 @@ def test_prolonged_field_projects_to_the_base_field():
     for algebra in STANDARD:
         pf = field_prolong(algebra, random_poly_field(rng, 2, deg=2))
         out = check_base_projection(pf, samples=8, rng=rng)
+        assert out["failures"] == []
         assert out["max_error"] <= 1e-12
+
+
+class _NudgedField(prolong.ProlongedField):
+    """A prolongation whose velocity is off by 1e-9 in every slot."""
+
+    def value_at(self, flat):
+        return super().value_at(flat) + 1e-9
+
+
+def test_base_projection_records_a_nudged_velocity():
+    rng = np.random.default_rng(13)
+    for algebra in STANDARD:
+        pf = _NudgedField(algebra, random_poly_field(rng, 2, deg=2))
+        out = check_base_projection(pf, samples=8, rng=rng)
+        assert len(out["failures"]) == 8
+        assert out["max_error"] > 1e-12
 
 
 @pytest.mark.parametrize("algebra", STANDARD, ids=lambda a: a.name)

@@ -210,6 +210,21 @@ def test_k_map_lands_on_compatible_pairs():
     assert isinstance(out, SPair)
 
 
+@pytest.mark.parametrize("algebra", STANDARD, ids=lambda a: a.name)
+def test_k_map_puts_coefficient_a_of_coordinate_i_at_i_dim_plus_a(algebra):
+    rng = np.random.default_rng(19)
+    n, da = 3, algebra.dim
+    arr = rng.uniform(-1, 1, size=(n, 5, da))
+    x, y = arr[:, [0, 1, 2, 3]], arr[:, [0, 2, 1, 4]]
+    out = k_map(ASecondPair(algebra, x, y))
+    for lifted, side in ((out.x, x), (out.y, y)):
+        slots = (lifted.base, lifted.u, lifted.v, lifted.w)
+        for i in range(n):
+            for s in range(4):
+                for a in range(da):
+                    assert slots[s][i * da + a] == side[i, s, a]
+
+
 def test_a_second_pair_requires_matching_sides():
     rng = np.random.default_rng(12)
     x = rng.uniform(-1, 1, size=(2, 4, DUAL.dim))
