@@ -80,15 +80,14 @@ class SuiteConfig:
                     EXIT_USAGE,
                     "unknown suite %r; choose from: all, %s" % (s, ", ".join(SUITES)),
                 )
-        kinds = ((VectorField, "manifold"), (functional.FunctionalVectorField, "functional"))
-        for kind, name in kinds:
-            count = sum(isinstance(f, kind) for f in self.fields)
-            if count not in (0, 2):
-                raise CliError(EXIT_USAGE, "--field takes two %s fields, got %d" % (name, count))
         manifold = self.pair(VectorField)
+        fibred = self.pair(functional.FunctionalVectorField)
+        for name, fields in (("manifold", manifold), ("functional", fibred)):
+            if fields and len(fields) != 2:
+                message = "--field takes two %s fields, got %d" % (name, len(fields))
+                raise CliError(EXIT_USAGE, message)
         if manifold and manifold[0].dim != manifold[1].dim:
             raise CliError(EXIT_USAGE, "--field pair lives on different dimensions")
-        fibred = self.pair(functional.FunctionalVectorField)
         if fibred and len({(f.m, f.q1, f.q2) for f in fibred}) > 1:
             raise CliError(EXIT_USAGE, "--field functional pair has mismatched signatures")
 
