@@ -29,11 +29,16 @@ the quotient differential is exact rather than finite-differenced.  That
 prolongation is written once, in functional.g_functional: a fibre R^q is
 the functional fibre of maps from a point, and g_field_prolong hands its
 field over in that form; this module supplies the frame correction.  Carrier
-generic scalars (floats, Fractions, dual elements with expression
-coefficients) are the coefficients of those algebra elements, so the same
-products and inverse serve every carrier, which is what makes that trick a
-one-liner instead of a second code path.  Rational jets stay exact: exact
-zeros are skipped, never replaced by the float 0.0.
+generic scalars (floats, Fractions, float64 columns, GF(P) residue columns,
+dual elements with expression coefficients) are the coefficients of those
+algebra elements, so the same products and inverse serve every carrier,
+which is what makes that trick a one-liner instead of a second code path.
+Rational jets stay exact: exact zeros are skipped, never replaced by the
+float 0.0.  check_jet_group stacks its trials into columns, entry t for
+trial t, and runs each axiom once for all of them; its rational jets become
+residues mod P.  An identity that fails over Q then fails mod P unless P
+divides a numerator of the difference (Schwartz, JACM 27, 1980); the
+Fraction path stays the reference over Q.
 """
 
 from __future__ import annotations
@@ -80,6 +85,8 @@ from .reports import tally
 from .strongdiff import bracket, dual_algebra
 
 _MIN_DET = 1e-12
+# modulus of the exact group axioms: a product of two residues fits in int64
+P = 2**31 - 1
 # resolution of flow_frame_oracle, certified for the 1e-5 frame-prolong bound
 FLOW_RK_STEP = 1e-3
 FLOW_FD_STEP = 1e-4
@@ -89,15 +96,56 @@ FLOW_GRID = 1e-3
 # -- carrier-generic scalar helpers --------------------------------------
 
 
+class Residues:
+    """A column of GF(P) residues, entry t for trial t: an exact carrier.
+
+    Mixes with ints only.  A float raises TypeError, so a stray 0.0 or a
+    structure constant other than 1 fails loudly instead of rounding.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: np.ndarray):
+        self.v = v
+
+    @staticmethod
+    def _of(x):
+        if isinstance(x, Residues):
+            return x.v
+        if isinstance(x, int):
+            return x % P
+        raise TypeError("a residue column does not mix with %s" % type(x).__name__)
+
+    def __add__(self, other):
+        return Residues((self.v + self._of(other)) % P)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return Residues((self.v - self._of(other)) % P)
+
+    def __rsub__(self, other):
+        return Residues((self._of(other) - self.v) % P)
+
+    def __mul__(self, other):
+        return Residues(self.v * self._of(other) % P)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Residues(-self.v % P)
+
+
 def _is_exact_zero(x) -> bool:
     return isinstance(x, (int, float, Fraction)) and not x
 
 
 def _scalar_size(x):
-    """|x| as a float when the carrier admits one; None for symbolic scalars."""
+    """|x| as a float when the carrier admits one; None for symbolic scalars
+    and residue columns."""
     if isinstance(x, AlgebraElement):
         x = x.coeffs[x.algebra.unit_index]
-    if isinstance(x, Expr):
+    if isinstance(x, (Expr, Residues)):
         return None
     try:
         return abs(float(x))
@@ -108,6 +156,10 @@ def _scalar_size(x):
 def _scalar_recip(x):
     if isinstance(x, (int, Fraction)):
         return Fraction(1) / x
+    if isinstance(x, Residues):
+        if not x.v.all():
+            raise SingularLinearPart("determinant is 0 mod %d" % P)
+        return Residues(np.array([pow(int(v), -1, P) for v in x.v], dtype=np.int64))
     return apply_primitive("recip", x)
 
 
@@ -796,31 +848,81 @@ def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorFi
     return tally(sampled_bracket_gaps(lhs_at, g1, g2, samples, rng), tol)
 
 
+def _stack(m: int, r: int, values, dtype) -> np.ndarray:
+    """Coefficients of jets 0, 1, ... (values in their row order) as an
+    (m, n_mon, count) array: coefficient [i][k] becomes a column."""
+    n_mon = len(monomials(m, r, 1))
+    return np.array(values, dtype=dtype).reshape(-1, m, n_mon).transpose(1, 2, 0).copy()
+
+
+def residue_jet(m: int, r: int, jets) -> JetGroupElement:
+    """Rational jets stacked into one jet of residue columns, entry t for jets[t]."""
+    flat = [
+        c.numerator * pow(c.denominator, -1, P) % P
+        for g in jets
+        for row in g.coeffs
+        for c in row
+    ]
+    cols = _stack(m, r, flat, np.int64)
+    return JetGroupElement(m, r, [[Residues(c) for c in row] for row in cols], check=False)
+
+
+def residue_mismatch(a: JetGroupElement, b: JetGroupElement, count: int) -> np.ndarray:
+    """Per-entry mask of two residue-column jets: True where they differ mod P."""
+    mask = np.zeros(count, dtype=bool)
+    for row_a, row_b in zip(a.coeffs, b.coeffs):
+        for x, y in zip(row_a, row_b):
+            d = x - y
+            mask |= d.v != 0 if isinstance(d, Residues) else d != 0
+    return mask
+
+
 def check_jet_group(m: int, r: int, samples: int = 40, *, rng, tol: float = 1e-10) -> dict:
-    """Group axioms with exact rational jets; action homomorphism on floats."""
+    """Group axioms exact mod P on rational jets; action homomorphism on floats.
+
+    The trials are drawn one by one, as (ja, jb, jc) per trial and then
+    (g1, g2) per trial, and stacked into columns: residue columns for the
+    rational jets, so each axiom runs once for all trials and yields a
+    per-trial mask, and float64 columns for the action, whose entries round
+    as the same products on single jets do.
+    """
     ident = identity_jet(m, r)
 
     def deviations():
+        trials = [[random_rational_jet(rng, m, r) for _ in range(3)] for _ in range(samples)]
+        ja, jb, jc = (residue_jet(m, r, [t[k] for t in trials]) for k in range(3))
+        inv = jet_invert(ja)
+
+        def differs(x, y):
+            return residue_mismatch(x, y, samples)
+
+        failed = {
+            "associativity": differs(
+                jet_compose(jet_compose(ja, jb), jc), jet_compose(ja, jet_compose(jb, jc))
+            ),
+            "identity": differs(jet_compose(ja, ident), ja) | differs(jet_compose(ident, ja), ja),
+            "inverse": differs(jet_compose(ja, inv), ident) | differs(jet_compose(inv, ja), ident),
+        }
         # exact axioms yield only their failures, as categorical entries
         for trial in range(samples):
-            ja = random_rational_jet(rng, m, r)
-            jb = random_rational_jet(rng, m, r)
-            jc = random_rational_jet(rng, m, r)
-            if jet_compose(jet_compose(ja, jb), jc) != jet_compose(ja, jet_compose(jb, jc)):
-                yield {"trial": trial, "axiom": "associativity"}, None
-            if jet_compose(ja, ident) != ja or jet_compose(ident, ja) != ja:
-                yield {"trial": trial, "axiom": "identity"}, None
-            inv = jet_invert(ja)
-            if jet_compose(ja, inv) != ident or jet_compose(inv, ja) != ident:
-                yield {"trial": trial, "axiom": "inverse"}, None
+            for axiom, mask in failed.items():
+                if mask[trial]:
+                    yield {"trial": trial, "axiom": axiom}, None
         h = canonical_H(m, r)
+        d = h.algebra.dim
+        pairs = [(random_jet(rng, m, r), random_jet(rng, m, r)) for _ in range(samples)]
+        g1, g2 = (
+            JetGroupElement(m, r, _stack(m, r, [p[k].coeffs for p in pairs], float), check=False)
+            for k in range(2)
+        )
+        # one C-ordered d x d matrix per trial, as h(g).matrix is for a single jet
+        m1, m2, m12 = (
+            stack_columns([v for row in h.matrix_generic(g) for v in row], samples).reshape(-1, d, d)
+            for g in (g1, g2, jet_compose(g1, g2))
+        )
         for trial in range(samples):
-            g1 = random_jet(rng, m, r)
-            g2 = random_jet(rng, m, r)
             yield {"trial": trial, "axiom": "action-homomorphism"}, float(
-                np.abs(
-                    h(jet_compose(g1, g2)).matrix - h(g1).matrix @ h(g2).matrix
-                ).max()
+                np.abs(m12[trial] - m1[trial] @ m2[trial]).max()
             )
 
     return tally(deviations(), tol, samples=samples)

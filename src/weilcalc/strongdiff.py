@@ -334,7 +334,10 @@ def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, *
     Path one reinterprets the pair on the lifted space and takes the strong
     difference there.  Path two applies sigma inside the tensor coefficients
     and then exchanges factors.  Both must agree within tol, and the
-    reinterpreted pair must satisfy the membership conditions exactly.
+    reinterpreted pair must satisfy the membership conditions exactly.  Its
+    slots must also equal the input slots exactly: the pair conditions and
+    the strong difference are symmetric in u and v, so only this comparison
+    sees the two exchanged.
     """
     bundle = s_bundle()
     da = algebra.dim
@@ -352,6 +355,13 @@ def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, *
             lifted = k_map(pair)
             if not compatible(lifted.x, lifted.y, tol=0.0):
                 yield {"trial": trial, "reason": "membership"}, None
+                continue
+            # lifted slot s holds coefficient a of coordinate i at i*da + a
+            if not all(
+                np.array_equal(np.stack([t.base, t.u, t.v, t.w]), side.transpose(1, 0, 2).reshape(4, -1))
+                for t, side in ((lifted.x, x), (lifted.y, y))
+            ):
+                yield {"trial": trial, "reason": "slots"}, None
                 continue
             base1, vec1 = strong_diff(lifted)
 

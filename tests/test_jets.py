@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from weilcalc._monomials import monomials
+from weilcalc import jets
+from weilcalc._monomials import degree, monomials
 from weilcalc.algebra import AlgebraElement, make_basic, make_hom
 from weilcalc.errors import (
     DomainError,
@@ -19,6 +20,8 @@ from weilcalc.exprs import Const, Var, intpow
 from weilcalc.jets import (
     Frame,
     JetGroupElement,
+    P,
+    Residues,
     TableAction,
     TrivialAction,
     canonical_H,
@@ -41,6 +44,8 @@ from weilcalc.jets import (
     make_triple,
     random_jet,
     random_rational_jet,
+    residue_jet,
+    residue_mismatch,
     triple_from_json,
     triple_to_json,
 )
@@ -160,6 +165,16 @@ def _ref_coeffs(poly, m, r, mindeg=1):
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
+def _exact_det(mat):
+    """Laplace expansion along the first row, in the entries' own arithmetic."""
+    if len(mat) == 1:
+        return mat[0][0]
+    return sum(
+        (-1) ** j * mat[0][j] * _exact_det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j in range(len(mat))
+    )
+
+
 @st.composite
 def fraction_jet_pairs(draw):
     m, r = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2)]))
@@ -168,7 +183,8 @@ def fraction_jet_pairs(draw):
     def jet():
         rows = [[draw(fractions) for _ in range(n_mon)] for _ in range(m)]
         g = JetGroupElement(m, r, rows, check=False)
-        assume(np.linalg.det(np.array(g.linear_part(), dtype=float)) != 0)
+        # exactly: a float determinant can round a singular rational part to nonzero
+        assume(_exact_det(g.linear_part()) != 0)
         return g
 
     return jet(), jet()
@@ -222,6 +238,128 @@ def test_group_axioms_check():
     out = check_jet_group(1, 2, samples=20, rng=np.random.default_rng(1))
     assert out["failures"] == []
     assert out["max_error"] <= 1e-10
+
+
+# -- residue columns: the exact axioms mod P -------------------------------------
+
+
+def _residue(c):
+    return c.numerator * pow(c.denominator, -1, P) % P
+
+
+def _entry(c, t):
+    """Trial t's coefficient in a residue-column jet; a plain int holds for every trial."""
+    return int(c.v[t]) if isinstance(c, Residues) else c % P
+
+
+@pytest.mark.parametrize("m, r", [(1, 2), (2, 1), (2, 2), (1, 3)])
+def test_residue_columns_match_the_fraction_path_jet_by_jet(m, r):
+    count = 12
+    rng = np.random.default_rng(23)
+    a = [random_rational_jet(rng, m, r) for _ in range(count)]
+    b = [random_rational_jet(rng, m, r) for _ in range(count)]
+    ca, cb = residue_jet(m, r, a), residue_jet(m, r, b)
+    for got, want in (
+        (jet_compose(ca, cb), [jet_compose(x, y) for x, y in zip(a, b)]),
+        (jet_invert(ca), [jet_invert(x) for x in a]),
+    ):
+        for t, w in enumerate(want):
+            assert _is_exact(w)
+            assert [[_entry(c, t) for c in row] for row in got.coeffs] == [
+                [_residue(c) for c in row] for row in w.coeffs
+            ]
+        assert not residue_mismatch(got, residue_jet(m, r, want), count).any()
+    out = check_jet_group(m, r, samples=count, rng=np.random.default_rng(5))
+    assert out["failures"] == []
+
+
+@pytest.mark.parametrize("m, r", [(1, 2), (2, 1), (2, 2), (1, 3)])
+def test_the_action_check_on_columns_matches_single_jets(m, r):
+    # under tol 0 every trial with a nonzero deviation reports it
+    count = 15
+    out = check_jet_group(m, r, samples=count, rng=np.random.default_rng(9), tol=0.0)
+    rng = np.random.default_rng(9)
+    for _ in range(3 * count):
+        random_rational_jet(rng, m, r)
+    h = canonical_H(m, r)
+    want = []
+    for trial in range(count):
+        g1, g2 = random_jet(rng, m, r), random_jet(rng, m, r)
+        dev = float(np.abs(h(jet_compose(g1, g2)).matrix - h(g1).matrix @ h(g2).matrix).max())
+        if dev > 0:
+            want.append({"trial": trial, "axiom": "action-homomorphism", "deviation": dev})
+    assert want and out["failures"] == want
+
+
+def test_a_residue_column_does_not_mix_with_floats():
+    col = Residues(np.array([1, 2, 3], dtype=np.int64))
+    with pytest.raises(TypeError):
+        col * 0.5
+    with pytest.raises(TypeError):
+        0.0 + col
+    assert np.array_equal((2 - col * 3).v, [P - 1, P - 4, P - 7])
+
+
+def test_a_zero_residue_has_no_reciprocal():
+    with pytest.raises(SingularLinearPart):
+        jets._scalar_recip(Residues(np.array([3, 0, 5], dtype=np.int64)))
+    inv = jets._scalar_recip(Residues(np.array([3, P - 1], dtype=np.int64)))
+    assert np.array_equal(inv.v * np.array([3, P - 1]) % P, [1, 1])
+
+
+def test_group_axioms_check_runs_on_one_trial():
+    out = check_jet_group(2, 2, samples=1, rng=np.random.default_rng(2))
+    assert out["failures"] == [] and out["samples"] == 1
+
+
+def _drop_last_weight(monkeypatch):
+    combine = jets._combine
+    monkeypatch.setattr(jets, "_combine", lambda w, vectors: combine(list(w)[:-1], vectors))
+
+
+def _repeat_first_square(monkeypatch):
+    table_of = jets._power_table
+
+    def mutant(g):
+        table = table_of(g)
+        squares = [k for k, a in enumerate(monomials(g.m, g.r, 1)) if degree(a) == 2]
+        return [table[squares[0]] if k in squares else t for k, t in enumerate(table)]
+
+    monkeypatch.setattr(jets, "_power_table", mutant)
+
+
+def _linear_seed_only(monkeypatch):
+    def mutant(a):
+        ident = identity_jet(a.m, a.r).coeffs
+        linv = jets._matinv_generic(a.linear_part())
+        return JetGroupElement(a.m, a.r, [jets._combine(row, ident) for row in linv], check=False)
+
+    monkeypatch.setattr(jets, "jet_invert", mutant)
+
+
+def _sub_adds(monkeypatch):
+    monkeypatch.setattr(Residues, "__sub__", Residues.__add__)
+
+
+# the failing units are those of the Fraction path under the same mutant
+@pytest.mark.parametrize(
+    "mutate, failing",
+    [
+        (_drop_last_weight, {(1, 2), (2, 1), (2, 2)}),
+        (_repeat_first_square, {(2, 2)}),
+        (_linear_seed_only, {(1, 2), (2, 2)}),
+        (_sub_adds, {(1, 2), (2, 1), (2, 2)}),
+    ],
+    ids=["combine-drops-last-weight", "power-table-repeats-a-square", "invert-is-linear-seed", "residue-sub-adds"],
+)
+def test_group_axioms_catch_each_mutant(monkeypatch, mutate, failing):
+    mutate(monkeypatch)
+    failed = {
+        mr
+        for mr in [(1, 2), (2, 1), (2, 2)]
+        if check_jet_group(*mr, samples=200, rng=np.random.default_rng(7))["failures"]
+    }
+    assert failed == failing
 
 
 def test_jet_json_round_trip():

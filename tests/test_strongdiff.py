@@ -197,6 +197,17 @@ def test_exchange_square_commutes_exactly(algebra):
     assert out["max_error"] <= 1e-12
 
 
+@pytest.mark.parametrize("algebra", STANDARD, ids=lambda a: a.name)
+def test_exchange_square_sees_u_and_v_exchanged_by_k_map(monkeypatch, algebra):
+    # with the identity slot order k_map builds each side from arr.reshape(-1),
+    # so u and v trade places; membership and the strong difference are
+    # symmetric in u and v, and only the slot comparison sees it
+    monkeypatch.setattr(strongdiff, "_SLOT_TO_DD", (0, 1, 2, 3))
+    out = check_exchange_square(algebra, n=2, samples=10, rng=np.random.default_rng(4))
+    assert out["failures"] == [{"trial": t, "reason": "slots"} for t in range(10)]
+    assert out["max_error"] == 0.0
+
+
 def test_k_map_lands_on_compatible_pairs():
     rng = np.random.default_rng(8)
     base = rng.uniform(-1, 1, size=(2, DUAL.dim))
