@@ -35,8 +35,20 @@ class WeilPoint:
         self.coords = coords
 
     def coefficient_array(self) -> np.ndarray:
-        """(dim, algebra.dim) float array; fails on symbolic coefficients."""
-        return np.array([[float(c) for c in el.coeffs] for el in self.coords])
+        """(dim, algebra.dim) float array; raises ShapeMismatch on symbolic
+        coefficients.
+
+        With column coefficients (float64 arrays of one length B, entry b
+        for point b) it is (dim, algebra.dim, B), and a plain-number
+        coefficient fills its column.
+        """
+        coeffs = [c for el in self.coords for c in el.coeffs]
+        if any(isinstance(c, Expr) for c in coeffs):
+            raise ShapeMismatch("a point with symbolic coefficients has no float array")
+        out = np.empty((len(coeffs), *np.broadcast_shapes(*map(np.shape, coeffs))))
+        for k, c in enumerate(coeffs):
+            out[k] = c
+        return out.reshape(self.dim, self.algebra.dim, *out.shape[1:])
 
     def flat(self) -> np.ndarray:
         return self.coefficient_array().reshape(-1)

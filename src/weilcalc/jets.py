@@ -44,7 +44,7 @@ Fraction path stays the reference over Q.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
 
 import numpy as np
@@ -74,9 +74,9 @@ from .programs import (
     Program,
     VectorField,
     evaluate,
+    evaluate_points,
     jacobian_oracle,
     random_poly_program,
-    run_points,
     stack_columns,
 )
 from .prolong import field_prolong, sampled_bracket_gaps
@@ -670,11 +670,14 @@ def flat_to_frame(m: int, r: int, flat) -> Frame:
     return Frame(flat[:, 0], JetGroupElement(m, r, flat[:, 1:].tolist()))
 
 
+def _monomial_values(y, monos) -> np.ndarray:
+    """y^alpha for each alpha in monos."""
+    return np.array([np.prod(y ** np.array(a)) for a in monos])
+
+
 def frame_evaluate(frame: Frame, y) -> np.ndarray:
     """The frame's polynomial map at y: x + g(y)."""
-    monos = monomials(frame.m, frame.r, 1)
-    y = np.asarray(y, dtype=float)
-    vals = np.array([np.prod(y ** np.array(a)) for a in monos])
+    vals = _monomial_values(np.asarray(y, dtype=float), monomials(frame.m, frame.r, 1))
     return frame.x + frame.jet.as_array() @ vals
 
 
@@ -689,6 +692,22 @@ def frame_prolong(xi: VectorField, r: int) -> VectorField:
     return field_prolong(dmr, xi).rendering
 
 
+@lru_cache(maxsize=None)
+def _flow_tables(m: int, r: int):
+    """The flow oracle's constant tables at (m, r): the design matrix over
+    the dimensionless grid, its column rescaling, and the frame map's
+    monomial values at each grid point (rows of one array, read-only)."""
+    monos = monomials(m, r)
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    scaled = np.stack(np.meshgrid(*([offsets] * m)), axis=-1).reshape(-1, m)
+    design = np.array([_monomial_values(y, monos) for y in scaled])
+    rescale = np.array([FLOW_GRID ** degree(a) for a in monos])
+    vals = np.array([_monomial_values(y, monomials(m, r, 1)) for y in scaled * FLOW_GRID])
+    for table in (design, rescale, vals):
+        table.flags.writeable = False
+    return design, rescale, vals
+
+
 def flow_frame_oracle(xi: VectorField, r: int, flat) -> np.ndarray:
     """Finite-difference flow prolongation, used only as a test oracle.
 
@@ -698,23 +717,22 @@ def flow_frame_oracle(xi: VectorField, r: int, flat) -> np.ndarray:
     Independent of the jet arithmetic above.  The grid must stay small:
     degree r+2 terms of the flow alias onto lower coefficients at rate
     grid^2, which is the oracle's dominant systematic error.
+
+    The G grid points step as one (G, m) block, each stage one
+    `evaluate_points` run of xi; every step is elementwise, so each point
+    rounds as it does on its own, and the fit sees the same images.  The
+    grid tables depend only on (m, r) and are built once.
     """
     m = xi.dim
     frame = flat_to_frame(m, r, flat)
-    monos = monomials(m, r)
+    design, rescale, vals = _flow_tables(m, int(r))
+    jet = frame.jet.as_array()
+    # one product per grid point, with a single point's layout: a matrix
+    # product rounds by layout
+    starts = np.array([frame.x + jet @ v for v in vals])
 
-    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    scaled = np.stack(np.meshgrid(*([offsets] * m)), axis=-1).reshape(-1, m)
-    grids = scaled * FLOW_GRID
-    # fit against the dimensionless grid, then undo the column scaling
-    design = np.array([[np.prod(y ** np.array(a)) for a in monos] for y in scaled])
-    rescale = np.array([FLOW_GRID ** degree(a) for a in monos])
-
-    def rk4_to(z0: np.ndarray, t: float) -> np.ndarray:
-        def f(z):
-            return np.array(evaluate(xi.components, [float(v) for v in z]))
-
-        z = z0.copy()
+    def rk4_to(z: np.ndarray, t: float) -> np.ndarray:
+        f = partial(evaluate_points, xi.components)
         remaining = t
         sgn = 1.0 if t >= 0 else -1.0
         while abs(remaining) > 1e-18:
@@ -729,9 +747,7 @@ def flow_frame_oracle(xi: VectorField, r: int, flat) -> np.ndarray:
 
     fits = []
     for sign in (1.0, -1.0):
-        images = np.array(
-            [rk4_to(frame_evaluate(frame, y), sign * FLOW_FD_STEP) for y in grids]
-        )
+        images = rk4_to(starts, sign * FLOW_FD_STEP)
         coeff, _, _, _ = np.linalg.lstsq(design, images, rcond=None)
         fits.append(coeff / rescale[:, None])  # (n_monos, m)
     deriv = (fits[0] - fits[1]) / (2.0 * FLOW_FD_STEP)
@@ -739,17 +755,21 @@ def flow_frame_oracle(xi: VectorField, r: int, flat) -> np.ndarray:
 
 
 def check_frame_prolong(xi: VectorField, r: int, samples: int = 5, *, rng, tol: float = 1e-5) -> dict:
-    """Frame prolongation against the flow finite-difference oracle."""
+    """Frame prolongation against the flow finite-difference oracle.
+
+    The trial frames are drawn first, in trial order, and the rendered
+    field runs at all of them as one block.
+    """
     m = xi.dim
     field = frame_prolong(xi, r)
+    flats = np.empty((samples, field.dim))
+    for trial in range(samples):
+        flats[trial] = frame_to_flat(Frame(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r)))
+    got = evaluate_points(field.components, flats)
 
     def deviations():
-        for trial in range(samples):
-            frame = Frame(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
-            flat = frame_to_flat(frame)
-            want = flow_frame_oracle(xi, r, flat)
-            got = np.array(evaluate(field.components, [float(v) for v in flat]))
-            yield {"trial": trial}, float(np.abs(want - got).max(initial=0.0))
+        for trial, (flat, g) in enumerate(zip(flats, got)):
+            yield {"trial": trial}, float(np.abs(flow_frame_oracle(xi, r, flat) - g).max(initial=0.0))
 
     return tally(deviations(), tol)
 
@@ -841,11 +861,7 @@ def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorFi
     g1 = g_field_prolong(triple, x1)
     g2 = g_field_prolong(triple, x2)
     lhs = g_field_prolong(triple, bracket(x1, x2)).components
-
-    def lhs_at(pts):
-        return run_points(pts, lambda args, count: stack_columns(evaluate(lhs, args), count))
-
-    return tally(sampled_bracket_gaps(lhs_at, g1, g2, samples, rng), tol)
+    return tally(sampled_bracket_gaps(partial(evaluate_points, lhs), g1, g2, samples, rng), tol)
 
 
 def _stack(m: int, r: int, values, dtype) -> np.ndarray:

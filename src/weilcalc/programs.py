@@ -365,6 +365,12 @@ def run_points(x, body):
     return body([float(v) for v in x], None)
 
 
+def evaluate_points(prog: Program, x) -> np.ndarray:
+    """`prog`'s outputs at one point, or (B, arity_out) at the rows of a
+    (B, n) block, from one `run_points` call."""
+    return run_points(x, lambda args, count: stack_columns(evaluate(prog, args), count))
+
+
 def compose(f: Program, g: Program) -> Program:
     """f after g, by substitution."""
     if f.arity_in != g.arity_out:

@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import WeilAlgebra
 from .errors import DivisionByNilpotent, DomainError, InvariantViolation, ShapeMismatch
 from .functor import lift_elements, lift_program, point_from_flat
-from .programs import VectorField, evaluate, run_columns, run_points, stack_columns
+from .programs import VectorField, evaluate, evaluate_points, run_columns, run_points, stack_columns
 from .reports import tally
 from .strongdiff import bracket, bracket_value
 
@@ -109,7 +109,7 @@ def check_base_projection(pf: ProlongedField, samples: int = 10, *, rng) -> dict
     def gaps(pts):
         # one gap for a point, one per row for a block
         vel = pf.base_values(pf.value_at(pts))
-        want = run_points(pf.base_values(pts), lambda args, count: stack_columns(evaluate(base, args), count))
+        want = evaluate_points(base, pf.base_values(pts))
         return np.abs(vel - want).max(axis=-1, initial=0.0)
 
     block = rng.uniform(-1.0, 1.0, size=(samples, pf.dim))

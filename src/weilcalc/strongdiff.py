@@ -72,62 +72,75 @@ def dd_algebra() -> WeilAlgebra:
 
 
 class SecondTangent:
-    """A second tangent on R^dim in (base, u, v, w) slots, floats only."""
+    """A second tangent on R^dim in (base, u, v, w) slots, floats only.
+
+    Each slot is a (dim,) array, or a (dim, B) block: B second tangents,
+    column b the one of trial b.
+    """
 
     __slots__ = ("dim", "base", "u", "v", "w")
 
     def __init__(self, base, u, v, w):
-        arrs = [np.asarray(x, dtype=float).reshape(-1) for x in (base, u, v, w)]
-        n = arrs[0].shape[0]
-        if any(a.shape[0] != n for a in arrs):
-            raise ShapeMismatch("second tangent slots must have equal length")
-        self.dim = n
+        arrs = [np.asarray(x, dtype=float) for x in (base, u, v, w)]
+        shape = arrs[0].shape
+        if len(shape) not in (1, 2) or any(a.shape != shape for a in arrs):
+            raise ShapeMismatch("second tangent slots must have one shape, (dim,) or (dim, B)")
+        self.dim = shape[0]
         self.base, self.u, self.v, self.w = arrs
 
     @classmethod
     def from_point(cls, p: WeilPoint) -> "SecondTangent":
+        """Slots of a point over DD; column coefficients give a block."""
         if not p.algebra.same_structure(dd_algebra()):
             raise ShapeMismatch("second tangents live over tensor(dual, dual)")
         arr = p.coefficient_array()
         return cls(arr[:, 0], arr[:, 2], arr[:, 1], arr[:, 3])
 
+    def slots(self) -> tuple:
+        return self.base, self.u, self.v, self.w
+
     def to_point(self) -> WeilPoint:
-        slots = np.column_stack([self.base, self.u, self.v, self.w])
+        slots = np.column_stack(self.slots())
         return point_from_flat(dd_algebra(), self.dim, slots[:, _SLOT_TO_DD].reshape(-1))
 
     def __repr__(self):
         return "SecondTangent(dim=%d)" % self.dim
 
 
-def _pair_gap(x_slots, y_slots) -> float:
+def _pair_gap(x_slots, y_slots, axis=None):
     """Largest gap in the pair conditions: base to base, u to v, v to u.
 
-    Slots come in (base, u, v, w) order.  A non-finite slot on either side
-    comes from a float overflow upstream, so it raises DomainError, like
-    every other overflow, before any arithmetic on it.
+    Slots come in (base, u, v, w) order; the gap is taken over `axis`, so
+    axis=0 gives one gap per trial column of a block.  A non-finite slot on
+    either side comes from a float overflow upstream, so it raises
+    DomainError, like every other overflow, before any arithmetic on it.
     """
     if not all(np.isfinite(s).all() for s in (*x_slots, *y_slots)):
         raise DomainError("float overflow: a second tangent slot is not finite")
     (xb, xu, xv, _), (yb, yu, yv, _) = x_slots, y_slots
-    return max(
-        np.abs(xb - yb).max(initial=0.0),
-        np.abs(xu - yv).max(initial=0.0),
-        np.abs(xv - yu).max(initial=0.0),
-    )
+    return np.maximum.reduce([
+        np.abs(xb - yb).max(axis=axis, initial=0.0),
+        np.abs(xu - yv).max(axis=axis, initial=0.0),
+        np.abs(xv - yu).max(axis=axis, initial=0.0),
+    ])
 
 
 def compatible(x: SecondTangent, y: SecondTangent, tol: float = 1e-9) -> bool:
-    """Equal bases, and the outer part of each is the inner part of the other.
+    """Equal bases, and the outer part of each is the inner part of the other;
+    for a block, in every trial.
 
     Raises DomainError when a slot of either side is not finite.
     """
-    if x.dim != y.dim:
+    if x.base.shape != y.base.shape:
         return False
-    return _pair_gap((x.base, x.u, x.v, x.w), (y.base, y.u, y.v, y.w)) <= tol
+    return bool((_pair_gap(x.slots(), y.slots(), axis=0) <= tol).all())
 
 
 class SPair:
-    """A compatible pair of second tangents; constructor enforces membership."""
+    """A compatible pair of second tangents; constructor enforces membership.
+
+    A pair of blocks is B pairs, one per trial column.
+    """
 
     __slots__ = ("x", "y", "dim")
 
@@ -139,8 +152,9 @@ class SPair:
         self.dim = x.dim
 
     def coords5(self) -> np.ndarray:
-        """(dim, 5) array in the subalgebra basis 1, e1+E2, e2+E1, e1e2, E1E2."""
-        return np.stack([self.x.base, self.x.u, self.x.v, self.x.w, self.y.w], axis=1)
+        """(dim, 5) array in the subalgebra basis 1, e1+E2, e2+E1, e1e2, E1E2;
+        (dim, B, 5) for a block."""
+        return np.stack([self.x.base, self.x.u, self.x.v, self.x.w, self.y.w], axis=-1)
 
 
 class SAlgebraBundle:
@@ -197,7 +211,7 @@ def strong_diff(x, y=None):
     """
     pair = x if y is None else SPair(x, y)
     out = pair.coords5() @ s_bundle().sigma.matrix.T
-    return out[:, 0], out[:, 1]
+    return out[..., 0], out[..., 1]
 
 
 # -- brackets ------------------------------------------------------------
@@ -218,17 +232,17 @@ def composite_pair(x_field: VectorField, y_field: VectorField, at) -> SPair:
 def _composite_pair(x_field: VectorField, y_field: VectorField, args, count):
     """(points, pair) of composite_pair over `run_points` arguments.
 
-    For a block the pair lives on R^{B*n}, point p's coordinates at
-    p*n .. p*n + n - 1.  Three tape runs: X's values, then Y's values and
-    slope along X, then X's slope along Y.
+    For a block the pair is a block of B pairs on R^n, point p's in
+    column p; the points come back as the (B, n) block.  Three tape runs:
+    X's values, then Y's values and slope along X, then X's slope along Y.
     """
     if x_field.dim != y_field.dim:
         raise ShapeMismatch("fields live on different spaces")
     xv = evaluate(x_field.components, args)
     yv, dyx = evaluate_dual(y_field.components, args, xv)
     _, dxy = evaluate_dual(x_field.components, args, yv)
-    at, xv, yv, dyx, dxy = (stack_columns(v, count) for v in (args, xv, yv, dyx, dxy))
-    return at, SPair(SecondTangent(at, xv, yv, dyx), SecondTangent(at, yv, xv, dxy))
+    at, xv, yv, dyx, dxy = (stack_columns(v, count).T for v in (args, xv, yv, dyx, dxy))
+    return at.T, SPair(SecondTangent(at, xv, yv, dyx), SecondTangent(at, yv, xv, dxy))
 
 
 def bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
@@ -261,8 +275,7 @@ def bracket_value(x_field: VectorField, y_field: VectorField, at) -> np.ndarray:
     """
 
     def value(args, count):
-        pts, pair = _composite_pair(x_field, y_field, args, count)
-        return strong_diff(pair)[1].reshape(pts.shape)
+        return strong_diff(_composite_pair(x_field, y_field, args, count)[1])[1].T
 
     return run_points(at, value)
 
@@ -274,8 +287,9 @@ class ASecondPair:
     """A compatible pair of algebra-coefficient second tangents.
 
     Coefficients are stored as (n, 4, algebra.dim) float arrays in slot
-    order (base, u, v, w); compatibility is checked coefficient-wise, to
-    within 1e-9, and a non-finite coefficient raises DomainError.
+    order (base, u, v, w), or as (n, 4, algebra.dim, B) blocks of B pairs,
+    trial b in the last index; compatibility is checked coefficient-wise,
+    to within 1e-9, and a non-finite coefficient raises DomainError.
     """
 
     __slots__ = ("algebra", "n", "x", "y")
@@ -283,8 +297,8 @@ class ASecondPair:
     def __init__(self, algebra: WeilAlgebra, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if x.ndim != 3 or x.shape[1] != 4 or x.shape[2] != algebra.dim:
-            raise ShapeMismatch("expected (n, 4, dim) slot arrays")
+        if x.ndim not in (3, 4) or x.shape[1] != 4 or x.shape[2] != algebra.dim:
+            raise ShapeMismatch("expected (n, 4, dim) or (n, 4, dim, B) slot arrays")
         if y.shape != x.shape:
             raise ShapeMismatch("the two sides must have equal shapes")
         dev = _pair_gap(x.swapaxes(0, 1), y.swapaxes(0, 1))
@@ -312,17 +326,24 @@ def k_map(pair: ASecondPair) -> SPair:
     """Reinterpret an algebra-coefficient pair as a pair on the lifted space.
 
     Routed through the exchange homomorphism tensor(A, DD) -> tensor(DD, A);
-    the result uses the coordinate-major flat layout (i, a) -> i*dim + a.
+    the result uses the coordinate-major flat layout (i, a) -> i*dim + a,
+    and must be a compatible pair exactly.  A block pair lifts in one pass,
+    its trial axis carried as coefficient columns, to a block of pairs.
+    Membership is then each trial's own: only finite slots are enforced
+    here, and check_exchange_square tests the trials one by one, so that
+    one failing trial does not hide the others.
     """
     algebra, dd = pair.algebra, dd_algebra()
     tad, exch = _exchange_homs(algebra)
+    trials = pair.x.shape[3:]
     sides = []
     for arr in (pair.x, pair.y):
         # slots into DD basis order: one A-point coordinate per (i, DD index)
-        p = point_from_flat(algebra, 4 * pair.n, arr[:, _SLOT_TO_DD, :].reshape(-1))
+        flat = arr[:, _SLOT_TO_DD].reshape(4 * pair.n * algebra.dim, *trials)
+        p = point_from_flat(algebra, 4 * pair.n, flat)
         q = transform(exch, flatten(p, algebra, dd, target=tad))
         sides.append(SecondTangent.from_point(unflatten(q, dd, algebra)))
-    return SPair(sides[0], sides[1], tol=0.0)
+    return SPair(sides[0], sides[1], tol=np.inf if trials else 0.0)
 
 
 # -- diagram checks ------------------------------------------------------
@@ -338,6 +359,11 @@ def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, *
     slots must also equal the input slots exactly: the pair conditions and
     the strong difference are symmetric in u and v, so only this comparison
     sees the two exchanged.
+
+    All trials run as one block: drawn at once (the numbers a draw per
+    trial gives, in the same order), carried as coefficient columns through
+    k_map and both paths, and judged trial by trial.  Every step is
+    elementwise, so each trial rounds as it does on its own.
     """
     bundle = s_bundle()
     da = algebra.dim
@@ -345,36 +371,35 @@ def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, *
     sig_a = hom_tensor(bundle.sigma, algebra, source=tas)
     exch = exchange(algebra, dual_algebra(), source=sig_a.target)
 
+    arr = np.moveaxis(rng.uniform(-1.0, 1.0, size=(samples, n, 5, da)), 0, -1)
+    x, y = arr[:, [0, 1, 2, 3]], arr[:, [0, 2, 1, 4]]
+    lifted = k_map(ASecondPair(algebra, x, y))
+    member = _pair_gap(lifted.x.slots(), lifted.y.slots(), axis=0) <= 0.0
+    # lifted slot s holds coefficient a of coordinate i at i*da + a
+    slots_kept = np.logical_and.reduce([
+        (np.stack(t.slots()) == side.swapaxes(0, 1).reshape(4, n * da, samples)).all(axis=(0, 1))
+        for t, side in ((lifted.x, x), (lifted.y, y))
+    ])
+    base1, vec1 = strong_diff(lifted)
+
+    p = point_from_flat(algebra, 5 * n, arr.reshape(5 * n * da, samples))
+    q = transform(exch, transform(sig_a, flatten(p, algebra, bundle.algebra, target=tas)))
+    qa = q.coefficient_array()
+    base2 = qa[:, 0:da].reshape(n * da, samples)
+    vec2 = qa[:, da : 2 * da].reshape(n * da, samples)
+    dev = np.maximum(
+        np.abs(base1 - base2).max(axis=0, initial=0.0),
+        np.abs(vec1 - vec2).max(axis=0, initial=0.0),
+    )
+
     def deviations():
         for trial in range(samples):
-            arr = rng.uniform(-1.0, 1.0, size=(n, 5, da))
-            x = np.stack([arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]], axis=1)
-            y = np.stack([arr[:, 0], arr[:, 2], arr[:, 1], arr[:, 4]], axis=1)
-            pair = ASecondPair(algebra, x, y)
-
-            lifted = k_map(pair)
-            if not compatible(lifted.x, lifted.y, tol=0.0):
+            if not member[trial]:
                 yield {"trial": trial, "reason": "membership"}, None
-                continue
-            # lifted slot s holds coefficient a of coordinate i at i*da + a
-            if not all(
-                np.array_equal(np.stack([t.base, t.u, t.v, t.w]), side.transpose(1, 0, 2).reshape(4, -1))
-                for t, side in ((lifted.x, x), (lifted.y, y))
-            ):
+            elif not slots_kept[trial]:
                 yield {"trial": trial, "reason": "slots"}, None
-                continue
-            base1, vec1 = strong_diff(lifted)
-
-            p = point_from_flat(algebra, 5 * n, arr.reshape(-1))
-            q = transform(exch, transform(sig_a, flatten(p, algebra, bundle.algebra, target=tas)))
-            qa = q.coefficient_array()
-            base2 = qa[:, 0:da].reshape(-1)
-            vec2 = qa[:, da : 2 * da].reshape(-1)
-
-            yield {"trial": trial}, max(
-                np.abs(base1 - base2).max(initial=0.0),
-                np.abs(vec1 - vec2).max(initial=0.0),
-            )
+            else:
+                yield {"trial": trial}, dev[trial]
 
     return tally(deviations(), tol)
 
@@ -474,11 +499,11 @@ def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, r
         pts, pair = _composite_pair(x_field, y_field, args, count)
         jy = jacobian_oracle(y_field, pts, richardson=richardson).reshape(-1, n, n)
         jx = jacobian_oracle(x_field, pts, richardson=richardson).reshape(-1, n, n)
-        xv, yv = pair.x.u.reshape(-1, n), pair.x.v.reshape(-1, n)
+        xv, yv = pair.x.u.T.reshape(-1, n), pair.x.v.T.reshape(-1, n)
         # one product per point, with a single point's layout: a matrix
         # product rounds by layout
         want = np.array([a @ u - b @ v for a, u, b, v in zip(jy, xv, jx, yv)]).reshape(pts.shape)
-        got = strong_diff(pair)[1].reshape(pts.shape)
+        got = strong_diff(pair)[1].T
         return np.abs(want - got).max(axis=-1, initial=0.0)
 
     return run_points(at, gap)

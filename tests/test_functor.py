@@ -140,6 +140,18 @@ def test_point_flat_round_trip():
     assert np.array_equal(p.real_parts(), [1.0, 3.0])
 
 
+def test_coefficient_array_takes_columns_and_refuses_expressions():
+    col = np.array([1.0, -2.0, 3.0])
+    arr = point_from_flat(DUAL, 2, [col, 0.5, -col, 2.0]).coefficient_array()
+    assert arr.shape == (2, 2, 3)
+    assert np.array_equal(arr[:, 0], [col, -col])
+    assert np.array_equal(arr[:, 1], [[0.5] * 3, [2.0] * 3])
+    # the docstring's guard holds for floats and for columns alike
+    for flat in ([Var(0), 1.0], [col, Var(1)]):
+        with pytest.raises(ShapeMismatch):
+            point_from_flat(DUAL, 1, flat).coefficient_array()
+
+
 def test_point_from_reals_pads_nilpotent_slots():
     p = point_from_reals(T12, [2.0, -1.0])
     assert np.array_equal(p.flat(), [2.0, 0.0, 0.0, -1.0, 0.0, 0.0])

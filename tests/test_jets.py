@@ -31,6 +31,7 @@ from weilcalc.jets import (
     check_frame_prolong,
     check_jet_group,
     flat_to_frame,
+    flow_frame_oracle,
     frame_evaluate,
     frame_prolong,
     frame_to_flat,
@@ -58,6 +59,7 @@ from weilcalc.programs import (
     random_poly_field,
     random_poly_program,
 )
+from weilcalc.reports import tally
 
 DUAL = make_basic("dual")
 
@@ -471,6 +473,68 @@ def test_frame_prolongation_matches_the_flow_oracle():
         out = check_frame_prolong(xi, r, samples=3, rng=rng, tol=1e-5)
         assert out["failures"] == []
         assert out["max_error"] <= 1e-5
+
+
+def _flow_oracle_per_point(xi, r, flat):
+    """The flow oracle one grid point at a time, on float evaluations."""
+    m = xi.dim
+    frame = flat_to_frame(m, r, flat)
+    monos = monomials(m, r)
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+    scaled = np.stack(np.meshgrid(*([offsets] * m)), axis=-1).reshape(-1, m)
+    design = np.array([[np.prod(y ** np.array(a)) for a in monos] for y in scaled])
+    rescale = np.array([jets.FLOW_GRID ** degree(a) for a in monos])
+
+    def f(z):
+        return np.array(evaluate(xi.components, [float(v) for v in z]))
+
+    def rk4_to(z, t):
+        remaining, sgn = t, (1.0 if t >= 0 else -1.0)
+        while abs(remaining) > 1e-18:
+            h = sgn * min(jets.FLOW_RK_STEP, abs(remaining))
+            k1 = f(z)
+            k2 = f(z + 0.5 * h * k1)
+            k3 = f(z + 0.5 * h * k2)
+            k4 = f(z + h * k3)
+            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            remaining -= h
+        return z
+
+    fits = []
+    for sign in (1.0, -1.0):
+        images = np.array(
+            [rk4_to(frame_evaluate(frame, y), sign * jets.FLOW_FD_STEP) for y in scaled * jets.FLOW_GRID]
+        )
+        fits.append(np.linalg.lstsq(design, images, rcond=None)[0] / rescale[:, None])
+    return ((fits[0] - fits[1]) / (2.0 * jets.FLOW_FD_STEP)).T.reshape(-1)
+
+
+# a time step past FLOW_RK_STEP makes rk4_to take several steps
+@pytest.mark.parametrize("fd_step", [None, 2.5e-3])
+@pytest.mark.parametrize("m, r", [(1, 1), (1, 2), (2, 1)])
+def test_block_flow_oracle_matches_a_per_point_loop_bit_for_bit(monkeypatch, m, r, fd_step):
+    if fd_step is not None:
+        monkeypatch.setattr(jets, "FLOW_FD_STEP", fd_step)
+    rng = np.random.default_rng(40 + 10 * m + r)
+    xi = random_poly_field(rng, m, deg=2, scale=0.5)
+    for _ in range(3):
+        flat = frame_to_flat(Frame(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r)))
+        assert flow_frame_oracle(xi, r, flat).tobytes() == _flow_oracle_per_point(xi, r, flat).tobytes()
+
+
+@pytest.mark.parametrize("m, r", [(1, 1), (1, 2), (2, 1)])
+def test_frame_prolong_block_matches_a_per_trial_loop(m, r):
+    xi = random_poly_field(np.random.default_rng(50 + m), m, deg=2, scale=0.5)
+    out = check_frame_prolong(xi, r, samples=4, rng=np.random.default_rng(5), tol=0.0)
+    field = frame_prolong(xi, r)
+    rng = np.random.default_rng(5)
+    devs = []
+    for trial in range(4):
+        flat = frame_to_flat(Frame(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r)))
+        got = np.array(evaluate(field.components, [float(v) for v in flat]))
+        devs.append(({"trial": trial}, float(np.abs(_flow_oracle_per_point(xi, r, flat) - got).max(initial=0.0))))
+    assert out == tally(devs, 0.0)
+    assert len(out["failures"]) == 4  # every deviation is nonzero, so tol 0 lists them all
 
 
 def test_frame_prolong_base_slots_are_the_base_field():

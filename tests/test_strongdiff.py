@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from weilcalc import strongdiff
-from weilcalc.algebra import make_basic, sum_algebra, tensor
+from weilcalc.algebra import exchange, hom_tensor, make_basic, sum_algebra, tensor
 from weilcalc.errors import DomainError, IncompatiblePair, ShapeMismatch
 from weilcalc.exprs import Const, Var, format_expr, intpow, simplify
+from weilcalc.functor import flatten, point_from_flat, transform
 from weilcalc.programs import Program, VectorField, evaluate, random_poly_field
+from weilcalc.reports import tally
 from weilcalc.strongdiff import (
     ASecondPair,
     SPair,
@@ -78,6 +80,21 @@ def test_second_tangent_point_round_trip():
     back = SecondTangent.from_point(x.to_point())
     for slot in ("base", "u", "v", "w"):
         assert np.array_equal(getattr(back, slot), getattr(x, slot))
+
+
+def test_a_second_tangent_needs_numeric_coefficients():
+    sym = point_from_flat(DD, 1, [Var(0), 1.0, 2.0, 3.0])
+    with pytest.raises(ShapeMismatch):
+        SecondTangent.from_point(sym)
+
+
+def test_a_block_of_second_tangents_comes_from_column_coefficients():
+    cols = np.arange(8.0).reshape(4, 2)
+    block = SecondTangent.from_point(point_from_flat(DD, 1, list(cols)))
+    for b in range(2):
+        one = SecondTangent.from_point(point_from_flat(DD, 1, cols[:, b]))
+        for got, want in zip(block.slots(), one.slots()):
+            assert np.array_equal(got[:, b], want)
 
 
 def test_incompatible_pairs_are_rejected():
@@ -206,6 +223,98 @@ def test_exchange_square_sees_u_and_v_exchanged_by_k_map(monkeypatch, algebra):
     out = check_exchange_square(algebra, n=2, samples=10, rng=np.random.default_rng(4))
     assert out["failures"] == [{"trial": t, "reason": "slots"} for t in range(10)]
     assert out["max_error"] == 0.0
+
+
+def _break_y_base(monkeypatch, at):
+    # a fault inside k_map: the y side (every second slot read) gets its
+    # base slot moved at index `at`
+    original = SecondTangent.from_point.__func__
+    calls = []
+
+    def broken(cls, p):
+        t = original(cls, p)
+        calls.append(t)
+        if len(calls) % 2 == 0:
+            base = t.base.copy()
+            base[at] += 0.5
+            t = cls(base, t.u, t.v, t.w)
+        return t
+
+    monkeypatch.setattr(SecondTangent, "from_point", classmethod(broken))
+
+
+@pytest.mark.parametrize("algebra", STANDARD, ids=lambda a: a.name)
+def test_exchange_square_names_each_trial_that_fails_membership(monkeypatch, algebra):
+    # trial 3's lifted y side loses its base; the other trials still count
+    _break_y_base(monkeypatch, (0, 3))
+    out = check_exchange_square(algebra, n=2, samples=10, rng=np.random.default_rng(4))
+    assert out["failures"] == [{"trial": 3, "reason": "membership"}]
+    assert out["samples"] == 10
+    assert out["max_error"] == 0.0
+
+
+def test_k_map_of_one_pair_still_requires_exact_membership(monkeypatch):
+    _break_y_base(monkeypatch, 0)
+    arr = np.random.default_rng(6).uniform(-1, 1, size=(2, 5, DUAL.dim))
+    with pytest.raises(IncompatiblePair):
+        k_map(ASecondPair(DUAL, arr[:, [0, 1, 2, 3]], arr[:, [0, 2, 1, 4]]))
+
+
+def _exchange_square_per_trial(algebra, n, samples, rng):
+    """The exchange square one trial at a time, on plain float coefficients:
+    per trial the lifted slots, path one's (base, vector), path two's
+    coefficients and the deviation."""
+    bundle = s_bundle()
+    da = algebra.dim
+    tas = tensor(algebra, bundle.algebra)
+    sig_a = hom_tensor(bundle.sigma, algebra, source=tas)
+    exch = exchange(algebra, DUAL, source=sig_a.target)
+    rows = []
+    for _ in range(samples):
+        arr = rng.uniform(-1.0, 1.0, size=(n, 5, da))
+        lifted = k_map(ASecondPair(algebra, arr[:, [0, 1, 2, 3]], arr[:, [0, 2, 1, 4]]))
+        base1, vec1 = strong_diff(lifted)
+        p = point_from_flat(algebra, 5 * n, arr.reshape(-1))
+        qa = transform(exch, transform(sig_a, flatten(p, algebra, bundle.algebra, target=tas))).coefficient_array()
+        dev = max(
+            np.abs(base1 - qa[:, :da].reshape(-1)).max(initial=0.0),
+            np.abs(vec1 - qa[:, da : 2 * da].reshape(-1)).max(initial=0.0),
+        )
+        rows.append((np.stack(lifted.x.slots() + lifted.y.slots()), np.stack([base1, vec1]), qa, dev))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [4, 21])
+@pytest.mark.parametrize("algebra", STANDARD, ids=lambda a: a.name)
+def test_exchange_square_block_matches_a_per_trial_loop_bit_for_bit(monkeypatch, algebra, seed):
+    seen = {"transform": []}
+    original_k_map, original_transform = strongdiff.k_map, strongdiff.transform
+
+    def spy_k_map(pair):
+        seen["lifted"] = original_k_map(pair)
+        return seen["lifted"]
+
+    def spy_transform(mu, p):
+        seen["transform"].append(original_transform(mu, p))
+        return seen["transform"][-1]
+
+    monkeypatch.setattr(strongdiff, "k_map", spy_k_map)
+    monkeypatch.setattr(strongdiff, "transform", spy_transform)
+    samples = 12
+    out = check_exchange_square(algebra, n=2, samples=samples, rng=np.random.default_rng(seed), tol=0.0)
+    monkeypatch.undo()
+    ref = _exchange_square_per_trial(algebra, 2, samples, np.random.default_rng(seed))
+
+    lifted = seen["lifted"]
+    slots = np.stack(lifted.x.slots() + lifted.y.slots())
+    paths = np.stack(strong_diff(lifted))
+    qa = seen["transform"][-1].coefficient_array()  # path two's last step
+    for t, (want_slots, want_path1, want_qa, _) in enumerate(ref):
+        assert slots[..., t].tobytes() == want_slots.tobytes()
+        assert paths[..., t].tobytes() == want_path1.tobytes()
+        assert qa[..., t].tobytes() == want_qa.tobytes()
+    want = tally((({"trial": t}, dev) for t, (*_, dev) in enumerate(ref)), 0.0)
+    assert out == want
 
 
 def test_k_map_lands_on_compatible_pairs():
