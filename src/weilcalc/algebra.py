@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,39 +40,34 @@ STRUCT_TOL = 1e-12
 
 
 class WeilAlgebra:
-    """Structure-constant presentation of a Weil algebra.
+    """Structure-constant presentation of a Weil algebra, as an immutable value.
 
     basis_labels[unit_index] is the unit; every other basis vector must lie
-    in a common nilpotent ideal.  Construction validates commutativity,
+    in a common nilpotent ideal.  Construction copies the structure tensor,
+    makes the copy read-only, and validates finiteness, commutativity,
     associativity, the unit law, that non-unit products have no unit
     component, and that iterated products of the ideal terminate; `height`
-    is the largest h with a nonzero h-fold product.
+    is the largest h with a nonzero h-fold product and `width` the minimal
+    generator count of the ideal.  Two algebras are equal when their name,
+    basis labels, unit index, structure and generators are.
     """
 
-    def __init__(
-        self,
-        name: str,
-        basis_labels,
-        structure,
-        unit_index: int = 0,
-        width=None,
-        generators=None,
-    ):
+    def __init__(self, name: str, basis_labels, structure, unit_index: int = 0, generators=None):
         self.name = name
         self.basis_labels = tuple(str(s) for s in basis_labels)
         self.dim = len(self.basis_labels)
         self.unit_index = int(unit_index)
-        self.structure = np.asarray(structure, dtype=float)
+        self.structure = np.array(structure, dtype=float)
         if self.structure.shape != (self.dim, self.dim, self.dim):
             raise ShapeMismatch(
                 "structure tensor must be (%d,%d,%d), got %r"
                 % (self.dim, self.dim, self.dim, self.structure.shape)
             )
+        self.structure.flags.writeable = False
         if not 0 <= self.unit_index < self.dim:
             raise ShapeMismatch("unit_index %d out of range" % self.unit_index)
         if len(set(self.basis_labels)) != self.dim:
             raise ShapeMismatch("basis labels must be distinct")
-        self.width = width
         self.generators = (
             tuple(tuple(float(c) for c in g) for g in generators)
             if generators is not None
@@ -81,10 +77,23 @@ class WeilAlgebra:
             for g in self.generators:
                 if len(g) != self.dim:
                     raise ShapeMismatch("generator coefficient length mismatch")
+        if not (np.isfinite(self.structure).all() and np.isfinite(self.generators or ()).all()):
+            raise ShapeMismatch("structure constants and generators must be finite")
         self._nz = None
         self.height = self._validate()
-        if self.width is None:
-            self.width = self._minimal_width()
+        self.width = self._minimal_width()
+        self._key = (
+            self.name, self.basis_labels, self.unit_index, self.structure.tobytes(), self.generators
+        )
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        if not isinstance(other, WeilAlgebra):
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self._key == other._key)
+
+    def __hash__(self):
+        return self._hash
 
     # -- validation ---------------------------------------------------
 
@@ -182,7 +191,8 @@ class WeilAlgebra:
         return [AlgebraElement(self, g) for g in self.generators]
 
     def same_structure(self, other: "WeilAlgebra") -> bool:
-        return (
+        """Equal multiplication tables, whatever the names and generators."""
+        return self is other or (
             self.dim == other.dim
             and self.unit_index == other.unit_index
             and np.array_equal(self.structure, other.structure)
@@ -216,9 +226,7 @@ class AlgebraElement:
     # scalars are anything that is not an element of the same algebra
     def _peer(self, other):
         if isinstance(other, AlgebraElement):
-            if other.algebra is self.algebra or other.algebra.same_structure(
-                self.algebra
-            ):
+            if other.algebra.same_structure(self.algebra):
                 return other
             raise AlgebraMismatch(
                 "operands live in %r and %r" % (self.algebra.name, other.algebra.name)
@@ -372,7 +380,7 @@ class AlgebraHom:
             raise NotMultiplicative((int(worst[0]), int(worst[1])), float(dev[worst]))
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
-        if not (a.algebra is self.source or a.algebra.same_structure(self.source)):
+        if not a.algebra.same_structure(self.source):
             raise AlgebraMismatch("element is not in the source algebra")
         return AlgebraElement(self.target, apply_matrix(self.matrix, a.coeffs))
 
@@ -432,19 +440,22 @@ def unit_embedding(a: WeilAlgebra) -> AlgebraHom:
 
 
 # -- canonical constructions -------------------------------------------
+#
+# make_basic, tensor, sum_algebra and exchange are memoized on their
+# arguments, which are values: equal arguments give the very same algebra
+# or hom, however the arguments were built or loaded.  subalgebra is not.
 
 
+@lru_cache(maxsize=None)
 def make_basic(kind: str, k: int | None = None, r: int | None = None) -> WeilAlgebra:
     """reals | dual | truncated(k, r): polynomials in k variables modulo
-    everything of degree above r, on the graded monomial basis."""
+    everything of degree above r, on the graded monomial basis.  Memoized."""
     if kind == "reals":
-        return WeilAlgebra("reals", ("1",), np.ones((1, 1, 1)), width=0, generators=())
+        return WeilAlgebra("reals", ("1",), np.ones((1, 1, 1)), generators=())
     if kind == "dual":
         c = np.zeros((2, 2, 2))
         c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
-        return WeilAlgebra(
-            "dual", ("1", "e"), c, width=1, generators=((0.0, 1.0),)
-        )
+        return WeilAlgebra("dual", ("1", "e"), c, generators=((0.0, 1.0),))
     if kind == "truncated":
         if k is None or r is None or k < 1 or r < 0:
             raise ShapeMismatch("truncated needs k >= 1 and r >= 0")
@@ -464,18 +475,13 @@ def make_basic(kind: str, k: int | None = None, r: int | None = None) -> WeilAlg
                 g = [0.0] * d
                 g[index[a]] = 1.0
                 gens.append(tuple(g))
-        return WeilAlgebra(
-            "truncated(%d,%d)" % (k, r),
-            labels,
-            c,
-            width=len(gens),
-            generators=tuple(gens),
-        )
+        return WeilAlgebra("truncated(%d,%d)" % (k, r), labels, c, generators=tuple(gens))
     raise ShapeMismatch("unknown basic algebra kind %r" % kind)
 
 
+@lru_cache(maxsize=None)
 def tensor(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
-    """Tensor product on the pairwise-product basis, left factor major."""
+    """Tensor product on the pairwise-product basis, left factor major.  Memoized."""
     if a.unit_index != 0 or b.unit_index != 0:
         raise ShapeMismatch("tensor expects unit_index 0 presentations")
     da, db = a.dim, b.dim
@@ -508,16 +514,13 @@ def tensor(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
                 v[j] = x
             gens.append(tuple(v))
         gens = tuple(gens)
-    width = None
-    if a.width is not None and b.width is not None:
-        width = a.width + b.width
-    return WeilAlgebra(
-        "tensor(%s,%s)" % (a.name, b.name), labels, c, width=width, generators=gens
-    )
+    return WeilAlgebra("tensor(%s,%s)" % (a.name, b.name), labels, c, generators=gens)
 
 
+@lru_cache(maxsize=None)
 def sum_algebra(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
-    """Glue along the unit; products across the two nilpotent ideals vanish."""
+    """Glue along the unit; products across the two nilpotent ideals vanish.
+    Memoized."""
     if a.unit_index != 0 or b.unit_index != 0:
         raise ShapeMismatch("sum expects unit_index 0 presentations")
     da, db = a.dim, b.dim
@@ -545,12 +548,7 @@ def sum_algebra(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
         for g in b.generators:
             gens.append(tuple([g[0]] + [0.0] * (da - 1) + list(g[1:])))
         gens = tuple(gens)
-    width = None
-    if a.width is not None and b.width is not None:
-        width = a.width + b.width
-    return WeilAlgebra(
-        "sum(%s,%s)" % (a.name, b.name), labels, c, width=width, generators=gens
-    )
+    return WeilAlgebra("sum(%s,%s)" % (a.name, b.name), labels, c, generators=gens)
 
 
 def _exact_solve(a_rows, b):
@@ -644,10 +642,13 @@ def subalgebra(ambient: WeilAlgebra, span, labels=None, name=None):
     return sub, inclusion
 
 
-def exchange(a: WeilAlgebra, b: WeilAlgebra, source: WeilAlgebra | None = None) -> AlgebraHom:
-    """Factor swap tensor(a,b) -> tensor(b,a) as a validated hom."""
-    src = source if source is not None else tensor(a, b)
-    return make_hom(src, tensor(b, a), swap_matrix(a.dim, b.dim))
+@lru_cache(maxsize=None)
+def exchange(a: WeilAlgebra, b: WeilAlgebra) -> AlgebraHom:
+    """Factor swap tensor(a,b) -> tensor(b,a) as a validated hom, with a
+    read-only matrix.  Memoized."""
+    hom = make_hom(tensor(a, b), tensor(b, a), swap_matrix(a.dim, b.dim))
+    hom.matrix.flags.writeable = False
+    return hom
 
 
 def swap_matrix(da: int, db: int) -> np.ndarray:
@@ -659,17 +660,15 @@ def swap_matrix(da: int, db: int) -> np.ndarray:
     return m
 
 
-def hom_tensor(mu: AlgebraHom, c: WeilAlgebra, source: WeilAlgebra | None = None) -> AlgebraHom:
-    """id_c (x) mu on tensor(c, mu.source); `source` may supply that
-    tensor algebra already built."""
-    src = source if source is not None else tensor(c, mu.source)
+def hom_tensor(mu: AlgebraHom, c: WeilAlgebra) -> AlgebraHom:
+    """id_c (x) mu on tensor(c, mu.source)."""
     m = np.kron(np.eye(c.dim), mu.matrix)
-    return AlgebraHom(src, tensor(c, mu.target), m, validate=False)
+    return AlgebraHom(tensor(c, mu.source), tensor(c, mu.target), m, validate=False)
 
 
 # -- serialization ------------------------------------------------------
 
-_ALGEBRA_KEYS = {"name", "dim", "basis", "unit_index", "structure", "width", "height"}
+_ALGEBRA_KEYS = {"name", "dim", "basis", "unit_index", "structure", "width", "height", "generators"}
 
 
 def algebra_to_json(a: WeilAlgebra) -> dict:
@@ -689,11 +688,13 @@ def algebra_to_json(a: WeilAlgebra) -> dict:
         "structure": entries,
         "width": a.width,
         "height": a.height,
+        "generators": None if a.generators is None else [list(g) for g in a.generators],
     }
 
 
 def algebra_from_json(data) -> WeilAlgebra:
-    """Strict loader; unknown keys, bad indices or a wrong cached height all fail."""
+    """Strict loader; unknown keys, bad indices, a coefficient past the float
+    range or a wrong cached width or height all fail."""
     if not isinstance(data, dict):
         raise ShapeMismatch("algebra document must be an object")
     unknown = set(data) - _ALGEBRA_KEYS
@@ -714,24 +715,35 @@ def algebra_from_json(data) -> WeilAlgebra:
         i, j, k, v = entry
         if not all(isinstance(t, int) and 0 <= t < dim for t in (i, j, k)):
             raise ShapeMismatch("structure index out of range in %r" % (entry,))
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ShapeMismatch("structure coefficient must be numeric in %r" % (entry,))
         if (i, j, k) in seen:
             raise ShapeMismatch("duplicate structure entry for %r" % ((i, j, k),))
         seen.add((i, j, k))
-        structure[i, j, k] = float(v)
+        structure[i, j, k] = _json_number(v, "structure coefficient %r" % ((i, j, k),))
+    gens = data.get("generators")
+    if gens is not None:
+        if not (isinstance(gens, list) and all(isinstance(g, list) for g in gens)):
+            raise ShapeMismatch("generators must be a list of coefficient lists")
+        gens = [[_json_number(c, "generator coefficient") for c in g] for g in gens]
     alg = WeilAlgebra(
-        str(data["name"]),
-        basis,
-        structure,
-        unit_index=data["unit_index"],
-        width=data.get("width"),
+        str(data["name"]), basis, structure, unit_index=data["unit_index"], generators=gens
     )
-    if "height" in data and data["height"] is not None and data["height"] != alg.height:
-        raise ShapeMismatch(
-            "stored height %r disagrees with computed %d" % (data["height"], alg.height)
-        )
+    for key in ("width", "height"):
+        if data.get(key) is not None and data[key] != getattr(alg, key):
+            raise ShapeMismatch(
+                "stored %s %r disagrees with computed %d" % (key, data[key], getattr(alg, key))
+            )
     return alg
+
+
+def _json_number(v, what: str) -> float:
+    """A JSON number as a float; anything else, or an integer past the float
+    range, is malformed input."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ShapeMismatch("%s must be numeric, got %r" % (what, v))
+    try:
+        return float(v)
+    except OverflowError:
+        raise ShapeMismatch("%s is past the float range" % what)
 
 
 def save_algebra(a: WeilAlgebra, path) -> None:

@@ -66,7 +66,7 @@ class SuiteConfig:
     seed: int = 0
     tol: float | None = None
     samples: int | None = None
-    algebras: list | None = None  # [(label, WeilAlgebra)] override
+    algebras: list | None = None  # [WeilAlgebra] override, labelled by name
     fields: list = dataclass_field(default_factory=list)
 
     def __post_init__(self):
@@ -399,8 +399,8 @@ def _functional_pair(cfg, suite, label):
     return [functional.random_functional_field(rng, 1, 1, 1, 1) for _ in range(2)]
 
 
-def _prolong_functional(cfg, label, algebra, *, rng, samples, tol):
-    x1, x2 = _functional_pair(cfg, "prolong-functional", label)
+def _prolong_functional(cfg, algebra, *, rng, samples, tol):
+    x1, x2 = _functional_pair(cfg, "prolong-functional", algebra.name)
     return functional.check_bracket_preserved(algebra, x1, x2, samples=samples, rng=rng, tol=tol)
 
 
@@ -430,25 +430,17 @@ SUITES = (
 def _unit_table(cfg: SuiteConfig) -> list:
     """Every unit of every suite, in report order.
 
-    The algebra lists are built here, once per run; an --algebra override
-    replaces each of them.  Adding a suite is one row here plus its check.
+    The algebra lists come from the memoized constructors, so each algebra
+    is built once per process; an --algebra override replaces each list.
+    A unit over algebras is labelled by their names.  Adding a suite is
+    one row here plus its check.
     """
     dual, tr12, tr21 = (
         make_basic("dual"), make_basic("truncated", 1, 2), make_basic("truncated", 2, 1)
     )
-    standard = cfg.algebras or [
-        ("dual", dual),
-        ("tensor(dual,dual)", tensor(dual, dual)),
-        ("truncated(1,2)", tr12),
-        ("truncated(2,1)", tr21),
-        ("sum(dual,dual)", sum_algebra(dual, dual)),
-    ]
-    small = cfg.algebras or [("dual", dual), ("truncated(1,2)", tr12)]
-    combos = [(la, a, la, a) for la, a in cfg.algebras or ()] or [
-        ("dual", dual, "dual", dual),
-        ("dual", dual, "truncated(1,2)", tr12),
-        ("truncated(2,1)", tr21, "dual", dual),
-    ]
+    standard = cfg.algebras or [dual, tensor(dual, dual), tr12, tr21, sum_algebra(dual, dual)]
+    small = cfg.algebras or [dual, tr12]
+    combos = [(a, a) for a in cfg.algebras or ()] or [(dual, dual), (dual, tr12), (tr21, dual)]
     pair = cfg.pair(VectorField)
     custom = [] if pair is None else [
         Unit("bracket", "custom pair", partial(_custom_bracket, *pair), 20, 1e-6, "custom")
@@ -458,18 +450,18 @@ def _unit_table(cfg: SuiteConfig) -> list:
         Unit("sigma", "S", partial(_unsampled, strongdiff.check_sigma)),
         Unit("bracket", "dims 1-3", _random_brackets, 20, 1e-6, "random"),
         *custom,
-        *(Unit("prolong-manifold", la, partial(_prolong_manifold, a), 50, 1e-7)
-          for la, a in standard),
-        *(Unit("exchange-square", la, partial(strongdiff.check_exchange_square, a, n=2), 100, 1e-12)
-          for la, a in standard),
-        *(Unit("projection-squares", "%s,%s,%s" % (la, lb, lc),
+        *(Unit("prolong-manifold", a.name, partial(_prolong_manifold, a), 50, 1e-7)
+          for a in standard),
+        *(Unit("exchange-square", a.name, partial(strongdiff.check_exchange_square, a, n=2), 100, 1e-12)
+          for a in standard),
+        *(Unit("projection-squares", "%s,%s,%s" % (a.name, b.name, c.name),
                partial(_unsampled, strongdiff.check_projection_squares, a, b, c))
-          for (la, a), (lb, b), (lc, c) in itertools.product(small, repeat=3)),
-        *(Unit("projection-squares", "tangent:" + la,
+          for a, b, c in itertools.product(small, repeat=3)),
+        *(Unit("projection-squares", "tangent:" + a.name,
                partial(_unsampled, strongdiff.check_tangent_projection_identities, a))
-          for la, a in small),
-        *(Unit("functor-laws", "%s over %s" % (lo, li), partial(_iterated_lift, o, i), 20, 1e-10)
-          for lo, o, li, i in combos),
+          for a in small),
+        *(Unit("functor-laws", "%s over %s" % (o.name, i.name), partial(_iterated_lift, o, i), 20, 1e-10)
+          for o, i in combos),
         *(Unit("jet-group", "jets(%d,%d)" % mr, partial(jets.check_jet_group, *mr), 200, 1e-10)
           for mr in ((1, 2), (2, 1), (2, 2))),
         *(Unit("frame-prolong", "frames(%d,%d)" % mr, partial(_frame_prolong, *mr), 20, 1e-5)
@@ -478,8 +470,8 @@ def _unit_table(cfg: SuiteConfig) -> list:
           for mr in orders),
         Unit("prolong-jet", "jet(1,1) classical", jets.check_classical_prolongation, 20, 1e-8,
              "classical"),
-        *(Unit("prolong-functional", la, partial(_prolong_functional, cfg, la, a), 30, 1e-6)
-          for la, a in small),
+        *(Unit("prolong-functional", a.name, partial(_prolong_functional, cfg, a), 30, 1e-6)
+          for a in small),
         Unit("prolong-functional", "poly-family d=3",
              partial(functional.check_polynomial_family, _POLY_X1, _POLY_X2, d=3), 10, 1e-7,
              "poly-family"),
@@ -515,7 +507,7 @@ def cmd_verify(args) -> int:
     algebras = None
     if args.algebra:
         algebra, _ = resolve_algebra(args.algebra)
-        algebras = [(algebra.name, algebra)]
+        algebras = [algebra]
     fields = [load_field(p) for p in args.field or []]
     cfg = SuiteConfig(
         suites=suites,
@@ -641,12 +633,8 @@ def _fmt_combo(coeffs, labels) -> str:
     return out
 
 
-def _width_str(a: WeilAlgebra) -> str:
-    return "?" if a.width is None else str(a.width)
-
-
 def _print_algebra(a: WeilAlgebra, bundle=None):
-    print("%s: dim %d, width %s, height %d" % (a.name, a.dim, _width_str(a), a.height))
+    print("%s: dim %d, width %d, height %d" % (a.name, a.dim, a.width, a.height))
     print("basis: %s" % ", ".join(a.basis_labels))
     if a.dim <= 12:
         for i in range(a.dim):
@@ -678,14 +666,14 @@ def cmd_algebra(args) -> int:
     algebra, bundle = resolve_algebra(spec)
     if args.verb == "check":
         print(
-            "ok: %s satisfies the Weil axioms (dim %d, width %s, height %d)"
-            % (algebra.name, algebra.dim, _width_str(algebra), algebra.height)
+            "ok: %s satisfies the Weil axioms (dim %d, width %d, height %d)"
+            % (algebra.name, algebra.dim, algebra.width, algebra.height)
         )
         return EXIT_PASS
     if args.verb == "show" or (args.verb == "build" and args.show):
         _print_algebra(algebra, bundle)
     elif args.verb == "build":
-        print("built %s: dim %d, width %s, height %d" % (algebra.name, algebra.dim, _width_str(algebra), algebra.height))
+        print("built %s: dim %d, width %d, height %d" % (algebra.name, algebra.dim, algebra.width, algebra.height))
     if args.verb == "build" and args.report:
         try:
             save_algebra(algebra, args.report)

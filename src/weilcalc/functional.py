@@ -23,11 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from ._monomials import add_indices, factorial_multi, monomial_index, monomials
-from .algebra import AlgebraElement, AlgebraHom, WeilAlgebra
+from .algebra import AlgebraElement, AlgebraHom, WeilAlgebra, make_basic
 from .errors import ArityMismatch, ShapeMismatch
 from .exprs import Const, Expr, Var
 from .functor import WeilPoint, lift_elements, point_from_flat, transform
-from .jets import FunctorTriple, _combine, base_block, canonical_H, moving_frame_dual
+from .jets import FunctorTriple, _combine, base_block, moving_frame_dual
 from .programs import (
     Program,
     VectorField,
@@ -39,7 +39,7 @@ from .programs import (
 )
 from .prolong import field_prolong
 from .reports import tally
-from .strongdiff import bracket, dual_algebra
+from .strongdiff import bracket
 
 FAMILY_FD_STEP = 1e-5
 
@@ -192,7 +192,7 @@ def jet_values(h: Program, y, r: int) -> np.ndarray:
     y = [float(v) for v in y]
     if r == 0:
         return np.asarray(evaluate(h, y), dtype=float)
-    t = canonical_H(q1, r).algebra
+    t = make_basic("truncated", q1, r)
     tidx = monomial_index(q1, r)
     gens = t.generator_elements()
     outs = lift_elements(t, h, [gens[j] + y[j] for j in range(q1)])
@@ -386,7 +386,7 @@ def _generator_jets(src: FunctionalVectorField, r_to: int, lay: _Layout) -> dict
             env += [Var(lay.z(beta, s)) for s in range(q2)]
         outs = evaluate(src.D, env)
         return {(0,) * q1: [_as_expr(e) for e in outs]}
-    t = canonical_H(q1, r_to).algebra
+    t = make_basic("truncated", q1, r_to)
     tmon = monomials(q1, r_to)
     tidx = monomial_index(q1, r_to)
     gens = t.generator_elements()
@@ -430,7 +430,7 @@ def functional_bracket(x1: FunctionalVectorField, x2: FunctionalVectorField) -> 
         raise ArityMismatch("fields live on different functional bundles")
     m, q1, q2 = x1.m, x1.q1, x1.q2
     lay = _Layout(m, q1, q2, x1.r + x2.r)
-    d = dual_algebra()
+    d = make_basic("dual")
 
     def mixed(along: FunctionalVectorField, of: FunctionalVectorField) -> list:
         jets = _generator_jets(along, of.r, lay)
@@ -536,7 +536,7 @@ def _normalized_vertical(triple: FunctorTriple, field: FunctionalVectorField) ->
     a = triple.algebra
     da = a.dim
     m, q1, q2, r = field.m, field.q1, field.q2, field.r
-    d = dual_algebra()
+    d = make_basic("dual")
     lay = _Layout(m, q1, q2 * da, r)
     # the columns of H(inverse moving frame), the vectors _combine weighs
     m_cols = list(zip(*moving_frame_dual(triple, field.xi)))

@@ -28,7 +28,7 @@ class WeilPoint:
         for c in coords:
             if not isinstance(c, AlgebraElement):
                 raise ShapeMismatch("coordinates must be algebra elements")
-            if not (c.algebra is algebra or c.algebra.same_structure(algebra)):
+            if not c.algebra.same_structure(algebra):
                 raise AlgebraMismatch("coordinate algebra differs from the point's")
         self.algebra = algebra
         self.dim = len(coords)
@@ -90,7 +90,7 @@ def lift(algebra: WeilAlgebra, f: Program):
     """The lifted map as a callable on points."""
 
     def lifted(p: WeilPoint) -> WeilPoint:
-        if not (p.algebra is algebra or p.algebra.same_structure(algebra)):
+        if not p.algebra.same_structure(algebra):
             raise AlgebraMismatch("point algebra differs from the lift's")
         if p.dim != f.arity_in:
             raise ShapeMismatch(
@@ -122,7 +122,7 @@ def lift_program(algebra: WeilAlgebra, f: Program) -> Program:
 
 def transform(mu: AlgebraHom, p: WeilPoint) -> WeilPoint:
     """Apply a reparametrization homomorphism coefficient-wise."""
-    if not (p.algebra is mu.source or p.algebra.same_structure(mu.source)):
+    if not p.algebra.same_structure(mu.source):
         raise AlgebraMismatch("point is not over the hom's source algebra")
     return WeilPoint(
         mu.target,
@@ -130,10 +130,10 @@ def transform(mu: AlgebraHom, p: WeilPoint) -> WeilPoint:
     )
 
 
-def flatten(p: WeilPoint, outer: WeilAlgebra, inner: WeilAlgebra, target: WeilAlgebra | None = None) -> WeilPoint:
+def flatten(p: WeilPoint, outer: WeilAlgebra, inner: WeilAlgebra) -> WeilPoint:
     """Identify an iterated point (over `outer`, on the coefficient space of
     an `inner` lift) with a point over tensor(outer, inner)."""
-    if not (p.algebra is outer or p.algebra.same_structure(outer)):
+    if not p.algebra.same_structure(outer):
         raise AlgebraMismatch("point is not over the declared outer algebra")
     din = inner.dim
     if p.dim % din != 0:
@@ -141,7 +141,7 @@ def flatten(p: WeilPoint, outer: WeilAlgebra, inner: WeilAlgebra, target: WeilAl
             "iterated point dim %d is not a multiple of inner dim %d" % (p.dim, din)
         )
     n = p.dim // din
-    ba = target if target is not None else tensor(outer, inner)
+    ba = tensor(outer, inner)
     dout = outer.dim
     coords = []
     for i in range(n):
@@ -215,7 +215,7 @@ def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 
             p_it = unflatten(p_t, outer, inner)
             inner_rendering = lift_program(inner, f)
             q_it = lift(outer, inner_rendering)(p_it)
-            twice = flatten(q_it, outer, inner, target=t)
+            twice = flatten(q_it, outer, inner)
 
             yield {"trial": trial}, float(np.abs(direct.flat() - twice.flat()).max(initial=0.0))
 

@@ -82,7 +82,7 @@ from .programs import (
 from .prolong import field_prolong, sampled_bracket_gaps
 from .scalars import apply_primitive
 from .reports import tally
-from .strongdiff import bracket, dual_algebra
+from .strongdiff import bracket
 
 _MIN_DET = 1e-12
 # modulus of the exact group axioms: a product of two residues fits in int64
@@ -295,10 +295,10 @@ def _factor_plan(m: int, r: int) -> tuple:
 def _power_table(g: JetGroupElement) -> list:
     """x^alpha at g's components, one element per positive-degree monomial.
 
-    Built degree by degree as x^alpha = x^(alpha - e_i) * u_i inside the
-    cached truncated(m, r); the product truncates at degree r.
+    Built degree by degree as x^alpha = x^(alpha - e_i) * u_i inside
+    truncated(m, r); the product truncates at degree r.
     """
-    algebra = canonical_H(g.m, g.r).algebra
+    algebra = make_basic("truncated", g.m, g.r)
     # component i is (0, *g.coeffs[i]); exact zeros become the float 0.0,
     # which products skip
     comps = [
@@ -808,7 +808,7 @@ def moving_frame_dual(triple: FunctorTriple, xi: Program):
     """
     m, r = triple.m, triple.r
     dmr = triple.jet_algebra
-    d = dual_algebra()
+    d = make_basic("dual")
     xs = [Var(i) for i in range(m)]
 
     # r-jet of the base field xi along the canonical frame

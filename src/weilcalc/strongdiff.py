@@ -56,18 +56,10 @@ from .reports import tally
 
 _SLOT_TO_DD = (0, 2, 1, 3)
 
-# keyed by structure, not by id(): an id can be reused once its algebra is freed
-_exchange_cache: dict[tuple, tuple] = {}
 
-
-@lru_cache(maxsize=None)
-def dual_algebra() -> WeilAlgebra:
-    return make_basic("dual")
-
-
-@lru_cache(maxsize=None)
 def dd_algebra() -> WeilAlgebra:
-    d = dual_algebra()
+    """DD = tensor(dual, dual), the algebra of second tangents."""
+    d = make_basic("dual")
     return tensor(d, d)
 
 
@@ -194,7 +186,7 @@ def make_S() -> SAlgebraBundle:
     sigma_matrix = np.array(
         [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]]
     )
-    sigma = make_hom(sub, dual_algebra(), sigma_matrix)
+    sigma = make_hom(sub, make_basic("dual"), sigma_matrix)
     return SAlgebraBundle(sub, amb, inc, sigma)
 
 
@@ -250,7 +242,7 @@ def bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     if x_field.dim != y_field.dim:
         raise ShapeMismatch("fields live on different spaces")
     n = x_field.dim
-    d = dual_algebra()
+    d = make_basic("dual")
     xs = [Var(i) for i in range(n)]
     xv = evaluate(x_field.components, xs)
     yv = evaluate(y_field.components, xs)
@@ -310,18 +302,6 @@ class ASecondPair:
         self.y = y
 
 
-def _exchange_homs(algebra: WeilAlgebra):
-    key = (algebra.dim, algebra.unit_index, algebra.structure.tobytes())
-    hit = _exchange_cache.get(key)
-    if hit is None:
-        dd = dd_algebra()
-        tad = tensor(algebra, dd)
-        exch = exchange(algebra, dd, source=tad)
-        hit = (tad, exch)
-        _exchange_cache[key] = hit
-    return hit
-
-
 def k_map(pair: ASecondPair) -> SPair:
     """Reinterpret an algebra-coefficient pair as a pair on the lifted space.
 
@@ -334,14 +314,14 @@ def k_map(pair: ASecondPair) -> SPair:
     one failing trial does not hide the others.
     """
     algebra, dd = pair.algebra, dd_algebra()
-    tad, exch = _exchange_homs(algebra)
+    exch = exchange(algebra, dd)
     trials = pair.x.shape[3:]
     sides = []
     for arr in (pair.x, pair.y):
         # slots into DD basis order: one A-point coordinate per (i, DD index)
         flat = arr[:, _SLOT_TO_DD].reshape(4 * pair.n * algebra.dim, *trials)
         p = point_from_flat(algebra, 4 * pair.n, flat)
-        q = transform(exch, flatten(p, algebra, dd, target=tad))
+        q = transform(exch, flatten(p, algebra, dd))
         sides.append(SecondTangent.from_point(unflatten(q, dd, algebra)))
     return SPair(sides[0], sides[1], tol=np.inf if trials else 0.0)
 
@@ -367,9 +347,8 @@ def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, *
     """
     bundle = s_bundle()
     da = algebra.dim
-    tas = tensor(algebra, bundle.algebra)
-    sig_a = hom_tensor(bundle.sigma, algebra, source=tas)
-    exch = exchange(algebra, dual_algebra(), source=sig_a.target)
+    sig_a = hom_tensor(bundle.sigma, algebra)
+    exch = exchange(algebra, bundle.sigma.target)
 
     arr = np.moveaxis(rng.uniform(-1.0, 1.0, size=(samples, n, 5, da)), 0, -1)
     x, y = arr[:, [0, 1, 2, 3]], arr[:, [0, 2, 1, 4]]
@@ -383,7 +362,7 @@ def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, *
     base1, vec1 = strong_diff(lifted)
 
     p = point_from_flat(algebra, 5 * n, arr.reshape(5 * n * da, samples))
-    q = transform(exch, transform(sig_a, flatten(p, algebra, bundle.algebra, target=tas)))
+    q = transform(exch, transform(sig_a, flatten(p, algebra, bundle.algebra)))
     qa = q.coefficient_array()
     base2 = qa[:, 0:da].reshape(n * da, samples)
     vec2 = qa[:, da : 2 * da].reshape(n * da, samples)
@@ -432,7 +411,7 @@ def check_tangent_projection_identities(a: WeilAlgebra) -> dict:
     d = a.dim
     i2 = np.eye(2)
     k = swap_matrix(d, 2)
-    r = rho(dual_algebra()).matrix
+    r = rho(make_basic("dual")).matrix
     pairs = [
         (
             "project-outer-after-double-flip",
@@ -465,7 +444,7 @@ def check_sigma() -> dict:
     want = np.array(
         [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]]
     )
-    d = dual_algebra()
+    d = make_basic("dual")
 
     def deviations():
         yield {"check": "basis images"}, float(np.abs(s.sigma.matrix - want).max())

@@ -34,6 +34,7 @@ from weilcalc.errors import (
     ShapeMismatch,
     SpanNotClosed,
 )
+from weilcalc.strongdiff import make_S
 
 DUAL = make_basic("dual")
 T12 = make_basic("truncated", 1, 2)
@@ -147,9 +148,13 @@ def test_generator_elements_require_registration():
 
 
 def test_same_structure_ignores_names():
-    other = make_basic("dual")
+    other = WeilAlgebra("eps", DUAL.basis_labels, DUAL.structure, generators=DUAL.generators)
     assert DUAL.same_structure(other)
     assert not DUAL.same_structure(T12)
+    # equality is of values, names and generators included
+    assert other != DUAL
+    assert WeilAlgebra("dual", DUAL.basis_labels, DUAL.structure) != DUAL
+    assert WeilAlgebra("dual", DUAL.basis_labels, DUAL.structure, generators=DUAL.generators) == DUAL
 
 
 # -- element arithmetic -----------------------------------------------------
@@ -323,12 +328,44 @@ def test_subalgebra_rejects_open_span():
 # -- serialization -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("a", STANDARD, ids=lambda a: a.name)
+@pytest.mark.parametrize("a", STANDARD + [make_S().algebra], ids=lambda a: a.name)
 def test_json_round_trip(a):
     b = algebra_from_json(algebra_to_json(a))
     assert b.same_structure(a)
     assert b.basis_labels == a.basis_labels
     assert (b.width, b.height, b.unit_index) == (a.width, a.height, a.unit_index)
+    # an equal value, so the memoized constructors hand back what a built
+    assert b == a and hash(b) == hash(a)
+    assert tensor(b, DUAL) is tensor(a, DUAL) and tensor(DUAL, b) is tensor(DUAL, a)
+
+
+def test_an_algebra_keeps_its_own_read_only_structure():
+    table = np.array(DUAL.structure)
+    a = WeilAlgebra("dual", ("1", "e"), table, generators=((0.0, 1.0),))
+    table[1, 1, 1] = 5.0
+    assert a == DUAL and a.height == 1
+    with pytest.raises(ValueError):
+        a.structure[1, 1, 1] = 5.0
+    with pytest.raises(ValueError):
+        exchange(DUAL, T12).matrix[0, 0] = 2.0
+    assert exchange(DUAL, T12) is exchange(make_basic("dual"), T12)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_constructor_rejects_non_finite_constants(bad):
+    c = np.array(DUAL.structure)
+    c[1, 1, 1] = bad
+    with pytest.raises(ShapeMismatch, match="finite"):
+        WeilAlgebra("d", ("1", "e"), c)
+    with pytest.raises(ShapeMismatch, match="finite"):
+        WeilAlgebra("d", ("1", "e"), DUAL.structure, generators=((0.0, bad),))
+
+
+def test_json_rejects_a_constant_past_the_float_range():
+    doc = algebra_to_json(DUAL)
+    doc["structure"][-1][3] = 10**400
+    with pytest.raises(ShapeMismatch, match="float range"):
+        algebra_from_json(doc)
 
 
 def test_json_rejects_unknown_keys():
@@ -356,6 +393,13 @@ def test_json_rejects_stale_height():
     doc = algebra_to_json(T12)
     doc["height"] = 7
     with pytest.raises(ShapeMismatch):
+        algebra_from_json(doc)
+
+
+def test_json_rejects_stale_width():
+    doc = algebra_to_json(T12)
+    doc["width"] = 7
+    with pytest.raises(ShapeMismatch, match="width"):
         algebra_from_json(doc)
 
 

@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 from weilcalc import cli, functional, functor, jets, prolong, strongdiff
-from weilcalc.algebra import algebra_to_json, make_basic, save_algebra, tensor
+from weilcalc.algebra import WeilAlgebra, algebra_to_json, exchange, make_basic, save_algebra, tensor
 from weilcalc.errors import DomainError, WeilError
 from weilcalc.exprs import Const, IntPow, Mul, Var, intpow, prim, simplify
 from weilcalc.functional import FunctionalVectorField, functional_field_to_json
@@ -109,12 +109,19 @@ def test_verify_prints_the_error_of_a_unit_that_raised(capsys, monkeypatch):
     assert "first failure: DomainError: log of non-positive real part -1.0" in capsys.readouterr().out
 
 
-def test_repeated_verify_runs_reuse_exchange_homs(capsys):
-    # every run builds fresh algebras: a cache keyed by object id would hand
-    # later runs homs of freed algebras whose ids were reused, and would grow
-    for _ in range(20):
-        assert cli.main(["verify", "--suite", "exchange-square", "--samples", "5"]) == 0
-    assert len(strongdiff._exchange_cache) <= 5
+def test_repeated_verify_runs_reuse_exchange_homs(capsys, tmp_path):
+    # each run loads its --algebra file afresh; the loaded algebra equals the
+    # one of the run before, so the memoized constructors hand back what they
+    # built then, and neither cache grows from run to run
+    path = tmp_path / "a.json"
+    save_algebra(tensor(make_basic("truncated", 1, 2), make_basic("dual")), path)
+    argv = ["verify", "--suite", "exchange-square", "--samples", "5"]
+    for args in (argv, argv + ["--algebra", str(path)]):
+        sizes = []
+        for _ in range(20):
+            assert cli.main(args) == 0
+            sizes.append((tensor.cache_info().currsize, exchange.cache_info().currsize))
+        assert sizes == sizes[:1] * 20, args
 
 
 def test_verify_unwritable_report_path(capsys):
@@ -329,7 +336,7 @@ def test_an_algebra_override_runs_the_pinned_units():
     cfg = cli.SuiteConfig(
         suites=list(cli.SUITES),
         samples=2,
-        algebras=[("truncated(1,2)", make_basic("truncated", 1, 2))],
+        algebras=[make_basic("truncated", 1, 2)],
     )
     doc = cli.run_suites(cfg)
     assert [(e["suite"], e["algebra"], e["samples"]) for e in doc["suites"]] == _OVERRIDE_UNITS
@@ -547,6 +554,45 @@ def test_algebra_check_flags_axiom_failures(tmp_path, capsys):
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == "" and captured.err.startswith("axiom failure:")
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 10**400], ids=["inf", "nan", "10^400"])
+def test_non_finite_structure_constants_are_malformed_input(tmp_path, capsys, bad):
+    doc = {"name": "d", "dim": 2, "basis": ["1", "e"], "unit_index": 0,
+           "structure": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 1, bad]]}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    for command in (["algebra", "check"], ["verify", "--suite", "exchange-square", "--algebra"]):
+        rc = cli.main(command + [str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2, command
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+def test_algebra_check_rejects_a_stale_width(tmp_path, capsys):
+    doc = algebra_to_json(make_basic("truncated", 2, 2))
+    doc["width"] = 7
+    path = tmp_path / "t22.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["algebra", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "stored width 7" in captured.err
+
+
+def test_a_warm_verify_pass_builds_only_the_pair_algebra_check_sigma_rebuilds(monkeypatch, capsys):
+    argv = ["verify", "--suite", "sigma,exchange-square,projection-squares,functor-laws,frame-prolong",
+            "--samples", "2", "--seed", "7"]
+    assert cli.main(argv) == 0
+    built = []
+    original = WeilAlgebra.__init__
+
+    def counted(self, name, *args, **kwargs):
+        built.append(name)
+        original(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(WeilAlgebra, "__init__", counted)
+    assert cli.main(argv) == 0
+    assert built == ["S"]
 
 
 def test_algebra_build_report_is_save_algebra_output(tmp_path, capsys):
