@@ -37,6 +37,15 @@ from .scalars import apply_primitive
 
 DEFAULT_HOM_TOL = 1e-9
 STRUCT_TOL = 1e-12
+# Largest algebra dimension accepted.  Validation holds d^4 floats at once:
+# dim 64 takes about 0.5 GB, and every standard algebra is far below it.
+MAX_DIM = 64
+
+
+def _check_dim(dim: int, what: str) -> None:
+    """Refuse an algebra past MAX_DIM before anything dense is allocated."""
+    if dim > MAX_DIM:
+        raise ShapeMismatch("%s would have dim %d; the limit is %d" % (what, dim, MAX_DIM))
 
 
 class WeilAlgebra:
@@ -56,6 +65,7 @@ class WeilAlgebra:
         self.name = name
         self.basis_labels = tuple(str(s) for s in basis_labels)
         self.dim = len(self.basis_labels)
+        _check_dim(self.dim, name)
         self.unit_index = int(unit_index)
         self.structure = np.array(structure, dtype=float)
         if self.structure.shape != (self.dim, self.dim, self.dim):
@@ -169,9 +179,6 @@ class WeilAlgebra:
 
     def element(self, coeffs) -> "AlgebraElement":
         return AlgebraElement(self, coeffs)
-
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, [0.0] * self.dim)
 
     def unit(self, scale=1.0) -> "AlgebraElement":
         coeffs = [0.0] * self.dim
@@ -341,11 +348,6 @@ class AlgebraElement:
         return "<" + (" + ".join(parts) if parts else "0") + ">"
 
 
-def evaluate_analytic(prim: str, a: AlgebraElement) -> AlgebraElement:
-    """Apply an analytic primitive (sin cos exp log sqrt, or recip) to an element."""
-    return a.analytic(prim, 0)
-
-
 # -- homomorphisms -----------------------------------------------------
 
 
@@ -383,14 +385,6 @@ class AlgebraHom:
         if not a.algebra.same_structure(self.source):
             raise AlgebraMismatch("element is not in the source algebra")
         return AlgebraElement(self.target, apply_matrix(self.matrix, a.coeffs))
-
-    def compose(self, other: "AlgebraHom") -> "AlgebraHom":
-        """self after other."""
-        if not other.target.same_structure(self.source):
-            raise AlgebraMismatch("homs do not compose")
-        return AlgebraHom(
-            other.source, self.target, self.matrix @ other.matrix, validate=False
-        )
 
     def __repr__(self):
         return "AlgebraHom(%s -> %s)" % (self.source.name, self.target.name)
@@ -459,6 +453,9 @@ def make_basic(kind: str, k: int | None = None, r: int | None = None) -> WeilAlg
     if kind == "truncated":
         if k is None or r is None or k < 1 or r < 0:
             raise ShapeMismatch("truncated needs k >= 1 and r >= 0")
+        if k >= MAX_DIM or r >= MAX_DIM:
+            raise ShapeMismatch("truncated needs k and r below %d" % MAX_DIM)
+        _check_dim(math.comb(k + r, r), "truncated(%d,%d)" % (k, r))
         monos = monomials(k, r)
         index = {a: i for i, a in enumerate(monos)}
         d = len(monos)
@@ -485,6 +482,7 @@ def tensor(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
     if a.unit_index != 0 or b.unit_index != 0:
         raise ShapeMismatch("tensor expects unit_index 0 presentations")
     da, db = a.dim, b.dim
+    _check_dim(da * db, "tensor(%s,%s)" % (a.name, b.name))
     c = np.einsum("ikp,jlq->ijklpq", a.structure, b.structure).reshape(
         da * db, da * db, da * db
     )
@@ -525,6 +523,7 @@ def sum_algebra(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
         raise ShapeMismatch("sum expects unit_index 0 presentations")
     da, db = a.dim, b.dim
     d = da + db - 1
+    _check_dim(d, "sum(%s,%s)" % (a.name, b.name))
     c = np.zeros((d, d, d))
     c[0, :, :] = np.eye(d)
     c[:, 0, :] = np.eye(d)
@@ -707,6 +706,7 @@ def algebra_from_json(data) -> WeilAlgebra:
     basis = data["basis"]
     if not isinstance(dim, int) or not isinstance(basis, list) or len(basis) != dim:
         raise ShapeMismatch("dim and basis disagree")
+    _check_dim(dim, "algebra document")
     structure = np.zeros((dim, dim, dim))
     seen = set()
     for entry in data["structure"]:

@@ -74,6 +74,11 @@ class SuiteConfig:
             raise CliError(EXIT_USAGE, "--tol must be positive")
         if self.samples is not None and self.samples < 1:
             raise CliError(EXIT_USAGE, "--samples must be at least 1")
+        if not self.suites:
+            raise CliError(EXIT_USAGE, "--suite names no suite")
+        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if repeated:
+            raise CliError(EXIT_USAGE, "--suite names %s more than once" % ", ".join(repeated))
         for s in self.suites:
             if s not in SUITES:
                 raise CliError(

@@ -167,26 +167,6 @@ def unflatten(q: WeilPoint, outer: WeilAlgebra, inner: WeilAlgebra) -> WeilPoint
     return WeilPoint(outer, coords)
 
 
-def point_to_json(p: WeilPoint) -> dict:
-    return {
-        "algebra": p.algebra.name,
-        "coords": [[float(c) for c in el.coeffs] for el in p.coords],
-    }
-
-
-def point_from_json(data, algebra: WeilAlgebra) -> WeilPoint:
-    if not isinstance(data, dict) or set(data) - {"algebra", "coords"}:
-        raise ShapeMismatch("point document needs exactly 'algebra' and 'coords'")
-    if data.get("algebra") != algebra.name:
-        raise AlgebraMismatch(
-            "point was saved over %r, not %r" % (data.get("algebra"), algebra.name)
-        )
-    coords = data.get("coords")
-    if not isinstance(coords, list):
-        raise ShapeMismatch("'coords' must be a list of coefficient lists")
-    return WeilPoint(algebra, [AlgebraElement(algebra, row) for row in coords])
-
-
 def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 20, n: int = 2, *, rng, tol: float = 1e-10) -> dict:
     """Lifting twice equals lifting once over the tensor algebra.
 

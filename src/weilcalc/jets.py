@@ -54,15 +54,11 @@ from .algebra import (
     AlgebraElement,
     AlgebraHom,
     WeilAlgebra,
-    algebra_from_json,
-    algebra_to_json,
     apply_matrix,
     identity_hom,
     make_basic,
-    make_hom,
 )
 from .errors import (
-    DomainError,
     InvariantViolation,
     NonProjectable,
     ShapeMismatch,
@@ -399,16 +395,6 @@ def random_rational_jet(rng, m: int, r: int) -> JetGroupElement:
             return jet
 
 
-def jet_to_json(g: JetGroupElement) -> dict:
-    return {"m": g.m, "r": g.r, "coeffs": [[float(c) for c in row] for row in g.coeffs]}
-
-
-def jet_from_json(data) -> JetGroupElement:
-    if not isinstance(data, dict) or set(data) != {"m", "r", "coeffs"}:
-        raise ShapeMismatch("jet document needs exactly m, r, coeffs")
-    return JetGroupElement(int(data["m"]), int(data["r"]), data["coeffs"])
-
-
 # -- actions on algebras ---------------------------------------------------
 
 
@@ -455,41 +441,6 @@ class TrivialAction:
 
     def __call__(self, g: JetGroupElement) -> AlgebraHom:
         return identity_hom(self.algebra)
-
-
-class TableAction:
-    """Action given by an explicit jet -> matrix table.
-
-    Only sampled validation is possible for such an action, and it cannot
-    be differentiated, so field prolongation through it is unavailable.
-    """
-
-    __slots__ = ("algebra", "m", "r", "_table")
-
-    def __init__(self, algebra: WeilAlgebra, m: int, r: int, entries):
-        self.algebra = algebra
-        self.m = m
-        self.r = r
-        self._table = {}
-        for jet, mat in entries:
-            mat = np.asarray(mat, dtype=float)
-            if mat.shape != (algebra.dim, algebra.dim):
-                raise ShapeMismatch("table matrix shape does not match the algebra")
-            self._table[self._key(jet)] = mat
-
-    def _key(self, g: JetGroupElement):
-        if g.m != self.m or g.r != self.r:
-            raise ShapeMismatch("jet shape does not match the action")
-        return tuple(round(float(c), 12) for row in g.coeffs for c in row)
-
-    def matrix_generic(self, g):
-        raise DomainError("a table action cannot be differentiated")
-
-    def __call__(self, g: JetGroupElement) -> AlgebraHom:
-        mat = self._table.get(self._key(g))
-        if mat is None:
-            raise DomainError("jet is not in the action table")
-        return AlgebraHom(self.algebra, self.algebra, mat, validate=False)
 
 
 @lru_cache(maxsize=None)
@@ -570,64 +521,6 @@ def jet_triple(m: int, r: int) -> FunctorTriple:
     return make_triple(h.algebra, h, identity_hom(h.algebra), m, r)
 
 
-def triple_to_json(triple: FunctorTriple) -> dict:
-    h = triple.H
-    if isinstance(h, CanonicalAction):
-        h_doc = "canonical"
-    elif isinstance(h, TrivialAction):
-        h_doc = "trivial"
-    elif isinstance(h, TableAction):
-        h_doc = {
-            "table": [
-                {
-                    "jet": [list(map(float, row)) for row in _key_to_rows(key, triple.m, triple.r)],
-                    "matrix": mat.tolist(),
-                }
-                for key, mat in h._table.items()
-            ]
-        }
-    else:
-        raise ShapeMismatch("unknown action kind %r" % type(h).__name__)
-    return {
-        "algebra": algebra_to_json(triple.algebra),
-        "H": h_doc,
-        "t": np.asarray(triple.t.matrix, dtype=float).tolist(),
-        "m": triple.m,
-        "r": triple.r,
-    }
-
-
-def _key_to_rows(key, m, r):
-    n_mon = len(monomials(m, r, 1))
-    return [key[i * n_mon : (i + 1) * n_mon] for i in range(m)]
-
-
-def triple_from_json(data) -> FunctorTriple:
-    if not isinstance(data, dict) or set(data) != {"algebra", "H", "t", "m", "r"}:
-        raise ShapeMismatch("triple document needs algebra, H, t, m, r")
-    m, r = int(data["m"]), int(data["r"])
-    algebra = algebra_from_json(data["algebra"])
-    h_doc = data["H"]
-    if h_doc == "canonical":
-        h = canonical_H(m, r)
-        if not algebra.same_structure(h.algebra):
-            raise ShapeMismatch(
-                "canonical action requires the truncated(%d,%d) structure" % (m, r)
-            )
-        algebra = h.algebra
-    elif h_doc == "trivial":
-        h = TrivialAction(algebra)
-    elif isinstance(h_doc, dict) and set(h_doc) == {"table"}:
-        entries = [
-            (JetGroupElement(m, r, e["jet"]), e["matrix"]) for e in h_doc["table"]
-        ]
-        h = TableAction(algebra, m, r, entries)
-    else:
-        raise ShapeMismatch("H must be 'canonical', 'trivial', or a table")
-    t = make_hom(make_basic("truncated", m, r), algebra, np.asarray(data["t"], dtype=float))
-    return make_triple(algebra, h, t, m, r)
-
-
 # -- frames ---------------------------------------------------------------
 
 
@@ -653,10 +546,6 @@ class Frame:
 
     def __repr__(self):
         return "Frame(m=%d, r=%d)" % (self.jet.m, self.jet.r)
-
-
-def canonical_frame(m: int, r: int, x) -> Frame:
-    return Frame(x, identity_jet(m, r))
 
 
 def frame_to_flat(frame: Frame) -> np.ndarray:

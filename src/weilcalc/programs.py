@@ -426,29 +426,6 @@ def constant_program(values, arity_in: int = 0) -> Program:
     return Program(arity_in, [Const(v) for v in values])
 
 
-def linear_program(matrix) -> Program:
-    """The linear map given by a matrix, as a program."""
-    m = np.asarray(matrix, dtype=float)
-    rows = []
-    for r in range(m.shape[0]):
-        acc = exprs.Const(0.0)
-        for c in range(m.shape[1]):
-            acc = exprs.add(acc, exprs.mul(exprs.Const(m[r, c]), Var(c)))
-        rows.append(acc)
-    return Program(m.shape[1], rows)
-
-
-def stack_programs(progs) -> Program:
-    """Concatenate outputs of programs that share one input space."""
-    arity = progs[0].arity_in
-    body = []
-    for p in progs:
-        if p.arity_in != arity:
-            raise ArityMismatch("stacked programs must share their input arity")
-        body.extend(p.exprs)
-    return Program(arity, body)
-
-
 def random_poly_program(rng, arity_in: int, arity_out: int, deg: int = 2, scale: float = 0.5) -> Program:
     """Dense polynomial program with coefficients uniform in [-scale, scale]."""
     body = []

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weilcalc.algebra import (
+    MAX_DIM,
     WeilAlgebra,
     algebra_from_json,
     algebra_to_json,
-    evaluate_analytic,
     exchange,
     hom_tensor,
     identity_hom,
@@ -186,9 +186,9 @@ def test_division_by_nilpotent_raises():
 
 def test_analytic_primitives_match_taylor_expansion():
     h = math.exp(0.3)
-    out = evaluate_analytic("exp", T12.element([0.3, 1.0, 0.0]))
+    out = T12.element([0.3, 1.0, 0.0]).analytic("exp")
     assert np.allclose(out.coeffs, [h, h, h / 2], atol=1e-14)
-    out = evaluate_analytic("sin", T12.element([0.3, 1.0, 0.0]))
+    out = T12.element([0.3, 1.0, 0.0]).analytic("sin")
     want = [math.sin(0.3), math.cos(0.3), -math.sin(0.3) / 2]
     assert np.allclose(out.coeffs, want, atol=1e-14)
 
@@ -264,8 +264,9 @@ def test_nilpotent_part_dies_by_the_height(els):
 
 def test_rho_then_unit_embedding_is_idempotent():
     x = T12.element([1.4, 2.0, -0.3])
-    proj = unit_embedding(T12).compose(rho(T12))
-    assert proj.apply(x).coeffs == (1.4, 0.0, 0.0)
+    assert unit_embedding(T12).apply(rho(T12).apply(x)).coeffs == (1.4, 0.0, 0.0)
+    proj = unit_embedding(T12).matrix @ rho(T12).matrix
+    assert np.array_equal(proj @ proj, proj)
 
 
 def test_exchange_swaps_tensor_slots():
@@ -359,6 +360,15 @@ def test_constructor_rejects_non_finite_constants(bad):
         WeilAlgebra("d", ("1", "e"), c)
     with pytest.raises(ShapeMismatch, match="finite"):
         WeilAlgebra("d", ("1", "e"), DUAL.structure, generators=((0.0, bad),))
+
+
+def test_constructors_refuse_a_dim_past_max_dim():
+    with pytest.raises(ShapeMismatch, match="below 64"):
+        make_basic("truncated", 1, MAX_DIM)
+    with pytest.raises(ShapeMismatch, match="dim 66"):
+        make_basic("truncated", 2, 10)
+    with pytest.raises(ShapeMismatch, match="dim 65"):
+        WeilAlgebra("big", ["b%d" % i for i in range(MAX_DIM + 1)], np.zeros((1, 1, 1)))
 
 
 def test_json_rejects_a_constant_past_the_float_range():

@@ -9,7 +9,9 @@ import jsonschema
 import pytest
 
 from weilcalc import cli, functional, functor, jets, prolong, strongdiff
-from weilcalc.algebra import WeilAlgebra, algebra_to_json, exchange, make_basic, save_algebra, tensor
+from weilcalc.algebra import (
+    MAX_DIM, WeilAlgebra, algebra_to_json, exchange, make_basic, save_algebra, tensor,
+)
 from weilcalc.errors import DomainError, WeilError
 from weilcalc.exprs import Const, IntPow, Mul, Var, intpow, prim, simplify
 from weilcalc.functional import FunctionalVectorField, functional_field_to_json
@@ -60,6 +62,17 @@ def test_verify_unknown_suite(capsys):
     rc = cli.main(["verify", "--suite", "nope"])
     assert rc == 2
     assert "unknown suite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suites, message",
+    [("", "names no suite"), (",", "names no suite"), ("sigma,sigma", "names sigma more than once")],
+    ids=["empty", "comma", "repeated"],
+)
+def test_verify_rejects_an_empty_or_repeated_suite_list(capsys, suites, message):
+    assert cli.main(["verify", "--suite", suites]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_verify_rejects_bad_numbers(capsys):
@@ -286,7 +299,7 @@ def test_verify_reports_suites_in_the_order_given(capsys):
 
 
 def test_the_unit_table_lists_the_suites_in_report_order():
-    table = cli._unit_table(cli.SuiteConfig(suites=[]))
+    table = cli._unit_table(cli.SuiteConfig(suites=list(cli.SUITES)))
     assert tuple(dict.fromkeys(unit.suite for unit in table)) == cli.SUITES
 
 
@@ -613,10 +626,31 @@ def test_algebra_build_report_is_save_algebra_output(tmp_path, capsys):
     [
         ("truncated(0,2)", "truncated needs k >= 1"),
         ("sum(dual," * 2000 + "dual" + ")" * 2000, "nested too deeply"),
+        ("truncated(6,6)", "dim 924"),
+        ("truncated(5,4)", "dim 126"),
+        ("tensor(truncated(3,3),truncated(2,2))", "dim 120"),
+        ("sum(truncated(1,32),truncated(1,32))", "dim 65"),
+        ("truncated(100000000,1)", "k and r below 64"),
+        ("big.json", "dim 1000"),
     ],
-    ids=["truncated-0", "nested-2000"],
+    ids=["truncated-0", "nested-2000", "truncated-6-6", "truncated-5-4", "tensor-120", "sum-65",
+         "huge-k", "document-1000"],
 )
-def test_hostile_algebra_specs_are_malformed_input(capsys, command, spec, message):
+def test_hostile_algebra_specs_are_malformed_input(monkeypatch, capsys, tmp_path, command, spec, message):
+    original = WeilAlgebra.__init__
+
+    def guarded(self, name, basis_labels, *args, **kwargs):
+        # a size guard that lets an algebra through fails here, before validation allocates
+        assert len(basis_labels) <= MAX_DIM, "built %s with dim %d" % (name, len(basis_labels))
+        original(self, name, basis_labels, *args, **kwargs)
+
+    monkeypatch.setattr(WeilAlgebra, "__init__", guarded)
+    if spec == "big.json":
+        # a few KB of JSON that asks for a dim^3 structure tensor of 8 GB
+        doc = {"name": "big", "dim": 1000, "basis": ["b%d" % i for i in range(1000)],
+               "unit_index": 0, "structure": []}
+        spec = str(tmp_path / spec)
+        (tmp_path / "big.json").write_text(json.dumps(doc))
     assert cli.main(command + [spec]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err

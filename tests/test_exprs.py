@@ -42,14 +42,12 @@ from weilcalc.programs import (
     field_to_json,
     identity_program,
     jacobian_oracle,
-    linear_program,
     program_dumps,
     program_from_json,
     program_to_json,
     random_poly_program,
     run_columns,
     stack_columns,
-    stack_programs,
 )
 from weilcalc.prolong import ProlongedField
 from weilcalc.strongdiff import bracket_value, jacobian_bracket_deviation
@@ -595,11 +593,6 @@ def test_compose_runs_right_then_left():
 def test_builders():
     assert evaluate(identity_program(2), [3.0, 4.0]) == [3.0, 4.0]
     assert evaluate(constant_program([7.0], arity_in=1), [0.0]) == [7.0]
-    lin = linear_program([[0.0, 1.0], [-1.0, 0.0]])
-    assert evaluate(lin, [1.0, 2.0]) == [2.0, -1.0]
-    both = stack_programs([identity_program(1), constant_program([5.0], arity_in=1)])
-    assert both.arity_out == 2
-    assert evaluate(both, [9.0]) == [9.0, 5.0]
 
 
 def test_jacobian_oracle_matches_analytic_jacobian():

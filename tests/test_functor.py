@@ -16,9 +16,7 @@ from weilcalc.functor import (
     lift_elements,
     lift_program,
     point_from_flat,
-    point_from_json,
     point_from_reals,
-    point_to_json,
     transform,
     unflatten,
 )
@@ -180,18 +178,3 @@ def test_iterated_lift_is_a_single_tensor_lift():
         out = check_iterated_lift(outer, inner, programs=6, rng=rng, tol=1e-10)
         assert out["failures"] == []
         assert out["max_error"] <= 1e-10
-
-
-def test_point_json_round_trip():
-    p = point_from_flat(T12, 2, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    q = point_from_json(point_to_json(p), T12)
-    assert np.array_equal(q.flat(), p.flat())
-
-
-def test_point_json_checks_algebra_name():
-    doc = point_to_json(point_from_reals(T12, [1.0]))
-    with pytest.raises(AlgebraMismatch):
-        point_from_json(doc, DUAL)
-    doc["extra"] = 1
-    with pytest.raises(ShapeMismatch):
-        point_from_json(doc, T12)

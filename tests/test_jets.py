@@ -10,7 +10,6 @@ from weilcalc import jets
 from weilcalc._monomials import degree, monomials
 from weilcalc.algebra import AlgebraElement, make_basic, make_hom
 from weilcalc.errors import (
-    DomainError,
     InvariantViolation,
     NonProjectable,
     ShapeMismatch,
@@ -22,10 +21,8 @@ from weilcalc.jets import (
     JetGroupElement,
     P,
     Residues,
-    TableAction,
     TrivialAction,
     canonical_H,
-    canonical_frame,
     check_bracket_preserved,
     check_classical_prolongation,
     check_frame_prolong,
@@ -38,17 +35,13 @@ from weilcalc.jets import (
     g_field_prolong,
     identity_jet,
     jet_compose,
-    jet_from_json,
     jet_invert,
-    jet_to_json,
     jet_triple,
     make_triple,
     random_jet,
     random_rational_jet,
     residue_jet,
     residue_mismatch,
-    triple_from_json,
-    triple_to_json,
 )
 from weilcalc import programs
 from weilcalc.programs import (
@@ -364,20 +357,12 @@ def test_group_axioms_catch_each_mutant(monkeypatch, mutate, failing):
     assert failed == failing
 
 
-def test_jet_json_round_trip():
-    g = JetGroupElement(2, 2, np.arange(1.0, 11.0).reshape(2, 5) / 7 + np.eye(2, 5))
-    again = jet_from_json(jet_to_json(g))
-    assert np.allclose(again.as_array(), g.as_array(), atol=0.0)
-
-
 @pytest.mark.parametrize(
-    "doc",
-    [{"m": 1, "r": 0, "coeffs": [[]]}, {"m": 0, "r": 1, "coeffs": []}],
-    ids=["r=0", "m=0"],
+    "m, r, coeffs", [(1, 0, [[]]), (0, 1, [])], ids=["r=0", "m=0"]
 )
-def test_jets_without_a_variable_or_an_order_are_rejected(doc):
+def test_jets_without_a_variable_or_an_order_are_rejected(m, r, coeffs):
     with pytest.raises(ShapeMismatch):
-        jet_from_json(doc)
+        JetGroupElement(m, r, coeffs)
 
 
 # -- actions --------------------------------------------------------------------
@@ -407,16 +392,6 @@ def test_action_images_are_algebra_homs():
     make_hom(H.algebra, H.algebra, H(g).matrix)
 
 
-def test_table_action_only_knows_its_entries():
-    g = JetGroupElement(1, 1, [[2.0]])
-    act = TableAction(DUAL, 1, 1, [(g, np.eye(2))])
-    assert np.array_equal(act(g).matrix, np.eye(2))
-    with pytest.raises(DomainError):
-        act(JetGroupElement(1, 1, [[3.0]]))
-    with pytest.raises(DomainError):
-        act.matrix_generic(g)
-
-
 # -- functor triples --------------------------------------------------------------
 
 
@@ -434,20 +409,11 @@ def test_trivial_action_accepts_the_unit_projection():
     assert triple.algebra is DUAL
 
 
-def test_jet_triple_round_trips_through_json():
-    triple = jet_triple(1, 2)
-    doc = triple_to_json(triple)
-    assert doc["m"] == 1 and doc["r"] == 2
-    again = triple_from_json(doc)
-    assert again.algebra.same_structure(triple.algebra)
-    assert np.allclose(again.t.matrix, triple.t.matrix)
-
-
 # -- frames -----------------------------------------------------------------------
 
 
 def test_canonical_frame_is_a_shifted_identity_chart():
-    fr = canonical_frame(1, 2, [0.5])
+    fr = Frame([0.5], identity_jet(1, 2))
     assert np.allclose(frame_evaluate(fr, [0.25]), [0.75])
 
 

@@ -6,12 +6,8 @@ import pytest
 from weilcalc import prolong
 from weilcalc.algebra import make_basic, sum_algebra, tensor
 from weilcalc.functor import lift_program
-from weilcalc.programs import (
-    VectorField,
-    evaluate,
-    linear_program,
-    random_poly_field,
-)
+from weilcalc.exprs import Var
+from weilcalc.programs import Program, VectorField, evaluate, random_poly_field
 from weilcalc.prolong import (
     check_base_projection,
     check_bracket_preserved,
@@ -31,7 +27,7 @@ STANDARD = [
 
 def test_linear_field_prolongs_blockwise():
     # a linear field acts on every coefficient slot by the same matrix
-    rot = VectorField(2, linear_program([[0.0, 1.0], [-1.0, 0.0]]))
+    rot = VectorField(2, Program(2, [Var(1), -Var(0)]))
     pf = field_prolong(DUAL, rot)
     out = evaluate(pf.rendering.components, [1.0, 2.0, 3.0, 4.0])
     assert out == [3.0, 4.0, -1.0, -2.0]
