@@ -147,7 +147,7 @@ class WeilAlgebra:
         ideal = eye[rest]
         h = 1
         while True:
-            prods = np.einsum("ai,bj,ijk->abk", cur, ideal, c).reshape(-1, d)
+            prods = _products(cur, ideal, c)
             if prods.size == 0 or np.abs(prods).max() <= STRUCT_TOL:
                 return h
             cur = _row_basis(prods)
@@ -163,7 +163,7 @@ class WeilAlgebra:
         if not rest:
             return 0
         n = np.eye(self.dim)[rest]
-        prods = np.einsum("ai,bj,ijk->abk", n, n, self.structure).reshape(-1, self.dim)
+        prods = _products(n, n, self.structure)
         nsq = _row_basis(prods)
         return len(rest) - nsq.shape[0]
 
@@ -207,6 +207,17 @@ class WeilAlgebra:
 
     def __repr__(self):
         return "WeilAlgebra(%s, dim=%d, height=%d)" % (self.name, self.dim, self.height)
+
+
+def _products(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Coefficients of every product (row i of a) * (row j of b) under the
+    structure tensor c, one product per row, i major.
+
+    Contracted pairwise by two BLAS products: a three-operand einsum with
+    no path search runs one C loop over every index at once.
+    """
+    ac = np.tensordot(a, c, axes=(1, 0))
+    return np.tensordot(ac, b, axes=(1, 1)).transpose(0, 2, 1).reshape(-1, c.shape[2])
 
 
 def _row_basis(rows: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from functools import partial
 
 from . import functional, functor, jets, prolong, strongdiff
 from ._monomials import monomials
-from .algebra import WeilAlgebra, algebra_from_json, make_basic, save_algebra, sum_algebra, tensor
+from .algebra import MAX_DIM, WeilAlgebra, algebra_from_json, make_basic, save_algebra, sum_algebra, tensor
 from .errors import InvariantViolation, NotMultiplicative, NotUnital, WeilError
 from .exprs import Const, Var, format_expr, intpow, mul, simplify
 from .programs import (
@@ -85,6 +85,14 @@ class SuiteConfig:
                     EXIT_USAGE,
                     "unknown suite %r; choose from: all, %s" % (s, ", ".join(SUITES)),
                 )
+        for a in self.algebras or ():
+            too_big = [
+                "%s needs %s of dim %d (limit %d)" % (s, *need)
+                for s, need in _override_sizes(a.dim).items()
+                if s in self.suites and need[1] > need[2]
+            ]
+            if too_big:
+                raise CliError(EXIT_USAGE, "--algebra %s is too large: %s" % (a.name, "; ".join(too_big)))
         manifold = self.pair(VectorField)
         fibred = self.pair(functional.FunctionalVectorField)
         for name, fields in (("manifold", manifold), ("functional", fibred)):
@@ -430,6 +438,17 @@ SUITES = (
     "prolong-functional-jet",
     "locality",
 )
+
+
+def _override_sizes(d: int) -> dict:
+    """suite -> (what it builds from an --algebra override of dim d, that
+    dim, the largest dim allowed), for each suite that builds more than A."""
+    return {
+        "exchange-square": ("tensor(A,S)", d * strongdiff.s_bundle().algebra.dim, MAX_DIM),
+        "functor-laws": ("tensor(A,A)", d * d, MAX_DIM),
+        # dense d^3 x d^3 matrices: at most MAX_DIM^4 floats, as many as validating dim MAX_DIM holds
+        "projection-squares": ("A (x) A (x) A", d ** 3, MAX_DIM ** 2),
+    }
 
 
 def _unit_table(cfg: SuiteConfig) -> list:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import ArityMismatch
+from .errors import ArityMismatch, DivisionByNilpotent
 
 PRIMITIVES = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -245,8 +245,6 @@ def intpow(x: Expr, k: int) -> Expr:
         return x
     if _is_const(x):
         if x.c == 0.0 and k < 0:
-            from .errors import DivisionByNilpotent
-
             raise DivisionByNilpotent("0 raised to negative power")
         try:
             return Const(x.c ** k)
@@ -408,18 +406,22 @@ def format_expr(root: Expr, names=None) -> str:
 
 
 def simplify(root: Expr) -> Expr:
-    """Collect into a polynomial normal form where possible.
+    """Collect into a Laurent-polynomial normal form where possible.
 
-    Terms over a commuting atom set (variables, primitive calls, quotients
-    with non-constant denominators, negative powers) are expanded and
-    merged bottom-up; arguments of opaque atoms are simplified recursively.
+    A term is a coefficient times atoms (variables, primitive calls, sums
+    under a negative power) with signed integer exponents, merged
+    bottom-up; arguments of atoms are simplified recursively.  A monomial
+    to any power multiplies its exponents, a sum to a power k >= 0 expands
+    by repeated products, a sum to a negative power becomes one atom keyed
+    by its simplified form, and a / b is a * b^-1.  A zero base under a
+    negative power raises DivisionByNilpotent, as evaluation does.
     Subtrees whose expansion would exceed _MAX_TERMS monomials, or would
     carry a coefficient past the float range, are rebuilt structurally
     instead of expanded, so the result is always equivalent.
 
     The one children-first sweep makes a structural rebuild only where it
     is read: one level over the children's best forms for a node whose
-    expansion failed, and the argument of each atom.  A child that
+    expansion failed, and the argument or base of each atom.  A child that
     expanded is turned back into a tree from its terms only there and at
     the root, so a fully expandable tree is rebuilt once, at the root.
     """
@@ -438,9 +440,6 @@ def simplify(root: Expr) -> Expr:
         # an overflowed coefficient makes the expansion unusable, like a long one
         return t if all(map(math.isfinite, t.values())) else None
 
-    def t_scale(t, s):
-        return finite({m: c * s for m, c in t.items()})
-
     def t_add(a, b, sign=1.0):
         out = dict(a)
         for m, c in b.items():
@@ -458,9 +457,30 @@ def simplify(root: Expr) -> Expr:
         out = {m: c for m, c in out.items() if c != 0.0}
         return finite(out) if len(out) <= _MAX_TERMS else None
 
-    def atom_terms(key, expr):
+    def atom_terms(expr, p=1):
+        key = skey(expr)
         atoms[key] = expr
-        return {((key, 1),): 1.0}
+        return {((key, p),): 1.0}
+
+    def power(x, k):
+        """Terms of x^k, or None where x^k stays structural."""
+        t, n = terms[id(x)], k
+        if t is not None and k < 0 and len(t) == 1:
+            (m, c), = t.items()
+            t, n = finite({tuple((a, -p) for a, p in m): 1.0 / c}), -k
+        if t is not None and n >= 0:
+            acc = {(): 1.0}
+            for _ in range(n):
+                acc = t_mul(acc, t)
+                if acc is None:
+                    break
+            return acc
+        if k >= 0:
+            return None
+        base = best_of(x)
+        if _is_const(base, 0.0):
+            raise DivisionByNilpotent("0 raised to negative power")
+        return atom_terms(base, k)
 
     def expr_of(t):
         def order(item):
@@ -521,15 +541,14 @@ def simplify(root: Expr) -> Expr:
     for node in postorder(root):
         i = id(node)
         if isinstance(node, Var):
-            terms[i] = atom_terms(("v", node.i), node)
+            terms[i] = atom_terms(node)
         elif isinstance(node, Const):
-            c = float(node.c)
-            terms[i] = finite({(): c}) if c != 0.0 else {}
+            terms[i] = finite({(): node.c}) if node.c != 0.0 else {}
             if terms[i] is None:
                 best[i] = node
         elif isinstance(node, Neg):
             t = terms[id(node.x)]
-            terms[i] = t_scale(t, -1.0) if t is not None else None
+            terms[i] = {m: -c for m, c in t.items()} if t is not None else None
             if terms[i] is None:
                 best[i] = neg(best_of(node.x))
         elif isinstance(node, (Add, Sub)):
@@ -539,37 +558,18 @@ def simplify(root: Expr) -> Expr:
             if terms[i] is None:
                 op = add if isinstance(node, Add) else sub
                 best[i] = op(best_of(node.a), best_of(node.b))
-        elif isinstance(node, Mul):
-            ta, tb = terms[id(node.a)], terms[id(node.b)]
+        elif isinstance(node, (Mul, Div)):
+            ta = terms[id(node.a)]
+            tb = terms[id(node.b)] if isinstance(node, Mul) else power(node.b, -1)
             terms[i] = t_mul(ta, tb) if ta is not None and tb is not None else None
             if terms[i] is None:
-                best[i] = mul(best_of(node.a), best_of(node.b))
+                op = mul if isinstance(node, Mul) else div
+                best[i] = op(best_of(node.a), best_of(node.b))
         elif isinstance(node, IntPow):
-            t = terms[id(node.x)]
-            if node.k >= 0 and t is not None:
-                acc = {(): 1.0}
-                for _ in range(node.k):
-                    acc = t_mul(acc, t)
-                    if acc is None:
-                        break
-                terms[i] = acc
-                if acc is None:
-                    best[i] = intpow(best_of(node.x), node.k)
-            else:
-                base = best_of(node.x)
-                terms[i] = atom_terms(("pow", skey(base), node.k), intpow(base, node.k))
-        elif isinstance(node, Div):
-            ta, tb = terms[id(node.a)], terms[id(node.b)]
-            if tb is not None and set(tb) <= {()}:
-                c = tb.get((), 0.0)
-                terms[i] = t_scale(ta, 1.0 / c) if c != 0.0 and ta is not None else None
-                if terms[i] is None:
-                    best[i] = div(best_of(node.a), best_of(node.b))
-            else:
-                num, den = best_of(node.a), best_of(node.b)
-                terms[i] = atom_terms(("div", skey(num), skey(den)), div(num, den))
+            terms[i] = power(node.x, node.k)
+            if terms[i] is None:
+                best[i] = intpow(best_of(node.x), node.k)
         else:
-            arg = best_of(node.x)
-            terms[i] = atom_terms(("prim", node.name, skey(arg)), prim(node.name, arg))
+            terms[i] = atom_terms(prim(node.name, best_of(node.x)))
 
     return best_of(root)

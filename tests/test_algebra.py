@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from weilcalc.algebra import (
     MAX_DIM,
     WeilAlgebra,
+    _products,
     algebra_from_json,
     algebra_to_json,
     exchange,
@@ -106,6 +107,15 @@ def test_width_defaults_to_minimal_generator_count():
     assert a.width == 1
     b = WeilAlgebra("dd", DD.basis_labels, DD.structure)
     assert b.width == 2
+
+
+@pytest.mark.parametrize("algebra", [T12, DD, make_S().algebra, make_basic("truncated", 2, 3)], ids=lambda a: a.name)
+def test_pairwise_products_match_the_three_operand_einsum(algebra):
+    rng = np.random.default_rng(5)
+    c = algebra.structure
+    a, b = rng.normal(size=(3, algebra.dim)), rng.normal(size=(4, algebra.dim))
+    want = np.einsum("ai,bj,ijk->abk", a, b, c).reshape(-1, algebra.dim)
+    assert np.allclose(_products(a, b, c), want, rtol=1e-13, atol=1e-13)
 
 
 def test_constructor_rejects_noncommutative_table():

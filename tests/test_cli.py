@@ -6,6 +6,7 @@ import math
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from weilcalc import cli, functional, functor, jets, prolong, strongdiff
@@ -13,7 +14,7 @@ from weilcalc.algebra import (
     MAX_DIM, WeilAlgebra, algebra_to_json, exchange, make_basic, save_algebra, tensor,
 )
 from weilcalc.errors import DomainError, WeilError
-from weilcalc.exprs import Const, IntPow, Mul, Var, intpow, prim, simplify
+from weilcalc.exprs import PRIMITIVES, Const, IntPow, Mul, Var, intpow, prim, simplify
 from weilcalc.functional import FunctionalVectorField, functional_field_to_json
 from weilcalc.programs import Program, VectorField, eval_exprs, field_to_json
 from weilcalc.reports import documents_equal, report_from_check, rng_for, tally
@@ -356,6 +357,32 @@ def test_an_algebra_override_runs_the_pinned_units():
     assert doc["status"] == "pass"
 
 
+def test_an_algebra_too_large_for_a_suite_is_refused_before_any_unit_runs(capsys, monkeypatch):
+    def ran(*args, **kwargs):
+        pytest.fail("a unit ran")
+
+    for name in ("check_exchange_square", "check_projection_squares", "check_tangent_projection_identities"):
+        monkeypatch.setattr(strongdiff, name, ran)
+    monkeypatch.setattr(cli, "_iterated_lift", ran)
+    suites = "exchange-square,functor-laws,projection-squares"
+    assert cli.main(["verify", "--suite", suites, "--algebra", "truncated(1,16)", "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "exchange-square needs tensor(A,S) of dim 85 (limit 64)" in err
+    assert "functor-laws needs tensor(A,A) of dim 289 (limit 64)" in err
+    assert "projection-squares needs A (x) A (x) A of dim 4913 (limit 4096)" in err
+    # dim 13: only the suites named need more than the limit
+    argv = ["verify", "--suite", "exchange-square,functor-laws", "--algebra", "truncated(1,12)", "--samples", "2"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "dim 65" in err and "dim 169" in err and "projection-squares" not in err
+
+
+def test_an_algebra_within_a_suite_limit_still_runs(capsys):
+    argv = ["verify", "--suite", "exchange-square", "--algebra", "truncated(1,8)", "--samples", "2"]
+    assert cli.main(argv) == 0
+    assert "pass exchange-square          truncated(1,8)" in capsys.readouterr().out
+
+
 # -- bracket --------------------------------------------------------------------
 
 
@@ -455,7 +482,8 @@ def _manifold_doc(*exprs):
 
 _x0, _x1 = Var(0), Var(1)
 # field pairs and the text `weilcalc bracket` printed for them when this
-# test was written; simplify's term order and atom forms are pinned here
+# test was written; simplify's term order and atom forms are pinned here,
+# and test_bracket_text_evaluates_to_the_bracket checks each one by value
 _BRACKET_TEXT = {
     "sq-one": (
         _manifold_doc(intpow(_x0, 2)),
@@ -472,25 +500,25 @@ _BRACKET_TEXT = {
     "exp-log": (
         _manifold_doc(prim("exp", _x0) * _x1, 3 * _x0 - _x1 ** 3),
         _manifold_doc(prim("log", _x1) + _x0 ** 2, _x0 * _x1),
-        "[X,Y]_0 = 3*x1^-1*x0 - exp(x0)*log(x1)*x1 + exp(x0)*x0*x1 - x1^-1*x1^3 - exp(x0)*x0^2*x1\n"
+        "[X,Y]_0 = 3*x0*x1^-1 - x1^2 - exp(x0)*log(x1)*x1 + exp(x0)*x0*x1 - exp(x0)*x0^2*x1\n"
         "[X,Y]_1 = -3*log(x1) + exp(x0)*x1^2 + 2*x0*x1^3\n",
     ),
     "div": (
         _manifold_doc(_x0 / _x1, _x1 ** 2 + 1),
         _manifold_doc(_x1, 1 / (_x0 + _x1 ** 2)),
-        "[X,Y]_0 = 1 - x1^-1*x1 + x1^2 + 1/(x0 + x1^2)*x1^-2*x0\n"
-        "[X,Y]_1 = -2*1/(x0 + x1^2)*x1 - x0/x1*(x0 + x1^2)^-2 - 2*(x0 + x1^2)^-2*x1"
+        "[X,Y]_0 = (x0 + x1^2)^-1*x0*x1^-2 + x1^2\n"
+        "[X,Y]_1 = -((x0 + x1^2)^-2*x0*x1^-1) - 2*(x0 + x1^2)^-2*x1 - 2*(x0 + x1^2)^-1*x1"
         " - 2*(x0 + x1^2)^-2*x1^3\n",
     ),
     "mixed": (
         _manifold_doc(prim("sqrt", _x0) * prim("sin", _x1) - _x0 ** -2, prim("exp", _x1 / _x0)),
         _manifold_doc(prim("cos", _x0 + _x1), _x0 * prim("log", _x0 ** 2 + 1)),
-        "[X,Y]_0 = x0^-2*sin(x0 + x1) - exp(x1/x0)*sin(x0 + x1) - 2*x0^-2*x0^-1*cos(x0 + x1)"
-        " - sin(x0 + x1)*sin(x1)*sqrt(x0) - 0.5*x0^-1*cos(x0 + x1)*sin(x1)*sqrt(x0)"
+        "[X,Y]_0 = -2*cos(x0 + x1)*x0^-3 + sin(x0 + x1)*x0^-2 - 0.5*cos(x0 + x1)*sin(x1)*sqrt(x0)*x0^-1"
+        " - exp(x0^-1*x1)*sin(x0 + x1) - sin(x0 + x1)*sin(x1)*sqrt(x0)"
         " - cos(x1)*log(1 + x0^2)*sqrt(x0)*x0\n"
-        "[X,Y]_1 = -(x0^-2*log(1 + x0^2)) + log(1 + x0^2)*sin(x1)*sqrt(x0)"
-        " - 2*(1 + x0^2)^-1*x0^-2*x0^2 - x0^-1*exp(x0^-1*x1)*log(1 + x0^2)*x0"
-        " + x0^-2*cos(x0 + x1)*exp(x0^-1*x1)*x1 + 2*(1 + x0^2)^-1*sin(x1)*sqrt(x0)*x0^2\n",
+        "[X,Y]_1 = -2*(1 + x0^2)^-1 - log(1 + x0^2)*x0^-2 + cos(x0 + x1)*exp(x0^-1*x1)*x0^-2*x1"
+        " - exp(x0^-1*x1)*log(1 + x0^2) + 2*(1 + x0^2)^-1*sin(x1)*sqrt(x0)*x0^2"
+        " + log(1 + x0^2)*sin(x1)*sqrt(x0)\n",
     ),
     "functional": (
         functional_field_to_json(FunctionalVectorField(
@@ -506,14 +534,40 @@ _BRACKET_TEXT = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_BRACKET_TEXT))
-def test_bracket_prints_the_expected_text(capsys, tmp_path, name):
-    x, y, text = _BRACKET_TEXT[name]
+def _pin_files(tmp_path, name):
+    x, y, _ = _BRACKET_TEXT[name]
     px, py = tmp_path / "x.json", tmp_path / "y.json"
     px.write_text(json.dumps(x))
     py.write_text(json.dumps(y))
-    assert cli.main(["bracket", "--field", str(px), "--field", str(py)]) == 0
-    assert capsys.readouterr().out == text
+    return str(px), str(py)
+
+
+@pytest.mark.parametrize("name", sorted(_BRACKET_TEXT))
+def test_bracket_prints_the_expected_text(capsys, tmp_path, name):
+    px, py = _pin_files(tmp_path, name)
+    assert cli.main(["bracket", "--field", px, "--field", py]) == 0
+    assert capsys.readouterr().out == _BRACKET_TEXT[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(_BRACKET_TEXT))
+def test_bracket_text_evaluates_to_the_bracket(tmp_path, name):
+    # each pinned text, read back as Python, equals the bracket at three
+    # points, so a regenerated pin cannot drift into wrong math
+    x, y = (cli.load_field(p) for p in _pin_files(tmp_path, name))
+    lines = _BRACKET_TEXT[name][2].splitlines()
+    if isinstance(x, VectorField):
+        names = ["x"] if x.dim == 1 else ["x%d" % i for i in range(x.dim)]
+        want = lambda at: strongdiff.bracket_value(x, y, at[: x.dim])
+    else:
+        br = functional.functional_bracket(x, y)
+        names = cli.functional_layout_names(br.m, br.q1, br.q2, br.r)
+        lines = lines[1:]
+        want = lambda at: eval_exprs(br.xi.exprs + br.D.exprs, at[: len(names)])
+    env = {"__builtins__": {}, **{f: getattr(math, f) for f in PRIMITIVES}}
+    for at in ([0.7, 1.3, -0.4, 0.9, 0.5], [1.9, 0.4, 0.6, -1.1, -0.8], [0.35, 2.2, 1.5, 0.2, 1.2]):
+        env.update(zip(names, at))
+        got = [eval(line.split(" = ", 1)[1].replace("^", "**"), env) for line in lines]
+        assert np.allclose(got, want(at), rtol=1e-12, atol=1e-12), (name, at)
 
 
 @pytest.mark.parametrize("at", ["nan", "inf", "-inf", "1e999"])

@@ -6,8 +6,8 @@ import pytest
 from weilcalc import strongdiff
 from weilcalc.algebra import exchange, hom_tensor, make_basic, sum_algebra
 from weilcalc.errors import DomainError, IncompatiblePair, ShapeMismatch
-from weilcalc.exprs import Const, Var, format_expr, intpow, simplify
-from weilcalc.functor import flatten, point_from_flat, transform
+from weilcalc.exprs import Const, Var, format_expr, intpow, prim, simplify
+from weilcalc.functor import flatten, lift_program, point_from_flat, transform
 from weilcalc.programs import Program, VectorField, evaluate, random_poly_field
 from weilcalc.reports import tally
 from weilcalc.strongdiff import (
@@ -138,6 +138,20 @@ def test_bracket_of_square_and_unit_fields():
     br = bracket(X_SQ, X_ONE)
     assert format_expr(simplify(br.components.exprs[0])) == "-2*x0"
     assert np.array_equal(bracket_value(X_SQ, X_ONE, [3.0]), [-6.0])
+
+
+@pytest.mark.parametrize("spec", [("dual",), ("truncated", 1, 2)])
+def test_prolongation_preserves_an_analytic_bracket_symbolically(spec):
+    # [T^A X, T^A Y] - T^A [X, Y] simplifies to 0 only if the powers of
+    # 2 + x0^2 that the log derivative leaves merge into one exponent
+    a = make_basic(*spec)
+    x0, x1 = Var(0), Var(1)
+    x = VectorField(2, Program(2, [prim("log", Const(2.0) + x0 * x0), x0 * x1]))
+    y = VectorField(2, Program(2, [x1, prim("sin", x0)]))
+    lx, ly = (VectorField(2 * a.dim, lift_program(a, f.components)) for f in (x, y))
+    lhs = bracket(lx, ly).components.exprs
+    rhs = lift_program(a, bracket(x, y).components).exprs
+    assert [format_expr(simplify(l - r)) for l, r in zip(lhs, rhs)] == ["0"] * 2 * a.dim
 
 
 @pytest.mark.parametrize("entry", [bracket_value, jacobian_bracket_deviation])
