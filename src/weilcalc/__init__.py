@@ -47,18 +47,14 @@ from .exprs import Const, Expr, Var, format_expr, prim, simplify
 from .functional import (
     FunctionalPoint,
     FunctionalVectorField,
-    FunctionalWeilPoint,
     OrderRMorphism,
-    fmorphism_apply,
     functional_bracket,
     functional_field_from_json,
     functional_field_prolong,
     functional_field_to_json,
-    functional_lift,
     fvf_value,
     g_functional,
     morphism_apply,
-    reparametrize,
 )
 from .functor import (
     WeilPoint,

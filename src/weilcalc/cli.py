@@ -29,11 +29,12 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 
 from . import functional, functor, jets, prolong, strongdiff
-from ._monomials import monomials
 from .algebra import MAX_DIM, WeilAlgebra, algebra_from_json, make_basic, save_algebra, sum_algebra, tensor
 from .errors import InvariantViolation, NotMultiplicative, NotUnital, WeilError
 from .exprs import Const, Var, format_expr, intpow, mul, simplify
+from .functional import FIELD_KEYS as _FUNCTIONAL_KEYS
 from .programs import (
+    FIELD_KEYS as _MANIFOLD_KEYS,
     Program,
     VectorField,
     evaluate,
@@ -103,6 +104,12 @@ class SuiteConfig:
             raise CliError(EXIT_USAGE, "--field pair lives on different dimensions")
         if fibred and len({(f.m, f.q1, f.q2) for f in fibred}) > 1:
             raise CliError(EXIT_USAGE, "--field functional pair has mismatched signatures")
+        if fibred and "prolong-functional-jet" in self.suites and fibred[0].m > _JET_MAX_M:
+            raise CliError(
+                EXIT_USAGE,
+                "--field functional pair is too large: prolong-functional-jet needs "
+                "jet(%d,1) (limit m <= %d)" % (fibred[0].m, _JET_MAX_M),
+            )
 
     def pair(self, kind):
         """The two --field fields of this kind, or None if none was given."""
@@ -259,10 +266,6 @@ def resolve_algebra(spec: str):
 # field files
 
 
-_MANIFOLD_KEYS = {"dim", "components"}
-_FUNCTIONAL_KEYS = {"m", "q1", "q2", "r", "xi", "D"}
-
-
 def load_field(path: str):
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -282,18 +285,6 @@ def load_field(path: str):
         "%s: unrecognized field keys %s; expected %s or %s"
         % (path, sorted(data), sorted(_MANIFOLD_KEYS), sorted(_FUNCTIONAL_KEYS)),
     )
-
-
-def functional_layout_names(m: int, q1: int, q2: int, r: int) -> list:
-    """Variable names matching the documented (x, y, z_alpha) layout."""
-    names = ["x%d" % i for i in range(m)] + ["y%d" % j for j in range(q1)]
-    for alpha in monomials(q1, r):
-        stem = "z" + "".join(str(k) for k in alpha)
-        if q2 == 1:
-            names.append(stem)
-        else:
-            names.extend("%s_%d" % (stem, s) for s in range(q2))
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +408,17 @@ def _prolong_functional(cfg, algebra, *, rng, samples, tol):
     return functional.check_bracket_preserved(algebra, x1, x2, samples=samples, rng=rng, tol=tol)
 
 
-def _prolong_functional_jet(cfg, *, rng, samples, tol):
-    x1, x2 = _functional_pair(cfg, "prolong-functional-jet", "jet(1,1)")
+# jet_triple(m, 1) inverts its frames by jets._matinv_generic, whose
+# cofactor expansion grows as m!
+_JET_MAX_M = 4
+
+
+def _prolong_functional_jet(cfg, m, *, rng, samples, tol):
+    """The functional pair over jet(m,1): m is 1 for the random pair, the
+    --field pair's base dimension otherwise."""
+    x1, x2 = _functional_pair(cfg, "prolong-functional-jet", "jet(%d,1)" % m)
     return functional.check_jet_bracket_preserved(
-        jets.jet_triple(1, 1), x1, x2, samples=samples, rng=rng, tol=tol
+        jets.jet_triple(m, 1), x1, x2, samples=samples, rng=rng, tol=tol
     )
 
 
@@ -469,6 +467,8 @@ def _unit_table(cfg: SuiteConfig) -> list:
     custom = [] if pair is None else [
         Unit("bracket", "custom pair", partial(_custom_bracket, *pair), 20, 1e-6, "custom")
     ]
+    fibred = cfg.pair(functional.FunctionalVectorField)
+    jet_m = 1 if fibred is None else fibred[0].m
     orders = ((1, 1), (1, 2), (2, 1))
     return [
         Unit("sigma", "S", partial(_unsampled, strongdiff.check_sigma)),
@@ -499,7 +499,8 @@ def _unit_table(cfg: SuiteConfig) -> list:
         Unit("prolong-functional", "poly-family d=3",
              partial(functional.check_polynomial_family, _POLY_X1, _POLY_X2, d=3), 10, 1e-7,
              "poly-family"),
-        Unit("prolong-functional-jet", "jet(1,1)", partial(_prolong_functional_jet, cfg), 30, 1e-6),
+        Unit("prolong-functional-jet", "jet(%d,1)" % jet_m, partial(_prolong_functional_jet, cfg, jet_m),
+             30, 1e-6),
         *(Unit("locality", "F(m=%d;%d,%d;r=%d)" % sig,
                partial(functional.check_order_locality, *sig), 20, 1e-10)
           for sig in ((1, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 1))),
@@ -621,7 +622,7 @@ def _print_bracket(x, y, at_text):
         if at_text is not None:
             raise CliError(EXIT_USAGE, "--at needs a fibre map; not supported for functional fields")
         br = functional.functional_bracket(x, y)
-        names = functional_layout_names(br.m, br.q1, br.q2, br.r)
+        names = functional.layout_names(br.m, br.q1, br.q2, br.r)
         print("functional bracket: m=%d q1=%d q2=%d order=%d" % (br.m, br.q1, br.q2, br.r))
         for i, e in enumerate(br.xi.exprs):
             print("xi_%d = %s" % (i, format_expr(simplify(e), names[: br.m])))

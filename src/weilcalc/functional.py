@@ -12,8 +12,8 @@ where z_alpha holds the plain partial derivative D^alpha h(y).  Jet
 coordinates are produced by lifting h over truncated(q1, r), so they are
 exact for polynomial fiber maps.
 
-Lifted points over an algebra A keep the base over A and turn the fiber
-map into a program Q1 -> A^{q2}; its output layout is target-major, the
+The prolongation over an algebra A keeps the base over A and turns fiber
+maps into programs Q1 -> A^{q2}; their output layout is target-major, the
 dim-A coefficients of target coordinate s occupying slots s*dimA..
 (s+1)*dimA-1, matching the flat layout of lifted points elsewhere.
 """
@@ -23,10 +23,10 @@ from __future__ import annotations
 import numpy as np
 
 from ._monomials import add_indices, factorial_multi, monomial_index, monomials
-from .algebra import AlgebraElement, AlgebraHom, WeilAlgebra, make_basic
+from .algebra import AlgebraElement, WeilAlgebra, make_basic
 from .errors import ArityMismatch, ShapeMismatch
 from .exprs import Const, Expr, Var
-from .functor import WeilPoint, lift_elements, point_from_flat, transform
+from .functor import lift_elements, point_from_flat
 from .jets import FunctorTriple, _combine, base_block, moving_frame_dual
 from .programs import (
     Program,
@@ -44,11 +44,6 @@ from .strongdiff import bracket
 FAMILY_FD_STEP = 1e-5
 
 
-def fiber_arity(m: int, q1: int, q2: int, r: int) -> int:
-    """Input arity of an order-r associated-map program."""
-    return m + q1 + q2 * len(monomials(q1, r))
-
-
 class _Layout:
     """Variable offsets of the (x, y, z_alpha) convention."""
 
@@ -64,6 +59,25 @@ class _Layout:
         return self.m + self.q1 + self.index[alpha] * self.q2 + s
 
 
+def fiber_arity(m: int, q1: int, q2: int, r: int) -> int:
+    """Input arity of an order-r associated-map program."""
+    return _Layout(m, q1, q2, r).arity
+
+
+def layout_names(m: int, q1: int, q2: int, r: int) -> list:
+    """Variable names of an order-r associated-map program, in layout
+    order: x0.., y0.., then z<alpha digits>, suffixed _s for target s
+    when q2 > 1."""
+    names = ["x%d" % i for i in range(m)] + ["y%d" % j for j in range(q1)]
+    for alpha in _Layout(m, q1, q2, r).monos:
+        stem = "z" + "".join(str(k) for k in alpha)
+        if q2 == 1:
+            names.append(stem)
+        else:
+            names.extend("%s_%d" % (stem, s) for s in range(q2))
+    return names
+
+
 def _as_expr(v) -> Expr:
     return v if isinstance(v, Expr) else Const(float(v))
 
@@ -74,15 +88,10 @@ def _fiber_env(algebra: WeilAlgebra, lay: _Layout) -> list:
     y stays real (its variable in the unit slot); each z_alpha coordinate
     is a full element over A, read from lay's dim-A coefficient slots.
     """
-    da = algebra.dim
-    env = []
-    for j in range(lay.q1):
-        coeffs = [0.0] * da
-        coeffs[algebra.unit_index] = Var(lay.m + j)
-        env.append(AlgebraElement(algebra, coeffs))
+    env = [algebra.unit(Var(lay.m + j)) for j in range(lay.q1)]
     for alpha in lay.monos:
         block = [Var(lay.z(alpha, t)) for t in range(lay.q2)]
-        env.extend(point_from_flat(algebra, lay.q2 // da, block).coords)
+        env.extend(point_from_flat(algebra, lay.q2 // algebra.dim, block).coords)
     return env
 
 
@@ -103,80 +112,6 @@ class FunctionalPoint:
 
     def __repr__(self):
         return "FunctionalPoint(m=%d, h: R^%d -> R^%d)" % (self.m, self.q1, self.q2)
-
-
-class FunctionalWeilPoint:
-    """Lifted functional point: base over A, fiber map into A^{q2}."""
-
-    __slots__ = ("algebra", "m", "q1", "q2", "a", "hhat")
-
-    def __init__(self, algebra: WeilAlgebra, a: WeilPoint, hhat: Program):
-        if not a.algebra.same_structure(algebra):
-            raise ShapeMismatch("base point is not over the stated algebra")
-        if hhat.arity_out % algebra.dim != 0:
-            raise ShapeMismatch(
-                "fiber map must produce dim-A coefficient blocks, got %d outputs"
-                % hhat.arity_out
-            )
-        self.algebra = algebra
-        self.a = a
-        self.hhat = hhat
-        self.m = a.dim
-        self.q1 = hhat.arity_in
-        self.q2 = hhat.arity_out // algebra.dim
-
-    def value(self, y) -> list:
-        """The fiber value at y as a list of q2 algebra elements."""
-        flat = evaluate(self.hhat, [float(v) for v in y])
-        return list(point_from_flat(self.algebra, self.q2, flat).coords)
-
-    def real_point(self) -> FunctionalPoint:
-        """Drop nilpotent parts: the underlying functional point."""
-        fiber = point_from_flat(self.algebra, self.q2, self.hhat.exprs)
-        body = [el.coeffs[self.algebra.unit_index] for el in fiber.coords]
-        return FunctionalPoint(self.a.real_parts(), Program(self.q1, body))
-
-    def __repr__(self):
-        return "FunctionalWeilPoint(m=%d, q1=%d, q2=%d over %s)" % (
-            self.m,
-            self.q1,
-            self.q2,
-            self.algebra.name,
-        )
-
-
-def functional_lift(algebra: WeilAlgebra, base_family: Program, fiber_family: Program) -> FunctionalWeilPoint:
-    """A-velocity of a family of functional points.
-
-    The family is a program pair in k = width(A) auxiliary parameters:
-    base_family maps the parameters to the base point, fiber_family maps
-    (parameters, y) to the fiber value.  Evaluating both at the designated
-    generator elements of A yields the lifted point.
-    """
-    gens = algebra.generator_elements()
-    k = len(gens)
-    if base_family.arity_in != k:
-        raise ArityMismatch(
-            "base family expects %d parameters for %s"
-            % (base_family.arity_in, algebra.name)
-        )
-    if fiber_family.arity_in < k:
-        raise ArityMismatch("fiber family is missing the parameter slots")
-    q1 = fiber_family.arity_in - k
-    a_pt = WeilPoint(algebra, lift_elements(algebra, base_family, gens))
-    env = list(gens) + [Var(j) for j in range(q1)]
-    outs = lift_elements(algebra, fiber_family, env)
-    body = [_as_expr(c) for el in outs for c in el.coeffs]
-    return FunctionalWeilPoint(algebra, a_pt, Program(q1, body))
-
-
-def reparametrize(mu: AlgebraHom, p: FunctionalWeilPoint) -> FunctionalWeilPoint:
-    """Push a lifted point through an algebra homomorphism, coordinatewise."""
-    if not mu.source.same_structure(p.algebra):
-        raise ShapeMismatch("hom source does not match the point's algebra")
-    fiber = transform(mu, point_from_flat(p.algebra, p.q2, p.hhat.exprs))
-    body = [_as_expr(c) for el in fiber.coords for c in el.coeffs]
-    return FunctionalWeilPoint(mu.target, transform(mu, p.a), Program(p.q1, body))
 
 
 # -- jets of fiber maps -----------------------------------------------------
@@ -256,31 +191,6 @@ def morphism_apply(morph: OrderRMorphism, p: FunctionalPoint, v) -> np.ndarray:
     return np.asarray(evaluate(morph.fiber, args), dtype=float)
 
 
-def fmorphism_apply(base: Program, f1: Program, f1_inv: Program, f2: Program, p: FunctionalPoint) -> FunctionalPoint:
-    """Functor action on points: conjugate the fiber map, move the base.
-
-    f1 and f2 are fiberwise maps (x, y) -> y' on the source and target
-    fibers; both are read at the source base point x.  f1_inv must be the
-    fiberwise inverse of f1 (supplied, trusted; local inverses are fine).
-    The new fiber map is f2(x) . h . f1(x)^{-1}, sitting over base(x).
-    """
-    m, q1, q2 = p.m, p.q1, p.q2
-    if base.arity_in != m or base.arity_out != m:
-        raise ArityMismatch("base map must be R^m -> R^m")
-    if f1.arity_in != m + q1 or f1.arity_out != q1:
-        raise ArityMismatch("f1 must map (x, Q1) to Q1")
-    if f1_inv.arity_in != m + q1 or f1_inv.arity_out != q1:
-        raise ArityMismatch("f1_inv must map (x, Q1) to Q1")
-    if f2.arity_in != m + q2 or f2.arity_out != q2:
-        raise ArityMismatch("f2 must map (x, Q2) to Q2")
-    x = [float(c) for c in p.x]
-    x2 = evaluate(base, x)
-    u = evaluate(f1_inv, x + [Var(j) for j in range(q1)])
-    hv = evaluate(p.h, u)
-    out = evaluate(f2, x + hv)
-    return FunctionalPoint(x2, Program(q1, [_as_expr(e) for e in out]))
-
-
 # -- functional vector fields ------------------------------------------------
 
 
@@ -329,7 +239,7 @@ def fvf_value(field: FunctionalVectorField, x, h: Program, y):
     return xdot, hdot
 
 
-_FIELD_KEYS = {"m", "q1", "q2", "r", "xi", "D"}
+FIELD_KEYS = frozenset({"m", "q1", "q2", "r", "xi", "D"})
 
 
 def functional_field_to_json(field: FunctionalVectorField) -> dict:
@@ -344,13 +254,19 @@ def functional_field_to_json(field: FunctionalVectorField) -> dict:
 
 
 def functional_field_from_json(data) -> FunctionalVectorField:
-    if not isinstance(data, dict) or set(data) != _FIELD_KEYS:
+    """Load a field document; its signature must name a bundle over R^m,
+    m >= 1, whose jets of order r > 0 have a source fibre to vary in."""
+    if not isinstance(data, dict) or set(data) != FIELD_KEYS:
         raise ShapeMismatch(
             "functional field document needs exactly the keys m, q1, q2, r, xi, D"
         )
     for key in ("m", "q1", "q2", "r"):
-        if not isinstance(data[key], int):
-            raise ShapeMismatch("functional field %r must be an integer" % key)
+        if isinstance(data[key], bool) or not isinstance(data[key], int) or data[key] < 0:
+            raise ShapeMismatch("functional field %r must be a non-negative integer" % key)
+    if data["m"] < 1:
+        raise ShapeMismatch("a functional field needs m >= 1, got %d" % data["m"])
+    if data["r"] > 0 and data["q1"] == 0:
+        raise ShapeMismatch("a functional field of order %d needs q1 >= 1" % data["r"])
     return FunctionalVectorField(
         data["m"],
         data["q1"],
@@ -390,11 +306,7 @@ def _generator_jets(src: FunctionalVectorField, r_to: int, lay: _Layout) -> dict
     tmon = monomials(q1, r_to)
     tidx = monomial_index(q1, r_to)
     gens = t.generator_elements()
-    env = []
-    for i in range(m):
-        coeffs = [0.0] * t.dim
-        coeffs[0] = Var(i)
-        env.append(AlgebraElement(t, coeffs))
+    env = [t.unit(Var(i)) for i in range(m)]
     for j in range(q1):
         env.append(gens[j] + Var(m + j))
     for beta in monomials(q1, src.r):
@@ -437,7 +349,7 @@ def functional_bracket(x1: FunctionalVectorField, x2: FunctionalVectorField) -> 
         env = [
             AlgebraElement(d, [Var(i), along.xi.exprs[i]]) for i in range(m)
         ]
-        env += [AlgebraElement(d, [Var(m + j), 0.0]) for j in range(q1)]
+        env += [d.unit(Var(m + j)) for j in range(q1)]
         for beta in monomials(q1, of.r):
             row = jets[beta]
             env += [

@@ -53,10 +53,6 @@ class WeilPoint:
     def flat(self) -> np.ndarray:
         return self.coefficient_array().reshape(-1)
 
-    def real_parts(self) -> np.ndarray:
-        u = self.algebra.unit_index
-        return np.array([float(el.coeffs[u]) for el in self.coords])
-
     def __repr__(self):
         return "WeilPoint(%s, dim=%d)" % (self.algebra.name, self.dim)
 
@@ -79,11 +75,7 @@ def point_from_reals(algebra: WeilAlgebra, values) -> WeilPoint:
 
 
 def _coerce_element(algebra: WeilAlgebra, v) -> AlgebraElement:
-    if isinstance(v, AlgebraElement):
-        return v
-    coeffs = [0.0] * algebra.dim
-    coeffs[algebra.unit_index] = v
-    return AlgebraElement(algebra, coeffs)
+    return v if isinstance(v, AlgebraElement) else algebra.unit(v)
 
 
 def lift(algebra: WeilAlgebra, f: Program):

@@ -448,6 +448,7 @@ def random_poly_field(rng, dim: int, deg: int = 2, scale: float = 0.5) -> Vector
 # -- serialization -------------------------------------------------------
 
 _PROGRAM_KEYS = {"in", "out", "exprs"}
+FIELD_KEYS = frozenset({"dim", "components"})
 
 
 def program_to_json(prog: Program) -> dict:
@@ -484,7 +485,7 @@ def field_to_json(field: VectorField) -> dict:
 
 
 def field_from_json(data) -> VectorField:
-    if not isinstance(data, dict) or set(data) - {"dim", "components"}:
+    if not isinstance(data, dict) or set(data) - FIELD_KEYS:
         raise ShapeMismatch("field document needs exactly 'dim' and 'components'")
     if not isinstance(data.get("dim"), int):
         raise ShapeMismatch("field 'dim' must be an integer")

@@ -117,7 +117,8 @@ def check_base_projection(pf: ProlongedField, samples: int = 10, *, rng) -> dict
 
 
 def bracket_deviations(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int, rng):
-    """(tag, deviation) pairs of check_bracket_preserved, one per sampled point.
+    """(tag, deviation) pairs |prolong([X, Y]) - [prolong X, prolong Y]| at
+    sampled points; `tally` them for the check result.
 
     Both renderings are read before the first draw, so a failed spot check
     stops the comparison before it consumes any randomness.
@@ -150,13 +151,3 @@ def _trials(block, gaps):
     one column run through `run_columns`; `gaps` takes a point or a block."""
     for trial, dev in enumerate(run_columns(block, gaps, gaps)):
         yield {"trial": trial}, float(dev)
-
-
-def check_bracket_preserved(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int = 30, *, rng, tol: float = 1e-7) -> dict:
-    """Prolonging the bracket equals the bracket of the prolongations.
-
-    The left side prolongs the symbolic bracket and evaluates it pointwise
-    over the algebra carrier; the right side takes the pointwise bracket of
-    the two rendered prolongations.
-    """
-    return tally(bracket_deviations(algebra, x_field, y_field, samples, rng), tol)

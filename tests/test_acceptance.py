@@ -31,8 +31,8 @@ from weilcalc.jets import (
 )
 from weilcalc.jets import check_bracket_preserved as jet_bracket_check
 from weilcalc.programs import Program, VectorField, random_poly_field, random_poly_program
-from weilcalc.prolong import check_bracket_preserved as prolong_bracket_check
-from weilcalc.reports import documents_equal, rng_for
+from weilcalc.prolong import bracket_deviations
+from weilcalc.reports import documents_equal, rng_for, tally
 from weilcalc.strongdiff import (
     check_bracket_jacobian,
     check_exchange_square,
@@ -90,9 +90,7 @@ def test_criterion_03_prolongation_preserves_brackets():
         for _ in range(10):
             x = random_poly_field(rng, 2, deg=2)
             y = random_poly_field(rng, 2, deg=2)
-            results.append(
-                prolong_bracket_check(algebra, x, y, samples=50, rng=rng, tol=1e-7)
-            )
+            results.append(tally(bracket_deviations(algebra, x, y, 50, rng), 1e-7))
     _verdict(3, "manifold prolongation brackets", results, 1e-7)
 
 

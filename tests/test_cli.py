@@ -288,6 +288,71 @@ def test_a_field_on_r0_is_malformed_input(capsys, tmp_path, command):
     assert err.startswith("error:") and "dim >= 1" in err and "Traceback" not in err
 
 
+def _functional_doc(m, q1, r, d_in):
+    """A functional field document with q2 = 1, a zero base field and the
+    vertical map that reads its last input; keys are written as given."""
+    return {
+        "m": m, "q1": q1, "q2": 1, "r": r,
+        "xi": {"in": int(m), "exprs": [{"op": "const", "c": 0.0}] * int(m)},
+        "D": {"in": d_in, "exprs": [{"op": "var", "i": d_in - 1}]},
+    }
+
+
+_HOSTILE_FUNCTIONAL = {
+    # name: ((m, q1, r, inputs of D), message)
+    "bool-m": ((True, 1, 0, 3), "'m' must be a non-negative integer"),
+    "negative-r": ((1, 1, -1, 2), "'r' must be a non-negative integer"),
+    "negative-q1": ((1, -1, 0, 1), "'q1' must be a non-negative integer"),
+    "m-zero": ((0, 1, 0, 2), "needs m >= 1"),
+    "jets-without-source": ((1, 0, 1, 2), "order 1 needs q1 >= 1"),
+}
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "prolong-functional-jet", "--samples", "3"], ["bracket"]])
+@pytest.mark.parametrize("name", sorted(_HOSTILE_FUNCTIONAL))
+def test_a_functional_field_with_a_bad_signature_is_malformed_input(capsys, tmp_path, command, name):
+    signature, message = _HOSTILE_FUNCTIONAL[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_functional_doc(*signature)))
+    assert cli.main(command + ["--field", str(path), "--field", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+
+
+def test_a_q1_zero_order_zero_field_still_loads():
+    # the fibred-manifold case that g_field_prolong builds
+    field = functional.functional_field_from_json(_functional_doc(1, 0, 0, 2))
+    assert (field.m, field.q1, field.q2, field.r) == (1, 0, 1, 0)
+
+
+def _functional_pair_files(tmp_path, m, seed):
+    rng = np.random.default_rng(seed)
+    paths = []
+    for k in range(2):
+        path = tmp_path / ("f%d.json" % k)
+        path.write_text(json.dumps(functional_field_to_json(functional.random_functional_field(rng, m, 1, 1, 1))))
+        paths += ["--field", str(path)]
+    return paths
+
+
+def test_prolong_functional_jet_runs_a_field_pair_at_its_base_dimension(capsys, tmp_path):
+    argv = ["verify", "--suite", "prolong-functional-jet", "--samples", "5"]
+    assert cli.main(argv + _functional_pair_files(tmp_path, 2, 5)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:3] == ["pass", "prolong-functional-jet", "jet(2,1)"]
+
+
+def test_a_functional_pair_past_the_jet_limit_is_refused_before_any_unit(capsys, tmp_path):
+    pair = _functional_pair_files(tmp_path, 5, 6)
+    assert cli.main(["verify", "--suite", "sigma,prolong-functional-jet", "--samples", "1"] + pair) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prolong-functional-jet needs jet(5,1)" in captured.err and "m <= 4" in captured.err
+    # a suite that builds no jet triple still takes the pair
+    assert cli.main(["verify", "--suite", "sigma"] + pair) == 0
+
+
 def test_verify_reports_suites_in_the_order_given(capsys):
     assert cli.main(["verify", "--suite", "locality,sigma", "--samples", "2"]) == 0
     units = [line.split()[1:3] for line in capsys.readouterr().out.splitlines()[:-1]]
@@ -311,7 +376,7 @@ def test_every_sampled_check_takes_its_rng_as_a_required_keyword():
         if name.startswith("check_") and f.__module__ == m.__name__
     ]
     sampled = [f for f in checks if "rng" in inspect.signature(f).parameters]
-    assert len(sampled) == 13
+    assert len(sampled) == 12
     for f in sampled:
         rng = inspect.signature(f).parameters["rng"]
         assert rng.kind is rng.KEYWORD_ONLY and rng.default is rng.empty, f.__qualname__
@@ -560,7 +625,7 @@ def test_bracket_text_evaluates_to_the_bracket(tmp_path, name):
         want = lambda at: strongdiff.bracket_value(x, y, at[: x.dim])
     else:
         br = functional.functional_bracket(x, y)
-        names = cli.functional_layout_names(br.m, br.q1, br.q2, br.r)
+        names = functional.layout_names(br.m, br.q1, br.q2, br.r)
         lines = lines[1:]
         want = lambda at: eval_exprs(br.xi.exprs + br.D.exprs, at[: len(names)])
     env = {"__builtins__": {}, **{f: getattr(math, f) for f in PRIMITIVES}}

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from weilcalc import programs
-from weilcalc.algebra import make_basic, make_hom, rho
+from weilcalc.algebra import make_basic, make_hom
 from weilcalc.errors import ArityMismatch, ShapeMismatch
 from weilcalc.exprs import Const, Var, intpow
 from weilcalc.functional import (
@@ -16,18 +15,15 @@ from weilcalc.functional import (
     check_order_locality,
     check_polynomial_family,
     fiber_arity,
-    fmorphism_apply,
     functional_bracket,
     functional_field_from_json,
     functional_field_prolong,
     functional_field_to_json,
-    functional_lift,
     fvf_value,
     g_functional,
     jet_values,
     morphism_apply,
     random_functional_field,
-    reparametrize,
 )
 from weilcalc.jets import TrivialAction, jet_triple, make_triple
 from weilcalc.programs import Program, VectorField, evaluate, random_poly_program
@@ -65,31 +61,6 @@ def test_jet_values_multivariate():
     assert np.allclose(got, [18.0, 9.0, 12.0, 0.0, 6.0, 4.0], atol=1e-12)
 
 
-# -- lifted points -----------------------------------------------------------------
-
-
-def test_functional_lift_evaluates_the_family_on_generators():
-    base = Program(1, [Const(0.2) + Var(0)])
-    fiber = Program(2, [Var(0) * intpow(Var(1), 2) + Var(1)])
-    p = functional_lift(DUAL, base, fiber)
-    assert p.a.coords[0].coeffs == (0.2, 1.0)
-    val = p.value([0.7])[0]
-    assert np.allclose(val.coeffs, (0.7, 0.49), atol=1e-12)
-    rp = p.real_point()
-    assert np.array_equal(rp.x, [0.2])
-    assert evaluate(rp.h, [0.7]) == [0.7]
-
-
-def test_reparametrize_through_rho_recovers_the_real_point():
-    base = Program(1, [Const(0.2) + Var(0)])
-    fiber = Program(2, [Var(0) * intpow(Var(1), 2) + Var(1)])
-    p = functional_lift(DUAL, base, fiber)
-    down = reparametrize(rho(DUAL), p)
-    real = down.real_point()
-    assert np.array_equal(real.x, [0.2])
-    assert np.allclose(float(down.value([0.7])[0].coeffs[0]), 0.7)
-
-
 # -- finite-order morphisms ---------------------------------------------------------
 
 
@@ -117,63 +88,6 @@ def test_morphism_anchor_moves_the_jet_point():
     p = FunctionalPoint([0.0], Program(1, [intpow(Var(0), 2)]))
     # z0 is h evaluated at y = anchor(v) = 2v
     assert np.allclose(morphism_apply(morph, p, [3.0]), [36.0])
-
-
-def test_fmorphism_conjugates_the_fiber_map():
-    # base: x -> x + 1, f1: y -> 2y with inverse y -> y/2, f2: w -> w + x
-    base = Program(1, [Var(0) + 1.0])
-    f1 = Program(2, [2.0 * Var(1)])
-    f1_inv = Program(2, [0.5 * Var(1)])
-    f2 = Program(2, [Var(1) + Var(0)])
-    p = FunctionalPoint([2.0], Program(1, [intpow(Var(0), 2)]))
-    out = fmorphism_apply(base, f1, f1_inv, f2, p)
-    assert np.array_equal(out.x, [3.0])
-    # new h(y) = (y/2)^2 + 2 evaluated at the source base point x=2
-    assert np.allclose(evaluate(out.h, [4.0]), [6.0])
-
-
-def test_fmorphism_compiles_only_the_new_fiber_map(monkeypatch):
-    # the supplied Programs already hold their tapes; only the result is new
-    base = Program(1, [Var(0) + 1.0])
-    f1 = Program(2, [2.0 * Var(1)])
-    f1_inv = Program(2, [0.5 * Var(1)])
-    f2 = Program(2, [Var(1) + Var(0)])
-    p = FunctionalPoint([2.0], Program(1, [intpow(Var(0), 2)]))
-    compiled = []
-    init = programs.Tape.__init__
-
-    def counting(self, body, arity_in):
-        compiled.append(arity_in)
-        init(self, body, arity_in)
-
-    monkeypatch.setattr(programs.Tape, "__init__", counting)
-    fmorphism_apply(base, f1, f1_inv, f2, p)
-    assert len(compiled) == 1
-
-
-def test_fmorphism_is_functorial_under_composition():
-    rng = np.random.default_rng(44)
-    base1 = Program(1, [Var(0) + 0.5])
-    base2 = Program(1, [2.0 * Var(0)])
-    # affine fiber maps with exact inverses, both x dependent
-    f1 = Program(2, [2.0 * Var(1) + Var(0)])
-    f1_inv = Program(2, [0.5 * (Var(1) - Var(0))])
-    g1 = Program(2, [Var(1) - intpow(Var(0), 2)])
-    g1_inv = Program(2, [Var(1) + intpow(Var(0), 2)])
-    f2 = Program(2, [3.0 * Var(1)])
-    g2 = Program(2, [Var(1) + Var(0)])
-    p = FunctionalPoint([0.7], Program(1, [intpow(Var(0), 2) + Var(0)]))
-
-    step = fmorphism_apply(base1, f1, f1_inv, f2, p)
-    # the second morphism reads its maps at the moved base point
-    two_step = fmorphism_apply(base2, g1, g1_inv, g2, step)
-    for y in rng.uniform(-1, 1, size=6):
-        direct_y = evaluate(g1_inv, [float(step.x[0]), float(y)])
-        inner = evaluate(f1_inv, [0.7] + direct_y)
-        hv = evaluate(p.h, inner)
-        mid = evaluate(f2, [0.7] + hv)
-        want = evaluate(g2, [float(step.x[0])] + mid)
-        assert np.allclose(evaluate(two_step.h, [float(y)]), want, atol=1e-10)
 
 
 # -- fields and brackets ---------------------------------------------------------------

@@ -8,11 +8,8 @@ from weilcalc.algebra import make_basic, sum_algebra, tensor
 from weilcalc.functor import lift_program
 from weilcalc.exprs import Var
 from weilcalc.programs import Program, VectorField, evaluate, random_poly_field
-from weilcalc.prolong import (
-    check_base_projection,
-    check_bracket_preserved,
-    field_prolong,
-)
+from weilcalc.prolong import bracket_deviations, check_base_projection, field_prolong
+from weilcalc.reports import tally
 
 DUAL = make_basic("dual")
 T12 = make_basic("truncated", 1, 2)
@@ -53,7 +50,7 @@ def test_large_algebras_render_on_first_use():
         flat = rng.uniform(-1, 1, size=2 * big.dim)
         sym = evaluate(pf.rendering.components, list(flat))
         assert np.allclose(pf.value_at(flat), sym, rtol=0.0, atol=1e-12)
-    out = check_bracket_preserved(big, x, y, samples=5, rng=rng, tol=1e-7)
+    out = tally(bracket_deviations(big, x, y, 5, rng), 1e-7)
     assert out["failures"] == []
     assert out["samples"] == 5
 
@@ -104,6 +101,6 @@ def test_prolongation_preserves_brackets(algebra):
     rng = np.random.default_rng(21)
     x = random_poly_field(rng, 2, deg=2)
     y = random_poly_field(rng, 2, deg=2)
-    out = check_bracket_preserved(algebra, x, y, samples=10, rng=rng, tol=1e-7)
+    out = tally(bracket_deviations(algebra, x, y, 10, rng), 1e-7)
     assert out["failures"] == []
     assert out["max_error"] <= 1e-7

@@ -35,7 +35,6 @@ INLINE = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 REPR = "repr for interactive use; no command prints the object"
 ERROR = "error path: runs only when a command fails, and every audited command passes"
 WRITER = "writer of a user file format; the render workload and the tests write field files with it"
-MORPHISM = "functional morphism: ROADMAP item 5 gives it a naturality row or deletes it"
 ITEM_4 = "ROADMAP item 4 gives it a verify row or deletes it"
 TRIVIAL = "the general (A, H, t) triple of the paper; tests use the trivial action as the second action kind"
 
@@ -61,16 +60,8 @@ ALLOWED = {
     "exprs.node_to_json": WRITER,
     "functional.FunctionalPoint.__repr__": REPR,
     "functional.FunctionalVectorField.__repr__": REPR,
-    "functional.FunctionalWeilPoint.__init__": MORPHISM,
-    "functional.FunctionalWeilPoint.__repr__": REPR,
-    "functional.FunctionalWeilPoint.real_point": MORPHISM,
-    "functional.FunctionalWeilPoint.value": MORPHISM,
-    "functional.fmorphism_apply": MORPHISM,
     "functional.functional_field_to_json": WRITER,
-    "functional.functional_lift": MORPHISM,
-    "functional.reparametrize": MORPHISM,
     "functor.WeilPoint.__repr__": REPR,
-    "functor.WeilPoint.real_parts": "real parts of a point; functional_lift reads them (ROADMAP item 5)",
     "functor.point_from_reals": "public point constructor with zero nilpotent slots; the functor tests use it",
     "jets.Frame.__repr__": REPR,
     "jets.Frame.m": "shape of a frame, read by the frame_evaluate oracle",
@@ -95,7 +86,6 @@ ALLOWED = {
     "prolong.ProlongedField.base_values": "base projection of lifted points, for check_base_projection (ROADMAP item 4)",
     "prolong.check_base_projection": ITEM_4,
     "prolong.check_base_projection.<locals>.gaps": ITEM_4,
-    "prolong.check_bracket_preserved": ITEM_4,
     "reports.documents_equal": "test oracle: report equality apart from generated_at (acceptance criterion 12)",
     "strongdiff.SecondTangent.__repr__": REPR,
     "strongdiff.SecondTangent.to_point": "inverse of SecondTangent.from_point; the slot layout test round-trips through it",
