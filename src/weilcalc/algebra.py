@@ -12,7 +12,9 @@ noise enters them either.
 Element coefficients are deliberately generic: floats for numeric work,
 expression trees for emitting programs, or again algebra elements for
 nilpotent-parameter differentiation.  All element arithmetic goes through
-plain Python loops over the nonzero structure entries for that reason.
+plain Python loops for that reason: a product walks, for each nonzero
+coefficient of its left factor, the structure row of that basis vector,
+so the zero coefficients of a sparse nilpotent power cost nothing.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ class WeilAlgebra:
         if not (np.isfinite(self.structure).all() and np.isfinite(self.generators or ()).all()):
             raise ShapeMismatch("structure constants and generators must be finite")
         self._nz = None
+        self._rows = None
         self.height = self._validate()
         self.width = self._minimal_width()
         self._key = (
@@ -176,6 +179,16 @@ class WeilAlgebra:
             nz = np.argwhere(c != 0.0)
             self._nz = [(int(i), int(j), int(k), float(c[i, j, k])) for i, j, k in nz]
         return self._nz
+
+    def rows(self):
+        """Cached rows of nonzeros(): rows()[i] holds the (j, k, c) with that
+        i, in j order, so walking the rows in i order keeps nonzeros() order."""
+        if self._rows is None:
+            rows = [[] for _ in range(self.dim)]
+            for i, j, k, c in self.nonzeros():
+                rows[i].append((j, k, c))
+            self._rows = tuple(map(tuple, rows))
+        return self._rows
 
     def element(self, coeffs) -> "AlgebraElement":
         return AlgebraElement(self, coeffs)
@@ -284,17 +297,19 @@ class AlgebraElement:
         if peer is None:
             return AlgebraElement(self.algebra, [a * other for a in self.coeffs])
         out = [None] * self.algebra.dim
-        ca, cb = self.coeffs, peer.coeffs
-        for i, j, k, c in self.algebra.nonzeros():
-            x, y = ca[i], cb[j]
-            if (isinstance(x, float) and x == 0.0) or (
-                isinstance(y, float) and y == 0.0
-            ):
+        cb = peer.coeffs
+        # every output k sums its terms in nonzeros() order, as one flat walk would
+        for x, row in zip(self.coeffs, self.algebra.rows()):
+            if isinstance(x, float) and x == 0.0:
                 continue
-            term = x * y
-            if c != 1.0:
-                term = term * c
-            out[k] = term if out[k] is None else out[k] + term
+            for j, k, c in row:
+                y = cb[j]
+                if isinstance(y, float) and y == 0.0:
+                    continue
+                term = x * y
+                if c != 1.0:
+                    term = term * c
+                out[k] = term if out[k] is None else out[k] + term
         return AlgebraElement(self.algebra, [0.0 if v is None else v for v in out])
 
     __rmul__ = __mul__
@@ -336,14 +351,14 @@ class AlgebraElement:
         """Truncated Taylor evaluation of the shift-th derivative of a primitive."""
         a0 = self.coeffs[self.algebra.unit_index]
         out = self.algebra.unit(apply_primitive(name, a0, shift))
-        npow = self.nilpotent_part()
+        nil = npow = self.nilpotent_part()
         for j in range(1, self.algebra.height + 1):
             if npow.is_zero():
                 break
             coeff = apply_primitive(name, a0, shift + j)
             out = out + npow * (coeff * (1.0 / math.factorial(j)))
             if j < self.algebra.height:
-                npow = npow * self.nilpotent_part()
+                npow = npow * nil
         return out
 
     def inverse(self) -> "AlgebraElement":

@@ -600,8 +600,12 @@ def _print_bracket(x, y, at_text):
             )
         br = strongdiff.bracket(x, y)
         names = ["x"] if br.dim == 1 else ["x%d" % i for i in range(br.dim)]
-        for i, e in enumerate(br.components.exprs):
-            print("[X,Y]_%d = %s" % (i, format_expr(simplify(e), names)))
+        # render every component first, so a refusal prints nothing
+        lines = [
+            "[X,Y]_%d = %s" % (i, format_expr(simplify(e), names))
+            for i, e in enumerate(br.components.exprs)
+        ]
+        print("\n".join(lines))
         if at_text is not None:
             at = _parse_point(at_text, br.dim)
             point = ", ".join("%g" % v for v in at)
@@ -623,11 +627,15 @@ def _print_bracket(x, y, at_text):
             raise CliError(EXIT_USAGE, "--at needs a fibre map; not supported for functional fields")
         br = functional.functional_bracket(x, y)
         names = functional.layout_names(br.m, br.q1, br.q2, br.r)
-        print("functional bracket: m=%d q1=%d q2=%d order=%d" % (br.m, br.q1, br.q2, br.r))
-        for i, e in enumerate(br.xi.exprs):
-            print("xi_%d = %s" % (i, format_expr(simplify(e), names[: br.m])))
-        for s, e in enumerate(br.D.exprs):
-            print("D_%d = %s" % (s, format_expr(simplify(e), names)))
+        lines = ["functional bracket: m=%d q1=%d q2=%d order=%d" % (br.m, br.q1, br.q2, br.r)]
+        lines += [
+            "xi_%d = %s" % (i, format_expr(simplify(e), names[: br.m]))
+            for i, e in enumerate(br.xi.exprs)
+        ]
+        lines += [
+            "D_%d = %s" % (s, format_expr(simplify(e), names)) for s, e in enumerate(br.D.exprs)
+        ]
+        print("\n".join(lines))
         return
     raise CliError(EXIT_USAGE, "cannot mix a manifold field with a functional field")
 

@@ -59,6 +59,10 @@ class ArityMismatch(WeilError):
     """Program composition or evaluation with the wrong number of slots."""
 
 
+class TextTooLong(WeilError):
+    """Rendered text would pass its length limit."""
+
+
 class ShapeMismatch(WeilError):
     """Coefficient data of the wrong shape for the requested algebra/dim."""
 

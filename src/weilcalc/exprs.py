@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 import sys
 
-from .errors import ArityMismatch, DivisionByNilpotent
+from .errors import ArityMismatch, DivisionByNilpotent, TextTooLong
 
 PRIMITIVES = ("sin", "cos", "exp", "log", "sqrt")
 
 _MAX_TERMS = 512
+# Longest text format_expr renders.  A shared subtree is printed once per
+# use, so the text of a small tree can grow exponentially with its depth.
+MAX_TEXT = 1_000_000
 
 
 class Expr:
@@ -327,7 +330,7 @@ def node_from_json(data) -> Expr:
     if op not in _OPS:
         raise ArityMismatch("unknown op %r" % (op,))
     if op == "var":
-        if not isinstance(data.get("i"), int):
+        if type(data.get("i")) is not int:
             raise ArityMismatch("var node needs an integer 'i'")
         return Var(data["i"])
     if op == "const":
@@ -353,7 +356,7 @@ def node_from_json(data) -> Expr:
     if op == "neg":
         return Neg(kids[0])
     if op == "intpow":
-        if not isinstance(data.get("k"), int):
+        if type(data.get("k")) is not int:
             raise ArityMismatch("intpow node needs an integer 'k'")
         return IntPow(kids[0], data["k"])
     return Prim(op, kids[0])
@@ -362,8 +365,15 @@ def node_from_json(data) -> Expr:
 _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "intpow": 4, "atom": 5}
 
 
+def _joined(*parts) -> str:
+    if sum(map(len, parts)) > MAX_TEXT:
+        raise TextTooLong("rendered text would pass %d characters" % MAX_TEXT)
+    return "".join(parts)
+
+
 def format_expr(root: Expr, names=None) -> str:
-    """Render infix text, for display only."""
+    """Render infix text, for display only; raises TextTooLong rather than
+    build text longer than MAX_TEXT."""
     out: dict[int, tuple[str, int]] = {}
     for node in postorder(root):
         if isinstance(node, Var):
@@ -377,7 +387,7 @@ def format_expr(root: Expr, names=None) -> str:
             xs, xp = out[id(node.x)]
             if xp < _PREC["neg"]:
                 xs = "(" + xs + ")"
-            out[id(node)] = ("-" + xs, _PREC["neg"])
+            out[id(node)] = (_joined("-", xs), _PREC["neg"])
         elif isinstance(node, (Add, Sub, Mul, Div)):
             op, sym = {
                 Add: ("add", " + "),
@@ -393,15 +403,15 @@ def format_expr(root: Expr, names=None) -> str:
             # right operand needs parens at equal precedence for - and /
             if b_p < p or (b_p == p and op in ("sub", "div")):
                 b_s = "(" + b_s + ")"
-            out[id(node)] = (a_s + sym + b_s, p)
+            out[id(node)] = (_joined(a_s, sym, b_s), p)
         elif isinstance(node, IntPow):
             xs, xp = out[id(node.x)]
             if xp < _PREC["intpow"]:
                 xs = "(" + xs + ")"
-            out[id(node)] = ("%s^%d" % (xs, node.k), _PREC["intpow"])
+            out[id(node)] = (_joined(xs, "^%d" % node.k), _PREC["intpow"])
         else:
             xs, _ = out[id(node.x)]
-            out[id(node)] = ("%s(%s)" % (node.name, xs), _PREC["atom"])
+            out[id(node)] = (_joined(node.name, "(", xs, ")"), _PREC["atom"])
     return out[id(root)][0]
 
 
@@ -417,7 +427,9 @@ def simplify(root: Expr) -> Expr:
     negative power raises DivisionByNilpotent, as evaluation does.
     Subtrees whose expansion would exceed _MAX_TERMS monomials, or would
     carry a coefficient past the float range, are rebuilt structurally
-    instead of expanded, so the result is always equivalent.
+    instead of expanded, so the result is always equivalent; so is a
+    one-term base to a power past _MAX_TERMS, which would take that many
+    products.
 
     The one children-first sweep makes a structural rebuild only where it
     is read: one level over the children's best forms for a node whose
@@ -468,11 +480,12 @@ def simplify(root: Expr) -> Expr:
         if t is not None and k < 0 and len(t) == 1:
             (m, c), = t.items()
             t, n = finite({tuple((a, -p) for a, p in m): 1.0 / c}), -k
-        if t is not None and n >= 0:
+        # a power of one term never outgrows _MAX_TERMS, so n bounds its loop
+        if t is not None and n >= 0 and (len(t) != 1 or n <= _MAX_TERMS):
             acc = {(): 1.0}
             for _ in range(n):
                 acc = t_mul(acc, t)
-                if acc is None:
+                if not acc:  # None, or zero for good
                     break
             return acc
         if k >= 0:

@@ -465,11 +465,11 @@ def program_from_json(data) -> Program:
     unknown = set(data) - _PROGRAM_KEYS
     if unknown:
         raise ShapeMismatch("unknown program fields %s" % sorted(unknown))
-    if not isinstance(data.get("in"), int) or not isinstance(data.get("exprs"), list):
+    if type(data.get("in")) is not int or not isinstance(data.get("exprs"), list):
         raise ShapeMismatch("program document needs integer 'in' and list 'exprs'")
     body = [exprs.node_from_json(e) for e in data["exprs"]]
     prog = Program(data["in"], body)
-    if "out" in data and data["out"] != prog.arity_out:
+    if "out" in data and (type(data["out"]) is not int or data["out"] != prog.arity_out):
         raise ShapeMismatch(
             "declared out %r disagrees with %d expressions" % (data["out"], prog.arity_out)
         )
@@ -487,6 +487,6 @@ def field_to_json(field: VectorField) -> dict:
 def field_from_json(data) -> VectorField:
     if not isinstance(data, dict) or set(data) - FIELD_KEYS:
         raise ShapeMismatch("field document needs exactly 'dim' and 'components'")
-    if not isinstance(data.get("dim"), int):
+    if type(data.get("dim")) is not int:
         raise ShapeMismatch("field 'dim' must be an integer")
     return VectorField(data["dim"], program_from_json(data.get("components")))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from weilcalc.algebra import (
     MAX_DIM,
+    AlgebraElement,
     WeilAlgebra,
     _products,
     algebra_from_json,
@@ -35,6 +36,7 @@ from weilcalc.errors import (
     ShapeMismatch,
     SpanNotClosed,
 )
+from weilcalc.exprs import Const, Expr, Var, node_to_json
 from weilcalc.strongdiff import make_S
 
 DUAL = make_basic("dual")
@@ -267,6 +269,74 @@ def test_nilpotent_part_dies_by_the_height(els):
     for _ in range(x.algebra.height):
         acc = acc * n
     assert max(abs(float(c)) for c in acc.coeffs) <= 1e-6
+
+
+# -- the product kernel against one walk over every structure nonzero ------------
+
+KERNEL_ALGEBRAS = STANDARD + [
+    make_basic("truncated", 1, 12),
+    tensor(make_basic("truncated", 1, 3), make_basic("truncated", 1, 3)),
+    # truncated(1,2) in the basis 1, 2x, 3x^2: (2x)(2x) = (4/3)(3x^2)
+    subalgebra(T12, np.diag([1.0, 2.0, 3.0]))[0],
+]
+
+
+def _flat_mul(x, y):
+    """x * y as the reference walk over all of nonzeros(), both operands
+    tested for a float zero at every entry."""
+    out = [None] * x.algebra.dim
+    ca, cb = x.coeffs, y.coeffs
+    for i, j, k, c in x.algebra.nonzeros():
+        u, v = ca[i], cb[j]
+        if (isinstance(u, float) and u == 0.0) or (isinstance(v, float) and v == 0.0):
+            continue
+        term = u * v
+        if c != 1.0:
+            term = term * c
+        out[k] = term if out[k] is None else out[k] + term
+    return AlgebraElement(x.algebra, [0.0 if v is None else v for v in out])
+
+
+def _bits(v):
+    """A value's exact form: -0.0, inf and nan count, as does term order."""
+    if isinstance(v, AlgebraElement):
+        return tuple(_bits(c) for c in v.coeffs)
+    if isinstance(v, Expr):
+        return json.dumps(node_to_json(v))
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    return float.hex(v)
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_SCALAR = st.one_of(_SPECIAL, st.just(0.0), st.floats(-4, 4))
+_CARRIERS = {
+    "float": _SCALAR,
+    "expr": st.one_of(
+        _SCALAR, st.builds(Var, st.integers(0, 2)), st.builds(Const, st.floats(-4, 4))
+    ),
+    "column": st.one_of(
+        _SCALAR, st.lists(_SCALAR, min_size=3, max_size=3).map(np.array)
+    ),
+    "nested": st.one_of(
+        _SCALAR, st.lists(_SCALAR, min_size=2, max_size=2).map(DUAL.element)
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KERNEL_ALGEBRAS), st.sampled_from(sorted(_CARRIERS)), st.data())
+def test_products_are_bit_identical_to_the_flat_walk(a, carrier, data):
+    coeff = _CARRIERS[carrier]
+    x, y = (a.element(data.draw(st.lists(coeff, min_size=a.dim, max_size=a.dim))) for _ in "xy")
+    with np.errstate(all="ignore"):  # inf * 0 in a column is the point here
+        assert _bits(x * y) == _bits(_flat_mul(x, y))
+
+
+def test_rows_regroup_the_nonzeros_by_left_index():
+    for a in KERNEL_ALGEBRAS:
+        flat = [(i, j, k, c) for i, row in enumerate(a.rows()) for j, k, c in row]
+        assert flat == a.nonzeros()
 
 
 # -- homomorphisms -----------------------------------------------------------

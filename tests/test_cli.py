@@ -288,6 +288,58 @@ def test_a_field_on_r0_is_malformed_input(capsys, tmp_path, command):
     assert err.startswith("error:") and "dim >= 1" in err and "Traceback" not in err
 
 
+# JSON true is a Python int; each integer slot of a manifold field must refuse it
+_BOOLEAN_FIELDS = {
+    "dim-and-in": {"dim": True, "components": {"in": True, "exprs": [_X0]}},
+    "out": {"dim": 1, "components": {"in": 1, "out": True, "exprs": [_X0]}},
+    "var-i": _field_doc({"op": "var", "i": True}),
+    "intpow-k": _field_doc({"op": "intpow", "k": True, "args": [_X0]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOOLEAN_FIELDS))
+def test_a_field_with_a_boolean_for_an_integer_is_malformed_input(capsys, manifold_fields, tmp_path, name):
+    _, one = manifold_fields
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(_BOOLEAN_FIELDS[name]))
+    assert cli.main(["bracket", "--field", str(path), "--field", one, "--at", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+_X0_PLUS_1 = {"op": "add", "args": [_X0, {"op": "const", "c": 1}]}
+
+
+def _power(base, k):
+    return {"op": "intpow", "k": k, "args": [base]}
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [_power(_X0_PLUS_1, 10**6), _power(_power(_X0_PLUS_1, 1000), 1000)],
+    ids=["sum", "nested"],
+)
+def test_bracket_refuses_a_rendering_past_the_text_limit(capsys, manifold_fields, tmp_path, expr):
+    # the dual lift squares repeatedly: a small DAG whose text would
+    # take 231 MB; at exponent 10^8 it would pass any memory
+    _, one = manifold_fields
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_field_doc(expr)))
+    assert cli.main(["bracket", "--field", str(path), "--field", one, "--at", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "TextTooLong" in captured.err
+
+
+def test_bracket_prints_a_long_power_of_one_term_as_a_power(capsys, manifold_fields, tmp_path):
+    _, one = manifold_fields
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(_field_doc(_power(_X0, 10**7))))
+    assert cli.main(["bracket", "--field", str(path), "--field", one, "--at", "2"]) == 0
+    assert capsys.readouterr().out == "[X,Y]_0 = -10000000*x^9999999\nat (2) -> (-inf)\n"
+
+
 def _functional_doc(m, q1, r, d_in):
     """A functional field document with q2 = 1, a zero base field and the
     vertical map that reads its last input; keys are written as given."""

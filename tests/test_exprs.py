@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from weilcalc.algebra import AlgebraElement, make_basic, tensor
 from weilcalc.exprs import (
+    MAX_TEXT,
     PRIMITIVES,
     Add,
     Const,
@@ -51,7 +52,14 @@ from weilcalc.programs import (
 )
 from weilcalc.prolong import ProlongedField
 from weilcalc.strongdiff import bracket_value, jacobian_bracket_deviation
-from weilcalc.errors import ArityMismatch, DivisionByNilpotent, DomainError, ShapeMismatch, WeilError
+from weilcalc.errors import (
+    ArityMismatch,
+    DivisionByNilpotent,
+    DomainError,
+    ShapeMismatch,
+    TextTooLong,
+    WeilError,
+)
 from weilcalc.scalars import _numeric, _symbolic, apply_primitive
 
 
@@ -111,6 +119,16 @@ def test_format_expr_with_names():
     assert format_expr(e, names=["u", "v"]) == "u*v + 1"
 
 
+def test_format_expr_refuses_text_past_its_limit():
+    # one node per level, and a text that doubles at each: x0 + x0 + ...
+    levels = [Var(0)]
+    for _ in range(18):
+        levels.append(Add(levels[-1], levels[-1]))
+    assert len(format_expr(levels[17])) == 5 * 2**17 - 3 <= MAX_TEXT
+    with pytest.raises(TextTooLong):
+        format_expr(levels[18])
+
+
 # -- simplification -----------------------------------------------------------
 
 
@@ -146,6 +164,15 @@ _DEN = add(Const(2.0), intpow(_X0, 2))
 )
 def test_simplify_merges_signed_exponents(expr, text):
     assert format_expr(simplify(expr)) == text
+
+
+def test_simplify_leaves_a_long_power_of_one_term_structural():
+    # expanding would take 10^9 products of one term each
+    for base, text in ((_X0, "x0^1000000000"), (mul(Const(2.0), _X0), "(2*x0)^1000000000")):
+        assert format_expr(simplify(IntPow(base, 10**9))) == text
+    assert format_expr(simplify(IntPow(_X0, -(10**9)))) == "x0^-1000000000"
+    assert format_expr(simplify(IntPow(Sub(_X0, _X0), 10**9))) == "0"
+    assert format_expr(simplify(IntPow(_X0, 512))) == "x0^512"
 
 
 def test_simplify_refuses_a_zero_denominator_like_evaluation():

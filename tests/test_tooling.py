@@ -76,12 +76,18 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
     assert run.returncode == 0, run.stderr
 
 
-def test_every_name_the_span_tracer_wraps_resolves_in_the_package():
-    # loaded by path: a renamed or deleted traced function fails here, not
-    # only in a traced benchmark run
+def _tracing():
+    # perfbench is a directory of scripts, not a package: load by path
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_name_the_span_tracer_wraps_resolves_in_the_package():
+    # a renamed or deleted traced function fails here, not only in a
+    # traced benchmark run
+    tracing = _tracing()
     missing = []
     for mod_name, path, _ in tracing.TARGETS:
         owner = importlib.import_module("weilcalc." + mod_name)
@@ -92,3 +98,36 @@ def test_every_name_the_span_tracer_wraps_resolves_in_the_package():
     exprs = importlib.import_module("weilcalc.exprs")
     missing += [name for name in tracing.EXPR_NODES if not isinstance(getattr(exprs, name, None), type)]
     assert missing == []
+
+
+def test_the_span_tracer_counts_every_structure_nonzero_of_an_element_product(monkeypatch):
+    # the benchmark's algebra.mul.us_per_nnz divides by this count, whatever
+    # share of the structure entries the product kernel visits
+    import weilcalc as wc
+    from weilcalc.algebra import AlgebraElement
+    from weilcalc.exprs import Var, prim
+
+    tracing = _tracing()
+    element_products = []
+    plain_mul = AlgebraElement.__mul__
+
+    def counted(self, other):
+        if isinstance(other, AlgebraElement):
+            element_products.append(1)
+        return plain_mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    monkeypatch.setattr(AlgebraElement, "__rmul__", counted)
+    a = wc.algebra.make_basic("truncated", 1, 3)
+    f = wc.programs.Program(2, [prim("sin", Var(0)) * Var(1) + Var(0) ** 3, prim("exp", Var(0) * Var(1))])
+    point = wc.functor.WeilPoint(a, [a.element([0.3, 1.0, 0.0, 0.0]), a.element([0.5, 0.2, 1.0, 0.0])])
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    patches.install(tracer, wc)
+    try:
+        wc.functor.lift(a, f)(point)
+    finally:
+        patches.restore()
+    _, counts = tracer.take()
+    assert counts["algebra.mul.nnz"] > 0
+    assert counts["algebra.mul.nnz"] == len(element_products) * len(a.nonzeros())
+    assert tracing.Patches.leftovers() == []
