@@ -23,7 +23,6 @@ from .algebra import (
     make_hom,
     rho,
     save_algebra,
-    subalgebra,
     sum_algebra,
     tensor,
     unit_embedding,
@@ -40,21 +39,17 @@ from .errors import (
     NotUnital,
     ShapeMismatch,
     SingularLinearPart,
-    SpanNotClosed,
     WeilError,
 )
 from .exprs import Const, Expr, Var, format_expr, prim, simplify
 from .functional import (
-    FunctionalPoint,
     FunctionalVectorField,
-    OrderRMorphism,
     functional_bracket,
     functional_field_from_json,
     functional_field_prolong,
     functional_field_to_json,
     fvf_value,
     g_functional,
-    morphism_apply,
 )
 from .functor import (
     WeilPoint,
@@ -91,7 +86,7 @@ from .programs import (
     program_to_json,
 )
 from .prolong import ProlongedField, field_prolong
-from .reports import CONVENTIONS, Report, assemble_document, rng_for
+from .reports import CONVENTIONS, assemble_document, rng_for
 from .strongdiff import (
     SPair,
     SecondTangent,

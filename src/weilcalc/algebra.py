@@ -5,9 +5,7 @@ plus a nilpotent ideal spanned by the non-unit basis vectors.  Structure
 constants are stored densely as float64; every canonical constructor
 (monomial quotients, tensor, sum) produces small integer constants, which
 float64 represents exactly, so the matrix identities checked elsewhere in
-the package hold exactly.  Constants for a user-provided span are derived
-by exact rational elimination before being stored, so no least-squares
-noise enters them either.
+the package hold exactly.
 
 Element coefficients are deliberately generic: floats for numeric work,
 expression trees for emitting programs, or again algebra elements for
@@ -21,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +30,6 @@ from .errors import (
     NotMultiplicative,
     NotUnital,
     ShapeMismatch,
-    SpanNotClosed,
 )
 from .scalars import apply_primitive
 
@@ -463,7 +459,7 @@ def unit_embedding(a: WeilAlgebra) -> AlgebraHom:
 #
 # make_basic, tensor, sum_algebra and exchange are memoized on their
 # arguments, which are values: equal arguments give the very same algebra
-# or hom, however the arguments were built or loaded.  subalgebra is not.
+# or hom, however the arguments were built or loaded.
 
 
 @lru_cache(maxsize=None)
@@ -576,97 +572,6 @@ def sum_algebra(a: WeilAlgebra, b: WeilAlgebra) -> WeilAlgebra:
     return WeilAlgebra("sum(%s,%s)" % (a.name, b.name), labels, c, generators=gens)
 
 
-def _exact_solve(a_rows, b):
-    """Solve A x = b over the rationals; A is d x k with rank k.
-
-    Returns the solution as Fractions, or None if inconsistent.
-    """
-    d = len(a_rows)
-    k = len(a_rows[0]) if d else 0
-    aug = [list(row) + [rhs] for row, rhs in zip(a_rows, b)]
-    piv_rows = []
-    r = 0
-    for col in range(k):
-        sel = None
-        for i in range(r, d):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(d):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        piv_rows.append((r, col))
-        r += 1
-    for i in range(d):
-        if all(aug[i][c] == 0 for c in range(k)) and aug[i][k] != 0:
-            return None
-    x = [Fraction(0)] * k
-    for row, col in piv_rows:
-        x[col] = aug[row][k]
-    return x
-
-
-def subalgebra(ambient: WeilAlgebra, span, labels=None, name=None):
-    """Subalgebra on the given span vectors (ambient coefficients).
-
-    The unit must be one of the span vectors.  Structure constants are
-    derived by exact rational elimination; if a product of span vectors
-    cannot be represented in the span within DEFAULT_HOM_TOL, SpanNotClosed
-    reports the offending pair and the least-squares residual.  Returns the
-    new algebra together with the validated inclusion.
-    """
-    s = np.asarray(span, dtype=float)
-    if s.ndim != 2 or s.shape[1] != ambient.dim:
-        raise ShapeMismatch("span must be a list of ambient coefficient vectors")
-    kdim = s.shape[0]
-    if np.linalg.matrix_rank(s, tol=1e-9) != kdim:
-        raise ShapeMismatch("span vectors are linearly dependent")
-
-    unit_vec = np.zeros(ambient.dim)
-    unit_vec[ambient.unit_index] = 1.0
-    unit_index = None
-    for i in range(kdim):
-        if np.abs(s[i] - unit_vec).max() <= DEFAULT_HOM_TOL:
-            unit_index = i
-            break
-    if unit_index is None:
-        raise NotUnital("the span must contain the ambient unit as a span vector")
-
-    a_rows = [[Fraction(float(s[i, j])) for i in range(kdim)] for j in range(ambient.dim)]
-    structure = np.zeros((kdim, kdim, kdim))
-    for i in range(kdim):
-        for j in range(i, kdim):
-            prod = np.einsum("p,q,pqk->k", s[i], s[j], ambient.structure)
-            x = _exact_solve(a_rows, [Fraction(float(v)) for v in prod])
-            if x is None:
-                sol, res, _, _ = np.linalg.lstsq(s.T, prod, rcond=None)
-                residual = float(np.linalg.norm(s.T @ sol - prod))
-                if residual > DEFAULT_HOM_TOL:
-                    raise SpanNotClosed((i, j), residual)
-                coeffs = sol
-            else:
-                coeffs = [float(v) for v in x]
-            structure[i, j, :] = coeffs
-            structure[j, i, :] = coeffs
-    if labels is None:
-        labels = ["b%d" % i for i in range(kdim)]
-        labels[unit_index] = "1"
-    sub = WeilAlgebra(
-        name or "sub(%s,%d)" % (ambient.name, kdim),
-        labels,
-        structure,
-        unit_index=unit_index,
-    )
-    inclusion = make_hom(sub, ambient, s.T)
-    return sub, inclusion
-
-
 @lru_cache(maxsize=None)
 def exchange(a: WeilAlgebra, b: WeilAlgebra) -> AlgebraHom:
     """Factor swap tensor(a,b) -> tensor(b,a) as a validated hom, with a
@@ -718,8 +623,9 @@ def algebra_to_json(a: WeilAlgebra) -> dict:
 
 
 def algebra_from_json(data) -> WeilAlgebra:
-    """Strict loader; unknown keys, bad indices, a coefficient past the float
-    range or a wrong cached width or height all fail."""
+    """Strict loader; unknown keys, bad indices, a boolean where an integer
+    belongs, a coefficient past the float range or a wrong cached width or
+    height all fail."""
     if not isinstance(data, dict):
         raise ShapeMismatch("algebra document must be an object")
     unknown = set(data) - _ALGEBRA_KEYS
@@ -730,8 +636,11 @@ def algebra_from_json(data) -> WeilAlgebra:
             raise ShapeMismatch("algebra document missing %r" % key)
     dim = data["dim"]
     basis = data["basis"]
-    if not isinstance(dim, int) or not isinstance(basis, list) or len(basis) != dim:
+    # a JSON boolean is no integer here, though Python's bool is one
+    if type(dim) is not int or not isinstance(basis, list) or len(basis) != dim:
         raise ShapeMismatch("dim and basis disagree")
+    if type(data["unit_index"]) is not int:
+        raise ShapeMismatch("unit_index must be an integer, got %r" % (data["unit_index"],))
     _check_dim(dim, "algebra document")
     structure = np.zeros((dim, dim, dim))
     seen = set()
@@ -739,8 +648,8 @@ def algebra_from_json(data) -> WeilAlgebra:
         if not (isinstance(entry, list) and len(entry) == 4):
             raise ShapeMismatch("structure entries must be [i, j, k, coeff]")
         i, j, k, v = entry
-        if not all(isinstance(t, int) and 0 <= t < dim for t in (i, j, k)):
-            raise ShapeMismatch("structure index out of range in %r" % (entry,))
+        if not all(type(t) is int and 0 <= t < dim for t in (i, j, k)):
+            raise ShapeMismatch("structure indices must be integers in [0, %d) in %r" % (dim, entry))
         if (i, j, k) in seen:
             raise ShapeMismatch("duplicate structure entry for %r" % ((i, j, k),))
         seen.add((i, j, k))
@@ -754,9 +663,10 @@ def algebra_from_json(data) -> WeilAlgebra:
         str(data["name"]), basis, structure, unit_index=data["unit_index"], generators=gens
     )
     for key in ("width", "height"):
-        if data.get(key) is not None and data[key] != getattr(alg, key):
+        stored = data.get(key)
+        if stored is not None and (type(stored) is not int or stored != getattr(alg, key)):
             raise ShapeMismatch(
-                "stored %s %r disagrees with computed %d" % (key, data[key], getattr(alg, key))
+                "stored %s %r disagrees with computed %d" % (key, stored, getattr(alg, key))
             )
     return alg
 

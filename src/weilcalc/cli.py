@@ -30,7 +30,7 @@ from functools import partial
 
 from . import functional, functor, jets, prolong, strongdiff
 from .algebra import MAX_DIM, WeilAlgebra, algebra_from_json, make_basic, save_algebra, sum_algebra, tensor
-from .errors import InvariantViolation, NotMultiplicative, NotUnital, WeilError
+from .errors import DomainError, InvariantViolation, NotMultiplicative, NotUnital, WeilError
 from .exprs import Const, Var, format_expr, intpow, mul, simplify
 from .functional import FIELD_KEYS as _FUNCTIONAL_KEYS
 from .programs import (
@@ -42,11 +42,14 @@ from .programs import (
     random_poly_field,
     random_poly_program,
 )
-from .reports import Report, assemble_document, document_dumps, report_from_check, rng_for, tally
+from .reports import assemble_document, document_dumps, report_from_check, rng_for, tally
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# largest --samples accepted: 50 times the largest default count
+MAX_SAMPLES = 10_000
 
 
 # an algebra that violates the Weil axioms: exit 1, not malformed input
@@ -73,8 +76,8 @@ class SuiteConfig:
     def __post_init__(self):
         if self.tol is not None and not self.tol > 0:
             raise CliError(EXIT_USAGE, "--tol must be positive")
-        if self.samples is not None and self.samples < 1:
-            raise CliError(EXIT_USAGE, "--samples must be at least 1")
+        if self.samples is not None and not 1 <= self.samples <= MAX_SAMPLES:
+            raise CliError(EXIT_USAGE, "--samples must be from 1 to %d" % MAX_SAMPLES)
         if not self.suites:
             raise CliError(EXIT_USAGE, "--suite names no suite")
         repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
@@ -309,8 +312,9 @@ class Unit:
     stream: str | None = None
 
 
-def run_unit(cfg: SuiteConfig, unit: Unit) -> Report:
-    """Run one unit under the config's seed, --samples and --tol.
+def run_unit(cfg: SuiteConfig, unit: Unit) -> dict:
+    """Run one unit under the config's seed, --samples and --tol; returns
+    its report entry.
 
     The unit draws from its own stream, hashed from (seed, suite, stream),
     so running order cannot shift any random draw.  A WeilError that stops
@@ -511,8 +515,8 @@ def run_suites(cfg: SuiteConfig) -> dict:
     """Run the units of the configured suites, in the order the suites are
     given, and assemble the report document."""
     table = _unit_table(cfg)
-    reports = [run_unit(cfg, u) for suite in cfg.suites for u in table if u.suite == suite]
-    return assemble_document(reports, cfg.seed)
+    entries = [run_unit(cfg, u) for suite in cfg.suites for u in table if u.suite == suite]
+    return assemble_document(entries, cfg.seed)
 
 
 def _failure_text(failure: dict) -> str:
@@ -611,6 +615,8 @@ def _print_bracket(x, y, at_text):
             point = ", ".join("%g" % v for v in at)
             try:
                 vals = evaluate(br.components, at)
+                if not all(math.isfinite(v) for v in vals):
+                    raise DomainError("a component is not finite")
             except WeilError as err:
                 raise CliError(
                     EXIT_USAGE,

@@ -13,23 +13,6 @@ class AlgebraMismatch(WeilError):
     """Operands belong to different algebras."""
 
 
-class SpanNotClosed(WeilError):
-    """A candidate subalgebra span is not closed under multiplication.
-
-    Carries the offending basis pair and the residual norm of the best
-    least-squares representation of their product inside the span.
-    """
-
-    def __init__(self, pair, residual, message=None):
-        self.pair = pair
-        self.residual = residual
-        super().__init__(
-            message
-            or "span not closed: product of span elements %d and %d leaves the span "
-            "(residual %.3e)" % (pair[0], pair[1], residual)
-        )
-
-
 class NotUnital(WeilError):
     """A linear map does not send the unit to the unit."""
 

@@ -20,10 +20,12 @@ dim-A coefficients of target coordinate s occupying slots s*dimA..
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._monomials import add_indices, factorial_multi, monomial_index, monomials
-from .algebra import AlgebraElement, WeilAlgebra, make_basic
+from .algebra import MAX_DIM, AlgebraElement, WeilAlgebra, make_basic
 from .errors import ArityMismatch, ShapeMismatch
 from .exprs import Const, Expr, Var
 from .functor import lift_elements, point_from_flat
@@ -32,7 +34,6 @@ from .programs import (
     Program,
     VectorField,
     evaluate,
-    identity_program,
     program_from_json,
     program_to_json,
     random_poly_program,
@@ -95,25 +96,6 @@ def _fiber_env(algebra: WeilAlgebra, lay: _Layout) -> list:
     return env
 
 
-# -- points ----------------------------------------------------------------
-
-
-class FunctionalPoint:
-    """Base point plus fiber map of the bundle with fibers C^inf(Q1, Q2)."""
-
-    __slots__ = ("m", "q1", "q2", "x", "h")
-
-    def __init__(self, x, h: Program):
-        self.x = np.asarray(x, dtype=float).reshape(-1)
-        self.m = self.x.shape[0]
-        self.q1 = h.arity_in
-        self.q2 = h.arity_out
-        self.h = h
-
-    def __repr__(self):
-        return "FunctionalPoint(m=%d, h: R^%d -> R^%d)" % (self.m, self.q1, self.q2)
-
-
 # -- jets of fiber maps -----------------------------------------------------
 
 
@@ -137,58 +119,6 @@ def jet_values(h: Program, y, r: int) -> np.ndarray:
         for s in range(h.arity_out):
             flat[i * h.arity_out + s] = fac * float(outs[s].coeffs[i])
     return flat
-
-
-# -- finite-order morphisms -------------------------------------------------
-
-
-class OrderRMorphism:
-    """Fibered morphism of finite order in associated-map form.
-
-    The fiber program consumes (x, y, z_alpha blocks, v) where v is an
-    extra fiber argument of width q3 and y = anchor(v) is the point where
-    the jet of h is taken; anchor defaults to the identity on Q1.
-    """
-
-    __slots__ = ("m", "q1", "q2", "r", "q3", "q4", "base", "fiber", "anchor")
-
-    def __init__(self, m, q1, q2, r, fiber: Program, base: Program | None = None, anchor: Program | None = None, q3: int | None = None):
-        if base is None:
-            base = identity_program(m)
-        if q3 is None:
-            q3 = q1
-        if anchor is None:
-            if q3 != q1:
-                raise ArityMismatch("an explicit anchor is required when q3 != q1")
-            anchor = identity_program(q1)
-        if base.arity_in != m or base.arity_out != m:
-            raise ArityMismatch("base program must map R^m to R^m")
-        if anchor.arity_in != q3 or anchor.arity_out != q1:
-            raise ArityMismatch("anchor must map the extra fiber into Q1")
-        want = fiber_arity(m, q1, q2, r) + q3
-        if fiber.arity_in != want:
-            raise ArityMismatch(
-                "fiber program expects %d inputs for this signature, has %d"
-                % (want, fiber.arity_in)
-            )
-        self.m, self.q1, self.q2, self.r, self.q3 = m, q1, q2, r, q3
-        self.q4 = fiber.arity_out
-        self.base = base
-        self.fiber = fiber
-        self.anchor = anchor
-
-
-def morphism_apply(morph: OrderRMorphism, p: FunctionalPoint, v) -> np.ndarray:
-    """Evaluate the associated map on (point, extra fiber argument)."""
-    if (p.m, p.q1, p.q2) != (morph.m, morph.q1, morph.q2):
-        raise ArityMismatch("point signature does not match the morphism")
-    v = [float(c) for c in v]
-    if len(v) != morph.q3:
-        raise ArityMismatch("extra fiber argument has width %d, want %d" % (len(v), morph.q3))
-    y = evaluate(morph.anchor, v)
-    z = jet_values(p.h, y, morph.r)
-    args = [float(c) for c in p.x] + [float(c) for c in y] + list(z) + v
-    return np.asarray(evaluate(morph.fiber, args), dtype=float)
 
 
 # -- functional vector fields ------------------------------------------------
@@ -255,7 +185,8 @@ def functional_field_to_json(field: FunctionalVectorField) -> dict:
 
 def functional_field_from_json(data) -> FunctionalVectorField:
     """Load a field document; its signature must name a bundle over R^m,
-    m >= 1, whose jets of order r > 0 have a source fibre to vary in."""
+    m >= 1, whose jets of order r > 0 have a source fibre to vary in and
+    fit in truncated(q1, r) of dim at most MAX_DIM."""
     if not isinstance(data, dict) or set(data) != FIELD_KEYS:
         raise ShapeMismatch(
             "functional field document needs exactly the keys m, q1, q2, r, xi, D"
@@ -265,8 +196,17 @@ def functional_field_from_json(data) -> FunctionalVectorField:
             raise ShapeMismatch("functional field %r must be a non-negative integer" % key)
     if data["m"] < 1:
         raise ShapeMismatch("a functional field needs m >= 1, got %d" % data["m"])
-    if data["r"] > 0 and data["q1"] == 0:
-        raise ShapeMismatch("a functional field of order %d needs q1 >= 1" % data["r"])
+    q1, r = data["q1"], data["r"]
+    if r > 0 and q1 == 0:
+        raise ShapeMismatch("a functional field of order %d needs q1 >= 1" % r)
+    # its jets lift over truncated(q1, r): refuse that algebra before any
+    # layout lists its monomials; the max() test, implied by the comb one,
+    # keeps math.comb off huge arguments
+    if r > 0 and (max(q1, r) >= MAX_DIM or math.comb(q1 + r, r) > MAX_DIM):
+        raise ShapeMismatch(
+            "a functional field of order %d over q1 = %d needs truncated(%d,%d), past dim %d"
+            % (r, q1, q1, r, MAX_DIM)
+        )
     return FunctionalVectorField(
         data["m"],
         data["q1"],
@@ -481,16 +421,21 @@ def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField
 def check_order_locality(m: int = 1, q1: int = 1, q2: int = 1, r: int = 2, samples: int = 20, *, rng, tol: float = 1e-10) -> dict:
     """Perturbing h by terms vanishing to order r+1 at y0 is invisible.
 
-    Random order-r morphisms are evaluated on h and on h plus random
-    degree-(r+1) terms centered at y0; outputs at v = y0 must agree.
+    A random order-r associated map, a program over (x, y, z_alpha blocks,
+    v), is evaluated at y = v = y0 on the jets of h and of h plus random
+    degree-(r+1) terms centered at y0; the two outputs must agree.
     """
+
+    def apply(fiber, x, h, y0):
+        y = [float(c) for c in y0]
+        args = [*map(float, x), *y, *jet_values(h, y, r), *y]
+        return np.asarray(evaluate(fiber, args), dtype=float)
 
     def deviations():
         for trial in range(samples):
             fiber = random_poly_program(
                 rng, fiber_arity(m, q1, q2, r) + q1, q2, deg=2, scale=0.6
             )
-            morph = OrderRMorphism(m, q1, q2, r, fiber)
             h1 = random_poly_program(rng, q1, q2, deg=r + 2, scale=0.6)
             y0 = rng.uniform(-0.8, 0.8, size=q1)
             body = []
@@ -505,12 +450,8 @@ def check_order_locality(m: int = 1, q1: int = 1, q2: int = 1, r: int = 2, sampl
                 body.append(e)
             h2 = Program(q1, body)
             x = rng.uniform(-1.0, 1.0, size=m)
-            p1 = FunctionalPoint(x, h1)
-            p2 = FunctionalPoint(x, h2)
             yield {"trial": trial}, float(
-                np.abs(morphism_apply(morph, p1, y0) - morphism_apply(morph, p2, y0)).max(
-                    initial=0.0
-                )
+                np.abs(apply(fiber, x, h1, y0) - apply(fiber, x, h2, y0)).max(initial=0.0)
             )
 
     return tally(deviations(), tol)

@@ -2,7 +2,7 @@
 
 Every check function in the package folds its comparisons with `tally`
 into a plain dict with the keys max_error, samples and failures; this
-module wraps those into report entries with a fixed key set and
+module turns those into report entries, dicts with a fixed key set, and
 assembles full documents.  Randomness for a unit is derived by hashing
 (seed, suite, qualifier), so units are reproducible independently of
 execution order.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,26 +27,6 @@ CONVENTIONS = {
     "jet_composition": "jet_compose(a, b) means a then b",
     "functional_layout": "x block, y block, then one z block per multi-index in graded order",
 }
-
-
-@dataclass(frozen=True)
-class Report:
-    suite: str
-    algebra: str
-    samples: int
-    max_error: float
-    status: str
-    failures: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "algebra": self.algebra,
-            "samples": int(self.samples),
-            "max_error": float(self.max_error),
-            "status": self.status,
-            "failures": list(self.failures),
-        }
 
 
 def tally(deviations, tol: float, samples: int | None = None) -> dict:
@@ -74,17 +53,18 @@ def tally(deviations, tol: float, samples: int | None = None) -> dict:
     return {"max_error": worst, "samples": count if samples is None else samples, "failures": failures}
 
 
-def report_from_check(suite: str, algebra: str, result: dict) -> Report:
-    """Wrap a check dict; a unit passes iff it recorded no failures."""
+def report_from_check(suite: str, algebra: str, result: dict) -> dict:
+    """The report entry of a check dict; a unit passes iff it recorded no
+    failures."""
     failures = list(result.get("failures", []))
-    return Report(
-        suite=suite,
-        algebra=algebra,
-        samples=int(result.get("samples", 0)),
-        max_error=float(result.get("max_error", 0.0)),
-        status="pass" if not failures else "fail",
-        failures=failures,
-    )
+    return {
+        "suite": suite,
+        "algebra": algebra,
+        "samples": int(result.get("samples", 0)),
+        "max_error": float(result.get("max_error", 0.0)),
+        "status": "pass" if not failures else "fail",
+        "failures": failures,
+    }
 
 
 def rng_for(seed: int, *qualifiers) -> np.random.Generator:
@@ -99,8 +79,8 @@ def rng_for(seed: int, *qualifiers) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def assemble_document(reports, seed: int) -> dict:
-    entries = [r.to_json() if isinstance(r, Report) else dict(r) for r in reports]
+def assemble_document(entries, seed: int) -> dict:
+    """The report document of a list of entries, in the order given."""
     status = "pass" if all(e["status"] == "pass" for e in entries) else "fail"
     return {
         "version": REPORT_VERSION,

@@ -8,10 +8,11 @@ the mixed one.  Against the DD basis [1, 1*e, e*1, e*e] that means the
 slot-to-index map (0, 2, 1, 3).
 
 Two second tangents X, Y with equal bases and crosswise equal u/v parts
-form a compatible pair.  Such a pair is one point over a five-dimensional
-subalgebra of sum(DD, DD); a homomorphism sigma from that subalgebra onto
-the dual numbers sends the pair to the tangent vector (base, w(X) - w(Y)),
-the strong difference.
+form a compatible pair.  Such a pair is one point over the five-dimensional
+algebra S, whose one non-unit product b1 b2 = b3 + b4 is written out in
+make_S and proved by its inclusion into sum(DD, DD); a homomorphism sigma
+from S onto the dual numbers sends the pair to the tangent vector
+(base, w(X) - w(Y)), the strong difference.
 
 The bracket of two fields is the strong difference of the two composite
 second tangents (lift of Y applied to X, and vice versa), which works out
@@ -34,7 +35,6 @@ from .algebra import (
     make_basic,
     make_hom,
     rho,
-    subalgebra,
     sum_algebra,
     swap_matrix,
     tensor,
@@ -144,7 +144,7 @@ class SPair:
         self.dim = x.dim
 
     def coords5(self) -> np.ndarray:
-        """(dim, 5) array in the subalgebra basis 1, e1+E2, e2+E1, e1e2, E1E2;
+        """(dim, 5) array in the basis of S, 1, e1+E2, e2+E1, e1e2, E1E2;
         (dim, B, 5) for a block."""
         return np.stack([self.x.base, self.x.u, self.x.v, self.x.w, self.y.w], axis=-1)
 
@@ -162,13 +162,19 @@ class SAlgebraBundle:
 
 
 def make_S() -> SAlgebraBundle:
-    """Build the compatible-pair algebra inside sum(DD, DD).
+    """Build the compatible-pair algebra and its inclusion into sum(DD, DD).
 
-    Basis: unit, e1+E2, e2+E1, e1e2, E1E2 (capitals are the second copy).
-    sigma maps the unit to 1, the two mixed elements to +e and -e, and the
-    middle generators to zero; on a compatible pair it therefore returns
-    base and w(X) - w(Y).
+    Basis: unit, b1 = e1+E2, b2 = e2+E1, b3 = e1e2, b4 = E1E2 (capitals
+    are the second copy).  The one non-unit product is b1 b2 = b3 + b4;
+    the constants are written out here, and make_hom proves them by
+    checking that the span inclusion is multiplicative.  sigma maps the
+    unit to 1, b3 and b4 to +e and -e, and b1, b2 to zero; on a compatible
+    pair it therefore returns base and w(X) - w(Y).
     """
+    c = np.zeros((5, 5, 5))
+    c[0] = c[:, 0] = np.eye(5)
+    c[1, 2, 3] = c[1, 2, 4] = c[2, 1, 3] = c[2, 1, 4] = 1.0
+    s = WeilAlgebra("S", ("1", "e1+E2", "e2+E1", "e1e2", "E1E2"), c)
     dd = dd_algebra()
     amb = sum_algebra(dd, dd)
     # ambient nilpotent order: 1*e, e*1, e*e for each copy in turn
@@ -180,14 +186,12 @@ def make_S() -> SAlgebraBundle:
     span[2, 5] = 1.0  # E1
     span[3, 3] = 1.0  # e1e2
     span[4, 6] = 1.0  # E1E2
-    sub, inc = subalgebra(
-        amb, span, labels=("1", "e1+E2", "e2+E1", "e1e2", "E1E2"), name="S"
-    )
+    inc = make_hom(s, amb, span.T)
     sigma_matrix = np.array(
         [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]]
     )
-    sigma = make_hom(sub, make_basic("dual"), sigma_matrix)
-    return SAlgebraBundle(sub, amb, inc, sigma)
+    sigma = make_hom(s, make_basic("dual"), sigma_matrix)
+    return SAlgebraBundle(s, amb, inc, sigma)
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,6 @@ from weilcalc.algebra import (
     make_hom,
     rho,
     save_algebra,
-    subalgebra,
     sum_algebra,
     tensor,
     unit_embedding,
@@ -34,7 +33,6 @@ from weilcalc.errors import (
     NotMultiplicative,
     NotUnital,
     ShapeMismatch,
-    SpanNotClosed,
 )
 from weilcalc.exprs import Const, Expr, Var, node_to_json
 from weilcalc.strongdiff import make_S
@@ -273,12 +271,27 @@ def test_nilpotent_part_dies_by_the_height(els):
 
 # -- the product kernel against one walk over every structure nonzero ------------
 
+def _scaled_t12():
+    """truncated(1,2) in the basis 1, 2x, 3x^2: (2x)(2x) = (4/3)(3x^2)."""
+    c = np.zeros((3, 3, 3))
+    c[0] = c[:, 0] = np.eye(3)
+    c[1, 1, 2] = 4.0 / 3.0
+    return WeilAlgebra("truncated(1,2) on 1, 2x, 3x^2", ("1", "2x", "3x^2"), c)
+
+
+T12_SCALED = _scaled_t12()
 KERNEL_ALGEBRAS = STANDARD + [
     make_basic("truncated", 1, 12),
     tensor(make_basic("truncated", 1, 3), make_basic("truncated", 1, 3)),
-    # truncated(1,2) in the basis 1, 2x, 3x^2: (2x)(2x) = (4/3)(3x^2)
-    subalgebra(T12, np.diag([1.0, 2.0, 3.0]))[0],
+    T12_SCALED,
 ]
+
+
+def test_the_scaled_basis_presents_truncated_1_2():
+    # the basis change 1, x, x^2 -> 1, 2x, 3x^2 is a hom onto truncated(1,2)
+    make_hom(T12_SCALED, T12, np.diag([1.0, 2.0, 3.0]))
+    assert T12_SCALED.structure[1, 1, 2] == 4.0 / 3.0
+    assert (T12_SCALED.height, T12_SCALED.width) == (2, 1)
 
 
 def _flat_mul(x, y):
@@ -379,33 +392,6 @@ def test_hom_composes_pointwise():
     assert _close(mu.apply(x * y), mu.apply(x) * mu.apply(y), tol=1e-12)
 
 
-# -- subalgebras --------------------------------------------------------------
-
-
-def test_subalgebra_of_closed_span():
-    # 1, e*1, e*e close up inside tensor(dual, dual)
-    span = np.zeros((3, 4))
-    span[0, 0] = 1.0
-    span[1, 2] = 1.0
-    span[2, 3] = 1.0
-    sub, inc = subalgebra(DD, span, labels=("1", "u", "u2"), name="sub")
-    assert sub.dim == 3
-    assert sub.height == 1  # every product of span nilpotents vanishes
-    assert inc.source is sub and inc.target is DD
-    u = sub.basis_element(1)
-    assert (u * u).coeffs == (0.0, 0.0, 0.0)  # (e*1)^2 = 0, u2 is not its square
-
-
-def test_subalgebra_rejects_open_span():
-    span = np.zeros((2, 4))
-    span[0, 0] = 1.0
-    span[1, 1] = 1.0
-    span[1, 2] = 1.0  # (1*e + e*1)^2 = 2 e*e leaves the span
-    with pytest.raises(SpanNotClosed) as err:
-        subalgebra(DD, span)
-    assert err.value.pair == (1, 1)
-
-
 # -- serialization -------------------------------------------------------------
 
 
@@ -490,6 +476,24 @@ def test_json_rejects_stale_width():
     doc = algebra_to_json(T12)
     doc["width"] = 7
     with pytest.raises(ShapeMismatch, match="width"):
+        algebra_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("dim", True), ("unit_index", False), ("width", True), ("height", True)],
+)
+def test_json_rejects_a_boolean_for_an_integer_field(key, value):
+    doc = algebra_to_json(DUAL if key != "dim" else make_basic("reals"))
+    doc[key] = value
+    with pytest.raises(ShapeMismatch):
+        algebra_from_json(doc)
+
+
+def test_json_rejects_a_boolean_structure_index():
+    # numpy reads a bool index as a mask, which would write nothing
+    doc = {"dim": 1, "name": "r", "basis": ["1"], "unit_index": 0, "structure": [[False, 0, False, 1]]}
+    with pytest.raises(ShapeMismatch, match="indices"):
         algebra_from_json(doc)
 
 

@@ -16,7 +16,7 @@ from weilcalc.algebra import (
 from weilcalc.errors import DomainError, WeilError
 from weilcalc.exprs import PRIMITIVES, Const, IntPow, Mul, Var, intpow, prim, simplify
 from weilcalc.functional import FunctionalVectorField, functional_field_to_json
-from weilcalc.programs import Program, VectorField, eval_exprs, field_to_json
+from weilcalc.programs import Program, VectorField, eval_exprs, field_to_json, program_to_json
 from weilcalc.reports import documents_equal, report_from_check, rng_for, tally
 
 
@@ -79,6 +79,23 @@ def test_verify_rejects_an_empty_or_repeated_suite_list(capsys, suites, message)
 def test_verify_rejects_bad_numbers(capsys):
     assert cli.main(["verify", "--suite", "sigma", "--tol", "-1"]) == 2
     assert cli.main(["verify", "--suite", "sigma", "--samples", "0"]) == 2
+
+
+def test_verify_refuses_samples_past_the_limit_before_any_unit_runs(capsys, monkeypatch):
+    ran = []
+
+    def record(cfg, unit):
+        ran.append(cfg.samples)
+        return {"suite": unit.suite, "algebra": unit.label, "samples": 0, "max_error": 0.0,
+                "status": "pass", "failures": []}
+
+    monkeypatch.setattr(cli, "run_unit", record)
+    argv = ["verify", "--suite", "exchange-square", "--algebra", "dual", "--samples"]
+    assert cli.main(argv + ["10000000000000"]) == 2
+    assert cli.main(argv + [str(cli.MAX_SAMPLES + 1)]) == 2
+    assert ran == [] and "--samples" in capsys.readouterr().err
+    assert cli.main(argv + [str(cli.MAX_SAMPLES)]) == 0
+    assert ran == [cli.MAX_SAMPLES]
 
 
 def test_verify_tolerance_cannot_tighten_an_exact_suite():
@@ -244,7 +261,7 @@ def test_verify_custom_pair_reports_as_a_loop_over_single_points(capsys, manifol
         result = tally(deviations(), 1e-6)
     except WeilError as err:
         result = {"max_error": float("inf"), "samples": 0, "failures": [{"error": "%s: %s" % (type(err).__name__, err)}]}
-    want = report_from_check("bracket", "custom pair", result).to_json()
+    want = report_from_check("bracket", "custom pair", result)
     assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
@@ -336,8 +353,8 @@ def test_bracket_prints_a_long_power_of_one_term_as_a_power(capsys, manifold_fie
     _, one = manifold_fields
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(_field_doc(_power(_X0, 10**7))))
-    assert cli.main(["bracket", "--field", str(path), "--field", one, "--at", "2"]) == 0
-    assert capsys.readouterr().out == "[X,Y]_0 = -10000000*x^9999999\nat (2) -> (-inf)\n"
+    assert cli.main(["bracket", "--field", str(path), "--field", one, "--at", "1"]) == 0
+    assert capsys.readouterr().out == "[X,Y]_0 = -10000000*x^9999999\nat (1) -> (-1e+07)\n"
 
 
 def _functional_doc(m, q1, r, d_in):
@@ -687,6 +704,31 @@ def test_bracket_text_evaluates_to_the_bracket(tmp_path, name):
         assert np.allclose(got, want(at), rtol=1e-12, atol=1e-12), (name, at)
 
 
+def test_bracket_refuses_a_non_finite_value_at_a_point(capsys, manifold_fields, tmp_path):
+    # the bracket -10^7 x^9999999 overflows to -inf at 2
+    _, one = manifold_fields
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps(_field_doc(_power(_X0, 10**7))))
+    assert cli.main(["bracket", "--field", str(steep), "--field", one, "--at", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "undefined at (2)" in captured.err and "not finite" in captured.err
+    assert "inf" not in captured.out
+
+
+def test_functional_field_past_the_jet_limit_exits_two_before_listing_monomials(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("the loader listed monomials")
+
+    monkeypatch.setattr(functional, "monomials", refuse)
+    monkeypatch.setattr(functional, "monomial_index", refuse)
+    doc = {"m": 1, "q1": 40, "q2": 1, "r": 40, "xi": program_to_json(Program(1, [Const(0.0)])),
+           "D": program_to_json(Program(3, [Var(0)]))}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["bracket", "--field", str(path), "--field", str(path)]) == 2
+    assert "truncated(40,40)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("at", ["nan", "inf", "-inf", "1e999"])
 def test_bracket_rejects_non_finite_points(capsys, manifold_fields, at):
     sq, one = manifold_fields
@@ -703,6 +745,23 @@ def test_algebra_show(capsys):
     assert rc == 0
     assert "dim 3, width 1, height 2" in out
     assert "x * x = x^2" in out
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"name": "r", "dim": 1, "basis": ["1"], "unit_index": False, "structure": [[False, 0, False, 1]]},
+        {"name": "r", "dim": 1, "basis": ["1"], "unit_index": 0, "structure": [[False, 0, False, 1]]},
+    ],
+    ids=["unit_index", "structure"],
+)
+def test_algebra_file_with_a_boolean_for_an_integer_is_malformed(capsys, tmp_path, doc):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["algebra", "check", str(path)]) == 2
+    assert cli.main(["verify", "--suite", "sigma", "--algebra", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "axiom" not in captured.err
 
 
 def test_algebra_check_constructor_expression(capsys):

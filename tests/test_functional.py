@@ -7,9 +7,7 @@ from weilcalc.algebra import make_basic, make_hom
 from weilcalc.errors import ArityMismatch, ShapeMismatch
 from weilcalc.exprs import Const, Var, intpow
 from weilcalc.functional import (
-    FunctionalPoint,
     FunctionalVectorField,
-    OrderRMorphism,
     check_bracket_preserved,
     check_jet_bracket_preserved,
     check_order_locality,
@@ -22,11 +20,10 @@ from weilcalc.functional import (
     fvf_value,
     g_functional,
     jet_values,
-    morphism_apply,
     random_functional_field,
 )
 from weilcalc.jets import TrivialAction, jet_triple, make_triple
-from weilcalc.programs import Program, VectorField, evaluate, random_poly_program
+from weilcalc.programs import Program, VectorField, evaluate, program_to_json, random_poly_program
 from weilcalc.prolong import field_prolong
 
 DUAL = make_basic("dual")
@@ -61,33 +58,19 @@ def test_jet_values_multivariate():
     assert np.allclose(got, [18.0, 9.0, 12.0, 0.0, 6.0, 4.0], atol=1e-12)
 
 
-# -- finite-order morphisms ---------------------------------------------------------
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_jet_values_miss_a_term_of_order_r_plus_one(r):
+    # what the locality suite rests on: order-r jets at y0 cannot see a
+    # term vanishing to order r + 1 there, and do see one of order r
+    y0, c = 0.5, 1.75
+    h = Program(1, [intpow(Var(0), 3) - 2.0 * Var(0) + 1.0])
 
+    def bumped(k):
+        return Program(1, [h.exprs[0] + c * intpow(Var(0) - y0, k)])
 
-def test_morphism_arity_validation():
-    with pytest.raises(ArityMismatch):
-        OrderRMorphism(1, 1, 1, 1, fiber=Program(3, [Var(0)]))
-
-
-def test_morphism_apply_reads_jet_slots():
-    # slots are (x, y, z0, z1, v) with y = anchor(v); the default anchor is
-    # the identity, so y and v coincide here
-    morph = OrderRMorphism(
-        1, 1, 1, 1, fiber=Program(5, [Var(0) + Var(1) + Var(2) + Var(3) + Var(4)])
-    )
-    p = FunctionalPoint([2.0], Program(1, [intpow(Var(0), 2)]))
-    out = morphism_apply(morph, p, [3.0])
-    assert np.allclose(out, [2.0 + 3.0 + 9.0 + 6.0 + 3.0])
-
-
-def test_morphism_anchor_moves_the_jet_point():
-    anchor = Program(1, [2.0 * Var(0)])
-    morph = OrderRMorphism(
-        1, 1, 1, 1, fiber=Program(5, [Var(2)]), anchor=anchor
-    )
-    p = FunctionalPoint([0.0], Program(1, [intpow(Var(0), 2)]))
-    # z0 is h evaluated at y = anchor(v) = 2v
-    assert np.allclose(morphism_apply(morph, p, [3.0]), [36.0])
+    want = jet_values(h, [y0], r)
+    assert np.array_equal(jet_values(bumped(r + 1), [y0], r), want)
+    assert not np.allclose(jet_values(bumped(r), [y0], r), want)
 
 
 # -- fields and brackets ---------------------------------------------------------------
@@ -185,6 +168,21 @@ def test_field_json_requires_exact_keys():
     del doc["r"]
     with pytest.raises(ShapeMismatch):
         functional_field_from_json(doc)
+
+
+@pytest.mark.parametrize("q1, r, ok", [(2, 9, True), (2, 10, False), (1, 63, True), (1, 64, False)])
+def test_field_json_refuses_jets_past_max_dim(q1, r, ok):
+    # truncated(2,9) has dim 55, truncated(2,10) 66, truncated(1,63) 64
+    doc = {
+        "m": 1, "q1": q1, "q2": 1, "r": r,
+        "xi": program_to_json(ZERO1),
+        "D": program_to_json(Program(fiber_arity(1, q1, 1, r) if ok else 3, [Var(0)])),
+    }
+    if ok:
+        assert functional_field_from_json(doc).r == r
+    else:
+        with pytest.raises(ShapeMismatch, match="truncated\\(%d,%d\\)" % (q1, r)):
+            functional_field_from_json(doc)
 
 
 # -- prolongation ------------------------------------------------------------------------

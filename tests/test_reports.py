@@ -9,7 +9,6 @@ import numpy as np
 from weilcalc.reports import (
     CONVENTIONS,
     REPORT_VERSION,
-    Report,
     assemble_document,
     document_dumps,
     documents_equal,
@@ -29,42 +28,67 @@ def test_rng_for_is_reproducible_and_qualifier_sensitive():
     assert not np.array_equal(a, d)
 
 
+def _entry(suite, algebra, samples, max_error, failures=()):
+    return report_from_check(
+        suite, algebra, {"max_error": max_error, "samples": samples, "failures": list(failures)}
+    )
+
+
 def test_report_from_check_maps_failures_to_status():
     ok = report_from_check("sigma", "S", {"max_error": 0.0, "samples": 25, "failures": []})
-    assert ok.status == "pass"
+    assert ok["status"] == "pass"
     bad = report_from_check(
         "sigma", "S", {"max_error": 2.0, "samples": 25, "failures": [{"trial": 3, "deviation": 2.0}]}
     )
-    assert bad.status == "fail"
-    assert bad.failures[0]["trial"] == 3
+    assert bad["status"] == "fail"
+    assert bad["failures"][0]["trial"] == 3
+
+
+def test_report_entry_casts_numpy_numbers_to_plain_json_types():
+    failures = ({"trial": 0, "deviation": 9.0},)
+    got = report_from_check(
+        "bracket", "dual", {"max_error": np.float64(9.0), "samples": np.int64(5), "failures": failures}
+    )
+    assert got == {
+        "suite": "bracket",
+        "algebra": "dual",
+        "samples": 5,
+        "max_error": 9.0,
+        "status": "fail",
+        "failures": [{"trial": 0, "deviation": 9.0}],
+    }
+    assert type(got["samples"]) is int and type(got["max_error"]) is float
+    assert type(got["failures"]) is list
+    # a check dict without its optional keys passes with no samples
+    assert report_from_check("sigma", "S", {})["samples"] == 0
 
 
 def test_document_assembly():
-    reports = [
-        Report("sigma", "S", 25, 0.0, "pass", ()),
-        Report("locality", "F(1;1,1;2)", 20, 1e-16, "pass", ()),
+    entries = [
+        _entry("sigma", "S", 25, 0.0),
+        _entry("locality", "F(1;1,1;2)", 20, 1e-16),
     ]
-    doc = assemble_document(reports, seed=7)
+    doc = assemble_document(entries, seed=7)
     assert doc["version"] == REPORT_VERSION == 1
     assert doc["seed"] == 7
     assert doc["status"] == "pass"
     assert doc["conventions"] == CONVENTIONS
-    assert len(doc["suites"]) == 2
+    assert doc["suites"] == entries
     assert isinstance(doc["generated_at"], str)
 
 
 def test_any_failing_unit_fails_the_document():
-    reports = [
-        Report("sigma", "S", 25, 0.0, "pass", ()),
-        Report("bracket", "dual", 5, 9.0, "fail", ({"trial": 0, "deviation": 9.0},)),
+    entries = [
+        _entry("sigma", "S", 25, 0.0),
+        _entry("bracket", "dual", 5, 9.0, [{"trial": 0, "deviation": 9.0}]),
     ]
-    assert assemble_document(reports, seed=0)["status"] == "fail"
+    assert assemble_document(entries, seed=0)["status"] == "fail"
 
 
 def test_documents_equal_ignores_only_the_timestamp():
-    reports = [Report("sigma", "S", 25, 0.0, "pass", ())]
-    a = assemble_document(reports, seed=1)
-    b = assemble_document(reports, seed=1)
+    entries = [_entry("sigma", "S", 25, 0.0)]
+    a = assemble_document(entries, seed=1)
+    b = assemble_document(entries, seed=1)
     b["generated_at"] = "2000-01-01T00:00:00Z"
     assert documents_equal(a, b)
     b["seed"] = 2
@@ -72,8 +96,7 @@ def test_documents_equal_ignores_only_the_timestamp():
 
 
 def test_dumps_is_stable():
-    reports = [Report("sigma", "S", 25, 0.0, "pass", ())]
-    doc = assemble_document(reports, seed=1)
+    doc = assemble_document([_entry("sigma", "S", 25, 0.0)], seed=1)
     assert document_dumps(doc) == document_dumps(doc)
     assert document_dumps(doc).endswith("\n")
     json.loads(document_dumps(doc))
@@ -83,11 +106,11 @@ def test_document_validates_against_the_packaged_schema():
     schema = json.loads(
         resources.files("weilcalc").joinpath("data/report.schema.json").read_text()
     )
-    reports = [
-        Report("sigma", "S", 25, 0.0, "pass", ()),
-        Report("bracket", "dual", 5, 9.0, "fail", ({"trial": 0, "deviation": 9.0},)),
+    entries = [
+        _entry("sigma", "S", 25, 0.0),
+        _entry("bracket", "dual", 5, 9.0, [{"trial": 0, "deviation": 9.0}]),
     ]
-    doc = assemble_document(reports, seed=3)
+    doc = assemble_document(entries, seed=3)
     jsonschema.validate(json.loads(document_dumps(doc)), schema)
 
 

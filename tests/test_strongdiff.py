@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from weilcalc import strongdiff
-from weilcalc.algebra import exchange, hom_tensor, make_basic, sum_algebra
-from weilcalc.errors import DomainError, IncompatiblePair, ShapeMismatch
+from weilcalc.algebra import WeilAlgebra, exchange, hom_tensor, make_basic, make_hom, sum_algebra
+from weilcalc.errors import DomainError, IncompatiblePair, NotMultiplicative, ShapeMismatch
 from weilcalc.exprs import Const, Var, format_expr, intpow, prim, simplify
 from weilcalc.functor import flatten, lift_program, point_from_flat, transform
 from weilcalc.programs import Program, VectorField, evaluate, random_poly_field
@@ -50,6 +50,27 @@ def test_pair_algebra_shape():
     assert s.algebra.height == 2
     assert s.ambient.dim == 7  # sum of two copies of tensor(dual, dual)
     assert s.inclusion.source is s.algebra
+
+
+def test_pair_algebra_constants_are_the_one_product_b1_b2():
+    # the unit rows and b1 b2 = b3 + b4: in sum(DD, DD), (e1+E2)(e2+E1) is
+    # e1e2 + E1E2 and every other product of the span vanishes
+    assert make_S().algebra.nonzeros() == [
+        (0, 0, 0, 1.0), (0, 1, 1, 1.0), (0, 2, 2, 1.0), (0, 3, 3, 1.0), (0, 4, 4, 1.0),
+        (1, 0, 1, 1.0), (1, 2, 3, 1.0), (1, 2, 4, 1.0),
+        (2, 0, 2, 1.0), (2, 1, 3, 1.0), (2, 1, 4, 1.0),
+        (3, 0, 3, 1.0), (4, 0, 4, 1.0),
+    ]
+
+
+def test_the_inclusion_refuses_a_pair_algebra_missing_one_constant():
+    s = make_S()
+    c = np.array(s.algebra.structure)
+    c[1, 2, 4] = c[2, 1, 4] = 0.0  # b1 b2 = b3 alone is still a Weil algebra
+    mutant = WeilAlgebra("S", s.algebra.basis_labels, c)
+    with pytest.raises(NotMultiplicative) as err:
+        make_hom(mutant, s.ambient, s.inclusion.matrix)
+    assert err.value.pair in ((1, 2), (2, 1))
 
 
 def test_sigma_matrix():
