@@ -26,6 +26,7 @@ import numpy as np
 from ._monomials import add_indices, degree, monomial_label, monomials
 from .errors import (
     AlgebraMismatch,
+    DivisionByNilpotent,
     InvariantViolation,
     NotMultiplicative,
     NotUnital,
@@ -236,6 +237,11 @@ def _row_basis(rows: np.ndarray) -> np.ndarray:
     return vt[keep]
 
 
+def _zero_real(x) -> bool:
+    """Whether a real part is an exact zero, or a column with a zero entry."""
+    return not x.all() if type(x) is np.ndarray else isinstance(x, (int, float)) and x == 0
+
+
 class AlgebraElement:
     """Element of a WeilAlgebra with carrier-generic coefficients."""
 
@@ -312,19 +318,36 @@ class AlgebraElement:
 
     def __truediv__(self, other):
         peer = self._peer(other)
-        if peer is not None:
-            return self * peer.inverse()
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        return self * apply_primitive("recip", other)
+        if peer is None:
+            if isinstance(other, (int, float)):
+                return self * (1.0 / other)
+            return self * apply_primitive("recip", other)
+        # the fixed point q = (self - q*n)/b0 of b = b0 + n, from q = self/b0:
+        # each round fixes one more power of the ideal, so `height` rounds do
+        b0 = peer.coeffs[self.algebra.unit_index]
+        if _zero_real(b0):
+            raise DivisionByNilpotent("division by zero real part")
+        nil = peer.nilpotent_part()
+        q = self._over(b0)
+        for _ in range(0 if nil.is_zero() else self.algebra.height):
+            q = (self - q * nil)._over(b0)
+        return q
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        return self.algebra.unit(other) / self
+
+    def _over(self, b0):
+        # a float zero is not divided, so it stays a zero that products skip
+        return AlgebraElement(
+            self.algebra, [c if isinstance(c, float) and c == 0.0 else c / b0 for c in self.coeffs]
+        )
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
+            if _zero_real(self.coeffs[self.algebra.unit_index]):
+                raise DivisionByNilpotent("zero real part raised to a negative power")
             return self.inverse() ** (-k)
         acc = self.algebra.unit()
         base = self
@@ -358,7 +381,7 @@ class AlgebraElement:
         return out
 
     def inverse(self) -> "AlgebraElement":
-        return self.analytic("recip", 0)
+        return self.algebra.unit() / self
 
     def __repr__(self):
         labels = self.algebra.basis_labels

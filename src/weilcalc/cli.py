@@ -604,12 +604,11 @@ def _print_bracket(x, y, at_text):
             )
         br = strongdiff.bracket(x, y)
         names = ["x"] if br.dim == 1 else ["x%d" % i for i in range(br.dim)]
-        # render every component first, so a refusal prints nothing
+        # render every component and evaluate --at first, so a refusal prints nothing
         lines = [
             "[X,Y]_%d = %s" % (i, format_expr(simplify(e), names))
             for i, e in enumerate(br.components.exprs)
         ]
-        print("\n".join(lines))
         if at_text is not None:
             at = _parse_point(at_text, br.dim)
             point = ", ".join("%g" % v for v in at)
@@ -622,7 +621,8 @@ def _print_bracket(x, y, at_text):
                     EXIT_USAGE,
                     "bracket is undefined at (%s): %s: %s" % (point, type(err).__name__, err),
                 )
-            print("at (%s) -> (%s)" % (point, ", ".join("%g" % v for v in vals)))
+            lines.append("at (%s) -> (%s)" % (point, ", ".join("%g" % v for v in vals)))
+        print("\n".join(lines))
         return
     if isinstance(x, functional.FunctionalVectorField) and isinstance(
         y, functional.FunctionalVectorField

@@ -6,23 +6,21 @@ code in which every node reachable from the roots has exactly one slot, so
 shared subterms are computed once.  Running the tape is carrier-polymorphic:
 feed `evaluate` floats and it computes numbers, feed it algebra elements and
 it computes functor lifts, feed it expression trees and it performs
-capture-free substitution (which is all `compose` is).  `evaluate_dual` runs
-the same tape over float (value, derivative) pairs, so pointwise bracket
-evaluation pays no object-allocation costs.  `eval_exprs` compiles loose
-trees into a temporary tape and runs it once.
+capture-free substitution (which is all `compose` is).  `eval_exprs`
+compiles loose trees into a temporary tape and runs it once.
 
-Both runners also take columns: float64 1-D arrays of one length B, entry p
+The runner also takes columns: float64 1-D arrays of one length B, entry p
 belonging to point p, so one sweep of the tape evaluates B points (vector
 forward mode).  numpy's + - * / and negation round as Python floats do, so
 those ops run on whole columns; an integer power and a primitive apply
-Python's float `**` and `scalars._numeric` to each entry, because numpy's
-power and exp differ from them in the last ulp.  Zero checks are made
-entry by entry, and an output that does not depend on the inputs stays a
-plain number.  `run_columns` holds the one rule for errors on a block of
-points: a column run goes under numpy's raising error state, and a block
-with a non-finite input, or whose column run raises, is re-run point by
-point on the scalar path, so the first failing point raises what it
-raises on its own.  Single points keep the scalar path, the reference.
+Python's float `**` and the float primitives of `scalars` to each entry,
+because numpy's power and exp differ from them in the last ulp.  Zero
+checks are made entry by entry, and an output that does not depend on the
+inputs stays a plain number.  `run_columns` holds the one rule for errors
+on a block of points: a column run goes under numpy's raising error state,
+and a block with a non-finite input, or whose column run raises, is re-run
+point by point on the scalar path, so the first failing point raises what
+it raises on its own.  Single points keep the scalar path, the reference.
 
 `run_points` is the one place that tells a point from a (B, n) block.
 An entry point that takes either writes one body over run_points'
@@ -41,9 +39,10 @@ import numpy as np
 
 from . import exprs
 from ._monomials import monomials
+from .algebra import AlgebraElement, make_basic
 from .errors import ArityMismatch, DivisionByNilpotent, DomainError, ShapeMismatch, WeilError
 from .exprs import Add, Const, Div, Expr, IntPow, Mul, Neg, Prim, Sub, Var
-from .scalars import _numeric, apply_primitive
+from .scalars import apply_primitive
 
 _ndarray = np.ndarray  # the type of a column carrier, bound once for cheap type checks
 
@@ -242,72 +241,15 @@ def evaluate(prog: Program, args) -> list:
 
 
 def evaluate_dual(prog: Program, re_args, eps_args):
-    """First-order directional derivative over float dual numbers.
-
-    Runs the program's tape over (value, derivative) pairs held in two
-    parallel slot lists and returns (values, derivatives) as lists, of
-    floats or, for column arguments, of columns and plain numbers.
-    """
+    """(values, slopes) of the tape run over dual numbers value + slope*e:
+    lists of floats or, for column arguments, of columns and plain numbers.
+    An output that is a plain number has slope 0.0."""
     if len(re_args) != prog.arity_in or len(eps_args) != prog.arity_in:
         raise ArityMismatch("dual evaluation needs arity_in re and eps arguments")
-    ADD, SUB, MUL, DIV, NEG, POW = _ADD, _SUB, _MUL, _DIV, _NEG, _POW
-    tape = prog.tape
-    pool = tape.pool
-    r = list(tape.leaves)
-    e = [0.0] * len(r)
-    for s, i in tape.inputs:
-        rv, ev = re_args[i], eps_args[i]
-        r[s] = rv if type(rv) is _ndarray else float(rv)
-        e[s] = ev if type(ev) is _ndarray else float(ev)
-    try:
-        for op, a, b in zip(tape.ops, tape.a, tape.b):
-            if op == MUL:
-                ra, rb = r[a], r[b]
-                r.append(ra * rb)
-                e.append(ra * e[b] + e[a] * rb)
-            elif op == ADD:
-                r.append(r[a] + r[b])
-                e.append(e[a] + e[b])
-            elif op == POW:
-                rx, k = r[a], pool[b]
-                if k == 0:
-                    r.append(1.0)
-                    e.append(0.0)
-                elif type(rx) is _ndarray:
-                    r.append(_column_pow(rx, k))
-                    e.append(float(k) * _column_pow(rx, k - 1) * e[a])
-                else:
-                    if rx == 0.0 and k < 0:
-                        raise DivisionByNilpotent("zero real part raised to a negative power")
-                    r.append(rx ** k)
-                    e.append(float(k) * rx ** (k - 1) * e[a])
-            elif op == SUB:
-                r.append(r[a] - r[b])
-                e.append(e[a] - e[b])
-            elif op == NEG:
-                r.append(-r[a])
-                e.append(-e[a])
-            elif op == DIV:
-                ra, rb = r[a], r[b]
-                zero = not rb.all() if type(rb) is _ndarray else rb == 0.0
-                if zero:
-                    raise DivisionByNilpotent("division by zero real part")
-                # (e_a - q e_b) / b rather than (e_a b - a e_b) / b^2: a tiny
-                # nonzero b squares to zero and the quotient rule would divide by it
-                q = ra / rb
-                r.append(q)
-                e.append((e[a] - q * e[b]) / rb)
-            else:
-                rx, name = r[a], pool[b]
-                if type(rx) is _ndarray:
-                    r.append(apply_primitive(name, rx))
-                    e.append(apply_primitive(name, rx, 1) * e[a])
-                else:
-                    r.append(_numeric(name, 0, rx))
-                    e.append(_numeric(name, 1, rx) * e[a])
-    except OverflowError as err:
-        raise DomainError("float overflow: %s" % err.args[-1]) from err
-    return [r[s] for s in tape.outputs], [e[s] for s in tape.outputs]
+    dual = make_basic("dual")
+    out = _run(prog.tape, [AlgebraElement(dual, [r, e]) for r, e in zip(re_args, eps_args)])
+    pairs = [v.coeffs if isinstance(v, AlgebraElement) else (v, 0.0) for v in out]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 def _column_pow(x: np.ndarray, k: int) -> np.ndarray:
@@ -416,14 +358,6 @@ def jacobian_oracle(field, x, richardson: bool = False) -> np.ndarray:
 
 
 # -- small builders ------------------------------------------------------
-
-
-def identity_program(n: int) -> Program:
-    return Program(n, [Var(i) for i in range(n)])
-
-
-def constant_program(values, arity_in: int = 0) -> Program:
-    return Program(arity_in, [Const(v) for v in values])
 
 
 def random_poly_program(rng, arity_in: int, arity_out: int, deg: int = 2, scale: float = 0.5) -> Program:

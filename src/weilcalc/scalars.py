@@ -8,8 +8,9 @@ dispatches on the carrier; `shift` asks for the shift-th derivative of the
 primitive, in closed form, which is what truncated Taylor evaluation of an
 algebra element needs.
 
-"recip" (the derivative family of 1/x) is an internal primitive used for
-division by algebra elements; it is not part of the program AST.
+"recip" (the derivative family of 1/x) is an internal primitive for 1/x
+of a carrier that is not a plain number, such as an expression divisor of
+an algebra element; it is not part of the program AST.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
     WeilAlgebra,
     apply_matrix,
     exchange,
@@ -213,47 +212,40 @@ def strong_diff(x, y=None):
 # -- brackets ------------------------------------------------------------
 
 
-def _eps_expr(v) -> Expr:
-    if isinstance(v, AlgebraElement):
-        c = v.coeffs[1]
-        return c if isinstance(c, Expr) else Const(c)
-    return Const(0.0)
-
-
 def composite_pair(x_field: VectorField, y_field: VectorField, at) -> SPair:
     """The compatible pair (lift of Y along X, lift of X along Y) at a point."""
     return _composite_pair(x_field, y_field, [float(v) for v in at], None)[1]
+
+
+def _bracket_slots(x_field: VectorField, y_field: VectorField, args):
+    """X's values, Y's values, Y's slope along X and X's slope along Y at
+    `args`, over any carrier.  The values come from `evaluate`, not off the
+    dual runs, whose powers multiply by squaring and so round differently."""
+    if x_field.dim != y_field.dim:
+        raise ShapeMismatch("fields live on different spaces")
+    xv = evaluate(x_field.components, args)
+    yv = evaluate(y_field.components, args)
+    dyx = evaluate_dual(y_field.components, args, xv)[1]
+    dxy = evaluate_dual(x_field.components, args, yv)[1]
+    return xv, yv, dyx, dxy
 
 
 def _composite_pair(x_field: VectorField, y_field: VectorField, args, count):
     """(points, pair) of composite_pair over `run_points` arguments.
 
     For a block the pair is a block of B pairs on R^n, point p's in
-    column p; the points come back as the (B, n) block.  Three tape runs:
-    X's values, then Y's values and slope along X, then X's slope along Y.
+    column p; the points come back as the (B, n) block.
     """
-    if x_field.dim != y_field.dim:
-        raise ShapeMismatch("fields live on different spaces")
-    xv = evaluate(x_field.components, args)
-    yv, dyx = evaluate_dual(y_field.components, args, xv)
-    _, dxy = evaluate_dual(x_field.components, args, yv)
-    at, xv, yv, dyx, dxy = (stack_columns(v, count).T for v in (args, xv, yv, dyx, dxy))
+    slots = _bracket_slots(x_field, y_field, args)
+    at, xv, yv, dyx, dxy = (stack_columns(v, count).T for v in (args, *slots))
     return at.T, SPair(SecondTangent(at, xv, yv, dyx), SecondTangent(at, yv, xv, dxy))
 
 
 def bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     """The bracket as a symbolic field, assembled through sigma."""
-    if x_field.dim != y_field.dim:
-        raise ShapeMismatch("fields live on different spaces")
     n = x_field.dim
-    d = make_basic("dual")
     xs = [Var(i) for i in range(n)]
-    xv = evaluate(x_field.components, xs)
-    yv = evaluate(y_field.components, xs)
-    env_x = [AlgebraElement(d, [xs[i], xv[i]]) for i in range(n)]
-    env_y = [AlgebraElement(d, [xs[i], yv[i]]) for i in range(n)]
-    w_yx = [_eps_expr(v) for v in evaluate(y_field.components, env_x)]
-    w_xy = [_eps_expr(v) for v in evaluate(x_field.components, env_y)]
+    xv, yv, w_yx, w_xy = _bracket_slots(x_field, y_field, xs)
     sigma = s_bundle().sigma.matrix
     body = []
     for i in range(n):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from weilcalc.algebra import (
     MAX_DIM,
@@ -350,6 +350,42 @@ def test_rows_regroup_the_nonzeros_by_left_index():
     for a in KERNEL_ALGEBRAS:
         flat = [(i, j, k, c) for i, row in enumerate(a.rows()) for j, k, c in row]
         assert flat == a.nonzeros()
+
+
+# -- division without forming 1/b -------------------------------------------------
+
+_REAL_PARTS = st.floats(1.0, 4.0).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_ALGEBRAS), st.data())
+def test_a_quotient_times_its_divisor_gives_the_dividend(a, data):
+    num = a.element(data.draw(st.lists(coeffs, min_size=a.dim, max_size=a.dim)))
+    den = data.draw(st.lists(st.floats(-1, 1), min_size=a.dim, max_size=a.dim))
+    den[a.unit_index] = data.draw(_REAL_PARTS)
+    den = a.element(den)
+    q = num / den
+    scale = max([1.0] + [abs(c) for c in q.coeffs])
+    gap = max(abs(u - v) for u, v in zip((q * den).coeffs, num.coeffs))
+    assert gap <= 1e-12 * scale
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FINITE, _FINITE, _FINITE.filter(lambda v: v != 0.0), _FINITE)
+@example(0.0, 1.0, 2.225e-311, 1.0)  # 1/b overflows for this subnormal real part
+@example(3.0, -1.0, 2.225e-311, 0.5)
+def test_dual_quotients_are_the_quotient_rule_bit_for_bit(a0, a1, b0, b1):
+    q = a0 / b0
+    # the element stops at a/b0 when b1 is 0, where the rule would form inf*0
+    assume(math.isfinite(q) or b1 != 0.0)
+    want = (q, (a1 - q * b1) / b0)
+    got = (DUAL.element([a0, a1]) / DUAL.element([b0, b1])).coeffs
+    # a float zero is not divided, so a zero may keep its sign
+    for g, w in zip(got, want):
+        assert float.hex(g) == float.hex(w) or g == w == 0.0
 
 
 # -- homomorphisms -----------------------------------------------------------
