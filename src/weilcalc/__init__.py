@@ -18,14 +18,12 @@ from .algebra import (
     exchange,
     hom_tensor,
     identity_hom,
-    load_algebra,
     make_basic,
     make_hom,
     rho,
     save_algebra,
     sum_algebra,
     tensor,
-    unit_embedding,
 )
 from .errors import (
     AlgebraMismatch,
@@ -57,12 +55,10 @@ from .functor import (
     lift,
     lift_program,
     point_from_flat,
-    point_from_reals,
     transform,
     unflatten,
 )
 from .jets import (
-    Frame,
     FunctorTriple,
     JetGroupElement,
     canonical_H,

@@ -187,17 +187,9 @@ class WeilAlgebra:
             self._rows = tuple(map(tuple, rows))
         return self._rows
 
-    def element(self, coeffs) -> "AlgebraElement":
-        return AlgebraElement(self, coeffs)
-
     def unit(self, scale=1.0) -> "AlgebraElement":
         coeffs = [0.0] * self.dim
         coeffs[self.unit_index] = scale
-        return AlgebraElement(self, coeffs)
-
-    def basis_element(self, i: int) -> "AlgebraElement":
-        coeffs = [0.0] * self.dim
-        coeffs[i] = 1.0
         return AlgebraElement(self, coeffs)
 
     def generator_elements(self):
@@ -426,11 +418,6 @@ class AlgebraHom:
         if dev[worst] > DEFAULT_HOM_TOL:
             raise NotMultiplicative((int(worst[0]), int(worst[1])), float(dev[worst]))
 
-    def apply(self, a: AlgebraElement) -> AlgebraElement:
-        if not a.algebra.same_structure(self.source):
-            raise AlgebraMismatch("element is not in the source algebra")
-        return AlgebraElement(self.target, apply_matrix(self.matrix, a.coeffs))
-
     def __repr__(self):
         return "AlgebraHom(%s -> %s)" % (self.source.name, self.target.name)
 
@@ -470,12 +457,6 @@ def rho(a: WeilAlgebra) -> AlgebraHom:
     m = np.zeros((1, a.dim))
     m[0, a.unit_index] = 1.0
     return AlgebraHom(a, make_basic("reals"), m, validate=False)
-
-
-def unit_embedding(a: WeilAlgebra) -> AlgebraHom:
-    m = np.zeros((a.dim, 1))
-    m[a.unit_index, 0] = 1.0
-    return AlgebraHom(make_basic("reals"), a, m, validate=False)
 
 
 # -- canonical constructions -------------------------------------------
@@ -709,8 +690,3 @@ def save_algebra(a: WeilAlgebra, path) -> None:
     with open(path, "w") as fh:
         json.dump(algebra_to_json(a), fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def load_algebra(path) -> WeilAlgebra:
-    with open(path) as fh:
-        return algebra_from_json(json.load(fh))

@@ -74,8 +74,8 @@ class SuiteConfig:
     fields: list = dataclass_field(default_factory=list)
 
     def __post_init__(self):
-        if self.tol is not None and not self.tol > 0:
-            raise CliError(EXIT_USAGE, "--tol must be positive")
+        if self.tol is not None and not 0 < self.tol < math.inf:
+            raise CliError(EXIT_USAGE, "--tol must be positive and finite")
         if self.samples is not None and not 1 <= self.samples <= MAX_SAMPLES:
             raise CliError(EXIT_USAGE, "--samples must be from 1 to %d" % MAX_SAMPLES)
         if not self.suites:
@@ -300,8 +300,9 @@ class Unit:
 
     `check(rng=, samples=, tol=)` returns a check result.  `samples` and
     `tol` are the unit's default sample count and certified tolerance,
-    both ignored by a check that draws nothing; `stream` names the unit's
-    rng stream when it differs from the label.
+    both ignored by a check that draws nothing; the checks give neither a
+    default, so the row is the one place they are written.  `stream` names
+    the unit's rng stream when it differs from the label.
     """
 
     suite: str
@@ -337,12 +338,6 @@ def _unsampled(check, *args, rng, samples, tol):
     return check(*args)
 
 
-def _random_brackets(*, rng, samples, tol):
-    return strongdiff.check_bracket_jacobian(
-        dims=(1, 2, 3), pairs=20, points=samples, rng=rng, tol=tol
-    )
-
-
 def _custom_bracket(x, y, *, rng, samples, tol):
     """The oracle of the random-pair unit, on the --field pair."""
     block = rng.uniform(-1.0, 1.0, size=(samples, x.dim))
@@ -360,10 +355,6 @@ def _prolong_manifold(algebra, *, rng, samples, tol):
                 yield {**tag, "unit": unit}, dev
 
     return tally(deviations(), tol)
-
-
-def _iterated_lift(outer, inner, *, rng, samples, tol):
-    return functor.check_iterated_lift(outer, inner, programs=samples, n=2, rng=rng, tol=tol)
 
 
 def _frame_prolong(m, r, *, rng, samples, tol):
@@ -476,11 +467,12 @@ def _unit_table(cfg: SuiteConfig) -> list:
     orders = ((1, 1), (1, 2), (2, 1))
     return [
         Unit("sigma", "S", partial(_unsampled, strongdiff.check_sigma)),
-        Unit("bracket", "dims 1-3", _random_brackets, 20, 1e-6, "random"),
+        Unit("bracket", "dims 1-3", partial(strongdiff.check_bracket_jacobian, (1, 2, 3), 20), 20, 1e-6,
+             "random"),
         *custom,
         *(Unit("prolong-manifold", a.name, partial(_prolong_manifold, a), 50, 1e-7)
           for a in standard),
-        *(Unit("exchange-square", a.name, partial(strongdiff.check_exchange_square, a, n=2), 100, 1e-12)
+        *(Unit("exchange-square", a.name, partial(strongdiff.check_exchange_square, a, 2), 100, 1e-12)
           for a in standard),
         *(Unit("projection-squares", "%s,%s,%s" % (a.name, b.name, c.name),
                partial(_unsampled, strongdiff.check_projection_squares, a, b, c))
@@ -488,7 +480,8 @@ def _unit_table(cfg: SuiteConfig) -> list:
         *(Unit("projection-squares", "tangent:" + a.name,
                partial(_unsampled, strongdiff.check_tangent_projection_identities, a))
           for a in small),
-        *(Unit("functor-laws", "%s over %s" % (o.name, i.name), partial(_iterated_lift, o, i), 20, 1e-10)
+        *(Unit("functor-laws", "%s over %s" % (o.name, i.name),
+               partial(functor.check_iterated_lift, o, i, 2), 20, 1e-10)
           for o, i in combos),
         *(Unit("jet-group", "jets(%d,%d)" % mr, partial(jets.check_jet_group, *mr), 200, 1e-10)
           for mr in ((1, 2), (2, 1), (2, 2))),
@@ -501,7 +494,7 @@ def _unit_table(cfg: SuiteConfig) -> list:
         *(Unit("prolong-functional", a.name, partial(_prolong_functional, cfg, a), 30, 1e-6)
           for a in small),
         Unit("prolong-functional", "poly-family d=3",
-             partial(functional.check_polynomial_family, _POLY_X1, _POLY_X2, d=3), 10, 1e-7,
+             partial(functional.check_polynomial_family, _POLY_X1, _POLY_X2, 3), 10, 1e-7,
              "poly-family"),
         Unit("prolong-functional-jet", "jet(%d,1)" % jet_m, partial(_prolong_functional_jet, cfg, jet_m),
              30, 1e-6),
@@ -570,9 +563,8 @@ def cmd_verify(args) -> int:
 
 
 def _parse_point(text: str, dim: int):
-    parts = [p for p in text.split(",") if p.strip()]
     try:
-        values = [float(p) for p in parts]
+        values = [float(p) for p in text.split(",")]
     except ValueError:
         raise CliError(EXIT_USAGE, "--at expects comma-separated floats, got %r" % text)
     if not all(math.isfinite(v) for v in values):

@@ -330,7 +330,7 @@ def functional_field_prolong(algebra: WeilAlgebra, field: FunctionalVectorField)
     )
 
 
-def check_bracket_preserved(algebra: WeilAlgebra, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, *, rng, tol: float = 1e-6) -> dict:
+def check_bracket_preserved(algebra: WeilAlgebra, x1: FunctionalVectorField, x2: FunctionalVectorField, *, rng, samples: int, tol: float) -> dict:
     """Prolonging the bracket equals the bracket of the prolongations.
 
     Both sides are evaluated at sampled (lifted base, polynomial lifted
@@ -407,7 +407,7 @@ def _normalized_vertical(triple: FunctorTriple, field: FunctionalVectorField) ->
     return body
 
 
-def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int = 30, *, rng, tol: float = 1e-6) -> dict:
+def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField, x2: FunctionalVectorField, *, rng, samples: int, tol: float) -> dict:
     """Quotient prolongation of the bracket equals the bracket of the
     quotient prolongations, at sampled (x, fiber map, y)."""
     return _check_prolonged_bracket(
@@ -418,7 +418,7 @@ def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField
 # -- independent oracles -------------------------------------------------------
 
 
-def check_order_locality(m: int = 1, q1: int = 1, q2: int = 1, r: int = 2, samples: int = 20, *, rng, tol: float = 1e-10) -> dict:
+def check_order_locality(m: int, q1: int, q2: int, r: int, *, rng, samples: int, tol: float) -> dict:
     """Perturbing h by terms vanishing to order r+1 at y0 is invisible.
 
     A random order-r associated map, a program over (x, y, z_alpha blocks,
@@ -484,7 +484,7 @@ def _poly_family_rate(field: FunctionalVectorField, d: int, nodes: np.ndarray, v
     return rate
 
 
-def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField, d: int = 3, samples: int = 10, *, rng, tol: float = 1e-7) -> dict:
+def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField, d: int, *, rng, samples: int, tol: float) -> dict:
     """Brute-force bracket oracle on a polynomial-invariant family.
 
     For q1 = q2 = 1 fields that keep fiber polynomials of degree <= d

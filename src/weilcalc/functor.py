@@ -70,10 +70,6 @@ def point_from_flat(algebra: WeilAlgebra, dim: int, flat) -> WeilPoint:
     )
 
 
-def point_from_reals(algebra: WeilAlgebra, values) -> WeilPoint:
-    return WeilPoint(algebra, [algebra.unit(float(v)) for v in values])
-
-
 def _coerce_element(algebra: WeilAlgebra, v) -> AlgebraElement:
     return v if isinstance(v, AlgebraElement) else algebra.unit(v)
 
@@ -159,7 +155,7 @@ def unflatten(q: WeilPoint, outer: WeilAlgebra, inner: WeilAlgebra) -> WeilPoint
     return WeilPoint(outer, coords)
 
 
-def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 20, n: int = 2, *, rng, tol: float = 1e-10) -> dict:
+def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, n: int, *, rng, samples: int, tol: float) -> dict:
     """Lifting twice equals lifting once over the tensor algebra.
 
     A random program is lifted over `inner`, the rendering is lifted over
@@ -171,7 +167,7 @@ def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, programs: int = 
     prims = ("sin", "cos", "exp")
 
     def deviations():
-        for trial in range(programs):
+        for trial in range(samples):
             f = random_poly_program(rng, n, n, deg=2, scale=0.5)
             body = []
             for i, e in enumerate(f.exprs):

@@ -427,22 +427,6 @@ class CanonicalAction:
         return AlgebraHom(self.algebra, self.algebra, mat, validate=False)
 
 
-class TrivialAction:
-    """Every group element acts as the identity automorphism."""
-
-    __slots__ = ("algebra",)
-
-    def __init__(self, algebra: WeilAlgebra):
-        self.algebra = algebra
-
-    def matrix_generic(self, g: JetGroupElement):
-        d = self.algebra.dim
-        return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-    def __call__(self, g: JetGroupElement) -> AlgebraHom:
-        return identity_hom(self.algebra)
-
-
 @lru_cache(maxsize=None)
 def canonical_H(m: int, r: int) -> CanonicalAction:
     return CanonicalAction(m, r)
@@ -524,39 +508,10 @@ def jet_triple(m: int, r: int) -> FunctorTriple:
 # -- frames ---------------------------------------------------------------
 
 
-class Frame:
-    """A frame over R^m: base point and jet part (x, g)."""
-
-    __slots__ = ("x", "jet")
-
-    def __init__(self, x, jet: JetGroupElement):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != jet.m:
-            raise ShapeMismatch("base point dim differs from the jet's m")
-        self.x = x
-        self.jet = jet
-
-    @property
-    def m(self):
-        return self.jet.m
-
-    @property
-    def r(self):
-        return self.jet.r
-
-    def __repr__(self):
-        return "Frame(m=%d, r=%d)" % (self.jet.m, self.jet.r)
-
-
-def frame_to_flat(frame: Frame) -> np.ndarray:
-    """Coordinate-major layout matching the lifted space over truncated(m,r)."""
-    return np.column_stack([frame.x, frame.jet.as_array()]).reshape(-1)
-
-
-def flat_to_frame(m: int, r: int, flat) -> Frame:
-    dim_d = len(monomials(m, r))
-    flat = np.asarray(flat, dtype=float).reshape(m, dim_d)
-    return Frame(flat[:, 0], JetGroupElement(m, r, flat[:, 1:].tolist()))
+def frame_to_flat(x, jet: JetGroupElement) -> np.ndarray:
+    """The frame (x, jet) in the coordinate-major layout of the lifted space
+    over truncated(m,r): row i holds x_i, then jet component i."""
+    return np.column_stack([x, jet.as_array()]).reshape(-1)
 
 
 def _monomial_values(y, monos) -> np.ndarray:
@@ -564,10 +519,10 @@ def _monomial_values(y, monos) -> np.ndarray:
     return np.array([np.prod(y ** np.array(a)) for a in monos])
 
 
-def frame_evaluate(frame: Frame, y) -> np.ndarray:
+def frame_evaluate(x, jet: JetGroupElement, y) -> np.ndarray:
     """The frame's polynomial map at y: x + g(y)."""
-    vals = _monomial_values(np.asarray(y, dtype=float), monomials(frame.m, frame.r, 1))
-    return frame.x + frame.jet.as_array() @ vals
+    vals = _monomial_values(np.asarray(y, dtype=float), monomials(jet.m, jet.r, 1))
+    return x + jet.as_array() @ vals
 
 
 def frame_prolong(xi: VectorField, r: int) -> VectorField:
@@ -613,12 +568,12 @@ def flow_frame_oracle(xi: VectorField, r: int, flat) -> np.ndarray:
     grid tables depend only on (m, r) and are built once.
     """
     m = xi.dim
-    frame = flat_to_frame(m, r, flat)
+    block = np.asarray(flat, dtype=float).reshape(m, -1)
     design, rescale, vals = _flow_tables(m, int(r))
-    jet = frame.jet.as_array()
-    # one product per grid point, with a single point's layout: a matrix
-    # product rounds by layout
-    starts = np.array([frame.x + jet @ v for v in vals])
+    # one product per grid point, with a single point's C-ordered layout:
+    # a matrix product rounds by layout
+    x, jet = block[:, 0], np.ascontiguousarray(block[:, 1:])
+    starts = np.array([x + jet @ v for v in vals])
 
     def rk4_to(z: np.ndarray, t: float) -> np.ndarray:
         f = partial(evaluate_points, xi.components)
@@ -643,7 +598,7 @@ def flow_frame_oracle(xi: VectorField, r: int, flat) -> np.ndarray:
     return deriv.T.reshape(-1)
 
 
-def check_frame_prolong(xi: VectorField, r: int, samples: int = 5, *, rng, tol: float = 1e-5) -> dict:
+def check_frame_prolong(xi: VectorField, r: int, *, rng, samples: int, tol: float) -> dict:
     """Frame prolongation against the flow finite-difference oracle.
 
     The trial frames are drawn first, in trial order, and the rendered
@@ -653,7 +608,7 @@ def check_frame_prolong(xi: VectorField, r: int, samples: int = 5, *, rng, tol: 
     field = frame_prolong(xi, r)
     flats = np.empty((samples, field.dim))
     for trial in range(samples):
-        flats[trial] = frame_to_flat(Frame(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r)))
+        flats[trial] = frame_to_flat(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
     got = evaluate_points(field.components, flats)
 
     def deviations():
@@ -743,7 +698,7 @@ def g_field_prolong(triple: FunctorTriple, field: VectorField) -> VectorField:
     return VectorField(dim, Program(dim, xi.exprs + tuple(body)))
 
 
-def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorField, samples: int = 30, *, rng, tol: float = 1e-6) -> dict:
+def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorField, *, rng, samples: int, tol: float) -> dict:
     """Prolonging the bracket equals the bracket of the prolongations."""
     if x1.dim != x2.dim:
         raise ShapeMismatch("fields live on different spaces")
@@ -782,7 +737,7 @@ def residue_mismatch(a: JetGroupElement, b: JetGroupElement, count: int) -> np.n
     return mask
 
 
-def check_jet_group(m: int, r: int, samples: int = 40, *, rng, tol: float = 1e-10) -> dict:
+def check_jet_group(m: int, r: int, *, rng, samples: int, tol: float) -> dict:
     """Group axioms exact mod P on rational jets; action homomorphism on floats.
 
     The trials are drawn one by one, as (ja, jb, jc) per trial and then
@@ -833,7 +788,7 @@ def check_jet_group(m: int, r: int, samples: int = 40, *, rng, tol: float = 1e-1
     return tally(deviations(), tol, samples=samples)
 
 
-def check_classical_prolongation(samples: int = 20, *, rng, tol: float = 1e-8) -> dict:
+def check_classical_prolongation(*, rng, samples: int, tol: float) -> dict:
     """Vertical fields on the order-1 scalar jet bundle, against the book formula.
 
     For the triple of truncated(1, 1) with the canonical action, a vertical

@@ -6,8 +6,7 @@ code in which every node reachable from the roots has exactly one slot, so
 shared subterms are computed once.  Running the tape is carrier-polymorphic:
 feed `evaluate` floats and it computes numbers, feed it algebra elements and
 it computes functor lifts, feed it expression trees and it performs
-capture-free substitution (which is all `compose` is).  `eval_exprs`
-compiles loose trees into a temporary tape and runs it once.
+capture-free substitution (which is all `compose` is).
 
 The runner also takes columns: float64 1-D arrays of one length B, entry p
 belonging to point p, so one sweep of the tape evaluates B points (vector
@@ -225,11 +224,6 @@ def _run(tape: Tape, args) -> list:
     except OverflowError as err:
         raise DomainError("float overflow: %s" % err.args[-1]) from err
     return [v[s] for s in tape.outputs]
-
-
-def eval_exprs(body, args) -> list:
-    """Evaluate loose expression trees over any carrier, sharing work across trees."""
-    return _run(Tape(body, len(args)), args)
 
 
 def evaluate(prog: Program, args) -> list:

@@ -99,7 +99,7 @@ def field_prolong(algebra: WeilAlgebra, field: VectorField) -> ProlongedField:
     return ProlongedField(algebra, field)
 
 
-def check_base_projection(pf: ProlongedField, samples: int = 10, *, rng) -> dict:
+def check_base_projection(pf: ProlongedField, *, rng, samples: int) -> dict:
     """Real parts of the prolonged velocity equal the field at the real parts.
 
     The points are one (samples, n*d) block drawn from the cube [-1, 1]^{n*d}.

@@ -90,10 +90,6 @@ class SecondTangent:
     def slots(self) -> tuple:
         return self.base, self.u, self.v, self.w
 
-    def to_point(self) -> WeilPoint:
-        slots = np.column_stack(self.slots())
-        return point_from_flat(dd_algebra(), self.dim, slots[:, _SLOT_TO_DD].reshape(-1))
-
     def __repr__(self):
         return "SecondTangent(dim=%d)" % self.dim
 
@@ -212,11 +208,6 @@ def strong_diff(x, y=None):
 # -- brackets ------------------------------------------------------------
 
 
-def composite_pair(x_field: VectorField, y_field: VectorField, at) -> SPair:
-    """The compatible pair (lift of Y along X, lift of X along Y) at a point."""
-    return _composite_pair(x_field, y_field, [float(v) for v in at], None)[1]
-
-
 def _bracket_slots(x_field: VectorField, y_field: VectorField, args):
     """X's values, Y's values, Y's slope along X and X's slope along Y at
     `args`, over any carrier.  The values come from `evaluate`, not off the
@@ -231,7 +222,8 @@ def _bracket_slots(x_field: VectorField, y_field: VectorField, args):
 
 
 def _composite_pair(x_field: VectorField, y_field: VectorField, args, count):
-    """(points, pair) of composite_pair over `run_points` arguments.
+    """(points, pair): the compatible pair (lift of Y along X, lift of X
+    along Y) over `run_points` arguments.
 
     For a block the pair is a block of B pairs on R^n, point p's in
     column p; the points come back as the (B, n) block.
@@ -325,7 +317,7 @@ def k_map(pair: ASecondPair) -> SPair:
 # -- diagram checks ------------------------------------------------------
 
 
-def check_exchange_square(algebra: WeilAlgebra, n: int = 2, samples: int = 20, *, rng, tol: float = 1e-12) -> dict:
+def check_exchange_square(algebra: WeilAlgebra, n: int, *, rng, samples: int, tol: float) -> dict:
     """Strong difference commutes with the coefficient-exchange route.
 
     Path one reinterprets the pair on the lifted space and takes the strong
@@ -484,7 +476,7 @@ def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, r
     return run_points(at, gap)
 
 
-def check_bracket_jacobian(dims=(1, 2, 3), pairs: int = 20, points: int = 20, *, rng, tol: float = 1e-6) -> dict:
+def check_bracket_jacobian(dims, pairs: int, *, rng, samples: int, tol: float) -> dict:
     """Strong-difference bracket against the finite-difference Jacobian bracket."""
 
     def deviations():
@@ -492,7 +484,7 @@ def check_bracket_jacobian(dims=(1, 2, 3), pairs: int = 20, points: int = 20, *,
             for pair in range(pairs):
                 xf = random_poly_field(rng, n, deg=3)
                 yf = random_poly_field(rng, n, deg=3)
-                block = rng.uniform(-1.0, 1.0, size=(points, n))
+                block = rng.uniform(-1.0, 1.0, size=(samples, n))
                 for dev in jacobian_bracket_deviation(xf, yf, block):
                     yield {"dim": n, "pair": pair}, float(dev)
 

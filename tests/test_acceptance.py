@@ -77,9 +77,7 @@ def test_criterion_01_difference_formula_is_exact():
 
 
 def test_criterion_02_bracket_matches_jacobians():
-    out = check_bracket_jacobian(
-        dims=(1, 2, 3), pairs=20, points=20, rng=rng_for(SEED, "acc", "bracket"), tol=1e-6
-    )
+    out = check_bracket_jacobian((1, 2, 3), 20, rng=rng_for(SEED, "acc", "bracket"), samples=20, tol=1e-6)
     _verdict(2, "bracket vs difference quotients", [out], 1e-6)
 
 
@@ -97,7 +95,7 @@ def test_criterion_03_prolongation_preserves_brackets():
 def test_criterion_04_exchange_squares_commute():
     rng = rng_for(SEED, "acc", "exchange")
     results = [
-        check_exchange_square(a, n=2, samples=100, rng=rng, tol=1e-12) for a in STANDARD
+        check_exchange_square(a, 2, rng=rng, samples=100, tol=1e-12) for a in STANDARD
     ]
     _verdict(4, "second-tangent exchange squares", results, 1e-12)
 
@@ -115,7 +113,7 @@ def test_criterion_05_projection_squares_commute():
 def test_criterion_06_iterated_lifts_flatten():
     rng = rng_for(SEED, "acc", "functor")
     results = [
-        check_iterated_lift(outer, inner, programs=20, rng=rng, tol=1e-10)
+        check_iterated_lift(outer, inner, 2, rng=rng, samples=20, tol=1e-10)
         for outer, inner in [(DUAL, DUAL), (DUAL, T12), (T21, DUAL)]
     ]
     _verdict(6, "iterated lift flattening", results, 1e-10)
@@ -187,7 +185,7 @@ def test_criterion_10_functional_prolongation_preserves_brackets():
         Program(1, [1.0 + 0.3 * Var(0)]),
         Program(4, [Var(3) - 0.2 * Var(1) * Var(3) + Var(0) * Var(2)]),
     )
-    family = check_polynomial_family(p1, p2, d=3, samples=10, rng=rng, tol=1e-7)
+    family = check_polynomial_family(p1, p2, 3, rng=rng, samples=10, tol=1e-7)
     assert family["max_error"] <= 1e-7 and not family["failures"]
     _verdict(10, "functional prolongation brackets", results, 1e-6)
 

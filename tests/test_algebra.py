@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,17 +15,15 @@ from weilcalc.algebra import (
     _products,
     algebra_from_json,
     algebra_to_json,
+    apply_matrix,
     exchange,
     hom_tensor,
     identity_hom,
-    load_algebra,
     make_basic,
     make_hom,
-    rho,
     save_algebra,
     sum_algebra,
     tensor,
-    unit_embedding,
 )
 from weilcalc.errors import (
     AlgebraMismatch,
@@ -59,14 +58,14 @@ def test_dual_shape():
     assert DUAL.basis_labels == ("1", "e")
     assert DUAL.width == 1
     assert DUAL.height == 1
-    e = DUAL.basis_element(1)
+    e = AlgebraElement(DUAL, [0.0, 1.0])
     assert (e * e).coeffs == (0.0, 0.0)
 
 
 def test_truncated_shapes():
     assert T12.basis_labels == ("1", "x", "x^2")
     assert (T12.height, T12.width) == (2, 1)
-    x = T12.basis_element(1)
+    x = AlgebraElement(T12, [0.0, 1.0, 0.0])
     assert (x * x).coeffs == (0.0, 0.0, 1.0)
     assert (x * x * x).coeffs == (0.0, 0.0, 0.0)
 
@@ -80,8 +79,8 @@ def test_tensor_shape():
     assert DD.dim == 4
     assert DD.basis_labels == ("1", "1*e", "e*1", "e*e")
     assert (DD.height, DD.width) == (2, 2)
-    a = DD.basis_element(1)
-    b = DD.basis_element(2)
+    a = AlgebraElement(DD, [0.0, 1.0, 0.0, 0.0])
+    b = AlgebraElement(DD, [0.0, 0.0, 1.0, 0.0])
     assert (a * b).coeffs == (0.0, 0.0, 0.0, 1.0)
     assert (a * a).coeffs == (0.0,) * 4
 
@@ -97,7 +96,7 @@ def test_nested_tensor_labels_stay_distinct():
 def test_sum_kills_cross_products():
     assert SUM.dim == 3
     assert SUM.basis_labels == ("1", "e", "E")
-    e, big_e = SUM.basis_element(1), SUM.basis_element(2)
+    e, big_e = AlgebraElement(SUM, [0.0, 1.0, 0.0]), AlgebraElement(SUM, [0.0, 0.0, 1.0])
     assert (e * big_e).coeffs == (0.0, 0.0, 0.0)
     assert (SUM.height, SUM.width) == (1, 2)
 
@@ -171,7 +170,7 @@ def test_same_structure_ignores_names():
 
 
 def test_unit_and_scalar_mixing():
-    x = T12.element([0.5, 1.0, 0.0])
+    x = AlgebraElement(T12, [0.5, 1.0, 0.0])
     assert (x + 1).coeffs == (1.5, 1.0, 0.0)
     assert (2.0 * x).coeffs == (1.0, 2.0, 0.0)
     assert (x - x).coeffs == (0.0, 0.0, 0.0)
@@ -179,26 +178,26 @@ def test_unit_and_scalar_mixing():
 
 
 def test_division_inverts_through_the_unit_part():
-    num = DUAL.element([2.0, 3.0])
-    den = DUAL.element([1.0, 1.0])
+    num = AlgebraElement(DUAL, [2.0, 3.0])
+    den = AlgebraElement(DUAL, [1.0, 1.0])
     assert (num / den).coeffs == (2.0, 1.0)
     # and the defining property holds in a three-step algebra
-    a = T12.element([1.5, -0.3, 0.7])
-    b = T12.element([2.0, 0.4, -1.1])
+    a = AlgebraElement(T12, [1.5, -0.3, 0.7])
+    b = AlgebraElement(T12, [2.0, 0.4, -1.1])
     prod = (a / b) * b
     assert np.allclose(prod.coeffs, a.coeffs, atol=1e-12)
 
 
 def test_division_by_nilpotent_raises():
     with pytest.raises(DivisionByNilpotent):
-        DUAL.unit() / DUAL.basis_element(1)
+        DUAL.unit() / AlgebraElement(DUAL, [0.0, 1.0])
 
 
 def test_analytic_primitives_match_taylor_expansion():
     h = math.exp(0.3)
-    out = T12.element([0.3, 1.0, 0.0]).analytic("exp")
+    out = AlgebraElement(T12, [0.3, 1.0, 0.0]).analytic("exp")
     assert np.allclose(out.coeffs, [h, h, h / 2], atol=1e-14)
-    out = T12.element([0.3, 1.0, 0.0]).analytic("sin")
+    out = AlgebraElement(T12, [0.3, 1.0, 0.0]).analytic("sin")
     want = [math.sin(0.3), math.cos(0.3), -math.sin(0.3) / 2]
     assert np.allclose(out.coeffs, want, atol=1e-14)
 
@@ -223,7 +222,7 @@ def element_triples(draw):
             max_size=3,
         )
     )
-    return [a.element(row) for row in rows]
+    return [AlgebraElement(a, row) for row in rows]
 
 
 def _close(u, v, tol=1e-9):
@@ -332,7 +331,7 @@ _CARRIERS = {
         _SCALAR, st.lists(_SCALAR, min_size=3, max_size=3).map(np.array)
     ),
     "nested": st.one_of(
-        _SCALAR, st.lists(_SCALAR, min_size=2, max_size=2).map(DUAL.element)
+        _SCALAR, st.lists(_SCALAR, min_size=2, max_size=2).map(partial(AlgebraElement, DUAL))
     ),
 }
 
@@ -341,7 +340,7 @@ _CARRIERS = {
 @given(st.sampled_from(KERNEL_ALGEBRAS), st.sampled_from(sorted(_CARRIERS)), st.data())
 def test_products_are_bit_identical_to_the_flat_walk(a, carrier, data):
     coeff = _CARRIERS[carrier]
-    x, y = (a.element(data.draw(st.lists(coeff, min_size=a.dim, max_size=a.dim))) for _ in "xy")
+    x, y = (AlgebraElement(a, data.draw(st.lists(coeff, min_size=a.dim, max_size=a.dim))) for _ in "xy")
     with np.errstate(all="ignore"):  # inf * 0 in a column is the point here
         assert _bits(x * y) == _bits(_flat_mul(x, y))
 
@@ -360,10 +359,10 @@ _REAL_PARTS = st.floats(1.0, 4.0).flatmap(lambda v: st.sampled_from([v, -v]))
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(KERNEL_ALGEBRAS), st.data())
 def test_a_quotient_times_its_divisor_gives_the_dividend(a, data):
-    num = a.element(data.draw(st.lists(coeffs, min_size=a.dim, max_size=a.dim)))
+    num = AlgebraElement(a, data.draw(st.lists(coeffs, min_size=a.dim, max_size=a.dim)))
     den = data.draw(st.lists(st.floats(-1, 1), min_size=a.dim, max_size=a.dim))
     den[a.unit_index] = data.draw(_REAL_PARTS)
-    den = a.element(den)
+    den = AlgebraElement(a, den)
     q = num / den
     scale = max([1.0] + [abs(c) for c in q.coeffs])
     gap = max(abs(u - v) for u, v in zip((q * den).coeffs, num.coeffs))
@@ -382,20 +381,13 @@ def test_dual_quotients_are_the_quotient_rule_bit_for_bit(a0, a1, b0, b1):
     # the element stops at a/b0 when b1 is 0, where the rule would form inf*0
     assume(math.isfinite(q) or b1 != 0.0)
     want = (q, (a1 - q * b1) / b0)
-    got = (DUAL.element([a0, a1]) / DUAL.element([b0, b1])).coeffs
+    got = (AlgebraElement(DUAL, [a0, a1]) / AlgebraElement(DUAL, [b0, b1])).coeffs
     # a float zero is not divided, so a zero may keep its sign
     for g, w in zip(got, want):
         assert float.hex(g) == float.hex(w) or g == w == 0.0
 
 
 # -- homomorphisms -----------------------------------------------------------
-
-
-def test_rho_then_unit_embedding_is_idempotent():
-    x = T12.element([1.4, 2.0, -0.3])
-    assert unit_embedding(T12).apply(rho(T12).apply(x)).coeffs == (1.4, 0.0, 0.0)
-    proj = unit_embedding(T12).matrix @ rho(T12).matrix
-    assert np.array_equal(proj @ proj, proj)
 
 
 def test_exchange_swaps_tensor_slots():
@@ -423,9 +415,13 @@ def test_make_hom_rejects_non_multiplicative_maps():
 
 def test_hom_composes_pointwise():
     mu = exchange(DUAL, DUAL)
-    x = DD.element([1.0, 2.0, 3.0, 4.0])
-    y = DD.element([0.0, 1.0, -1.0, 0.5])
-    assert _close(mu.apply(x * y), mu.apply(x) * mu.apply(y), tol=1e-12)
+    x = AlgebraElement(DD, [1.0, 2.0, 3.0, 4.0])
+    y = AlgebraElement(DD, [0.0, 1.0, -1.0, 0.5])
+
+    def apply(el):
+        return AlgebraElement(mu.target, apply_matrix(mu.matrix, el.coeffs))
+
+    assert _close(apply(x * y), apply(x) * apply(y), tol=1e-12)
 
 
 # -- serialization -------------------------------------------------------------
@@ -544,7 +540,7 @@ def test_json_revalidates_axioms():
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "t21.json"
     save_algebra(T21, path)
-    again = load_algebra(path)
+    again = algebra_from_json(json.loads(path.read_text()))
     assert again.same_structure(T21)
     assert again.basis_labels == T21.basis_labels
     raw = json.loads(path.read_text())

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+from functools import partial
 from importlib import resources
 
 import jsonschema
@@ -16,7 +17,7 @@ from weilcalc.algebra import (
 from weilcalc.errors import DomainError, WeilError
 from weilcalc.exprs import PRIMITIVES, Const, IntPow, Mul, Var, intpow, prim, simplify
 from weilcalc.functional import FunctionalVectorField, functional_field_to_json
-from weilcalc.programs import Program, VectorField, eval_exprs, field_to_json, program_to_json
+from weilcalc.programs import Program, VectorField, evaluate, field_to_json, program_to_json
 from weilcalc.reports import documents_equal, report_from_check, rng_for, tally
 
 
@@ -206,6 +207,22 @@ _OVERFLOWING = [
     _field_doc({"op": "intpow", "k": 400, "args": [{"op": "mul", "args": [{"op": "const", "c": 100}, _X0]}]}),
     _field_doc({"op": "sin", "args": [{"op": "mul", "args": [_INF, _X0]}]}),
 ]
+
+
+@pytest.mark.parametrize("tol", ["inf", "1e999"])
+def test_verify_refuses_a_non_finite_tol(capsys, tmp_path, tol):
+    # exp(30*x0) against x0 fails the custom pair by about 2.5e3; an
+    # infinite --tol would pass every unit whose deviation is finite
+    e30 = tmp_path / "e30.json"
+    e30.write_text(json.dumps(_field_doc({"op": "exp", "args": [{"op": "mul", "args": [{"op": "const", "c": 30}, _X0]}]})))
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps(_field_doc(_X0)))
+    argv = ["verify", "--suite", "bracket", "--seed", "7", "--field", str(e30), "--field", str(x)]
+    assert cli.main(argv) == 1
+    assert "fail bracket                  custom pair" in capsys.readouterr().out
+    assert cli.main(argv + ["--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol must be positive and finite" in captured.err
 
 
 @pytest.mark.parametrize("doc", _OVERFLOWING, ids=["exp", "intpow", "sin"])
@@ -438,6 +455,23 @@ def test_the_unit_table_lists_the_suites_in_report_order():
     assert tuple(dict.fromkeys(unit.suite for unit in table)) == cli.SUITES
 
 
+def test_every_row_passes_rng_samples_and_tol_to_a_check_without_defaults():
+    # the row is the one place a unit's sample count and tolerance are written
+    pair = [VectorField(1, Program(1, [intpow(Var(0), 2)])), VectorField(1, Program(1, [Const(1.0)]))]
+    table = cli._unit_table(cli.SuiteConfig(suites=list(cli.SUITES), fields=pair))
+    checked = 0
+    for unit in table:
+        check = unit.check.func if isinstance(unit.check, partial) else unit.check
+        if check is cli._unsampled:
+            continue
+        params = inspect.signature(check).parameters
+        for name in ("rng", "samples", "tol"):
+            p = params[name]
+            assert p.kind is p.KEYWORD_ONLY and p.default is p.empty, (unit.suite, unit.label, name)
+        checked += 1
+    assert checked == len(table) - 11  # the sigma row and the ten projection-squares rows draw nothing
+
+
 def test_every_sampled_check_takes_its_rng_as_a_required_keyword():
     modules = (functional, functor, jets, prolong, strongdiff)
     checks = [
@@ -497,7 +531,7 @@ def test_an_algebra_too_large_for_a_suite_is_refused_before_any_unit_runs(capsys
 
     for name in ("check_exchange_square", "check_projection_squares", "check_tangent_projection_identities"):
         monkeypatch.setattr(strongdiff, name, ran)
-    monkeypatch.setattr(cli, "_iterated_lift", ran)
+    monkeypatch.setattr(functor, "check_iterated_lift", ran)
     suites = "exchange-square,functor-laws,projection-squares"
     assert cli.main(["verify", "--suite", suites, "--algebra", "truncated(1,16)", "--samples", "2"]) == 2
     err = capsys.readouterr().err
@@ -607,8 +641,9 @@ def test_bracket_prints_no_coefficient_past_the_float_range(capsys, manifold_fie
     assert "inf" not in out and "nan" not in out
     e = strongdiff.bracket(cli.load_field(str(big)), cli.load_field(one)).components.exprs[0]
     s = simplify(e)
-    assert eval_exprs([s], [0.0]) == eval_exprs([e], [0.0]) == [0.0]
-    assert math.isclose(eval_exprs([s], [0.01])[0], eval_exprs([e], [0.01])[0], rel_tol=1e-12)
+    both = Program(1, [s, e])
+    assert evaluate(both, [0.0]) == [0.0, 0.0]
+    assert math.isclose(*evaluate(both, [0.01]), rel_tol=1e-12)
 
 
 def _manifold_doc(*exprs):
@@ -697,7 +732,7 @@ def test_bracket_text_evaluates_to_the_bracket(tmp_path, name):
         br = functional.functional_bracket(x, y)
         names = functional.layout_names(br.m, br.q1, br.q2, br.r)
         lines = lines[1:]
-        want = lambda at: eval_exprs(br.xi.exprs + br.D.exprs, at[: len(names)])
+        want = lambda at: evaluate(Program(len(names), br.xi.exprs + br.D.exprs), at[: len(names)])
     env = {"__builtins__": {}, **{f: getattr(math, f) for f in PRIMITIVES}}
     for at in ([0.7, 1.3, -0.4, 0.9, 0.5], [1.9, 0.4, 0.6, -1.1, -0.8], [0.35, 2.2, 1.5, 0.2, 1.2]):
         env.update(zip(names, at))
@@ -729,6 +764,20 @@ def test_functional_field_past_the_jet_limit_exits_two_before_listing_monomials(
     path.write_text(json.dumps(doc))
     assert cli.main(["bracket", "--field", str(path), "--field", str(path)]) == 2
     assert "truncated(40,40)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("at", ["1,,2", "1,2,", ",1,2"])
+def test_bracket_refuses_an_empty_coordinate(capsys, tmp_path, at):
+    x = tmp_path / "x.json"
+    y = tmp_path / "y.json"
+    x.write_text(json.dumps(_manifold_doc(Var(1), Var(0))))
+    y.write_text(json.dumps(_manifold_doc(Var(0), Const(1.0))))
+    argv = ["bracket", "--field", str(x), "--field", str(y)]
+    assert cli.main(argv + ["--at", "1, 2"]) == 0
+    assert "at (1, 2) -> " in capsys.readouterr().out
+    assert cli.main(argv + ["--at=" + at]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--at expects comma-separated floats" in captured.err
 
 
 @pytest.mark.parametrize("at", ["nan", "inf", "-inf", "1e999"])

@@ -35,7 +35,6 @@ from weilcalc.programs import (
     Program,
     VectorField,
     compose,
-    eval_exprs,
     evaluate,
     evaluate_dual,
     field_from_json,
@@ -179,7 +178,7 @@ def test_simplify_refuses_a_zero_denominator_like_evaluation():
         with pytest.raises(DivisionByNilpotent):
             simplify(e)
         with pytest.raises(DivisionByNilpotent):
-            eval_exprs([e], [0.5, 0.25])
+            evaluate(Program(2, [e]), [0.5, 0.25])
 
 
 def test_simplify_keeps_quotients_and_negative_powers_equivalent():
@@ -198,7 +197,7 @@ def test_simplify_keeps_quotients_and_negative_powers_equivalent():
     for e in cases:
         s = simplify(e)
         for p in pts:
-            a, b = eval_exprs([e], p)[0], eval_exprs([s], p)[0]
+            a, b = evaluate(Program(len(p), [e, s]), p)
             assert abs(a - b) <= 1e-12 * abs(a)
 
 
@@ -229,7 +228,7 @@ def test_simplify_keeps_atoms_apart_after_temporaries_die():
     for e in trees:
         s = simplify(e)
         for p in ([0.3, 0.5, 0.9], [0.9, 0.45, 1.3]):
-            a, b = eval_exprs([e], p)[0], eval_exprs([s], p)[0]
+            a, b = evaluate(Program(len(p), [e, s]), p)
             assert math.isclose(a, b, rel_tol=1e-9), (format_expr(e), format_expr(s), p)
 
 
@@ -296,21 +295,21 @@ def test_simplify_preserves_evaluation(e):
         s = None
     for p in pts:
         try:
-            a = float(eval_exprs([e], p)[0])
-            nearest = min((abs(float(v)) for v in eval_exprs(dens, p)), default=math.inf)
+            a = float(evaluate(Program(len(p), [e]), p)[0])
+            nearest = min((abs(float(v)) for v in evaluate(Program(len(p), dens), p)), default=math.inf)
         except (DomainError, DivisionByNilpotent):
             continue
         if not math.isfinite(a) or nearest < 0.01:
             continue
         assert s is not None, format_expr(e)
-        b = float(eval_exprs([s], p)[0])
+        b = float(evaluate(Program(len(p), [s]), p)[0])
         assert abs(a - b) <= 1e-7 * (1.0 + abs(a) + abs(b))
 
 
 # -- evaluation ---------------------------------------------------------------
 
 
-def test_eval_exprs_memoizes_shared_nodes():
+def test_a_tape_evaluates_shared_nodes_once():
     class Tap:
         adds = 0
 
@@ -326,7 +325,7 @@ def test_eval_exprs_memoizes_shared_nodes():
 
     shared = add(Var(0), Var(1))
     body = [mul(shared, shared)]
-    out = eval_exprs(body, [Tap(2.0), Tap(3.0)])
+    out = evaluate(Program(2, body), [Tap(2.0), Tap(3.0)])
     assert out[0].v == 25.0
     assert Tap.adds == 1  # the shared subtree must be evaluated once
 
@@ -434,10 +433,6 @@ def test_tape_matches_recursive_reference(roots, pt):
     else:
         assert not isinstance(got, Exception), got
         assert _bits(got) == _bits(want)
-    loose = _outcome(lambda: eval_exprs(roots, pt))
-    assert type(loose) is type(got)
-    if not isinstance(got, Exception):
-        assert _bits(loose) == _bits(got)
 
 
 # -- column runs ----------------------------------------------------------------
@@ -593,7 +588,7 @@ def test_symbolic_derivatives_evaluate_to_the_float_ones_exactly(name):
     for shift in range(7):
         tree = _symbolic(name, shift, Var(0))
         for x in (0.1, 0.3, 0.5, 1.0, 1.7, 2.2, 3.0, 7.1, 12.5):
-            assert eval_exprs([tree], [x])[0] == _numeric(name, shift, x), (shift, x)
+            assert evaluate(Program(1, [tree]), [x])[0] == _numeric(name, shift, x), (shift, x)
 
 
 def test_long_chains_compile_without_recursion():
@@ -604,7 +599,6 @@ def test_long_chains_compile_without_recursion():
     prog = Program(1, [e])
     assert evaluate(prog, [0.5]) == [50_000.5]
     assert evaluate_dual(prog, [0.5], [1.0]) == ([50_000.5], [1.0])
-    assert eval_exprs([e], [0.5]) == [50_000.5]
 
 
 def test_program_documents_with_huge_integers():

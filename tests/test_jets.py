@@ -17,17 +17,14 @@ from weilcalc.errors import (
 )
 from weilcalc.exprs import Const, Var, intpow
 from weilcalc.jets import (
-    Frame,
     JetGroupElement,
     P,
     Residues,
-    TrivialAction,
     canonical_H,
     check_bracket_preserved,
     check_classical_prolongation,
     check_frame_prolong,
     check_jet_group,
-    flat_to_frame,
     flow_frame_oracle,
     frame_evaluate,
     frame_prolong,
@@ -53,8 +50,6 @@ from weilcalc.programs import (
     random_poly_program,
 )
 from weilcalc.reports import tally
-
-DUAL = make_basic("dual")
 
 
 # -- group structure -----------------------------------------------------------
@@ -230,7 +225,7 @@ def test_dual_coefficient_jets_invert_to_the_identity(r):
 
 
 def test_group_axioms_check():
-    out = check_jet_group(1, 2, samples=20, rng=np.random.default_rng(1))
+    out = check_jet_group(1, 2, rng=np.random.default_rng(1), samples=20, tol=1e-10)
     assert out["failures"] == []
     assert out["max_error"] <= 1e-10
 
@@ -264,7 +259,7 @@ def test_residue_columns_match_the_fraction_path_jet_by_jet(m, r):
                 [_residue(c) for c in row] for row in w.coeffs
             ]
         assert not residue_mismatch(got, residue_jet(m, r, want), count).any()
-    out = check_jet_group(m, r, samples=count, rng=np.random.default_rng(5))
+    out = check_jet_group(m, r, rng=np.random.default_rng(5), samples=count, tol=1e-10)
     assert out["failures"] == []
 
 
@@ -272,7 +267,7 @@ def test_residue_columns_match_the_fraction_path_jet_by_jet(m, r):
 def test_the_action_check_on_columns_matches_single_jets(m, r):
     # under tol 0 every trial with a nonzero deviation reports it
     count = 15
-    out = check_jet_group(m, r, samples=count, rng=np.random.default_rng(9), tol=0.0)
+    out = check_jet_group(m, r, rng=np.random.default_rng(9), samples=count, tol=0.0)
     rng = np.random.default_rng(9)
     for _ in range(3 * count):
         random_rational_jet(rng, m, r)
@@ -303,7 +298,7 @@ def test_a_zero_residue_has_no_reciprocal():
 
 
 def test_group_axioms_check_runs_on_one_trial():
-    out = check_jet_group(2, 2, samples=1, rng=np.random.default_rng(2))
+    out = check_jet_group(2, 2, rng=np.random.default_rng(2), samples=1, tol=1e-10)
     assert out["failures"] == [] and out["samples"] == 1
 
 
@@ -352,7 +347,7 @@ def test_group_axioms_catch_each_mutant(monkeypatch, mutate, failing):
     failed = {
         mr
         for mr in [(1, 2), (2, 1), (2, 2)]
-        if check_jet_group(*mr, samples=200, rng=np.random.default_rng(7))["failures"]
+        if check_jet_group(*mr, rng=np.random.default_rng(7), samples=200, tol=1e-10)["failures"]
     }
     assert failed == failing
 
@@ -396,40 +391,33 @@ def test_action_images_are_algebra_homs():
 
 
 def test_triple_requires_equivariance():
-    t11 = make_basic("truncated", 1, 1)
-    t = make_hom(t11, DUAL, np.eye(2))
+    # the scaling x -> 2x is an automorphism of truncated(1,2), but it does
+    # not commute with precomposition by a general jet
+    t12 = make_basic("truncated", 1, 2)
+    t = make_hom(t12, t12, np.diag([1.0, 2.0, 4.0]))
     with pytest.raises(InvariantViolation):
-        make_triple(DUAL, TrivialAction(DUAL), t, 1, 1)
-
-
-def test_trivial_action_accepts_the_unit_projection():
-    t11 = make_basic("truncated", 1, 1)
-    t = make_hom(t11, DUAL, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    triple = make_triple(DUAL, TrivialAction(DUAL), t, 1, 1)
-    assert triple.algebra is DUAL
+        make_triple(t12, canonical_H(1, 2), t, 1, 2)
 
 
 # -- frames -----------------------------------------------------------------------
 
 
 def test_canonical_frame_is_a_shifted_identity_chart():
-    fr = Frame([0.5], identity_jet(1, 2))
-    assert np.allclose(frame_evaluate(fr, [0.25]), [0.75])
+    assert np.allclose(frame_evaluate(np.array([0.5]), identity_jet(1, 2), [0.25]), [0.75])
 
 
 @pytest.mark.parametrize("m, r", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2)])
 def test_frame_flat_layout_round_trips_bit_for_bit(m, r):
     rng = np.random.default_rng(6)
-    frame = Frame(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
-    flat = frame_to_flat(frame)
+    x, jet = rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r)
+    flat = frame_to_flat(x, jet)
     # coordinate-major: row i is x_i followed by the jet coefficients of component i
     rows = flat.reshape(m, len(monomials(m, r)))
-    assert rows[:, 0].tobytes() == frame.x.tobytes()
-    assert rows[:, 1:].tobytes() == frame.jet.as_array().tobytes()
-    back = flat_to_frame(m, r, flat)
-    assert back.x.tobytes() == frame.x.tobytes()
-    assert back.jet == frame.jet
-    assert frame_to_flat(back).tobytes() == flat.tobytes()
+    assert rows[:, 0].tobytes() == x.tobytes()
+    assert np.ascontiguousarray(rows[:, 1:]).tobytes() == jet.as_array().tobytes()
+    back = JetGroupElement(m, r, rows[:, 1:].tolist())
+    assert back == jet
+    assert frame_to_flat(rows[:, 0], back).tobytes() == flat.tobytes()
 
 
 def test_frame_prolongation_matches_the_flow_oracle():
@@ -444,7 +432,8 @@ def test_frame_prolongation_matches_the_flow_oracle():
 def _flow_oracle_per_point(xi, r, flat):
     """The flow oracle one grid point at a time, on float evaluations."""
     m = xi.dim
-    frame = flat_to_frame(m, r, flat)
+    rows = np.asarray(flat).reshape(m, -1)
+    x, jet = rows[:, 0], JetGroupElement(m, r, rows[:, 1:].tolist())
     monos = monomials(m, r)
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     scaled = np.stack(np.meshgrid(*([offsets] * m)), axis=-1).reshape(-1, m)
@@ -469,7 +458,7 @@ def _flow_oracle_per_point(xi, r, flat):
     fits = []
     for sign in (1.0, -1.0):
         images = np.array(
-            [rk4_to(frame_evaluate(frame, y), sign * jets.FLOW_FD_STEP) for y in scaled * jets.FLOW_GRID]
+            [rk4_to(frame_evaluate(x, jet, y), sign * jets.FLOW_FD_STEP) for y in scaled * jets.FLOW_GRID]
         )
         fits.append(np.linalg.lstsq(design, images, rcond=None)[0] / rescale[:, None])
     return ((fits[0] - fits[1]) / (2.0 * jets.FLOW_FD_STEP)).T.reshape(-1)
@@ -484,7 +473,7 @@ def test_block_flow_oracle_matches_a_per_point_loop_bit_for_bit(monkeypatch, m, 
     rng = np.random.default_rng(40 + 10 * m + r)
     xi = random_poly_field(rng, m, deg=2, scale=0.5)
     for _ in range(3):
-        flat = frame_to_flat(Frame(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r)))
+        flat = frame_to_flat(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
         assert flow_frame_oracle(xi, r, flat).tobytes() == _flow_oracle_per_point(xi, r, flat).tobytes()
 
 
@@ -496,7 +485,7 @@ def test_frame_prolong_block_matches_a_per_trial_loop(m, r):
     rng = np.random.default_rng(5)
     devs = []
     for trial in range(4):
-        flat = frame_to_flat(Frame(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r)))
+        flat = frame_to_flat(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
         got = np.array(evaluate(field.components, [float(v) for v in flat]))
         devs.append(({"trial": trial}, float(np.abs(_flow_oracle_per_point(xi, r, flat) - got).max(initial=0.0))))
     assert out == tally(devs, 0.0)

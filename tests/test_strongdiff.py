@@ -22,7 +22,7 @@ from weilcalc.strongdiff import (
     check_sigma,
     check_tangent_projection_identities,
     compatible,
-    composite_pair,
+    _composite_pair,
     dd_algebra,
     jacobian_bracket_deviation,
     k_map,
@@ -97,7 +97,8 @@ def test_strong_diff_reads_the_w_slots():
 
 def test_second_tangent_point_round_trip():
     x = SecondTangent([2.0, -1.0], [1.0, 0.5], [3.0, 0.0], [5.0, 2.0])
-    back = SecondTangent.from_point(x.to_point())
+    # a point over DD holds each coordinate as (base, v, u, w)
+    back = SecondTangent.from_point(point_from_flat(DD, 2, [2.0, 3.0, 1.0, 5.0, -1.0, 0.0, 0.5, 2.0]))
     for slot in ("base", "u", "v", "w"):
         assert np.array_equal(getattr(back, slot), getattr(x, slot))
 
@@ -151,7 +152,7 @@ X_ONE = VectorField(1, Program(1, [Const(1.0)]))
 
 
 def test_composite_pair_collects_both_composites():
-    pair = composite_pair(X_SQ, X_ONE, [3.0])
+    pair = _composite_pair(X_SQ, X_ONE, [3.0], None)[1]
     assert np.array_equal(pair.coords5(), [[3.0, 9.0, 1.0, 0.0, 6.0]])
 
 
@@ -227,9 +228,7 @@ def test_symbolic_and_pointwise_brackets_agree():
 
 
 def test_bracket_matches_finite_difference_jacobians():
-    out = check_bracket_jacobian(
-        dims=(1, 2), pairs=4, points=5, rng=np.random.default_rng(10), tol=1e-6
-    )
+    out = check_bracket_jacobian((1, 2), 4, rng=np.random.default_rng(10), samples=5, tol=1e-6)
     assert out["failures"] == []
     assert out["max_error"] <= 1e-6
 
@@ -244,7 +243,7 @@ def test_bracket_rejects_mismatched_dimensions():
 
 @pytest.mark.parametrize("algebra", STANDARD, ids=lambda a: a.name)
 def test_exchange_square_commutes_exactly(algebra):
-    out = check_exchange_square(algebra, n=2, samples=10, rng=np.random.default_rng(4))
+    out = check_exchange_square(algebra, 2, rng=np.random.default_rng(4), samples=10, tol=1e-12)
     assert out["failures"] == []
     assert out["max_error"] <= 1e-12
 
@@ -255,7 +254,7 @@ def test_exchange_square_sees_u_and_v_exchanged_by_k_map(monkeypatch, algebra):
     # so u and v trade places; membership and the strong difference are
     # symmetric in u and v, and only the slot comparison sees it
     monkeypatch.setattr(strongdiff, "_SLOT_TO_DD", (0, 1, 2, 3))
-    out = check_exchange_square(algebra, n=2, samples=10, rng=np.random.default_rng(4))
+    out = check_exchange_square(algebra, 2, rng=np.random.default_rng(4), samples=10, tol=1e-12)
     assert out["failures"] == [{"trial": t, "reason": "slots"} for t in range(10)]
     assert out["max_error"] == 0.0
 
@@ -282,7 +281,7 @@ def _break_y_base(monkeypatch, at):
 def test_exchange_square_names_each_trial_that_fails_membership(monkeypatch, algebra):
     # trial 3's lifted y side loses its base; the other trials still count
     _break_y_base(monkeypatch, (0, 3))
-    out = check_exchange_square(algebra, n=2, samples=10, rng=np.random.default_rng(4))
+    out = check_exchange_square(algebra, 2, rng=np.random.default_rng(4), samples=10, tol=1e-12)
     assert out["failures"] == [{"trial": 3, "reason": "membership"}]
     assert out["samples"] == 10
     assert out["max_error"] == 0.0
@@ -335,7 +334,7 @@ def test_exchange_square_block_matches_a_per_trial_loop_bit_for_bit(monkeypatch,
     monkeypatch.setattr(strongdiff, "k_map", spy_k_map)
     monkeypatch.setattr(strongdiff, "transform", spy_transform)
     samples = 12
-    out = check_exchange_square(algebra, n=2, samples=samples, rng=np.random.default_rng(seed), tol=0.0)
+    out = check_exchange_square(algebra, 2, rng=np.random.default_rng(seed), samples=samples, tol=0.0)
     monkeypatch.undo()
     ref = _exchange_square_per_trial(algebra, 2, samples, np.random.default_rng(seed))
 

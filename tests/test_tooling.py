@@ -120,7 +120,8 @@ def test_the_span_tracer_counts_every_structure_nonzero_of_an_element_product(mo
     monkeypatch.setattr(AlgebraElement, "__rmul__", counted)
     a = wc.algebra.make_basic("truncated", 1, 3)
     f = wc.programs.Program(2, [prim("sin", Var(0)) * Var(1) + Var(0) ** 3, prim("exp", Var(0) * Var(1))])
-    point = wc.functor.WeilPoint(a, [a.element([0.3, 1.0, 0.0, 0.0]), a.element([0.5, 0.2, 1.0, 0.0])])
+    coords = [AlgebraElement(a, [0.3, 1.0, 0.0, 0.0]), AlgebraElement(a, [0.5, 0.2, 1.0, 0.0])]
+    point = wc.functor.WeilPoint(a, coords)
     tracer, patches = tracing.Tracer(), tracing.Patches()
     patches.install(tracer, wc)
     try:
