@@ -113,6 +113,16 @@ class SuiteConfig:
                 "--field functional pair is too large: prolong-functional-jet needs "
                 "jet(%d,1) (limit m <= %d)" % (fibred[0].m, _JET_MAX_M),
             )
+        if fibred and {"prolong-functional", "prolong-functional-jet"} & set(self.suites):
+            # the pair's bracket has order r1 + r2, its jets in truncated(q1, r1 + r2)
+            q1, r = fibred[0].q1, fibred[0].r + fibred[1].r
+            dim = math.comb(q1 + r, r)
+            if dim > MAX_DIM:
+                raise CliError(
+                    EXIT_USAGE,
+                    "--field functional pair is too large: its bracket needs truncated(%d,%d) "
+                    "of dim %d (limit %d)" % (q1, r, dim, MAX_DIM),
+                )
 
     def pair(self, kind):
         """The two --field fields of this kind, or None if none was given."""

@@ -7,6 +7,14 @@ the smart constructors below keeps common subterms computed once.
 The smart constructors fold constants and drop additive/multiplicative
 units so that machine-generated trees (functor lifts, dual-number
 differentials) stay small.  Deserialized user programs are built raw.
+
+The node classes are the one table of node kinds.  Each declares, as
+class attributes, its document `op` (a primitive's op is its name) and
+its printed precedence `prec`; Add, Sub, Mul and Div also declare their
+printed symbol `sym`.  Documents, printed text, `simplify` and the tape
+compiler of `programs` read them there.  `postorder` is the one
+children-first walk: writing a document, printing, `simplify` and the
+tape compiler all sweep a tree with it.
 """
 
 from __future__ import annotations
@@ -30,52 +38,28 @@ class Expr:
     children: tuple = ()
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return add(self, other)
+        return _apply(add, self, other)
 
     def __radd__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return add(other, self)
+        return _apply(add, other, self)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return sub(self, other)
+        return _apply(sub, self, other)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return sub(other, self)
+        return _apply(sub, other, self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return mul(self, other)
+        return _apply(mul, self, other)
 
     def __rmul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return mul(other, self)
+        return _apply(mul, other, self)
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return div(self, other)
+        return _apply(div, self, other)
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return div(other, self)
+        return _apply(div, other, self)
 
     def __neg__(self):
         return neg(self)
@@ -88,6 +72,7 @@ class Expr:
 
 class Var(Expr):
     __slots__ = ("i",)
+    op, prec = "var", 5
 
     def __init__(self, i: int):
         if i < 0:
@@ -100,6 +85,7 @@ class Var(Expr):
 
 class Const(Expr):
     __slots__ = ("c",)
+    op, prec = "const", 5  # a negative one prints at Neg's precedence
 
     def __init__(self, c):
         self.c = float(c)
@@ -110,13 +96,16 @@ class Const(Expr):
 
 class Neg(Expr):
     __slots__ = ("x", "children")
+    op, prec = "neg", 3
 
     def __init__(self, x: Expr):
         self.x = x
         self.children = (x,)
 
 
-class Add(Expr):
+class _Binary(Expr):
+    """A binary node, printed `a sym b`."""
+
     __slots__ = ("a", "b", "children")
 
     def __init__(self, a: Expr, b: Expr):
@@ -125,35 +114,29 @@ class Add(Expr):
         self.children = (a, b)
 
 
-class Sub(Expr):
-    __slots__ = ("a", "b", "children")
-
-    def __init__(self, a: Expr, b: Expr):
-        self.a = a
-        self.b = b
-        self.children = (a, b)
+class Add(_Binary):
+    __slots__ = ()
+    op, sym, prec = "add", " + ", 1
 
 
-class Mul(Expr):
-    __slots__ = ("a", "b", "children")
-
-    def __init__(self, a: Expr, b: Expr):
-        self.a = a
-        self.b = b
-        self.children = (a, b)
+class Sub(_Binary):
+    __slots__ = ()
+    op, sym, prec = "sub", " - ", 1
 
 
-class Div(Expr):
-    __slots__ = ("a", "b", "children")
+class Mul(_Binary):
+    __slots__ = ()
+    op, sym, prec = "mul", "*", 2
 
-    def __init__(self, a: Expr, b: Expr):
-        self.a = a
-        self.b = b
-        self.children = (a, b)
+
+class Div(_Binary):
+    __slots__ = ()
+    op, sym, prec = "div", "/", 2
 
 
 class IntPow(Expr):
     __slots__ = ("x", "k", "children")
+    op, prec = "intpow", 4
 
     def __init__(self, x: Expr, k: int):
         self.x = x
@@ -162,16 +145,32 @@ class IntPow(Expr):
 
 
 class Prim(Expr):
-    """One of the analytic primitives sin, cos, exp, log, sqrt."""
+    """One of the analytic primitives sin, cos, exp, log, sqrt; its name
+    is its document op."""
 
-    __slots__ = ("name", "x", "children")
+    __slots__ = ("name", "op", "x", "children")
+    prec = 5
 
     def __init__(self, name: str, x: Expr):
         if name not in PRIMITIVES:
             raise ArityMismatch("unknown primitive %r" % name)
-        self.name = name
+        self.name = self.op = name
         self.x = x
         self.children = (x,)
+
+
+# the node class each document op names
+_KINDS = {cls.op: cls for cls in (Var, Const, Neg, Add, Sub, Mul, Div, IntPow)}
+_KINDS.update(dict.fromkeys(PRIMITIVES, Prim))
+
+
+def _apply(build, a, b):
+    """build(a, b) with a number operand made a Const; NotImplemented for
+    an operand that is neither a number nor an Expr."""
+    a, b = _coerce(a), _coerce(b)
+    if a is NotImplemented or b is NotImplemented:
+        return NotImplemented
+    return build(a, b)
 
 
 def _coerce(v):
@@ -260,34 +259,36 @@ def prim(name: str, x: Expr) -> Expr:
     return Prim(name, x)
 
 
-def postorder(root: Expr):
-    """Yield every node reachable from root exactly once, children first."""
+def postorder(*roots) -> list:
+    """Every node reachable from the roots exactly once, children first:
+    the roots in turn, each node's right operand before its left.  Nodes
+    compare by identity, so a set of them is a set of ids."""
     seen = set()
-    stack = [(root, False)]
+    out = []
+    # a node followed by None has its children pushed above it
+    stack = list(reversed(roots))
+    pop, push = stack.pop, stack.append
     while stack:
-        node, expanded = stack.pop()
-        if id(node) in seen:
+        node = pop()
+        if node is None:
+            node = pop()
+        elif node in seen:
             continue
-        if expanded or not node.children:
-            seen.add(id(node))
-            yield node
-        else:
-            stack.append((node, True))
+        elif node.children:
+            push(node)
+            push(None)
             for c in node.children:
-                if id(c) not in seen:
-                    stack.append((c, False))
+                if c not in seen:
+                    push(c)
+            continue
+        seen.add(node)
+        out.append(node)
+    return out
 
 
 def max_var(root: Expr) -> int:
     """Largest variable index used, -1 if none."""
-    hi = -1
-    for node in postorder(root):
-        if isinstance(node, Var) and node.i > hi:
-            hi = node.i
-    return hi
-
-
-_OPS = {"add", "sub", "mul", "div", "neg", "intpow", "var", "const"} | set(PRIMITIVES)
+    return max((node.i for node in postorder(root) if type(node) is Var), default=-1)
 
 
 def _integral(c: float) -> bool:
@@ -297,29 +298,20 @@ def _integral(c: float) -> bool:
 
 def node_to_json(root: Expr) -> dict:
     """Encode as nested {"op": ...} dicts (shared subtrees are duplicated)."""
-    memo: dict[int, dict] = {}
+    memo: dict = {}
     for node in postorder(root):
-        if isinstance(node, Var):
-            d = {"op": "var", "i": node.i}
-        elif isinstance(node, Const):
-            c = node.c
-            d = {"op": "const", "c": int(c) if _integral(c) else c}
-        elif isinstance(node, Neg):
-            d = {"op": "neg", "args": [memo[id(node.x)]]}
-        elif isinstance(node, Add):
-            d = {"op": "add", "args": [memo[id(node.a)], memo[id(node.b)]]}
-        elif isinstance(node, Sub):
-            d = {"op": "sub", "args": [memo[id(node.a)], memo[id(node.b)]]}
-        elif isinstance(node, Mul):
-            d = {"op": "mul", "args": [memo[id(node.a)], memo[id(node.b)]]}
-        elif isinstance(node, Div):
-            d = {"op": "div", "args": [memo[id(node.a)], memo[id(node.b)]]}
-        elif isinstance(node, IntPow):
-            d = {"op": "intpow", "k": node.k, "args": [memo[id(node.x)]]}
-        else:
-            d = {"op": node.name, "args": [memo[id(node.x)]]}
-        memo[id(node)] = d
-    return memo[id(root)]
+        cls = type(node)
+        d = {"op": node.op}
+        if cls is Var:
+            d["i"] = node.i
+        elif cls is Const:
+            d["c"] = int(node.c) if _integral(node.c) else node.c
+        elif cls is IntPow:
+            d["k"] = node.k
+        if node.children:
+            d["args"] = [memo[c] for c in node.children]
+        memo[node] = d
+    return memo[root]
 
 
 def node_from_json(data) -> Expr:
@@ -327,13 +319,14 @@ def node_from_json(data) -> Expr:
     if not isinstance(data, dict) or "op" not in data:
         raise ArityMismatch("expression node must be an object with an 'op' key")
     op = data["op"]
-    if op not in _OPS:
+    cls = _KINDS.get(op)
+    if cls is None:
         raise ArityMismatch("unknown op %r" % (op,))
-    if op == "var":
+    if cls is Var:
         if type(data.get("i")) is not int:
             raise ArityMismatch("var node needs an integer 'i'")
         return Var(data["i"])
-    if op == "const":
+    if cls is Const:
         c = data.get("c")
         if not isinstance(c, (int, float)) or isinstance(c, bool):
             raise ArityMismatch("const node needs a numeric 'c'")
@@ -341,28 +334,17 @@ def node_from_json(data) -> Expr:
             raise ArityMismatch("const node needs a finite 'c'")
         return Const(c)
     args = data.get("args")
-    need = 2 if op in ("add", "sub", "mul", "div") else 1
+    need = 2 if issubclass(cls, _Binary) else 1
     if not isinstance(args, list) or len(args) != need:
         raise ArityMismatch("op %r needs %d args" % (op, need))
     kids = [node_from_json(a) for a in args]
-    if op == "add":
-        return Add(*kids)
-    if op == "sub":
-        return Sub(*kids)
-    if op == "mul":
-        return Mul(*kids)
-    if op == "div":
-        return Div(*kids)
-    if op == "neg":
-        return Neg(kids[0])
-    if op == "intpow":
+    if cls is IntPow:
         if type(data.get("k")) is not int:
             raise ArityMismatch("intpow node needs an integer 'k'")
         return IntPow(kids[0], data["k"])
-    return Prim(op, kids[0])
-
-
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "intpow": 4, "atom": 5}
+    if cls is Prim:
+        return Prim(op, kids[0])
+    return cls(*kids)
 
 
 def _joined(*parts) -> str:
@@ -371,48 +353,38 @@ def _joined(*parts) -> str:
     return "".join(parts)
 
 
+def _operand(text_prec, prec: int) -> str:
+    """An operand's text, in parentheses if it binds looser than prec."""
+    text, p = text_prec
+    return "(" + text + ")" if p < prec else text
+
+
 def format_expr(root: Expr, names=None) -> str:
     """Render infix text, for display only; raises TextTooLong rather than
     build text longer than MAX_TEXT."""
-    out: dict[int, tuple[str, int]] = {}
+    out: dict = {}  # node -> (text, precedence)
     for node in postorder(root):
-        if isinstance(node, Var):
+        cls = type(node)
+        p = cls.prec
+        if cls is Var:
             s = names[node.i] if names else "x%d" % node.i
-            out[id(node)] = (s, _PREC["atom"])
-        elif isinstance(node, Const):
+        elif cls is Const:
             c = node.c
             s = repr(int(c)) if _integral(c) else repr(c)
-            out[id(node)] = (s, _PREC["atom"] if c >= 0 else _PREC["neg"])
-        elif isinstance(node, Neg):
-            xs, xp = out[id(node.x)]
-            if xp < _PREC["neg"]:
-                xs = "(" + xs + ")"
-            out[id(node)] = (_joined("-", xs), _PREC["neg"])
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            op, sym = {
-                Add: ("add", " + "),
-                Sub: ("sub", " - "),
-                Mul: ("mul", "*"),
-                Div: ("div", "/"),
-            }[type(node)]
-            p = _PREC[op]
-            a_s, a_p = out[id(node.a)]
-            b_s, b_p = out[id(node.b)]
-            if a_p < p:
-                a_s = "(" + a_s + ")"
-            # right operand needs parens at equal precedence for - and /
-            if b_p < p or (b_p == p and op in ("sub", "div")):
-                b_s = "(" + b_s + ")"
-            out[id(node)] = (_joined(a_s, sym, b_s), p)
-        elif isinstance(node, IntPow):
-            xs, xp = out[id(node.x)]
-            if xp < _PREC["intpow"]:
-                xs = "(" + xs + ")"
-            out[id(node)] = (_joined(xs, "^%d" % node.k), _PREC["intpow"])
+            if not c >= 0:  # negative or NaN
+                p = Neg.prec
+        elif cls is Neg:
+            s = _joined("-", _operand(out[node.x], p))
+        elif cls is IntPow:
+            s = _joined(_operand(out[node.x], p), "^%d" % node.k)
+        elif cls is Prim:
+            s = _joined(node.name, "(", out[node.x][0], ")")
         else:
-            xs, _ = out[id(node.x)]
-            out[id(node)] = (_joined(node.name, "(", xs, ")"), _PREC["atom"])
-    return out[id(root)][0]
+            # the right operand of - and / needs parens at equal precedence too
+            right = p + 1 if cls is Sub or cls is Div else p
+            s = _joined(_operand(out[node.a], p), node.sym, _operand(out[node.b], right))
+        out[node] = (s, p)
+    return out[root][0]
 
 
 def simplify(root: Expr) -> Expr:
@@ -538,15 +510,12 @@ def simplify(root: Expr) -> Expr:
             r = ("v", e.i)
         elif isinstance(e, Const):
             r = ("c", e.c)
-        elif isinstance(e, Neg):
-            r = ("neg", skey(e.x))
-        elif isinstance(e, (Add, Sub, Mul, Div)):
-            tag = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}[type(e)]
-            r = (tag, skey(e.a), skey(e.b))
         elif isinstance(e, IntPow):
             r = ("pow", skey(e.x), e.k)
-        else:
+        elif isinstance(e, Prim):
             r = ("prim", e.name, skey(e.x))
+        else:  # Neg and the binary nodes
+            r = (e.op, *map(skey, e.children))
         # holding e keeps its id from being reused by a later temporary
         skey_memo[id(e)] = (e, r)
         return r

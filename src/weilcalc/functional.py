@@ -34,6 +34,7 @@ from .programs import (
     Program,
     VectorField,
     evaluate,
+    evaluate_dual,
     program_from_json,
     program_to_json,
     random_poly_program,
@@ -282,21 +283,15 @@ def functional_bracket(x1: FunctionalVectorField, x2: FunctionalVectorField) -> 
         raise ArityMismatch("fields live on different functional bundles")
     m, q1, q2 = x1.m, x1.q1, x1.q2
     lay = _Layout(m, q1, q2, x1.r + x2.r)
-    d = make_basic("dual")
 
     def mixed(along: FunctionalVectorField, of: FunctionalVectorField) -> list:
         jets = _generator_jets(along, of.r, lay)
-        env = [
-            AlgebraElement(d, [Var(i), along.xi.exprs[i]]) for i in range(m)
-        ]
-        env += [d.unit(Var(m + j)) for j in range(q1)]
+        values = [Var(i) for i in range(m + q1)]
+        slopes = list(along.xi.exprs) + [0.0] * q1
         for beta in monomials(q1, of.r):
-            row = jets[beta]
-            env += [
-                AlgebraElement(d, [Var(lay.z(beta, s)), row[s]]) for s in range(q2)
-            ]
-        outs = lift_elements(d, of.D, env)
-        return [el.coeffs[1] for el in outs]
+            values += [Var(lay.z(beta, s)) for s in range(q2)]
+            slopes += jets[beta]
+        return evaluate_dual(of.D, values, slopes)[1]
 
     w21 = mixed(x1, x2)
     w12 = mixed(x2, x1)

@@ -40,15 +40,10 @@ from . import exprs
 from ._monomials import monomials
 from .algebra import AlgebraElement, make_basic
 from .errors import ArityMismatch, DivisionByNilpotent, DomainError, ShapeMismatch, WeilError
-from .exprs import Add, Const, Div, Expr, IntPow, Mul, Neg, Prim, Sub, Var
+from .exprs import Const, Expr, IntPow, Var
 from .scalars import apply_primitive
 
 _ndarray = np.ndarray  # the type of a column carrier, bound once for cheap type checks
-
-# Tape opcodes of the computed nodes.  Leaves (constants and variables) are
-# not ops: their values are laid out in the first slots before a run.
-_ADD, _SUB, _MUL, _DIV, _NEG, _POW, _PRIM = range(7)
-_BINARY = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 
 JACOBIAN_STEP = 1e-5
 
@@ -59,92 +54,71 @@ class Tape:
     Slots 0..len(leaves)-1 hold the leaves: `leaves` gives each constant's
     value, and `inputs` pairs each variable slot with its variable index
     (one slot per index used).  Op n then writes slot len(leaves) + n from
-    earlier slots: `ops` holds the opcodes, `a` and `b` the operand slots,
-    except that `b` of an integer power or a primitive indexes `pool`, which
-    holds exponents and primitive names.  `outputs` is the slot of each root.
+    earlier slots: `ops` holds each computed node's document op, as the
+    node classes of `exprs` declare it, `a` and `b` the operand slots,
+    except that `b` of an integer power indexes `pool`, which holds the
+    exponents, and `b` of a one-operand op repeats `a`.  `outputs` is the
+    slot of each root.
 
     Every node reachable from the roots gets exactly one slot, so shared
-    subterms are computed once.  Ops run in the order of a children-first
-    walk of the roots in turn, right operand first; verification reports
-    depend on that order through which error a sample raises first.  The
-    operand arrays hold only slot and pool numbers, bounded by the node
-    count; variable indices and exponents read from a program document
-    stay Python integers.
+    subterms are computed once.  Ops run in the order of `exprs.postorder`
+    over the roots, the one children-first walk, right operand first;
+    verification reports depend on that order through which error a
+    sample raises first.  The operand arrays hold only slot and pool
+    numbers, bounded by the node count; variable indices and exponents
+    read from a program document stay Python integers.
     """
 
     __slots__ = ("leaves", "inputs", "ops", "a", "b", "pool", "outputs")
 
     def __init__(self, body, arity_in: int):
-        # operands of computed nodes are written as ~n for op n and moved
-        # past the leaves once their count is known
-        slot: dict[int, int] = {}
+        if not all(isinstance(root, Expr) for root in body):
+            raise ShapeMismatch("program body must consist of expressions")
+        # keyed by the nodes; a computed node's slot is written as ~n for
+        # op n and moved past the leaves once their count is known
+        slot: dict = {}
         var_slot: dict[int, int] = {}
         leaves: list = []
         inputs: list = []
-        ops = bytearray()
+        ops: list = []
         a: list = []
         b: list = []
         pool: list = []
-        outputs: list = []
-        for root in body:
-            if not isinstance(root, Expr):
-                raise ShapeMismatch("program body must consist of expressions")
-            stack = [(root, False)]
-            while stack:
-                node, expanded = stack.pop()
-                if id(node) in slot:
-                    continue
+        for node in exprs.postorder(*body):
+            cls = type(node)
+            if cls is Const:
+                slot[node] = len(leaves)
+                leaves.append(node.c)
+            elif cls is Var:
+                i = node.i
+                if i >= arity_in:
+                    # the first root past the arity is the one the walk is in
+                    used = next(h for h in map(exprs.max_var, body) if h >= arity_in)
+                    raise ArityMismatch("expression uses x%d but program has arity %d" % (used, arity_in))
+                s = var_slot.get(i)
+                if s is None:
+                    s = var_slot[i] = len(leaves)
+                    inputs.append((s, i))
+                    leaves.append(None)
+                slot[node] = s
+            else:
                 kids = node.children
-                if kids and not expanded:
-                    stack.append((node, True))
-                    for c in kids:
-                        if id(c) not in slot:
-                            stack.append((c, False))
-                    continue
-                cls = type(node)
-                if cls is Const:
-                    slot[id(node)] = len(leaves)
-                    leaves.append(node.c)
-                    continue
-                if cls is Var:
-                    i = node.i
-                    if i >= arity_in:
-                        raise ArityMismatch(
-                            "expression uses x%d but program has arity %d"
-                            % (exprs.max_var(root), arity_in)
-                        )
-                    s = var_slot.get(i)
-                    if s is None:
-                        s = var_slot[i] = len(leaves)
-                        inputs.append((s, i))
-                        leaves.append(None)
-                    slot[id(node)] = s
-                    continue
-                if cls in _BINARY:
-                    op, x, y = _BINARY[cls], slot[id(node.a)], slot[id(node.b)]
-                elif cls is Neg:
-                    op, x, y = _NEG, slot[id(node.x)], 0
-                elif cls is IntPow:
-                    op, x, y = _POW, slot[id(node.x)], len(pool)
+                slot[node] = ~len(ops)
+                ops.append(node.op)
+                a.append(slot[kids[0]])
+                if cls is IntPow:
+                    b.append(len(pool))
                     pool.append(node.k)
-                elif cls is Prim:
-                    op, x, y = _PRIM, slot[id(node.x)], len(pool)
-                    pool.append(node.name)
                 else:
-                    raise ShapeMismatch("unknown node %r" % node)
-                slot[id(node)] = ~len(ops)
-                ops.append(op)
-                a.append(x)
-                b.append(y)
-            outputs.append(slot[id(root)])
+                    b.append(slot[kids[-1]])
         n = len(leaves)
         self.leaves = leaves
         self.inputs = inputs
-        self.ops = bytes(ops)
+        self.ops = tuple(ops)
         self.a = array("i", [s if s >= 0 else n + ~s for s in a])
         self.b = array("i", [s if s >= 0 else n + ~s for s in b])
         self.pool = pool
-        self.outputs = [s if s >= 0 else n + ~s for s in outputs]
+        self.outputs = [s if s >= 0 else n + ~s for s in (slot[root] for root in body)]
 
 
 class Program:
@@ -187,7 +161,6 @@ class VectorField:
 
 def _run(tape: Tape, args) -> list:
     """Run a tape over any carrier; args[i] is the value of x_i."""
-    ADD, SUB, MUL, DIV, NEG, POW = _ADD, _SUB, _MUL, _DIV, _NEG, _POW
     pool = tape.pool
     v = list(tape.leaves)
     for s, i in tape.inputs:
@@ -195,11 +168,11 @@ def _run(tape: Tape, args) -> list:
     put = v.append
     try:
         for op, a, b in zip(tape.ops, tape.a, tape.b):
-            if op == MUL:
+            if op == "mul":
                 put(v[a] * v[b])
-            elif op == ADD:
+            elif op == "add":
                 put(v[a] + v[b])
-            elif op == POW:
+            elif op == "intpow":
                 x, k = v[a], pool[b]
                 if type(x) is _ndarray:
                     put(_column_pow(x, k))
@@ -207,11 +180,11 @@ def _run(tape: Tape, args) -> list:
                     if k < 0 and isinstance(x, float) and x == 0.0:
                         raise DivisionByNilpotent("zero real part raised to a negative power")
                     put(x ** k)
-            elif op == SUB:
+            elif op == "sub":
                 put(v[a] - v[b])
-            elif op == NEG:
+            elif op == "neg":
                 put(-v[a])
-            elif op == DIV:
+            elif op == "div":
                 y = v[b]
                 if isinstance(y, float):
                     if y == 0.0:
@@ -220,7 +193,7 @@ def _run(tape: Tape, args) -> list:
                     raise DivisionByNilpotent("division by zero real part")
                 put(v[a] / y)
             else:
-                put(apply_primitive(pool[b], v[a]))
+                put(apply_primitive(op, v[a]))
     except OverflowError as err:
         raise DomainError("float overflow: %s" % err.args[-1]) from err
     return [v[s] for s in tape.outputs]

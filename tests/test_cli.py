@@ -950,3 +950,22 @@ def test_algebra_rejects_malformed_json(tmp_path, capsys):
 def test_algebra_rejects_unknown_constructors(capsys):
     assert cli.main(["algebra", "check", "bogus(1,2)"]) == 2
     assert cli.main(["algebra", "check", "tensor(dual"]) == 2
+
+
+@pytest.mark.parametrize("signature, algebra", [((1, 2, 1, 5), "truncated(2,10) of dim 66"),
+                                                ((1, 3, 1, 3), "truncated(3,6) of dim 84")])
+def test_a_functional_pair_whose_bracket_needs_an_algebra_past_the_limit_is_refused(capsys, tmp_path, signature, algebra):
+    # each field fits the loader's limit; their bracket, of order r1 + r2, does not
+    rng = np.random.default_rng(0)
+    pair = []
+    for k in range(2):
+        path = tmp_path / ("f%d.json" % k)
+        path.write_text(json.dumps(functional_field_to_json(functional.random_functional_field(rng, *signature))))
+        pair += ["--field", str(path)]
+    for suites in ("prolong-functional,prolong-functional-jet", "sigma,prolong-functional-jet"):
+        assert cli.main(["verify", "--suite", suites, "--samples", "2"] + pair) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--field functional pair is too large: its bracket needs %s (limit 64)" % algebra in captured.err
+    # a suite that takes no bracket of the pair still takes it
+    assert cli.main(["verify", "--suite", "sigma"] + pair) == 0

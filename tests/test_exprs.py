@@ -1,5 +1,6 @@
 """Expression trees and straight-line programs."""
 
+import json
 import math
 import struct
 
@@ -26,6 +27,8 @@ from weilcalc.exprs import (
     intpow,
     mul,
     neg,
+    node_from_json,
+    node_to_json,
     postorder,
     prim,
     simplify,
@@ -433,6 +436,83 @@ def test_tape_matches_recursive_reference(roots, pt):
     else:
         assert not isinstance(got, Exception), got
         assert _bits(got) == _bits(want)
+
+
+_DOC_OPS = {Neg: "neg", Add: "add", Sub: "sub", Mul: "mul", Div: "div", IntPow: "intpow"}
+
+
+def _reference_tape(roots):
+    """The fields of a Tape, compiled by recursion: children first, right
+    operand first, one slot per node by identity, the leaves first (each
+    constant, and each variable index once, in walk order)."""
+    order, seen = [], set()
+
+    def walk(node):
+        if id(node) not in seen:
+            for c in reversed(node.children):
+                walk(c)
+            seen.add(id(node))
+            order.append(node)
+
+    for root in roots:
+        walk(root)
+    slot, var_slot, leaves, inputs = {}, {}, [], []
+    for node in order:
+        if isinstance(node, Const):
+            slot[id(node)] = len(leaves)
+            leaves.append(node.c)
+        elif isinstance(node, Var):
+            if node.i not in var_slot:
+                var_slot[node.i] = len(leaves)
+                inputs.append((len(leaves), node.i))
+                leaves.append(None)
+            slot[id(node)] = var_slot[node.i]
+    computed = [node for node in order if node.children]
+    for n, node in enumerate(computed):
+        slot[id(node)] = len(leaves) + n
+    a, b, pool = [], [], []
+    for node in computed:
+        a.append(slot[id(node.children[0])])
+        if isinstance(node, IntPow):
+            b.append(len(pool))
+            pool.append(node.k)
+        else:
+            b.append(slot[id(node.children[-1])])
+    return {
+        "ops": tuple(node.name if isinstance(node, Prim) else _DOC_OPS[type(node)] for node in computed),
+        "a": a,
+        "b": b,
+        "pool": pool,
+        "leaves": leaves,
+        "inputs": inputs,
+        "outputs": [slot[id(root)] for root in roots],
+    }
+
+
+def _tape_fields(roots):
+    tape = Program(3, roots).tape
+    return {
+        "ops": tape.ops,
+        "a": list(tape.a),
+        "b": list(tape.b),
+        "pool": tape.pool,
+        "leaves": tape.leaves,
+        "inputs": tape.inputs,
+        "outputs": tape.outputs,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dags())
+def test_tape_compiles_as_a_recursive_walk(roots):
+    # the op order decides which error a sample raises first
+    assert _tape_fields(roots) == _reference_tape(roots)
+    # a document round trip keeps the text and the document; it unshares
+    # the tree, whose tape is again the recursive walk's
+    again = [node_from_json(node_to_json(root)) for root in roots]
+    assert [format_expr(e) for e in again] == [format_expr(e) for e in roots]
+    assert [json.dumps(node_to_json(e)) for e in again] == [json.dumps(node_to_json(e)) for e in roots]
+    assert _tape_fields(again) == _reference_tape(again)
 
 
 # -- column runs ----------------------------------------------------------------

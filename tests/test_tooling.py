@@ -132,3 +132,32 @@ def test_the_span_tracer_counts_every_structure_nonzero_of_an_element_product(mo
     assert counts["algebra.mul.nnz"] > 0
     assert counts["algebra.mul.nnz"] == len(element_products) * len(a.nonzeros())
     assert tracing.Patches.leftovers() == []
+
+
+def test_the_span_tracer_counts_one_node_per_raw_constructor_call():
+    # the render workload's exprs.nodes_built per pass counts the calls of
+    # each node class's __init__, four of which are one shared method
+    import weilcalc as wc
+    from weilcalc.exprs import Add, Const, Div, IntPow, Mul, Neg, Prim, Sub, Var, format_expr
+
+    tracing = _tracing()
+    assert tracing.EXPR_NODES == ("Var", "Const", "Neg", "Add", "Sub", "Mul", "Div", "IntPow", "Prim")
+
+    def build():
+        x, c = Var(0), Const(2.0)
+        return [x, c, Neg(x), Add(x, c), Sub(x, c), Mul(x, c), Div(x, c), IntPow(x, 3), Prim("sin", x)]
+
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    patches.install(tracer, wc)
+    try:
+        built = build()
+    finally:
+        patches.restore()
+    _, counts = tracer.take()
+    assert counts["exprs.nodes_built"] == 9
+    assert tracing.Patches.leftovers() == []
+    after = build()
+    assert [type(n).__name__ for n in after] == list(tracing.EXPR_NODES)
+    assert [format_expr(n) for n in after] == [format_expr(n) for n in built] == [
+        "x0", "2", "-x0", "x0 + 2", "x0 - 2", "x0*2", "x0/2", "x0^3", "sin(x0)",
+    ]
