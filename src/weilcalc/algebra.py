@@ -56,8 +56,9 @@ class WeilAlgebra:
     associativity, the unit law, that non-unit products have no unit
     component, and that iterated products of the ideal terminate; `height`
     is the largest h with a nonzero h-fold product and `width` the minimal
-    generator count of the ideal.  Two algebras are equal when their name,
-    basis labels, unit index, structure and generators are.
+    generator count of the ideal.  `==` is the one equality of algebras:
+    two are equal when their name, basis labels, unit index, structure and
+    generators are, so equal tables under different names do not mix.
     """
 
     def __init__(self, name: str, basis_labels, structure, unit_index: int = 0, generators=None):
@@ -199,14 +200,6 @@ class WeilAlgebra:
             )
         return [AlgebraElement(self, g) for g in self.generators]
 
-    def same_structure(self, other: "WeilAlgebra") -> bool:
-        """Equal multiplication tables, whatever the names and generators."""
-        return self is other or (
-            self.dim == other.dim
-            and self.unit_index == other.unit_index
-            and np.array_equal(self.structure, other.structure)
-        )
-
     def __repr__(self):
         return "WeilAlgebra(%s, dim=%d, height=%d)" % (self.name, self.dim, self.height)
 
@@ -251,7 +244,9 @@ class AlgebraElement:
     # scalars are anything that is not an element of the same algebra
     def _peer(self, other):
         if isinstance(other, AlgebraElement):
-            if other.algebra.same_structure(self.algebra):
+            # identity first: every element op runs this, and operands
+            # almost always share the one memoized algebra
+            if other.algebra is self.algebra or other.algebra == self.algebra:
                 return other
             raise AlgebraMismatch(
                 "operands live in %r and %r" % (self.algebra.name, other.algebra.name)

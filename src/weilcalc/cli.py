@@ -25,7 +25,7 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import partial
 
 from . import functional, functor, jets, prolong, strongdiff
@@ -66,12 +66,14 @@ class CliError(Exception):
 
 @dataclass
 class SuiteConfig:
+    """The verify options; argparse holds their defaults."""
+
     suites: list
-    seed: int = 0
-    tol: float | None = None
-    samples: int | None = None
-    algebras: list | None = None  # [WeilAlgebra] override, labelled by name
-    fields: list = dataclass_field(default_factory=list)
+    seed: int
+    tol: float | None
+    samples: int | None
+    algebras: list | None  # [WeilAlgebra] override, labelled by name
+    fields: list
 
     def __post_init__(self):
         if self.tol is not None and not 0 < self.tol < math.inf:
@@ -97,6 +99,18 @@ class SuiteConfig:
             ]
             if too_big:
                 raise CliError(EXIT_USAGE, "--algebra %s is too large: %s" % (a.name, "; ".join(too_big)))
+            # tensor and sum_algebra take unit_index 0 presentations only
+            tensors = [
+                "%s builds %s" % (s, _override_sizes(a.dim)[s][0])
+                for s in ("exchange-square", "functor-laws")
+                if s in self.suites
+            ]
+            if a.unit_index != 0 and tensors:
+                raise CliError(
+                    EXIT_USAGE,
+                    "--algebra %s has its unit at basis vector %d, but tensor products need it at 0: %s"
+                    % (a.name, a.unit_index, "; ".join(tensors)),
+                )
         manifold = self.pair(VectorField)
         fibred = self.pair(functional.FunctionalVectorField)
         for name, fields in (("manifold", manifold), ("functional", fibred)):
@@ -359,8 +373,8 @@ def _prolong_manifold(algebra, *, rng, samples, tol):
     def deviations():
         # ten random field pairs; a failure names its pair as `unit`
         for unit in range(10):
-            xf = random_poly_field(rng, 2, deg=2, scale=0.5)
-            yf = random_poly_field(rng, 2, deg=2, scale=0.5)
+            xf = random_poly_field(rng, 2, deg=2)
+            yf = random_poly_field(rng, 2, deg=2)
             for tag, dev in prolong.bracket_deviations(algebra, xf, yf, samples, rng):
                 yield {**tag, "unit": unit}, dev
 
@@ -368,7 +382,7 @@ def _prolong_manifold(algebra, *, rng, samples, tol):
 
 
 def _frame_prolong(m, r, *, rng, samples, tol):
-    xi = random_poly_field(rng, m, deg=2, scale=0.5)
+    xi = random_poly_field(rng, m, deg=2)
     return jets.check_frame_prolong(xi, r, samples=samples, rng=rng, tol=tol)
 
 
@@ -409,8 +423,10 @@ def _functional_pair(cfg, suite, label):
 
 
 def _prolong_functional(cfg, algebra, *, rng, samples, tol):
+    """The functional pair prolonged over the algebra."""
     x1, x2 = _functional_pair(cfg, "prolong-functional", algebra.name)
-    return functional.check_bracket_preserved(algebra, x1, x2, samples=samples, rng=rng, tol=tol)
+    prolong = partial(functional.functional_field_prolong, algebra)
+    return functional.check_bracket_preserved(prolong, x1, x2, samples=samples, rng=rng, tol=tol)
 
 
 # jet_triple(m, 1) inverts its frames by jets._matinv_generic, whose
@@ -422,9 +438,8 @@ def _prolong_functional_jet(cfg, m, *, rng, samples, tol):
     """The functional pair over jet(m,1): m is 1 for the random pair, the
     --field pair's base dimension otherwise."""
     x1, x2 = _functional_pair(cfg, "prolong-functional-jet", "jet(%d,1)" % m)
-    return functional.check_jet_bracket_preserved(
-        jets.jet_triple(m, 1), x1, x2, samples=samples, rng=rng, tol=tol
-    )
+    prolong = partial(functional.g_functional, jets.jet_triple(m, 1))
+    return functional.check_bracket_preserved(prolong, x1, x2, samples=samples, rng=rng, tol=tol)
 
 
 SUITES = (
@@ -697,14 +712,9 @@ def _print_algebra(a: WeilAlgebra, bundle=None):
 
 
 def cmd_algebra(args) -> int:
-    spec = args.spec if args.spec is not None else args.algebra
-    if spec is None:
-        raise CliError(EXIT_USAGE, "give an algebra as a positional spec or via --algebra")
-    if args.spec is not None and args.algebra is not None:
-        raise CliError(EXIT_USAGE, "give either a positional spec or --algebra, not both")
-    if args.verb == "build" and os.path.exists(spec):
+    if args.verb == "build" and os.path.exists(args.spec):
         raise CliError(EXIT_USAGE, "build expects a constructor expression, not a file")
-    algebra, bundle = resolve_algebra(spec)
+    algebra, bundle = resolve_algebra(args.spec)
     if args.verb == "check":
         print(
             "ok: %s satisfies the Weil axioms (dim %d, width %d, height %d)"
@@ -750,8 +760,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_algebra = sub.add_parser("algebra", help="show, check or build an algebra")
     p_algebra.add_argument("verb", choices=("show", "check", "build"))
-    p_algebra.add_argument("spec", nargs="?", default=None, help="algebra file or constructor expression")
-    p_algebra.add_argument("--algebra", metavar="FILE|EXPR", default=None, help="alternative to the positional spec")
+    p_algebra.add_argument("spec", help="algebra file or constructor expression")
     p_algebra.add_argument("--show", action="store_true", help="print the structure table after build")
     p_algebra.add_argument("--report", metavar="PATH", default=None, help="write the built algebra as JSON")
     p_algebra.set_defaults(func=cmd_algebra)

@@ -325,39 +325,6 @@ def functional_field_prolong(algebra: WeilAlgebra, field: FunctionalVectorField)
     )
 
 
-def check_bracket_preserved(algebra: WeilAlgebra, x1: FunctionalVectorField, x2: FunctionalVectorField, *, rng, samples: int, tol: float) -> dict:
-    """Prolonging the bracket equals the bracket of the prolongations.
-
-    Both sides are evaluated at sampled (lifted base, polynomial lifted
-    fiber map, y); the polynomial degree covers the bracket order.
-    """
-    return _check_prolonged_bracket(
-        lambda f: functional_field_prolong(algebra, f), x1, x2, samples, rng, tol
-    )
-
-
-def _check_prolonged_bracket(prolong, x1: FunctionalVectorField, x2: FunctionalVectorField, samples: int, rng, tol: float) -> dict:
-    """Compare prolong([x1, x2]) with [prolong(x1), prolong(x2)] at sampled
-    (base point, polynomial fiber map, y) of the prolonged bundle."""
-    lhs = prolong(functional_bracket(x1, x2))
-    rhs = functional_bracket(prolong(x1), prolong(x2))
-    deg = 2 * (x1.r + x2.r) + 1
-
-    def deviations():
-        for trial in range(samples):
-            x = rng.uniform(-1.0, 1.0, size=lhs.m)
-            hhat = random_poly_program(rng, lhs.q1, lhs.q2, deg=deg, scale=0.6)
-            y = rng.uniform(-1.0, 1.0, size=lhs.q1)
-            lb, lv = fvf_value(lhs, x, hhat, y)
-            rb, rv = fvf_value(rhs, x, hhat, y)
-            yield {"trial": trial}, max(
-                float(np.abs(lb - rb).max(initial=0.0)),
-                float(np.abs(lv - rv).max(initial=0.0)),
-            )
-
-    return tally(deviations(), tol)
-
-
 # -- quotient-functor prolongation --------------------------------------------
 
 
@@ -402,12 +369,33 @@ def _normalized_vertical(triple: FunctorTriple, field: FunctionalVectorField) ->
     return body
 
 
-def check_jet_bracket_preserved(triple: FunctorTriple, x1: FunctionalVectorField, x2: FunctionalVectorField, *, rng, samples: int, tol: float) -> dict:
-    """Quotient prolongation of the bracket equals the bracket of the
-    quotient prolongations, at sampled (x, fiber map, y)."""
-    return _check_prolonged_bracket(
-        lambda f: g_functional(triple, f), x1, x2, samples, rng, tol
-    )
+def check_bracket_preserved(prolong, x1: FunctionalVectorField, x2: FunctionalVectorField, *, rng, samples: int, tol: float) -> dict:
+    """A prolongation preserves the bracket: prolong([x1, x2]) equals
+    [prolong(x1), prolong(x2)].
+
+    `prolong` maps a functional field to its prolongation, over an algebra
+    (functional_field_prolong) or through a functor triple (g_functional).
+    Both sides are evaluated at sampled (base point, polynomial fiber map,
+    y) of the prolonged bundle; the polynomial degree covers the bracket
+    order.
+    """
+    lhs = prolong(functional_bracket(x1, x2))
+    rhs = functional_bracket(prolong(x1), prolong(x2))
+    deg = 2 * (x1.r + x2.r) + 1
+
+    def deviations():
+        for trial in range(samples):
+            x = rng.uniform(-1.0, 1.0, size=lhs.m)
+            hhat = random_poly_program(rng, lhs.q1, lhs.q2, deg=deg, scale=0.6)
+            y = rng.uniform(-1.0, 1.0, size=lhs.q1)
+            lb, lv = fvf_value(lhs, x, hhat, y)
+            rb, rv = fvf_value(rhs, x, hhat, y)
+            yield {"trial": trial}, max(
+                float(np.abs(lb - rb).max(initial=0.0)),
+                float(np.abs(lv - rv).max(initial=0.0)),
+            )
+
+    return tally(deviations(), tol)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -452,11 +440,12 @@ def check_order_locality(m: int, q1: int, q2: int, r: int, *, rng, samples: int,
     return tally(deviations(), tol)
 
 
-def _poly_family_rate(field: FunctionalVectorField, d: int, nodes: np.ndarray, vander_inv: np.ndarray):
-    """Induced field on (x, coefficient) space for degree-d fiber polynomials.
+def _poly_family_rate(field: FunctionalVectorField, nodes: np.ndarray, vander_inv: np.ndarray):
+    """Induced field on (x, coefficient) space for fiber polynomials of
+    degree len(nodes) - 1.
 
     Only meaningful when the field preserves the family; the fit below is
-    exact the moment hdot is again a polynomial of degree <= d.
+    exact the moment hdot is again a polynomial of that degree or less.
     """
     m = field.m
 
@@ -494,9 +483,9 @@ def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField
     m = x1.m
     nodes = np.linspace(-1.0, 1.0, d + 1)
     vander_inv = np.linalg.inv(np.vander(nodes, d + 1, increasing=True))
-    f1 = _poly_family_rate(x1, d, nodes, vander_inv)
-    f2 = _poly_family_rate(x2, d, nodes, vander_inv)
-    fb = _poly_family_rate(functional_bracket(x1, x2), d, nodes, vander_inv)
+    f1 = _poly_family_rate(x1, nodes, vander_inv)
+    f2 = _poly_family_rate(x2, nodes, vander_inv)
+    fb = _poly_family_rate(functional_bracket(x1, x2), nodes, vander_inv)
     n = m + d + 1
 
     def jac(f, w):

@@ -28,7 +28,7 @@ class WeilPoint:
         for c in coords:
             if not isinstance(c, AlgebraElement):
                 raise ShapeMismatch("coordinates must be algebra elements")
-            if not c.algebra.same_structure(algebra):
+            if c.algebra != algebra:
                 raise AlgebraMismatch("coordinate algebra differs from the point's")
         self.algebra = algebra
         self.dim = len(coords)
@@ -78,7 +78,7 @@ def lift(algebra: WeilAlgebra, f: Program):
     """The lifted map as a callable on points."""
 
     def lifted(p: WeilPoint) -> WeilPoint:
-        if not p.algebra.same_structure(algebra):
+        if p.algebra != algebra:
             raise AlgebraMismatch("point algebra differs from the lift's")
         if p.dim != f.arity_in:
             raise ShapeMismatch(
@@ -110,7 +110,7 @@ def lift_program(algebra: WeilAlgebra, f: Program) -> Program:
 
 def transform(mu: AlgebraHom, p: WeilPoint) -> WeilPoint:
     """Apply a reparametrization homomorphism coefficient-wise."""
-    if not p.algebra.same_structure(mu.source):
+    if p.algebra != mu.source:
         raise AlgebraMismatch("point is not over the hom's source algebra")
     return WeilPoint(
         mu.target,
@@ -121,7 +121,7 @@ def transform(mu: AlgebraHom, p: WeilPoint) -> WeilPoint:
 def flatten(p: WeilPoint, outer: WeilAlgebra, inner: WeilAlgebra) -> WeilPoint:
     """Identify an iterated point (over `outer`, on the coefficient space of
     an `inner` lift) with a point over tensor(outer, inner)."""
-    if not p.algebra.same_structure(outer):
+    if p.algebra != outer:
         raise AlgebraMismatch("point is not over the declared outer algebra")
     din = inner.dim
     if p.dim % din != 0:

@@ -215,14 +215,14 @@ class JetGroupElement:
     coeffs[i][k] is the coefficient of the k-th positive-degree graded
     monomial in component i, so component i is the nilpotent element
     (0, *coeffs[i]) of truncated(m, r); jet_compose, jet_invert and the
-    canonical action multiply those elements.  Scalars are carrier generic;
-    the linear-part determinant is only checked when the carrier admits a
-    numeric size.
+    canonical action multiply those elements.  Scalars are carrier generic.
+    The constructor checks shapes only: jet_invert is the one place that
+    refuses a singular linear part.
     """
 
     __slots__ = ("m", "r", "coeffs")
 
-    def __init__(self, m: int, r: int, coeffs, check: bool = True):
+    def __init__(self, m: int, r: int, coeffs):
         if m < 1 or r < 1:
             raise ShapeMismatch("a jet needs m >= 1 and r >= 1, got m=%d, r=%d" % (m, r))
         n_mon = len(monomials(m, r, 1))
@@ -234,12 +234,6 @@ class JetGroupElement:
         self.m = m
         self.r = r
         self.coeffs = coeffs
-        if check:
-            size = _scalar_size(_det_generic(self.linear_part()))
-            if size is not None and size < _MIN_DET:
-                raise SingularLinearPart(
-                    "linear part determinant %g" % size
-                )
 
     def linear_part(self):
         # the first m graded monomials are the degree-1 ones, variable i at slot i
@@ -269,7 +263,7 @@ def identity_jet(m: int, r: int) -> JetGroupElement:
         [1 if degree(a) == 1 and a[i] == 1 else 0 for a in monos]
         for i in range(m)
     ]
-    return JetGroupElement(m, r, coeffs, check=False)
+    return JetGroupElement(m, r, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -311,10 +305,10 @@ def _combine(weights, vectors) -> list:
     """sum_j weights[j] * vectors[j] over coefficient vectors, entry by entry.
 
     The entries are carrier scalars, so a weight scales coefficients, never
-    a whole element: a dual-number weight times an element of
-    truncated(1, 1), which has the dual numbers' structure, would multiply
-    in the wrong algebra.  Exact zeros are skipped, and a slot that no term
-    reaches is the int 0, so rational jets stay exact.
+    a whole element: a dual-number weight and an element of truncated(1, 1)
+    live in different algebras, however alike their tables, and their
+    product raises AlgebraMismatch.  Exact zeros are skipped, and a slot
+    that no term reaches is the int 0, so rational jets stay exact.
     """
     acc = [None] * len(vectors[0])
     for c, vec in zip(weights, vectors):
@@ -332,7 +326,7 @@ def jet_compose(a: JetGroupElement, b: JetGroupElement) -> JetGroupElement:
     if a.m != b.m or a.r != b.r:
         raise ShapeMismatch("jets have different (m, r)")
     table = [t.coeffs[1:] for t in _power_table(a)]
-    return JetGroupElement(a.m, a.r, [_combine(row, table) for row in b.coeffs], check=False)
+    return JetGroupElement(a.m, a.r, [_combine(row, table) for row in b.coeffs])
 
 
 def jet_invert(a: JetGroupElement) -> JetGroupElement:
@@ -345,7 +339,7 @@ def jet_invert(a: JetGroupElement) -> JetGroupElement:
     m, r = a.m, a.r
     linv = _matinv_generic(a.linear_part())
     ident = identity_jet(m, r).coeffs
-    b = JetGroupElement(m, r, [_combine(row, ident) for row in linv], check=False)
+    b = JetGroupElement(m, r, [_combine(row, ident) for row in linv])
     if r >= 2:
         ntilde = [(0,) * m + row[m:] for row in a.coeffs]
         for _ in range(r - 1):
@@ -354,7 +348,7 @@ def jet_invert(a: JetGroupElement) -> JetGroupElement:
                 [e - v for e, v in zip(ident[i], _combine(ntilde[i], table))]
                 for i in range(m)
             ]
-            b = JetGroupElement(m, r, [_combine(row, resid) for row in linv], check=False)
+            b = JetGroupElement(m, r, [_combine(row, resid) for row in linv])
     return b
 
 
@@ -374,7 +368,7 @@ def random_jet(rng, m: int, r: int) -> JetGroupElement:
             else:
                 row.append(float(rng.uniform(-0.5, 0.5)))
         coeffs.append(row)
-    return JetGroupElement(m, r, coeffs, check=False)
+    return JetGroupElement(m, r, coeffs)
 
 
 def random_rational_jet(rng, m: int, r: int) -> JetGroupElement:
@@ -390,7 +384,7 @@ def random_rational_jet(rng, m: int, r: int) -> JetGroupElement:
                     Fraction(base * 3 + int(rng.integers(-2, 3)), int(rng.integers(1, 4)) * 3)
                 )
             coeffs.append(row)
-        jet = JetGroupElement(m, r, coeffs, check=False)
+        jet = JetGroupElement(m, r, coeffs)
         if _det_generic(jet.linear_part()) != 0:
             return jet
 
@@ -465,9 +459,9 @@ def make_triple(algebra: WeilAlgebra, H, t: AlgebraHom, m: int, r: int) -> Funct
     """
     rng = np.random.default_rng(0)
     dmr = make_basic("truncated", m, r)
-    if not t.source.same_structure(dmr):
+    if t.source != dmr:
         raise ShapeMismatch("t must start at truncated(%d,%d)" % (m, r))
-    if not t.target.same_structure(algebra):
+    if t.target != algebra:
         raise ShapeMismatch("t must land in the triple's algebra")
 
     ident_dev = float(
@@ -669,7 +663,7 @@ def moving_frame_dual(triple: FunctorTriple, xi: Program):
                 vel = float(vel)
             row.append(AlgebraElement(d, [float(idj.coeffs[i][k]), vel]))
         g_dual_rows.append(row)
-    g_dual = JetGroupElement(m, r, g_dual_rows, check=False)
+    g_dual = JetGroupElement(m, r, g_dual_rows)
     return triple.H.matrix_generic(jet_invert(g_dual))
 
 
@@ -724,7 +718,7 @@ def residue_jet(m: int, r: int, jets) -> JetGroupElement:
         for c in row
     ]
     cols = _stack(m, r, flat, np.int64)
-    return JetGroupElement(m, r, [[Residues(c) for c in row] for row in cols], check=False)
+    return JetGroupElement(m, r, [[Residues(c) for c in row] for row in cols])
 
 
 def residue_mismatch(a: JetGroupElement, b: JetGroupElement, count: int) -> np.ndarray:
@@ -772,7 +766,7 @@ def check_jet_group(m: int, r: int, *, rng, samples: int, tol: float) -> dict:
         d = h.algebra.dim
         pairs = [(random_jet(rng, m, r), random_jet(rng, m, r)) for _ in range(samples)]
         g1, g2 = (
-            JetGroupElement(m, r, _stack(m, r, [p[k].coeffs for p in pairs], float), check=False)
+            JetGroupElement(m, r, _stack(m, r, [p[k].coeffs for p in pairs], float))
             for k in range(2)
         )
         # one C-ordered d x d matrix per trial, as h(g).matrix is for a single jet

@@ -290,15 +290,15 @@ def compose(f: Program, g: Program) -> Program:
     return Program(g.arity_in, _run(f.tape, g.exprs))
 
 
-def jacobian_oracle(field, x, richardson: bool = False) -> np.ndarray:
-    """Central-difference Jacobian, the independent oracle for differentials.
+def jacobian_oracle(prog: Program, x, richardson: bool = False) -> np.ndarray:
+    """Central-difference Jacobian of a program, the independent oracle for
+    differentials.
 
-    Accepts a VectorField or a Program; steps by JACOBIAN_STEP, and with
-    richardson=True combines that step and its half for fourth-order
-    accuracy.  `x` is one point, or a (B, n) block of points that gives a
-    (B, out, in) array from one `run_points` call.
+    Steps by JACOBIAN_STEP, and with richardson=True combines that step and
+    its half for fourth-order accuracy.  `x` is one point, or a (B, n)
+    block of points that gives a (B, out, in) array from one `run_points`
+    call.
     """
-    prog = field.components if isinstance(field, VectorField) else field
 
     def transposed(args, count):
         def fd(step):
@@ -342,8 +342,9 @@ def random_poly_program(rng, arity_in: int, arity_out: int, deg: int = 2, scale:
     return Program(arity_in, body)
 
 
-def random_poly_field(rng, dim: int, deg: int = 2, scale: float = 0.5) -> VectorField:
-    return VectorField(dim, random_poly_program(rng, dim, dim, deg=deg, scale=scale))
+def random_poly_field(rng, dim: int, deg: int = 2) -> VectorField:
+    """Random polynomial field, coefficients uniform in [-0.5, 0.5]."""
+    return VectorField(dim, random_poly_program(rng, dim, dim, deg=deg))
 
 
 # -- serialization -------------------------------------------------------

@@ -82,7 +82,7 @@ class SecondTangent:
     @classmethod
     def from_point(cls, p: WeilPoint) -> "SecondTangent":
         """Slots of a point over DD; column coefficients give a block."""
-        if not p.algebra.same_structure(dd_algebra()):
+        if p.algebra != dd_algebra():
             raise ShapeMismatch("second tangents live over tensor(dual, dual)")
         arr = p.coefficient_array()
         return cls(arr[:, 0], arr[:, 2], arr[:, 1], arr[:, 3])
@@ -194,13 +194,9 @@ def s_bundle() -> SAlgebraBundle:
     return make_S()
 
 
-def strong_diff(x, y=None):
-    """Tangent vector (base, w(X) - w(Y)), computed through sigma.
-
-    Accepts either an SPair or two second tangents; the latter form raises
-    IncompatiblePair when the pair conditions fail.
-    """
-    pair = x if y is None else SPair(x, y)
+def strong_diff(pair: SPair):
+    """Tangent vector (base, w(X) - w(Y)) of a compatible pair, computed
+    through sigma."""
     out = pair.coords5() @ s_bundle().sigma.matrix.T
     return out[..., 0], out[..., 1]
 
@@ -464,8 +460,8 @@ def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, r
 
     def gap(args, count):
         pts, pair = _composite_pair(x_field, y_field, args, count)
-        jy = jacobian_oracle(y_field, pts, richardson=richardson).reshape(-1, n, n)
-        jx = jacobian_oracle(x_field, pts, richardson=richardson).reshape(-1, n, n)
+        jy = jacobian_oracle(y_field.components, pts, richardson=richardson).reshape(-1, n, n)
+        jx = jacobian_oracle(x_field.components, pts, richardson=richardson).reshape(-1, n, n)
         xv, yv = pair.x.u.T.reshape(-1, n), pair.x.v.T.reshape(-1, n)
         # one product per point, with a single point's layout: a matrix
         # product rounds by layout

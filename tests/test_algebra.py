@@ -34,6 +34,7 @@ from weilcalc.errors import (
     ShapeMismatch,
 )
 from weilcalc.exprs import Const, Expr, Var, node_to_json
+from weilcalc.functor import WeilPoint
 from weilcalc.strongdiff import make_S
 
 DUAL = make_basic("dual")
@@ -156,13 +157,18 @@ def test_generator_elements_require_registration():
         bare.generator_elements()
 
 
-def test_same_structure_ignores_names():
-    other = WeilAlgebra("eps", DUAL.basis_labels, DUAL.structure, generators=DUAL.generators)
-    assert DUAL.same_structure(other)
-    assert not DUAL.same_structure(T12)
+def test_algebras_with_equal_tables_do_not_mix():
     # equality is of values, names and generators included
+    other = WeilAlgebra("eps", DUAL.basis_labels, DUAL.structure, generators=DUAL.generators)
     assert other != DUAL
     assert WeilAlgebra("dual", DUAL.basis_labels, DUAL.structure) != DUAL
+    # truncated(1,1) has the dual numbers' table, yet its elements are not duals
+    t11 = make_basic("truncated", 1, 1)
+    assert np.array_equal(t11.structure, DUAL.structure)
+    with pytest.raises(AlgebraMismatch):
+        AlgebraElement(t11, [1.0, 2.0]) * AlgebraElement(DUAL, [3.0, 4.0])
+    with pytest.raises(AlgebraMismatch):
+        WeilPoint(DUAL, [AlgebraElement(t11, [1.0, 2.0])])
     assert WeilAlgebra("dual", DUAL.basis_labels, DUAL.structure, generators=DUAL.generators) == DUAL
 
 
@@ -430,7 +436,7 @@ def test_hom_composes_pointwise():
 @pytest.mark.parametrize("a", STANDARD + [make_S().algebra], ids=lambda a: a.name)
 def test_json_round_trip(a):
     b = algebra_from_json(algebra_to_json(a))
-    assert b.same_structure(a)
+    assert b == a
     assert b.basis_labels == a.basis_labels
     assert (b.width, b.height, b.unit_index) == (a.width, a.height, a.unit_index)
     # an equal value, so the memoized constructors hand back what a built
@@ -541,7 +547,7 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "t21.json"
     save_algebra(T21, path)
     again = algebra_from_json(json.loads(path.read_text()))
-    assert again.same_structure(T21)
+    assert again == T21
     assert again.basis_labels == T21.basis_labels
     raw = json.loads(path.read_text())
     assert raw["dim"] == 3

@@ -450,15 +450,22 @@ def test_verify_reports_suites_in_the_order_given(capsys):
     ]
 
 
+def _config(samples=None, algebras=None, fields=()):
+    """The config of `verify --suite all` with these options."""
+    return cli.SuiteConfig(
+        suites=list(cli.SUITES), seed=0, tol=None, samples=samples, algebras=algebras, fields=list(fields)
+    )
+
+
 def test_the_unit_table_lists_the_suites_in_report_order():
-    table = cli._unit_table(cli.SuiteConfig(suites=list(cli.SUITES)))
+    table = cli._unit_table(_config())
     assert tuple(dict.fromkeys(unit.suite for unit in table)) == cli.SUITES
 
 
 def test_every_row_passes_rng_samples_and_tol_to_a_check_without_defaults():
     # the row is the one place a unit's sample count and tolerance are written
     pair = [VectorField(1, Program(1, [intpow(Var(0), 2)])), VectorField(1, Program(1, [Const(1.0)]))]
-    table = cli._unit_table(cli.SuiteConfig(suites=list(cli.SUITES), fields=pair))
+    table = cli._unit_table(_config(fields=pair))
     checked = 0
     for unit in table:
         check = unit.check.func if isinstance(unit.check, partial) else unit.check
@@ -479,7 +486,7 @@ def test_every_sampled_check_takes_its_rng_as_a_required_keyword():
         if name.startswith("check_") and f.__module__ == m.__name__
     ]
     sampled = [f for f in checks if "rng" in inspect.signature(f).parameters]
-    assert len(sampled) == 12
+    assert len(sampled) == 11
     for f in sampled:
         rng = inspect.signature(f).parameters["rng"]
         assert rng.kind is rng.KEYWORD_ONLY and rng.default is rng.empty, f.__qualname__
@@ -515,12 +522,7 @@ _OVERRIDE_UNITS = [
 
 
 def test_an_algebra_override_runs_the_pinned_units():
-    cfg = cli.SuiteConfig(
-        suites=list(cli.SUITES),
-        samples=2,
-        algebras=[make_basic("truncated", 1, 2)],
-    )
-    doc = cli.run_suites(cfg)
+    doc = cli.run_suites(_config(samples=2, algebras=[make_basic("truncated", 1, 2)]))
     assert [(e["suite"], e["algebra"], e["samples"]) for e in doc["suites"]] == _OVERRIDE_UNITS
     assert doc["status"] == "pass"
 
@@ -543,6 +545,36 @@ def test_an_algebra_too_large_for_a_suite_is_refused_before_any_unit_runs(capsys
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "dim 65" in err and "dim 169" in err and "projection-squares" not in err
+
+
+def test_an_algebra_with_its_unit_off_basis_vector_zero_is_refused_by_the_tensor_suites(
+    capsys, monkeypatch, tmp_path
+):
+    # a valid Weil algebra whose unit is basis vector 1: the two suites that
+    # build tensor products with it refuse it up front, the others run it
+    doc = {"name": "dualswap", "dim": 2, "basis": ["e", "1"], "unit_index": 1,
+           "structure": [[1, 1, 1, 1.0], [1, 0, 0, 1.0], [0, 1, 0, 1.0]]}
+    path = tmp_path / "dualswap.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["algebra", "check", str(path)]) == 0
+    capsys.readouterr()
+
+    def ran(*args, **kwargs):
+        pytest.fail("a unit ran")
+
+    monkeypatch.setattr(cli, "run_unit", ran)
+    argv = ["verify", "--samples", "2", "--algebra", str(path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--algebra dualswap has its unit at basis vector 1" in err
+    assert "exchange-square builds tensor(A,S); functor-laws builds tensor(A,A)" in err
+    assert cli.main(argv[:1] + ["--suite", "functor-laws,sigma"] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "functor-laws builds tensor(A,A)" in err and "exchange-square" not in err
+    monkeypatch.undo()
+    suites = "prolong-manifold,projection-squares,prolong-functional"
+    assert cli.main(argv[:1] + ["--suite", suites] + argv[1:]) == 0
+    assert "overall: pass (5/5 units)" in capsys.readouterr().out
 
 
 def test_an_algebra_within_a_suite_limit_still_runs(capsys):

@@ -154,7 +154,7 @@ def test_flatten_unflatten_round_trip():
     # an iterated point stores inner coefficient blocks as outer coordinates
     p = point_from_flat(DUAL, 2 * T12.dim, rng.uniform(-1, 1, size=2 * T12.dim * DUAL.dim))
     q = flatten(p, DUAL, T12)
-    assert q.algebra.same_structure(tensor(DUAL, T12))
+    assert q.algebra == tensor(DUAL, T12)
     assert q.dim == 2
     back = unflatten(q, DUAL, T12)
     assert np.allclose(back.flat(), p.flat(), atol=0.0)

@@ -5,6 +5,7 @@ from importlib import resources
 
 import jsonschema
 import numpy as np
+import pytest
 
 from weilcalc.reports import (
     CONVENTIONS,
@@ -59,8 +60,9 @@ def test_report_entry_casts_numpy_numbers_to_plain_json_types():
     }
     assert type(got["samples"]) is int and type(got["max_error"]) is float
     assert type(got["failures"]) is list
-    # a check dict without its optional keys passes with no samples
-    assert report_from_check("sigma", "S", {})["samples"] == 0
+    # every check dict carries all three keys; none has a default
+    with pytest.raises(KeyError):
+        report_from_check("sigma", "S", {"max_error": 0.0, "failures": []})
 
 
 def test_document_assembly():
