@@ -231,6 +231,9 @@ class AlgebraElement:
     """Element of a WeilAlgebra with carrier-generic coefficients."""
 
     __slots__ = ("algebra", "coeffs")
+    # numpy defers to the element's operators, so a column times an element
+    # is one element with column coefficients, not an array of elements
+    __array_ufunc__ = None
 
     def __init__(self, algebra: WeilAlgebra, coeffs):
         coeffs = list(coeffs)

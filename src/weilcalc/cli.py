@@ -39,6 +39,7 @@ from .programs import (
     VectorField,
     evaluate,
     field_from_json,
+    poly_template,
     random_poly_field,
     random_poly_program,
 )
@@ -363,22 +364,17 @@ def _unsampled(check, *args, rng, samples, tol):
 
 
 def _custom_bracket(x, y, *, rng, samples, tol):
-    """The oracle of the random-pair unit, on the --field pair."""
-    block = rng.uniform(-1.0, 1.0, size=(samples, x.dim))
-    devs = strongdiff.jacobian_bracket_deviation(x, y, block, richardson=True)
-    return tally((({"trial": trial}, float(dev)) for trial, dev in enumerate(devs)), tol)
+    """The oracle of the random-pair unit, on the --field pair: one pair of
+    fields without parameters."""
+    devs = strongdiff.bracket_jacobian_deviations(x, y, 1, rng=rng, samples=samples, richardson=True)
+    return tally((({"trial": trial}, dev) for _, trial, dev in devs), tol)
 
 
 def _prolong_manifold(algebra, *, rng, samples, tol):
-    def deviations():
-        # ten random field pairs; a failure names its pair as `unit`
-        for unit in range(10):
-            xf = random_poly_field(rng, 2, deg=2)
-            yf = random_poly_field(rng, 2, deg=2)
-            for tag, dev in prolong.bracket_deviations(algebra, xf, yf, samples, rng):
-                yield {**tag, "unit": unit}, dev
-
-    return tally(deviations(), tol)
+    # ten random quadratic field pairs on R^2, each a pair of coefficient
+    # rows of one template; a failure names its pair as `unit`
+    quadratic = VectorField(2, poly_template(2, 2, 2))
+    return tally(prolong.bracket_deviations(algebra, quadratic, quadratic, 10, samples, rng), tol)
 
 
 def _frame_prolong(m, r, *, rng, samples, tol):

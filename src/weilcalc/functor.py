@@ -91,7 +91,8 @@ def lift(algebra: WeilAlgebra, f: Program):
 
 
 def lift_elements(algebra: WeilAlgebra, f: Program, elements) -> list:
-    """Lift evaluated on raw coordinate elements (no WeilPoint wrapper)."""
+    """Lift evaluated on raw coordinate elements (no WeilPoint wrapper),
+    followed by the program's parameters as scalars."""
     outs = evaluate(f, list(elements))
     return [_coerce_element(algebra, v) for v in outs]
 
@@ -101,11 +102,14 @@ def lift_program(algebra: WeilAlgebra, f: Program) -> Program:
 
     Input layout is point_from_flat's coordinate-major one: coefficient a
     of coordinate i sits at flat index i*dim + a, and likewise for the output.
+    The program's parameters follow the coefficients, not lifted: they enter
+    the lift as scalars, as constants do.
     """
     n = f.arity_in * algebra.dim
     env = point_from_flat(algebra, f.arity_in, [Var(k) for k in range(n)]).coords
-    outs = lift_elements(algebra, f, env)
-    return Program(n, [c if isinstance(c, Expr) else Const(c) for el in outs for c in el.coeffs])
+    params = [Var(k) for k in range(n, n + f.params)]
+    outs = lift_elements(algebra, f, [*env, *params])
+    return Program(n, [c if isinstance(c, Expr) else Const(c) for el in outs for c in el.coeffs], params=f.params)
 
 
 def transform(mu: AlgebraHom, p: WeilPoint) -> WeilPoint:

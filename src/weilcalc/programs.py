@@ -27,6 +27,20 @@ arguments: a list of floats and count None for a point, or the block's
 n columns and count B.  `stack_columns` turns the body's outputs into a
 row for a point or a (B, k) array for a block, so the body never asks
 which it has.
+
+A program may take `params` parameter inputs after its arity_in point
+coordinates.  A parameter is a plain scalar or column of the carrier:
+`evaluate_dual`, `jacobian_oracle`, the lifts of `functor` and the
+brackets of `strongdiff` pass it through unchanged, with no slope, no
+finite-difference step and no lift.  `poly_template` is the dense
+polynomial of `random_poly_program` with its coefficients as parameters,
+built by the same monomial walk, so a random field is that template plus
+one row of coefficients.  `pair_blocks` draws the rows of many field
+pairs and stacks them, each point followed by its pair's parameters, so
+one compiled template runs all pairs as one column block of
+pairs x samples rows.  A constant fold that `exprs` makes on a
+coefficient is the IEEE operation the parameter column computes at run
+time, so a template row and the folded tree give equal numbers.
 """
 
 from __future__ import annotations
@@ -122,15 +136,20 @@ class Tape:
 
 
 class Program:
-    """A smooth map given by arity_in variables and arity_out expressions."""
+    """A smooth map given by arity_in variables and arity_out expressions.
 
-    __slots__ = ("arity_in", "arity_out", "exprs", "tape")
+    Variables arity_in .. arity_in + params - 1 are its parameters: every
+    run takes their values after the point's coordinates.
+    """
 
-    def __init__(self, arity_in: int, body):
+    __slots__ = ("arity_in", "arity_out", "params", "exprs", "tape")
+
+    def __init__(self, arity_in: int, body, params: int = 0):
         body = tuple(body)
-        self.tape = Tape(body, arity_in)
+        self.tape = Tape(body, arity_in + params)
         self.arity_in = int(arity_in)
         self.arity_out = len(body)
+        self.params = int(params)
         self.exprs = body
 
     def __repr__(self):
@@ -200,9 +219,10 @@ def _run(tape: Tape, args) -> list:
 
 
 def evaluate(prog: Program, args) -> list:
-    if len(args) != prog.arity_in:
+    """Outputs at the point's coordinates followed by the parameters."""
+    if len(args) != prog.arity_in + prog.params:
         raise ArityMismatch(
-            "program expects %d arguments, got %d" % (prog.arity_in, len(args))
+            "program expects %d arguments, got %d" % (prog.arity_in + prog.params, len(args))
         )
     return _run(prog.tape, list(args))
 
@@ -210,11 +230,17 @@ def evaluate(prog: Program, args) -> list:
 def evaluate_dual(prog: Program, re_args, eps_args):
     """(values, slopes) of the tape run over dual numbers value + slope*e:
     lists of floats or, for column arguments, of columns and plain numbers.
-    An output that is a plain number has slope 0.0."""
-    if len(re_args) != prog.arity_in or len(eps_args) != prog.arity_in:
-        raise ArityMismatch("dual evaluation needs arity_in re and eps arguments")
+    An output that is a plain number has slope 0.0.
+
+    `re_args` holds the parameters after the coordinates, and they enter
+    the run as they are; `eps_args` holds the coordinates' slopes only.
+    """
+    n = prog.arity_in
+    if len(re_args) != n + prog.params or len(eps_args) != n:
+        raise ArityMismatch("dual evaluation needs arity_in + params re and arity_in eps arguments")
     dual = make_basic("dual")
-    out = _run(prog.tape, [AlgebraElement(dual, [r, e]) for r, e in zip(re_args, eps_args)])
+    points = [AlgebraElement(dual, [r, e]) for r, e in zip(re_args, eps_args)]
+    out = _run(prog.tape, points + list(re_args[n:]))
     pairs = [v.coeffs if isinstance(v, AlgebraElement) else (v, 0.0) for v in out]
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
@@ -297,7 +323,7 @@ def jacobian_oracle(prog: Program, x, richardson: bool = False) -> np.ndarray:
     Steps by JACOBIAN_STEP, and with richardson=True combines that step and
     its half for fourth-order accuracy.  `x` is one point, or a (B, n)
     block of points that gives a (B, out, in) array from one `run_points`
-    call.
+    call; a point's parameters follow its coordinates and take no step.
     """
 
     def transposed(args, count):
@@ -327,24 +353,75 @@ def jacobian_oracle(prog: Program, x, richardson: bool = False) -> np.ndarray:
 # -- small builders ------------------------------------------------------
 
 
-def random_poly_program(rng, arity_in: int, arity_out: int, deg: int = 2, scale: float = 0.5) -> Program:
-    """Dense polynomial program with coefficients uniform in [-scale, scale]."""
+def _poly_body(arity_in: int, arity_out: int, deg: int, coefficients) -> list:
+    """Dense polynomial components, each a constant plus one term per
+    monomial of degree 1..deg; `coefficients` gives their leaves in that
+    order, component by component."""
+    leaves = iter(coefficients)
     body = []
     for _ in range(arity_out):
-        acc = Const(float(rng.uniform(-scale, scale)))
+        acc = next(leaves)
         for alpha in monomials(arity_in, deg, mindeg=1):
-            term = Const(float(rng.uniform(-scale, scale)))
+            term = next(leaves)
             for j, k in enumerate(alpha):
                 if k:
                     term = exprs.mul(term, exprs.intpow(Var(j), k))
             acc = exprs.add(acc, term)
         body.append(acc)
-    return Program(arity_in, body)
+    return body
 
 
-def random_poly_field(rng, dim: int, deg: int = 2) -> VectorField:
+def _poly_size(arity_in: int, arity_out: int, deg: int) -> int:
+    """Number of coefficients of a dense polynomial program."""
+    return arity_out * len(monomials(arity_in, deg))
+
+
+def random_poly_program(rng, arity_in: int, arity_out: int, deg: int = 2, scale: float = 0.5) -> Program:
+    """Dense polynomial program with coefficients uniform in [-scale, scale]."""
+    row = rng.uniform(-scale, scale, size=_poly_size(arity_in, arity_out, deg))
+    return Program(arity_in, _poly_body(arity_in, arity_out, deg, map(Const, row.tolist())))
+
+
+def random_poly_field(rng, dim: int, deg: int) -> VectorField:
     """Random polynomial field, coefficients uniform in [-0.5, 0.5]."""
     return VectorField(dim, random_poly_program(rng, dim, dim, deg=deg))
+
+
+def poly_template(arity_in: int, arity_out: int, deg: int) -> Program:
+    """The dense polynomial of random_poly_program with its coefficients as
+    parameters, in the order random_poly_program draws them."""
+    size = _poly_size(arity_in, arity_out, deg)
+    body = _poly_body(arity_in, arity_out, deg, map(Var, range(arity_in, arity_in + size)))
+    return Program(arity_in, body, params=size)
+
+
+# Most rows in one block of `pair_blocks`: a column run holds each tape
+# slot as a column of its rows, so this bounds a block's memory.
+MAX_BLOCK_ROWS = 2048
+
+
+def pair_blocks(rng, x_field: VectorField, y_field: VectorField, width: int, pairs: int, samples: int):
+    """(first pair, block) for `pairs` draws of a field pair, consecutive
+    pairs stacked into blocks of at most max(samples, MAX_BLOCK_ROWS) rows.
+
+    Each pair draws X's parameter row and then Y's, uniform in
+    [-0.5, 0.5] as random_poly_field draws its coefficients, and then
+    `samples` points of [-1, 1]^width.  Its rows are those points, each
+    followed by X's parameters and Y's: the input layout of the pair's
+    bracket.  Blocks are drawn pair by pair in order, so grouping moves no
+    draw, and fields without parameters draw only their points.
+    """
+    per_block = max(1, MAX_BLOCK_ROWS // samples)
+    for first in range(0, pairs, per_block):
+        rows = []
+        for _ in range(first, min(pairs, first + per_block)):
+            params = np.concatenate([
+                rng.uniform(-0.5, 0.5, size=x_field.components.params),
+                rng.uniform(-0.5, 0.5, size=y_field.components.params),
+            ])
+            points = rng.uniform(-1.0, 1.0, size=(samples, width))
+            rows.append(np.hstack([points, np.broadcast_to(params, (samples, params.size))]))
+        yield first, np.vstack(rows)
 
 
 # -- serialization -------------------------------------------------------

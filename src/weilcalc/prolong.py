@@ -14,6 +14,11 @@ are columns (one entry per point), not once per point.
 The symbolic rendering as an ordinary Program is built on first read of
 `rendering`, for an algebra of any size, and spot-checked against
 pointwise evaluation before it is handed out.
+
+A field's parameters are not prolonged: the prolonged field takes them,
+unchanged, after the n*d flat coordinates.  `bracket_deviations` runs
+many field pairs as parameter rows of one pair of templates, so the
+bracket is formed and each field rendered once for all of them.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import WeilAlgebra
-from .errors import DivisionByNilpotent, DomainError, InvariantViolation, ShapeMismatch
+from .errors import DivisionByNilpotent, DomainError, InvariantViolation
 from .functor import lift_elements, lift_program, point_from_flat
-from .programs import VectorField, evaluate, evaluate_points, run_columns, run_points, stack_columns
+from .programs import VectorField, evaluate_points, pair_blocks, run_columns, run_points, stack_columns
 from .reports import tally
 from .strongdiff import bracket, bracket_value
 
@@ -45,45 +50,63 @@ class ProlongedField:
 
     @property
     def rendering(self) -> VectorField:
-        """The prolongation as a field on R^{n*d}; built and spot-checked
-        on first read, raising InvariantViolation if the check fails."""
-        if self._rendering is None:
-            prog = lift_program(self.algebra, self.base_field.components)
-            rendering = VectorField(self.dim, prog)
-            self._spot_check(rendering)
-            self._rendering = rendering
-        return self._rendering
+        """`rendering_at` for a field without parameters."""
+        return self.rendering_at(np.empty((1, 0)))
+
+    def rendering_at(self, rows) -> VectorField:
+        """The prolongation as a field on R^{n*d}, with the base field's
+        parameters after its coordinates; built on first read.
+
+        Every read spot-checks it at two fixed points with each row of
+        parameter values in `rows` in turn, raising InvariantViolation if
+        the check fails.
+        """
+        rendering = self._rendering
+        if rendering is None:
+            rendering = VectorField(self.dim, lift_program(self.algebra, self.base_field.components))
+        self._spot_check(rendering, rows)
+        self._rendering = rendering
+        return rendering
 
     def value_at(self, flat) -> np.ndarray:
         """Pointwise velocity via evaluation over the algebra carrier.
 
-        `flat` is one point of R^{n*d}, or a (B, n*d) block of points that
-        gives a (B, n*d) array from one `run_points` call.
+        `flat` is one point of R^{n*d}, followed by the base field's
+        parameters, or a (B, n*d + params) block of such points that gives
+        a (B, n*d) array from one `run_points` call.
         """
 
         def velocity(args, count):
-            p = point_from_flat(self.algebra, self.base_field.dim, args)
-            outs = lift_elements(self.algebra, self.base_field.components, p.coords)
+            p = point_from_flat(self.algebra, self.base_field.dim, args[: self.dim])
+            outs = lift_elements(self.algebra, self.base_field.components, [*p.coords, *args[self.dim :]])
             return stack_columns([c for el in outs for c in el.coeffs], count)
 
         return run_points(flat, velocity)
 
-    def _spot_check(self, rendering: VectorField):
-        # two fixed points; skip any where the field itself is undefined
+    def _spot_check(self, rendering: VectorField, rows):
+        # two fixed points with each row of parameters, as one block; skip
+        # any point where the field itself is undefined
         pts = [
             np.linspace(-0.7, 0.7, self.dim),
             np.linspace(0.9, 0.3, self.dim),
         ]
-        for pt in pts:
+        block = np.array([np.concatenate([pt, row]) for row in rows for pt in pts])
+
+        def gaps(x):
+            # one gap for a point, one per row for a block; an undefined
+            # point gives none, and a block holding one runs point by point
             try:
-                direct = self.value_at(pt)
+                direct = self.value_at(x)
             except (DomainError, DivisionByNilpotent):
-                continue
-            rendered = np.array(evaluate(rendering.components, [float(v) for v in pt]))
-            dev = float(np.abs(direct - rendered).max(initial=0.0))
+                if np.ndim(x) == 2:
+                    raise
+                return 0.0
+            return np.abs(direct - evaluate_points(rendering.components, x)).max(axis=-1, initial=0.0)
+
+        for dev in run_columns(block, gaps, gaps):
             if dev > _SPOT_TOL:
                 raise InvariantViolation(
-                    "rendering disagrees with pointwise lift", worst=dev
+                    "rendering disagrees with pointwise lift", worst=float(dev)
                 )
 
     def base_values(self, flat) -> np.ndarray:
@@ -116,19 +139,28 @@ def check_base_projection(pf: ProlongedField, *, rng, samples: int) -> dict:
     return tally(_trials(block, gaps), _BASE_TOL)
 
 
-def bracket_deviations(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, samples: int, rng):
+def bracket_deviations(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, pairs: int, samples: int,
+                       rng):
     """(tag, deviation) pairs |prolong([X, Y]) - [prolong X, prolong Y]| at
-    sampled points; `tally` them for the check result.
+    sampled points, for `pairs` draws of the fields' parameters; `tally`
+    them for the check result.
 
-    Both renderings are read before the first draw, so a failed spot check
-    stops the comparison before it consumes any randomness.
+    The bracket is formed, and each field rendered over the algebra, once
+    for all pairs.  The pairs are drawn and run as the column blocks of
+    `pair_blocks`, each pair's `samples` points in the cube [-1, 1]^{n*d};
+    the renderings are spot-checked at every pair's parameter rows before
+    its block runs.  A tag names the point as `trial` and its pair as
+    `unit`.
     """
-    if x_field.dim != y_field.dim:
-        raise ShapeMismatch("fields live on different spaces")
     lhs = field_prolong(algebra, bracket(x_field, y_field))
-    rx = field_prolong(algebra, x_field).rendering
-    ry = field_prolong(algebra, y_field).rendering
-    return sampled_bracket_gaps(lhs.value_at, rx, ry, samples, rng)
+    px = field_prolong(algebra, x_field)
+    py = px if y_field is x_field else field_prolong(algebra, y_field)
+    width, nx = lhs.dim, x_field.components.params
+    for first, block in pair_blocks(rng, x_field, y_field, width, pairs, samples):
+        params = block[::samples, width:]
+        gaps = _bracket_gaps(lhs.value_at, px.rendering_at(params[:, :nx]), py.rendering_at(params[:, nx:]))
+        for row, dev in enumerate(run_columns(block, gaps, gaps)):
+            yield {"trial": row % samples, "unit": first + row // samples}, float(dev)
 
 
 def sampled_bracket_gaps(lhs, rx: VectorField, ry: VectorField, samples: int, rng):
@@ -138,12 +170,16 @@ def sampled_bracket_gaps(lhs, rx: VectorField, ry: VectorField, samples: int, rn
     `lhs` takes one point or a block of points, like `bracket_value`, and
     the block runs as columns through `run_columns`.
     """
+    return _trials(rng.uniform(-1.0, 1.0, size=(samples, rx.dim)), _bracket_gaps(lhs, rx, ry))
+
+
+def _bracket_gaps(lhs, rx: VectorField, ry: VectorField):
+    """|lhs(p) - [rx, ry](p)|: one gap for a point, one per row for a block."""
 
     def gaps(pts):
-        # one gap for a point, one per row for a block
         return np.abs(lhs(pts) - bracket_value(rx, ry, pts)).max(axis=-1, initial=0.0)
 
-    return _trials(rng.uniform(-1.0, 1.0, size=(samples, rx.dim)), gaps)
+    return gaps
 
 
 def _trials(block, gaps):

@@ -17,7 +17,9 @@ from S onto the dual numbers sends the pair to the tangent vector
 The bracket of two fields is the strong difference of the two composite
 second tangents (lift of Y applied to X, and vice versa), which works out
 to DY.X - DX.Y; that orientation is fixed here once and checked against a
-finite-difference Jacobian oracle in the tests.
+finite-difference Jacobian oracle in the tests.  Fields may take
+parameters: the bracket of X and Y then takes its point's coordinates,
+X's parameters and Y's, in that order, and so does `bracket_value`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from .programs import (
     evaluate,
     evaluate_dual,
     jacobian_oracle,
-    random_poly_field,
+    pair_blocks,
+    poly_template,
     run_points,
     stack_columns,
 )
@@ -204,35 +207,47 @@ def strong_diff(pair: SPair):
 # -- brackets ------------------------------------------------------------
 
 
-def _bracket_slots(x_field: VectorField, y_field: VectorField, args):
-    """X's values, Y's values, Y's slope along X and X's slope along Y at
-    `args`, over any carrier.  The values come from `evaluate`, not off the
-    dual runs, whose powers multiply by squaring and so round differently."""
+def _field_args(x_field: VectorField, y_field: VectorField, args):
+    """(point, X's arguments, Y's arguments) out of a bracket's arguments:
+    the point's coordinates, then X's parameters, then Y's."""
     if x_field.dim != y_field.dim:
         raise ShapeMismatch("fields live on different spaces")
-    xv = evaluate(x_field.components, args)
-    yv = evaluate(y_field.components, args)
-    dyx = evaluate_dual(y_field.components, args, xv)[1]
-    dxy = evaluate_dual(x_field.components, args, yv)[1]
+    n, px = x_field.dim, x_field.components.params
+    point = list(args[:n])
+    return point, point + list(args[n : n + px]), point + list(args[n + px :])
+
+
+def _bracket_slots(x_field: VectorField, y_field: VectorField, args):
+    """X's values, Y's values, Y's slope along X and X's slope along Y at
+    a bracket's `args`, over any carrier.  The values come from `evaluate`,
+    not off the dual runs, whose powers multiply by squaring and so round
+    differently."""
+    _, xa, ya = _field_args(x_field, y_field, args)
+    xv = evaluate(x_field.components, xa)
+    yv = evaluate(y_field.components, ya)
+    dyx = evaluate_dual(y_field.components, ya, xv)[1]
+    dxy = evaluate_dual(x_field.components, xa, yv)[1]
     return xv, yv, dyx, dxy
 
 
-def _composite_pair(x_field: VectorField, y_field: VectorField, args, count):
-    """(points, pair): the compatible pair (lift of Y along X, lift of X
-    along Y) over `run_points` arguments.
+def _composite_pair(x_field: VectorField, y_field: VectorField, args, count) -> SPair:
+    """The compatible pair (lift of Y along X, lift of X along Y) over
+    `run_points` arguments.
 
     For a block the pair is a block of B pairs on R^n, point p's in
-    column p; the points come back as the (B, n) block.
+    column p.
     """
     slots = _bracket_slots(x_field, y_field, args)
-    at, xv, yv, dyx, dxy = (stack_columns(v, count).T for v in (args, *slots))
-    return at.T, SPair(SecondTangent(at, xv, yv, dyx), SecondTangent(at, yv, xv, dxy))
+    at, xv, yv, dyx, dxy = (stack_columns(v, count).T for v in (args[: x_field.dim], *slots))
+    return SPair(SecondTangent(at, xv, yv, dyx), SecondTangent(at, yv, xv, dxy))
 
 
 def bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
-    """The bracket as a symbolic field, assembled through sigma."""
+    """The bracket as a symbolic field, assembled through sigma; its
+    parameters are X's and then Y's."""
     n = x_field.dim
-    xs = [Var(i) for i in range(n)]
+    params = x_field.components.params + y_field.components.params
+    xs = [Var(i) for i in range(n + params)]
     xv, yv, w_yx, w_xy = _bracket_slots(x_field, y_field, xs)
     sigma = s_bundle().sigma.matrix
     body = []
@@ -240,18 +255,19 @@ def bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
         vec5 = [xs[i], xv[i], yv[i], w_yx[i], w_xy[i]]
         out = apply_matrix(sigma, vec5)[1]
         body.append(out if isinstance(out, Expr) else Const(out))
-    return VectorField(n, Program(n, body))
+    return VectorField(n, Program(n, body, params=params))
 
 
 def bracket_value(x_field: VectorField, y_field: VectorField, at) -> np.ndarray:
     """Pointwise bracket via float dual numbers; no expression trees built.
 
     `at` is one point, or a (B, n) block of points that gives a (B, n)
-    array from one `run_points` call.
+    array from one `run_points` call; a point's coordinates are followed
+    by X's parameters and Y's.
     """
 
     def value(args, count):
-        return strong_diff(_composite_pair(x_field, y_field, args, count)[1])[1].T
+        return strong_diff(_composite_pair(x_field, y_field, args, count))[1].T
 
     return run_points(at, value)
 
@@ -454,34 +470,48 @@ def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, r
     DY.X - DX.Y with finite-difference Jacobians.
 
     For a (B, n) block of points the gaps of all B come back as an array,
-    from one `run_points` call.
+    from one `run_points` call.  A point's coordinates are followed by X's
+    parameters and Y's, as for `bracket_value`.
     """
     n = x_field.dim
 
     def gap(args, count):
-        pts, pair = _composite_pair(x_field, y_field, args, count)
-        jy = jacobian_oracle(y_field.components, pts, richardson=richardson).reshape(-1, n, n)
-        jx = jacobian_oracle(x_field.components, pts, richardson=richardson).reshape(-1, n, n)
+        _, xa, ya = _field_args(x_field, y_field, args)
+        pair = _composite_pair(x_field, y_field, args, count)
+        jy = jacobian_oracle(y_field.components, stack_columns(ya, count), richardson=richardson)
+        jx = jacobian_oracle(x_field.components, stack_columns(xa, count), richardson=richardson)
         xv, yv = pair.x.u.T.reshape(-1, n), pair.x.v.T.reshape(-1, n)
+        got = strong_diff(pair)[1].T
         # one product per point, with a single point's layout: a matrix
         # product rounds by layout
-        want = np.array([a @ u - b @ v for a, u, b, v in zip(jy, xv, jx, yv)]).reshape(pts.shape)
-        got = strong_diff(pair)[1].T
+        pairs = zip(jy.reshape(-1, n, n), xv, jx.reshape(-1, n, n), yv)
+        want = np.array([a @ u - b @ v for a, u, b, v in pairs]).reshape(got.shape)
         return np.abs(want - got).max(axis=-1, initial=0.0)
 
     return run_points(at, gap)
 
 
+def bracket_jacobian_deviations(x_field: VectorField, y_field: VectorField, pairs: int, *, rng, samples: int,
+                                richardson: bool):
+    """(pair, trial, deviation) of `jacobian_bracket_deviation` at
+    `samples` points of [-1, 1]^n for each of `pairs` draws of the fields'
+    parameters, drawn and run as the column blocks of `pair_blocks`."""
+    for first, block in pair_blocks(rng, x_field, y_field, x_field.dim, pairs, samples):
+        for row, dev in enumerate(jacobian_bracket_deviation(x_field, y_field, block, richardson)):
+            yield first + row // samples, row % samples, float(dev)
+
+
 def check_bracket_jacobian(dims, pairs: int, *, rng, samples: int, tol: float) -> dict:
-    """Strong-difference bracket against the finite-difference Jacobian bracket."""
+    """Strong-difference bracket against the finite-difference Jacobian
+    bracket, on `pairs` random cubic field pairs per dimension: each pair is
+    a row of coefficients of the one cubic template of its dimension."""
 
     def deviations():
         for n in dims:
-            for pair in range(pairs):
-                xf = random_poly_field(rng, n, deg=3)
-                yf = random_poly_field(rng, n, deg=3)
-                block = rng.uniform(-1.0, 1.0, size=(samples, n))
-                for dev in jacobian_bracket_deviation(xf, yf, block):
-                    yield {"dim": n, "pair": pair}, float(dev)
+            cubic = VectorField(n, poly_template(n, n, 3))
+            for pair, _, dev in bracket_jacobian_deviations(
+                cubic, cubic, pairs, rng=rng, samples=samples, richardson=False
+            ):
+                yield {"dim": n, "pair": pair}, dev
 
     return tally(deviations(), tol)

@@ -90,7 +90,7 @@ def test_criterion_03_prolongation_preserves_brackets():
         for _ in range(10):
             x = random_poly_field(rng, 2, deg=2)
             y = random_poly_field(rng, 2, deg=2)
-            results.append(tally(bracket_deviations(algebra, x, y, 50, rng), 1e-7))
+            results.append(tally(bracket_deviations(algebra, x, y, 1, 50, rng), 1e-7))
     _verdict(3, "manifold prolongation brackets", results, 1e-7)
 
 

@@ -357,6 +357,25 @@ def test_rows_regroup_the_nonzeros_by_left_index():
         assert flat == a.nonzeros()
 
 
+@pytest.mark.parametrize("a", STANDARD, ids=lambda a: a.name)
+@pytest.mark.parametrize("kind", ["float", "column"])
+def test_a_column_on_the_left_of_an_element_defers_to_the_element(a, kind):
+    # numpy must not build an object array of elements out of col * e
+    col = np.array([1.0, -2.5, 0.75])
+    coeffs = [1.5 - 0.5 * i for i in range(a.dim)]
+    if kind == "column":
+        coeffs = [np.array([c, c + 0.25, -c]) for c in coeffs]
+    e = AlgebraElement(a, coeffs)
+    for got, want in [
+        (col * e, e * col),
+        (col + e, e + col),
+        (col - e, (-e) + col),
+        (col / e, e.algebra.unit(col) / e),
+    ]:
+        assert isinstance(got, AlgebraElement)
+        assert _bits(got) == _bits(want)
+
+
 # -- division without forming 1/b -------------------------------------------------
 
 _REAL_PARTS = st.floats(1.0, 4.0).flatmap(lambda v: st.sampled_from([v, -v]))

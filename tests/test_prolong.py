@@ -50,7 +50,7 @@ def test_large_algebras_render_on_first_use():
         flat = rng.uniform(-1, 1, size=2 * big.dim)
         sym = evaluate(pf.rendering.components, list(flat))
         assert np.allclose(pf.value_at(flat), sym, rtol=0.0, atol=1e-12)
-    out = tally(bracket_deviations(big, x, y, 5, rng), 1e-7)
+    out = tally(bracket_deviations(big, x, y, 1, 5, rng), 1e-7)
     assert out["failures"] == []
     assert out["samples"] == 5
 
@@ -101,6 +101,6 @@ def test_prolongation_preserves_brackets(algebra):
     rng = np.random.default_rng(21)
     x = random_poly_field(rng, 2, deg=2)
     y = random_poly_field(rng, 2, deg=2)
-    out = tally(bracket_deviations(algebra, x, y, 10, rng), 1e-7)
+    out = tally(bracket_deviations(algebra, x, y, 1, 10, rng), 1e-7)
     assert out["failures"] == []
     assert out["max_error"] <= 1e-7

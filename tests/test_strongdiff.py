@@ -150,7 +150,7 @@ X_ONE = VectorField(1, Program(1, [Const(1.0)]))
 
 
 def test_composite_pair_collects_both_composites():
-    pair = _composite_pair(X_SQ, X_ONE, [3.0], None)[1]
+    pair = _composite_pair(X_SQ, X_ONE, [3.0], None)
     assert np.array_equal(pair.coords5(), [[3.0, 9.0, 1.0, 0.0, 6.0]])
 
 
@@ -233,7 +233,7 @@ def test_bracket_matches_finite_difference_jacobians():
 
 def test_bracket_rejects_mismatched_dimensions():
     with pytest.raises(ShapeMismatch):
-        bracket(X_SQ, random_poly_field(np.random.default_rng(0), 2))
+        bracket(X_SQ, random_poly_field(np.random.default_rng(0), 2, deg=2))
 
 
 # -- naturality squares --------------------------------------------------------
