@@ -366,13 +366,12 @@ def _unsampled(check, *args, rng, samples, tol):
 def _custom_bracket(x, y, *, rng, samples, tol):
     """The oracle of the random-pair unit, on the --field pair: one pair of
     fields without parameters."""
-    devs = strongdiff.bracket_jacobian_deviations(x, y, 1, rng=rng, samples=samples, richardson=True)
-    return tally((({"trial": trial}, dev) for _, trial, dev in devs), tol)
+    return tally(strongdiff.bracket_jacobian_deviations(x, y, 1, rng=rng, samples=samples, richardson=True), tol)
 
 
 def _prolong_manifold(algebra, *, rng, samples, tol):
     # ten random quadratic field pairs on R^2, each a pair of coefficient
-    # rows of one template; a failure names its pair as `unit`
+    # rows of one template
     quadratic = VectorField(2, poly_template(2, 2, 2))
     return tally(prolong.bracket_deviations(algebra, quadratic, quadratic, 10, samples, rng), tol)
 
@@ -708,6 +707,9 @@ def _print_algebra(a: WeilAlgebra, bundle=None):
 
 
 def cmd_algebra(args) -> int:
+    for flag, given in (("--report", args.report is not None), ("--show", args.show)):
+        if given and args.verb != "build":
+            raise CliError(EXIT_USAGE, "%s applies to algebra build, not algebra %s" % (flag, args.verb))
     if args.verb == "build" and os.path.exists(args.spec):
         raise CliError(EXIT_USAGE, "build expects a constructor expression, not a file")
     algebra, bundle = resolve_algebra(args.spec)
@@ -717,11 +719,11 @@ def cmd_algebra(args) -> int:
             % (algebra.name, algebra.dim, algebra.width, algebra.height)
         )
         return EXIT_PASS
-    if args.verb == "show" or (args.verb == "build" and args.show):
+    if args.verb == "show" or args.show:
         _print_algebra(algebra, bundle)
-    elif args.verb == "build":
+    else:
         print("built %s: dim %d, width %d, height %d" % (algebra.name, algebra.dim, algebra.width, algebra.height))
-    if args.verb == "build" and args.report:
+    if args.report:
         try:
             save_algebra(algebra, args.report)
         except OSError as err:
@@ -742,11 +744,11 @@ def _parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites and emit a report")
     p_verify.add_argument("--suite", default="all", help="suite name, comma list, or 'all' (default)")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for all sampled checks")
-    p_verify.add_argument("--tol", type=float, default=None, help="acceptance threshold; relaxes units certified tighter than this, never tightens below a unit's own oracle resolution")
+    p_verify.add_argument("--tol", type=float, default=None, help="acceptance threshold; relaxes sampled units certified tighter than this, never tightens below a unit's own oracle resolution; sigma, projection-squares and categorical failures (jet-group axioms, exchange-square membership and slots) ignore it")
     p_verify.add_argument("--samples", type=int, default=None, help="override per-unit sample counts")
     p_verify.add_argument("--report", metavar="PATH", default=None, help="write the JSON report here")
     p_verify.add_argument("--algebra", metavar="FILE|EXPR", default=None, help="restrict algebra-parameterized suites to this algebra")
-    p_verify.add_argument("--field", metavar="FILE", action="append", help="field file; a matching pair replaces the random fields of the bracket or functional suites")
+    p_verify.add_argument("--field", metavar="FILE", action="append", help="field file, given twice: a manifold pair adds the bracket unit 'custom pair' next to 'dims 1-3'; a functional pair replaces the random pair of prolong-functional and prolong-functional-jet")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bracket = sub.add_parser("bracket", help="bracket of two fields from files")
@@ -757,8 +759,8 @@ def _parser() -> argparse.ArgumentParser:
     p_algebra = sub.add_parser("algebra", help="show, check or build an algebra")
     p_algebra.add_argument("verb", choices=("show", "check", "build"))
     p_algebra.add_argument("spec", help="algebra file or constructor expression")
-    p_algebra.add_argument("--show", action="store_true", help="print the structure table after build")
-    p_algebra.add_argument("--report", metavar="PATH", default=None, help="write the built algebra as JSON")
+    p_algebra.add_argument("--show", action="store_true", help="build only: print the structure table")
+    p_algebra.add_argument("--report", metavar="PATH", default=None, help="build only: write the built algebra as JSON")
     p_algebra.set_defaults(func=cmd_algebra)
     return parser
 

@@ -35,9 +35,11 @@ from .programs import (
     VectorField,
     evaluate,
     evaluate_dual,
+    evaluate_points,
     program_from_json,
     program_to_json,
     random_poly_program,
+    sampled_deviations,
 )
 from .prolong import field_prolong
 from .reports import tally
@@ -377,25 +379,25 @@ def check_bracket_preserved(prolong, x1: FunctionalVectorField, x2: FunctionalVe
     (functional_field_prolong) or through a functor triple (g_functional).
     Both sides are evaluated at sampled (base point, polynomial fiber map,
     y) of the prolonged bundle; the polynomial degree covers the bracket
-    order.
+    order.  Each trial is the row (x, y, jets of the fiber map at y), and
+    both sides' xi and D run on all rows as columns.
     """
     lhs = prolong(functional_bracket(x1, x2))
     rhs = functional_bracket(prolong(x1), prolong(x2))
     deg = 2 * (x1.r + x2.r) + 1
+    rows = []
+    for _ in range(samples):
+        x = rng.uniform(-1.0, 1.0, size=lhs.m)
+        hhat = random_poly_program(rng, lhs.q1, lhs.q2, deg=deg, scale=0.6)
+        y = rng.uniform(-1.0, 1.0, size=lhs.q1)
+        rows.append(np.concatenate([x, y, jet_values(hhat, y, lhs.r)]))
 
-    def deviations():
-        for trial in range(samples):
-            x = rng.uniform(-1.0, 1.0, size=lhs.m)
-            hhat = random_poly_program(rng, lhs.q1, lhs.q2, deg=deg, scale=0.6)
-            y = rng.uniform(-1.0, 1.0, size=lhs.q1)
-            lb, lv = fvf_value(lhs, x, hhat, y)
-            rb, rv = fvf_value(rhs, x, hhat, y)
-            yield {"trial": trial}, max(
-                float(np.abs(lb - rb).max(initial=0.0)),
-                float(np.abs(lv - rv).max(initial=0.0)),
-            )
+    def gaps(pts):
+        sides = [np.concatenate([evaluate_points(f.xi, pts[..., : f.m]), evaluate_points(f.D, pts)], axis=-1)
+                 for f in (lhs, rhs)]
+        return np.abs(sides[0] - sides[1]).max(axis=-1, initial=0.0)
 
-    return tally(deviations(), tol)
+    return tally(sampled_deviations([(0, np.array(rows))], gaps, samples), tol)
 
 
 # -- independent oracles -------------------------------------------------------

@@ -73,9 +73,10 @@ from .programs import (
     evaluate_points,
     jacobian_oracle,
     random_poly_program,
+    sampled_deviations,
     stack_columns,
 )
-from .prolong import field_prolong, sampled_bracket_gaps
+from .prolong import bracket_gaps, field_prolong
 from .scalars import apply_primitive
 from .reports import tally
 from .strongdiff import bracket
@@ -600,16 +601,14 @@ def check_frame_prolong(xi: VectorField, r: int, *, rng, samples: int, tol: floa
     """
     m = xi.dim
     field = frame_prolong(xi, r)
-    flats = np.empty((samples, field.dim))
-    for trial in range(samples):
-        flats[trial] = frame_to_flat(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
-    got = evaluate_points(field.components, flats)
+    flats = np.array([frame_to_flat(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r)) for _ in range(samples)])
 
-    def deviations():
-        for trial, (flat, g) in enumerate(zip(flats, got)):
-            yield {"trial": trial}, float(np.abs(flow_frame_oracle(xi, r, flat) - g).max(initial=0.0))
+    def gaps(pts):
+        # the oracle integrates one frame at a time
+        want = np.reshape([flow_frame_oracle(xi, r, flat) for flat in pts.reshape(-1, field.dim)], pts.shape)
+        return np.abs(evaluate_points(field.components, pts) - want).max(axis=-1, initial=0.0)
 
-    return tally(deviations(), tol)
+    return tally(sampled_deviations([(0, flats)], gaps, samples), tol)
 
 
 # -- associated bundle points ---------------------------------------------
@@ -699,7 +698,8 @@ def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorFi
     g1 = g_field_prolong(triple, x1)
     g2 = g_field_prolong(triple, x2)
     lhs = g_field_prolong(triple, bracket(x1, x2)).components
-    return tally(sampled_bracket_gaps(partial(evaluate_points, lhs), g1, g2, samples, rng), tol)
+    block = rng.uniform(-1.0, 1.0, size=(samples, g1.dim))
+    return tally(sampled_deviations([(0, block)], bracket_gaps(partial(evaluate_points, lhs), g1, g2), samples), tol)
 
 
 def _stack(m: int, r: int, values, dtype) -> np.ndarray:

@@ -41,6 +41,9 @@ one compiled template runs all pairs as one column block of
 pairs x samples rows.  A constant fold that `exprs` makes on a
 coefficient is the IEEE operation the parameter column computes at run
 time, so a template row and the folded tree give equal numbers.
+
+`sampled_deviations` is the one body of every check that compares two
+sides at sampled points; the check writes only its draws and its gaps.
 """
 
 from __future__ import annotations
@@ -422,6 +425,19 @@ def pair_blocks(rng, x_field: VectorField, y_field: VectorField, width: int, pai
             points = rng.uniform(-1.0, 1.0, size=(samples, width))
             rows.append(np.hstack([points, np.broadcast_to(params, (samples, params.size))]))
         yield first, np.vstack(rows)
+
+
+def sampled_deviations(items, gaps, samples: int):
+    """(tag, deviation) pairs for `tally`, from (first pair, block) items:
+    `pair_blocks` blocks, or (0, block) for one block of `samples` trials.
+
+    `gaps` gives the largest gap between a check's two sides at a point,
+    or one per row at a block; each block runs through `run_columns`.  Row
+    k is tagged {"pair": first + k // samples, "trial": k % samples}.
+    """
+    for first, block in items:
+        for row, dev in enumerate(run_columns(block, gaps, gaps)):
+            yield {"pair": first + row // samples, "trial": row % samples}, float(dev)
 
 
 # -- serialization -------------------------------------------------------

@@ -18,7 +18,8 @@ pointwise evaluation before it is handed out.
 A field's parameters are not prolonged: the prolonged field takes them,
 unchanged, after the n*d flat coordinates.  `bracket_deviations` runs
 many field pairs as parameter rows of one pair of templates, so the
-bracket is formed and each field rendered once for all of them.
+bracket is formed and each field rendered once for all of them; its
+block loop and tags are `programs.sampled_deviations`'.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .algebra import WeilAlgebra
 from .errors import DivisionByNilpotent, DomainError, InvariantViolation
 from .functor import lift_elements, lift_program, point_from_flat
-from .programs import VectorField, evaluate_points, pair_blocks, run_columns, run_points, stack_columns
+from .programs import VectorField, evaluate_points, pair_blocks, run_columns, run_points, sampled_deviations, stack_columns
 from .reports import tally
 from .strongdiff import bracket, bracket_value
 
@@ -136,54 +137,32 @@ def check_base_projection(pf: ProlongedField, *, rng, samples: int) -> dict:
         return np.abs(vel - want).max(axis=-1, initial=0.0)
 
     block = rng.uniform(-1.0, 1.0, size=(samples, pf.dim))
-    return tally(_trials(block, gaps), _BASE_TOL)
+    return tally(sampled_deviations([(0, block)], gaps, samples), _BASE_TOL)
 
 
-def bracket_deviations(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, pairs: int, samples: int,
-                       rng):
-    """(tag, deviation) pairs |prolong([X, Y]) - [prolong X, prolong Y]| at
-    sampled points, for `pairs` draws of the fields' parameters; `tally`
-    them for the check result.
+def bracket_deviations(algebra: WeilAlgebra, x_field: VectorField, y_field: VectorField, pairs: int, samples: int, rng):
+    """`sampled_deviations` of |prolong([X, Y]) - [prolong X, prolong Y]|
+    at `samples` points of the cube [-1, 1]^{n*d} for each of `pairs` draws
+    of the fields' parameters, drawn as the column blocks of `pair_blocks`.
 
     The bracket is formed, and each field rendered over the algebra, once
-    for all pairs.  The pairs are drawn and run as the column blocks of
-    `pair_blocks`, each pair's `samples` points in the cube [-1, 1]^{n*d};
-    the renderings are spot-checked at every pair's parameter rows before
-    its block runs.  A tag names the point as `trial` and its pair as
-    `unit`.
+    for all pairs; the renderings are spot-checked at every pair's
+    parameter rows before any block runs.
     """
     lhs = field_prolong(algebra, bracket(x_field, y_field))
     px = field_prolong(algebra, x_field)
     py = px if y_field is x_field else field_prolong(algebra, y_field)
     width, nx = lhs.dim, x_field.components.params
-    for first, block in pair_blocks(rng, x_field, y_field, width, pairs, samples):
-        params = block[::samples, width:]
-        gaps = _bracket_gaps(lhs.value_at, px.rendering_at(params[:, :nx]), py.rendering_at(params[:, nx:]))
-        for row, dev in enumerate(run_columns(block, gaps, gaps)):
-            yield {"trial": row % samples, "unit": first + row // samples}, float(dev)
+    blocks = list(pair_blocks(rng, x_field, y_field, width, pairs, samples))
+    params = np.vstack([block[::samples, width:] for _, block in blocks])
+    gaps = bracket_gaps(lhs.value_at, px.rendering_at(params[:, :nx]), py.rendering_at(params[:, nx:]))
+    return sampled_deviations(blocks, gaps, samples)
 
 
-def sampled_bracket_gaps(lhs, rx: VectorField, ry: VectorField, samples: int, rng):
-    """(tag, deviation) pairs |lhs(p) - [rx, ry](p)|, one per sampled point.
-
-    The points are one (samples, n) block drawn from the cube [-1, 1]^n.
-    `lhs` takes one point or a block of points, like `bracket_value`, and
-    the block runs as columns through `run_columns`.
-    """
-    return _trials(rng.uniform(-1.0, 1.0, size=(samples, rx.dim)), _bracket_gaps(lhs, rx, ry))
-
-
-def _bracket_gaps(lhs, rx: VectorField, ry: VectorField):
+def bracket_gaps(lhs, rx: VectorField, ry: VectorField):
     """|lhs(p) - [rx, ry](p)|: one gap for a point, one per row for a block."""
 
     def gaps(pts):
         return np.abs(lhs(pts) - bracket_value(rx, ry, pts)).max(axis=-1, initial=0.0)
 
     return gaps
-
-
-def _trials(block, gaps):
-    """(tag, deviation) pairs of `gaps` at each row of a block of points,
-    one column run through `run_columns`; `gaps` takes a point or a block."""
-    for trial, dev in enumerate(run_columns(block, gaps, gaps)):
-        yield {"trial": trial}, float(dev)

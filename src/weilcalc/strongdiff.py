@@ -24,7 +24,7 @@ X's parameters and Y's, in that order, and so does `bracket_value`.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from .programs import (
     pair_blocks,
     poly_template,
     run_points,
+    sampled_deviations,
     stack_columns,
 )
 from .reports import tally
@@ -493,12 +494,12 @@ def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, r
 
 def bracket_jacobian_deviations(x_field: VectorField, y_field: VectorField, pairs: int, *, rng, samples: int,
                                 richardson: bool):
-    """(pair, trial, deviation) of `jacobian_bracket_deviation` at
-    `samples` points of [-1, 1]^n for each of `pairs` draws of the fields'
-    parameters, drawn and run as the column blocks of `pair_blocks`."""
-    for first, block in pair_blocks(rng, x_field, y_field, x_field.dim, pairs, samples):
-        for row, dev in enumerate(jacobian_bracket_deviation(x_field, y_field, block, richardson)):
-            yield first + row // samples, row % samples, float(dev)
+    """`sampled_deviations` of `jacobian_bracket_deviation` at `samples`
+    points of [-1, 1]^n for each of `pairs` draws of the fields'
+    parameters, drawn as the column blocks of `pair_blocks`."""
+    blocks = pair_blocks(rng, x_field, y_field, x_field.dim, pairs, samples)
+    return sampled_deviations(blocks, partial(jacobian_bracket_deviation, x_field, y_field, richardson=richardson),
+                              samples)
 
 
 def check_bracket_jacobian(dims, pairs: int, *, rng, samples: int, tol: float) -> dict:
@@ -509,9 +510,7 @@ def check_bracket_jacobian(dims, pairs: int, *, rng, samples: int, tol: float) -
     def deviations():
         for n in dims:
             cubic = VectorField(n, poly_template(n, n, 3))
-            for pair, _, dev in bracket_jacobian_deviations(
-                cubic, cubic, pairs, rng=rng, samples=samples, richardson=False
-            ):
-                yield {"dim": n, "pair": pair}, dev
+            devs = bracket_jacobian_deviations(cubic, cubic, pairs, rng=rng, samples=samples, richardson=False)
+            yield from (({"dim": n, **tag}, dev) for tag, dev in devs)
 
     return tally(deviations(), tol)

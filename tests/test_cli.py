@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import types
 from functools import partial
 from importlib import resources
 
@@ -101,6 +102,20 @@ def test_verify_refuses_samples_past_the_limit_before_any_unit_runs(capsys, monk
 
 def test_verify_tolerance_cannot_tighten_an_exact_suite():
     assert cli.main(["verify", "--suite", "sigma", "--tol", "1e-99"]) == 0
+
+
+def test_tol_does_not_relax_an_exact_suite(capsys, monkeypatch):
+    # sigma compares exact matrices at tolerance 0, whatever --tol says
+    make_S = strongdiff.make_S
+
+    def off_by_1e_6():
+        s = make_S()
+        sigma = types.SimpleNamespace(matrix=s.sigma.matrix + np.eye(*s.sigma.matrix.shape) * 1e-6)
+        return types.SimpleNamespace(algebra=s.algebra, sigma=sigma)
+
+    monkeypatch.setattr(strongdiff, "make_S", off_by_1e_6)
+    assert cli.main(["verify", "--suite", "sigma", "--tol", "1e-3"]) == 1
+    assert "first failure: check=basis images deviation=1.000e-06" in capsys.readouterr().out
 
 
 def test_verify_report_is_deterministic_and_schema_valid(tmp_path, capsys):
@@ -272,7 +287,7 @@ def test_verify_custom_pair_reports_as_a_loop_over_single_points(capsys, manifol
     def deviations():
         for trial in range(20):
             at = rng.uniform(-1.0, 1.0, size=1)
-            yield {"trial": trial}, strongdiff.jacobian_bracket_deviation(x, y, at, richardson=True)
+            yield {"pair": 0, "trial": trial}, strongdiff.jacobian_bracket_deviation(x, y, at, richardson=True)
 
     try:
         result = tally(deviations(), 1e-6)
@@ -828,6 +843,22 @@ def test_algebra_show(capsys):
     assert rc == 0
     assert "dim 3, width 1, height 2" in out
     assert "x * x = x^2" in out
+
+
+@pytest.mark.parametrize("verb", ["show", "check"])
+def test_algebra_show_and_check_refuse_report(capsys, tmp_path, verb):
+    path = tmp_path / "x.json"
+    assert cli.main(["algebra", verb, "dual", "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--report applies to algebra build, not algebra %s" % verb in captured.err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("verb", ["show", "check"])
+def test_algebra_show_and_check_refuse_show(capsys, verb):
+    assert cli.main(["algebra", verb, "dual", "--show"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--show applies to algebra build, not algebra %s" % verb in captured.err
 
 
 @pytest.mark.parametrize(

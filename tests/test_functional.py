@@ -1,5 +1,6 @@
 """Functional bundles: jets of fiber maps, finite-order fields, prolongation."""
 
+import math
 from functools import partial
 
 import numpy as np
@@ -26,6 +27,7 @@ from weilcalc.functional import (
 from weilcalc.jets import jet_triple
 from weilcalc.programs import Program, VectorField, evaluate, program_to_json, random_poly_program
 from weilcalc.prolong import field_prolong
+from weilcalc.reports import tally
 
 DUAL = make_basic("dual")
 T12 = make_basic("truncated", 1, 2)
@@ -244,6 +246,42 @@ def test_jet_prolongation_preserves_brackets():
     out = check_bracket_preserved(partial(g_functional, triple), x1, x2, samples=8, rng=rng, tol=1e-6)
     assert out["failures"] == []
     assert out["max_error"] <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "prolong",
+    [partial(functional_field_prolong, DUAL), partial(functional_field_prolong, T12), partial(g_functional, jet_triple(1, 1))],
+    ids=["dual", "truncated(1,2)", "jet(1,1)"],
+)
+@pytest.mark.parametrize("orders", [(1, 1), (0, 1)])
+def test_bracket_check_matches_a_per_trial_loop_bit_for_bit(prolong, orders):
+    # the reference lifts each trial's fibre map through fvf_value, once per side
+    rng = np.random.default_rng(60 + orders[0])
+    x1, x2 = (random_functional_field(rng, 1, 1, 1, r) for r in orders)
+    out = check_bracket_preserved(prolong, x1, x2, samples=6, rng=np.random.default_rng(5), tol=0.0)
+    lhs = prolong(functional_bracket(x1, x2))
+    rhs = functional_bracket(prolong(x1), prolong(x2))
+    deg = 2 * sum(orders) + 1
+    rng = np.random.default_rng(5)
+    devs = []
+    for trial in range(6):
+        x = rng.uniform(-1.0, 1.0, size=lhs.m)
+        hhat = random_poly_program(rng, lhs.q1, lhs.q2, deg=deg, scale=0.6)
+        y = rng.uniform(-1.0, 1.0, size=lhs.q1)
+        (lb, lv), (rb, rv) = fvf_value(lhs, x, hhat, y), fvf_value(rhs, x, hhat, y)
+        devs.append(({"pair": 0, "trial": trial}, float(np.abs(np.concatenate([lb - rb, lv - rv])).max())))
+    assert out == tally(devs, 0.0)
+    assert out["max_error"] > 0.0  # a tolerance of 0 lists the nonzero deviations
+
+
+def test_a_nan_fibre_velocity_fails_the_bracket_check():
+    # x0*1e300*1e300 overflows to inf off x0 = 0, and inf - inf is NaN
+    big = Var(0) * 1e300 * 1e300
+    x1 = _field(1, 1, 1, 1, [big - big])
+    x2 = _field(1, 1, 1, 1, [Var(3)], xi=Program(1, [Const(1.0)]))
+    out = check_bracket_preserved(partial(functional_field_prolong, DUAL), x1, x2, samples=5, rng=np.random.default_rng(1), tol=1e-6)
+    assert len(out["failures"]) == 5
+    assert all(math.isnan(f["deviation"]) for f in out["failures"])
 
 
 def test_vertical_jet_prolongation_is_the_total_derivative():

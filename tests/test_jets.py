@@ -487,7 +487,7 @@ def test_frame_prolong_block_matches_a_per_trial_loop(m, r):
     for trial in range(4):
         flat = frame_to_flat(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
         got = np.array(evaluate(field.components, [float(v) for v in flat]))
-        devs.append(({"trial": trial}, float(np.abs(_flow_oracle_per_point(xi, r, flat) - got).max(initial=0.0))))
+        devs.append(({"pair": 0, "trial": trial}, float(np.abs(_flow_oracle_per_point(xi, r, flat) - got).max(initial=0.0))))
     assert out == tally(devs, 0.0)
     assert len(out["failures"]) == 4  # every deviation is nonzero, so tol 0 lists them all
 

@@ -84,7 +84,7 @@ def test_batched_bracket_deviations_equal_a_loop_over_single_pairs():
         for pair in range(20):
             x, y = random_poly_field(rng, n, deg=3), random_poly_field(rng, n, deg=3)
             devs = strongdiff.bracket_jacobian_deviations(x, y, 1, rng=rng, samples=20, richardson=False)
-            single += [(pair, trial, dev) for _, trial, dev in devs]
+            single += [({**tag, "pair": pair}, dev) for tag, dev in devs]
     assert len(batched) == len(single) == 1200
     assert all(a == b for a, b in zip(batched, single))
 
@@ -96,9 +96,9 @@ def test_batched_prolongation_deviations_equal_a_loop_over_single_pairs():
     batched = list(prolong.bracket_deviations(algebra, quadratic, quadratic, 10, 50, rng))
     rng = rng_for(7, "prolong-manifold", algebra.name)
     single = []
-    for unit in range(10):
+    for pair in range(10):
         x, y = random_poly_field(rng, 2, deg=2), random_poly_field(rng, 2, deg=2)
-        single.extend(({**tag, "unit": unit}, dev) for tag, dev in prolong.bracket_deviations(algebra, x, y, 1, 50, rng))
+        single.extend(({**tag, "pair": pair}, dev) for tag, dev in prolong.bracket_deviations(algebra, x, y, 1, 50, rng))
     assert len(batched) == len(single) == 500
     assert all(a == b for a, b in zip(batched, single))
 
