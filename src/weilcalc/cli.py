@@ -569,7 +569,7 @@ def cmd_verify(args) -> int:
         print(line)
     n_pass = sum(1 for e in doc["suites"] if e["status"] == "pass")
     print("overall: %s (%d/%d units)" % (doc["status"], n_pass, len(doc["suites"])))
-    if args.report:
+    if args.report is not None:
         try:
             with open(args.report, "w", encoding="utf-8") as fh:
                 fh.write(document_dumps(doc))
@@ -723,7 +723,7 @@ def cmd_algebra(args) -> int:
         _print_algebra(algebra, bundle)
     else:
         print("built %s: dim %d, width %d, height %d" % (algebra.name, algebra.dim, algebra.width, algebra.height))
-    if args.report:
+    if args.report is not None:
         try:
             save_algebra(algebra, args.report)
         except OSError as err:

@@ -38,8 +38,12 @@ from .programs import (
     evaluate_points,
     program_from_json,
     program_to_json,
+    poly_template,
     random_poly_program,
+    run_points,
     sampled_deviations,
+    stack_columns,
+    trial_rows,
 )
 from .prolong import field_prolong
 from .reports import tally
@@ -105,23 +109,23 @@ def _fiber_env(algebra: WeilAlgebra, lay: _Layout) -> list:
 def jet_values(h: Program, y, r: int) -> np.ndarray:
     """Plain derivatives D^alpha h(y), |alpha| <= r, alpha-major flat.
 
-    Computed by lifting h over truncated(q1, r) at y, then scaling the
-    Taylor coefficients back by alpha factorial.
+    `y` is a point's q1 coordinates followed by h's parameters, or a
+    (B, q1 + params) block of such rows that gives a (B, k) array from one
+    `run_points` call.  Computed by lifting h over truncated(q1, r) at y,
+    then scaling the Taylor coefficients back by alpha factorial.
     """
     q1 = h.arity_in
-    y = [float(v) for v in y]
-    if r == 0:
-        return np.asarray(evaluate(h, y), dtype=float)
-    t = make_basic("truncated", q1, r)
-    tidx = monomial_index(q1, r)
-    gens = t.generator_elements()
-    outs = lift_elements(t, h, [gens[j] + y[j] for j in range(q1)])
-    flat = np.empty(len(tidx) * h.arity_out)
-    for alpha, i in tidx.items():
-        fac = float(factorial_multi(alpha))
-        for s in range(h.arity_out):
-            flat[i * h.arity_out + s] = fac * float(outs[s].coeffs[i])
-    return flat
+
+    def jets(args, count):
+        if r == 0:
+            return stack_columns(evaluate(h, args), count)
+        t = make_basic("truncated", q1, r)
+        gens = t.generator_elements()
+        outs = lift_elements(t, h, [gens[j] + args[j] for j in range(q1)] + args[q1:])
+        scaled = [float(factorial_multi(alpha)) * el.coeffs[i] for i, alpha in enumerate(monomials(q1, r)) for el in outs]
+        return stack_columns(scaled, count)
+
+    return run_points(y, jets)
 
 
 # -- functional vector fields ------------------------------------------------
@@ -159,7 +163,8 @@ class FunctionalVectorField:
 
 
 def fvf_value(field: FunctionalVectorField, x, h: Program, y):
-    """(base velocity, fiber velocity at y) for a sampled (x, h, y)."""
+    """(base velocity, fiber velocity at y) for a sampled (x, h, y); `y`
+    holds the q1 coordinates followed by h's parameters."""
     if h.arity_in != field.q1 or h.arity_out != field.q2:
         raise ArityMismatch("fiber map signature does not match the field")
     x = [float(v) for v in x]
@@ -168,7 +173,7 @@ def fvf_value(field: FunctionalVectorField, x, h: Program, y):
     y = [float(v) for v in y]
     z = jet_values(h, y, field.r)
     xdot = np.asarray(evaluate(field.xi, x), dtype=float)
-    hdot = np.asarray(evaluate(field.D, x + y + list(z)), dtype=float)
+    hdot = np.asarray(evaluate(field.D, x + y[: field.q1] + list(z)), dtype=float)
     return xdot, hdot
 
 
@@ -358,7 +363,8 @@ def _normalized_vertical(triple: FunctorTriple, field: FunctionalVectorField) ->
     m_cols = list(zip(*moving_frame_dual(triple, field.xi)))
 
     env = base_block(triple, [Var(i) for i in range(m)])
-    vel = lift_elements(a, field.D, env + _fiber_env(a, lay))
+    params = [Var(k) for k in range(lay.arity, lay.arity + field.D.params)]
+    vel = lift_elements(a, field.D, env + _fiber_env(a, lay) + params)
 
     zero = (0,) * q1
     z0 = point_from_flat(a, q2, [Var(lay.z(zero, t)) for t in range(q2 * da)])
@@ -379,25 +385,23 @@ def check_bracket_preserved(prolong, x1: FunctionalVectorField, x2: FunctionalVe
     (functional_field_prolong) or through a functor triple (g_functional).
     Both sides are evaluated at sampled (base point, polynomial fiber map,
     y) of the prolonged bundle; the polynomial degree covers the bracket
-    order.  Each trial is the row (x, y, jets of the fiber map at y), and
-    both sides' xi and D run on all rows as columns.
+    order.  The fiber map is one template; a column run of jet_values
+    at every trial's coefficients gives its row (x, y, jets of the fiber
+    map at y), and both sides' xi and D run on all rows as columns.
     """
     lhs = prolong(functional_bracket(x1, x2))
     rhs = functional_bracket(prolong(x1), prolong(x2))
-    deg = 2 * (x1.r + x2.r) + 1
-    rows = []
-    for _ in range(samples):
-        x = rng.uniform(-1.0, 1.0, size=lhs.m)
-        hhat = random_poly_program(rng, lhs.q1, lhs.q2, deg=deg, scale=0.6)
-        y = rng.uniform(-1.0, 1.0, size=lhs.q1)
-        rows.append(np.concatenate([x, y, jet_values(hhat, y, lhs.r)]))
+    hhat = poly_template(lhs.q1, lhs.q2, 2 * (x1.r + x2.r) + 1)
+    draws = trial_rows(rng, samples, (-1.0, 1.0, lhs.m), (-0.6, 0.6, hhat.params), (-1.0, 1.0, lhs.q1))
+    x, coeffs, y = np.split(draws, [lhs.m, lhs.m + hhat.params], axis=1)
+    rows = np.hstack([x, y, jet_values(hhat, np.hstack([y, coeffs]), lhs.r)])
 
     def gaps(pts):
         sides = [np.concatenate([evaluate_points(f.xi, pts[..., : f.m]), evaluate_points(f.D, pts)], axis=-1)
                  for f in (lhs, rhs)]
         return np.abs(sides[0] - sides[1]).max(axis=-1, initial=0.0)
 
-    return tally(sampled_deviations([(0, np.array(rows))], gaps, samples), tol)
+    return tally(sampled_deviations([(0, rows)], gaps, samples), tol)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -408,63 +412,56 @@ def check_order_locality(m: int, q1: int, q2: int, r: int, *, rng, samples: int,
 
     A random order-r associated map, a program over (x, y, z_alpha blocks,
     v), is evaluated at y = v = y0 on the jets of h and of h plus random
-    degree-(r+1) terms centered at y0; the two outputs must agree.
+    degree-(r+1) terms centered at y0; the two outputs must agree.  The
+    map, h and the perturbed h are templates, and the perturbed h takes
+    y0 and the terms' weights after h's coefficients.  A trial's row is
+    its draws in turn: the map's and h's coefficients, y0, the weights, x.
     """
+    fiber = poly_template(fiber_arity(m, q1, q2, r) + q1, q2, 2)
+    h = poly_template(q1, q2, r + 2)
+    kappas = monomials(q1, r + 1, mindeg=r + 1)
+    y0 = [Var(q1 + h.params + j) for j in range(q1)]
+    weights = iter(Var(k) for k in range(2 * q1 + h.params, 2 * q1 + h.params + q2 * len(kappas)))
+    body = []
+    for e in h.exprs:
+        for kappa in kappas:
+            term = next(weights)
+            for j, k in enumerate(kappa):
+                if k:
+                    term = term * (Var(j) - y0[j]) ** k
+            e = e + term
+        body.append(e)
+    h2 = Program(q1, body, params=h.params + q1 + q2 * len(kappas))
+    ranges = [(-0.6, 0.6, fiber.params), (-0.6, 0.6, h.params), (-0.8, 0.8, q1), (-1.0, 1.0, q2 * len(kappas))]
+    rows = trial_rows(rng, samples, *ranges, (-1.0, 1.0, m))
+    cuts = np.cumsum([size for _, _, size in ranges])
 
-    def apply(fiber, x, h, y0):
-        y = [float(c) for c in y0]
-        args = [*map(float, x), *y, *jet_values(h, y, r), *y]
-        return np.asarray(evaluate(fiber, args), dtype=float)
+    def gaps(pts):
+        fc, hc, y, w, x = np.split(pts, cuts, axis=-1)
 
-    def deviations():
-        for trial in range(samples):
-            fiber = random_poly_program(
-                rng, fiber_arity(m, q1, q2, r) + q1, q2, deg=2, scale=0.6
-            )
-            h1 = random_poly_program(rng, q1, q2, deg=r + 2, scale=0.6)
-            y0 = rng.uniform(-0.8, 0.8, size=q1)
-            body = []
-            for s in range(q2):
-                e = h1.exprs[s]
-                for kappa in monomials(q1, r + 1, mindeg=r + 1):
-                    term = Const(float(rng.uniform(-1.0, 1.0)))
-                    for j, k in enumerate(kappa):
-                        if k:
-                            term = term * (Var(j) - float(y0[j])) ** k
-                    e = e + term
-                body.append(e)
-            h2 = Program(q1, body)
-            x = rng.uniform(-1.0, 1.0, size=m)
-            yield {"trial": trial}, float(
-                np.abs(apply(fiber, x, h1, y0) - apply(fiber, x, h2, y0)).max(initial=0.0)
-            )
+        def apply(prog, params):
+            z = jet_values(prog, np.concatenate([y, params], axis=-1), r)
+            return evaluate_points(fiber, np.concatenate([x, y, z, y, fc], axis=-1))
 
-    return tally(deviations(), tol)
+        return np.abs(apply(h, hc) - apply(h2, np.concatenate([hc, y, w], axis=-1))).max(axis=-1, initial=0.0)
+
+    return tally(sampled_deviations([(0, rows)], gaps, samples), tol)
 
 
 def _poly_family_rate(field: FunctionalVectorField, nodes: np.ndarray, vander_inv: np.ndarray):
     """Induced field on (x, coefficient) space for fiber polynomials of
-    degree len(nodes) - 1.
+    degree len(nodes) - 1, the coefficients a row of one template.
 
     Only meaningful when the field preserves the family; the fit below is
     exact the moment hdot is again a polynomial of that degree or less.
     """
     m = field.m
+    h = poly_template(1, 1, len(nodes) - 1)
 
     def rate(w: np.ndarray) -> np.ndarray:
         x = w[:m]
-        coeffs = w[m:]
-        h = Program(
-            1,
-            [
-                sum(
-                    (Const(float(c)) * Var(0) ** k for k, c in enumerate(coeffs)),
-                    Const(0.0),
-                )
-            ],
-        )
         xdot = np.asarray(evaluate(field.xi, [float(v) for v in x]), dtype=float)
-        vals = np.array([fvf_value(field, x, h, [t])[1][0] for t in nodes])
+        vals = np.array([fvf_value(field, x, h, [t, *w[m:]])[1][0] for t in nodes])
         return np.concatenate([xdot, vander_inv @ vals])
 
     return rate

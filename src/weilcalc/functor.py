@@ -14,7 +14,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraHom, WeilAlgebra, apply_matrix, tensor
 from .errors import AlgebraMismatch, ShapeMismatch
 from .exprs import Const, Expr, Var, prim
-from .programs import Program, evaluate, random_poly_program
+from .programs import Program, evaluate, poly_template, run_points, sampled_deviations, trial_rows
 from .reports import tally
 
 
@@ -51,7 +51,10 @@ class WeilPoint:
         return out.reshape(self.dim, self.algebra.dim, *out.shape[1:])
 
     def flat(self) -> np.ndarray:
-        return self.coefficient_array().reshape(-1)
+        """The coefficients in point_from_flat's layout: (dim*algebra.dim,),
+        or (dim*algebra.dim, B) for column coefficients, point b in column b."""
+        array = self.coefficient_array()
+        return array.reshape(-1, *array.shape[2:])
 
     def __repr__(self):
         return "WeilPoint(%s, dim=%d)" % (self.algebra.name, self.dim)
@@ -75,16 +78,17 @@ def _coerce_element(algebra: WeilAlgebra, v) -> AlgebraElement:
 
 
 def lift(algebra: WeilAlgebra, f: Program):
-    """The lifted map as a callable on points."""
+    """The lifted map as a callable on points, followed by the program's
+    parameters as scalars or columns."""
 
-    def lifted(p: WeilPoint) -> WeilPoint:
+    def lifted(p: WeilPoint, *params) -> WeilPoint:
         if p.algebra != algebra:
             raise AlgebraMismatch("point algebra differs from the lift's")
         if p.dim != f.arity_in:
             raise ShapeMismatch(
                 "program expects %d coordinates, point has %d" % (f.arity_in, p.dim)
             )
-        outs = evaluate(f, list(p.coords))
+        outs = evaluate(f, [*p.coords, *params])
         return WeilPoint(algebra, [_coerce_element(algebra, v) for v in outs])
 
     return lifted
@@ -164,31 +168,30 @@ def check_iterated_lift(outer: WeilAlgebra, inner: WeilAlgebra, n: int, *, rng, 
 
     A random program is lifted over `inner`, the rendering is lifted over
     `outer`, and the flattened result is compared with the direct lift
-    over tensor(outer, inner) at random points.  Programs mix polynomial
-    layers with sin/cos/exp so the truncated Taylor paths are exercised.
+    over tensor(outer, inner) at random points.  The program is one
+    template, rendered once: a quadratic plus the sin, cos and exp of each
+    component, weighted by parameters, so the truncated Taylor paths are
+    exercised.  Component i of an even trial weighs primitive
+    (trial + i) % 3 by 0.3, and every other weight is 0.
     """
     t = tensor(outer, inner)
-    prims = ("sin", "cos", "exp")
+    quadratic = poly_template(n, n, 2)
+    k = n + quadratic.params  # component i weighs its sin, cos and exp by parameters k + 3i, k + 3i + 1, k + 3i + 2
+    body = [e + Var(k + 3 * i) * prim("sin", e) + Var(k + 3 * i + 1) * prim("cos", e)
+            + Var(k + 3 * i + 2) * prim("exp", e) for i, e in enumerate(quadratic.exprs)]
+    f = Program(n, body, params=quadratic.params + 3 * n)
+    rendering = lift_program(inner, f)
+    width = n * t.dim
+    # a trial draws the coefficients, then the point; its row is (point, coefficients, weights)
+    trial = np.arange(samples)[:, None]
+    weights = np.eye(3)[(trial + np.arange(n)) % 3] * np.where(trial % 2 == 0, 0.3, 0.0)[..., None]
+    draws = trial_rows(rng, samples, (-0.5, 0.5, quadratic.params), (-0.7, 0.7, width))
+    rows = np.hstack([np.roll(draws, -quadratic.params, axis=1), weights.reshape(samples, -1)])
 
-    def deviations():
-        for trial in range(samples):
-            f = random_poly_program(rng, n, n, deg=2, scale=0.5)
-            body = []
-            for i, e in enumerate(f.exprs):
-                if trial % 2 == 0:
-                    e = e + Const(0.3) * prim(prims[(trial + i) % 3], e)
-                body.append(e)
-            f = Program(n, body)
+    def gap(args, count):
+        p_t = point_from_flat(t, n, args[:width])
+        direct = lift(t, f)(p_t, *args[width:])
+        twice = flatten(lift(outer, rendering)(unflatten(p_t, outer, inner), *args[width:]), outer, inner)
+        return np.abs(direct.flat() - twice.flat()).max(axis=0, initial=0.0)
 
-            flat = rng.uniform(-0.7, 0.7, size=n * t.dim)
-            p_t = point_from_flat(t, n, flat)
-            direct = lift(t, f)(p_t)
-
-            p_it = unflatten(p_t, outer, inner)
-            inner_rendering = lift_program(inner, f)
-            q_it = lift(outer, inner_rendering)(p_it)
-            twice = flatten(q_it, outer, inner)
-
-            yield {"trial": trial}, float(np.abs(direct.flat() - twice.flat()).max(initial=0.0))
-
-    return tally(deviations(), tol)
+    return tally(sampled_deviations([(0, rows)], lambda pts: run_points(pts, gap), samples), tol)

@@ -69,12 +69,12 @@ from .functor import lift_elements
 from .programs import (
     Program,
     VectorField,
-    evaluate,
     evaluate_points,
     jacobian_oracle,
-    random_poly_program,
+    poly_template,
     sampled_deviations,
     stack_columns,
+    trial_rows,
 )
 from .prolong import bracket_gaps, field_prolong
 from .scalars import apply_primitive
@@ -673,7 +673,9 @@ def g_field_prolong(triple: FunctorTriple, field: VectorField) -> VectorField:
     maps leave a one-point source, C^inf(pt, R^q) = R^q.  So the field is
     the order-0 functional field with q1 = 0, base part its first m
     components and vertical part the rest, and the result stacks that base
-    part on the vertical body g_functional builds, on R^{m + q*dimA}.
+    part on the vertical body g_functional builds, on R^{m + q*dimA}.  The
+    field's parameters pass, not prolonged, to the vertical part, and the
+    result takes them after its coordinates.
     """
     from .functional import FunctionalVectorField, _normalized_vertical
 
@@ -685,10 +687,11 @@ def g_field_prolong(triple: FunctorTriple, field: VectorField) -> VectorField:
     for e in exprs[:m]:
         if max_var(e) >= m:
             raise NonProjectable("base components must depend on x only")
+    params = field.components.params
     xi = Program(m, exprs[:m])
-    body = _normalized_vertical(triple, FunctionalVectorField(m, 0, q, 0, xi, Program(field.dim, exprs[m:])))
+    body = _normalized_vertical(triple, FunctionalVectorField(m, 0, q, 0, xi, Program(field.dim, exprs[m:], params)))
     dim = m + q * triple.algebra.dim
-    return VectorField(dim, Program(dim, xi.exprs + tuple(body)))
+    return VectorField(dim, Program(dim, xi.exprs + tuple(body), params))
 
 
 def check_bracket_preserved(triple: FunctorTriple, x1: VectorField, x2: VectorField, *, rng, samples: int, tol: float) -> dict:
@@ -788,20 +791,19 @@ def check_classical_prolongation(*, rng, samples: int, tol: float) -> dict:
     For the triple of truncated(1, 1) with the canonical action, a vertical
     field phi d/dy must prolong to phi d/dy + (phi_x + y1 phi_y) d/dy1.
     The partial derivatives of phi come from a finite-difference oracle, so
-    the comparison is independent of the dual-number machinery.
+    the comparison is independent of the dual-number machinery.  phi is a
+    cubic template, prolonged once.
     """
-    triple = jet_triple(1, 1)
+    phi = poly_template(2, 1, 3)
+    gf = g_field_prolong(jet_triple(1, 1), VectorField(2, Program(2, [Const(0.0), phi.exprs[0]], phi.params)))
+    # a trial draws phi's coefficients, then (x, y, y1): its row is (x, y, y1, coefficients)
+    rows = np.roll(trial_rows(rng, samples, (-0.6, 0.6, phi.params), (-1.0, 1.0, 3)), -phi.params, axis=1)
 
-    def deviations():
-        for trial in range(samples):
-            phi = random_poly_program(rng, 2, 1, deg=3, scale=0.6)
-            field = VectorField(2, Program(2, [Const(0.0), phi.exprs[0]]))
-            gf = g_field_prolong(triple, field)
-            x, y, y1 = rng.uniform(-1.0, 1.0, size=3)
-            got = np.array(evaluate(gf.components, [x, y, y1]))
-            val = evaluate(phi, [x, y])[0]
-            grad = jacobian_oracle(phi, [x, y], richardson=True)[0]
-            want = np.array([0.0, val, grad[0] + y1 * grad[1]])
-            yield {"trial": trial}, float(np.abs(got - want).max(initial=0.0))
+    def gaps(pts):
+        got = evaluate_points(gf.components, pts)
+        xy = np.delete(pts, 2, axis=-1)  # x, y and phi's coefficients
+        grad = jacobian_oracle(phi, xy, richardson=True)[..., 0, :]
+        want = np.broadcast_arrays(0.0, evaluate_points(phi, xy)[..., 0], grad[..., 0] + pts[..., 2] * grad[..., 1])
+        return np.abs(got - np.stack(want, axis=-1)).max(axis=-1, initial=0.0)
 
-    return tally(deviations(), tol)
+    return tally(sampled_deviations([(0, rows)], gaps, samples), tol)

@@ -38,9 +38,10 @@ built by the same monomial walk, so a random field is that template plus
 one row of coefficients.  `pair_blocks` draws the rows of many field
 pairs and stacks them, each point followed by its pair's parameters, so
 one compiled template runs all pairs as one column block of
-pairs x samples rows.  A constant fold that `exprs` makes on a
-coefficient is the IEEE operation the parameter column computes at run
-time, so a template row and the folded tree give equal numbers.
+pairs x samples rows; `trial_rows` draws the rows of a check's trials
+in the order a draw per trial gives.  A constant fold that `exprs` makes
+on a coefficient is the IEEE operation the parameter column computes at
+run time, so a template row and the folded tree give equal numbers.
 
 `sampled_deviations` is the one body of every check that compares two
 sides at sampled points; the check writes only its draws and its gaps.
@@ -379,7 +380,7 @@ def _poly_size(arity_in: int, arity_out: int, deg: int) -> int:
     return arity_out * len(monomials(arity_in, deg))
 
 
-def random_poly_program(rng, arity_in: int, arity_out: int, deg: int = 2, scale: float = 0.5) -> Program:
+def random_poly_program(rng, arity_in: int, arity_out: int, deg: int, scale: float = 0.5) -> Program:
     """Dense polynomial program with coefficients uniform in [-scale, scale]."""
     row = rng.uniform(-scale, scale, size=_poly_size(arity_in, arity_out, deg))
     return Program(arity_in, _poly_body(arity_in, arity_out, deg, map(Const, row.tolist())))
@@ -398,6 +399,14 @@ def poly_template(arity_in: int, arity_out: int, deg: int) -> Program:
     return Program(arity_in, body, params=size)
 
 
+def trial_rows(rng, samples: int, *ranges) -> np.ndarray:
+    """(samples, k) uniform draws, one row per trial: a trial draws `size`
+    numbers in [low, high) for each (low, high, size) of `ranges` in turn,
+    the numbers that one rng.uniform call per range and trial draws."""
+    lows, highs, sizes = zip(*ranges)
+    return rng.uniform(np.repeat(lows, sizes), np.repeat(highs, sizes), size=(samples, sum(sizes)))
+
+
 # Most rows in one block of `pair_blocks`: a column run holds each tape
 # slot as a column of its rows, so this bounds a block's memory.
 MAX_BLOCK_ROWS = 2048
@@ -411,20 +420,16 @@ def pair_blocks(rng, x_field: VectorField, y_field: VectorField, width: int, pai
     [-0.5, 0.5] as random_poly_field draws its coefficients, and then
     `samples` points of [-1, 1]^width.  Its rows are those points, each
     followed by X's parameters and Y's: the input layout of the pair's
-    bracket.  Blocks are drawn pair by pair in order, so grouping moves no
-    draw, and fields without parameters draw only their points.
+    bracket.  Every pair is drawn, in order, before the first block, so
+    grouping moves no draw, and fields without parameters draw only their
+    points.
     """
+    n = x_field.components.params + y_field.components.params
+    draws = trial_rows(rng, pairs, (-0.5, 0.5, n), (-1.0, 1.0, samples * width))
     per_block = max(1, MAX_BLOCK_ROWS // samples)
     for first in range(0, pairs, per_block):
-        rows = []
-        for _ in range(first, min(pairs, first + per_block)):
-            params = np.concatenate([
-                rng.uniform(-0.5, 0.5, size=x_field.components.params),
-                rng.uniform(-0.5, 0.5, size=y_field.components.params),
-            ])
-            points = rng.uniform(-1.0, 1.0, size=(samples, width))
-            rows.append(np.hstack([points, np.broadcast_to(params, (samples, params.size))]))
-        yield first, np.vstack(rows)
+        block = draws[first : first + per_block]
+        yield first, np.hstack([block[:, n:].reshape(-1, width), np.repeat(block[:, :n], samples, axis=0)])
 
 
 def sampled_deviations(items, gaps, samples: int):

@@ -176,6 +176,12 @@ def test_verify_unwritable_report_path(capsys):
     assert rc == 2
 
 
+def test_verify_refuses_an_empty_report_path(capsys):
+    rc = cli.main(["verify", "--suite", "sigma", "--report", ""])
+    assert rc == 2
+    assert "cannot write report" in capsys.readouterr().err
+
+
 def test_verify_algebra_override(capsys, tmp_path):
     rc = cli.main(["verify", "--suite", "exchange-square", "--algebra", "dual", "--samples", "5"])
     out = capsys.readouterr().out
@@ -889,6 +895,12 @@ def test_algebra_build_pair_algebra_prints_sigma(capsys):
     assert rc == 0
     assert "e1e2 -> e" in out
     assert "E1E2 -> -e" in out
+
+
+def test_algebra_build_refuses_an_empty_report_path(capsys):
+    rc = cli.main(["algebra", "build", "dual", "--report", ""])
+    assert rc == 2
+    assert "cannot write algebra" in capsys.readouterr().err
 
 
 def test_algebra_build_writes_a_loadable_document(tmp_path, capsys):

@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from weilcalc import functional
 from weilcalc.algebra import make_basic
 from weilcalc.errors import ArityMismatch, ShapeMismatch
 from weilcalc.exprs import Const, Var, intpow
@@ -25,7 +26,7 @@ from weilcalc.functional import (
     random_functional_field,
 )
 from weilcalc.jets import jet_triple
-from weilcalc.programs import Program, VectorField, evaluate, program_to_json, random_poly_program
+from weilcalc.programs import Program, VectorField, evaluate, poly_template, program_to_json, random_poly_program
 from weilcalc.prolong import field_prolong
 from weilcalc.reports import tally
 
@@ -59,6 +60,17 @@ def test_jet_values_multivariate():
     got = jet_values(h, [2.0, 3.0], 2)
     # order: 1, y1, y2, y1^2, y1 y2, y2^2
     assert np.allclose(got, [18.0, 9.0, 12.0, 0.0, 6.0, 4.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("q1, r", [(1, 0), (1, 2), (2, 1)])
+def test_jet_values_of_a_block_equal_its_rows_run_one_at_a_time(q1, r):
+    h = poly_template(q1, 2, r + 2)
+    rng = np.random.default_rng(15)
+    block = np.hstack([rng.uniform(-1.0, 1.0, size=(6, q1)), rng.uniform(-0.6, 0.6, size=(6, h.params))])
+    got = jet_values(h, block, r)
+    assert got.shape == (6, 2 * len(functional.monomials(q1, r)))
+    for row, want in zip(block, got):
+        assert np.array_equal(jet_values(h, row, r), want)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -311,6 +323,95 @@ def test_order_r_locality():
     out = check_order_locality(1, 1, 1, 2, rng=np.random.default_rng(36), samples=8, tol=1e-10)
     assert out["max_error"] <= 1e-10
     assert out["failures"] == []
+
+
+def _locality_per_trial(m, q1, q2, r, rng, samples, tol):
+    """The per-trial loop check_order_locality replaces: each trial draws
+    the associated map and h with random_poly_program and compiles them
+    and the perturbed h."""
+
+    def apply(fiber, x, h, y0):
+        y = [float(c) for c in y0]
+        return np.asarray(evaluate(fiber, [*map(float, x), *y, *jet_values(h, y, r), *y]), dtype=float)
+
+    devs = []
+    for trial in range(samples):
+        fiber = random_poly_program(rng, fiber_arity(m, q1, q2, r) + q1, q2, deg=2, scale=0.6)
+        h1 = random_poly_program(rng, q1, q2, deg=r + 2, scale=0.6)
+        y0 = rng.uniform(-0.8, 0.8, size=q1)
+        body = []
+        for e in h1.exprs:
+            for kappa in functional.monomials(q1, r + 1, mindeg=r + 1):
+                term = Const(float(rng.uniform(-1.0, 1.0)))
+                for j, k in enumerate(kappa):
+                    if k:
+                        term = term * (Var(j) - float(y0[j])) ** k
+                e = e + term
+            body.append(e)
+        h2 = Program(q1, body)
+        x = rng.uniform(-1.0, 1.0, size=m)
+        gap = np.abs(apply(fiber, x, h1, y0) - apply(fiber, x, h2, y0)).max(initial=0.0)
+        devs.append(({"pair": 0, "trial": trial}, float(gap)))
+    return tally(devs, tol)
+
+
+@pytest.mark.parametrize("sig", [(1, 1, 1, 1), (1, 1, 1, 2), (1, 2, 1, 1), (2, 2, 2, 1)])
+@pytest.mark.parametrize("planted", [False, True])
+def test_locality_matches_a_per_trial_loop_bit_for_bit(monkeypatch, sig, planted):
+    if planted:
+        # perturb by terms of degree r, which order-r jets do see
+        monomials = functional.monomials
+
+        def degree_r(n, deg, mindeg=0):
+            return monomials(n, deg - 1, mindeg=deg - 1) if mindeg == deg else monomials(n, deg, mindeg)
+
+        monkeypatch.setattr(functional, "monomials", degree_r)
+    out = check_order_locality(*sig, rng=np.random.default_rng(16), samples=6, tol=0.0)
+    assert out == _locality_per_trial(*sig, np.random.default_rng(16), 6, 0.0)
+    assert (out["max_error"] > 0.0) == planted
+
+
+def _polynomial_family_per_rate_call(x1, x2, d, rng, samples, tol):
+    """check_polynomial_family as it was when each rate call compiled its
+    fibre polynomial from the coefficients it was given."""
+    m = x1.m
+    nodes = np.linspace(-1.0, 1.0, d + 1)
+    vander_inv = np.linalg.inv(np.vander(nodes, d + 1, increasing=True))
+
+    def rate_of(field):
+        def rate(w):
+            h = Program(1, [sum((Const(float(c)) * Var(0) ** k for k, c in enumerate(w[m:])), Const(0.0))])
+            xdot = np.asarray(evaluate(field.xi, [float(v) for v in w[:m]]), dtype=float)
+            vals = np.array([fvf_value(field, w[:m], h, [t])[1][0] for t in nodes])
+            return np.concatenate([xdot, vander_inv @ vals])
+
+        return rate
+
+    f1, f2, fb = rate_of(x1), rate_of(x2), rate_of(functional_bracket(x1, x2))
+    n = m + d + 1
+
+    def jac(f, w):
+        cols = []
+        for j in range(n):
+            wp, wm = w.copy(), w.copy()
+            wp[j] += functional.FAMILY_FD_STEP
+            wm[j] -= functional.FAMILY_FD_STEP
+            cols.append((f(wp) - f(wm)) / (2.0 * functional.FAMILY_FD_STEP))
+        return np.array(cols).T
+
+    devs = []
+    for trial in range(samples):
+        w = rng.uniform(-0.8, 0.8, size=n)
+        want = jac(f2, w) @ f1(w) - jac(f1, w) @ f2(w)
+        devs.append(({"trial": trial}, float(np.abs(want - fb(w)).max(initial=0.0))))
+    return tally(devs, tol)
+
+
+def test_polynomial_family_matches_a_per_rate_call_reference_bit_for_bit():
+    x1, x2 = (random_functional_field(np.random.default_rng(17 + i), 1, 1, 1, 1) for i in range(2))
+    out = check_polynomial_family(x1, x2, 3, rng=np.random.default_rng(18), samples=4, tol=0.0)
+    assert out == _polynomial_family_per_rate_call(x1, x2, 3, np.random.default_rng(18), 4, 0.0)
+    assert out["max_error"] > 0.0
 
 
 def test_polynomial_family_reduction():

@@ -7,7 +7,7 @@ import pytest
 
 from weilcalc.algebra import AlgebraElement, make_basic, rho, tensor
 from weilcalc.errors import AlgebraMismatch, ShapeMismatch
-from weilcalc.exprs import Var, intpow, mul, prim
+from weilcalc.exprs import Const, Var, intpow, mul, prim
 from weilcalc.functor import (
     WeilPoint,
     check_iterated_lift,
@@ -23,9 +23,11 @@ from weilcalc.programs import (
     Program,
     compose,
     evaluate,
+    poly_template,
     program_dumps,
     random_poly_program,
 )
+from weilcalc.reports import tally
 
 DUAL = make_basic("dual")
 T12 = make_basic("truncated", 1, 2)
@@ -172,3 +174,51 @@ def test_iterated_lift_is_a_single_tensor_lift():
         out = check_iterated_lift(outer, inner, 2, rng=rng, samples=6, tol=1e-10)
         assert out["failures"] == []
         assert out["max_error"] <= 1e-10
+
+
+def _iterated_lift_per_trial(outer, inner, n, rng, samples, tol):
+    """The per-trial loop check_iterated_lift replaces: each trial draws
+    its quadratic with random_poly_program and compiles it, adds the
+    trial's primitive rotation, and lifts it once per side."""
+    t = tensor(outer, inner)
+    prims = ("sin", "cos", "exp")
+    devs = []
+    for trial in range(samples):
+        f = random_poly_program(rng, n, n, deg=2, scale=0.5)
+        body = []
+        for i, e in enumerate(f.exprs):
+            if trial % 2 == 0:
+                e = e + Const(0.3) * prim(prims[(trial + i) % 3], e)
+            body.append(e)
+        f = Program(n, body)
+        p_t = point_from_flat(t, n, rng.uniform(-0.7, 0.7, size=n * t.dim))
+        direct = lift(t, f)(p_t)
+        twice = flatten(lift(outer, lift_program(inner, f))(unflatten(p_t, outer, inner)), outer, inner)
+        devs.append(({"pair": 0, "trial": trial}, float(np.abs(direct.flat() - twice.flat()).max(initial=0.0))))
+    return tally(devs, tol)
+
+
+@pytest.mark.parametrize("outer, inner", [(DUAL, DUAL), (DUAL, T12), (make_basic("truncated", 2, 1), DUAL)])
+def test_iterated_lift_matches_a_per_trial_loop_bit_for_bit(outer, inner):
+    out = check_iterated_lift(outer, inner, 2, rng=np.random.default_rng(12), samples=7, tol=0.0)
+    assert out == _iterated_lift_per_trial(outer, inner, 2, np.random.default_rng(12), 7, 0.0)
+    assert out["max_error"] > 0.0  # a tolerance of 0 lists the nonzero deviations
+
+
+def test_a_lift_takes_the_programs_parameters_after_the_point():
+    f = poly_template(2, 2, 2)
+    rng = np.random.default_rng(13)
+    point = point_from_flat(T12, 2, rng.uniform(-1.0, 1.0, size=2 * T12.dim))
+    params = rng.uniform(-0.5, 0.5, size=f.params).tolist()
+    got = lift(T12, f)(point, *params)
+    want = lift_elements(T12, f, [*point.coords, *params])
+    assert [el.coeffs for el in got.coords] == [el.coeffs for el in want]
+
+
+def test_flat_puts_point_b_of_column_coefficients_in_column_b():
+    rng = np.random.default_rng(14)
+    flats = rng.uniform(-1.0, 1.0, size=(5, 2 * T12.dim))
+    columns = point_from_flat(T12, 2, list(flats.T)).flat()
+    assert columns.shape == (2 * T12.dim, 5)
+    for b, flat in enumerate(flats):
+        assert np.array_equal(columns[:, b], point_from_flat(T12, 2, flat).flat())

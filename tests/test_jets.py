@@ -549,6 +549,25 @@ def test_first_order_prolongation_is_the_contact_formula():
     assert out["max_error"] <= 1e-8
 
 
+def test_classical_prolongation_matches_a_per_trial_loop_bit_for_bit():
+    # the reference draws each trial's phi with random_poly_program and
+    # prolongs it on its own
+    out = check_classical_prolongation(samples=7, rng=np.random.default_rng(19), tol=0.0)
+    rng = np.random.default_rng(19)
+    triple = jet_triple(1, 1)
+    devs = []
+    for trial in range(7):
+        phi = random_poly_program(rng, 2, 1, deg=3, scale=0.6)
+        gf = g_field_prolong(triple, VectorField(2, Program(2, [Const(0.0), phi.exprs[0]])))
+        x, y, y1 = rng.uniform(-1.0, 1.0, size=3)
+        got = np.array(evaluate(gf.components, [x, y, y1]))
+        grad = jacobian_oracle(phi, [x, y], richardson=True)[0]
+        want = np.array([0.0, evaluate(phi, [x, y])[0], grad[0] + y1 * grad[1]])
+        devs.append(({"pair": 0, "trial": trial}, float(np.abs(got - want).max(initial=0.0))))
+    assert out == tally(devs, 0.0)
+    assert out["max_error"] > 0.0  # a tolerance of 0 lists the nonzero deviations
+
+
 def test_first_order_prolongation_moves_the_frame_by_the_base_field():
     # X = xi(x) d/dx + phi(x, y) d/dy prolongs on (x, y, y1) to
     # (xi, phi, phi_x + y1 phi_y - y1 xi'); the partials come from

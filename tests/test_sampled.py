@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from weilcalc import cli, functional, jets, programs, prolong, strongdiff
+from weilcalc import cli, functional, functor, jets, programs, prolong, strongdiff
 from weilcalc.algebra import make_basic
 from weilcalc.errors import DomainError
 from weilcalc.exprs import Var, prim
@@ -63,6 +63,21 @@ CHECKS = {
         8,
         [{"pair": 0, "trial": 6}],
     ),
+    "functor-laws": (
+        lambda rng, s: functor.check_iterated_lift(DUAL, make_basic("truncated", 1, 2), 2, rng=rng, samples=s, tol=1e-10),
+        8,
+        [{"pair": 0, "trial": 6}],
+    ),
+    "locality": (
+        lambda rng, s: functional.check_order_locality(1, 2, 1, 1, rng=rng, samples=s, tol=1e-10),
+        8,
+        [{"pair": 0, "trial": 6}],
+    ),
+    "classical prolongation": (
+        lambda rng, s: jets.check_classical_prolongation(rng=rng, samples=s, tol=1e-8),
+        8,
+        [{"pair": 0, "trial": 6}],
+    ),
     "base projection": (
         lambda rng, s: prolong.check_base_projection(prolong.field_prolong(DUAL, FIELDS[2]), rng=rng, samples=s),
         8,
@@ -85,7 +100,7 @@ def _plant_at_row_6(monkeypatch):
 
         return body(items, bumped, samples)
 
-    for module in (strongdiff, prolong, jets, functional):
+    for module in (strongdiff, prolong, jets, functional, functor):
         monkeypatch.setattr(module, "sampled_deviations", planted)
 
 

@@ -26,6 +26,7 @@ from weilcalc.programs import (
     poly_template,
     random_poly_field,
     random_poly_program,
+    trial_rows,
 )
 from weilcalc.reports import documents_equal, rng_for
 
@@ -35,6 +36,20 @@ LIFT_ALGEBRAS = [make_basic("dual"), make_basic("truncated", 1, 2)]
 def _bits(values):
     """The exact float64 bytes of a number, a list of numbers or an array."""
     return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 2.0), st.integers(0, 4)), min_size=1, max_size=4),
+       st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_trial_rows_draw_as_one_uniform_call_per_range_and_trial(ranges, samples, seed):
+    ranges = [(low, low + width, size) for low, width, size in ranges]
+    rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rows = trial_rows(rng, samples, *ranges)
+    want = [np.concatenate([loop_rng.uniform(low, high, size=size) for low, high, size in ranges])
+            for _ in range(samples)]
+    assert rows.shape == (samples, sum(size for _, _, size in ranges))
+    assert _bits(rows) == _bits(want)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 @settings(max_examples=40, deadline=None)
