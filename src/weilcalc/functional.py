@@ -16,6 +16,10 @@ The prolongation over an algebra A keeps the base over A and turns fiber
 maps into programs Q1 -> A^{q2}; their output layout is target-major, the
 dim-A coefficients of target coordinate s occupying slots s*dimA..
 (s+1)*dimA-1, matching the flat layout of lifted points elsewhere.
+
+The polynomial-family oracle renders the motion a scalar-fibre field
+induces on (x, fibre polynomial coefficients) as a VectorField, so its
+Jacobian bracket runs on the code of the bracket units.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .programs import (
     evaluate,
     evaluate_dual,
     evaluate_points,
+    jacobian_oracle,
     program_from_json,
     program_to_json,
     poly_template,
@@ -47,9 +52,7 @@ from .programs import (
 )
 from .prolong import field_prolong
 from .reports import tally
-from .strongdiff import bracket
-
-FAMILY_FD_STEP = 1e-5
+from .strongdiff import bracket, jacobian_bracket
 
 
 class _Layout:
@@ -106,26 +109,28 @@ def _fiber_env(algebra: WeilAlgebra, lay: _Layout) -> list:
 # -- jets of fiber maps -----------------------------------------------------
 
 
+def _jets(h: Program, args, r: int) -> list:
+    """D^alpha h, |alpha| <= r, alpha-major flat, at `args` (the q1
+    coordinates, then h's parameters) over any carrier: h lifted over
+    truncated(q1, r) at the point, its Taylor coefficients scaled back by
+    alpha factorial."""
+    q1 = h.arity_in
+    if r == 0:
+        return evaluate(h, args)
+    t = make_basic("truncated", q1, r)
+    gens = t.generator_elements()
+    outs = lift_elements(t, h, [gens[j] + args[j] for j in range(q1)] + args[q1:])
+    return [float(factorial_multi(alpha)) * el.coeffs[i] for i, alpha in enumerate(monomials(q1, r)) for el in outs]
+
+
 def jet_values(h: Program, y, r: int) -> np.ndarray:
     """Plain derivatives D^alpha h(y), |alpha| <= r, alpha-major flat.
 
     `y` is a point's q1 coordinates followed by h's parameters, or a
     (B, q1 + params) block of such rows that gives a (B, k) array from one
-    `run_points` call.  Computed by lifting h over truncated(q1, r) at y,
-    then scaling the Taylor coefficients back by alpha factorial.
+    `run_points` call of `_jets`.
     """
-    q1 = h.arity_in
-
-    def jets(args, count):
-        if r == 0:
-            return stack_columns(evaluate(h, args), count)
-        t = make_basic("truncated", q1, r)
-        gens = t.generator_elements()
-        outs = lift_elements(t, h, [gens[j] + args[j] for j in range(q1)] + args[q1:])
-        scaled = [float(factorial_multi(alpha)) * el.coeffs[i] for i, alpha in enumerate(monomials(q1, r)) for el in outs]
-        return stack_columns(scaled, count)
-
-    return run_points(y, jets)
+    return run_points(y, lambda args, count: stack_columns(_jets(h, args, r), count))
 
 
 # -- functional vector fields ------------------------------------------------
@@ -448,23 +453,21 @@ def check_order_locality(m: int, q1: int, q2: int, r: int, *, rng, samples: int,
     return tally(sampled_deviations([(0, rows)], gaps, samples), tol)
 
 
-def _poly_family_rate(field: FunctionalVectorField, nodes: np.ndarray, vander_inv: np.ndarray):
-    """Induced field on (x, coefficient) space for fiber polynomials of
-    degree len(nodes) - 1, the coefficients a row of one template.
-
-    Only meaningful when the field preserves the family; the fit below is
-    exact the moment hdot is again a polynomial of that degree or less.
-    """
+def _family_field(field: FunctionalVectorField, d: int) -> VectorField:
+    """The motion a q1 = q2 = 1 field induces on (x, c), c the coefficients
+    of the fibre polynomial c_0 + .. + c_d y^d, as a field on R^{m+d+1}:
+    xi, then the inverse Vandermonde fit of D(x, t_j, `_jets` at t_j) at
+    d+1 nodes t_j of [-1, 1].  The fit is exact when the field keeps the
+    family, so that hdot is again a polynomial of degree <= d."""
     m = field.m
-    h = poly_template(1, 1, len(nodes) - 1)
-
-    def rate(w: np.ndarray) -> np.ndarray:
-        x = w[:m]
-        xdot = np.asarray(evaluate(field.xi, [float(v) for v in x]), dtype=float)
-        vals = np.array([fvf_value(field, x, h, [t, *w[m:]])[1][0] for t in nodes])
-        return np.concatenate([xdot, vander_inv @ vals])
-
-    return rate
+    nodes = np.linspace(-1.0, 1.0, d + 1)
+    vander_inv = np.linalg.inv(np.vander(nodes, d + 1, increasing=True))
+    h = poly_template(1, 1, d)
+    x = [Var(i) for i in range(m)]
+    c = [Var(m + k) for k in range(d + 1)]
+    vals = [evaluate(field.D, x + [t] + _jets(h, [t, *c], field.r))[0] for t in nodes.tolist()]
+    fit = [_as_expr(sum(v * val for v, val in zip(row, vals))) for row in vander_inv.tolist()]
+    return VectorField(m + d + 1, Program(m + d + 1, [*field.xi.exprs, *fit]))
 
 
 def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField, d: int, *, rng, samples: int, tol: float) -> dict:
@@ -473,34 +476,17 @@ def check_polynomial_family(x1: FunctionalVectorField, x2: FunctionalVectorField
     For q1 = q2 = 1 fields that keep fiber polynomials of degree <= d
     polynomial, the functional bracket must agree with the Jacobian
     bracket of the induced finite-dimensional fields on coefficient
-    space.  The oracle never touches the strong difference: it uses
-    central finite differences of step FAMILY_FD_STEP on the induced rate
-    maps.
+    space (`_family_field`), with Jacobians from `jacobian_oracle`: the
+    oracle never touches the strong difference.  All trials' points
+    (x, c) are drawn at once and run as one block.
     """
     if x1.q1 != 1 or x1.q2 != 1 or x2.q1 != 1 or x2.q2 != 1:
         raise ShapeMismatch("the family oracle is built for scalar fibers")
-    m = x1.m
-    nodes = np.linspace(-1.0, 1.0, d + 1)
-    vander_inv = np.linalg.inv(np.vander(nodes, d + 1, increasing=True))
-    f1 = _poly_family_rate(x1, nodes, vander_inv)
-    f2 = _poly_family_rate(x2, nodes, vander_inv)
-    fb = _poly_family_rate(functional_bracket(x1, x2), nodes, vander_inv)
-    n = m + d + 1
+    f1, f2, fb = (_family_field(f, d).components for f in (x1, x2, functional_bracket(x1, x2)))
 
-    def jac(f, w):
-        cols = []
-        for j in range(n):
-            wp, wm = w.copy(), w.copy()
-            wp[j] += FAMILY_FD_STEP
-            wm[j] -= FAMILY_FD_STEP
-            cols.append((f(wp) - f(wm)) / (2.0 * FAMILY_FD_STEP))
-        return np.array(cols).T
+    def gaps(pts):
+        want = jacobian_bracket(*(op(f, pts) for f in (f1, f2) for op in (jacobian_oracle, evaluate_points)))
+        return np.abs(want - evaluate_points(fb, pts)).max(axis=-1, initial=0.0)
 
-    def deviations():
-        for trial in range(samples):
-            w = rng.uniform(-0.8, 0.8, size=n)
-            want = jac(f2, w) @ f1(w) - jac(f1, w) @ f2(w)
-            got = fb(w)
-            yield {"trial": trial}, float(np.abs(want - got).max(initial=0.0))
-
-    return tally(deviations(), tol)
+    block = rng.uniform(-0.8, 0.8, size=(samples, x1.m + d + 1))
+    return tally(sampled_deviations([(0, block)], gaps, samples), tol)

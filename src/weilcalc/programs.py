@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 from array import array
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -267,6 +268,10 @@ def stack_columns(values, count) -> np.ndarray:
     return out
 
 
+# set while the outermost run_columns runs a block's columns
+_IN_COLUMN_RUN = ContextVar("in_column_run", default=False)
+
+
 def run_columns(block, columns, point) -> np.ndarray:
     """Apply `columns` to a (B, n) block of points at once, or `point` to
     each row in turn; the results stack along a first axis of length B.
@@ -274,15 +279,25 @@ def run_columns(block, columns, point) -> np.ndarray:
     The column run goes under numpy's raising error state.  A block with a
     non-finite entry, or whose column run raises a WeilError or a numpy
     FloatingPointError, is run point by point instead, outside that state,
-    so its first failing point raises the error it raises on its own.
+    so its first failing point raises the error it raises on its own.  A
+    run_columns reached inside another's column run raises instead, so
+    only the outermost block falls back, and each row runs once.
     """
     block = np.asarray(block, dtype=float)
-    if np.isfinite(block).all():
+    finite = np.isfinite(block).all()
+    if _IN_COLUMN_RUN.get():
+        if not finite:
+            raise FloatingPointError("non-finite entry in a nested column block")
+        return columns(block)
+    if finite:
+        outermost = _IN_COLUMN_RUN.set(True)
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 return columns(block)
         except (WeilError, FloatingPointError):
             pass
+        finally:
+            _IN_COLUMN_RUN.reset(outermost)
     return np.array([point(row) for row in block])
 
 

@@ -474,22 +474,26 @@ def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, r
     from one `run_points` call.  A point's coordinates are followed by X's
     parameters and Y's, as for `bracket_value`.
     """
-    n = x_field.dim
 
     def gap(args, count):
         _, xa, ya = _field_args(x_field, y_field, args)
         pair = _composite_pair(x_field, y_field, args, count)
         jy = jacobian_oracle(y_field.components, stack_columns(ya, count), richardson=richardson)
         jx = jacobian_oracle(x_field.components, stack_columns(xa, count), richardson=richardson)
-        xv, yv = pair.x.u.T.reshape(-1, n), pair.x.v.T.reshape(-1, n)
-        got = strong_diff(pair)[1].T
-        # one product per point, with a single point's layout: a matrix
-        # product rounds by layout
-        pairs = zip(jy.reshape(-1, n, n), xv, jx.reshape(-1, n, n), yv)
-        want = np.array([a @ u - b @ v for a, u, b, v in pairs]).reshape(got.shape)
-        return np.abs(want - got).max(axis=-1, initial=0.0)
+        want = jacobian_bracket(jx, pair.x.u.T, jy, pair.x.v.T)
+        return np.abs(want - strong_diff(pair)[1].T).max(axis=-1, initial=0.0)
 
     return run_points(at, gap)
+
+
+def jacobian_bracket(jx, x_values, jy, y_values) -> np.ndarray:
+    """DY.X - DX.Y from the Jacobians and values of X and Y at one point,
+    or at each point of a block: (B, n, n) Jacobians and (B, n) values
+    give (B, n).  One product per point, with a single point's layout: a
+    matrix product rounds by layout."""
+    n = x_values.shape[-1]
+    pairs = zip(jy.reshape(-1, n, n), x_values.reshape(-1, n), jx.reshape(-1, n, n), y_values.reshape(-1, n))
+    return np.array([a @ u - b @ v for a, u, b, v in pairs]).reshape(x_values.shape)
 
 
 def bracket_jacobian_deviations(x_field: VectorField, y_field: VectorField, pairs: int, *, rng, samples: int,

@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weilcalc import functional
 from weilcalc.algebra import make_basic
@@ -26,7 +27,16 @@ from weilcalc.functional import (
     random_functional_field,
 )
 from weilcalc.jets import jet_triple
-from weilcalc.programs import Program, VectorField, evaluate, poly_template, program_to_json, random_poly_program
+from weilcalc.programs import (
+    Program,
+    VectorField,
+    evaluate,
+    evaluate_points,
+    jacobian_oracle,
+    poly_template,
+    program_to_json,
+    random_poly_program,
+)
 from weilcalc.prolong import field_prolong
 from weilcalc.reports import tally
 
@@ -371,9 +381,11 @@ def test_locality_matches_a_per_trial_loop_bit_for_bit(monkeypatch, sig, planted
     assert (out["max_error"] > 0.0) == planted
 
 
-def _polynomial_family_per_rate_call(x1, x2, d, rng, samples, tol):
-    """check_polynomial_family as it was when each rate call compiled its
-    fibre polynomial from the coefficients it was given."""
+def _polynomial_family_per_rate_call(x1, x2, d, rng, samples):
+    """check_polynomial_family's deviations as it computed them before it
+    rendered the induced fields: each rate call compiles its fibre
+    polynomial and fits fvf_value's node values, and a per-trial central
+    difference of step 1e-5 takes the Jacobians."""
     m = x1.m
     nodes = np.linspace(-1.0, 1.0, d + 1)
     vander_inv = np.linalg.inv(np.vander(nodes, d + 1, increasing=True))
@@ -394,24 +406,71 @@ def _polynomial_family_per_rate_call(x1, x2, d, rng, samples, tol):
         cols = []
         for j in range(n):
             wp, wm = w.copy(), w.copy()
-            wp[j] += functional.FAMILY_FD_STEP
-            wm[j] -= functional.FAMILY_FD_STEP
-            cols.append((f(wp) - f(wm)) / (2.0 * functional.FAMILY_FD_STEP))
+            wp[j] += 1e-5
+            wm[j] -= 1e-5
+            cols.append((f(wp) - f(wm)) / 2e-5)
         return np.array(cols).T
 
     devs = []
-    for trial in range(samples):
+    for _ in range(samples):
         w = rng.uniform(-0.8, 0.8, size=n)
         want = jac(f2, w) @ f1(w) - jac(f1, w) @ f2(w)
-        devs.append(({"trial": trial}, float(np.abs(want - fb(w)).max(initial=0.0))))
+        devs.append(float(np.abs(want - fb(w)).max(initial=0.0)))
+    return devs
+
+
+def _polynomial_family_per_trial(x1, x2, d, rng, samples, tol):
+    """check_polynomial_family as a loop of single-point calls over the
+    rendered induced fields."""
+    f1, f2, fb = (functional._family_field(f, d).components for f in (x1, x2, functional_bracket(x1, x2)))
+    devs = []
+    for trial in range(samples):
+        w = rng.uniform(-0.8, 0.8, size=x1.m + d + 1)
+        want = jacobian_oracle(f2, w) @ evaluate_points(f1, w) - jacobian_oracle(f1, w) @ evaluate_points(f2, w)
+        devs.append(({"pair": 0, "trial": trial}, float(np.abs(want - evaluate_points(fb, w)).max(initial=0.0))))
     return tally(devs, tol)
 
 
-def test_polynomial_family_matches_a_per_rate_call_reference_bit_for_bit():
-    x1, x2 = (random_functional_field(np.random.default_rng(17 + i), 1, 1, 1, 1) for i in range(2))
-    out = check_polynomial_family(x1, x2, 3, rng=np.random.default_rng(18), samples=4, tol=0.0)
-    assert out == _polynomial_family_per_rate_call(x1, x2, 3, np.random.default_rng(18), 4, 0.0)
-    assert out["max_error"] > 0.0
+# random fields, which do not keep the family: every trial deviates
+FAMILY_PAIRS = [
+    [random_functional_field(np.random.default_rng(17 + i), 1, 1, 1, 1) for i in range(2)],
+    [random_functional_field(np.random.default_rng(40 + i), 2, 1, 1, r) for i, r in enumerate((1, 2))],
+]
+
+
+@pytest.mark.parametrize("pair", FAMILY_PAIRS, ids=["m=1", "m=2"])
+def test_polynomial_family_block_matches_a_per_trial_loop_bit_for_bit(pair):
+    out = check_polynomial_family(*pair, 3, rng=np.random.default_rng(18), samples=4, tol=0.0)
+    assert out == _polynomial_family_per_trial(*pair, 3, np.random.default_rng(18), 4, 0.0)
+    assert len(out["failures"]) == 4
+
+
+@pytest.mark.parametrize("pair", FAMILY_PAIRS, ids=["m=1", "m=2"])
+def test_polynomial_family_agrees_with_the_per_rate_call_reference(pair):
+    out = check_polynomial_family(*pair, 3, rng=np.random.default_rng(18), samples=4, tol=0.0)
+    got = [f["deviation"] for f in out["failures"]]
+    want = _polynomial_family_per_rate_call(*pair, 3, np.random.default_rng(18), 4)
+    assert len(got) == 4 and np.allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([1, 2]),
+    r=st.sampled_from([1, 2]),
+    w=st.lists(st.floats(-0.8, 0.8), min_size=6, max_size=6),
+)
+def test_the_family_field_is_the_fitted_fibre_velocity(seed, m, r, w):
+    d = 3
+    field = random_functional_field(np.random.default_rng(seed), m, 1, 1, r)
+    w = np.array(w[: m + d + 1])
+    nodes = np.linspace(-1.0, 1.0, d + 1)
+    vander_inv = np.linalg.inv(np.vander(nodes, d + 1, increasing=True))
+    h = poly_template(1, 1, d)
+    vals = np.array([fvf_value(field, w[:m], h, [t, *w[m:]])[1][0] for t in nodes])
+    want = np.concatenate([evaluate(field.xi, w[:m].tolist()), vander_inv @ vals])
+    got = evaluate_points(functional._family_field(field, d).components, w)
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
 
 def test_polynomial_family_reduction():

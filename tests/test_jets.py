@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from weilcalc import jets
 from weilcalc._monomials import degree, monomials
-from weilcalc.algebra import AlgebraElement, make_basic, make_hom
+from weilcalc.algebra import AlgebraElement, identity_hom, make_basic, make_hom
 from weilcalc.errors import (
     InvariantViolation,
     NonProjectable,
@@ -184,6 +184,11 @@ def _is_exact(g):
     return all(type(c) in (int, Fraction) for row in g.coeffs for c in row)
 
 
+def _matrix(H, g):
+    """H's matrix at a single jet, as floats."""
+    return np.array(H.matrix_generic(g), dtype=float)
+
+
 @settings(max_examples=30, deadline=None)
 @given(fraction_jet_pairs())
 def test_compose_and_the_action_match_polynomial_substitution(pair):
@@ -275,7 +280,7 @@ def test_the_action_check_on_columns_matches_single_jets(m, r):
     want = []
     for trial in range(count):
         g1, g2 = random_jet(rng, m, r), random_jet(rng, m, r)
-        dev = float(np.abs(h(jet_compose(g1, g2)).matrix - h(g1).matrix @ h(g2).matrix).max())
+        dev = float(np.abs(_matrix(h, jet_compose(g1, g2)) - _matrix(h, g1) @ _matrix(h, g2)).max())
         if dev > 0:
             want.append({"trial": trial, "axiom": "action-homomorphism", "deviation": dev})
     assert want and out["failures"] == want
@@ -366,7 +371,7 @@ def test_jets_without_a_variable_or_an_order_are_rejected(m, r, coeffs):
 def test_canonical_action_on_a_scaling_jet():
     H = canonical_H(1, 1)
     g = JetGroupElement(1, 1, [[2.0]])
-    assert np.array_equal(H(g).matrix, [[1.0, 0.0], [0.0, 2.0]])
+    assert np.array_equal(_matrix(H, g), [[1.0, 0.0], [0.0, 2.0]])
 
 
 def test_canonical_action_is_a_left_action():
@@ -375,8 +380,8 @@ def test_canonical_action_is_a_left_action():
     for _ in range(10):
         a = random_rational_jet(rng, 2, 2)
         b = random_rational_jet(rng, 2, 2)
-        lhs = H(jet_compose(a, b)).matrix
-        rhs = H(a).matrix @ H(b).matrix
+        lhs = _matrix(H, jet_compose(a, b))
+        rhs = _matrix(H, a) @ _matrix(H, b)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -384,10 +389,37 @@ def test_action_images_are_algebra_homs():
     # hom validation runs in make_hom; reuse it as the oracle
     H = canonical_H(1, 2)
     g = JetGroupElement(1, 2, [[1.5, -0.3]])
-    make_hom(H.algebra, H.algebra, H(g).matrix)
+    make_hom(H.algebra, H.algebra, _matrix(H, g))
 
 
 # -- functor triples --------------------------------------------------------------
+
+
+def _triple_worst_per_pair(H, t, m, r):
+    """make_triple's worst sampled deviation, as a loop that builds each
+    pair's matrices on single jets."""
+    rng = np.random.default_rng(0)
+    h0 = canonical_H(m, r)
+    worst = 0.0
+    for _ in range(200):
+        g1, g2 = random_jet(rng, m, r), random_jet(rng, m, r)
+        m1 = _matrix(H, g1)
+        hom_dev = np.abs(_matrix(H, jet_compose(g1, g2)) - m1 @ _matrix(H, g2)).max()
+        equi_dev = np.abs(t.matrix @ _matrix(h0, g1) - m1 @ t.matrix).max()
+        worst = max(worst, float(hom_dev), float(equi_dev))
+    return worst
+
+
+def _plant_in_sampled_matrices(monkeypatch, change):
+    """H(g) of every jet but the identity (whose coefficients are ints) has
+    its rows passed through `change`."""
+    matrix_generic = jets.CanonicalAction.matrix_generic
+
+    def planted(self, g):
+        rows = matrix_generic(self, g)
+        return rows if type(g.coeffs[0][0]) is int else change(rows)
+
+    monkeypatch.setattr(jets.CanonicalAction, "matrix_generic", planted)
 
 
 def test_triple_requires_equivariance():
@@ -395,8 +427,43 @@ def test_triple_requires_equivariance():
     # not commute with precomposition by a general jet
     t12 = make_basic("truncated", 1, 2)
     t = make_hom(t12, t12, np.diag([1.0, 2.0, 4.0]))
-    with pytest.raises(InvariantViolation):
+    want = _triple_worst_per_pair(canonical_H(1, 2), t, 1, 2)
+    with pytest.raises(InvariantViolation) as err:
         make_triple(t12, canonical_H(1, 2), t, 1, 2)
+    assert str(err.value) == "sampled action invariants fail at %g" % want
+
+
+def test_triple_requires_a_homomorphism(monkeypatch):
+    # H(g)[0][0] = 1.5 off the identity: H(g1 then g2) keeps 1.5, the product reads 2.25
+    _plant_in_sampled_matrices(monkeypatch, lambda rows: [[rows[0][0] * 1.5, *rows[0][1:]], *rows[1:]])
+    h = canonical_H(2, 1)
+    want = _triple_worst_per_pair(h, identity_hom(h.algebra), 2, 1)
+    with pytest.raises(InvariantViolation) as err:
+        make_triple(h.algebra, h, identity_hom(h.algebra), 2, 1)
+    assert str(err.value) == "sampled action invariants fail at %g" % want
+    assert err.value.worst == want
+
+
+def test_triple_requires_invertible_images(monkeypatch):
+    _plant_in_sampled_matrices(monkeypatch, lambda rows: [*rows[:-1], [0.0 * v for v in rows[-1]]])
+    h = canonical_H(1, 2)
+    with pytest.raises(InvariantViolation) as err:
+        make_triple(h.algebra, h, identity_hom(h.algebra), 1, 2)
+    assert str(err.value) == "sampled H(g) is singular"
+
+
+@pytest.mark.parametrize("m, r", [(1, 2), (2, 2)])
+def test_triple_worst_is_the_worst_pair_of_a_per_pair_loop(monkeypatch, m, r):
+    h = canonical_H(m, r)
+    t = identity_hom(h.algebra)
+    want = _triple_worst_per_pair(h, t, m, r)
+    assert 0.0 < want <= jets.TRIPLE_TOL
+    assert make_triple(h.algebra, h, t, m, r).H is h
+    # at tolerance 0 the worst pair is reported
+    monkeypatch.setattr(jets, "TRIPLE_TOL", 0.0)
+    with pytest.raises(InvariantViolation) as err:
+        make_triple(h.algebra, h, t, m, r)
+    assert err.value.worst == want
 
 
 # -- frames -----------------------------------------------------------------------

@@ -68,6 +68,7 @@ ALLOWED = {
     "exprs.node_to_json": WRITER,
     "functional.FunctionalVectorField.__repr__": REPR,
     "functional.functional_field_to_json": WRITER,
+    "functional.fvf_value": ORACLE,  # one sampled functional velocity, point by point
     "functor.WeilPoint.__repr__": REPR,
     "jets.FunctorTriple.__repr__": REPR,
     "jets.JetGroupElement.__eq__": ORACLE,  # exact jet equality over Q

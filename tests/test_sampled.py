@@ -14,7 +14,7 @@ from weilcalc import cli, functional, functor, jets, programs, prolong, strongdi
 from weilcalc.algebra import make_basic
 from weilcalc.errors import DomainError
 from weilcalc.exprs import Var, prim
-from weilcalc.programs import Program, evaluate, random_poly_field, sampled_deviations, stack_columns
+from weilcalc.programs import Program, VectorField, evaluate, random_poly_field, sampled_deviations, stack_columns
 from weilcalc.reports import tally
 
 DUAL = make_basic("dual")
@@ -78,6 +78,11 @@ CHECKS = {
         8,
         [{"pair": 0, "trial": 6}],
     ),
+    "poly-family": (
+        lambda rng, s: functional.check_polynomial_family(cli._POLY_X1, cli._POLY_X2, 3, rng=rng, samples=s, tol=1e-7),
+        8,
+        [{"pair": 0, "trial": 6}],
+    ),
     "base projection": (
         lambda rng, s: prolong.check_base_projection(prolong.field_prolong(DUAL, FIELDS[2]), rng=rng, samples=s),
         8,
@@ -134,3 +139,31 @@ def test_a_block_whose_middle_point_raises_reports_that_points_own_error():
     assert str(got.value) == str(middle_alone.value) == "sqrt needs positive real part, got -1.0"
     # a block with no failing point runs as columns: log(1) = 0, sqrt(1) = 1
     assert list(sampled_deviations([(0, block[:1])], gaps, 1)) == [({"pair": 0, "trial": 0}, 1.0)]
+
+
+def test_a_failing_block_runs_each_leading_row_once_on_the_point_path(monkeypatch):
+    # X = log(x0) is undefined from row 3 of the block on: the bracket's
+    # gaps hold a nested run_points, and only the outer run falls back
+    x = VectorField(1, Program(1, [prim("log", Var(0))]))
+    y = VectorField(1, Program(1, [Var(0) * Var(0)]))
+    block = next(programs.pair_blocks(np.random.default_rng(7), x, y, 1, 1, 20))[1]
+    assert (block[:3, 0] > 0).all() and block[3, 0] < 0
+    with pytest.raises(DomainError) as alone:
+        strongdiff.jacobian_bracket_deviation(x, y, block[3], richardson=True)
+
+    point_rows = []
+    run_columns = programs.run_columns
+
+    def counting(rows, columns, point):
+        def counted(row):
+            point_rows.append(row.tobytes())
+            return point(row)
+
+        return run_columns(rows, columns, counted)
+
+    monkeypatch.setattr(programs, "run_columns", counting)
+    devs = strongdiff.bracket_jacobian_deviations(x, y, 1, rng=np.random.default_rng(7), samples=20, richardson=True)
+    with pytest.raises(DomainError) as got:
+        tally(devs, 1e-6)
+    assert str(got.value) == str(alone.value)
+    assert point_rows == [row.tobytes() for row in block[:4]]
