@@ -84,12 +84,11 @@ from .programs import (
 from .prolong import ProlongedField, field_prolong
 from .reports import CONVENTIONS, assemble_document, rng_for
 from .strongdiff import (
-    SPair,
-    SecondTangent,
     bracket,
     bracket_value,
     k_map,
     make_S,
+    pair_point,
     s_bundle,
     strong_diff,
 )

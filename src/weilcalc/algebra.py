@@ -387,9 +387,10 @@ class AlgebraElement:
 
 
 class AlgebraHom:
-    """Unital algebra homomorphism given by its matrix on basis coefficients."""
+    """Unital algebra homomorphism given by its matrix on basis coefficients;
+    the constructor checks the shape only, and make_hom validates."""
 
-    def __init__(self, source: WeilAlgebra, target: WeilAlgebra, matrix, *, validate=True):
+    def __init__(self, source: WeilAlgebra, target: WeilAlgebra, matrix):
         self.source = source
         self.target = target
         self.matrix = np.asarray(matrix, dtype=float)
@@ -398,8 +399,6 @@ class AlgebraHom:
                 "hom matrix must be (%d,%d), got %r"
                 % (target.dim, source.dim, self.matrix.shape)
             )
-        if validate:
-            self._validate()
 
     def _validate(self):
         m = self.matrix
@@ -443,18 +442,20 @@ def apply_matrix(matrix: np.ndarray, coeffs):
 def make_hom(source: WeilAlgebra, target: WeilAlgebra, matrix) -> AlgebraHom:
     """Validated homomorphism, to within DEFAULT_HOM_TOL; raises NotUnital /
     NotMultiplicative."""
-    return AlgebraHom(source, target, matrix, validate=True)
+    hom = AlgebraHom(source, target, matrix)
+    hom._validate()
+    return hom
 
 
 def identity_hom(a: WeilAlgebra) -> AlgebraHom:
-    return AlgebraHom(a, a, np.eye(a.dim), validate=False)
+    return AlgebraHom(a, a, np.eye(a.dim))
 
 
 def rho(a: WeilAlgebra) -> AlgebraHom:
     """Real-part projection onto the scalars."""
     m = np.zeros((1, a.dim))
     m[0, a.unit_index] = 1.0
-    return AlgebraHom(a, make_basic("reals"), m, validate=False)
+    return AlgebraHom(a, make_basic("reals"), m)
 
 
 # -- canonical constructions -------------------------------------------
@@ -595,7 +596,7 @@ def swap_matrix(da: int, db: int) -> np.ndarray:
 def hom_tensor(mu: AlgebraHom, c: WeilAlgebra) -> AlgebraHom:
     """id_c (x) mu on tensor(c, mu.source)."""
     m = np.kron(np.eye(c.dim), mu.matrix)
-    return AlgebraHom(tensor(c, mu.source), tensor(c, mu.target), m, validate=False)
+    return AlgebraHom(tensor(c, mu.source), tensor(c, mu.target), m)
 
 
 # -- serialization ------------------------------------------------------
@@ -626,8 +627,8 @@ def algebra_to_json(a: WeilAlgebra) -> dict:
 
 def algebra_from_json(data) -> WeilAlgebra:
     """Strict loader; unknown keys, bad indices, a boolean where an integer
-    belongs, a coefficient past the float range or a wrong cached width or
-    height all fail."""
+    belongs, a name or basis label that is not a string, a coefficient past
+    the float range or a wrong cached width or height all fail."""
     if not isinstance(data, dict):
         raise ShapeMismatch("algebra document must be an object")
     unknown = set(data) - _ALGEBRA_KEYS
@@ -641,6 +642,8 @@ def algebra_from_json(data) -> WeilAlgebra:
     # a JSON boolean is no integer here, though Python's bool is one
     if type(dim) is not int or not isinstance(basis, list) or len(basis) != dim:
         raise ShapeMismatch("dim and basis disagree")
+    if not all(isinstance(t, str) for t in (data["name"], *basis)):
+        raise ShapeMismatch("name and basis labels must be strings")
     if type(data["unit_index"]) is not int:
         raise ShapeMismatch("unit_index must be an integer, got %r" % (data["unit_index"],))
     _check_dim(dim, "algebra document")
@@ -661,9 +664,7 @@ def algebra_from_json(data) -> WeilAlgebra:
         if not (isinstance(gens, list) and all(isinstance(g, list) for g in gens)):
             raise ShapeMismatch("generators must be a list of coefficient lists")
         gens = [[_json_number(c, "generator coefficient") for c in g] for g in gens]
-    alg = WeilAlgebra(
-        str(data["name"]), basis, structure, unit_index=data["unit_index"], generators=gens
-    )
+    alg = WeilAlgebra(data["name"], basis, structure, unit_index=data["unit_index"], generators=gens)
     for key in ("width", "height"):
         stored = data.get(key)
         if stored is not None and (type(stored) is not int or stored != getattr(alg, key)):

@@ -385,8 +385,8 @@ def _prolong_jet(m, r, *, rng, samples, tol):
     # two projectable fields on a bundle with a one-dimensional fibre
     pair = []
     for _ in range(2):
-        base = random_poly_program(rng, m, m, deg=2, scale=0.5)
-        fiber = random_poly_program(rng, m + 1, 1, deg=2, scale=0.5)
+        base = random_poly_program(rng, m, m, deg=2)
+        fiber = random_poly_program(rng, m + 1, 1, deg=2)
         pair.append(VectorField(m + 1, Program(m + 1, list(base.exprs) + list(fiber.exprs))))
     return jets.check_bracket_preserved(
         jets.jet_triple(m, r), *pair, samples=samples, rng=rng, tol=tol

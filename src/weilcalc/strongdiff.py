@@ -2,21 +2,25 @@
 
 Second tangents over R^n live over the four-dimensional algebra
 DD = tensor(dual, dual).  We keep the left tensor factor as the outer
-tangent direction throughout and store second tangents in slot order
+tangent direction throughout and name second tangents' slots in the order
 (base, u, v, w) where u is the outer coefficient, v the inner one and w
 the mixed one.  Against the DD basis [1, 1*e, e*1, e*e] that means the
-slot-to-index map (0, 2, 1, 3).
+slot-to-index map (0, 2, 1, 3), `_SLOT_TO_DD`; `_dd_slots` is the one
+reader of slots off a point over DD.
 
 Two second tangents X, Y with equal bases and crosswise equal u/v parts
 form a compatible pair.  Such a pair is one point over the five-dimensional
 algebra S, whose one non-unit product b1 b2 = b3 + b4 is written out in
-make_S and proved by its inclusion into sum(DD, DD); a homomorphism sigma
-from S onto the dual numbers sends the pair to the tangent vector
-(base, w(X) - w(Y)), the strong difference.
+make_S and proved by its inclusion into sum(DD, DD); `pair_point` builds
+it from the five slots over any carrier.  A homomorphism sigma from S onto
+the dual numbers sends the pair to the tangent vector (base, w(X) - w(Y)),
+the strong difference, and `strong_diff` is where it is applied.
 
 The bracket of two fields is the strong difference of the two composite
 second tangents (lift of Y applied to X, and vice versa), which works out
-to DY.X - DX.Y; that orientation is fixed here once and checked against a
+to DY.X - DX.Y; the symbolic `bracket`, the pointwise `bracket_value` and
+the Jacobian check all take it through strong_diff(pair_point(...)), so
+that orientation is fixed here once and checked against a
 finite-difference Jacobian oracle in the tests.  Fields may take
 parameters: the bracket of X and Y then takes its point's coordinates,
 X's parameters and Y's, in that order, and so does `bracket_value`.
@@ -29,8 +33,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .algebra import (
+    AlgebraElement,
     WeilAlgebra,
-    apply_matrix,
     exchange,
     hom_tensor,
     make_basic,
@@ -66,36 +70,13 @@ def dd_algebra() -> WeilAlgebra:
     return tensor(d, d)
 
 
-class SecondTangent:
-    """A second tangent on R^dim in (base, u, v, w) slots, floats only.
-
-    Each slot is a (dim,) array, or a (dim, B) block: B second tangents,
-    column b the one of trial b.
-    """
-
-    __slots__ = ("dim", "base", "u", "v", "w")
-
-    def __init__(self, base, u, v, w):
-        arrs = [np.asarray(x, dtype=float) for x in (base, u, v, w)]
-        shape = arrs[0].shape
-        if len(shape) not in (1, 2) or any(a.shape != shape for a in arrs):
-            raise ShapeMismatch("second tangent slots must have one shape, (dim,) or (dim, B)")
-        self.dim = shape[0]
-        self.base, self.u, self.v, self.w = arrs
-
-    @classmethod
-    def from_point(cls, p: WeilPoint) -> "SecondTangent":
-        """Slots of a point over DD; column coefficients give a block."""
-        if p.algebra != dd_algebra():
-            raise ShapeMismatch("second tangents live over tensor(dual, dual)")
-        arr = p.coefficient_array()
-        return cls(arr[:, 0], arr[:, 2], arr[:, 1], arr[:, 3])
-
-    def slots(self) -> tuple:
-        return self.base, self.u, self.v, self.w
-
-    def __repr__(self):
-        return "SecondTangent(dim=%d)" % self.dim
+def _dd_slots(p: WeilPoint) -> tuple:
+    """(base, u, v, w) of a point over DD, the one reader of slots: slot s
+    is DD coefficient _SLOT_TO_DD[s] of each coordinate.  Each slot is a
+    (dim,) float array, or (dim, B) for column coefficients; symbolic
+    coefficients raise ShapeMismatch."""
+    arr = p.coefficient_array()
+    return tuple(arr[:, k] for k in _SLOT_TO_DD)
 
 
 def _pair_gap(x_slots, y_slots, axis=None):
@@ -114,38 +95,6 @@ def _pair_gap(x_slots, y_slots, axis=None):
         np.abs(xu - yv).max(axis=axis, initial=0.0),
         np.abs(xv - yu).max(axis=axis, initial=0.0),
     ])
-
-
-def compatible(x: SecondTangent, y: SecondTangent, tol: float = 1e-9) -> bool:
-    """Equal bases, and the outer part of each is the inner part of the other;
-    for a block, in every trial.
-
-    Raises DomainError when a slot of either side is not finite.
-    """
-    if x.base.shape != y.base.shape:
-        return False
-    return bool((_pair_gap(x.slots(), y.slots(), axis=0) <= tol).all())
-
-
-class SPair:
-    """A compatible pair of second tangents; constructor enforces membership.
-
-    A pair of blocks is B pairs, one per trial column.
-    """
-
-    __slots__ = ("x", "y", "dim")
-
-    def __init__(self, x: SecondTangent, y: SecondTangent, tol: float = 1e-9):
-        if not compatible(x, y, tol):
-            raise IncompatiblePair("pair fails the base and u/v matching conditions")
-        self.x = x
-        self.y = y
-        self.dim = x.dim
-
-    def coords5(self) -> np.ndarray:
-        """(dim, 5) array in the basis of S, 1, e1+E2, e2+E1, e1e2, E1E2;
-        (dim, B, 5) for a block."""
-        return np.stack([self.x.base, self.x.u, self.x.v, self.x.w, self.y.w], axis=-1)
 
 
 class SAlgebraBundle:
@@ -198,11 +147,28 @@ def s_bundle() -> SAlgebraBundle:
     return make_S()
 
 
-def strong_diff(pair: SPair):
-    """Tangent vector (base, w(X) - w(Y)) of a compatible pair, computed
-    through sigma."""
-    out = pair.coords5() @ s_bundle().sigma.matrix.T
-    return out[..., 0], out[..., 1]
+def pair_point(base, xu, xv, xw, yw) -> WeilPoint:
+    """The compatible pair X = (base, xu, xv, xw), Y = (base, xv, xu, yw)
+    as a point over S: coordinate i is base_i + xu_i b1 + xv_i b2 + xw_i b3
+    + yw_i b4.
+
+    The five slots are sequences of one length over any carrier: floats,
+    columns of B pairs, or expression trees.  A pair with no symbolic slot
+    and a slot that is not finite comes from a float overflow upstream, so
+    it raises DomainError, like every other overflow.
+    """
+    s = s_bundle().algebra
+    coords = list(zip(base, xu, xv, xw, yw))
+    numbers = [c for coord in coords for c in coord]
+    if not any(isinstance(c, Expr) for c in numbers) and not all(np.isfinite(c).all() for c in numbers):
+        raise DomainError("float overflow: a second tangent slot is not finite")
+    return WeilPoint(s, [AlgebraElement(s, coord) for coord in coords])
+
+
+def strong_diff(p: WeilPoint) -> WeilPoint:
+    """The tangent vector (base, w(X) - w(Y)) of a compatible pair: sigma
+    applied to its point over S, a point over the dual numbers."""
+    return transform(s_bundle().sigma, p)
 
 
 # -- brackets ------------------------------------------------------------
@@ -219,28 +185,23 @@ def _field_args(x_field: VectorField, y_field: VectorField, args):
 
 
 def _bracket_slots(x_field: VectorField, y_field: VectorField, args):
-    """X's values, Y's values, Y's slope along X and X's slope along Y at
-    a bracket's `args`, over any carrier.  The values come from `evaluate`,
-    not off the dual runs, whose powers multiply by squaring and so round
-    differently."""
-    _, xa, ya = _field_args(x_field, y_field, args)
+    """The slots of the compatible pair (lift of Y along X, lift of X along
+    Y) at a bracket's `args`, in `pair_point`'s order, over any carrier:
+    the point, X's values, Y's values, Y's slope along X and X's slope
+    along Y.  The values come from `evaluate`, not off the dual runs, whose
+    powers multiply by squaring and so round differently."""
+    point, xa, ya = _field_args(x_field, y_field, args)
     xv = evaluate(x_field.components, xa)
     yv = evaluate(y_field.components, ya)
     dyx = evaluate_dual(y_field.components, ya, xv)[1]
     dxy = evaluate_dual(x_field.components, xa, yv)[1]
-    return xv, yv, dyx, dxy
+    return point, xv, yv, dyx, dxy
 
 
-def _composite_pair(x_field: VectorField, y_field: VectorField, args, count) -> SPair:
-    """The compatible pair (lift of Y along X, lift of X along Y) over
-    `run_points` arguments.
-
-    For a block the pair is a block of B pairs on R^n, point p's in
-    column p.
-    """
-    slots = _bracket_slots(x_field, y_field, args)
-    at, xv, yv, dyx, dxy = (stack_columns(v, count).T for v in (args[: x_field.dim], *slots))
-    return SPair(SecondTangent(at, xv, yv, dyx), SecondTangent(at, yv, xv, dxy))
+def _bracket_components(slots) -> list:
+    """The bracket from its pair's slots: the tangent parts of the strong
+    difference, DY.X - DX.Y."""
+    return [el.coeffs[1] for el in strong_diff(pair_point(*slots)).coords]
 
 
 def bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
@@ -248,15 +209,8 @@ def bracket(x_field: VectorField, y_field: VectorField) -> VectorField:
     parameters are X's and then Y's."""
     n = x_field.dim
     params = x_field.components.params + y_field.components.params
-    xs = [Var(i) for i in range(n + params)]
-    xv, yv, w_yx, w_xy = _bracket_slots(x_field, y_field, xs)
-    sigma = s_bundle().sigma.matrix
-    body = []
-    for i in range(n):
-        vec5 = [xs[i], xv[i], yv[i], w_yx[i], w_xy[i]]
-        out = apply_matrix(sigma, vec5)[1]
-        body.append(out if isinstance(out, Expr) else Const(out))
-    return VectorField(n, Program(n, body, params=params))
+    body = _bracket_components(_bracket_slots(x_field, y_field, [Var(i) for i in range(n + params)]))
+    return VectorField(n, Program(n, [c if isinstance(c, Expr) else Const(c) for c in body], params=params))
 
 
 def bracket_value(x_field: VectorField, y_field: VectorField, at) -> np.ndarray:
@@ -268,7 +222,7 @@ def bracket_value(x_field: VectorField, y_field: VectorField, at) -> np.ndarray:
     """
 
     def value(args, count):
-        return strong_diff(_composite_pair(x_field, y_field, args, count))[1].T
+        return stack_columns(_bracket_components(_bracket_slots(x_field, y_field, args)), count)
 
     return run_points(at, value)
 
@@ -303,28 +257,31 @@ class ASecondPair:
         self.y = y
 
 
-def k_map(pair: ASecondPair) -> SPair:
-    """Reinterpret an algebra-coefficient pair as a pair on the lifted space.
+def k_map(pair: ASecondPair) -> tuple:
+    """Reinterpret an algebra-coefficient pair as a pair on the lifted space:
+    its two second tangents, as points over DD.
 
     Routed through the exchange homomorphism tensor(A, DD) -> tensor(DD, A);
     the result uses the coordinate-major flat layout (i, a) -> i*dim + a,
-    and must be a compatible pair exactly.  A block pair lifts in one pass,
-    its trial axis carried as coefficient columns, to a block of pairs.
-    Membership is then each trial's own: only finite slots are enforced
-    here, and check_exchange_square tests the trials one by one, so that
-    one failing trial does not hide the others.
+    and must be a compatible pair exactly, else IncompatiblePair.  A block
+    pair lifts in one pass, its trial axis carried as coefficient columns,
+    to a block of pairs.  Membership is then each trial's own:
+    check_exchange_square tests the trials one by one, so that one failing
+    trial does not hide the others.
     """
     algebra, dd = pair.algebra, dd_algebra()
     exch = exchange(algebra, dd)
     trials = pair.x.shape[3:]
     sides = []
     for arr in (pair.x, pair.y):
-        # slots into DD basis order: one A-point coordinate per (i, DD index)
+        # slots into DD basis order (_SLOT_TO_DD is its own inverse): one
+        # A-point coordinate per (i, DD index)
         flat = arr[:, _SLOT_TO_DD].reshape(4 * pair.n * algebra.dim, *trials)
         p = point_from_flat(algebra, 4 * pair.n, flat)
-        q = transform(exch, flatten(p, algebra, dd))
-        sides.append(SecondTangent.from_point(unflatten(q, dd, algebra)))
-    return SPair(sides[0], sides[1], tol=np.inf if trials else 0.0)
+        sides.append(unflatten(transform(exch, flatten(p, algebra, dd)), dd, algebra))
+    if not trials and _pair_gap(*map(_dd_slots, sides)) > 0.0:
+        raise IncompatiblePair("the lifted pair fails the base and u/v matching conditions")
+    return tuple(sides)
 
 
 # -- diagram checks ------------------------------------------------------
@@ -353,14 +310,14 @@ def check_exchange_square(algebra: WeilAlgebra, n: int, *, rng, samples: int, to
 
     arr = np.moveaxis(rng.uniform(-1.0, 1.0, size=(samples, n, 5, da)), 0, -1)
     x, y = arr[:, [0, 1, 2, 3]], arr[:, [0, 2, 1, 4]]
-    lifted = k_map(ASecondPair(algebra, x, y))
-    member = _pair_gap(lifted.x.slots(), lifted.y.slots(), axis=0) <= 0.0
+    xs, ys = map(_dd_slots, k_map(ASecondPair(algebra, x, y)))
+    member = _pair_gap(xs, ys, axis=0) <= 0.0
     # lifted slot s holds coefficient a of coordinate i at i*da + a
     slots_kept = np.logical_and.reduce([
-        (np.stack(t.slots()) == side.swapaxes(0, 1).reshape(4, n * da, samples)).all(axis=(0, 1))
-        for t, side in ((lifted.x, x), (lifted.y, y))
+        (np.stack(t) == side.swapaxes(0, 1).reshape(4, n * da, samples)).all(axis=(0, 1))
+        for t, side in ((xs, x), (ys, y))
     ])
-    base1, vec1 = strong_diff(lifted)
+    base1, vec1 = np.moveaxis(strong_diff(pair_point(*xs, ys[3])).coefficient_array(), 1, 0)
 
     p = point_from_flat(algebra, 5 * n, arr.reshape(5 * n * da, samples))
     q = transform(exch, transform(sig_a, flatten(p, algebra, bundle.algebra)))
@@ -477,11 +434,12 @@ def jacobian_bracket_deviation(x_field: VectorField, y_field: VectorField, at, r
 
     def gap(args, count):
         _, xa, ya = _field_args(x_field, y_field, args)
-        pair = _composite_pair(x_field, y_field, args, count)
+        slots = _bracket_slots(x_field, y_field, args)
+        got = stack_columns(_bracket_components(slots), count)
         jy = jacobian_oracle(y_field.components, stack_columns(ya, count), richardson=richardson)
         jx = jacobian_oracle(x_field.components, stack_columns(xa, count), richardson=richardson)
-        want = jacobian_bracket(jx, pair.x.u.T, jy, pair.x.v.T)
-        return np.abs(want - strong_diff(pair)[1].T).max(axis=-1, initial=0.0)
+        want = jacobian_bracket(jx, stack_columns(slots[1], count), jy, stack_columns(slots[2], count))
+        return np.abs(want - got).max(axis=-1, initial=0.0)
 
     return run_points(at, gap)
 

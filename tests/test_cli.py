@@ -938,6 +938,23 @@ def test_non_finite_structure_constants_are_malformed_input(tmp_path, capsys, ba
         assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("fields", [
+    {"name": ["x", {"y": 1}], "basis": [1, None]},
+    {"name": 7},
+    {"basis": ["1", None]},
+], ids=["both", "name", "basis"])
+def test_an_algebra_document_needs_strings_for_name_and_basis(tmp_path, capsys, fields):
+    doc = {"name": "d", "dim": 2, "basis": ["1", "e"], "unit_index": 0,
+           "structure": [[0, 0, 0, 1.0], [0, 1, 1, 1.0], [1, 0, 1, 1.0]], **fields}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("show", "check"):
+        assert cli.main(["algebra", verb, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "must be strings" in captured.err
+
+
 def test_algebra_check_rejects_a_stale_width(tmp_path, capsys):
     doc = algebra_to_json(make_basic("truncated", 2, 2))
     doc["width"] = 7

@@ -86,7 +86,6 @@ ALLOWED = {
     "prolong.check_base_projection": ITEM_6,
     "prolong.check_base_projection.<locals>.gaps": ITEM_6,
     "reports.documents_equal": ORACLE,  # report equality apart from generated_at
-    "strongdiff.SecondTangent.__repr__": REPR,
 }
 
 ALLOWED_ARGS = {

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weilcalc import strongdiff
 from weilcalc.algebra import WeilAlgebra, exchange, hom_tensor, make_basic, make_hom, sum_algebra
@@ -12,8 +13,9 @@ from weilcalc.programs import Program, VectorField, evaluate, random_poly_field
 from weilcalc.reports import tally
 from weilcalc.strongdiff import (
     ASecondPair,
-    SPair,
-    SecondTangent,
+    _bracket_slots,
+    _dd_slots,
+    _pair_gap,
     bracket,
     bracket_value,
     check_bracket_jacobian,
@@ -21,12 +23,11 @@ from weilcalc.strongdiff import (
     check_projection_squares,
     check_sigma,
     check_tangent_projection_identities,
-    compatible,
-    _composite_pair,
     dd_algebra,
     jacobian_bracket_deviation,
     k_map,
     make_S,
+    pair_point,
     s_bundle,
     strong_diff,
 )
@@ -88,42 +89,79 @@ def test_sigma_is_exact_on_basis_and_products():
 
 
 def test_strong_diff_reads_the_w_slots():
-    x = SecondTangent([2.0], [1.0], [3.0], [5.0])
-    y = SecondTangent([2.0], [3.0], [1.0], [4.0])
-    base, vec = strong_diff(SPair(x, y))
-    assert np.array_equal(base, [2.0])
-    assert np.array_equal(vec, [1.0])  # w(X) - w(Y) = 5 - 4
+    vector = strong_diff(pair_point([2.0], [1.0], [3.0], [5.0], [4.0]))
+    assert vector.algebra == DUAL
+    assert np.array_equal(vector.coefficient_array(), [[2.0, 1.0]])  # w(X) - w(Y) = 5 - 4
+
+
+# finite slots whose differences stay finite
+_SLOT = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.data())
+def test_the_strong_difference_of_a_pair_point_is_w_x_minus_w_y(n, trials, data):
+    slots = np.array(data.draw(st.lists(_SLOT, min_size=5 * n * trials, max_size=5 * n * trials)))
+    slots = slots.reshape(5, n, trials)
+    block = strong_diff(pair_point(*slots)).coefficient_array()
+    assert block.shape == (n, 2, trials)
+    assert block[:, 0].tobytes() == slots[0].tobytes()
+    assert block[:, 1].tobytes() == (slots[3] - slots[4]).tobytes()
+    for t in range(trials):
+        one = strong_diff(pair_point(*slots[..., t].tolist())).coefficient_array()
+        # a float run skips zero terms, so a zero there reads +0.0
+        assert one.tobytes() == (block[..., t] + 0.0).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.sampled_from([np.inf, -np.inf, np.nan]), st.data())
+def test_a_slot_that_is_not_finite_makes_bracket_value_raise(n, slot, bad, data):
+    row = np.array(data.draw(st.lists(_SLOT, min_size=5 * n, max_size=5 * n)))
+    broken = row.copy()
+    broken[slot * n + data.draw(st.integers(0, n - 1))] = bad
+    field = VectorField(n, Program(n, [Var(i) for i in range(n)]))
+    with pytest.MonkeyPatch.context() as mp:
+        # the pair's five slots straight from the arguments
+        mp.setattr(strongdiff, "_bracket_slots", lambda x, y, args: [args[k * n : (k + 1) * n] for k in range(5)])
+        bracket_value(field, field, row)
+        with pytest.raises(DomainError):
+            bracket_value(field, field, broken)
+        with pytest.raises(DomainError):
+            bracket_value(field, field, np.stack([row, broken]))
+    with pytest.raises(DomainError):
+        pair_point(*np.stack([row, broken], axis=-1).reshape(5, n, 2))
 
 
 def test_second_tangent_point_round_trip():
-    x = SecondTangent([2.0, -1.0], [1.0, 0.5], [3.0, 0.0], [5.0, 2.0])
+    slots = ([2.0, -1.0], [1.0, 0.5], [3.0, 0.0], [5.0, 2.0])
     # a point over DD holds each coordinate as (base, v, u, w)
-    back = SecondTangent.from_point(point_from_flat(DD, 2, [2.0, 3.0, 1.0, 5.0, -1.0, 0.0, 0.5, 2.0]))
-    for slot in ("base", "u", "v", "w"):
-        assert np.array_equal(getattr(back, slot), getattr(x, slot))
+    back = _dd_slots(point_from_flat(DD, 2, [2.0, 3.0, 1.0, 5.0, -1.0, 0.0, 0.5, 2.0]))
+    for got, want in zip(back, slots):
+        assert np.array_equal(got, want)
 
 
 def test_a_second_tangent_needs_numeric_coefficients():
     sym = point_from_flat(DD, 1, [Var(0), 1.0, 2.0, 3.0])
     with pytest.raises(ShapeMismatch):
-        SecondTangent.from_point(sym)
+        _dd_slots(sym)
 
 
 def test_a_block_of_second_tangents_comes_from_column_coefficients():
     cols = np.arange(8.0).reshape(4, 2)
-    block = SecondTangent.from_point(point_from_flat(DD, 1, list(cols)))
+    block = _dd_slots(point_from_flat(DD, 1, list(cols)))
     for b in range(2):
-        one = SecondTangent.from_point(point_from_flat(DD, 1, cols[:, b]))
-        for got, want in zip(block.slots(), one.slots()):
+        one = _dd_slots(point_from_flat(DD, 1, cols[:, b]))
+        for got, want in zip(block, one):
             assert np.array_equal(got[:, b], want)
 
 
 def test_incompatible_pairs_are_rejected():
-    x = SecondTangent([0.0], [1.0], [2.0], [0.0])
-    y = SecondTangent([0.0], [1.0], [2.0], [0.0])  # u/v not swapped
-    assert not compatible(x, y)
+    x = np.array([[0.0], [1.0], [2.0], [0.0]])
+    y = np.array([[0.0], [1.0], [2.0], [0.0]])  # u/v not swapped
+    assert _pair_gap(x, y) == 1.0
+    # the same slots as real parts of a pair over the dual numbers
     with pytest.raises(IncompatiblePair):
-        SPair(x, y)
+        ASecondPair(DUAL, np.hstack([x, 0 * x])[None], np.hstack([y, 0 * y])[None])
 
 
 def test_a_non_finite_slot_fails_membership_with_a_domain_error():
@@ -131,16 +169,23 @@ def test_a_non_finite_slot_fails_membership_with_a_domain_error():
     for slot in range(4):
         slots = [[0.0], [1.0], [2.0], [0.0]]
         slots[slot] = [float("inf")]
-        x = SecondTangent(*slots)
-        y = SecondTangent(slots[0], slots[2], slots[1], [0.0])
         with pytest.raises(DomainError):
-            compatible(x, y)
+            _pair_gap(np.array(slots), np.array([slots[0], slots[2], slots[1], [0.0]]))
+    for slot in range(5):
+        slots = [[0.0], [1.0], [2.0], [0.0], [0.0]]
+        slots[slot] = [float("inf")]
         with pytest.raises(DomainError):
-            SPair(x, y)
+            pair_point(*slots)
     arr = np.zeros((1, 4, 2))
     arr[0, 1, 0] = float("nan")
     with pytest.raises(DomainError):
         ASecondPair(make_basic("dual"), arr, arr[:, [0, 2, 1, 3]])
+
+
+def test_a_symbolic_pair_point_is_not_checked_for_finite_slots():
+    # the symbolic bracket builds its tree whatever constants it folds
+    vector = strong_diff(pair_point([Var(0)], [float("inf")], [1.0], [2.0], [0.5]))
+    assert vector.coords[0].coeffs[1] == 1.5
 
 
 # -- brackets -----------------------------------------------------------------
@@ -150,8 +195,7 @@ X_ONE = VectorField(1, Program(1, [Const(1.0)]))
 
 
 def test_composite_pair_collects_both_composites():
-    pair = _composite_pair(X_SQ, X_ONE, [3.0], None)
-    assert np.array_equal(pair.coords5(), [[3.0, 9.0, 1.0, 0.0, 6.0]])
+    assert _bracket_slots(X_SQ, X_ONE, [3.0]) == ([3.0], [9.0], [1.0], [0.0], [6.0])
 
 
 def test_bracket_of_square_and_unit_fields():
@@ -248,31 +292,36 @@ def test_exchange_square_commutes_exactly(algebra):
 
 @pytest.mark.parametrize("algebra", STANDARD, ids=lambda a: a.name)
 def test_exchange_square_sees_u_and_v_exchanged_by_k_map(monkeypatch, algebra):
-    # with the identity slot order k_map builds each side from arr.reshape(-1),
-    # so u and v trade places; membership and the strong difference are
-    # symmetric in u and v, and only the slot comparison sees it
-    monkeypatch.setattr(strongdiff, "_SLOT_TO_DD", (0, 1, 2, 3))
+    # a k_map that puts u where v belongs on both sides: membership and the
+    # strong difference are symmetric in u and v, and only the slot
+    # comparison sees it
+    original = strongdiff.k_map
+
+    def exchanged(pair):
+        return tuple(point_from_flat(DD, p.dim, list(p.coefficient_array()[:, [0, 2, 1, 3]].reshape(4 * p.dim, -1)))
+                     for p in original(pair))
+
+    monkeypatch.setattr(strongdiff, "k_map", exchanged)
     out = check_exchange_square(algebra, 2, rng=np.random.default_rng(4), samples=10, tol=1e-12)
     assert out["failures"] == [{"trial": t, "reason": "slots"} for t in range(10)]
     assert out["max_error"] == 0.0
 
 
 def _break_y_base(monkeypatch, at):
-    # a fault inside k_map: the y side (every second slot read) gets its
-    # base slot moved at index `at`
-    original = SecondTangent.from_point.__func__
+    # a fault in reading the lifted pair: the y side (every second slot
+    # read) gets its base slot moved at index `at`
+    original = strongdiff._dd_slots
     calls = []
 
-    def broken(cls, p):
-        t = original(cls, p)
-        calls.append(t)
+    def broken(p):
+        base, u, v, w = original(p)
+        calls.append(p)
         if len(calls) % 2 == 0:
-            base = t.base.copy()
+            base = base.copy()
             base[at] += 0.5
-            t = cls(base, t.u, t.v, t.w)
-        return t
+        return base, u, v, w
 
-    monkeypatch.setattr(SecondTangent, "from_point", classmethod(broken))
+    monkeypatch.setattr(strongdiff, "_dd_slots", broken)
 
 
 @pytest.mark.parametrize("algebra", STANDARD, ids=lambda a: a.name)
@@ -303,15 +352,15 @@ def _exchange_square_per_trial(algebra, n, samples, rng):
     rows = []
     for _ in range(samples):
         arr = rng.uniform(-1.0, 1.0, size=(n, 5, da))
-        lifted = k_map(ASecondPair(algebra, arr[:, [0, 1, 2, 3]], arr[:, [0, 2, 1, 4]]))
-        base1, vec1 = strong_diff(lifted)
+        xs, ys = map(_dd_slots, k_map(ASecondPair(algebra, arr[:, [0, 1, 2, 3]], arr[:, [0, 2, 1, 4]])))
+        path1 = strong_diff(pair_point(*xs, ys[3])).coefficient_array()
         p = point_from_flat(algebra, 5 * n, arr.reshape(-1))
         qa = transform(exch, transform(sig_a, flatten(p, algebra, bundle.algebra))).coefficient_array()
         dev = max(
-            np.abs(base1 - qa[:, :da].reshape(-1)).max(initial=0.0),
-            np.abs(vec1 - qa[:, da : 2 * da].reshape(-1)).max(initial=0.0),
+            np.abs(path1[:, 0] - qa[:, :da].reshape(-1)).max(initial=0.0),
+            np.abs(path1[:, 1] - qa[:, da : 2 * da].reshape(-1)).max(initial=0.0),
         )
-        rows.append((np.stack(lifted.x.slots() + lifted.y.slots()), np.stack([base1, vec1]), qa, dev))
+        rows.append((np.stack(xs + ys), path1, qa, dev))
     return rows
 
 
@@ -336,13 +385,14 @@ def test_exchange_square_block_matches_a_per_trial_loop_bit_for_bit(monkeypatch,
     monkeypatch.undo()
     ref = _exchange_square_per_trial(algebra, 2, samples, np.random.default_rng(seed))
 
-    lifted = seen["lifted"]
-    slots = np.stack(lifted.x.slots() + lifted.y.slots())
-    paths = np.stack(strong_diff(lifted))
+    xs, ys = map(_dd_slots, seen["lifted"])
+    slots = np.stack(xs + ys)
+    # path one's sigma is the one transform onto the dual numbers
+    (path1,) = [q.coefficient_array() for q in seen["transform"] if q.algebra == DUAL]
     qa = seen["transform"][-1].coefficient_array()  # path two's last step
     for t, (want_slots, want_path1, want_qa, _) in enumerate(ref):
         assert slots[..., t].tobytes() == want_slots.tobytes()
-        assert paths[..., t].tobytes() == want_path1.tobytes()
+        assert path1[..., t].tobytes() == want_path1.tobytes()
         assert qa[..., t].tobytes() == want_qa.tobytes()
     want = tally((({"trial": t}, dev) for t, (*_, dev) in enumerate(ref)), 0.0)
     assert out == want
@@ -358,7 +408,8 @@ def test_k_map_lands_on_compatible_pairs():
     x = np.stack([base, u, v, wx], axis=1)
     y = np.stack([base, v, u, wy], axis=1)
     out = k_map(ASecondPair(DUAL, x, y))
-    assert isinstance(out, SPair)
+    assert [p.algebra for p in out] == [DD, DD]
+    assert _pair_gap(*map(_dd_slots, out)) == 0.0
 
 
 @pytest.mark.parametrize("algebra", STANDARD, ids=lambda a: a.name)
@@ -368,8 +419,8 @@ def test_k_map_puts_coefficient_a_of_coordinate_i_at_i_dim_plus_a(algebra):
     arr = rng.uniform(-1, 1, size=(n, 5, da))
     x, y = arr[:, [0, 1, 2, 3]], arr[:, [0, 2, 1, 4]]
     out = k_map(ASecondPair(algebra, x, y))
-    for lifted, side in ((out.x, x), (out.y, y)):
-        slots = (lifted.base, lifted.u, lifted.v, lifted.w)
+    for lifted, side in zip(out, (x, y)):
+        slots = _dd_slots(lifted)
         for i in range(n):
             for s in range(4):
                 for a in range(da):

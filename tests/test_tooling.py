@@ -1,6 +1,7 @@
 """The test configuration itself: a failing test must not end the session;
-every package module imports on its own, without an import cycle; and
-every name the benchmark's span tracer wraps still exists."""
+every package module imports on its own, without an import cycle; every
+name the benchmark's span tracer wraps still exists; and verify-all still
+opens every span the benchmark expects of it."""
 
 import importlib.util
 import subprocess
@@ -76,12 +77,16 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
     assert run.returncode == 0, run.stderr
 
 
-def _tracing():
+def _perfbench(stem):
     # perfbench is a directory of scripts, not a package: load by path
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    spec = importlib.util.spec_from_file_location("perfbench_" + stem, ROOT / "perfbench" / (stem + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tracing():
+    return _perfbench("tracing")
 
 
 def test_every_name_the_span_tracer_wraps_resolves_in_the_package():
@@ -161,3 +166,30 @@ def test_the_span_tracer_counts_one_node_per_raw_constructor_call():
     assert [format_expr(n) for n in after] == [format_expr(n) for n in built] == [
         "x0", "2", "-x0", "x0 + 2", "x0 - 2", "x0*2", "x0/2", "x0^3", "sin(x0)",
     ]
+
+
+def test_a_verify_all_run_opens_every_span_the_benchmark_expects(monkeypatch, capsys):
+    # a refactor that moves a traced function out of verify-all fails here,
+    # not only in a traced benchmark run
+    import weilcalc as wc
+    from test_reach import clear_memoized
+    from weilcalc import cli
+
+    tracing = _tracing()
+    # run.py imports its sibling scripts by name
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    monkeypatch.setitem(sys.modules, "workloads", _perfbench("workloads"))
+    expected = _perfbench("run").EXPECTED["verify-all"]
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    clear_memoized()  # so the memoized constructors run again, traced
+    patches.install(tracer, wc)
+    try:
+        code = cli.main(["verify", "--suite", "all", "--seed", "7", "--samples", "1"])
+    finally:
+        patches.restore()
+        clear_memoized()  # nothing built under the tracer outlives the test
+    stats, _ = tracer.take()
+    assert code == 0, capsys.readouterr().out
+    assert sorted(expected - set(stats)) == []
+    assert patches.missing == []
+    assert tracing.Patches.leftovers() == []
