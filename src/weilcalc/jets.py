@@ -36,10 +36,10 @@ algebra elements, so the same products and inverse serve every carrier,
 which is what makes that trick a one-liner instead of a second code path.
 Rational jets stay exact: exact zeros are skipped, never replaced by the
 float 0.0.  check_jet_group stacks its trials into columns, entry t for
-trial t, and runs each axiom once for all of them; its rational jets become
-residues mod P.  An identity that fails over Q then fails mod P unless P
-divides a numerator of the difference (Schwartz, JACM 27, 1980); the
-Fraction path stays the reference over Q.
+trial t, and runs each axiom once for all of them; its rational jets are
+integer rows taken mod P, no Fraction built.  An identity that fails over Q
+then fails mod P unless P divides a numerator of the difference (Schwartz,
+JACM 27, 1980); the Fraction path of the tests stays the reference over Q.
 """
 
 from __future__ import annotations
@@ -243,9 +243,6 @@ class JetGroupElement:
         # the first m graded monomials are the degree-1 ones, variable i at slot i
         return [[self.coeffs[i][j] for j in range(self.m)] for i in range(self.m)]
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(c) for c in row] for row in self.coeffs])
-
     def __eq__(self, other):
         return (
             isinstance(other, JetGroupElement)
@@ -356,41 +353,53 @@ def jet_invert(a: JetGroupElement) -> JetGroupElement:
     return b
 
 
-def random_jet(rng, m: int, r: int) -> JetGroupElement:
-    """Float jet with linear part kept comfortably invertible."""
-    while True:
-        lin = np.eye(m) + 0.4 * rng.uniform(-1.0, 1.0, size=(m, m))
-        if abs(np.linalg.det(lin)) > 0.3:
-            break
-    monos = monomials(m, r, 1)
-    coeffs = []
-    for i in range(m):
-        row = []
-        for alpha in monos:
-            if degree(alpha) == 1:
-                row.append(float(lin[i][alpha.index(1)]))
-            else:
-                row.append(float(rng.uniform(-0.5, 0.5)))
-        coeffs.append(row)
-    return JetGroupElement(m, r, coeffs)
+def _float_jets(rng, m: int, r: int, count: int, lead: int = 0) -> tuple:
+    """`count` float jets as (leads, coeffs): the (count, lead) numbers in
+    [-1, 1) that each draw takes first, and (count, m, n_mon) coefficients.
+    A jet draws its linear part eye + 0.4 U(-1, 1) again until |det| > 0.3,
+    then its higher coefficients U(-0.5, 0.5).  One block of rows assumes
+    no rejection; at the first rejected row the generator goes back to just
+    past its linear part and draws on from there, as a per-jet loop does."""
+    n_mon = len(monomials(m, r, 1))
+    leads, coeffs = np.empty((count, lead)), np.empty((count, m, n_mon))
+    done = 0
+    while done < count:
+        state = rng.bit_generator.state
+        rows = trial_rows(rng, count - done, (-1.0, 1.0, lead + m * m), (-0.5, 0.5, m * (n_mon - m)))
+        lin = np.eye(m) + 0.4 * rows[:, lead : lead + m * m].reshape(-1, m, m)
+        kept = np.append(np.flatnonzero(~(np.abs(np.linalg.det(lin)) > 0.3)), len(rows))[0]
+        leads[done : done + kept] = rows[:kept, :lead]
+        coeffs[done : done + kept] = np.concatenate([lin, rows[:, lead + m * m :].reshape(len(rows), m, -1)], axis=2)[:kept]
+        done += kept
+        if done < count:
+            rng.bit_generator.state = state
+            rng.random(kept * (lead + m * n_mon) + lead + m * m)
+            leads[done], coeffs[done] = rows[kept, :lead], _float_jets(rng, m, r, 1)[1][0]
+            done += 1
+    return leads, coeffs
 
 
-def random_rational_jet(rng, m: int, r: int) -> JetGroupElement:
-    """Fraction-coefficient jet; group arithmetic on it stays exact."""
+def _rational_jets(rng, m: int, r: int, count: int) -> np.ndarray:
+    """`count` rational jets, their (count, m, n_mon) coefficients as GF(P)
+    residues.  Per coefficient a jet draws n in [-2, 3) and d in [1, 4) for
+    (n + 6) / 3d on the linear part's diagonal, n / 3d elsewhere, and draws
+    again whole while the linear part is singular (integer determinant, rows
+    scaled by their denominators).  A block of rows, one rng.integers call
+    with the scalar calls' bounds per entry, keeps its accepted rows and
+    leaves the shortfall to the next, as a per-jet loop does."""
     monos = monomials(m, r, 1)
-    while True:
-        coeffs = []
-        for i in range(m):
-            row = []
-            for alpha in monos:
-                base = 2 if degree(alpha) == 1 and alpha[i] == 1 else 0
-                row.append(
-                    Fraction(base * 3 + int(rng.integers(-2, 3)), int(rng.integers(1, 4)) * 3)
-                )
-            coeffs.append(row)
-        jet = JetGroupElement(m, r, coeffs)
-        if _det_generic(jet.linear_part()) != 0:
-            return jet
+    width = m * len(monos)
+    diag = np.array([[6 if degree(a) == 1 and a[i] == 1 else 0 for a in monos] for i in range(m)])
+    recip = np.array([0] + [pow(3 * d, -1, P) for d in (1, 2, 3)])
+    out, need = [], count
+    while need:
+        draws = rng.integers(np.tile([-2, 1], width), np.tile([3, 4], width), size=(need, 2 * width))
+        num, den = draws[:, 0::2].reshape(need, m, -1) + diag, draws[:, 1::2].reshape(need, m, -1)
+        lin = (num[:, :, :m] * (den[:, :, :m].prod(axis=2, keepdims=True) // den[:, :, :m])).astype(object)
+        ok = _det_generic([[lin[:, i, j] for j in range(m)] for i in range(m)]) != 0
+        out.append(num[ok] * recip[den[ok]] % P)
+        need -= int(ok.sum())
+    return np.concatenate(out)
 
 
 # -- actions on algebras ---------------------------------------------------
@@ -453,9 +462,9 @@ def make_triple(algebra: WeilAlgebra, H, t: AlgebraHom, m: int, r: int) -> Funct
     Checks H(id) = id, the homomorphism law for jet_compose, invertibility
     of each sampled H(g), and equivariance of t against the canonical
     action, on 200 pairs drawn from a fixed seed, to within TRIPLE_TOL.
-    The pairs run as column jets through the action code of
-    check_jet_group, and each test runs once for all of them.  Sampling
-    can only refute, not prove; reports say so.
+    The pairs, drawn as float rows, run as column jets through the action
+    code of check_jet_group, and each test runs once for all of them.
+    Sampling can only refute, not prove; reports say so.
     """
     if t.source != make_basic("truncated", m, r):
         raise ShapeMismatch("t must start at truncated(%d,%d)" % (m, r))
@@ -466,12 +475,11 @@ def make_triple(algebra: WeilAlgebra, H, t: AlgebraHom, m: int, r: int) -> Funct
     if not ident_dev <= TRIPLE_TOL:
         raise InvariantViolation("H(id) is not the identity", worst=ident_dev)
 
-    rng = np.random.default_rng(0)
-    pairs = [(random_jet(rng, m, r), random_jet(rng, m, r)) for _ in range(200)]
-    g1, m1, hom_dev = _action_homomorphism(H, m, r, pairs)
+    pairs = 200
+    g1, m1, hom_dev = _action_homomorphism(H, m, r, _float_jets(np.random.default_rng(0), m, r, 2 * pairs)[1])
     if not (np.abs(np.linalg.det(m1)) >= _MIN_DET).all():
         raise InvariantViolation("sampled H(g) is singular")
-    equi_dev = np.abs(t.matrix @ _action_matrix(canonical_H(m, r), g1, len(pairs)) - m1 @ t.matrix)
+    equi_dev = np.abs(t.matrix @ _action_matrix(canonical_H(m, r), g1, pairs) - m1 @ t.matrix)
     worst = float(np.maximum(hom_dev.max(), equi_dev.max()))
     if not worst <= TRIPLE_TOL:
         raise InvariantViolation("sampled action invariants fail at %g" % worst, worst=worst)
@@ -488,10 +496,12 @@ def jet_triple(m: int, r: int) -> FunctorTriple:
 # -- frames ---------------------------------------------------------------
 
 
-def frame_to_flat(x, jet: JetGroupElement) -> np.ndarray:
-    """The frame (x, jet) in the coordinate-major layout of the lifted space
-    over truncated(m,r): row i holds x_i, then jet component i."""
-    return np.column_stack([x, jet.as_array()]).reshape(-1)
+def frame_to_flat(x, coeffs) -> np.ndarray:
+    """Frames (x, g), x (..., m) and g's coefficients (..., m, n_mon), in the
+    coordinate-major layout of the lifted space over truncated(m,r), on the
+    last axis: row i holds x_i, then component i of g."""
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([x[..., None], np.asarray(coeffs, dtype=float)], axis=-1).reshape(*x.shape[:-1], -1)
 
 
 def _monomial_values(y, monos) -> np.ndarray:
@@ -502,7 +512,7 @@ def _monomial_values(y, monos) -> np.ndarray:
 def frame_evaluate(x, jet: JetGroupElement, y) -> np.ndarray:
     """The frame's polynomial map at y: x + g(y)."""
     vals = _monomial_values(np.asarray(y, dtype=float), monomials(jet.m, jet.r, 1))
-    return x + jet.as_array() @ vals
+    return x + np.array(jet.coeffs, dtype=float) @ vals
 
 
 def frame_prolong(xi: VectorField, r: int) -> VectorField:
@@ -581,12 +591,12 @@ def flow_frame_oracle(xi: VectorField, r: int, flat) -> np.ndarray:
 def check_frame_prolong(xi: VectorField, r: int, *, rng, samples: int, tol: float) -> dict:
     """Frame prolongation against the flow finite-difference oracle.
 
-    The trial frames are drawn first, in trial order, and the rendered
-    field runs at all of them as one block.
+    The trial frames are drawn first, as rows of a base point in [-1, 1)^m
+    and a jet, and the rendered field runs at all of them as one block.
     """
     m = xi.dim
     field = frame_prolong(xi, r)
-    flats = np.array([frame_to_flat(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r)) for _ in range(samples)])
+    flats = frame_to_flat(*_float_jets(rng, m, r, samples, lead=m))
 
     def gaps(pts):
         # the oracle integrates one frame at a time
@@ -705,27 +715,16 @@ def _action_matrix(H, g: JetGroupElement, count: int) -> np.ndarray:
     return stack_columns([v for row in rows for v in row], count).reshape(count, len(rows), -1)
 
 
-def _action_homomorphism(H, m: int, r: int, pairs) -> tuple:
-    """The action law H(g1 then g2) = H(g1) H(g2) on float jet pairs, all
-    pairs at once: (g1 stacked into one column jet, H(g1) as from
-    `_action_matrix`, the largest entry of each pair's gap).  The product
-    is taken one pair at a time: a matrix product rounds by layout."""
-    count = len(pairs)
-    g1, g2 = (JetGroupElement(m, r, _stack(m, r, [p[k].coeffs for p in pairs], float)) for k in range(2))
+def _action_homomorphism(H, m: int, r: int, coeffs) -> tuple:
+    """The action law H(g1 then g2) = H(g1) H(g2) on float jet pairs, pair
+    t the jets 2t and 2t + 1 of `coeffs`, all pairs at once: (g1 stacked
+    into one column jet, H(g1) as from `_action_matrix`, the largest entry
+    of each pair's gap).  The product is taken one pair at a time: a
+    matrix product rounds by layout."""
+    count = len(coeffs) // 2
+    g1, g2 = (JetGroupElement(m, r, _stack(m, r, coeffs[k::2], float)) for k in range(2))
     m1, m2, m12 = (_action_matrix(H, g, count) for g in (g1, g2, jet_compose(g1, g2)))
     return g1, m1, np.array([np.abs(c - a @ b).max() for a, b, c in zip(m1, m2, m12)])
-
-
-def residue_jet(m: int, r: int, jets) -> JetGroupElement:
-    """Rational jets stacked into one jet of residue columns, entry t for jets[t]."""
-    flat = [
-        c.numerator * pow(c.denominator, -1, P) % P
-        for g in jets
-        for row in g.coeffs
-        for c in row
-    ]
-    cols = _stack(m, r, flat, np.int64)
-    return JetGroupElement(m, r, [[Residues(c) for c in row] for row in cols])
 
 
 def residue_mismatch(a: JetGroupElement, b: JetGroupElement, count: int) -> np.ndarray:
@@ -741,17 +740,18 @@ def residue_mismatch(a: JetGroupElement, b: JetGroupElement, count: int) -> np.n
 def check_jet_group(m: int, r: int, *, rng, samples: int, tol: float) -> dict:
     """Group axioms exact mod P on rational jets; action homomorphism on floats.
 
-    The trials are drawn one by one, as (ja, jb, jc) per trial and then
-    (g1, g2) per trial, and stacked into columns: residue columns for the
-    rational jets, so each axiom runs once for all trials and yields a
-    per-trial mask, and float64 columns for the action, whose entries round
-    as the same products on single jets do.
+    The trials draw (ja, jb, jc) each, and then (g1, g2) each, as rows in
+    that order (`_rational_jets`, `_float_jets`), and the rows stack into
+    columns: residue columns for the rational jets, so each axiom runs
+    once for all trials and yields a per-trial mask, and float64 columns
+    for the action, whose entries round as the same products on single
+    jets do.
     """
     ident = identity_jet(m, r)
 
     def deviations():
-        trials = [[random_rational_jet(rng, m, r) for _ in range(3)] for _ in range(samples)]
-        ja, jb, jc = (residue_jet(m, r, [t[k] for t in trials]) for k in range(3))
+        rows = _rational_jets(rng, m, r, 3 * samples)
+        ja, jb, jc = (JetGroupElement(m, r, [[Residues(c) for c in row] for row in _stack(m, r, rows[k::3], np.int64)]) for k in range(3))
         inv = jet_invert(ja)
 
         def differs(x, y):
@@ -764,13 +764,13 @@ def check_jet_group(m: int, r: int, *, rng, samples: int, tol: float) -> dict:
             "identity": differs(jet_compose(ja, ident), ja) | differs(jet_compose(ident, ja), ja),
             "inverse": differs(jet_compose(ja, inv), ident) | differs(jet_compose(inv, ja), ident),
         }
-        # exact axioms yield only their failures, as categorical entries
-        for trial in range(samples):
-            for axiom, mask in failed.items():
-                if mask[trial]:
-                    yield {"trial": trial, "axiom": axiom}, None
-        pairs = [(random_jet(rng, m, r), random_jet(rng, m, r)) for _ in range(samples)]
-        hom_dev = _action_homomorphism(canonical_H(m, r), m, r, pairs)[2]
+        # exact axioms yield only their failures, as categorical entries,
+        # by trial and then by axiom
+        axioms = list(failed)
+        for cell in np.flatnonzero(np.column_stack(list(failed.values()))):
+            trial, k = divmod(int(cell), len(axioms))
+            yield {"trial": trial, "axiom": axioms[k]}, None
+        hom_dev = _action_homomorphism(canonical_H(m, r), m, r, _float_jets(rng, m, r, 2 * samples)[1])[2]
         for trial in range(samples):
             yield {"trial": trial, "axiom": "action-homomorphism"}, float(hom_dev[trial])
 

@@ -35,9 +35,6 @@ from weilcalc.jets import (
     jet_invert,
     jet_triple,
     make_triple,
-    random_jet,
-    random_rational_jet,
-    residue_jet,
     residue_mismatch,
 )
 from weilcalc import programs
@@ -52,6 +49,133 @@ from weilcalc.programs import (
 from weilcalc.reports import tally
 
 
+def _floats(g):
+    return np.array(g.coeffs, dtype=float)
+
+
+# -- the reference draws: one jet at a time, coefficient by coefficient ----------
+
+
+def _random_jet(rng, m, r, rejected=None):
+    """Float jet with linear part kept comfortably invertible; each linear
+    part it draws again is appended to `rejected`."""
+    while True:
+        lin = np.eye(m) + 0.4 * rng.uniform(-1.0, 1.0, size=(m, m))
+        if abs(np.linalg.det(lin)) > 0.3:
+            break
+        if rejected is not None:
+            rejected.append(lin)
+    coeffs = []
+    for i in range(m):
+        row = []
+        for alpha in monomials(m, r, 1):
+            if degree(alpha) == 1:
+                row.append(float(lin[i][alpha.index(1)]))
+            else:
+                row.append(float(rng.uniform(-0.5, 0.5)))
+        coeffs.append(row)
+    return JetGroupElement(m, r, coeffs)
+
+
+def _random_rational_jet(rng, m, r, rejected=None):
+    """Fraction-coefficient jet; group arithmetic on it stays exact.  Each
+    candidate with a singular linear part is appended to `rejected`."""
+    while True:
+        coeffs = []
+        for i in range(m):
+            row = []
+            for alpha in monomials(m, r, 1):
+                base = 2 if degree(alpha) == 1 and alpha[i] == 1 else 0
+                row.append(Fraction(base * 3 + int(rng.integers(-2, 3)), int(rng.integers(1, 4)) * 3))
+            coeffs.append(row)
+        jet = JetGroupElement(m, r, coeffs)
+        if _exact_det(jet.linear_part()) != 0:
+            return jet
+        if rejected is not None:
+            rejected.append(jet)
+
+
+def _residue(c):
+    return c.numerator * pow(c.denominator, -1, P) % P
+
+
+def _residues(jets_):
+    """Rational jets' coefficients as residues, one nested list per jet."""
+    return [[[_residue(c) for c in row] for row in g.coeffs] for g in jets_]
+
+
+def _residue_jet(m, r, jets_):
+    """Rational jets stacked into one jet of residue columns, entry t for jets_[t]."""
+    cols = np.array(_residues(jets_), dtype=np.int64)
+    return JetGroupElement(m, r, [[Residues(cols[:, i, k].copy()) for k in range(cols.shape[2])] for i in range(m)])
+
+
+def _reference_frames(rng, m, r, count, lead, rejected=None):
+    """`count` draws of `lead` numbers in [-1, 1) and then a float jet, as
+    (leads, jets)."""
+    leads, out = [], []
+    for _ in range(count):
+        leads.append(rng.uniform(-1.0, 1.0, size=lead))
+        out.append(_random_jet(rng, m, r, rejected))
+    return np.array(leads).reshape(count, lead), out
+
+
+DRAW_SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]
+
+
+@pytest.mark.parametrize("m, r", DRAW_SHAPES)
+def test_rational_rows_equal_the_per_jet_loop(m, r):
+    a, b = np.random.default_rng(31), np.random.default_rng(31)
+    want = [_random_rational_jet(a, m, r) for _ in range(300)]
+    got = jets._rational_jets(b, m, r, 300)
+    assert got.dtype == np.int64 and got.tolist() == _residues(want)
+    assert a.random() == b.random()  # the generator ends in the same place
+
+
+@pytest.mark.parametrize("lead", [0, 2])
+@pytest.mark.parametrize("m, r", DRAW_SHAPES)
+def test_float_rows_equal_the_per_jet_loop_bit_for_bit(m, r, lead):
+    a, b = np.random.default_rng(32), np.random.default_rng(32)
+    want_leads, want = _reference_frames(a, m, r, 300, lead)
+    leads, got = jets._float_jets(b, m, r, 300, lead)
+    assert leads.tobytes() == want_leads.tobytes()
+    assert got.tobytes() == np.array([_floats(g) for g in want]).tobytes()
+    assert a.random() == b.random()
+
+
+# seeds at which the reference loop draws a linear part again within 600
+# jets at (2, 2): it rejects about one float linear part in 2,700 and about
+# one rational candidate in 4,000
+@pytest.mark.parametrize("seed, lead", [(5, 0), (10, 2)], ids=["jets", "frames"])
+def test_float_rows_redraw_a_rejected_linear_part_in_place(seed, lead):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    rejected = []
+    want_leads, want = _reference_frames(a, 2, 2, 600, lead, rejected)
+    assert rejected
+    leads, got = jets._float_jets(b, 2, 2, 600, lead)
+    assert leads.tobytes() == want_leads.tobytes()
+    assert got.tobytes() == np.array([_floats(g) for g in want]).tobytes()
+    assert a.random() == b.random()
+
+
+def test_rational_rows_draw_a_rejected_candidate_again_in_place():
+    a, b = np.random.default_rng(0), np.random.default_rng(0)
+    rejected = []
+    want = [_random_rational_jet(a, 2, 2, rejected) for _ in range(600)]
+    assert rejected
+    assert jets._rational_jets(b, 2, 2, 600).tolist() == _residues(want)
+    assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("m, r", [(2, 1), (2, 2)])
+def test_the_triple_pairs_equal_the_per_pair_loop(m, r):
+    # make_triple's 200 pairs, drawn from seed 0
+    a, b = np.random.default_rng(0), np.random.default_rng(0)
+    want = [g for _ in range(200) for g in (_random_jet(a, m, r), _random_jet(a, m, r))]
+    assert jets._float_jets(b, m, r, 400)[1].tobytes() == np.array([_floats(g) for g in want]).tobytes()
+    assert a.random() == b.random()
+
+
 # -- group structure -----------------------------------------------------------
 
 
@@ -59,19 +183,19 @@ def test_compose_substitutes_and_truncates():
     a = JetGroupElement(1, 2, [[1, 1]])  # x + x^2
     b = JetGroupElement(1, 2, [[1, 1]])
     out = jet_compose(a, b)  # b(a(x)) truncated at degree 2
-    assert np.array_equal(out.as_array(), [[1.0, 2.0]])
+    assert np.array_equal(_floats(out), [[1.0, 2.0]])
 
 
 def test_invert_cancels_the_quadratic_term():
     a = JetGroupElement(1, 2, [[1, 1]])
     inv = jet_invert(a)
-    assert np.array_equal(inv.as_array(), [[1.0, -1.0]])
-    assert np.array_equal(jet_compose(a, inv).as_array(), identity_jet(1, 2).as_array())
+    assert np.array_equal(_floats(inv), [[1.0, -1.0]])
+    assert np.array_equal(_floats(jet_compose(a, inv)), _floats(identity_jet(1, 2)))
 
 
 def test_identity_is_neutral():
     rng = np.random.default_rng(14)
-    g = random_rational_jet(rng, 2, 2)
+    g = _random_rational_jet(rng, 2, 2)
     e = identity_jet(2, 2)
     assert jet_compose(g, e) == g
     assert jet_compose(e, g) == g
@@ -238,10 +362,6 @@ def test_group_axioms_check():
 # -- residue columns: the exact axioms mod P -------------------------------------
 
 
-def _residue(c):
-    return c.numerator * pow(c.denominator, -1, P) % P
-
-
 def _entry(c, t):
     """Trial t's coefficient in a residue-column jet; a plain int holds for every trial."""
     return int(c.v[t]) if isinstance(c, Residues) else c % P
@@ -251,9 +371,9 @@ def _entry(c, t):
 def test_residue_columns_match_the_fraction_path_jet_by_jet(m, r):
     count = 12
     rng = np.random.default_rng(23)
-    a = [random_rational_jet(rng, m, r) for _ in range(count)]
-    b = [random_rational_jet(rng, m, r) for _ in range(count)]
-    ca, cb = residue_jet(m, r, a), residue_jet(m, r, b)
+    a = [_random_rational_jet(rng, m, r) for _ in range(count)]
+    b = [_random_rational_jet(rng, m, r) for _ in range(count)]
+    ca, cb = _residue_jet(m, r, a), _residue_jet(m, r, b)
     for got, want in (
         (jet_compose(ca, cb), [jet_compose(x, y) for x, y in zip(a, b)]),
         (jet_invert(ca), [jet_invert(x) for x in a]),
@@ -263,7 +383,7 @@ def test_residue_columns_match_the_fraction_path_jet_by_jet(m, r):
             assert [[_entry(c, t) for c in row] for row in got.coeffs] == [
                 [_residue(c) for c in row] for row in w.coeffs
             ]
-        assert not residue_mismatch(got, residue_jet(m, r, want), count).any()
+        assert not residue_mismatch(got, _residue_jet(m, r, want), count).any()
     out = check_jet_group(m, r, rng=np.random.default_rng(5), samples=count, tol=1e-10)
     assert out["failures"] == []
 
@@ -275,11 +395,11 @@ def test_the_action_check_on_columns_matches_single_jets(m, r):
     out = check_jet_group(m, r, rng=np.random.default_rng(9), samples=count, tol=0.0)
     rng = np.random.default_rng(9)
     for _ in range(3 * count):
-        random_rational_jet(rng, m, r)
+        _random_rational_jet(rng, m, r)
     h = canonical_H(m, r)
     want = []
     for trial in range(count):
-        g1, g2 = random_jet(rng, m, r), random_jet(rng, m, r)
+        g1, g2 = _random_jet(rng, m, r), _random_jet(rng, m, r)
         dev = float(np.abs(_matrix(h, jet_compose(g1, g2)) - _matrix(h, g1) @ _matrix(h, g2)).max())
         if dev > 0:
             want.append({"trial": trial, "axiom": "action-homomorphism", "deviation": dev})
@@ -357,6 +477,16 @@ def test_group_axioms_catch_each_mutant(monkeypatch, mutate, failing):
     assert failed == failing
 
 
+def test_axiom_failures_come_by_trial_then_by_axiom(monkeypatch):
+    _sub_adds(monkeypatch)
+    out = check_jet_group(2, 2, rng=np.random.default_rng(7), samples=20, tol=1e-10)
+    axioms = ["associativity", "identity", "inverse"]
+    cells = [(f["trial"], axioms.index(f["axiom"])) for f in out["failures"] if "deviation" not in f]
+    assert len({k for _, k in cells}) > 1
+    assert cells == sorted(set(cells))
+    assert all(type(trial) is int for trial, _ in cells)
+
+
 @pytest.mark.parametrize(
     "m, r, coeffs", [(1, 0, [[]]), (0, 1, [])], ids=["r=0", "m=0"]
 )
@@ -378,8 +508,8 @@ def test_canonical_action_is_a_left_action():
     rng = np.random.default_rng(19)
     H = canonical_H(2, 2)
     for _ in range(10):
-        a = random_rational_jet(rng, 2, 2)
-        b = random_rational_jet(rng, 2, 2)
+        a = _random_rational_jet(rng, 2, 2)
+        b = _random_rational_jet(rng, 2, 2)
         lhs = _matrix(H, jet_compose(a, b))
         rhs = _matrix(H, a) @ _matrix(H, b)
         assert np.allclose(lhs, rhs, atol=1e-10)
@@ -402,7 +532,7 @@ def _triple_worst_per_pair(H, t, m, r):
     h0 = canonical_H(m, r)
     worst = 0.0
     for _ in range(200):
-        g1, g2 = random_jet(rng, m, r), random_jet(rng, m, r)
+        g1, g2 = _random_jet(rng, m, r), _random_jet(rng, m, r)
         m1 = _matrix(H, g1)
         hom_dev = np.abs(_matrix(H, jet_compose(g1, g2)) - m1 @ _matrix(H, g2)).max()
         equi_dev = np.abs(t.matrix @ _matrix(h0, g1) - m1 @ t.matrix).max()
@@ -476,15 +606,19 @@ def test_canonical_frame_is_a_shifted_identity_chart():
 @pytest.mark.parametrize("m, r", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2)])
 def test_frame_flat_layout_round_trips_bit_for_bit(m, r):
     rng = np.random.default_rng(6)
-    x, jet = rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r)
-    flat = frame_to_flat(x, jet)
+    x, jet = rng.uniform(-1.0, 1.0, size=m), _random_jet(rng, m, r)
+    flat = frame_to_flat(x, jet.coeffs)
     # coordinate-major: row i is x_i followed by the jet coefficients of component i
     rows = flat.reshape(m, len(monomials(m, r)))
     assert rows[:, 0].tobytes() == x.tobytes()
-    assert np.ascontiguousarray(rows[:, 1:]).tobytes() == jet.as_array().tobytes()
+    assert np.ascontiguousarray(rows[:, 1:]).tobytes() == _floats(jet).tobytes()
     back = JetGroupElement(m, r, rows[:, 1:].tolist())
     assert back == jet
-    assert frame_to_flat(rows[:, 0], back).tobytes() == flat.tobytes()
+    assert frame_to_flat(rows[:, 0], back.coeffs).tobytes() == flat.tobytes()
+    # a block of frames lays out each frame as on its own
+    block = frame_to_flat(np.stack([x, -x]), np.stack([_floats(jet), -_floats(jet)]))
+    assert block[0].tobytes() == flat.tobytes()
+    assert block[1].tobytes() == frame_to_flat(-x, -_floats(jet)).tobytes()
 
 
 def test_frame_prolongation_matches_the_flow_oracle():
@@ -540,7 +674,7 @@ def test_block_flow_oracle_matches_a_per_point_loop_bit_for_bit(monkeypatch, m, 
     rng = np.random.default_rng(40 + 10 * m + r)
     xi = random_poly_field(rng, m, deg=2)
     for _ in range(3):
-        flat = frame_to_flat(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
+        flat = frame_to_flat(rng.uniform(-1.0, 1.0, size=m), _random_jet(rng, m, r).coeffs)
         assert flow_frame_oracle(xi, r, flat).tobytes() == _flow_oracle_per_point(xi, r, flat).tobytes()
 
 
@@ -552,7 +686,7 @@ def test_frame_prolong_block_matches_a_per_trial_loop(m, r):
     rng = np.random.default_rng(5)
     devs = []
     for trial in range(4):
-        flat = frame_to_flat(rng.uniform(-1.0, 1.0, size=m), random_jet(rng, m, r))
+        flat = frame_to_flat(rng.uniform(-1.0, 1.0, size=m), _random_jet(rng, m, r).coeffs)
         got = np.array(evaluate(field.components, [float(v) for v in flat]))
         devs.append(({"pair": 0, "trial": trial}, float(np.abs(_flow_oracle_per_point(xi, r, flat) - got).max(initial=0.0))))
     assert out == tally(devs, 0.0)

@@ -1,9 +1,11 @@
 """The test configuration itself: a failing test must not end the session;
 every package module imports on its own, without an import cycle; every
-name the benchmark's span tracer wraps still exists; and verify-all still
-opens every span the benchmark expects of it."""
+name the benchmark's span tracer wraps still exists; verify-all still
+opens every span the benchmark expects of it; and tools/bench_snapshot.py
+reads run.py's and pytest's output into its document."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -193,3 +195,62 @@ def test_a_verify_all_run_opens_every_span_the_benchmark_expects(monkeypatch, ca
     assert sorted(expected - set(stats)) == []
     assert patches.missing == []
     assert tracing.Patches.leftovers() == []
+
+
+def _bench_snapshot():
+    spec = importlib.util.spec_from_file_location("bench_snapshot", ROOT / "tools" / "bench_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _canned_run(wall, trace):
+    """The output of one perfbench/run.py run, cut down to two metrics."""
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": 45.5, "unit": "MB"}}
+    lines = [
+        'env {"commit": "abc", "nproc": 2, "python": "3.11.7", "weilcalc_lines": 5099}',
+        "metric %-48s %.6g %s" % ("algebra.mul.calls" if trace else "wall_s", wall, "count" if trace else "s"),
+        'info {"passes": 9}',
+        json.dumps({"correct": True, "attempted": 180, "failed": 0, "metrics": metrics}),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_the_bench_snapshot_reads_canned_runs_into_one_document(tmp_path, monkeypatch):
+    # the subprocess calls are replaced by canned output: no benchmark starts
+    snap = _bench_snapshot()
+    assert snap.parse_pytest_summary("....\n559 passed in 13.35s\n") == {"passed": 559}
+    assert snap.parse_pytest_summary("F.\n=== 1 failed, 2 passed, 3 warnings in 1.00s ===\n") == {
+        "failed": 1, "passed": 2, "warnings": 3,
+    }
+    with pytest.raises(ValueError):
+        snap.parse_pytest_summary("no summary here\n")
+    one = snap.parse_run(_canned_run(0.125, False))
+    assert one["env"]["weilcalc_lines"] == 5099
+    assert one["metrics"] == {"wall_s": {"value": 0.125, "unit": "s"}}
+    assert one["result"]["metrics"]["peak_rss_mb"]["value"] == 45.5
+
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "verify-all"}]}))
+    (tmp_path / "src" / "weilcalc").mkdir(parents=True)
+    (tmp_path / "src" / "weilcalc" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "weilcalc" / "b.py").write_text("z = 3\n")
+    walls = iter([0.3, 0.1, 0.2])
+    calls = []
+
+    def fake_run(cmd, root, **env):
+        calls.append(cmd)
+        if "pytest" in cmd:
+            return "559 passed in 13.35s\n"
+        return _canned_run(next(walls) if cmd[-1] == "0" else 7.0, cmd[-1] == "1")
+
+    monkeypatch.setattr(snap, "_run", fake_run)
+    doc = snap.snapshot(tmp_path, runs=3, seconds=0.5)
+    assert len(calls) == 5 and calls[0][1:] == [
+        "perfbench/run.py", "--seed", "7", "--seconds", "0.5", "--workload", "verify-all", "--trace", "0",
+    ]
+    wl = doc["workloads"]["verify-all"]
+    assert wl["end_to_end"]["wall_s"] == {"median": 0.2, "unit": "s", "values": [0.3, 0.1, 0.2]}
+    assert wl["trace"] == {"algebra.mul.calls": {"value": 7.0, "unit": "count"}}
+    assert wl["correct"] is True
+    assert doc["env"]["commit"] == "abc" and doc["runs"] == 3
+    assert doc["tier1"]["tests"] == 559 and doc["src_lines"] == 3
