@@ -231,20 +231,19 @@ def test_the_bench_snapshot_reads_canned_runs_into_one_document(tmp_path, monkey
     assert one["result"]["metrics"]["peak_rss_mb"]["value"] == 45.5
 
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "verify-all"}]}))
-    (tmp_path / "src" / "weilcalc").mkdir(parents=True)
-    (tmp_path / "src" / "weilcalc" / "a.py").write_text("x = 1\ny = 2\n")
-    (tmp_path / "src" / "weilcalc" / "b.py").write_text("z = 3\n")
     walls = iter([0.3, 0.1, 0.2])
     calls = []
 
     def fake_run(cmd, root, **env):
         calls.append(cmd)
         if "pytest" in cmd:
-            return "559 passed in 13.35s\n"
+            return "..F\n1 failed, 558 passed, 2 skipped, 4 warnings, 3 deselected in 13.35s\n"
         return _canned_run(next(walls) if cmd[-1] == "0" else 7.0, cmd[-1] == "1")
 
     monkeypatch.setattr(snap, "_run", fake_run)
-    doc = snap.snapshot(tmp_path, runs=3, seconds=0.5)
+    monkeypatch.setattr(snap, "RUNS", 3)
+    monkeypatch.setattr(snap, "SECONDS", 0.5)
+    doc = snap.snapshot(tmp_path)
     assert len(calls) == 5 and calls[0][1:] == [
         "perfbench/run.py", "--seed", "7", "--seconds", "0.5", "--workload", "verify-all", "--trace", "0",
     ]
@@ -252,5 +251,7 @@ def test_the_bench_snapshot_reads_canned_runs_into_one_document(tmp_path, monkey
     assert wl["end_to_end"]["wall_s"] == {"median": 0.2, "unit": "s", "values": [0.3, 0.1, 0.2]}
     assert wl["trace"] == {"algebra.mul.calls": {"value": 7.0, "unit": "count"}}
     assert wl["correct"] is True
-    assert doc["env"]["commit"] == "abc" and doc["runs"] == 3
-    assert doc["tier1"]["tests"] == 559 and doc["src_lines"] == 3
+    assert doc["env"]["commit"] == "abc" and doc["env"]["weilcalc_lines"] == 5099
+    assert doc["runs"] == 3 and doc["seconds"] == 0.5
+    # warnings and deselected tests are counted in outcomes, not in tests
+    assert doc["tier1"]["tests"] == 561 and doc["tier1"]["outcomes"]["warnings"] == 4

@@ -1,18 +1,19 @@
 """Snapshot of a checkout's benchmark numbers, written to one JSON file.
 
     python3 tools/bench_snapshot.py --out BENCH_31.json
-    python3 tools/bench_snapshot.py --root ../parent --out BENCH_30.json --runs 5 --seconds 5
+    python3 tools/bench_snapshot.py --root ../parent --out BENCH_30.json
 
 For each workload that BENCHMARK.json of the checkout at --root declares,
 the script runs that checkout's `perfbench/run.py` as a subprocess, one run
-at a time: --runs runs with `--trace 0`, of which it keeps the median of
-each end-to-end metric (and every run's value), and one run with
+at a time: RUNS runs of SECONDS s with `--trace 0`, of which it keeps the
+median of each end-to-end metric (and every run's value), and one run with
 `--trace 1`, of which it keeps the `metric` lines.  It also keeps the `env`
-line of the first run, the wall time and test count of the tier-1 run
-(`python -m pytest -q --continue-on-collection-errors` with src on the
-path), and `cat src/weilcalc/*.py | wc -l`.  Before and after numbers of a
-change come from two snapshots taken on the same machine, one after the
-other.
+line of the first run, whose `weilcalc_lines` is `cat src/weilcalc/*.py |
+wc -l`, and the wall time and test count of the tier-1 run (`python -m
+pytest -q --continue-on-collection-errors` with src on the path).  RUNS
+and SECONDS are fixed so that every BENCH file is measured the same way.
+Before and after numbers of a change come from two snapshots taken on the
+same machine, one after the other.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
+RUNS = 5
+SECONDS = 5.0
+# the outcomes pytest counts tests under; "warnings" and "deselected" are not tests
+OUTCOMES = ("passed", "failed", "skipped", "xfailed", "xpassed", "error", "errors")
 # the last line of pytest -q: "559 passed, 2 skipped in 13.35s"
 SUMMARY = re.compile(r"^=*\s*((?:\d+ \w+(?:, )?)+) in [\d.]+s")
 
@@ -66,11 +71,6 @@ def end_to_end_summary(results: list) -> dict:
     return out
 
 
-def line_count(root: Path) -> int:
-    """`cat src/weilcalc/*.py | wc -l`: newlines in the package's modules."""
-    return sum(p.read_bytes().count(b"\n") for p in sorted((root / "src" / "weilcalc").glob("*.py")))
-
-
 def _run(cmd, root: Path, **env) -> str:
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env={**os.environ, **env})
     if proc.returncode not in (0, 1):
@@ -78,12 +78,12 @@ def _run(cmd, root: Path, **env) -> str:
     return proc.stdout
 
 
-def snapshot(root: Path, runs: int, seconds: float) -> dict:
+def snapshot(root: Path) -> dict:
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    bench = [sys.executable, "perfbench/run.py", "--seed", str(SEED), "--seconds", str(seconds)]
+    bench = [sys.executable, "perfbench/run.py", "--seed", str(SEED), "--seconds", str(SECONDS)]
     env, workloads = None, {}
     for workload in (w["name"] for w in spec["workloads"]):
-        plain = [parse_run(_run(bench + ["--workload", workload, "--trace", "0"], root)) for _ in range(runs)]
+        plain = [parse_run(_run(bench + ["--workload", workload, "--trace", "0"], root)) for _ in range(RUNS)]
         traced = parse_run(_run(bench + ["--workload", workload, "--trace", "1"], root))
         env = env or plain[0]["env"]
         workloads[workload] = {
@@ -101,12 +101,11 @@ def snapshot(root: Path, runs: int, seconds: float) -> dict:
     outcomes = parse_pytest_summary(tests)
     return {
         "seed": SEED,
-        "runs": runs,
-        "seconds": seconds,
+        "runs": RUNS,
+        "seconds": SECONDS,
         "env": env,
         "workloads": workloads,
-        "tier1": {"wall_s": round(wall, 3), "tests": sum(outcomes.values()), "outcomes": outcomes},
-        "src_lines": line_count(root),
+        "tier1": {"wall_s": round(wall, 3), "tests": sum(outcomes.get(k, 0) for k in OUTCOMES), "outcomes": outcomes},
     }
 
 
@@ -114,10 +113,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="the JSON file to write, e.g. BENCH_31.json")
     parser.add_argument("--root", default=str(ROOT), help="the checkout to measure (default: this one)")
-    parser.add_argument("--runs", type=int, default=5, help="--trace 0 runs per workload (default 5)")
-    parser.add_argument("--seconds", type=float, default=5.0, help="--seconds of each run (default 5)")
     args = parser.parse_args(argv)
-    out = snapshot(Path(args.root).resolve(), args.runs, args.seconds)
+    out = snapshot(Path(args.root).resolve())
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
