@@ -24,6 +24,7 @@ import math
 import os
 import re
 import sys
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -524,11 +525,26 @@ def _unit_table(cfg: SuiteConfig) -> list:
     ]
 
 
-def run_suites(cfg: SuiteConfig) -> dict:
+def run_suites(cfg: SuiteConfig, profile: list | None = None) -> dict:
     """Run the units of the configured suites, in the order the suites are
-    given, and assemble the report document."""
+    given, and assemble the report document.
+
+    Given a list `profile`, each unit's run also appends its suite, label,
+    samples and wall time in seconds to it, in report order; the report
+    holds no time.
+    """
     table = _unit_table(cfg)
-    entries = [run_unit(cfg, u) for suite in cfg.suites for u in table if u.suite == suite]
+    entries = []
+    for unit in (u for suite in cfg.suites for u in table if u.suite == suite):
+        start = time.perf_counter()
+        entries.append(run_unit(cfg, unit))
+        if profile is not None:
+            profile.append({
+                "suite": unit.suite,
+                "label": unit.label,
+                "samples": entries[-1]["samples"],
+                "wall_s": time.perf_counter() - start,
+            })
     return assemble_document(entries, cfg.seed)
 
 
@@ -559,7 +575,8 @@ def cmd_verify(args) -> int:
         algebras=algebras,
         fields=fields,
     )
-    doc = run_suites(cfg)
+    profile = None if args.profile is None else []
+    doc = run_suites(cfg, profile)
     for entry in doc["suites"]:
         line = "%-4s %-24s %-28s max|err| %9.3e  n=%d" % (
             entry["status"], entry["suite"], entry["algebra"], entry["max_error"], entry["samples"]
@@ -575,6 +592,12 @@ def cmd_verify(args) -> int:
                 fh.write(document_dumps(doc))
         except OSError as err:
             raise CliError(EXIT_USAGE, "cannot write report: %s" % err)
+    if profile is not None:
+        try:
+            with open(args.profile, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(profile, indent=1) + "\n")
+        except OSError as err:
+            raise CliError(EXIT_USAGE, "cannot write profile: %s" % err)
     return EXIT_PASS if doc["status"] == "pass" else EXIT_FAIL
 
 
@@ -747,6 +770,7 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol", type=float, default=None, help="acceptance threshold; relaxes sampled units certified tighter than this, never tightens below a unit's own oracle resolution; sigma, projection-squares and categorical failures (jet-group axioms, exchange-square membership and slots) ignore it")
     p_verify.add_argument("--samples", type=int, default=None, help="override per-unit sample counts")
     p_verify.add_argument("--report", metavar="PATH", default=None, help="write the JSON report here")
+    p_verify.add_argument("--profile", metavar="PATH", default=None, help="write each unit's wall time here, as JSON")
     p_verify.add_argument("--algebra", metavar="FILE|EXPR", default=None, help="restrict algebra-parameterized suites to this algebra")
     p_verify.add_argument("--field", metavar="FILE", action="append", help="field file, given twice: a manifold pair adds the bracket unit 'custom pair' next to 'dims 1-3'; a functional pair replaces the random pair of prolong-functional and prolong-functional-jet")
     p_verify.set_defaults(func=cmd_verify)

@@ -181,61 +181,65 @@ def _coerce(v):
     return NotImplemented
 
 
-def _is_const(e, value=None):
-    return isinstance(e, Const) and (value is None or e.c == value)
+# The smart constructors fold constants.  Each tests an operand's type
+# once, and a fold with one constant operand depends only on that constant.
 
 
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.c + b.c)
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.c + b.c)
+        if a.c == 0.0:
+            return b
+    elif type(b) is Const and b.c == 0.0:
         return a
     return Add(a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.c - b.c)
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
+    if type(b) is Const:
+        if type(a) is Const:
+            return Const(a.c - b.c)
+        if b.c == 0.0:
+            return a
+    elif type(a) is Const and a.c == 0.0:
         return neg(b)
     return Sub(a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a) and _is_const(b):
-        return Const(a.c * b.c)
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if type(a) is Const:
+        if type(b) is Const:
+            return Const(a.c * b.c)
+        c, other = a.c, b
+    elif type(b) is Const:
+        c, other = b.c, a
+    else:
+        return Mul(a, b)
+    if c == 0.0:
         return Const(0.0)
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, -1.0):
-        return neg(b)
-    if _is_const(b, -1.0):
-        return neg(a)
+    if c == 1.0:
+        return other
+    if c == -1.0:
+        return neg(other)
     return Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b) and b.c != 0.0:
-        if _is_const(a):
+    if type(b) is Const and b.c != 0.0:
+        if type(a) is Const:
             return Const(a.c / b.c)
         if b.c == 1.0:
             return a
-    if _is_const(a, 0.0):
+    if type(a) is Const and a.c == 0.0:
         return Const(0.0)
     return Div(a, b)
 
 
 def neg(x: Expr) -> Expr:
-    if _is_const(x):
+    if type(x) is Const:
         return Const(-x.c)
-    if isinstance(x, Neg):
+    if type(x) is Neg:
         return x.x
     return Neg(x)
 
@@ -245,7 +249,7 @@ def intpow(x: Expr, k: int) -> Expr:
         return Const(1.0)
     if k == 1:
         return x
-    if _is_const(x):
+    if type(x) is Const:
         if x.c == 0.0 and k < 0:
             raise DivisionByNilpotent("0 raised to negative power")
         try:
@@ -463,7 +467,7 @@ def simplify(root: Expr) -> Expr:
         if k >= 0:
             return None
         base = best_of(x)
-        if _is_const(base, 0.0):
+        if isinstance(base, Const) and base.c == 0.0:
             raise DivisionByNilpotent("0 raised to negative power")
         return atom_terms(base, k)
 
@@ -492,7 +496,7 @@ def simplify(root: Expr) -> Expr:
                 out = sub(out, term.x)
             elif isinstance(term, Const) and term.c < 0:
                 out = sub(out, Const(-term.c))
-            elif isinstance(term, Mul) and _is_const(term.a) and term.a.c < 0:
+            elif isinstance(term, Mul) and isinstance(term.a, Const) and term.a.c < 0:
                 out = sub(out, mul(Const(-term.a.c), term.b))
             else:
                 out = add(out, term)

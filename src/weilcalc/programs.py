@@ -11,15 +11,17 @@ capture-free substitution (which is all `compose` is).
 The runner also takes columns: float64 1-D arrays of one length B, entry p
 belonging to point p, so one sweep of the tape evaluates B points (vector
 forward mode).  numpy's + - * / and negation round as Python floats do, so
-those ops run on whole columns; an integer power and a primitive apply
-Python's float `**` and the float primitives of `scalars` to each entry,
-because numpy's power and exp differ from them in the last ulp.  Zero
-checks are made entry by entry, and an output that does not depend on the
-inputs stays a plain number.  `run_columns` holds the one rule for errors
-on a block of points: a column run goes under numpy's raising error state,
-and a block with a non-finite input, or whose column run raises, is re-run
-point by point on the scalar path, so the first failing point raises what
-it raises on its own.  Single points keep the scalar path, the reference.
+those ops run on whole columns, and so does an integer power, through
+np.float_power, which calls the libm pow that a float's `**` calls.  Of
+numpy's math, float_power, sin, cos and sqrt match Python's float math bit
+for bit; power, exp and log do not, in the last ulp.  A primitive applies
+the float primitives of `scalars` to each entry.  Zero checks are made
+entry by entry, and an output that does not depend on the inputs stays a
+plain number.  `run_columns` holds the one rule for errors on a block of
+points: a column run goes under numpy's raising error state, and a block
+with a non-finite input, or whose column run raises, is re-run point by
+point on the scalar path, so the first failing point raises what it
+raises on its own.  Single points keep the scalar path, the reference.
 
 `run_points` is the one place that tells a point from a (B, n) block.
 An entry point that takes either writes one body over run_points'
@@ -49,7 +51,9 @@ sides at sampled points; the check writes only its draws and its gaps.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from array import array
 from contextvars import ContextVar
 
@@ -251,11 +255,23 @@ def evaluate_dual(prog: Program, re_args, eps_args):
 
 
 def _column_pow(x: np.ndarray, k: int) -> np.ndarray:
-    """x ** k entry by entry with Python's float power, which np.power
-    does not match in the last ulp."""
+    """x ** k on a whole column, equal bit for bit to Python's float power
+    of each entry: np.float_power calls the libm pow that float's ** calls,
+    where np.power does not match it in the last ulp.
+
+    In a column run an overflow raises numpy's FloatingPointError and the
+    block falls back to its points.  Elsewhere numpy would only warn, so an
+    overflow raises the OverflowError that a float's ** raises.
+    """
     if k < 0 and not x.all():
         raise DivisionByNilpotent("zero real part raised to a negative power")
-    return np.array([t ** k for t in x.tolist()])
+    if _IN_COLUMN_RUN.get():
+        return np.float_power(x, float(k))
+    with np.errstate(over="raise"):
+        try:
+            return np.float_power(x, float(k))
+        except FloatingPointError:
+            raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE)) from None
 
 
 def stack_columns(values, count) -> np.ndarray:

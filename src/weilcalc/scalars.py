@@ -90,6 +90,7 @@ def apply_primitive(name: str, x, shift: int = 0):
     if isinstance(x, exprs.Expr):
         return _symbolic(name, shift, x)
     if type(x) is np.ndarray:
-        # entry by entry: numpy's exp and friends differ from math's in the last ulp
+        # entry by entry: numpy's exp and log differ from math's in the last ulp;
+        # its sin, cos and sqrt match, but carry too few entries to pay a second path
         return np.array([_numeric(name, shift, t) for t in x.tolist()])
     return _numeric(name, shift, float(x))

@@ -182,6 +182,25 @@ def test_verify_refuses_an_empty_report_path(capsys):
     assert "cannot write report" in capsys.readouterr().err
 
 
+def test_verify_profile_times_every_unit_in_report_order_outside_the_report(tmp_path, capsys):
+    plain, profiled, profile = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "p.json"
+    argv = ["verify", "--suite", "all", "--seed", "7", "--samples", "2", "--report"]
+    assert cli.main(argv + [str(plain)]) == 0
+    console = capsys.readouterr().out
+    assert cli.main(argv + [str(profiled), "--profile", str(profile)]) == 0
+    assert capsys.readouterr().out == console
+    doc = json.loads(profiled.read_text())
+    assert documents_equal(doc, json.loads(plain.read_text()))
+    units = json.loads(profile.read_text())
+    assert len(units) == len(doc["suites"]) == 42
+    assert [(u["suite"], u["label"], u["samples"]) for u in units] == [
+        (e["suite"], e["algebra"], e["samples"]) for e in doc["suites"]
+    ]
+    assert all(sorted(u) == ["label", "samples", "suite", "wall_s"] and u["wall_s"] > 0 for u in units)
+    assert cli.main(["verify", "--suite", "sigma", "--profile", ""]) == 2
+    assert "cannot write profile" in capsys.readouterr().err
+
+
 def test_verify_algebra_override(capsys, tmp_path):
     rc = cli.main(["verify", "--suite", "exchange-square", "--algebra", "dual", "--samples", "5"])
     out = capsys.readouterr().out

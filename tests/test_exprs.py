@@ -40,6 +40,7 @@ from weilcalc.programs import (
     compose,
     evaluate,
     evaluate_dual,
+    evaluate_points,
     field_from_json,
     field_to_json,
     jacobian_oracle,
@@ -80,6 +81,68 @@ def test_constant_folding():
         base = 1e300 if k > 0 else 1e-300
         assert isinstance(intpow(Const(base), k), IntPow)
         assert format_expr(simplify(IntPow(Const(base), k))) == "%r^%d" % (base, k)
+
+
+# operands of every fold rule: constants that do and do not fold, and trees
+_FOLD_OPERANDS = [Const(v) for v in (0.0, -0.0, 1.0, -1.0, 2.5, math.nan)] + [Var(0), Neg(Var(1))]
+
+
+def _reference_fold(build, a, b=None):
+    """The folds as first written: one isinstance test per rule, in order."""
+
+    def const(e, value=None):
+        return isinstance(e, Const) and (value is None or e.c == value)
+
+    if build is add:
+        if const(a) and const(b):
+            return Const(a.c + b.c)
+        return b if const(a, 0.0) else a if const(b, 0.0) else Add(a, b)
+    if build is sub:
+        if const(a) and const(b):
+            return Const(a.c - b.c)
+        return a if const(b, 0.0) else neg(b) if const(a, 0.0) else Sub(a, b)
+    if build is mul:
+        if const(a) and const(b):
+            return Const(a.c * b.c)
+        if const(a, 0.0) or const(b, 0.0):
+            return Const(0.0)
+        for c, other, x in ((a, b, 1.0), (b, a, 1.0), (a, b, -1.0), (b, a, -1.0)):
+            if const(c, x):
+                return other if x == 1.0 else neg(other)
+        return Mul(a, b)
+    if build is div:
+        if const(b) and b.c != 0.0:
+            if const(a):
+                return Const(a.c / b.c)
+            if b.c == 1.0:
+                return a
+        return Const(0.0) if const(a, 0.0) else Div(a, b)
+    if const(a):
+        return Const(-a.c)
+    return a.x if isinstance(a, Neg) else Neg(a)
+
+
+def _fold_key(e):
+    """A tree's shape, with an operand named by its place in _FOLD_OPERANDS
+    and a constant by its bits, so -0.0 and 0.0 differ."""
+    for i, operand in enumerate(_FOLD_OPERANDS):
+        if e is operand:
+            return ("operand", i)
+    if isinstance(e, Const):
+        return ("const", struct.pack("<d", e.c))
+    return (type(e).__name__,) + tuple(_fold_key(c) for c in e.children)
+
+
+@pytest.mark.parametrize("build", [add, sub, mul, div, neg], ids=lambda f: f.__name__)
+def test_smart_constructors_fold_as_the_reference_rules(build):
+    # the same tree, the same operand objects passed through, the same
+    # signed zeros, and the same nodes built
+    pairs = [(a, None) for a in _FOLD_OPERANDS] if build is neg else [
+        (a, b) for a in _FOLD_OPERANDS for b in _FOLD_OPERANDS
+    ]
+    for a, b in pairs:
+        args = (a,) if b is None else (a, b)
+        assert _fold_key(build(*args)) == _fold_key(_reference_fold(build, a, b)), args
 
 
 def test_operator_sugar_wraps_numbers():
@@ -660,6 +723,66 @@ def test_a_zero_base_under_a_negative_power_fails_alike_in_both_runners():
     for run in runs:
         with pytest.raises(DivisionByNilpotent, match="^zero real part raised to a negative power$"):
             run()
+
+
+# A column power is np.float_power, which calls the libm pow that a
+# float's ** calls; these tests fail on a numpy build where it does not.
+_pow_bases = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_pow_exponents = st.one_of(st.integers(-40, 40), st.sampled_from([-1000, 1000]))
+
+
+def _power(k):
+    return Program(1, [IntPow(Var(0), k)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pow_bases, min_size=1, max_size=8), _pow_exponents)
+@example([0.5, 2.0, 5e-324, -0.0, 1e300], 3)
+@example([1.0 + 2.0**-52, -7.0, 1e-300], -40)
+def test_a_column_power_equals_each_point_power_byte_for_byte(xs, k):
+    prog = _power(k)
+    block = np.array(xs).reshape(-1, 1)
+    want = _outcome(lambda: [evaluate(prog, [x]) for x in xs])
+    got = _outcome(lambda: evaluate_points(prog, block))
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-2, 2), min_size=1, max_size=6), st.integers(0, 6), st.sampled_from([2, 40, -40, 1000, -1000]))
+def test_a_block_with_one_overflowing_power_fails_as_that_point(xs, at, k):
+    # the column run overflows and falls back; the point raises alone
+    big = 1e200 if k > 0 else 1e-200
+    xs = [x if x != 0.0 or k > 0 else 1.0 for x in xs]
+    xs.insert(min(at, len(xs)), big)
+    prog = _power(k)
+    with pytest.raises(DomainError) as alone:
+        evaluate(prog, [big])
+    with pytest.raises(DomainError) as block:
+        evaluate_points(prog, np.array(xs).reshape(-1, 1))
+    assert str(block.value) == str(alone.value) == "float overflow: Numerical result out of range"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=8), _pow_exponents)
+@example([3.0, 1e200], 2)
+@example([math.inf, -math.inf, math.nan, 2.0], 3)
+def test_a_direct_column_power_keeps_the_float_overflow_error(xs, k):
+    # outside run_columns numpy's error state only warns, which the test
+    # configuration turns into an error; the column must raise as a point
+    # does, or give each point's numbers where every point succeeds (a NaN
+    # base may lose its sign bit, which a column run never meets: it falls
+    # back on a non-finite input and raises on an invalid operation)
+    prog = _power(k)
+    want = [_outcome(lambda x=x: evaluate(prog, [x])) for x in xs]
+    got = _outcome(lambda: evaluate(prog, [np.array(xs)]))
+    errors = [(type(w), str(w)) for w in want if isinstance(w, Exception)]
+    if errors:
+        assert (type(got), str(got)) in errors
+    else:
+        assert _same_numbers(got[0].tolist(), [w[0] for w in want])
 
 
 @pytest.mark.parametrize("name", ["exp", "sin", "cos", "log", "sqrt", "recip"])

@@ -240,7 +240,7 @@ def _commands(tmp: Path) -> list:
     few = ["--seed", "7", "--samples", "1"]
     return [
         ["verify", "--suite", "all", *few, "--report", str(tmp / "report.json")],
-        ["verify", "--suite", "bracket", *few, "--tol", "1e-3", *m_pair],
+        ["verify", "--suite", "bracket", *few, "--tol", "1e-3", *m_pair, "--profile", str(tmp / "profile.json")],
         ["verify", "--suite", "prolong-functional,prolong-functional-jet", *few, *f_pair],
         ["bracket", *m_pair, "--at", "0.3,-0.4"],
         ["bracket", *f_pair],

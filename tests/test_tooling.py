@@ -2,10 +2,12 @@
 every package module imports on its own, without an import cycle; every
 name the benchmark's span tracer wraps still exists; verify-all still
 opens every span the benchmark expects of it; and tools/bench_snapshot.py
-reads run.py's and pytest's output into its document."""
+reads run.py's and pytest's output into its document and compares
+two such documents."""
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -255,3 +257,43 @@ def test_the_bench_snapshot_reads_canned_runs_into_one_document(tmp_path, monkey
     assert doc["runs"] == 3 and doc["seconds"] == 0.5
     # warnings and deselected tests are counted in outcomes, not in tests
     assert doc["tier1"]["tests"] == 561 and doc["tier1"]["outcomes"]["warnings"] == 4
+
+
+def _canned_snapshot(medians):
+    """A snapshot document cut down to end-to-end medians, {workload: {metric: median}}."""
+    units = {"wall_s": "s", "items_per_s": "1/s", "peak_rss_mb": "MB"}
+    return {"workloads": {
+        w: {"end_to_end": {m: {"median": v, "unit": units[m], "values": [v]} for m, v in ms.items()}}
+        for w, ms in medians.items()
+    }}
+
+
+def test_the_bench_snapshot_diff_prints_both_medians_and_the_change(capsys, tmp_path):
+    snap = _bench_snapshot()
+    old = _canned_snapshot({
+        "verify-all": {"wall_s": 0.1, "items_per_s": 50000.0, "peak_rss_mb": 0.0},
+        "render": {"wall_s": 0.04},
+    })
+    # a metric or workload that only one side holds gets no row
+    new = _canned_snapshot({
+        "verify-all": {"wall_s": 0.085, "items_per_s": 60000.0, "peak_rss_mb": 48.0},
+        "taylor-lift": {"wall_s": 0.07},
+    })
+    rows = snap.diff_rows(old, new)
+    assert [r[:5] for r in rows] == [
+        ("verify-all", "wall_s", "s", 0.1, 0.085),
+        ("verify-all", "items_per_s", "1/s", 50000.0, 60000.0),
+        ("verify-all", "peak_rss_mb", "MB", 0.0, 48.0),
+    ]
+    assert rows[0][5] == pytest.approx(-0.15) and rows[1][5] == pytest.approx(0.2) and math.isnan(rows[2][5])
+    paths = []
+    for name, doc in (("old.json", old), ("new.json", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    assert snap.main(["--diff"] + [str(p) for p in paths]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["workload", "metric", "old", "new", "change"]
+    assert out[1].split() == ["verify-all", "wall_s", "0.1", "0.085", "-15.0%", "s"]
+    assert out[2].split() == ["verify-all", "items_per_s", "50000", "60000", "+20.0%", "1/s"]
+    assert out[3].split() == ["verify-all", "peak_rss_mb", "0", "48", "+nan%", "MB"]
+    assert len(out) == 4

@@ -2,6 +2,7 @@
 
     python3 tools/bench_snapshot.py --out BENCH_31.json
     python3 tools/bench_snapshot.py --root ../parent --out BENCH_30.json
+    python3 tools/bench_snapshot.py --diff BENCH_30.json BENCH_31.json
 
 For each workload that BENCHMARK.json of the checkout at --root declares,
 the script runs that checkout's `perfbench/run.py` as a subprocess, one run
@@ -13,7 +14,9 @@ wc -l`, and the wall time and test count of the tier-1 run (`python -m
 pytest -q --continue-on-collection-errors` with src on the path).  RUNS
 and SECONDS are fixed so that every BENCH file is measured the same way.
 Before and after numbers of a change come from two snapshots taken on the
-same machine, one after the other.
+same machine, one after the other; `--diff OLD NEW` prints, for each
+workload and end-to-end metric both hold, the two medians and the
+relative change.
 """
 
 from __future__ import annotations
@@ -109,11 +112,38 @@ def snapshot(root: Path) -> dict:
     }
 
 
+def diff_rows(old: dict, new: dict) -> list:
+    """(workload, metric, unit, old median, new median, relative change) for
+    each end-to-end metric of each workload that both snapshots hold, in
+    the old snapshot's order; the change is NaN where the old median is 0."""
+    rows = []
+    for workload, before in old["workloads"].items():
+        after = new["workloads"].get(workload, {}).get("end_to_end", {})
+        for name, metric in before["end_to_end"].items():
+            if name in after:
+                a, b = metric["median"], after[name]["median"]
+                rows.append((workload, name, metric["unit"], a, b, (b - a) / a if a else float("nan")))
+    return rows
+
+
+def format_diff(rows) -> str:
+    lines = ["%-12s %-12s %12s %12s %8s" % ("workload", "metric", "old", "new", "change")]
+    for workload, name, unit, a, b, change in rows:
+        lines.append("%-12s %-12s %12.6g %12.6g %+7.1f%%  %s" % (workload, name, a, b, 100 * change, unit))
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="the JSON file to write, e.g. BENCH_31.json")
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--out", help="the JSON file to write, e.g. BENCH_31.json")
+    action.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), help="compare two snapshot files")
     parser.add_argument("--root", default=str(ROOT), help="the checkout to measure (default: this one)")
     args = parser.parse_args(argv)
+    if args.diff:
+        old, new = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff)
+        print(format_diff(diff_rows(old, new)))
+        return 0
     out = snapshot(Path(args.root).resolve())
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
