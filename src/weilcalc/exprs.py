@@ -1,8 +1,9 @@
 """Expression trees for smooth programs.
 
-Nodes are immutable and shared freely; identity (not structural equality)
-is what a compiled program tape shares slots on, so building trees through
-the smart constructors below keeps common subterms computed once.
+Nodes are immutable and shared freely.  A compiled program tape gives
+one slot to each distinct value, not to each node object, so equal
+subterms are computed once whether they are shared or built twice;
+sharing still keeps a tree's walks short.
 
 The smart constructors fold constants and drop additive/multiplicative
 units so that machine-generated trees (functor lifts, dual-number

@@ -2,8 +2,9 @@
 
 A Program is a tuple of expression trees over variables x0..x{n-1}.  Each
 Program compiles its trees once, when it is built, into a Tape: straight-line
-code in which every node reachable from the roots has exactly one slot, so
-shared subterms are computed once.  Running the tape is carrier-polymorphic:
+code with one slot per distinct value (local value numbering), so equal
+subterms are computed once, whether they are one shared node or separate
+equal nodes.  Running the tape is carrier-polymorphic:
 feed `evaluate` floats and it computes numbers, feed it algebra elements and
 it computes functor lifts, feed it expression trees and it performs
 capture-free substitution (which is all `compose` is).
@@ -54,6 +55,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import struct
 from array import array
 from contextvars import ContextVar
 
@@ -70,6 +72,13 @@ _ndarray = np.ndarray  # the type of a column carrier, bound once for cheap type
 
 JACOBIAN_STEP = 1e-5
 
+# Running totals since import: tapes compiled, ops they compiled, and ops
+# run, one increment per Tape build or run.  `verify --profile` records
+# each unit's share.
+COUNTS = {"tape_compiles": 0, "ops_compiled": 0, "ops_run": 0}
+
+_bits = struct.Struct("<d").pack  # a float's exact bits: -0.0 and each NaN stay apart
+
 
 class Tape:
     """Expression trees compiled to straight-line code, children first.
@@ -83,13 +92,21 @@ class Tape:
     exponents, and `b` of a one-operand op repeats `a`.  `outputs` is the
     slot of each root.
 
-    Every node reachable from the roots gets exactly one slot, so shared
-    subterms are computed once.  Ops run in the order of `exprs.postorder`
-    over the roots, the one children-first walk, right operand first;
-    verification reports depend on that order through which error a
-    sample raises first.  The operand arrays hold only slot and pool
-    numbers, bounded by the node count; variable indices and exponents
-    read from a program document stay Python integers.
+    Each distinct value gets one slot: a variable by its index, a constant
+    by its bits (so -0.0 and 0.0 stay apart), and a computed node by its op
+    and its operands' slots, or its base's slot and exponent for a power.
+    A node whose value has a slot already takes that slot and emits no op,
+    so equal subterms are computed once, shared or not.  Equal ops on equal
+    inputs round alike on every carrier, so this changes no number.
+    Operands are not reordered: an algebra product sums its terms in
+    operand order, so a*b and b*a may differ in the last ulp.
+
+    Ops run in the order of the first node of each value in
+    `exprs.postorder` over the roots, the one children-first walk, right
+    operand first; verification reports depend on that order through
+    which error a sample raises first.  The operand arrays hold only slot
+    and pool numbers, bounded by the node count; variable indices and
+    exponents read from a program document stay Python integers.
     """
 
     __slots__ = ("leaves", "inputs", "ops", "a", "b", "pool", "outputs")
@@ -97,10 +114,12 @@ class Tape:
     def __init__(self, body, arity_in: int):
         if not all(isinstance(root, Expr) for root in body):
             raise ShapeMismatch("program body must consist of expressions")
-        # keyed by the nodes; a computed node's slot is written as ~n for
-        # op n and moved past the leaves once their count is known
+        # slot of each node; a computed node's slot is written as ~n for op
+        # n and moved past the leaves once their count is known
         slot: dict = {}
-        var_slot: dict[int, int] = {}
+        # slot of each value: a variable's index, a constant's bits, or a
+        # computed node's (op, slot of a, slot of b or exponent)
+        numbered: dict = {}
         leaves: list = []
         inputs: list = []
         ops: list = []
@@ -110,30 +129,40 @@ class Tape:
         for node in exprs.postorder(*body):
             cls = type(node)
             if cls is Const:
-                slot[node] = len(leaves)
-                leaves.append(node.c)
+                key = _bits(node.c)
+                s = numbered.get(key)
+                if s is None:
+                    s = numbered[key] = len(leaves)
+                    leaves.append(node.c)
             elif cls is Var:
-                i = node.i
-                if i >= arity_in:
+                key = node.i
+                if key >= arity_in:
                     # the first root past the arity is the one the walk is in
                     used = next(h for h in map(exprs.max_var, body) if h >= arity_in)
                     raise ArityMismatch("expression uses x%d but program has arity %d" % (used, arity_in))
-                s = var_slot.get(i)
+                s = numbered.get(key)
                 if s is None:
-                    s = var_slot[i] = len(leaves)
-                    inputs.append((s, i))
+                    s = numbered[key] = len(leaves)
+                    inputs.append((s, key))
                     leaves.append(None)
-                slot[node] = s
             else:
                 kids = node.children
-                slot[node] = ~len(ops)
-                ops.append(node.op)
-                a.append(slot[kids[0]])
-                if cls is IntPow:
-                    b.append(len(pool))
-                    pool.append(node.k)
-                else:
-                    b.append(slot[kids[-1]])
+                x = slot[kids[0]]
+                y = node.k if cls is IntPow else slot[kids[-1]]
+                key = (node.op, x, y)
+                s = numbered.get(key)
+                if s is None:
+                    s = numbered[key] = ~len(ops)
+                    ops.append(node.op)
+                    a.append(x)
+                    if cls is IntPow:
+                        b.append(len(pool))
+                        pool.append(y)
+                    else:
+                        b.append(y)
+            slot[node] = s
+        COUNTS["tape_compiles"] += 1
+        COUNTS["ops_compiled"] += len(ops)
         n = len(leaves)
         self.leaves = leaves
         self.inputs = inputs
@@ -190,6 +219,7 @@ class VectorField:
 def _run(tape: Tape, args) -> list:
     """Run a tape over any carrier; args[i] is the value of x_i."""
     pool = tape.pool
+    COUNTS["ops_run"] += len(tape.ops)
     v = list(tape.leaves)
     for s, i in tape.inputs:
         v[s] = args[i]
@@ -261,7 +291,10 @@ def _column_pow(x: np.ndarray, k: int) -> np.ndarray:
 
     In a column run an overflow raises numpy's FloatingPointError and the
     block falls back to its points.  Elsewhere numpy would only warn, so an
-    overflow raises the OverflowError that a float's ** raises.
+    overflow raises the OverflowError that a float's ** raises; and where
+    float's ** returns a NaN base unchanged (k != 0), np.float_power may
+    drop its sign bit, so NaN entries are copied through.  A column run
+    never meets a NaN: its block falls back on a non-finite input.
     """
     if k < 0 and not x.all():
         raise DivisionByNilpotent("zero real part raised to a negative power")
@@ -269,9 +302,12 @@ def _column_pow(x: np.ndarray, k: int) -> np.ndarray:
         return np.float_power(x, float(k))
     with np.errstate(over="raise"):
         try:
-            return np.float_power(x, float(k))
+            out = np.float_power(x, float(k))
         except FloatingPointError:
             raise OverflowError(errno.ERANGE, os.strerror(errno.ERANGE)) from None
+    if k:
+        np.copyto(out, x, where=np.isnan(x))
+    return out
 
 
 def stack_columns(values, count) -> np.ndarray:

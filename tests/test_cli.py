@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from weilcalc import cli, functional, functor, jets, prolong, strongdiff
+from weilcalc import cli, functional, functor, jets, programs, prolong, strongdiff
 from weilcalc.algebra import (
     MAX_DIM, WeilAlgebra, algebra_to_json, exchange, make_basic, save_algebra, tensor,
 )
@@ -196,9 +196,22 @@ def test_verify_profile_times_every_unit_in_report_order_outside_the_report(tmp_
     assert [(u["suite"], u["label"], u["samples"]) for u in units] == [
         (e["suite"], e["algebra"], e["samples"]) for e in doc["suites"]
     ]
-    assert all(sorted(u) == ["label", "samples", "suite", "wall_s"] and u["wall_s"] > 0 for u in units)
+    keys = sorted(["label", "samples", "suite", "wall_s", *programs.COUNTS])
+    assert all(sorted(u) == keys and u["wall_s"] > 0 for u in units)
     assert cli.main(["verify", "--suite", "sigma", "--profile", ""]) == 2
     assert "cannot write profile" in capsys.readouterr().err
+
+
+def test_verify_profile_counts_sum_to_the_whole_run(tmp_path, capsys):
+    profile = tmp_path / "p.json"
+    before = dict(programs.COUNTS)
+    assert cli.main(["verify", "--suite", "all", "--seed", "7", "--samples", "2", "--profile", str(profile)]) == 0
+    whole = {name: programs.COUNTS[name] - n for name, n in before.items()}
+    units = json.loads(profile.read_text())
+    assert {name: sum(u[name] for u in units) for name in whole} == whole
+    assert 0 < whole["tape_compiles"] < whole["ops_compiled"]
+    # a unit that compiles a tape runs it
+    assert all(u["ops_run"] > 0 for u in units if u["tape_compiles"])
 
 
 def test_verify_algebra_override(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Expression trees and straight-line programs."""
 
+import copy
 import json
 import math
 import struct
@@ -473,6 +474,33 @@ def _dags(draw, arity=3):
     return roots
 
 
+@st.composite
+def _twin_dags(draw):
+    """`_dags` with the constants 0.0 and -0.0, where a step may also build
+    a twin, a new node object equal to an earlier one, or a sibling, which
+    differs from an earlier node only in its exponent, its primitive or
+    the order of its operands.  The roots end in two equal trees, the last
+    root and its twin."""
+    roots = draw(_dags())
+    nodes = postorder(Const(0.0), Const(-0.0), *roots)
+    pick = st.integers(0, 10**6).map(lambda i: nodes[i % len(nodes)])
+    for _ in range(draw(st.integers(0, 6))):
+        x = draw(pick)
+        step = draw(st.sampled_from(("twin", "sibling", "add", "mul", "div")))
+        if step == "twin":
+            nodes.append(copy.copy(x))
+        elif step != "sibling":
+            nodes.append({"add": Add, "mul": Mul, "div": Div}[step](x, draw(pick)))
+        elif type(x) is IntPow:
+            nodes.append(IntPow(x.x, draw(st.integers(-3, 4))))
+        elif type(x) is Prim:
+            nodes.append(Prim(draw(st.sampled_from(PRIMITIVES)), x.x))
+        elif len(x.children) == 2:
+            nodes.append(type(x)(x.b, x.a))
+    last = nodes[-1]
+    return draw(st.lists(pick, min_size=1, max_size=2)) + [last, copy.copy(last)]
+
+
 _points = st.lists(st.floats(-2, 2), min_size=3, max_size=3)
 
 
@@ -504,10 +532,14 @@ def test_tape_matches_recursive_reference(roots, pt):
 _DOC_OPS = {Neg: "neg", Add: "add", Sub: "sub", Mul: "mul", Div: "div", IntPow: "intpow"}
 
 
-def _reference_tape(roots):
+def _reference_tape(roots, numbered=True):
     """The fields of a Tape, compiled by recursion: children first, right
-    operand first, one slot per node by identity, the leaves first (each
-    constant, and each variable index once, in walk order)."""
+    operand first, the leaves first (each distinct constant, and each
+    variable index once, in walk order).  Each distinct value gets one
+    slot: a constant is its bits, a computed node its op and its operands'
+    slots (an exponent for a power).  With numbered=False each node object
+    gets its own slot instead, as an unnumbered compiler gives, except
+    that a variable index still has one."""
     order, seen = [], set()
 
     def walk(node):
@@ -517,65 +549,94 @@ def _reference_tape(roots):
             seen.add(id(node))
             order.append(node)
 
+    def value(node):
+        if isinstance(node, Var):
+            return ("var", node.i)
+        if not numbered:
+            return id(node)
+        if isinstance(node, Const):
+            return ("const", struct.pack("<d", node.c))
+        last = node.k if isinstance(node, IntPow) else slot[id(node.children[-1])]
+        return (type(node), getattr(node, "name", None), slot[id(node.children[0])], last)
+
     for root in roots:
         walk(root)
-    slot, var_slot, leaves, inputs = {}, {}, [], []
+    # a slot is ("leaf", n) or ("op", n) until the leaves are counted
+    slot, numbers, leaves, inputs, computed = {}, {}, [], [], []
     for node in order:
-        if isinstance(node, Const):
-            slot[id(node)] = len(leaves)
-            leaves.append(node.c)
-        elif isinstance(node, Var):
-            if node.i not in var_slot:
-                var_slot[node.i] = len(leaves)
-                inputs.append((len(leaves), node.i))
-                leaves.append(None)
-            slot[id(node)] = var_slot[node.i]
-    computed = [node for node in order if node.children]
-    for n, node in enumerate(computed):
-        slot[id(node)] = len(leaves) + n
+        key = value(node)
+        if key not in numbers:
+            if node.children:
+                numbers[key] = ("op", len(computed))
+                computed.append(node)
+            else:
+                numbers[key] = ("leaf", len(leaves))
+                if isinstance(node, Var):
+                    inputs.append((len(leaves), node.i))
+                leaves.append(node.c if isinstance(node, Const) else None)
+        slot[id(node)] = numbers[key]
+
+    def final(node):
+        kind, n = slot[id(node)]
+        return n if kind == "leaf" else len(leaves) + n
+
     a, b, pool = [], [], []
     for node in computed:
-        a.append(slot[id(node.children[0])])
+        a.append(final(node.children[0]))
         if isinstance(node, IntPow):
             b.append(len(pool))
             pool.append(node.k)
         else:
-            b.append(slot[id(node.children[-1])])
+            b.append(final(node.children[-1]))
     return {
         "ops": tuple(node.name if isinstance(node, Prim) else _DOC_OPS[type(node)] for node in computed),
         "a": a,
         "b": b,
         "pool": pool,
-        "leaves": leaves,
+        "leaves": _leaf_bits(leaves),
         "inputs": inputs,
-        "outputs": [slot[id(root)] for root in roots],
+        "outputs": [final(root) for root in roots],
     }
 
 
+_MINUS_ZERO = struct.pack("<d", -0.0)
+
+
+def _leaf_bits(leaves):
+    return [None if v is None else struct.pack("<d", v) for v in leaves]
+
+
 def _tape_fields(roots):
-    tape = Program(3, roots).tape
+    return _fields(Program(3, roots).tape)
+
+
+def _fields(tape):
     return {
         "ops": tape.ops,
         "a": list(tape.a),
         "b": list(tape.b),
         "pool": tape.pool,
-        "leaves": tape.leaves,
+        "leaves": _leaf_bits(tape.leaves),
         "inputs": tape.inputs,
         "outputs": tape.outputs,
     }
 
 
 @settings(max_examples=300, deadline=None)
-@given(_dags())
+@given(_twin_dags())
 def test_tape_compiles_as_a_recursive_walk(roots):
     # the op order decides which error a sample raises first
     assert _tape_fields(roots) == _reference_tape(roots)
     # a document round trip keeps the text and the document; it unshares
-    # the tree, whose tape is again the recursive walk's
+    # the tree, and value numbering gives it the shared tree's tape
     again = [node_from_json(node_to_json(root)) for root in roots]
     assert [format_expr(e) for e in again] == [format_expr(e) for e in roots]
     assert [json.dumps(node_to_json(e)) for e in again] == [json.dumps(node_to_json(e)) for e in roots]
     assert _tape_fields(again) == _reference_tape(again)
+    # a document writes -0.0 as the integer 0, so only a tree without a
+    # -0.0 constant keeps every leaf's bits through it
+    if _MINUS_ZERO not in _leaf_bits(n.c for n in postorder(*roots) if type(n) is Const):
+        assert _tape_fields(again) == _tape_fields(roots)
 
 
 # -- column runs ----------------------------------------------------------------
@@ -590,6 +651,52 @@ def _same_numbers(got, want):
 
 
 _blocks = st.lists(_points, min_size=1, max_size=5)
+
+
+def _per_node(roots):
+    """A program over `roots` whose tape gives each node object its own
+    slot: the runner that value numbering must agree with."""
+    prog = Program(3, roots)
+    fields = _reference_tape(roots, numbered=False)
+    tape = prog.tape
+    tape.ops, tape.a, tape.b, tape.pool = fields["ops"], fields["a"], fields["b"], fields["pool"]
+    tape.inputs, tape.outputs = fields["inputs"], fields["outputs"]
+    tape.leaves = [None if v is None else struct.unpack("<d", v)[0] for v in fields["leaves"]]
+    return prog
+
+
+def _agree(call, prog, ref, form):
+    """call(prog) and call(ref) give the same form of result, or fail with
+    the same error type and text."""
+    got, want = _outcome(lambda: call(prog)), _outcome(lambda: call(ref))
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert not isinstance(got, Exception), got
+        assert form(got) == form(want)
+
+
+def _raw(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_twin_dags(), _blocks, _twin_dags(), st.data())
+@example([Const(0.0), Const(-0.0), Add(Var(0), Const(0.0)), Add(Var(0), Const(-0.0))], [[-0.0, 0.0, 1.0]], [Var(0), Var(1), Var(2)], None)
+def test_value_numbering_matches_a_per_node_runner(roots, pts, inner, data):
+    prog, ref = Program(3, roots), _per_node(roots)
+    assert len(prog.tape.ops) <= len(ref.tape.ops)
+    # float points, and a column block through run_columns
+    for pt in pts:
+        _agree(lambda f: evaluate(f, pt), prog, ref, _raw)
+    _agree(lambda f: evaluate_points(f, np.array(pts)), prog, ref, _raw)
+    # dual numbers at a point
+    slopes = pts[-1] if data is None else data.draw(_points)
+    _agree(lambda f: evaluate_dual(f, pts[0], slopes), prog, ref, _raw)
+    # the expression carrier: substitution builds equal trees, and so the
+    # same tape
+    g = Program(3, (inner * 3)[:3])
+    _agree(lambda f: compose(f, g).tape, prog, ref, _fields)
 
 
 @settings(max_examples=300, deadline=None)
@@ -769,12 +876,13 @@ def test_a_block_with_one_overflowing_power_fails_as_that_point(xs, at, k):
 @given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=8), _pow_exponents)
 @example([3.0, 1e200], 2)
 @example([math.inf, -math.inf, math.nan, 2.0], 3)
+@example([-math.nan, 2.0], 3)
+@example([-math.nan, 2.0], -1)
 def test_a_direct_column_power_keeps_the_float_overflow_error(xs, k):
     # outside run_columns numpy's error state only warns, which the test
     # configuration turns into an error; the column must raise as a point
-    # does, or give each point's numbers where every point succeeds (a NaN
-    # base may lose its sign bit, which a column run never meets: it falls
-    # back on a non-finite input and raises on an invalid operation)
+    # does, or give each point's numbers where every point succeeds, a NaN
+    # with its sign bit
     prog = _power(k)
     want = [_outcome(lambda x=x: evaluate(prog, [x])) for x in xs]
     got = _outcome(lambda: evaluate(prog, [np.array(xs)]))
@@ -782,7 +890,9 @@ def test_a_direct_column_power_keeps_the_float_overflow_error(xs, k):
     if errors:
         assert (type(got), str(got)) in errors
     else:
-        assert _same_numbers(got[0].tolist(), [w[0] for w in want])
+        got, want = got[0].tolist(), [w[0] for w in want]
+        assert _same_numbers(got, want)
+        assert [math.copysign(1.0, g) for g in got] == [math.copysign(1.0, w) for w in want]
 
 
 @pytest.mark.parametrize("name", ["exp", "sin", "cos", "log", "sqrt", "recip"])

@@ -236,19 +236,32 @@ def test_the_bench_snapshot_reads_canned_runs_into_one_document(tmp_path, monkey
     walls = iter([0.3, 0.1, 0.2])
     calls = []
 
+    profile = [
+        {"suite": "sigma", "label": "S", "samples": 2, "wall_s": 0.004,
+         "tape_compiles": 0, "ops_compiled": 0, "ops_run": 0},
+        {"suite": "bracket", "label": "dims 1-3", "samples": 3, "wall_s": 0.008,
+         "tape_compiles": 3, "ops_compiled": 207, "ops_run": 3064},
+    ]
+
     def fake_run(cmd, root, **env):
         calls.append(cmd)
         if "pytest" in cmd:
             return "..F\n1 failed, 558 passed, 2 skipped, 4 warnings, 3 deselected in 13.35s\n"
+        if "verify" in cmd:
+            assert env["PYTHONPATH"].startswith(str(tmp_path / "src"))
+            Path(cmd[-1]).write_text(json.dumps(profile, indent=1) + "\n")
+            return "pass sigma ...\noverall: pass (2/2 units)\n"
         return _canned_run(next(walls) if cmd[-1] == "0" else 7.0, cmd[-1] == "1")
 
     monkeypatch.setattr(snap, "_run", fake_run)
     monkeypatch.setattr(snap, "RUNS", 3)
     monkeypatch.setattr(snap, "SECONDS", 0.5)
     doc = snap.snapshot(tmp_path)
-    assert len(calls) == 5 and calls[0][1:] == [
+    assert len(calls) == 6 and calls[0][1:] == [
         "perfbench/run.py", "--seed", "7", "--seconds", "0.5", "--workload", "verify-all", "--trace", "0",
     ]
+    assert calls[4][3:-1] == ["verify", "--suite", "all", "--seed", "7", "--profile"]
+    assert doc["verify_profile"] == profile
     wl = doc["workloads"]["verify-all"]
     assert wl["end_to_end"]["wall_s"] == {"median": 0.2, "unit": "s", "values": [0.3, 0.1, 0.2]}
     assert wl["trace"] == {"algebra.mul.calls": {"value": 7.0, "unit": "count"}}

@@ -10,8 +10,11 @@ at a time: RUNS runs of SECONDS s with `--trace 0`, of which it keeps the
 median of each end-to-end metric (and every run's value), and one run with
 `--trace 1`, of which it keeps the `metric` lines.  It also keeps the `env`
 line of the first run, whose `weilcalc_lines` is `cat src/weilcalc/*.py |
-wc -l`, and the wall time and test count of the tier-1 run (`python -m
-pytest -q --continue-on-collection-errors` with src on the path).  RUNS
+wc -l`, each unit's entry of one `weilcalc verify --suite all --seed 7
+--profile` run (its `wall_s` and, where the checkout counts them, its tape
+compiles, ops compiled and ops run), and the wall time and test count of
+the tier-1 run (`python -m pytest -q --continue-on-collection-errors`
+with src on the path).  RUNS
 and SECONDS are fixed so that every BENCH file is measured the same way.
 Before and after numbers of a change come from two snapshots taken on the
 same machine, one after the other; `--diff OLD NEW` prints, for each
@@ -28,6 +31,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -37,6 +41,8 @@ RUNS = 5
 SECONDS = 5.0
 # the outcomes pytest counts tests under; "warnings" and "deselected" are not tests
 OUTCOMES = ("passed", "failed", "skipped", "xfailed", "xpassed", "error", "errors")
+# runs the checkout's command line, as the installed `weilcalc` script does
+VERIFY = "import sys; from weilcalc.cli import main; sys.exit(main())"
 # the last line of pytest -q: "559 passed, 2 skipped in 13.35s"
 SUMMARY = re.compile(r"^=*\s*((?:\d+ \w+(?:, )?)+) in [\d.]+s")
 
@@ -81,6 +87,21 @@ def _run(cmd, root: Path, **env) -> str:
     return proc.stdout
 
 
+def profile_units(root: Path) -> list:
+    """The unit entries of one `verify --suite all --seed SEED --profile`
+    run of the checkout, in report order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "profile.json"
+        verify = ["verify", "--suite", "all", "--seed", str(SEED), "--profile", str(out)]
+        _run([sys.executable, "-c", VERIFY] + verify, root, PYTHONPATH=_src_path(root))
+        return json.loads(out.read_text(encoding="utf-8"))
+
+
+def _src_path(root: Path) -> str:
+    """PYTHONPATH with the checkout's src first."""
+    return os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+
+
 def snapshot(root: Path) -> dict:
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     bench = [sys.executable, "perfbench/run.py", "--seed", str(SEED), "--seconds", str(SECONDS)]
@@ -94,11 +115,12 @@ def snapshot(root: Path) -> dict:
             "end_to_end": end_to_end_summary([p["result"] for p in plain]),
             "trace": traced["metrics"],
         }
+    units = profile_units(root)
     start = time.perf_counter()
     tests = _run(
         [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"],
         root,
-        PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])),
+        PYTHONPATH=_src_path(root),
     )
     wall = time.perf_counter() - start
     outcomes = parse_pytest_summary(tests)
@@ -108,6 +130,7 @@ def snapshot(root: Path) -> dict:
         "seconds": SECONDS,
         "env": env,
         "workloads": workloads,
+        "verify_profile": units,
         "tier1": {"wall_s": round(wall, 3), "tests": sum(outcomes.get(k, 0) for k in OUTCOMES), "outcomes": outcomes},
     }
 
