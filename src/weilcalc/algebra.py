@@ -9,17 +9,22 @@ the package hold exactly.
 
 Element coefficients are deliberately generic: floats for numeric work,
 expression trees for emitting programs, or again algebra elements for
-nilpotent-parameter differentiation.  All element arithmetic goes through
-plain Python loops for that reason: a product walks, for each nonzero
-coefficient of its left factor, the structure row of that basis vector,
-so the zero coefficients of a sparse nilpotent power cost nothing.
+nilpotent-parameter differentiation.  All element arithmetic is plain
+Python for that reason.  A product runs the algebra's compiled product
+(`WeilAlgebra.product`): straight-line code over the two coefficient
+tuples, generated once per algebra from its structure nonzeros, that
+skips a float-zero coefficient with everything it would multiply, so the
+zero coefficients of a sparse nilpotent power cost one test each.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,6 +44,11 @@ STRUCT_TOL = 1e-12
 # Largest algebra dimension accepted.  Validation holds d^4 floats at once:
 # dim 64 takes about 0.5 GB, and every standard algebra is far below it.
 MAX_DIM = 64
+
+# Running totals since import: element-by-element products, and products
+# compiled (one per algebra value that multiplies).  `verify --profile`
+# records each unit's share.
+COUNTS = {"algebra_products": 0, "product_compiles": 0}
 
 
 def _check_dim(dim: int, what: str) -> None:
@@ -90,7 +100,7 @@ class WeilAlgebra:
         if not (np.isfinite(self.structure).all() and np.isfinite(self.generators or ()).all()):
             raise ShapeMismatch("structure constants and generators must be finite")
         self._nz = None
-        self._rows = None
+        self._product = None
         self.height = self._validate()
         self.width = self._minimal_width()
         self._key = (
@@ -171,22 +181,20 @@ class WeilAlgebra:
     # -- element plumbing ----------------------------------------------
 
     def nonzeros(self):
-        """Cached sparse view [(i, j, k, c), ...] of the structure tensor."""
+        """Cached sparse view [(i, j, k, c), ...] of the structure tensor, in
+        (i, j, k) order: the order in which a product sums each output's terms."""
         if self._nz is None:
-            c = self.structure
-            nz = np.argwhere(c != 0.0)
-            self._nz = [(int(i), int(j), int(k), float(c[i, j, k])) for i, j, k in nz]
+            at = np.nonzero(self.structure)
+            self._nz = list(zip(*(ix.tolist() for ix in at), self.structure[at].tolist()))
         return self._nz
 
-    def rows(self):
-        """Cached rows of nonzeros(): rows()[i] holds the (j, k, c) with that
-        i, in j order, so walking the rows in i order keeps nonzeros() order."""
-        if self._rows is None:
-            rows = [[] for _ in range(self.dim)]
-            for i, j, k, c in self.nonzeros():
-                rows[i].append((j, k, c))
-            self._rows = tuple(map(tuple, rows))
-        return self._rows
+    def product(self):
+        """The compiled product of two coefficient tuples, built on first
+        use and kept on this value (see `_compile_product`)."""
+        if self._product is None:
+            self._product = _compile_product(self.dim, self.nonzeros())
+            COUNTS["product_compiles"] += 1
+        return self._product
 
     def unit(self, scale=1.0) -> "AlgebraElement":
         coeffs = [0.0] * self.dim
@@ -220,6 +228,77 @@ def _row_basis(rows: np.ndarray) -> np.ndarray:
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
     keep = s > 1e-9 * max(1.0, s[0] if len(s) else 1.0)
     return vt[keep]
+
+
+class _NoTerm:
+    """The value of a sum before its first term: adding a term to it gives
+    that term, so the first term is assigned, not added to 0.0."""
+
+    __slots__ = ()
+
+    def __add__(self, term):
+        return term
+
+
+_NO_TERM = _NoTerm()
+
+
+def _compile_product(dim: int, nonzeros):
+    """product(a, b): the coefficient tuple of a*b, as one generated function.
+
+    It does what a walk of `nonzeros` in order does, term for term.  A
+    coefficient that is a float zero (`isinstance(v, float) and v == 0.0`,
+    so a numpy float64 zero too) is tested once and adds no term; each
+    output sums its terms in `nonzeros` order, the first one assigned, not
+    added to 0.0; a constant c other than 1.0 multiplies a_i*b_j after the
+    product; an output with no term is 0.0.  The code makes one zero test
+    and one product t per (i, j) pair, then one line per (k, c), so it
+    grows linearly in len(nonzeros).  Its source holds only integer
+    indices: the constants come in through the tuple C.
+
+    An output's first line assigns, since no line before it can have given
+    a term.  An output with at most dim entries, as every output of a
+    monomial algebra has, starts at None, and its later lines test for it.
+    One with more starts at the marker E (`_NO_TERM`), and its later lines
+    just add, as E + t is t.  A test costs CPython two to three times as
+    much to compile as an add, so the source holds at most dim^2 tests
+    however dense the algebra.
+    """
+    entries = Counter(k for _, _, k, _ in nonzeros)
+    empty = ["None" if entries[k] <= dim else "E" for k in range(dim)]
+    consts = {}
+    assigned = set()
+    body = []
+    for i, row in groupby(nonzeros, itemgetter(0)):
+        body.append("if not (isinstance(a%d, float) and a%d == 0.0):" % (i, i))
+        for j, pair in groupby(row, itemgetter(1)):
+            body += [" if not z%d:" % j, "  t = a%d * b%d" % (i, j)]
+            for _, _, k, c in pair:
+                term = "t" if c == 1.0 else "t * c%d" % consts.setdefault(c, len(consts))
+                if k not in assigned:
+                    assigned.add(k)
+                    body.append("  o%d = %s" % (k, term))
+                elif empty[k] == "None":
+                    body.append("  o%d = %s if o%d is None else o%d + %s" % (k, term, k, k, term))
+                else:
+                    body.append("  o%d = o%d + %s" % (k, k, term))
+    head = (
+        ["%s, = a" % ", ".join("a%d" % i for i in range(dim)),
+         "%s, = b" % ", ".join("b%d" % j for j in range(dim))]
+        + ["z%d = isinstance(b%d, float) and b%d == 0.0" % (j, j, j) for j in sorted({e[1] for e in nonzeros})]
+        + ["o%d = %s" % (k, empty[k]) for k in sorted(assigned)]
+    )
+    out = ["0.0 if o%d is %s else o%d" % (k, empty[k], k) if k in assigned else "0.0" for k in range(dim)]
+    source = "\n".join(
+        ["def make(C):"]
+        + (["    %s, = C" % ", ".join("c%d" % n for n in range(len(consts)))] if consts else [])
+        + ["    def product(a, b):"]
+        + ["        " + line for line in head + body]
+        + ["        return (%s,)" % ", ".join(out), "    return product"]
+    )
+    namespace = {"E": _NO_TERM}
+    exec(compile(source, "<weil product>", "exec"), namespace)
+    return namespace["make"](tuple(consts))
 
 
 def _zero_real(x) -> bool:
@@ -288,21 +367,8 @@ class AlgebraElement:
         peer = self._peer(other)
         if peer is None:
             return AlgebraElement(self.algebra, [a * other for a in self.coeffs])
-        out = [None] * self.algebra.dim
-        cb = peer.coeffs
-        # every output k sums its terms in nonzeros() order, as one flat walk would
-        for x, row in zip(self.coeffs, self.algebra.rows()):
-            if isinstance(x, float) and x == 0.0:
-                continue
-            for j, k, c in row:
-                y = cb[j]
-                if isinstance(y, float) and y == 0.0:
-                    continue
-                term = x * y
-                if c != 1.0:
-                    term = term * c
-                out[k] = term if out[k] is None else out[k] + term
-        return AlgebraElement(self.algebra, [0.0 if v is None else v for v in out])
+        COUNTS["algebra_products"] += 1
+        return _of(self.algebra, self.algebra.product()(self.coeffs, peer.coeffs))
 
     __rmul__ = __mul__
 
@@ -354,7 +420,12 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, coeffs)
 
     def is_zero(self) -> bool:
-        return all(isinstance(c, float) and c == 0.0 for c in self.coeffs)
+        # a loop, not all() over a generator: analytic asks at every Taylor
+        # step, and a generator costs a frame switch per coefficient
+        for c in self.coeffs:
+            if not (isinstance(c, float) and c == 0.0):
+                return False
+        return True
 
     def analytic(self, name: str, shift: int = 0) -> "AlgebraElement":
         """Truncated Taylor evaluation of the shift-th derivative of a primitive."""
@@ -381,6 +452,14 @@ class AlgebraElement:
                 continue
             parts.append("%r*%s" % (c, lbl))
         return "<" + (" + ".join(parts) if parts else "0") + ">"
+
+
+def _of(algebra: WeilAlgebra, coeffs: tuple) -> AlgebraElement:
+    """An element from a tuple of exactly algebra.dim coefficients, unchecked."""
+    e = object.__new__(AlgebraElement)
+    e.algebra = algebra
+    e.coeffs = coeffs
+    return e
 
 
 # -- homomorphisms -----------------------------------------------------
@@ -420,11 +499,12 @@ class AlgebraHom:
 
 
 def apply_matrix(matrix: np.ndarray, coeffs):
-    """matrix @ coeffs with carrier-generic coefficients."""
+    """matrix @ coeffs with carrier-generic coefficients, summed as a
+    product sums its terms: float zeros skipped, the first term assigned."""
     rows, cols = matrix.shape
     out = []
     for t in range(rows):
-        acc = None
+        acc = _NO_TERM
         row = matrix[t]
         for s in range(cols):
             c = row[s]
@@ -433,9 +513,8 @@ def apply_matrix(matrix: np.ndarray, coeffs):
             v = coeffs[s]
             if isinstance(v, float) and v == 0.0:
                 continue
-            term = v if c == 1.0 else v * c
-            acc = term if acc is None else acc + term
-        out.append(0.0 if acc is None else acc)
+            acc = acc + (v if c == 1.0 else v * c)
+        out.append(0.0 if acc is _NO_TERM else acc)
     return out
 
 

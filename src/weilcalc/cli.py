@@ -29,7 +29,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
-from . import functional, functor, jets, programs, prolong, strongdiff
+from . import algebra, functional, functor, jets, programs, prolong, strongdiff
 from .algebra import MAX_DIM, WeilAlgebra, algebra_from_json, make_basic, save_algebra, sum_algebra, tensor
 from .errors import DomainError, InvariantViolation, NotMultiplicative, NotUnital, WeilError
 from .exprs import Const, Var, format_expr, intpow, mul, simplify
@@ -525,18 +525,24 @@ def _unit_table(cfg: SuiteConfig) -> list:
     ]
 
 
+def work_counts() -> dict:
+    """The package's running work totals: tapes, algebra products, oracle
+    calls (`programs.COUNTS`, `algebra.COUNTS`, `jets.COUNTS`)."""
+    return {**programs.COUNTS, **algebra.COUNTS, **jets.COUNTS}
+
+
 def run_suites(cfg: SuiteConfig, profile: list | None = None) -> dict:
     """Run the units of the configured suites, in the order the suites are
     given, and assemble the report document.
 
     Given a list `profile`, each unit's run also appends its suite, label,
-    samples, wall time in seconds and its share of the `programs.COUNTS`
-    counters to it, in report order; the report holds none of them.
+    samples, wall time in seconds and its share of each `work_counts()`
+    total to it, in report order; the report holds none of them.
     """
     table = _unit_table(cfg)
     entries = []
     for unit in (u for suite in cfg.suites for u in table if u.suite == suite):
-        counts = dict(programs.COUNTS)
+        counts = work_counts()
         start = time.perf_counter()
         entries.append(run_unit(cfg, unit))
         if profile is not None:
@@ -545,7 +551,7 @@ def run_suites(cfg: SuiteConfig, profile: list | None = None) -> dict:
                 "label": unit.label,
                 "samples": entries[-1]["samples"],
                 "wall_s": time.perf_counter() - start,
-                **{name: programs.COUNTS[name] - n for name, n in counts.items()},
+                **{name: n - counts[name] for name, n in work_counts().items()},
             })
     return assemble_document(entries, cfg.seed)
 

@@ -310,7 +310,10 @@ def node_to_json(root: Expr) -> dict:
         if cls is Var:
             d["i"] = node.i
         elif cls is Const:
-            d["c"] = int(node.c) if _integral(node.c) else node.c
+            c = node.c
+            # an integral constant is written as an int, except -0.0, whose
+            # sign an int would drop
+            d["c"] = int(c) if _integral(c) and (c or math.copysign(1.0, c) > 0) else c
         elif cls is IntPow:
             d["k"] = node.k
         if node.children:

@@ -91,6 +91,9 @@ P = 2**31 - 1
 FLOW_RK_STEP = 1e-3
 FLOW_FD_STEP = 1e-4
 FLOW_GRID = 1e-3
+# calls of flow_frame_oracle since import; `verify --profile` records each
+# unit's share
+COUNTS = {"flow_oracle_calls": 0}
 
 
 # -- carrier-generic scalar helpers --------------------------------------
@@ -557,6 +560,7 @@ def flow_frame_oracle(xi: VectorField, r: int, flat) -> np.ndarray:
     rounds as it does on its own, and the fit sees the same images.  The
     grid tables depend only on (m, r) and are built once.
     """
+    COUNTS["flow_oracle_calls"] += 1
     m = xi.dim
     block = np.asarray(flat, dtype=float).reshape(m, -1)
     design, rescale, vals = _flow_tables(m, int(r))

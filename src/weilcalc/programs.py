@@ -72,10 +72,10 @@ _ndarray = np.ndarray  # the type of a column carrier, bound once for cheap type
 
 JACOBIAN_STEP = 1e-5
 
-# Running totals since import: tapes compiled, ops they compiled, and ops
-# run, one increment per Tape build or run.  `verify --profile` records
-# each unit's share.
-COUNTS = {"tape_compiles": 0, "ops_compiled": 0, "ops_run": 0}
+# Running totals since import: tapes compiled, ops they compiled, ops run
+# (one increment per Tape build or run) and calls of the Jacobian oracle.
+# `verify --profile` records each unit's share.
+COUNTS = {"tape_compiles": 0, "ops_compiled": 0, "ops_run": 0, "jacobian_oracle_calls": 0}
 
 _bits = struct.Struct("<d").pack  # a float's exact bits: -0.0 and each NaN stay apart
 
@@ -396,6 +396,7 @@ def jacobian_oracle(prog: Program, x, richardson: bool = False) -> np.ndarray:
     block of points that gives a (B, out, in) array from one `run_points`
     call; a point's parameters follow its coordinates and take no step.
     """
+    COUNTS["jacobian_oracle_calls"] += 1
 
     def transposed(args, count):
         def fd(step):

@@ -2,13 +2,16 @@
 
 import json
 import math
+import struct
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from weilcalc import algebra
 from weilcalc.algebra import (
+    COUNTS,
     MAX_DIM,
     AlgebraElement,
     WeilAlgebra,
@@ -35,6 +38,7 @@ from weilcalc.errors import (
 )
 from weilcalc.exprs import Const, Expr, Var, node_to_json
 from weilcalc.functor import WeilPoint
+from weilcalc.jets import P, Residues
 from weilcalc.strongdiff import make_S
 
 DUAL = make_basic("dual")
@@ -292,6 +296,28 @@ KERNEL_ALGEBRAS = STANDARD + [
 ]
 
 
+def _presented(a):
+    """a on the basis f_0 = 1, f_1 = e_1, f_i = e_i + e_(i-1): an integer
+    change of nilpotent basis that spreads each product over many outputs."""
+    f = np.eye(a.dim) + np.diag([0.0] + [1.0] * (a.dim - 2), -1)
+    f[1, 0] = 0.0
+    c = np.einsum("ip,jq,pqr,rk->ijk", f, f, a.structure, np.round(np.linalg.inv(f)))
+    return WeilAlgebra("%s, presented" % a.name, a.basis_labels, c), f
+
+
+# dim 7, and its outputs have up to 20 entries: an output with more than
+# dim entries starts at the marker E, and its lines add without a test
+PRESENTED, _BASIS = _presented(make_basic("truncated", 1, 6))
+PRODUCT_ALGEBRAS = KERNEL_ALGEBRAS + [PRESENTED]
+
+
+def test_the_presented_basis_is_truncated_1_6():
+    make_hom(PRESENTED, make_basic("truncated", 1, 6), _BASIS.T)
+    per_output = np.count_nonzero(PRESENTED.structure, axis=(0, 1))
+    assert per_output.max() > PRESENTED.dim
+    assert set(PRESENTED.structure.flat) > {0.0, 1.0, -1.0}
+
+
 def test_the_scaled_basis_presents_truncated_1_2():
     # the basis change 1, x, x^2 -> 1, 2x, 3x^2 is a hom onto truncated(1,2)
     make_hom(T12_SCALED, T12, np.diag([1.0, 2.0, 3.0]))
@@ -316,14 +342,27 @@ def _flat_mul(x, y):
 
 
 def _bits(v):
-    """A value's exact form: -0.0, inf and nan count, as does term order."""
+    """A value's exact form: its type, the sign of a zero, inf, nan and the
+    order of terms all count."""
     if isinstance(v, AlgebraElement):
         return tuple(_bits(c) for c in v.coeffs)
     if isinstance(v, Expr):
-        return json.dumps(node_to_json(v))
+        return json.dumps(node_to_json(v))  # writes -0.0 with its sign
     if isinstance(v, np.ndarray):
         return v.dtype.str, v.shape, v.tobytes()
-    return float.hex(v)
+    if isinstance(v, Residues):
+        return "residues", v.v.dtype.str, v.v.tobytes()
+    # not a NaN's sign: CPython's specialized float add may return the
+    # other operand's NaN when both are NaN
+    return type(v).__name__, "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+def _outcome(thunk):
+    """The exact form of a value, or the type of the error raised instead."""
+    try:
+        return _bits(thunk())
+    except TypeError as err:
+        return type(err)
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
@@ -339,22 +378,96 @@ _CARRIERS = {
     "nested": st.one_of(
         _SCALAR, st.lists(_SCALAR, min_size=2, max_size=2).map(partial(AlgebraElement, DUAL))
     ),
+    # residues mix with ints only: a float zero is skipped, and a structure
+    # constant other than 1 raises TypeError on both sides
+    "residues": st.one_of(
+        st.sampled_from([0.0, -0.0, 0, 1, 5]),
+        st.lists(st.integers(0, P - 1), min_size=3, max_size=3).map(
+            lambda v: Residues(np.array(v, dtype=np.int64))
+        ),
+    ),
+    # numpy float64 is a float subclass: its zeros are skipped as well
+    "float64": st.one_of(
+        _SCALAR, st.sampled_from([np.float64(0.0), np.float64(-0.0)]), _SCALAR.map(np.float64)
+    ),
 }
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(KERNEL_ALGEBRAS), st.sampled_from(sorted(_CARRIERS)), st.data())
+@given(st.sampled_from(PRODUCT_ALGEBRAS), st.sampled_from(sorted(_CARRIERS)), st.data())
 def test_products_are_bit_identical_to_the_flat_walk(a, carrier, data):
     coeff = _CARRIERS[carrier]
     x, y = (AlgebraElement(a, data.draw(st.lists(coeff, min_size=a.dim, max_size=a.dim))) for _ in "xy")
     with np.errstate(all="ignore"):  # inf * 0 in a column is the point here
-        assert _bits(x * y) == _bits(_flat_mul(x, y))
+        assert _outcome(lambda: x * y) == _outcome(lambda: _flat_mul(x, y))
 
 
-def test_rows_regroup_the_nonzeros_by_left_index():
-    for a in KERNEL_ALGEBRAS:
-        flat = [(i, j, k, c) for i, row in enumerate(a.rows()) for j, k, c in row]
-        assert flat == a.nonzeros()
+@pytest.mark.parametrize("a", PRODUCT_ALGEBRAS, ids=lambda a: a.name)
+def test_products_of_trees_keep_every_operand_order(a):
+    # a tree records the order of each product and sum, and of each
+    # structure constant against its term
+    x = AlgebraElement(a, [Var(i) for i in range(a.dim)])
+    y = AlgebraElement(a, [Var(a.dim + j) for j in range(a.dim)])
+    assert _bits(x * y) == _bits(_flat_mul(x, y))
+
+
+def test_the_product_is_compiled_once_per_algebra_value():
+    a = make_basic("truncated", 2, 2)
+    memoized = a.product()
+    # an equal algebra built again is another value, with its own product
+    twin = algebra_from_json(algebra_to_json(a))
+    assert twin == a and twin is not a
+    before = COUNTS["product_compiles"]
+    x = y = AlgebraElement(twin, [0.5 + i for i in range(twin.dim)])
+    z = AlgebraElement(a, x.coeffs)
+    for _ in range(3):
+        y, z = y * x, z * AlgebraElement(a, x.coeffs)
+    assert COUNTS["product_compiles"] - before == 1
+    assert twin.product() is twin.product() is not memoized
+    assert a.product() is memoized
+    assert _bits(y) == _bits(z)
+
+
+def test_a_late_first_term_is_assigned_not_added():
+    # an output with more than dim entries adds to the marker E without a
+    # test; a product whose only term is its last entry must still be it
+    late = {}
+    for i, j, k, c in PRESENTED.nonzeros():
+        late.setdefault(k, []).append((i, j, c))
+    k, entries = max(late.items(), key=lambda item: len(item[1]))
+    i, j, c = entries[-1]
+    assert len(entries) > PRESENTED.dim and c not in (0.0, 1.0)
+    for u, v in [(1.5, -2.0), (Var(0), Var(1))]:
+        x, y = ([0.0] * PRESENTED.dim for _ in "xy")
+        x[i], y[j] = u, v
+        got = AlgebraElement(PRESENTED, x) * AlgebraElement(PRESENTED, y)
+        want = [0.0] * PRESENTED.dim
+        for i2, j2, k2, c2 in PRESENTED.nonzeros():
+            if (i2, j2) == (i, j):
+                want[k2] = u * v * c2
+        assert _bits(got) == _bits(AlgebraElement(PRESENTED, want))
+
+
+def _source_lines(a):
+    """The number of lines of the product's generated source."""
+    sources = []
+
+    def keep(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "compile", keep, raising=False)
+        algebra._compile_product(a.dim, a.nonzeros())
+    return sources[0].count("\n") + 1
+
+
+def test_the_product_source_grows_linearly_in_the_nonzeros():
+    # one line per entry, plus at most three per (i, j) pair and output
+    for a in PRODUCT_ALGEBRAS + LARGE + [make_basic("truncated", 1, 40)]:
+        nnz = len(a.nonzeros())
+        pairs = len({(i, j) for i, j, _, _ in a.nonzeros()})
+        assert nnz < _source_lines(a) <= nnz + 2 * pairs + 3 * a.dim + 8
 
 
 @pytest.mark.parametrize("a", STANDARD, ids=lambda a: a.name)

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from weilcalc import cli, functional, functor, jets, programs, prolong, strongdiff
+from weilcalc import cli, functional, functor, jets, prolong, strongdiff
 from weilcalc.algebra import (
     MAX_DIM, WeilAlgebra, algebra_to_json, exchange, make_basic, save_algebra, tensor,
 )
@@ -196,7 +196,7 @@ def test_verify_profile_times_every_unit_in_report_order_outside_the_report(tmp_
     assert [(u["suite"], u["label"], u["samples"]) for u in units] == [
         (e["suite"], e["algebra"], e["samples"]) for e in doc["suites"]
     ]
-    keys = sorted(["label", "samples", "suite", "wall_s", *programs.COUNTS])
+    keys = sorted(["label", "samples", "suite", "wall_s", *cli.work_counts()])
     assert all(sorted(u) == keys and u["wall_s"] > 0 for u in units)
     assert cli.main(["verify", "--suite", "sigma", "--profile", ""]) == 2
     assert "cannot write profile" in capsys.readouterr().err
@@ -204,14 +204,31 @@ def test_verify_profile_times_every_unit_in_report_order_outside_the_report(tmp_
 
 def test_verify_profile_counts_sum_to_the_whole_run(tmp_path, capsys):
     profile = tmp_path / "p.json"
-    before = dict(programs.COUNTS)
+    before = cli.work_counts()
     assert cli.main(["verify", "--suite", "all", "--seed", "7", "--samples", "2", "--profile", str(profile)]) == 0
-    whole = {name: programs.COUNTS[name] - n for name, n in before.items()}
+    whole = {name: n - before[name] for name, n in cli.work_counts().items()}
+    assert sorted(whole) == sorted([
+        "tape_compiles", "ops_compiled", "ops_run", "algebra_products", "product_compiles",
+        "jacobian_oracle_calls", "flow_oracle_calls",
+    ])
     units = json.loads(profile.read_text())
     assert {name: sum(u[name] for u in units) for name in whole} == whole
     assert 0 < whole["tape_compiles"] < whole["ops_compiled"]
     # a unit that compiles a tape runs it
     assert all(u["ops_run"] > 0 for u in units if u["tape_compiles"])
+    by_suite = {}
+    for u in units:
+        totals = by_suite.setdefault(u["suite"], dict.fromkeys(whole, 0))
+        for name in whole:
+            totals[name] += u[name]
+    # each oracle is called where its suite uses it, and products run in
+    # every suite that lifts over an algebra
+    assert by_suite["frame-prolong"]["flow_oracle_calls"] > 0
+    assert by_suite["bracket"]["jacobian_oracle_calls"] > 0
+    assert all(by_suite[s]["algebra_products"] > 0 for s in ("prolong-manifold", "functor-laws", "jet-group"))
+    assert by_suite["sigma"]["algebra_products"] == 0
+    # an algebra compiles its product at most once per process
+    assert whole["product_compiles"] <= whole["algebra_products"]
 
 
 def test_verify_algebra_override(capsys, tmp_path):

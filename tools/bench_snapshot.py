@@ -11,8 +11,9 @@ median of each end-to-end metric (and every run's value), and one run with
 `--trace 1`, of which it keeps the `metric` lines.  It also keeps the `env`
 line of the first run, whose `weilcalc_lines` is `cat src/weilcalc/*.py |
 wc -l`, each unit's entry of one `weilcalc verify --suite all --seed 7
---profile` run (its `wall_s` and, where the checkout counts them, its tape
-compiles, ops compiled and ops run), and the wall time and test count of
+--profile` run (its `wall_s` and, where the checkout counts them, its work
+counters: tape compiles, ops compiled and run, algebra products, product
+compiles and oracle calls), and the wall time and test count of
 the tier-1 run (`python -m pytest -q --continue-on-collection-errors`
 with src on the path).  RUNS
 and SECONDS are fixed so that every BENCH file is measured the same way.
