@@ -27,7 +27,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from . import algebra, functional, functor, jets, programs, prolong, strongdiff
 from .algebra import MAX_DIM, WeilAlgebra, algebra_from_json, make_basic, save_algebra, sum_algebra, tensor
@@ -765,7 +765,10 @@ def cmd_algebra(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first `main` call of a
+    process and reused: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="weilcalc",
         description="Verification suites and calculators for Weil-algebra calculus.",

@@ -39,25 +39,25 @@ class Expr:
     children: tuple = ()
 
     def __add__(self, other):
-        return _apply(add, self, other)
+        return add(self, other) if isinstance(other, Expr) else _apply(add, self, other)
 
     def __radd__(self, other):
         return _apply(add, other, self)
 
     def __sub__(self, other):
-        return _apply(sub, self, other)
+        return sub(self, other) if isinstance(other, Expr) else _apply(sub, self, other)
 
     def __rsub__(self, other):
         return _apply(sub, other, self)
 
     def __mul__(self, other):
-        return _apply(mul, self, other)
+        return mul(self, other) if isinstance(other, Expr) else _apply(mul, self, other)
 
     def __rmul__(self, other):
         return _apply(mul, other, self)
 
     def __truediv__(self, other):
-        return _apply(div, self, other)
+        return div(self, other) if isinstance(other, Expr) else _apply(div, self, other)
 
     def __rtruediv__(self, other):
         return _apply(div, other, self)
@@ -423,6 +423,11 @@ def simplify(root: Expr) -> Expr:
     skey_memo: dict = {}
 
     def monomial_mul(ma, mb):
+        # a monomial is sorted with no zero power, so a unit factor leaves it as it is
+        if not ma:
+            return mb
+        if not mb:
+            return ma
         powers = dict(ma)
         for k, p in mb:
             powers[k] = powers.get(k, 0) + p

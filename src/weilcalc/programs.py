@@ -1,10 +1,13 @@
 """Closed smooth programs and vector fields.
 
 A Program is a tuple of expression trees over variables x0..x{n-1}.  Each
-Program compiles its trees once, when it is built, into a Tape: straight-line
+Program compiles its trees once, on its first run, into a Tape: straight-line
 code with one slot per distinct value (local value numbering), so equal
 subterms are computed once, whether they are one shared node or separate
-equal nodes.  Running the tape is carrier-polymorphic:
+equal nodes.  A program that is only printed or returned, as a rendering
+often is, compiles nothing; a program document compiles when it is loaded,
+so a variable past its arity fails there.  Running the tape is
+carrier-polymorphic:
 feed `evaluate` floats and it computes numbers, feed it algebra elements and
 it computes functor lifts, feed it expression trees and it performs
 capture-free substitution (which is all `compose` is).
@@ -112,8 +115,6 @@ class Tape:
     __slots__ = ("leaves", "inputs", "ops", "a", "b", "pool", "outputs")
 
     def __init__(self, body, arity_in: int):
-        if not all(isinstance(root, Expr) for root in body):
-            raise ShapeMismatch("program body must consist of expressions")
         # slot of each node; a computed node's slot is written as ~n for op
         # n and moved past the leaves once their count is known
         slot: dict = {}
@@ -178,17 +179,31 @@ class Program:
 
     Variables arity_in .. arity_in + params - 1 are its parameters: every
     run takes their values after the point's coordinates.
+
+    The body must be expressions, which construction checks.  Its Tape is
+    compiled on the first read of `tape`, which every run makes, so a
+    variable past arity_in + params raises ArityMismatch there; a compile
+    that raises keeps nothing, and the next read raises again.
     """
 
-    __slots__ = ("arity_in", "arity_out", "params", "exprs", "tape")
+    __slots__ = ("arity_in", "arity_out", "params", "exprs", "_tape")
 
     def __init__(self, arity_in: int, body, params: int = 0):
         body = tuple(body)
-        self.tape = Tape(body, arity_in + params)
+        if not all(isinstance(root, Expr) for root in body):
+            raise ShapeMismatch("program body must consist of expressions")
         self.arity_in = int(arity_in)
         self.arity_out = len(body)
         self.params = int(params)
         self.exprs = body
+        self._tape = None
+
+    @property
+    def tape(self) -> Tape:
+        tape = self._tape
+        if tape is None:
+            tape = self._tape = Tape(self.exprs, self.arity_in + self.params)
+        return tape
 
     def __repr__(self):
         return "Program(%d -> %d: %s)" % (
@@ -537,6 +552,7 @@ def program_from_json(data) -> Program:
         raise ShapeMismatch("program document needs integer 'in' and list 'exprs'")
     body = [exprs.node_from_json(e) for e in data["exprs"]]
     prog = Program(data["in"], body)
+    prog.tape  # a document is compiled on load, so a variable past 'in' fails here
     if "out" in data and (type(data["out"]) is not int or data["out"] != prog.arity_out):
         raise ShapeMismatch(
             "declared out %r disagrees with %d expressions" % (data["out"], prog.arity_out)

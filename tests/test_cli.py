@@ -3,9 +3,13 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 from functools import partial
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -730,6 +734,53 @@ def test_bracket_usage_errors(capsys, manifold_fields, functional_fields, tmp_pa
     )))
     assert cli.main(["bracket", "--field", str(fbig), "--field", str(fone)]) == 2
     assert "cannot form the bracket: DomainError" in capsys.readouterr().err
+
+
+# runs each argv of a JSON list through cli.main in this one process and
+# prints a JSON list of [exit code, stdout, stderr], one per call
+_CALLS = """
+import contextlib, io, json, sys
+from weilcalc import cli
+done = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as stop:
+            rc = stop.code
+    done.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(done))
+"""
+
+
+def _calls_in_one_process(*argvs) -> list:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", _CALLS, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout)
+
+
+def test_the_parser_is_built_once_and_keeps_no_state_between_calls(manifold_fields):
+    assert cli._parser() is cli._parser()
+    sq, one = manifold_fields
+    argvs = (
+        ["bracket", "--field", sq],  # needs exactly two: exit 2
+        ["bracket", "--field", sq, "--field", one, "--at", "0.5"],
+        ["verify", "--suite", "sigma", "--seed", "7"],
+        ["bracket"],  # argparse's own error: --field is required
+        ["bracket", "--field", one, "--field", sq],
+    )
+    together = _calls_in_one_process(*argvs)
+    alone = [_calls_in_one_process(argv)[0] for argv in argvs]
+    assert together == alone
+    assert [rc for rc, _, _ in together] == [2, 0, 0, 2, 0]
 
 
 def test_bracket_prints_no_coefficient_past_the_float_range(capsys, manifold_fields, tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from weilcalc import programs
 from weilcalc.algebra import make_basic, tensor
 from weilcalc.exprs import (
     MAX_TEXT,
@@ -53,6 +54,9 @@ from weilcalc.programs import (
     run_points,
     stack_columns,
 )
+from weilcalc.functional import functional_bracket, random_functional_field
+from weilcalc.functor import lift_program
+from weilcalc.jets import g_field_prolong, jet_triple
 from weilcalc.prolong import ProlongedField
 from weilcalc.strongdiff import bracket_value, jacobian_bracket_deviation
 from weilcalc.errors import (
@@ -914,6 +918,59 @@ def test_program_documents_with_huge_integers():
     steep = {"in": 1, "exprs": [{"op": "intpow", "k": 10**20, "args": [{"op": "var", "i": 0}]}]}
     prog = program_from_json(steep)
     assert evaluate(prog, [0.5]) == [0.0]
+
+
+def _compiles() -> int:
+    return programs.COUNTS["tape_compiles"]
+
+
+def test_a_program_compiles_its_tape_on_its_first_run():
+    rng = np.random.default_rng(8)
+    f = random_poly_program(rng, 2, 2, deg=2)
+    x1, x2 = (random_functional_field(rng, 1, 1, 1, r) for r in (1, 2))
+    field = VectorField(2, Program(2, [Var(0) * Var(0), Var(0) * Var(1) + intpow(Var(1), 2)]))
+    # (builder, tapes it compiles itself once its inputs have run)
+    builds = [
+        (lambda: Program(2, [Var(0) * Var(1), prim("sin", Var(1))]), 0),
+        (lambda: lift_program(make_basic("dual"), f), 0),
+        (lambda: functional_bracket(x1, x2).D, 0),
+        # the base part and the vertical part run while prolonging
+        (lambda: g_field_prolong(jet_triple(1, 2), field).components, 2),
+    ]
+    for build, _ in builds:
+        build()
+    for build, compiles in builds:
+        before = _compiles()
+        prog = build()
+        assert _compiles() == before + compiles
+        n = prog.arity_in
+        args = rng.uniform(-0.5, 0.5, size=n).tolist()
+        want = evaluate(prog, args)
+        assert _compiles() == before + compiles + 1
+        assert evaluate(prog, args) == want
+        evaluate_dual(prog, args, [1.0] * n)
+        again = compose(prog, Program(n, [Var(i) for i in range(n)]))
+        assert _compiles() == before + compiles + 1
+        assert evaluate(again, args) == want
+
+
+def test_a_variable_past_the_arity_raises_on_every_run():
+    prog = Program(1, [Var(3)])
+    runs = (
+        lambda: evaluate(prog, [0.5]),
+        lambda: evaluate_dual(prog, [0.5], [1.0]),
+        lambda: compose(prog, Program(1, [Var(0)])),
+    )
+    for run in runs:
+        for _ in range(2):
+            before = _compiles()
+            with pytest.raises(ArityMismatch) as err:
+                run()
+            assert str(err.value) == "expression uses x3 but program has arity 1"
+            assert _compiles() == before
+    # a body that is not all expressions fails when it is built
+    with pytest.raises(ShapeMismatch):
+        Program(1, [Var(0), 2.0])
 
 
 def test_compose_runs_right_then_left():

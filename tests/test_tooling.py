@@ -8,6 +8,7 @@ two such documents."""
 import importlib.util
 import json
 import math
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -272,24 +273,39 @@ def test_the_bench_snapshot_reads_canned_runs_into_one_document(tmp_path, monkey
     assert doc["tier1"]["tests"] == 561 and doc["tier1"]["outcomes"]["warnings"] == 4
 
 
-def _canned_snapshot(medians):
-    """A snapshot document cut down to end-to-end medians, {workload: {metric: median}}."""
+def _canned_snapshot(runs):
+    """A snapshot document cut down to end-to-end run values,
+    {workload: {metric: one value or a list of run values}}."""
     units = {"wall_s": "s", "items_per_s": "1/s", "peak_rss_mb": "MB"}
+
+    def metric(name, values):
+        values = values if isinstance(values, list) else [values]
+        return {"median": statistics.median(values), "unit": units[name], "values": values}
+
     return {"workloads": {
-        w: {"end_to_end": {m: {"median": v, "unit": units[m], "values": [v]} for m, v in ms.items()}}
-        for w, ms in medians.items()
+        w: {"end_to_end": {m: metric(m, v) for m, v in ms.items()}} for w, ms in runs.items()
     }}
 
 
 def test_the_bench_snapshot_diff_prints_both_medians_and_the_change(capsys, tmp_path):
     snap = _bench_snapshot()
+    # wall_s moves by more than either side's interquartile range, so it
+    # resolves; items_per_s moves by less than the old side's, so it does not
     old = _canned_snapshot({
-        "verify-all": {"wall_s": 0.1, "items_per_s": 50000.0, "peak_rss_mb": 0.0},
+        "verify-all": {
+            "wall_s": [0.09, 0.1, 0.1, 0.11, 0.2],
+            "items_per_s": [40000.0, 50000.0, 50000.0, 70000.0, 80000.0],
+            "peak_rss_mb": 0.0,
+        },
         "render": {"wall_s": 0.04},
     })
     # a metric or workload that only one side holds gets no row
     new = _canned_snapshot({
-        "verify-all": {"wall_s": 0.085, "items_per_s": 60000.0, "peak_rss_mb": 48.0},
+        "verify-all": {
+            "wall_s": [0.09, 0.085, 0.08, 0.085, 0.09],
+            "items_per_s": [55000.0, 60000.0, 60000.0, 60000.0, 65000.0],
+            "peak_rss_mb": 48.0,
+        },
         "taylor-lift": {"wall_s": 0.07},
     })
     rows = snap.diff_rows(old, new)
@@ -299,14 +315,21 @@ def test_the_bench_snapshot_diff_prints_both_medians_and_the_change(capsys, tmp_
         ("verify-all", "peak_rss_mb", "MB", 0.0, 48.0),
     ]
     assert rows[0][5] == pytest.approx(-0.15) and rows[1][5] == pytest.approx(0.2) and math.isnan(rows[2][5])
+    assert [r[6:] for r in rows] == [
+        ((0.1, 0.11), (0.085, 0.09), True),
+        ((50000.0, 70000.0), (60000.0, 60000.0), False),
+        ((0.0, 0.0), (48.0, 48.0), True),
+    ]
     paths = []
     for name, doc in (("old.json", old), ("new.json", new)):
         paths.append(tmp_path / name)
         paths[-1].write_text(json.dumps(doc))
     assert snap.main(["--diff"] + [str(p) for p in paths]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0].split() == ["workload", "metric", "old", "new", "change"]
-    assert out[1].split() == ["verify-all", "wall_s", "0.1", "0.085", "-15.0%", "s"]
-    assert out[2].split() == ["verify-all", "items_per_s", "50000", "60000", "+20.0%", "1/s"]
-    assert out[3].split() == ["verify-all", "peak_rss_mb", "0", "48", "+nan%", "MB"]
+    assert out[0].split() == ["workload", "metric", "old", "new", "change", "unit", "old_q1..q3", "new_q1..q3", "spread"]
+    assert out[1].split() == ["verify-all", "wall_s", "0.1", "0.085", "-15.0%", "s", "0.1..0.11", "0.085..0.09", "resolved"]
+    assert out[2].split() == [
+        "verify-all", "items_per_s", "50000", "60000", "+20.0%", "1/s", "50000..70000", "60000..60000", "unresolved",
+    ]
+    assert out[3].split() == ["verify-all", "peak_rss_mb", "0", "48", "+nan%", "MB", "0..0", "48..48", "resolved"]
     assert len(out) == 4

@@ -19,8 +19,11 @@ with src on the path).  RUNS
 and SECONDS are fixed so that every BENCH file is measured the same way.
 Before and after numbers of a change come from two snapshots taken on the
 same machine, one after the other; `--diff OLD NEW` prints, for each
-workload and end-to-end metric both hold, the two medians and the
-relative change.
+workload and end-to-end metric both hold, the two medians, the relative
+change and each side's quartiles of its stored run values, and marks the
+row `unresolved` when the medians differ by no more than the wider of the
+two interquartile ranges: a change inside the runs' own spread reads the
+machine, not the code.
 """
 
 from __future__ import annotations
@@ -136,24 +139,41 @@ def snapshot(root: Path) -> dict:
     }
 
 
+def quartiles(values) -> tuple:
+    """(first, third) quartile of a metric's run values, interpolated
+    between the sorted values as numpy's default percentile is."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def diff_rows(old: dict, new: dict) -> list:
-    """(workload, metric, unit, old median, new median, relative change) for
-    each end-to-end metric of each workload that both snapshots hold, in
-    the old snapshot's order; the change is NaN where the old median is 0."""
+    """(workload, metric, unit, old median, new median, relative change,
+    old quartiles, new quartiles, resolved) for each end-to-end metric of
+    each workload that both snapshots hold, in the old snapshot's order;
+    the change is NaN where the old median is 0, and a row is resolved when
+    the medians differ by more than the wider interquartile range."""
     rows = []
     for workload, before in old["workloads"].items():
         after = new["workloads"].get(workload, {}).get("end_to_end", {})
         for name, metric in before["end_to_end"].items():
             if name in after:
                 a, b = metric["median"], after[name]["median"]
-                rows.append((workload, name, metric["unit"], a, b, (b - a) / a if a else float("nan")))
+                qa, qb = quartiles(metric["values"]), quartiles(after[name]["values"])
+                spread = max(qa[1] - qa[0], qb[1] - qb[0])
+                change = (b - a) / a if a else float("nan")
+                rows.append((workload, name, metric["unit"], a, b, change, qa, qb, abs(b - a) > spread))
     return rows
 
 
 def format_diff(rows) -> str:
-    lines = ["%-12s %-12s %12s %12s %8s" % ("workload", "metric", "old", "new", "change")]
-    for workload, name, unit, a, b, change in rows:
-        lines.append("%-12s %-12s %12.6g %12.6g %+7.1f%%  %s" % (workload, name, a, b, 100 * change, unit))
+    lines = ["%-12s %-12s %12s %12s %8s  %-5s %-21s %-21s %s" % (
+        "workload", "metric", "old", "new", "change", "unit", "old_q1..q3", "new_q1..q3", "spread")]
+    for workload, name, unit, a, b, change, qa, qb, resolved in rows:
+        lines.append("%-12s %-12s %12.6g %12.6g %+7.1f%%  %-5s %-21s %-21s %s" % (
+            workload, name, a, b, 100 * change, unit, "%.6g..%.6g" % qa, "%.6g..%.6g" % qb,
+            "resolved" if resolved else "unresolved"))
     return "\n".join(lines)
 
 
