@@ -14,7 +14,9 @@ Python for that reason.  A product runs the algebra's compiled product
 (`WeilAlgebra.product`): straight-line code over the two coefficient
 tuples, generated once per algebra from its structure nonzeros, that
 skips a float-zero coefficient with everything it would multiply, so the
-zero coefficients of a sparse nilpotent power cost one test each.
+zero coefficients of a sparse nilpotent power cost one test each.  The
+series (`analytic`, division by an element, `**`) run on coefficient
+tuples through that product and wrap only their result in an element.
 """
 
 from __future__ import annotations
@@ -306,6 +308,27 @@ def _zero_real(x) -> bool:
     return not x.all() if type(x) is np.ndarray else isinstance(x, (int, float)) and x == 0
 
 
+def _nilpotent(x) -> list:
+    """The coefficients of x with its real part set to 0.0."""
+    coeffs = list(x.coeffs)
+    coeffs[x.algebra.unit_index] = 0.0
+    return coeffs
+
+
+def _all_zero(coeffs) -> bool:
+    # a loop, not all() over a generator: analytic asks at every Taylor
+    # step, and a generator costs a frame switch per coefficient
+    for c in coeffs:
+        if not (isinstance(c, float) and c == 0.0):
+            return False
+    return True
+
+
+def _over(coeffs, b0) -> tuple:
+    # a float zero is not divided, so it stays a zero that products skip
+    return tuple([c if isinstance(c, float) and c == 0.0 else c / b0 for c in coeffs])
+
+
 class AlgebraElement:
     """Element of a WeilAlgebra with carrier-generic coefficients."""
 
@@ -338,35 +361,31 @@ class AlgebraElement:
     def __add__(self, other):
         peer = self._peer(other)
         if peer is not None:
-            return AlgebraElement(
-                self.algebra, [a + b for a, b in zip(self.coeffs, peer.coeffs)]
-            )
+            return _of(self.algebra, tuple([a + b for a, b in zip(self.coeffs, peer.coeffs)]))
         coeffs = list(self.coeffs)
         coeffs[self.algebra.unit_index] = coeffs[self.algebra.unit_index] + other
-        return AlgebraElement(self.algebra, coeffs)
+        return _of(self.algebra, tuple(coeffs))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         peer = self._peer(other)
         if peer is not None:
-            return AlgebraElement(
-                self.algebra, [a - b for a, b in zip(self.coeffs, peer.coeffs)]
-            )
+            return _of(self.algebra, tuple([a - b for a, b in zip(self.coeffs, peer.coeffs)]))
         coeffs = list(self.coeffs)
         coeffs[self.algebra.unit_index] = coeffs[self.algebra.unit_index] - other
-        return AlgebraElement(self.algebra, coeffs)
+        return _of(self.algebra, tuple(coeffs))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, [-a for a in self.coeffs])
+        return _of(self.algebra, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
         peer = self._peer(other)
         if peer is None:
-            return AlgebraElement(self.algebra, [a * other for a in self.coeffs])
+            return _of(self.algebra, tuple([a * other for a in self.coeffs]))
         COUNTS["algebra_products"] += 1
         return _of(self.algebra, self.algebra.product()(self.coeffs, peer.coeffs))
 
@@ -374,29 +393,26 @@ class AlgebraElement:
 
     def __truediv__(self, other):
         peer = self._peer(other)
+        algebra = self.algebra
         if peer is None:
             if isinstance(other, (int, float)):
-                return self * (1.0 / other)
+                # each coefficient as the float run divides it, signed zeros too
+                return _of(algebra, tuple([c / other for c in self.coeffs]))
             return self * apply_primitive("recip", other)
-        # the fixed point q = (self - q*n)/b0 of b = b0 + n, from q = self/b0:
-        # each round fixes one more power of the ideal, so `height` rounds do
-        b0 = peer.coeffs[self.algebra.unit_index]
+        # the fixed point q = (a - q*n)/b0 of b = b0 + n, from q = a/b0: each
+        # round fixes one more power of the ideal, so `height` rounds do
+        b0 = peer.coeffs[algebra.unit_index]
         if _zero_real(b0):
             raise DivisionByNilpotent("division by zero real part")
-        nil = peer.nilpotent_part()
-        q = self._over(b0)
-        for _ in range(0 if nil.is_zero() else self.algebra.height):
-            q = (self - q * nil)._over(b0)
-        return q
+        nil = _nilpotent(peer)
+        q = _over(self.coeffs, b0)
+        for _ in range(0 if _all_zero(nil) else algebra.height):
+            COUNTS["algebra_products"] += 1
+            q = _over([x - y for x, y in zip(self.coeffs, algebra.product()(q, nil))], b0)
+        return _of(algebra, q)
 
     def __rtruediv__(self, other):
         return self.algebra.unit(other) / self
-
-    def _over(self, b0):
-        # a float zero is not divided, so it stays a zero that products skip
-        return AlgebraElement(
-            self.algebra, [c if isinstance(c, float) and c == 0.0 else c / b0 for c in self.coeffs]
-        )
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -405,41 +421,33 @@ class AlgebraElement:
             if _zero_real(self.coeffs[self.algebra.unit_index]):
                 raise DivisionByNilpotent("zero real part raised to a negative power")
             return self.inverse() ** (-k)
-        acc = self.algebra.unit()
-        base = self
+        acc, base = self.algebra.unit().coeffs, self.coeffs
         while k:
             if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
+                COUNTS["algebra_products"] += 1
+                acc = self.algebra.product()(acc, base)
+            if k > 1:
+                COUNTS["algebra_products"] += 1
+                base = self.algebra.product()(base, base)
             k >>= 1
-        return acc
-
-    def nilpotent_part(self) -> "AlgebraElement":
-        coeffs = list(self.coeffs)
-        coeffs[self.algebra.unit_index] = 0.0
-        return AlgebraElement(self.algebra, coeffs)
-
-    def is_zero(self) -> bool:
-        # a loop, not all() over a generator: analytic asks at every Taylor
-        # step, and a generator costs a frame switch per coefficient
-        for c in self.coeffs:
-            if not (isinstance(c, float) and c == 0.0):
-                return False
-        return True
+        return _of(self.algebra, acc)
 
     def analytic(self, name: str, shift: int = 0) -> "AlgebraElement":
-        """Truncated Taylor evaluation of the shift-th derivative of a primitive."""
-        a0 = self.coeffs[self.algebra.unit_index]
-        out = self.algebra.unit(apply_primitive(name, a0, shift))
-        nil = npow = self.nilpotent_part()
-        for j in range(1, self.algebra.height + 1):
-            if npow.is_zero():
+        """Truncated Taylor evaluation of the shift-th derivative of a primitive,
+        the sum of f^(shift+j)(a0)/j! n^j up to the first n^j of float zeros."""
+        algebra = self.algebra
+        a0 = self.coeffs[algebra.unit_index]
+        out = list(algebra.unit(apply_primitive(name, a0, shift)).coeffs)
+        nil = npow = _nilpotent(self)
+        for j in range(1, algebra.height + 1):
+            if _all_zero(npow):
                 break
-            coeff = apply_primitive(name, a0, shift + j)
-            out = out + npow * (coeff * (1.0 / math.factorial(j)))
-            if j < self.algebra.height:
-                npow = npow * nil
-        return out
+            s = apply_primitive(name, a0, shift + j) * (1.0 / math.factorial(j))
+            out = [o + c * s for o, c in zip(out, npow)]
+            if j < algebra.height:
+                COUNTS["algebra_products"] += 1
+                npow = algebra.product()(npow, nil)
+        return _of(algebra, tuple(out))
 
     def inverse(self) -> "AlgebraElement":
         return self.algebra.unit() / self

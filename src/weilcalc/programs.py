@@ -394,10 +394,10 @@ def evaluate_points(prog: Program, x) -> np.ndarray:
 
 def compose(f: Program, g: Program) -> Program:
     """f after g, by substitution."""
-    if f.arity_in != g.arity_out:
+    if f.params or f.arity_in != g.arity_out:
         raise ArityMismatch(
-            "cannot compose: inner produces %d values, outer expects %d"
-            % (g.arity_out, f.arity_in)
+            "cannot compose: inner produces %d values; outer takes %d and %d parameters (it must take none)"
+            % (g.arity_out, f.arity_in, f.params)
         )
     return Program(g.arity_in, _run(f.tape, g.exprs))
 

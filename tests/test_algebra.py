@@ -31,14 +31,17 @@ from weilcalc.algebra import (
 from weilcalc.errors import (
     AlgebraMismatch,
     DivisionByNilpotent,
+    DomainError,
     InvariantViolation,
     NotMultiplicative,
     NotUnital,
     ShapeMismatch,
 )
-from weilcalc.exprs import Const, Expr, Var, node_to_json
-from weilcalc.functor import WeilPoint
+from weilcalc.exprs import Const, Expr, Var, intpow, node_to_json, prim
+from weilcalc.functor import WeilPoint, flatten, lift, lift_program
 from weilcalc.jets import P, Residues
+from weilcalc.programs import Program, evaluate, program_dumps
+from weilcalc.scalars import apply_primitive
 from weilcalc.strongdiff import make_S
 
 DUAL = make_basic("dual")
@@ -523,6 +526,187 @@ def test_dual_quotients_are_the_quotient_rule_bit_for_bit(a0, a1, b0, b1):
     # a float zero is not divided, so a zero may keep its sign
     for g, w in zip(got, want):
         assert float.hex(g) == float.hex(w) or g == w == 0.0
+
+
+# -- the series on coefficient tuples against element-by-element series ------
+#
+# The references below run analytic, division by an element and powers as
+# sums and products of whole elements through the public operators, one
+# element per step; the engine runs them on coefficient tuples.  Both must
+# do the same float operations in the same order.
+
+
+def _ref_nil(x):
+    coeffs = list(x.coeffs)
+    coeffs[x.algebra.unit_index] = 0.0
+    return AlgebraElement(x.algebra, coeffs)
+
+
+def _ref_is_zero(x):
+    return all(isinstance(c, float) and c == 0.0 for c in x.coeffs)
+
+
+def _ref_over(x, b0):
+    return AlgebraElement(x.algebra, [c if isinstance(c, float) and c == 0.0 else c / b0 for c in x.coeffs])
+
+
+def _ref_analytic(x, name, shift=0):
+    a0 = x.coeffs[x.algebra.unit_index]
+    out = x.algebra.unit(apply_primitive(name, a0, shift))
+    nil = npow = _ref_nil(x)
+    for j in range(1, x.algebra.height + 1):
+        if _ref_is_zero(npow):
+            break
+        out = out + npow * (apply_primitive(name, a0, shift + j) * (1.0 / math.factorial(j)))
+        if j < x.algebra.height:
+            npow = npow * nil
+    return out
+
+
+_PLAIN_DIV = AlgebraElement.__truediv__
+
+
+def _ref_div(x, y):
+    if not isinstance(y, AlgebraElement):
+        return _PLAIN_DIV(x, y)
+    b0 = y.coeffs[x.algebra.unit_index]
+    if algebra._zero_real(b0):
+        raise DivisionByNilpotent("division by zero real part")
+    nil = _ref_nil(y)
+    q = _ref_over(x, b0)
+    for _ in range(0 if _ref_is_zero(nil) else x.algebra.height):
+        q = _ref_over(x - q * nil, b0)
+    return q
+
+
+def _ref_pow(x, k):
+    if k < 0:
+        if algebra._zero_real(x.coeffs[x.algebra.unit_index]):
+            raise DivisionByNilpotent("zero real part raised to a negative power")
+        return _ref_pow(_ref_div(x.algebra.unit(), x), -k)
+    acc, base = x.algebra.unit(), x
+    while k:
+        if k & 1:
+            acc = acc * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return acc
+
+
+def _series_outcome(thunk):
+    """The coefficient bytes and product count of a result, or the class of
+    the error raised instead."""
+    before = COUNTS["algebra_products"]
+    try:
+        got = thunk()
+    except (ArithmeticError, DomainError, DivisionByNilpotent) as err:
+        return type(err), COUNTS["algebra_products"] - before
+    return np.array(got.coeffs, dtype=float).tobytes(), COUNTS["algebra_products"] - before
+
+
+SERIES_ALGEBRAS = STANDARD + [make_basic("truncated", 1, 12), make_basic("truncated", 3, 3), T12_SCALED]
+# sparse: most coefficients are an exact zero of either sign
+_SPARSE = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2, 2, allow_nan=False))
+_REAL = st.one_of(st.sampled_from([0.0, -0.0, -1.0]), st.floats(0.25, 3).flatmap(lambda v: st.sampled_from([v, -v])))
+
+
+def _sparse_element(data, a):
+    coeffs = data.draw(st.lists(_SPARSE, min_size=a.dim, max_size=a.dim))
+    coeffs[a.unit_index] = data.draw(_REAL)
+    return AlgebraElement(a, coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SERIES_ALGEBRAS),
+    st.sampled_from(["exp", "sin", "cos", "log", "sqrt"]),
+    st.integers(0, 2),
+    st.data(),
+)
+def test_analytic_is_the_element_by_element_series_bit_for_bit(a, name, shift, data):
+    # a zero real part under log or sqrt raises; both sides must raise alike
+    x = _sparse_element(data, a)
+    assert _series_outcome(lambda: x.analytic(name, shift)) == _series_outcome(lambda: _ref_analytic(x, name, shift))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SERIES_ALGEBRAS), st.data())
+def test_division_is_the_element_by_element_fixed_point_bit_for_bit(a, data):
+    x, y = _sparse_element(data, a), _sparse_element(data, a)
+    assert _series_outcome(lambda: x / y) == _series_outcome(lambda: _ref_div(x, y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SERIES_ALGEBRAS), st.integers(-4, 6), st.data())
+def test_powers_are_the_element_by_element_square_and_multiply_bit_for_bit(a, k, data):
+    x = _sparse_element(data, a)
+    assert _series_outcome(lambda: x**k) == _series_outcome(lambda: _ref_pow(x, k))
+
+
+def test_sqrt_at_a_zero_real_part_is_zero_only_without_a_nilpotent_part():
+    for a in SERIES_ALGEBRAS:
+        zero = AlgebraElement(a, [0.0] * a.dim)
+        assert _series_outcome(lambda: zero.analytic("sqrt")) == _series_outcome(lambda: _ref_analytic(zero, "sqrt"))
+        assert zero.analytic("sqrt").coeffs == (0.0,) * a.dim
+        nil = [0.0] * a.dim
+        nil[1] = 1.0
+        with pytest.raises(DomainError):
+            AlgebraElement(a, nil).analytic("sqrt")
+
+
+def _taylor_style_program():
+    """R^2 -> R^2 with every primitive, quotients and integer powers."""
+    x, y = Var(0), Var(1)
+    return Program(2, [
+        0.3 * x * y + prim("sin", x + y) - 0.25 * prim("exp", x) + prim("log", 1 + intpow(y, 2)) / (2 + intpow(x, 2)),
+        intpow(x - y, 3) + prim("cos", x) * prim("sqrt", 2 + intpow(y, 2)) - intpow(1 + intpow(x, 2), -2) / 3,
+    ])
+
+
+def test_a_symbolic_lift_renders_as_the_element_by_element_series(monkeypatch):
+    a = make_basic("truncated", 2, 2)
+    f = _taylor_style_program()
+    fast = program_dumps(lift_program(a, f))
+    monkeypatch.setattr(AlgebraElement, "analytic", _ref_analytic)
+    monkeypatch.setattr(AlgebraElement, "__truediv__", _ref_div)
+    monkeypatch.setattr(AlgebraElement, "__pow__", _ref_pow)
+    assert fast == program_dumps(lift_program(a, f))
+
+
+@pytest.mark.parametrize("name", ["exp", "sin", "cos", "log", "sqrt"])
+def test_analytic_over_nested_coefficients_is_the_tensor_product_lift(name):
+    # a dual number whose coefficients are truncated(1,2) elements is a point
+    # of tensor(dual, truncated(1,2)) in flatten's layout; the element-by-element
+    # series refused it, as a Taylor term multiplied elements of two algebras
+    inner = [AlgebraElement(T12, [0.7, -0.4, 1.1]), AlgebraElement(T12, [0.5, 0.9, -0.3])]
+    x = AlgebraElement(DUAL, inner)
+    with pytest.raises(AlgebraMismatch):
+        _ref_analytic(x, name)
+
+    def flat(el):
+        coords = [AlgebraElement(DUAL, [c.coeffs[k] for c in el.coeffs]) for k in range(T12.dim)]
+        return flatten(WeilPoint(DUAL, coords), DUAL, T12).coords[0]
+
+    got, want = flat(x.analytic(name)), flat(x).analytic(name)
+    assert want.algebra == tensor(DUAL, T12)
+    assert np.allclose(got.coeffs, want.coeffs, rtol=0.0, atol=1e-12)
+
+
+# -- an element divided by a number rounds as the float run -------------------
+
+
+@pytest.mark.parametrize("a", [DUAL, make_basic("truncated", 2, 2)], ids=lambda a: a.name)
+@pytest.mark.parametrize("divisor", [3.0, -3.0, 7.0, -0.1])
+def test_an_element_over_a_number_has_the_float_runs_real_part(a, divisor):
+    f = Program(1, [Var(0) / divisor])
+    xs = np.random.default_rng(5).uniform(-10.0, 10.0, size=1000).tolist() + [0.0, -0.0]
+    lifted = lift(a, f)
+    for x in xs:
+        coeffs = list(a.generator_elements()[0].coeffs)
+        coeffs[a.unit_index] = x
+        point = WeilPoint(a, [AlgebraElement(a, coeffs)])
+        got = lifted(point).coords[0].coeffs[a.unit_index]
+        assert struct.pack("<d", got) == struct.pack("<d", evaluate(f, [x])[0])
 
 
 # -- homomorphisms -----------------------------------------------------------

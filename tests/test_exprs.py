@@ -46,6 +46,7 @@ from weilcalc.programs import (
     field_from_json,
     field_to_json,
     jacobian_oracle,
+    poly_template,
     program_dumps,
     program_from_json,
     program_to_json,
@@ -977,6 +978,12 @@ def test_compose_runs_right_then_left():
     inc = Program(1, [Var(0) + 1])
     sq = Program(1, [intpow(Var(0), 2)])
     assert evaluate(compose(sq, inc), [2.0]) == [9.0]
+
+
+def test_compose_refuses_an_outer_program_that_takes_parameters():
+    # the inner program gives values for the outer's coordinates only
+    with pytest.raises(ArityMismatch, match="2 parameters"):
+        compose(poly_template(1, 1, 1), Program(1, [Var(0)]))
 
 
 def test_builders():

@@ -2,9 +2,11 @@
 every package module imports on its own, without an import cycle; every
 name the benchmark's span tracer wraps still exists; verify-all still
 opens every span the benchmark expects of it; and tools/bench_snapshot.py
-reads run.py's and pytest's output into its document and compares
-two such documents."""
+reads run.py's and pytest's output into its document, compares two
+such documents, and measures a parent and a change alternately into one
+file, each side with its own git stamp."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -333,3 +335,73 @@ def test_the_bench_snapshot_diff_prints_both_medians_and_the_change(capsys, tmp_
     ]
     assert out[3].split() == ["verify-all", "peak_rss_mb", "0", "48", "+nan%", "MB", "0..0", "48..48", "resolved"]
     assert len(out) == 4
+
+
+def _git_checkout(path, files):
+    """A git repository at path whose one commit holds files."""
+    path.mkdir()
+    for name, text in files.items():
+        (path / name).write_text(text)
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(
+            ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+             "-c", "commit.gpgsign=false", *args],
+            cwd=path, check=True, capture_output=True,
+        )
+    return path
+
+
+def test_the_paired_snapshot_alternates_the_sides_and_stamps_each(tmp_path, monkeypatch, capsys):
+    # the benchmark subprocesses are replaced by canned output; git runs for real
+    snap = _bench_snapshot()
+    spec = json.dumps({"workloads": [{"name": "verify-all"}, {"name": "render"}]})
+    parent = _git_checkout(tmp_path / "parent", {"BENCHMARK.json": spec})
+    change = _git_checkout(tmp_path / "change", {"BENCHMARK.json": spec})
+    (change / "BENCHMARK.json").write_text(spec + "\n")  # an uncommitted edit
+    plain = []
+    base = {"parent": 0.3, "change": 0.2}
+
+    def fake_run(cmd, root, **env):
+        if "pytest" in cmd:
+            return "3 passed in 1.00s\n"
+        if "verify" in cmd:
+            Path(cmd[-1]).write_text("[]\n")
+            return ""
+        if cmd[-1] == "0":
+            plain.append([cmd[-3], root.name])
+            return _canned_run(base[root.name] + 0.01 * sum(p[1] == root.name for p in plain), False)
+        return _canned_run(7.0, True)
+
+    monkeypatch.setattr(snap, "_run", fake_run)
+    monkeypatch.setattr(snap, "RUNS", 3)
+    doc = snap.paired_snapshot(parent, change)
+    # each pair starts on the other side from the pair before
+    pairs = ["parent", "change", "change", "parent", "parent", "change"]
+    assert plain == doc["order"] == [[w, s] for w in ("verify-all", "render") for s in pairs]
+    for side, root in (("parent", parent), ("change", change)):
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True).stdout.strip()
+        diff = subprocess.run(["git", "diff", "HEAD"], cwd=root, capture_output=True).stdout
+        assert doc[side]["stamp"] == {
+            "commit": head, "dirty": side == "change", "diff_sha256": hashlib.sha256(diff).hexdigest(),
+        }
+        wl = doc[side]["workloads"]["verify-all"]
+        assert wl["end_to_end"]["wall_s"]["values"] == pytest.approx([base[side] + 0.01 * k for k in (1, 2, 3)])
+        assert len(wl["calibration"]) == 3
+        assert all(c["python_s"] > 0 and c["numpy_s"] > 0 for c in wl["calibration"])
+        assert doc[side]["tier1"]["tests"] == 3
+    assert doc["parent"]["stamp"]["diff_sha256"] == hashlib.sha256(b"").hexdigest()
+    row = doc["diff"][0]
+    assert (row["workload"], row["metric"], row["resolved"]) == ("verify-all", "wall_s", True)
+    assert (row["parent"], row["change"]) == pytest.approx((0.32, 0.22))
+
+    # --diff reads both sides out of the one file
+    path = tmp_path / "BENCH_pair.json"
+    path.write_text(json.dumps(doc))
+    assert snap.main(["--diff", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split() == ["verify-all", "wall_s", "0.32", "0.22", "-31.2%", "s", "0.315..0.325", "0.215..0.225", "resolved"]
+    assert len(out) == 1 + len(doc["diff"]) == 5
+    # a one-sided file has nothing to compare
+    (tmp_path / "one.json").write_text(json.dumps(doc["change"]))
+    with pytest.raises(SystemExit):
+        snap.main(["--diff", str(tmp_path / "one.json")])

@@ -1,35 +1,49 @@
 """Snapshot of a checkout's benchmark numbers, written to one JSON file.
 
+    python3 tools/bench_snapshot.py --parent ../parent --out BENCH_36.json
+    python3 tools/bench_snapshot.py --diff BENCH_36.json
     python3 tools/bench_snapshot.py --out BENCH_31.json
-    python3 tools/bench_snapshot.py --root ../parent --out BENCH_30.json
     python3 tools/bench_snapshot.py --diff BENCH_30.json BENCH_31.json
 
 For each workload that BENCHMARK.json of the checkout at --root declares,
 the script runs that checkout's `perfbench/run.py` as a subprocess, one run
 at a time: RUNS runs of SECONDS s with `--trace 0`, of which it keeps the
 median of each end-to-end metric (and every run's value), and one run with
-`--trace 1`, of which it keeps the `metric` lines.  It also keeps the `env`
-line of the first run, whose `weilcalc_lines` is `cat src/weilcalc/*.py |
-wc -l`, each unit's entry of one `weilcalc verify --suite all --seed 7
---profile` run (its `wall_s` and, where the checkout counts them, its work
-counters: tape compiles, ops compiled and run, algebra products, product
-compiles and oracle calls), and the wall time and test count of
-the tier-1 run (`python -m pytest -q --continue-on-collection-errors`
-with src on the path).  RUNS
-and SECONDS are fixed so that every BENCH file is measured the same way.
-Before and after numbers of a change come from two snapshots taken on the
-same machine, one after the other; `--diff OLD NEW` prints, for each
-workload and end-to-end metric both hold, the two medians, the relative
-change and each side's quartiles of its stored run values, and marks the
-row `unresolved` when the medians differ by no more than the wider of the
-two interquartile ranges: a change inside the runs' own spread reads the
-machine, not the code.
+`--trace 1`, of which it keeps the `metric` lines.  Just before each
+`--trace 0` run it times a fixed pure-Python loop and a fixed numpy loop in
+its own interpreter and keeps both times with the run, so that files from
+different sessions can be read against the speed of the machine at the
+time.  It also keeps the `env` line of the first run, whose
+`weilcalc_lines` is `cat src/weilcalc/*.py | wc -l`; a stamp of its own
+making, the checkout's `git rev-parse HEAD`, whether `git status` shows
+any change, and a sha256 of `git diff HEAD`; each unit's entry of one
+`weilcalc verify --suite all --seed 7 --profile` run (its `wall_s` and,
+where the checkout counts them, its work counters: tape compiles, ops
+compiled and run, algebra products, product compiles and oracle calls);
+and the wall time and test count of the tier-1 run (`python -m pytest -q
+--continue-on-collection-errors` with src on the path).  RUNS and SECONDS
+are fixed so that every BENCH file is measured the same way.
+
+With `--parent ROOT` the file holds two such snapshots, "parent" of the
+checkout at ROOT and "change" of the one at --root, measured in one
+session: for each workload the two run alternately, RUNS times each, and
+each pair starts on the other side from the pair before (`order` lists
+the runs as made).  Its "diff" holds the rows that `--diff` prints.
+
+`--diff OLD NEW`, or `--diff FILE` of a two-sided file, prints, for each
+workload and end-to-end metric both sides hold, the two medians, the
+relative change and each side's quartiles of its stored run values, and
+marks the row `unresolved` when the medians differ by no more than the
+wider of the two interquartile ranges: a change inside the runs' own
+spread reads the machine, not the code.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import math
 import os
 import re
 import statistics
@@ -39,10 +53,13 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 RUNS = 5
 SECONDS = 5.0
+SIDES = ("parent", "change")
 # the outcomes pytest counts tests under; "warnings" and "deselected" are not tests
 OUTCOMES = ("passed", "failed", "skipped", "xfailed", "xpassed", "error", "errors")
 # runs the checkout's command line, as the installed `weilcalc` script does
@@ -106,17 +123,67 @@ def _src_path(root: Path) -> str:
     return os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
 
 
-def snapshot(root: Path) -> dict:
+def stamp(root: Path) -> dict:
+    """The checkout's commit, whether `git status` shows any change (an
+    untracked file too), and a sha256 of `git diff HEAD`; all None outside
+    a git checkout."""
+
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=root, capture_output=True)
+        return proc.stdout if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    if head is None:
+        return {"commit": None, "dirty": None, "diff_sha256": None}
+    return {
+        "commit": head.decode().strip(),
+        "dirty": bool(git("status", "--porcelain").strip()),
+        "diff_sha256": hashlib.sha256(git("diff", "HEAD")).hexdigest(),
+    }
+
+
+def calibrate() -> dict:
+    """Seconds this interpreter takes for a fixed pure-Python loop and for a
+    fixed numpy loop."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(300_000):
+        total += i * i % 7
+    python_s = time.perf_counter() - start
+    a = np.linspace(0.0, 1.0, 4096)
+    start = time.perf_counter()
+    for _ in range(300):
+        a = np.sin(a) + a * 0.5
+    return {"python_s": round(python_s, 6), "numpy_s": round(time.perf_counter() - start, 6)}
+
+
+def _bench(workload: str, trace: int) -> list:
+    return [sys.executable, "perfbench/run.py", "--seed", str(SEED), "--seconds", str(SECONDS),
+            "--workload", workload, "--trace", str(trace)]
+
+
+def timed_run(root: Path, workload: str) -> tuple:
+    """(calibration, parsed output) of one `--trace 0` run, calibrated just before."""
+    calibration = calibrate()
+    return calibration, parse_run(_run(_bench(workload, 0), root))
+
+
+def _workloads(root: Path) -> list:
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    bench = [sys.executable, "perfbench/run.py", "--seed", str(SEED), "--seconds", str(SECONDS)]
-    env, workloads = None, {}
-    for workload in (w["name"] for w in spec["workloads"]):
-        plain = [parse_run(_run(bench + ["--workload", workload, "--trace", "0"], root)) for _ in range(RUNS)]
-        traced = parse_run(_run(bench + ["--workload", workload, "--trace", "1"], root))
-        env = env or plain[0]["env"]
+    return [w["name"] for w in spec["workloads"]]
+
+
+def _side(root: Path, mark: dict, runs: dict) -> dict:
+    """One checkout's document from its stamp and its timed runs per
+    workload; the traced runs, the profile and tier-1 run here."""
+    workloads = {}
+    for workload, timed in runs.items():
+        plain = [p for _, p in timed]
+        traced = parse_run(_run(_bench(workload, 1), root))
         workloads[workload] = {
             "correct": all(p["result"]["correct"] for p in plain + [traced]),
             "end_to_end": end_to_end_summary([p["result"] for p in plain]),
+            "calibration": [c for c, _ in timed],
             "trace": traced["metrics"],
         }
     units = profile_units(root)
@@ -132,11 +199,38 @@ def snapshot(root: Path) -> dict:
         "seed": SEED,
         "runs": RUNS,
         "seconds": SECONDS,
-        "env": env,
+        "stamp": mark,
+        "env": next(iter(runs.values()))[0][1]["env"],
         "workloads": workloads,
         "verify_profile": units,
         "tier1": {"wall_s": round(wall, 3), "tests": sum(outcomes.get(k, 0) for k in OUTCOMES), "outcomes": outcomes},
     }
+
+
+def snapshot(root: Path) -> dict:
+    mark = stamp(root)
+    return _side(root, mark, {w: [timed_run(root, w) for _ in range(RUNS)] for w in _workloads(root)})
+
+
+def paired_snapshot(parent: Path, change: Path) -> dict:
+    """Both checkouts, their timed runs alternating; the workloads are the change's."""
+    roots = dict(zip(SIDES, (parent, change)))
+    marks = {side: stamp(root) for side, root in roots.items()}
+    runs = {side: {} for side in SIDES}
+    order = []
+    for workload in _workloads(change):
+        for i in range(RUNS):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                order.append([workload, side])
+                runs[side].setdefault(workload, []).append(timed_run(roots[side], workload))
+    doc = {side: _side(roots[side], marks[side], runs[side]) for side in SIDES}
+    doc["order"] = order
+    doc["diff"] = [
+        {"workload": w, "metric": m, "unit": u, "parent": a, "change": b,
+         "relative": None if math.isnan(c) else c, "parent_q": qa, "change_q": qb, "resolved": r}
+        for w, m, u, a, b, c, qa, qb, r in diff_rows(doc["parent"], doc["change"])
+    ]
+    return doc
 
 
 def quartiles(values) -> tuple:
@@ -180,15 +274,22 @@ def format_diff(rows) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     action = parser.add_mutually_exclusive_group(required=True)
-    action.add_argument("--out", help="the JSON file to write, e.g. BENCH_31.json")
-    action.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), help="compare two snapshot files")
+    action.add_argument("--out", help="the JSON file to write, e.g. BENCH_36.json")
+    action.add_argument("--diff", nargs="+", metavar="FILE", help="compare OLD NEW, or the two sides of one file")
     parser.add_argument("--root", default=str(ROOT), help="the checkout to measure (default: this one)")
+    parser.add_argument("--parent", help="also measure this checkout, alternating with --root")
     args = parser.parse_args(argv)
     if args.diff:
-        old, new = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff)
+        if len(args.diff) > 2:
+            parser.error("--diff takes one two-sided file or two files")
+        docs = [json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff]
+        if len(docs) == 1 and not all(side in docs[0] for side in SIDES):
+            parser.error("a single --diff file must hold both sides, as --parent writes")
+        old, new = docs if len(docs) == 2 else (docs[0][side] for side in SIDES)
         print(format_diff(diff_rows(old, new)))
         return 0
-    out = snapshot(Path(args.root).resolve())
+    root = Path(args.root).resolve()
+    out = snapshot(root) if args.parent is None else paired_snapshot(Path(args.parent).resolve(), root)
     Path(args.out).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
