@@ -393,13 +393,13 @@ def evaluate_points(prog: Program, x) -> np.ndarray:
 
 
 def compose(f: Program, g: Program) -> Program:
-    """f after g, by substitution."""
+    """f after g, by substitution; the result takes g's parameters."""
     if f.params or f.arity_in != g.arity_out:
         raise ArityMismatch(
             "cannot compose: inner produces %d values; outer takes %d and %d parameters (it must take none)"
             % (g.arity_out, f.arity_in, f.params)
         )
-    return Program(g.arity_in, _run(f.tape, g.exprs))
+    return Program(g.arity_in, _run(f.tape, g.exprs), params=g.params)
 
 
 def jacobian_oracle(prog: Program, x, richardson: bool = False) -> np.ndarray:

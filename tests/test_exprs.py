@@ -986,6 +986,14 @@ def test_compose_refuses_an_outer_program_that_takes_parameters():
         compose(poly_template(1, 1, 1), Program(1, [Var(0)]))
 
 
+def test_compose_keeps_the_inner_programs_parameters():
+    inner = poly_template(1, 1, 1)
+    twice = compose(Program(1, [2.0 * Var(0)]), inner)
+    assert (twice.arity_in, twice.params) == (1, inner.params)
+    args = [0.5, 0.25, -1.5]
+    assert evaluate(twice, args) == [2.0 * v for v in evaluate(inner, args)]
+
+
 def test_builders():
     assert evaluate(Program(2, [Var(0), Var(1)]), [3.0, 4.0]) == [3.0, 4.0]
     assert evaluate(Program(1, [Const(7.0)]), [0.0]) == [7.0]
