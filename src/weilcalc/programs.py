@@ -396,7 +396,7 @@ def compose(f: Program, g: Program) -> Program:
     """f after g, by substitution; the result takes g's parameters."""
     if f.params or f.arity_in != g.arity_out:
         raise ArityMismatch(
-            "cannot compose: inner produces %d values; outer takes %d and %d parameters (it must take none)"
+            "cannot compose: inner produces %d values, outer takes %d values and %d parameters (must be 0)"
             % (g.arity_out, f.arity_in, f.params)
         )
     return Program(g.arity_in, _run(f.tape, g.exprs), params=g.params)
