@@ -15,8 +15,10 @@ Python for that reason.  A product runs the algebra's compiled product
 tuples, generated once per algebra from its structure nonzeros, that
 skips a float-zero coefficient with everything it would multiply, so the
 zero coefficients of a sparse nilpotent power cost one test each.  The
-series (`analytic`, division by an element, `**`) run on coefficient
-tuples through that product and wrap only their result in an element.
+series (`analytic`, `**`) run on coefficient tuples through that product
+and wrap only their result in an element.  Division by an element is one
+triangular solve (`WeilAlgebra.divide`) where the basis allows it, as
+every monomial basis does, and the fixed point q = (a - q*n)/b0 otherwise.
 """
 
 from __future__ import annotations
@@ -39,17 +41,19 @@ from .errors import (
     NotUnital,
     ShapeMismatch,
 )
-from .scalars import apply_primitive
+from .scalars import apply_primitive, primitive_rule
 
 DEFAULT_HOM_TOL = 1e-9
 STRUCT_TOL = 1e-12
-# Largest algebra dimension accepted.  Validation holds d^4 floats at once:
-# dim 64 takes about 0.5 GB, and every standard algebra is far below it.
+# Largest algebra dimension accepted.  Validation holds d^3 floats at a time:
+# dim 64 builds in about a second, and every standard algebra is far below it.
 MAX_DIM = 64
+# 1/j! for the Taylor terms of `analytic`; the height is below MAX_DIM
+_INVERSE_FACTORIALS = tuple(1.0 / math.factorial(j) for j in range(MAX_DIM))
 
-# Running totals since import: element-by-element products, and products
-# compiled (one per algebra value that multiplies).  `verify --profile`
-# records each unit's share.
+# Running totals since import: element-by-element products (a division by an
+# element counts one), and products compiled (one per algebra value that
+# multiplies).  `verify --profile` records each unit's share.
 COUNTS = {"algebra_products": 0, "product_compiles": 0}
 
 
@@ -103,6 +107,7 @@ class WeilAlgebra:
             raise ShapeMismatch("structure constants and generators must be finite")
         self._nz = None
         self._product = None
+        self._divide = False  # not built yet
         self.height = self._validate()
         self.width = self._minimal_width()
         self._key = (
@@ -134,14 +139,17 @@ class WeilAlgebra:
                 "multiplication is not commutative: c[%d,%d,%d] != c[%d,%d,%d] (dev %.3e)"
                 % (i, j, k, j, i, k, gap.max())
             )
-        left = np.einsum("ijl,lkm->ijkm", c, c)
-        right = np.einsum("jkl,ilm->ijkm", c, c)
-        gap = np.abs(left - right)
-        if gap.max() > STRUCT_TOL:
-            i, j, k, _ = np.unravel_index(int(gap.argmax()), gap.shape)
+        # (e_i e_j) e_k against e_i (e_j e_k), one i at a time as two BLAS
+        # products; the first i to reach the largest gap names the triple
+        worst, where = 0.0, None
+        for i in range(d):
+            gap = np.abs(c[i] @ c.reshape(d, d * d) - (c.reshape(d * d, d) @ c[i]).reshape(d, d * d))
+            if gap.max() > worst:
+                worst, where = gap.max(), (i, *np.unravel_index(int(gap.argmax()), (d, d, d))[:2])
+        if worst > STRUCT_TOL:
             raise InvariantViolation(
                 "multiplication is not associative at basis triple (%d,%d,%d) (dev %.3e)"
-                % (i, j, k, gap.max())
+                % (*where, worst)
             )
         rest = [i for i in range(d) if i != u]
         if rest:
@@ -197,6 +205,14 @@ class WeilAlgebra:
             self._product = _compile_product(self.dim, self.nonzeros())
             COUNTS["product_compiles"] += 1
         return self._product
+
+    def divide(self):
+        """The compiled solve divide(a, n, b0) of q*(b0 + n) = a for q, with n's
+        real part 0.0, built on first use and kept on this value; None for a
+        basis that admits no single sweep (see `_compile_divide`)."""
+        if self._divide is False:
+            self._divide = _compile_divide(self.dim, self.unit_index, self.nonzeros(), self.height)
+        return self._divide
 
     def unit(self, scale=1.0) -> "AlgebraElement":
         coeffs = [0.0] * self.dim
@@ -303,6 +319,52 @@ def _compile_product(dim: int, nonzeros):
     return namespace["make"](tuple(consts))
 
 
+def _compile_divide(dim: int, unit: int, nonzeros, height: int):
+    """divide(a, n, b0): the fixed point's last round in one sweep, or None.
+
+    Entry (i, j, k, c) with j not the unit makes q_k depend on q_i.  If no
+    chain of these edges is a cycle or longer than `height`, the fixed
+    point's q_k stops changing at the round equal to its chain depth, so
+    one sweep by depth gives its last round bit for bit: q_k is
+    over(a_k - s_k, b0), s_k summing q_i*n_j*c under the product's rules
+    (`_compile_product`).  Two source lines per entry, a few per output.
+    """
+    terms = [[] for _ in range(dim)]
+    for i, j, k, c in nonzeros:
+        if j != unit:
+            terms[k].append((i, j, c))
+    # after round r, depth[k] is the longest chain of at most r edges into
+    # k; it settles by round height + 1 unless a chain is longer or a cycle
+    depth = [0] * dim
+    for _ in range(height + 1):
+        longer = [max([depth[i] + 1 for i, _, _ in terms[k]], default=0) for k in range(dim)]
+        if longer == depth:
+            break
+        depth = longer
+    else:
+        return None
+    consts = {}
+    sources = {e[0] for ts in terms for e in ts}
+    body = ["z%d = isinstance(n%d, float) and n%d == 0.0" % (j, j, j) for j in sorted({e[1] for ts in terms for e in ts})]
+    for k in sorted(range(dim), key=lambda k: (depth[k], k)):
+        body.append("o = None")
+        for i, j, c in terms[k]:
+            t = "q%d * n%d" % (i, j) + ("" if c == 1.0 else " * c%d" % consts.setdefault(c, len(consts)))
+            body += ["if not (w%d or z%d):" % (i, j), " o = %s if o is None else o + %s" % (t, t)]
+        body.append("q%d = over(a%d - (0.0 if o is None else o), b0)" % (k, k))
+        if k in sources:
+            body.append("w%d = isinstance(q%d, float) and q%d == 0.0" % (k, k, k))
+    source = "\n".join(
+        ["def divide(a, n, b0):"]
+        + ["    %s, = %s" % (", ".join("%s%d" % (v, k) for k in range(dim)), v) for v in "an"]
+        + ["    " + line for line in body]
+        + ["    return (%s,)" % ", ".join("q%d" % k for k in range(dim))]
+    )
+    namespace = {"over": _over, **{"c%d" % n: c for c, n in consts.items()}}
+    exec(compile(source, "<weil divide>", "exec"), namespace)
+    return namespace["divide"]
+
+
 def _zero_real(x) -> bool:
     """Whether a real part is an exact zero, or a column with a zero entry."""
     return not x.all() if type(x) is np.ndarray else isinstance(x, (int, float)) and x == 0
@@ -324,9 +386,9 @@ def _all_zero(coeffs) -> bool:
     return True
 
 
-def _over(coeffs, b0) -> tuple:
+def _over(c, b0):
     # a float zero is not divided, so it stays a zero that products skip
-    return tuple([c if isinstance(c, float) and c == 0.0 else c / b0 for c in coeffs])
+    return c if isinstance(c, float) and c == 0.0 else c / b0
 
 
 class AlgebraElement:
@@ -400,15 +462,19 @@ class AlgebraElement:
                 return _of(algebra, tuple([c / other for c in self.coeffs]))
             return self * apply_primitive("recip", other)
         # the fixed point q = (a - q*n)/b0 of b = b0 + n, from q = a/b0: each
-        # round fixes one more power of the ideal, so `height` rounds do
+        # round fixes one more power of the ideal, so `height` rounds do; the
+        # compiled sweep gives its last round at once, counted as one product
         b0 = peer.coeffs[algebra.unit_index]
         if _zero_real(b0):
             raise DivisionByNilpotent("division by zero real part")
         nil = _nilpotent(peer)
-        q = _over(self.coeffs, b0)
-        for _ in range(0 if _all_zero(nil) else algebra.height):
-            COUNTS["algebra_products"] += 1
-            q = _over([x - y for x, y in zip(self.coeffs, algebra.product()(q, nil))], b0)
+        rounds = 0 if _all_zero(nil) else algebra.height
+        COUNTS["algebra_products"] += rounds > 0
+        if rounds and algebra.divide() is not None:
+            return _of(algebra, algebra.divide()(self.coeffs, nil, b0))
+        q = tuple([_over(c, b0) for c in self.coeffs])
+        for _ in range(rounds):
+            q = tuple([_over(x - y, b0) for x, y in zip(self.coeffs, algebra.product()(q, nil))])
         return _of(algebra, q)
 
     def __rtruediv__(self, other):
@@ -437,12 +503,13 @@ class AlgebraElement:
         the sum of f^(shift+j)(a0)/j! n^j up to the first n^j of float zeros."""
         algebra = self.algebra
         a0 = self.coeffs[algebra.unit_index]
-        out = list(algebra.unit(apply_primitive(name, a0, shift)).coeffs)
+        rule, y = primitive_rule(a0)
+        out = list(algebra.unit(rule(y, name, shift)).coeffs)
         nil = npow = _nilpotent(self)
         for j in range(1, algebra.height + 1):
             if _all_zero(npow):
                 break
-            s = apply_primitive(name, a0, shift + j) * (1.0 / math.factorial(j))
+            s = rule(y, name, shift + j) * _INVERSE_FACTORIALS[j]
             out = [o + c * s for o, c in zip(out, npow)]
             if j < algebra.height:
                 COUNTS["algebra_products"] += 1

@@ -4,9 +4,9 @@ A "carrier" is whatever scalars a program is being evaluated over: plain
 floats, columns (float64 1-D arrays, one entry per point), expression
 trees, algebra elements (possibly nested, e.g. dual numbers whose
 coefficients are again algebra elements, or columns).  Everything here
-dispatches on the carrier; `shift` asks for the shift-th derivative of the
-primitive, in closed form, which is what truncated Taylor evaluation of an
-algebra element needs.
+dispatches on the carrier, once per point (`primitive_rule`); `shift` asks
+for the shift-th derivative of the primitive, in closed form, which is
+what truncated Taylor evaluation of an algebra element needs.
 
 "recip" (the derivative family of 1/x) is an internal primitive for 1/x
 of a carrier that is not a plain number, such as an expression divisor of
@@ -56,7 +56,7 @@ def _rule(name: str, shift: int) -> tuple:
     raise DomainError("unknown primitive %r" % name)
 
 
-def _numeric(name: str, shift: int, x: float) -> float:
+def _numeric(x: float, name: str, shift: int) -> float:
     c, f, k = _rule(name, shift)
     if name == "log":
         if shift == 0 and x <= 0.0:
@@ -76,21 +76,33 @@ def _numeric(name: str, shift: int, x: float) -> float:
         raise DomainError("%s has no finite value at %r" % (name, x)) from err
 
 
-def _symbolic(name: str, shift: int, x: exprs.Expr) -> exprs.Expr:
+def _symbolic(x: exprs.Expr, name: str, shift: int) -> exprs.Expr:
     c, f, k = _rule(name, shift)
     v = exprs.Const(c) if f is None else exprs.mul(exprs.Const(c), exprs.prim(f, x))
     return exprs.mul(v, exprs.intpow(x, k)) if k else v
 
 
-def apply_primitive(name: str, x, shift: int = 0):
-    """shift-th derivative of the named primitive at the carrier scalar x."""
-    analytic = getattr(x, "analytic", None)
-    if analytic is not None:
-        return analytic(name, shift)
+def _column(x: list, name: str, shift: int) -> np.ndarray:
+    # entry by entry: numpy's exp and log differ from math's in the last ulp;
+    # its sin, cos and sqrt match, but carry too few entries to pay a second path
+    return np.array([_numeric(t, name, shift) for t in x])
+
+
+def primitive_rule(x) -> tuple:
+    """(rule, y), rule(y, name, shift) being the shift-th derivative of the named
+    primitive at the carrier scalar x: a Taylor series picks x's branch once."""
+    if type(x) is float:
+        return _numeric, x
+    if hasattr(x, "analytic"):
+        return type(x).analytic, x
     if isinstance(x, exprs.Expr):
-        return _symbolic(name, shift, x)
+        return _symbolic, x
     if type(x) is np.ndarray:
-        # entry by entry: numpy's exp and log differ from math's in the last ulp;
-        # its sin, cos and sqrt match, but carry too few entries to pay a second path
-        return np.array([_numeric(name, shift, t) for t in x.tolist()])
-    return _numeric(name, shift, float(x))
+        return _column, x.tolist()
+    return _numeric, float(x)
+
+
+def apply_primitive(name: str, x):
+    """The named primitive at the carrier scalar x."""
+    rule, y = primitive_rule(x)
+    return rule(y, name, 0)

@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,11 +42,11 @@ from weilcalc.errors import (
     NotUnital,
     ShapeMismatch,
 )
-from weilcalc.exprs import Const, Expr, Var, intpow, node_to_json, prim
+from weilcalc.exprs import Const, Expr, Var, intpow, node_to_json, postorder, prim
 from weilcalc.functor import WeilPoint, flatten, lift, lift_program
 from weilcalc.jets import P, Residues
 from weilcalc.programs import Program, evaluate, program_dumps
-from weilcalc.scalars import apply_primitive
+from weilcalc.scalars import primitive_rule
 from weilcalc.strongdiff import make_S
 
 DUAL = make_basic("dual")
@@ -142,6 +147,55 @@ def test_constructor_rejects_nonassociative_table():
     c[1][2][1] = 1.0
     with pytest.raises(InvariantViolation):
         WeilAlgebra("bad", ("1", "x1", "x2"), c)
+
+
+def _dense_associativity_message(c):
+    """The message of the dense check over all d^4 (i, j, k, m) at once, and
+    the triples at which its largest gap is reached."""
+    gap = np.abs(np.einsum("ijl,lkm->ijkm", c, c) - np.einsum("jkl,ilm->ijkm", c, c))
+    i, j, k, _ = np.unravel_index(int(gap.argmax()), gap.shape)
+    text = "multiplication is not associative at basis triple (%d,%d,%d) (dev %.3e)" % (i, j, k, gap.max())
+    return text, {tuple(t[:3]) for t in np.argwhere(gap == gap.max())}
+
+
+@pytest.mark.parametrize("at", [(1, 1, 2), (1, 2, 3), (2, 2, 4), (1, 3, 4)])
+def test_an_associativity_defect_is_named_as_the_dense_check_names_it(at):
+    c = np.array(make_basic("truncated", 1, 4).structure)
+    i, j, k = at
+    c[i, j, k] = c[j, i, k] = 1.0 + 1e-6
+    text, _ = _dense_associativity_message(c)
+    with pytest.raises(InvariantViolation) as err:
+        WeilAlgebra("bad", make_basic("truncated", 1, 4).basis_labels, c)
+    assert str(err.value) == text
+
+
+def test_a_tied_largest_associativity_gap_is_named_at_its_first_triple():
+    # commutativity ties the gap at (i, j, k) with the one at (k, j, i): the
+    # first chunk to reach the largest gap names it, not the last
+    c = np.array(make_basic("truncated", 1, 4).structure)
+    c[1, 3, 4] = c[3, 1, 4] = 1.0 + 1e-6
+    c[2, 2, 4] = 1.0 + 2.5e-6
+    text, worst = _dense_associativity_message(c)
+    assert len({t[0] for t in worst}) > 1
+    with pytest.raises(InvariantViolation) as err:
+        WeilAlgebra("bad", make_basic("truncated", 1, 4).basis_labels, c)
+    assert str(err.value) == text
+
+
+def test_a_dim_64_algebra_builds_in_bounded_memory_and_compiles_nothing():
+    code = (
+        "import resource\n"
+        "from weilcalc.algebra import COUNTS, make_basic\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "a = make_basic('truncated', 1, 63)\n"
+        "assert a.dim == 64 and a._product is None and a._divide is False and COUNTS['product_compiles'] == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    src = str(Path(algebra.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 150 * 1024  # kB: the dense d^4 check took about 550 MB
 
 
 def test_constructor_rejects_non_nilpotent_ideal():
@@ -451,8 +505,8 @@ def test_a_late_first_term_is_assigned_not_added():
         assert _bits(got) == _bits(AlgebraElement(PRESENTED, want))
 
 
-def _source_lines(a):
-    """The number of lines of the product's generated source."""
+def _source_lines(build):
+    """The number of lines of the source that build() generates."""
     sources = []
 
     def keep(source, *args):
@@ -461,7 +515,7 @@ def _source_lines(a):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "compile", keep, raising=False)
-        algebra._compile_product(a.dim, a.nonzeros())
+        build()
     return sources[0].count("\n") + 1
 
 
@@ -470,7 +524,7 @@ def test_the_product_source_grows_linearly_in_the_nonzeros():
     for a in PRODUCT_ALGEBRAS + LARGE + [make_basic("truncated", 1, 40)]:
         nnz = len(a.nonzeros())
         pairs = len({(i, j) for i, j, _, _ in a.nonzeros()})
-        assert nnz < _source_lines(a) <= nnz + 2 * pairs + 3 * a.dim + 8
+        assert nnz < _source_lines(partial(algebra._compile_product, a.dim, a.nonzeros())) <= nnz + 2 * pairs + 3 * a.dim + 8
 
 
 @pytest.mark.parametrize("a", STANDARD, ids=lambda a: a.name)
@@ -552,12 +606,13 @@ def _ref_over(x, b0):
 
 def _ref_analytic(x, name, shift=0):
     a0 = x.coeffs[x.algebra.unit_index]
-    out = x.algebra.unit(apply_primitive(name, a0, shift))
+    rule, y = primitive_rule(a0)
+    out = x.algebra.unit(rule(y, name, shift))
     nil = npow = _ref_nil(x)
     for j in range(1, x.algebra.height + 1):
         if _ref_is_zero(npow):
             break
-        out = out + npow * (apply_primitive(name, a0, shift + j) * (1.0 / math.factorial(j)))
+        out = out + npow * (rule(y, name, shift + j) * (1.0 / math.factorial(j)))
         if j < x.algebra.height:
             npow = npow * nil
     return out
@@ -574,8 +629,11 @@ def _ref_div(x, y):
         raise DivisionByNilpotent("division by zero real part")
     nil = _ref_nil(y)
     q = _ref_over(x, b0)
+    before = COUNTS["algebra_products"]
     for _ in range(0 if _ref_is_zero(nil) else x.algebra.height):
         q = _ref_over(x - q * nil, b0)
+    # a division counts one product, whatever its rounds take
+    COUNTS["algebra_products"] = before + (not _ref_is_zero(nil))
     return q
 
 
@@ -671,6 +729,133 @@ def test_a_symbolic_lift_renders_as_the_element_by_element_series(monkeypatch):
     monkeypatch.setattr(AlgebraElement, "__truediv__", _ref_div)
     monkeypatch.setattr(AlgebraElement, "__pow__", _ref_pow)
     assert fast == program_dumps(lift_program(a, f))
+
+
+# -- division in one sweep against the fixed point ----------------------------
+
+
+def _skew_t12():
+    """truncated(1,2) on the basis 1, x, y = x + x^2: x*x = y - x, so the
+    support graph of a division has a loop and no order."""
+    c = np.zeros((3, 3, 3))
+    c[0] = c[:, 0] = np.eye(3)
+    for i, j in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        c[i, j, 1], c[i, j, 2] = -1.0, 1.0
+    return WeilAlgebra("truncated(1,2) on 1, x, x+x^2", ("1", "x", "x+x^2"), c)
+
+
+T12_SKEW = _skew_t12()
+# dual numbers whose unit is basis vector 1
+DUALSWAP = WeilAlgebra("dualswap", ("e", "1"), DUAL.structure[::-1, ::-1, ::-1], unit_index=1)
+SWEEP_ALGEBRAS = SERIES_ALGEBRAS + [
+    DUALSWAP, sum_algebra(make_basic("truncated", 1, 3), make_basic("truncated", 2, 2)), make_S().algebra,
+]
+FIXED_POINT_ALGEBRAS = [T12_SKEW, PRESENTED]
+
+
+def test_the_sweep_applies_exactly_where_the_basis_admits_an_order():
+    assert all(a.divide() is not None for a in SWEEP_ALGEBRAS + LARGE)
+    assert all(a.divide() is None for a in FIXED_POINT_ALGEBRAS)
+    make_hom(T12_SKEW, T12, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]))
+    # a chain longer than the height: the fixed point's last round has not
+    # reached its end, so no sweep stands in for it
+    assert algebra._compile_divide(3, 0, T12.nonzeros(), 2) is not None
+    assert algebra._compile_divide(3, 0, T12.nonzeros(), 1) is None
+
+
+def _dag_bits(v, table):
+    """_bits with each tree interned in table as (op, leaf, child indices):
+    equal indices are equal trees, and a shared subtree is read once, where
+    its printed form repeats it at every use, exponentially in the rounds."""
+    if isinstance(v, AlgebraElement):
+        return tuple(_dag_bits(c, table) for c in v.coeffs)
+    if not isinstance(v, Expr):
+        return _bits(v)
+    ids = {}
+    for node in postorder(v):
+        leaf = _bits(node.c) if type(node) is Const else getattr(node, "i", getattr(node, "k", None))
+        ids[node] = table.setdefault((node.op, leaf, tuple(ids[c] for c in node.children)), len(table))
+    return "tree", ids[v]
+
+
+# ints too: an int zero over a negative real part would keep its sign only
+# if an empty sum were not subtracted
+_SWEEP_CARRIERS = {**_CARRIERS, "int": st.one_of(_SCALAR, st.integers(-2, 2))}
+
+
+def _carrier_element(data, a, carrier):
+    coeffs = data.draw(st.lists(_SWEEP_CARRIERS[carrier], min_size=a.dim, max_size=a.dim))
+    return AlgebraElement(a, coeffs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(SWEEP_ALGEBRAS + FIXED_POINT_ALGEBRAS),
+    st.sampled_from(["float", "int", "column", "expr"]),
+    st.data(),
+)
+def test_the_sweep_is_the_fixed_point_on_every_carrier(a, carrier, data):
+    # specials, zeros of either sign, trees and columns: bit-equal coefficients
+    # and one product per solve, or the same exception class
+    x, y = _carrier_element(data, a, carrier), _carrier_element(data, a, carrier)
+    table = {}
+
+    def outcome(thunk):
+        before = COUNTS["algebra_products"]
+        try:
+            got = _dag_bits(thunk(), table)
+        except (ArithmeticError, DomainError, DivisionByNilpotent) as err:
+            got = type(err)
+        return got, COUNTS["algebra_products"] - before
+
+    with np.errstate(all="ignore"):
+        assert outcome(lambda: x / y) == outcome(lambda: _ref_div(x, y))
+
+
+def test_building_an_algebra_compiles_no_kernel_and_the_first_division_one(monkeypatch):
+    built = []
+
+    def counted(compile_kernel):
+        def run(*args):
+            built.append(compile_kernel.__name__)
+            return compile_kernel(*args)
+        return run
+
+    for name in ("_compile_product", "_compile_divide"):
+        monkeypatch.setattr(algebra, name, counted(getattr(algebra, name)))
+    a = WeilAlgebra("t", make_basic("truncated", 2, 3).basis_labels, make_basic("truncated", 2, 3).structure)
+    assert built == []
+    x = AlgebraElement(a, [1.0 + i for i in range(a.dim)])
+    y = AlgebraElement(a, [0.5 - i for i in range(a.dim)])
+    q = x / y
+    assert built == ["_compile_divide"]
+    assert _bits(x / y) == _bits(q) and a.divide() is a.divide()
+    assert built == ["_compile_divide"]
+    # a divisor with no nilpotent part needs no kernel
+    b = WeilAlgebra("t", a.basis_labels, a.structure)
+    x = AlgebraElement(b, x.coeffs)
+    assert _bits(x / b.unit(2.0)) == _bits(x / 2.0) and built == ["_compile_divide"]
+
+
+def test_the_divide_source_grows_linearly_in_the_nonzeros():
+    # two lines per entry with a nilpotent factor, a few per output
+    for a in KERNEL_ALGEBRAS + LARGE + [make_basic("truncated", 1, 40), DUALSWAP]:
+        entries = sum(j != a.unit_index for _, j, _, _ in a.nonzeros())
+        lines = _source_lines(partial(algebra._compile_divide, a.dim, a.unit_index, a.nonzeros(), a.height))
+        assert 2 * entries < lines <= 2 * entries + 5 * a.dim + 8
+
+
+@pytest.mark.parametrize("kind", ["truncated(1,63)", "tensor(truncated(1,7),truncated(1,7))"])
+def test_a_division_over_a_dim_64_algebra_is_the_fixed_point_in_bounded_time(kind):
+    t17 = make_basic("truncated", 1, 7)
+    a = make_basic("truncated", 1, 63) if kind.startswith("truncated") else tensor(t17, t17)
+    assert a.dim == 64
+    rng = np.random.default_rng(3)
+    x, y = (AlgebraElement(a, rng.uniform(-1.0, 1.0, size=a.dim).tolist()) for _ in "xy")
+    start = time.perf_counter()
+    q = x / y  # the first division over a: compiles the kernel
+    assert time.perf_counter() - start < 10.0
+    assert _bits(q) == _bits(_ref_div(x, y))
 
 
 @pytest.mark.parametrize("name", ["exp", "sin", "cos", "log", "sqrt"])

@@ -897,9 +897,9 @@ def test_a_direct_column_power_keeps_the_float_overflow_error(xs, k):
 def test_symbolic_derivatives_evaluate_to_the_float_ones_exactly(name):
     # one coefficient rule feeds both paths, multiplied in the same order
     for shift in range(7):
-        tree = _symbolic(name, shift, Var(0))
+        tree = _symbolic(Var(0), name, shift)
         for x in (0.1, 0.3, 0.5, 1.0, 1.7, 2.2, 3.0, 7.1, 12.5):
-            assert evaluate(Program(1, [tree]), [x])[0] == _numeric(name, shift, x), (shift, x)
+            assert evaluate(Program(1, [tree]), [x])[0] == _numeric(x, name, shift), (shift, x)
 
 
 def test_long_chains_compile_without_recursion():

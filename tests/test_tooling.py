@@ -399,9 +399,55 @@ def test_the_paired_snapshot_alternates_the_sides_and_stamps_each(tmp_path, monk
     path.write_text(json.dumps(doc))
     assert snap.main(["--diff", str(path)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[1].split() == ["verify-all", "wall_s", "0.32", "0.22", "-31.2%", "s", "0.315..0.325", "0.215..0.225", "resolved"]
+    # with this checkout's BENCHMARK.json, which says lower wall_s is better
+    assert out[1].split() == [
+        "verify-all", "wall_s", "0.32", "0.22", "-31.2%", "s", "0.315..0.325", "0.215..0.225", "resolved", "3/3",
+    ]
     assert len(out) == 1 + len(doc["diff"]) == 5
+    # the change's BENCHMARK.json declares no end-to-end metric: no verdict
+    assert (row["won"], row["pairs"], row["over_bound"]) == (None, 3, None)
     # a one-sided file has nothing to compare
     (tmp_path / "one.json").write_text(json.dumps(doc["change"]))
     with pytest.raises(SystemExit):
         snap.main(["--diff", str(tmp_path / "one.json")])
+
+
+def test_the_bench_snapshot_diff_of_a_two_sided_file_gives_the_pipelines_verdict(tmp_path, capsys):
+    snap = _bench_snapshot()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "items_per_s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    ]}))
+    parent = _canned_snapshot({
+        "taylor-lift": {"wall_s": [0.10, 0.12, 0.11, 0.10, 0.13], "items_per_s": [100.0, 90.0, 95.0, 99.0, 80.0],
+                        "peak_rss_mb": [40.0, 40.0, 40.0, 40.0, 40.0]},
+        "render": {"wall_s": [0.05, 0.05, 0.05]},
+    })
+    change = _canned_snapshot({
+        # four pairs won, one tied: a tie counts for neither side
+        "taylor-lift": {"wall_s": [0.08, 0.12, 0.09, 0.08, 0.10], "items_per_s": [110.0, 80.0, 95.0, 100.0, 90.0],
+                        "peak_rss_mb": [40.0, 40.0, 40.0, 40.0, 40.0]},
+        # worse by 30% against a bound of 25%
+        "render": {"wall_s": [0.065, 0.065, 0.06]},
+    })
+    doc = {"parent": parent, "change": change}
+    rows = snap.diff_rows(parent, change)
+    got = snap.verdicts(parent, change, rows, snap.metric_specs(tmp_path))
+    assert [(r[0], r[1]) + v for r, v in zip(rows, got)] == [
+        ("taylor-lift", "wall_s", 4, 5, False),
+        ("taylor-lift", "items_per_s", 3, 5, False),
+        ("taylor-lift", "peak_rss_mb", 0, 5, False),
+        ("render", "wall_s", 0, 3, True),
+    ]
+    # a metric BENCHMARK.json does not declare gets no verdict
+    assert snap.verdicts(parent, change, rows[:1], {}) == [(None, 5, None)]
+    path = tmp_path / "BENCH_pair.json"
+    path.write_text(json.dumps(doc))
+    assert snap.main(["--diff", str(path), "--root", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split()[-2:] == ["won", "bound"]
+    # the row over bound comes first, then the others in order
+    assert out[1].split()[:2] == ["render", "wall_s"] and out[1].split()[-2:] == ["0/3", "OVER-BOUND"]
+    assert [line.split()[1] for line in out[2:]] == ["wall_s", "items_per_s", "peak_rss_mb"]
+    assert [line.split()[-1] for line in out[2:]] == ["4/5", "3/5", "0/5"]

@@ -35,7 +35,12 @@ workload and end-to-end metric both sides hold, the two medians, the
 relative change and each side's quartiles of its stored run values, and
 marks the row `unresolved` when the medians differ by no more than the
 wider of the two interquartile ranges: a change inside the runs' own
-spread reads the machine, not the code.
+spread reads the machine, not the code.  For a two-sided file each row
+also shows the pairs the change won (pair i is the i-th run of each side;
+"won" follows the metric's `better` in the BENCHMARK.json of --root, and
+a tie counts for neither side), and rows whose change median is worse
+than the parent's by more than the metric's `bound` come first, marked
+`OVER-BOUND`: the rows a benchmark gate would refuse.
 """
 
 from __future__ import annotations
@@ -225,12 +230,43 @@ def paired_snapshot(parent: Path, change: Path) -> dict:
                 runs[side].setdefault(workload, []).append(timed_run(roots[side], workload))
     doc = {side: _side(roots[side], marks[side], runs[side]) for side in SIDES}
     doc["order"] = order
+    rows = diff_rows(doc["parent"], doc["change"])
     doc["diff"] = [
         {"workload": w, "metric": m, "unit": u, "parent": a, "change": b,
-         "relative": None if math.isnan(c) else c, "parent_q": qa, "change_q": qb, "resolved": r}
-        for w, m, u, a, b, c, qa, qb, r in diff_rows(doc["parent"], doc["change"])
+         "relative": None if math.isnan(c) else c, "parent_q": qa, "change_q": qb, "resolved": r,
+         "won": won, "pairs": pairs, "over_bound": over}
+        for (w, m, u, a, b, c, qa, qb, r), (won, pairs, over)
+        in zip(rows, verdicts(doc["parent"], doc["change"], rows, metric_specs(change)))
     ]
     return doc
+
+
+def metric_specs(root: Path) -> dict:
+    """{name: declaration} of the end-to-end metrics in BENCHMARK.json at root."""
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m for m in spec.get("end_to_end", [])}
+
+
+def verdicts(parent: dict, change: dict, rows, specs: dict) -> list:
+    """(pairs the change won, pairs, over bound) for each diff row of a
+    two-sided file.  Pair i is the i-th run of each side; the change wins
+    it when its value is better by the metric's `better`.  Over bound: the
+    change's median is worse than the parent's by more than `bound` times
+    the parent's.  None for what the metric's declaration does not say."""
+    out = []
+    for workload, name, *_ in rows:
+        before, after = (side["workloads"][workload]["end_to_end"][name] for side in (parent, change))
+        spec = specs.get(name, {})
+        sign = {"lower": 1, "higher": -1}.get(spec.get("better"))
+        pairs = list(zip(before["values"], after["values"]))
+        if sign is None:
+            out.append((None, len(pairs), None))
+            continue
+        worse = sign * (after["median"] - before["median"])
+        bound = spec.get("bound")
+        out.append((sum(sign * (b - a) < 0 for a, b in pairs), len(pairs),
+                    None if bound is None else worse > bound * abs(before["median"])))
+    return out
 
 
 def quartiles(values) -> tuple:
@@ -261,14 +297,26 @@ def diff_rows(old: dict, new: dict) -> list:
     return rows
 
 
-def format_diff(rows) -> str:
-    lines = ["%-12s %-12s %12s %12s %8s  %-5s %-21s %-21s %s" % (
-        "workload", "metric", "old", "new", "change", "unit", "old_q1..q3", "new_q1..q3", "spread")]
-    for workload, name, unit, a, b, change, qa, qb, resolved in rows:
-        lines.append("%-12s %-12s %12.6g %12.6g %+7.1f%%  %-5s %-21s %-21s %s" % (
+def format_diff(rows, verdicts=None) -> str:
+    """The rows as a table; given the verdicts of a two-sided file, each
+    row also shows the pairs won, and the rows over bound come first."""
+    head = "%-12s %-12s %12s %12s %8s  %-5s %-21s %-21s %s" % (
+        "workload", "metric", "old", "new", "change", "unit", "old_q1..q3", "new_q1..q3", "spread")
+    lines = []
+    for k, (workload, name, unit, a, b, change, qa, qb, resolved) in enumerate(rows):
+        line = "%-12s %-12s %12.6g %12.6g %+7.1f%%  %-5s %-21s %-21s %s" % (
             workload, name, a, b, 100 * change, unit, "%.6g..%.6g" % qa, "%.6g..%.6g" % qb,
-            "resolved" if resolved else "unresolved"))
-    return "\n".join(lines)
+            "resolved" if resolved else "unresolved")
+        over = False
+        if verdicts is not None:
+            won, pairs, over = verdicts[k]
+            line = "%-120s %5s %s" % (line, "-" if won is None else "%d/%d" % (won, pairs),
+                                      "OVER-BOUND" if over else "")
+        lines.append((not over, line.rstrip()))
+    if verdicts is not None:
+        head = "%-120s %5s %s" % (head, "won", "bound")
+    lines.sort(key=lambda item: item[0])  # stable: the rows over bound first, the rest in order
+    return "\n".join([head] + [line for _, line in lines])
 
 
 def main(argv=None) -> int:
@@ -285,8 +333,12 @@ def main(argv=None) -> int:
         docs = [json.loads(Path(p).read_text(encoding="utf-8")) for p in args.diff]
         if len(docs) == 1 and not all(side in docs[0] for side in SIDES):
             parser.error("a single --diff file must hold both sides, as --parent writes")
-        old, new = docs if len(docs) == 2 else (docs[0][side] for side in SIDES)
-        print(format_diff(diff_rows(old, new)))
+        if len(docs) == 2:
+            print(format_diff(diff_rows(*docs)))
+            return 0
+        old, new = (docs[0][side] for side in SIDES)
+        rows = diff_rows(old, new)
+        print(format_diff(rows, verdicts(old, new, rows, metric_specs(Path(args.root)))))
         return 0
     root = Path(args.root).resolve()
     out = snapshot(root) if args.parent is None else paired_snapshot(Path(args.parent).resolve(), root)
