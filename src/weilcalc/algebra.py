@@ -344,8 +344,9 @@ def _compile_divide(dim: int, unit: int, nonzeros, height: int):
     else:
         return None
     consts = {}
-    sources = {e[0] for ts in terms for e in ts}
-    body = ["z%d = isinstance(n%d, float) and n%d == 0.0" % (j, j, j) for j in sorted({e[1] for ts in terms for e in ts})]
+    sources = {i for ts in terms for i, _, _ in ts}
+    factors = sorted({j for ts in terms for _, j, _ in ts})
+    body = ["z%d = isinstance(n%d, float) and n%d == 0.0" % (j, j, j) for j in factors]
     for k in sorted(range(dim), key=lambda k: (depth[k], k)):
         body.append("o = None")
         for i, j, c in terms[k]:
