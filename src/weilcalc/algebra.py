@@ -14,9 +14,12 @@ Python for that reason.  A product runs the algebra's compiled product
 (`WeilAlgebra.product`): straight-line code over the two coefficient
 tuples, generated once per algebra from its structure nonzeros, that
 skips a float-zero coefficient with everything it would multiply, so the
-zero coefficients of a sparse nilpotent power cost one test each.  The
-series (`analytic`, `**`) run on coefficient tuples through that product
-and wrap only their result in an element.  Division by an element is one
+zero coefficients of a sparse nilpotent power cost one test each.  A
+Taylor series (`analytic`) runs as one compiled kernel per algebra
+(`WeilAlgebra.series`) that skips the structural zeros of the powers n^j,
+the coefficients outside their support in the basis; `**` runs on
+coefficient tuples through the product.  Each wraps only its result in an
+element.  Division by an element is one
 triangular solve (`WeilAlgebra.divide`) where the basis allows it, as
 every monomial basis does, and the fixed point q = (a - q*n)/b0 otherwise.
 """
@@ -108,6 +111,7 @@ class WeilAlgebra:
         self._nz = None
         self._product = None
         self._divide = False  # not built yet
+        self._series = None
         self.height = self._validate()
         self.width = self._minimal_width()
         self._key = (
@@ -214,6 +218,14 @@ class WeilAlgebra:
             self._divide = _compile_divide(self.dim, self.unit_index, self.nonzeros(), self.height)
         return self._divide
 
+    def series(self):
+        """The compiled Taylor sum series(n, f0, rule, y, name, shift) of
+        `AlgebraElement.analytic`, built on first use and kept on this value
+        (see `_compile_series`)."""
+        if self._series is None:
+            self._series = _compile_series(self.dim, self.unit_index, self.nonzeros(), self.height, self.product)
+        return self._series
+
     def unit(self, scale=1.0) -> "AlgebraElement":
         coeffs = [0.0] * self.dim
         coeffs[self.unit_index] = scale
@@ -282,31 +294,15 @@ def _compile_product(dim: int, nonzeros):
     much to compile as an add, so the source holds at most dim^2 tests
     however dense the algebra.
     """
-    entries = Counter(k for _, _, k, _ in nonzeros)
-    empty = ["None" if entries[k] <= dim else "E" for k in range(dim)]
     consts = {}
-    assigned = set()
-    body = []
-    for i, row in groupby(nonzeros, itemgetter(0)):
-        body.append("if not (isinstance(a%d, float) and a%d == 0.0):" % (i, i))
-        for j, pair in groupby(row, itemgetter(1)):
-            body += [" if not z%d:" % j, "  t = a%d * b%d" % (i, j)]
-            for _, _, k, c in pair:
-                term = "t" if c == 1.0 else "t * c%d" % consts.setdefault(c, len(consts))
-                if k not in assigned:
-                    assigned.add(k)
-                    body.append("  o%d = %s" % (k, term))
-                elif empty[k] == "None":
-                    body.append("  o%d = %s if o%d is None else o%d + %s" % (k, term, k, k, term))
-                else:
-                    body.append("  o%d = o%d + %s" % (k, k, term))
+    empty, body = _sum_lines(nonzeros, dim, "(isinstance(a{0}, float) and a{0} == 0.0)", "a", "b", "o", consts)
     head = (
         ["%s, = a" % ", ".join("a%d" % i for i in range(dim)),
          "%s, = b" % ", ".join("b%d" % j for j in range(dim))]
         + ["z%d = isinstance(b%d, float) and b%d == 0.0" % (j, j, j) for j in sorted({e[1] for e in nonzeros})]
-        + ["o%d = %s" % (k, empty[k]) for k in sorted(assigned)]
+        + ["o%d = %s" % (k, empty[k]) for k in sorted(empty)]
     )
-    out = ["0.0 if o%d is %s else o%d" % (k, empty[k], k) if k in assigned else "0.0" for k in range(dim)]
+    out = ["0.0 if o%d is %s else o%d" % (k, empty[k], k) if k in empty else "0.0" for k in range(dim)]
     source = "\n".join(
         ["def make(C):"]
         + (["    %s, = C" % ", ".join("c%d" % n for n in range(len(consts)))] if consts else [])
@@ -364,6 +360,141 @@ def _compile_divide(dim: int, unit: int, nonzeros, height: int):
     namespace = {"over": _over, **{"c%d" % n: c for c, n in consts.items()}}
     exec(compile(source, "<weil divide>", "exec"), namespace)
     return namespace["divide"]
+
+
+def _series_plan(dim: int, unit: int, nonzeros, height: int):
+    """(supports, entries) of the Taylor sum: supports[j - 1] is S_j, where
+    n^j may be nonzero for an n whose real part is 0.0, and entries[j - 1]
+    counts the entries (i, l, k, c) with i in S_j and l not the unit, the
+    ones the product n^j * n can use.  S_1 is every non-unit index, and
+    S_(j+1) the outputs of those entries.  Both stop at an empty support or
+    at the height: step `height` makes no product."""
+    reach = [set() for _ in range(dim)]
+    count = [0] * dim
+    for i, l, k, _ in nonzeros:
+        if l != unit:
+            reach[i].add(k)
+            count[i] += 1
+    support = [k for k in range(dim) if k != unit]
+    supports, entries = [], []
+    for j in range(1, height + 1):
+        if not support:
+            break
+        supports.append(support)
+        if j < height:
+            entries.append(sum(count[i] for i in support))
+            support = sorted(set().union(*(reach[i] for i in support)))
+    return supports, entries
+
+
+def _compile_series(dim: int, unit: int, nonzeros, height: int, product):
+    """series(n, f0, rule, y, name, shift): the coefficient tuple of
+    f0 + sum_j rule(y, name, shift + j)/j! n^j, as one generated function.
+
+    It does what a loop over j of full-width sums and products does, term
+    for term, but step j reads only S_j (`_series_plan`): outside it n^j
+    is the literal 0.0 of a product output with no term.  The loop stopped
+    at the first n^j of float zeros; here only S_j is tested.  For k in
+    S_j, o_k = o_k + p_k*s.  For k outside it the loop added 0.0*s: the
+    unit always gets that term, as f0 may be -0.0, and every other o_k
+    only when s is not a finite float.  A non-unit o_k starts at +0.0 and
+    a sum is -0.0 only when both terms are, so 0.0*s of a finite float
+    leaves it as it was, bit for bit; an inf or NaN s, a column, a tree
+    or an element still gets its term.
+
+    The next power n^j * n is the product's code (`_compile_product`)
+    restricted to rows in S_j and non-unit factors: the rows it drops
+    hold float zeros, and n's unit coefficient is 0.0, so the product
+    skips them too.  Steps are inlined fewest entries first while their
+    total stays within len(nonzeros); the others call the compiled
+    `product()`, fetched at the first power, where the loop first asked
+    for it.  So the source holds at most as many entries as the product's
+    and O(height * dim) more lines.
+    """
+    supports, entries = _series_plan(dim, unit, nonzeros, height)
+    inline, budget = set(), len(nonzeros)
+    for j in sorted(range(1, len(entries) + 1), key=lambda j: entries[j - 1]):
+        if entries[j - 1] > budget:
+            break
+        budget -= entries[j - 1]
+        inline.add(j)
+    others = [k for k in range(dim) if k != unit]
+    consts = {}
+    head = (
+        ["%s, = n" % ", ".join("n%d" % k for k in range(dim)), "o%d = f0" % unit]
+        + ["o%d = 0.0" % k for k in others]
+        + ["z%d = isinstance(n%d, float) and n%d == 0.0" % (k, k, k) for k in others]
+    )
+    body = []
+    p, w = "n", "z"  # the names of n^j's coefficients and of their zero flags
+    for j, support in enumerate(supports, 1):
+        if j > 1:
+            body += ["w%d = isinstance(p%d, float) and p%d == 0.0" % (i, i, i) for i in support]
+        body.append("if %s: break" % " and ".join("%s%d" % (w, i) for i in support))
+        body.append("s = rule(y, name, shift + %d) * I%d" % (j, j))
+        body += ["o%d = o%d + %s%d * s" % (k, k, p, k) for k in support]
+        if unit not in support:
+            body.append("o%d = o%d + 0.0 * s" % (unit, unit))
+        rest = [k for k in others if k not in support]
+        if rest:
+            body.append("if not (type(s) is float and s - s == 0.0):")
+            body += [" o%d = o%d + 0.0 * s" % (k, k) for k in rest]
+        if j == height:
+            break
+        body.append('COUNTS["algebra_products"] += 1')
+        if j == 1:
+            body.append("P = product()")
+        if j in inline:
+            rows = set(support)
+            terms = [e for e in nonzeros if e[0] in rows and e[1] != unit]
+            empty, lines = _sum_lines(terms, dim, w + "{0}", p, "n", "q", consts)
+            body += ["q%d = %s" % (k, empty[k]) for k in sorted(empty)] + lines
+            body += ["p%d = 0.0 if q%d is %s else q%d" % (k, k, empty[k], k) for k in sorted(empty)]
+        else:
+            body.append("%s, = P((%s,), n)" % (
+                ", ".join("p%d" % k for k in range(dim)),
+                ", ".join("%s%d" % (p, k) if k in support else "0.0" for k in range(dim)),
+            ))
+        p, w = "p", "w"
+    source = "\n".join(
+        ["def series(n, f0, rule, y, name, shift):"]
+        + ["    " + line for line in head]
+        + ["    while True:"]
+        + ["        " + line for line in body + ["break"]]
+        + ["    return (%s,)" % ", ".join("o%d" % k for k in range(dim))]
+    )
+    namespace = {
+        "COUNTS": COUNTS, "E": _NO_TERM, "product": product,
+        **{"I%d" % j: _INVERSE_FACTORIALS[j] for j in range(1, len(supports) + 1)},
+        **{"c%d" % n: c for c, n in consts.items()},
+    }
+    exec(compile(source, "<weil series>", "exec"), namespace)
+    return namespace["series"]
+
+
+def _sum_lines(terms, dim: int, row_zero: str, a: str, b: str, out: str, consts: dict) -> tuple:
+    """(empty, lines): the lines that sum the terms (i, j, k, c) of a*b into
+    out<k> as `_compile_product` describes, and the value each output with
+    a term holds before its first.  row_zero.format(i) tests a_i for a float
+    zero, and z<j> holds that test of b_j; constants come from c<n>."""
+    entries = Counter(k for _, _, k, _ in terms)
+    empty = {k: "None" if n <= dim else "E" for k, n in entries.items()}
+    assigned = set()
+    lines = []
+    for i, row in groupby(terms, itemgetter(0)):
+        lines.append("if not %s:" % row_zero.format(i))
+        for j, pair in groupby(row, itemgetter(1)):
+            lines += [" if not z%d:" % j, "  t = %s%d * %s%d" % (a, i, b, j)]
+            for _, _, k, c in pair:
+                term = "t" if c == 1.0 else "t * c%d" % consts.setdefault(c, len(consts))
+                if k not in assigned:
+                    assigned.add(k)
+                    lines.append("  %s%d = %s" % (out, k, term))
+                elif empty[k] == "None":
+                    lines.append("  %s%d = %s if %s%d is None else %s%d + %s" % (out, k, term, out, k, out, k, term))
+                else:
+                    lines.append("  %s%d = %s%d + %s" % (out, k, out, k, term))
+    return empty, lines
 
 
 def _zero_real(x) -> bool:
@@ -501,21 +632,12 @@ class AlgebraElement:
 
     def analytic(self, name: str, shift: int = 0) -> "AlgebraElement":
         """Truncated Taylor evaluation of the shift-th derivative of a primitive,
-        the sum of f^(shift+j)(a0)/j! n^j up to the first n^j of float zeros."""
+        the sum of f^(shift+j)(a0)/j! n^j up to the first n^j of float zeros,
+        run by the algebra's compiled series (`WeilAlgebra.series`)."""
         algebra = self.algebra
-        a0 = self.coeffs[algebra.unit_index]
-        rule, y = primitive_rule(a0)
-        out = list(algebra.unit(rule(y, name, shift)).coeffs)
-        nil = npow = _nilpotent(self)
-        for j in range(1, algebra.height + 1):
-            if _all_zero(npow):
-                break
-            s = rule(y, name, shift + j) * _INVERSE_FACTORIALS[j]
-            out = [o + c * s for o, c in zip(out, npow)]
-            if j < algebra.height:
-                COUNTS["algebra_products"] += 1
-                npow = algebra.product()(npow, nil)
-        return _of(algebra, tuple(out))
+        rule, y = primitive_rule(self.coeffs[algebra.unit_index])
+        f0 = rule(y, name, shift)
+        return _of(algebra, algebra.series()(_nilpotent(self), f0, rule, y, name, shift))
 
     def inverse(self) -> "AlgebraElement":
         return self.algebra.unit() / self
@@ -564,7 +686,8 @@ class AlgebraHom:
         if dev > DEFAULT_HOM_TOL:
             raise NotUnital("unit maps with deviation %.3e" % dev)
         lhs = np.einsum("ijs,ts->ijt", self.source.structure, m)
-        rhs = np.einsum("pi,qj,pqt->ijt", m, m, self.target.structure)
+        # sum_pq m[p,i] m[q,j] c[p,q,t] as two BLAS contractions, not one O(d^5) loop
+        rhs = np.tensordot(np.tensordot(m, self.target.structure, (0, 0)), m, (1, 0)).transpose(0, 2, 1)
         dev = np.abs(lhs - rhs)
         worst = np.unravel_index(np.argmax(dev), dev.shape)
         if dev[worst] > DEFAULT_HOM_TOL:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -188,7 +189,8 @@ def test_a_dim_64_algebra_builds_in_bounded_memory_and_compiles_nothing():
         "from weilcalc.algebra import COUNTS, make_basic\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "a = make_basic('truncated', 1, 63)\n"
-        "assert a.dim == 64 and a._product is None and a._divide is False and COUNTS['product_compiles'] == 0\n"
+        "assert a.dim == 64 and a._product is None and a._divide is False and a._series is None\n"
+        "assert COUNTS['product_compiles'] == 0\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
     )
     src = str(Path(algebra.__file__).resolve().parents[1])
@@ -406,6 +408,9 @@ def _bits(v):
     if isinstance(v, Expr):
         return json.dumps(node_to_json(v))  # writes -0.0 with its sign
     if isinstance(v, np.ndarray):
+        # a NaN entry's sign counts no more than a scalar NaN's, below
+        if v.dtype.kind == "f":
+            v = np.where(np.isnan(v), np.nan, v)
         return v.dtype.str, v.shape, v.tobytes()
     if isinstance(v, Residues):
         return "residues", v.v.dtype.str, v.v.tobytes()
@@ -459,6 +464,22 @@ def test_products_are_bit_identical_to_the_flat_walk(a, carrier, data):
         assert _outcome(lambda: x * y) == _outcome(lambda: _flat_mul(x, y))
 
 
+def test_a_columns_nan_entries_compare_without_their_sign():
+    # a draw that once failed the test above: output 4 sums plain floats to
+    # a NaN at -inf + inf, then more NaNs, and CPython's float add may keep
+    # either NaN, so the column added next carries either sign
+    col = np.array([-1.30976351, math.nan, -1.30976351])
+    x = AlgebraElement(PRESENTED, [0.0, 0.0, 0.5, 2.00001, math.nan, col, col])
+    y = AlgebraElement(PRESENTED, [0.1455, math.inf, -2.086, 0.0, -1.45e-55, 7.5e-124, -math.inf])
+    with np.errstate(all="ignore"):
+        assert _outcome(lambda: x * y) == _outcome(lambda: _flat_mul(x, y))
+    # every other bit still counts
+    assert _bits(np.array([1.0, -math.nan])) == _bits(np.array([1.0, math.nan]))
+    assert _bits(np.array([1.0, -0.0])) != _bits(np.array([1.0, 0.0]))
+    assert _bits(np.array([math.nan, 1.0])) != _bits(np.array([math.nan, math.nextafter(1.0, 2.0)]))
+    assert _bits(np.array([0, 1])) != _bits(np.array([0.0, 1.0]))
+
+
 @pytest.mark.parametrize("a", PRODUCT_ALGEBRAS, ids=lambda a: a.name)
 def test_products_of_trees_keep_every_operand_order(a):
     # a tree records the order of each product and sum, and of each
@@ -507,6 +528,11 @@ def test_a_late_first_term_is_assigned_not_added():
 
 def _source_lines(build):
     """The number of lines of the source that build() generates."""
+    return _source(build).count("\n") + 1
+
+
+def _source(build):
+    """The source that build() generates."""
     sources = []
 
     def keep(source, *args):
@@ -516,7 +542,7 @@ def _source_lines(build):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra, "compile", keep, raising=False)
         build()
-    return sources[0].count("\n") + 1
+    return sources[0]
 
 
 def test_the_product_source_grows_linearly_in_the_nonzeros():
@@ -675,19 +701,6 @@ def _sparse_element(data, a):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from(SERIES_ALGEBRAS),
-    st.sampled_from(["exp", "sin", "cos", "log", "sqrt"]),
-    st.integers(0, 2),
-    st.data(),
-)
-def test_analytic_is_the_element_by_element_series_bit_for_bit(a, name, shift, data):
-    # a zero real part under log or sqrt raises; both sides must raise alike
-    x = _sparse_element(data, a)
-    assert _series_outcome(lambda: x.analytic(name, shift)) == _series_outcome(lambda: _ref_analytic(x, name, shift))
-
-
-@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(SERIES_ALGEBRAS), st.data())
 def test_division_is_the_element_by_element_fixed_point_bit_for_bit(a, data):
     x, y = _sparse_element(data, a), _sparse_element(data, a)
@@ -778,6 +791,17 @@ def _dag_bits(v, table):
     return "tree", ids[v]
 
 
+def _counted_outcome(thunk, table):
+    """The exact form of a value (`_dag_bits` over table) and the products
+    it counted, or the class of the error raised instead."""
+    before = COUNTS["algebra_products"]
+    try:
+        got = _dag_bits(thunk(), table)
+    except (ArithmeticError, DomainError, DivisionByNilpotent) as err:
+        got = type(err)
+    return got, COUNTS["algebra_products"] - before
+
+
 # ints too: an int zero over a negative real part would keep its sign only
 # if an empty sum were not subtracted
 _SWEEP_CARRIERS = {**_CARRIERS, "int": st.one_of(_SCALAR, st.integers(-2, 2))}
@@ -799,17 +823,8 @@ def test_the_sweep_is_the_fixed_point_on_every_carrier(a, carrier, data):
     # and one product per solve, or the same exception class
     x, y = _carrier_element(data, a, carrier), _carrier_element(data, a, carrier)
     table = {}
-
-    def outcome(thunk):
-        before = COUNTS["algebra_products"]
-        try:
-            got = _dag_bits(thunk(), table)
-        except (ArithmeticError, DomainError, DivisionByNilpotent) as err:
-            got = type(err)
-        return got, COUNTS["algebra_products"] - before
-
     with np.errstate(all="ignore"):
-        assert outcome(lambda: x / y) == outcome(lambda: _ref_div(x, y))
+        assert _counted_outcome(lambda: x / y, table) == _counted_outcome(lambda: _ref_div(x, y), table)
 
 
 def test_building_an_algebra_compiles_no_kernel_and_the_first_division_one(monkeypatch):
@@ -856,6 +871,146 @@ def test_a_division_over_a_dim_64_algebra_is_the_fixed_point_in_bounded_time(kin
     q = x / y  # the first division over a: compiles the kernel
     assert time.perf_counter() - start < 10.0
     assert _bits(q) == _bits(_ref_div(x, y))
+
+
+# -- the compiled series against the element-by-element series -----------------
+
+
+def _unit_drift_t13():
+    """truncated(1,3) where x*x has the unit component 1e-13, within
+    STRUCT_TOL: n^2 may have a real part, so the unit is in its support."""
+    t13 = make_basic("truncated", 1, 3)
+    c = np.array(t13.structure)
+    c[1, 1, 0] = 1e-13
+    return WeilAlgebra("truncated(1,3), x*x = x^2 + 1e-13", t13.basis_labels, c)
+
+
+T13_DRIFT = _unit_drift_t13()
+ANALYTIC_ALGEBRAS = SERIES_ALGEBRAS + [
+    DUALSWAP,
+    T12_SKEW,
+    T13_DRIFT,
+    sum_algebra(make_basic("truncated", 1, 3), make_basic("truncated", 2, 2)),
+    tensor(make_basic("truncated", 1, 3), make_basic("truncated", 1, 3)),
+]
+# log's 12th derivative overflows to inf at a real part near 5e-26
+_ANALYTIC_REAL = st.one_of(_REAL, st.sampled_from([5e-26, 8e-26, 1e-25, math.inf, -math.inf, math.nan]))
+_ANALYTIC_NIL = st.one_of(_SPARSE, _SPECIAL)
+_TREES = st.one_of(st.builds(Var, st.integers(0, 2)), st.builds(Const, st.floats(-4, 4)))
+# (real part, nilpotent coefficient) per carrier; a nested element stays out
+# of the real part, where the element-by-element series refuses it (below)
+_ANALYTIC_CARRIERS = {
+    "float": (_ANALYTIC_REAL, _ANALYTIC_NIL),
+    "column": (
+        st.one_of(_ANALYTIC_REAL, st.lists(_ANALYTIC_REAL, min_size=3, max_size=3).map(np.array)),
+        st.one_of(_ANALYTIC_NIL, st.lists(_SCALAR, min_size=3, max_size=3).map(np.array)),
+    ),
+    "expr": (st.one_of(_ANALYTIC_REAL, _TREES), st.one_of(_ANALYTIC_NIL, _TREES)),
+    "nested": (
+        _ANALYTIC_REAL,
+        st.one_of(_ANALYTIC_NIL, st.lists(_SCALAR, min_size=2, max_size=2).map(partial(AlgebraElement, DUAL))),
+    ),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(ANALYTIC_ALGEBRAS),
+    st.sampled_from(sorted(_ANALYTIC_CARRIERS)),
+    st.sampled_from(["exp", "sin", "cos", "log", "sqrt"]),
+    st.integers(0, 2),
+    st.data(),
+)
+def test_analytic_is_the_element_by_element_series_bit_for_bit(a, carrier, name, shift, data):
+    # specials, zeros of either sign, trees, columns and elements: bit-equal
+    # coefficients and products, or the same exception class; a zero real
+    # part under log or sqrt raises, and must raise alike
+    real, nil = _ANALYTIC_CARRIERS[carrier]
+    coeffs = data.draw(st.lists(nil, min_size=a.dim, max_size=a.dim))
+    coeffs[a.unit_index] = data.draw(real)
+    x = AlgebraElement(a, coeffs)
+    table = {}
+    with np.errstate(all="ignore"):
+        got = _counted_outcome(lambda: x.analytic(name, shift), table)
+        assert got == _counted_outcome(lambda: _ref_analytic(x, name, shift), table)
+
+
+def test_a_derivative_that_overflows_to_inf_reaches_every_coefficient():
+    # log's 12th derivative at 5e-26 is 11!/x^12, past the float range: the
+    # series adds 0.0*inf, a NaN, to every coefficient outside n^12's support
+    x = AlgebraElement(make_basic("truncated", 1, 12), [5e-26, 1.0] + [0.0] * 11)
+    got = x.analytic("log")
+    assert got.coeffs[12] == -math.inf and all(math.isnan(c) for c in got.coeffs[:12])
+    assert _counted_outcome(lambda: got, {})[0] == _counted_outcome(lambda: _ref_analytic(x, "log"), {})[0]
+
+
+def test_the_series_is_compiled_on_the_first_analytic_and_the_product_at_the_first_power(monkeypatch):
+    built = []
+
+    def counted(compile_kernel):
+        def run(*args):
+            built.append(compile_kernel.__name__)
+            return compile_kernel(*args)
+        return run
+
+    for name in ("_compile_product", "_compile_divide", "_compile_series"):
+        monkeypatch.setattr(algebra, name, counted(getattr(algebra, name)))
+    t23 = make_basic("truncated", 2, 3)
+    a = WeilAlgebra("t", t23.basis_labels, t23.structure)
+    assert built == [] and a._series is None
+    # a zero nilpotent part stops the series before its first power, as it
+    # stopped the loop before its first product
+    constant = AlgebraElement(a, [0.5] + [0.0] * (a.dim - 1))
+    assert _bits(constant.analytic("exp")) == _bits(_ref_analytic(constant, "exp"))
+    assert built == ["_compile_series"]
+    x = AlgebraElement(a, [0.5 + 0.25 * i for i in range(a.dim)])
+    y = x.analytic("sin")
+    assert built == ["_compile_series", "_compile_product"]
+    assert _bits(x.analytic("sin")) == _bits(y) and a.series() is a.series()
+    assert built == ["_compile_series", "_compile_product"]
+    # dual numbers have no second power: their series never asks for a product
+    d = WeilAlgebra("d", DUAL.basis_labels, DUAL.structure)
+    AlgebraElement(d, [0.5, 1.0]).analytic("exp")
+    assert built[2:] == ["_compile_series"] and d._product is None
+
+
+def test_the_series_source_inlines_no_more_entries_than_the_product_holds():
+    # steps are inlined fewest entries first within len(nonzeros); each
+    # step adds a few lines per coefficient
+    for a in ANALYTIC_ALGEBRAS + PRODUCT_ALGEBRAS + LARGE + [make_basic("truncated", 1, 40), make_S().algebra]:
+        source = _source(partial(algebra._compile_series, a.dim, a.unit_index, a.nonzeros(), a.height, a.product))
+        inlined = sum(1 for line in source.splitlines() if re.match(r"\s*q\d+ = (?!None$|E$)", line))
+        assert inlined <= len(a.nonzeros())
+        assert source.count("\n") + 1 <= 3 * inlined + (4 * a.dim + 8) * a.height + 3 * a.dim + 8
+
+
+@pytest.mark.parametrize("kind", ["truncated(1,63)", "tensor(truncated(1,7),truncated(1,7))"])
+def test_the_first_analytic_over_a_dim_64_algebra_is_bounded_in_time_and_memory(kind):
+    code = (
+        "import json, resource, sys, time\n"
+        "import numpy as np\n"
+        "from weilcalc.algebra import AlgebraElement, make_basic, tensor\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "t17 = make_basic('truncated', 1, 7)\n"
+        "a = make_basic('truncated', 1, 63) if sys.argv[1].startswith('truncated') else tensor(t17, t17)\n"
+        "x = AlgebraElement(a, np.random.default_rng(3).uniform(-1.0, 1.0, size=a.dim).tolist())\n"
+        "start = time.perf_counter()\n"
+        "y = x.analytic('exp')  # compiles the series and the product\n"
+        "took = time.perf_counter() - start\n"
+        "grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(json.dumps([took, grew, [c.hex() for c in y.coeffs]]))\n"
+    )
+    src = str(Path(algebra.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code, kind], capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    took, grew, coeffs = json.loads(run.stdout)
+    t17 = make_basic("truncated", 1, 7)
+    a = make_basic("truncated", 1, 63) if kind.startswith("truncated") else tensor(t17, t17)
+    x = AlgebraElement(a, np.random.default_rng(3).uniform(-1.0, 1.0, size=a.dim).tolist())
+    assert coeffs == [c.hex() for c in _ref_analytic(x, "exp").coeffs]
+    assert took < 0.5
+    assert grew < 150 * 1024  # kB above import, the build's own too
 
 
 @pytest.mark.parametrize("name", ["exp", "sin", "cos", "log", "sqrt"])
@@ -918,6 +1073,47 @@ def test_make_hom_rejects_non_multiplicative_maps():
     with pytest.raises(NotMultiplicative) as err:
         make_hom(DUAL, DUAL, np.array([[1.0, 1.0], [0.0, 0.0]]))
     assert err.value.pair == (1, 1)
+
+
+def _einsum_hom_defect(source, target, m):
+    """NotMultiplicative's pair and %.3e deviation, by the dense einsum."""
+    lhs = np.einsum("ijs,ts->ijt", source.structure, m)
+    rhs = np.einsum("pi,qj,pqt->ijt", m, m, target.structure)
+    dev = np.abs(lhs - rhs)
+    worst = np.unravel_index(np.argmax(dev), dev.shape)
+    return (int(worst[0]), int(worst[1])), "%.3e" % dev[worst]
+
+
+def test_the_hom_check_names_the_pair_and_deviation_the_dense_einsum_names():
+    # the invalid homs the other tests build, then random linear maps that
+    # keep the unit, and a valid basis change off by 1e-6
+    s = make_S()
+    c = np.array(s.algebra.structure)
+    c[1, 2, 4] = c[2, 1, 4] = 0.0
+    cases = [
+        (DUAL, DUAL, np.array([[1.0, 1.0], [0.0, 0.0]])),
+        (WeilAlgebra("S", s.algebra.basis_labels, c), s.ambient, s.inclusion.matrix),
+        (PRESENTED, make_basic("truncated", 1, 6), _BASIS.T + 1e-6 * np.eye(7, k=1)),
+    ]
+    rng = np.random.default_rng(11)
+    for source, target in [(T12, T12), (DD, DD), (T21, make_basic("truncated", 2, 2)), (PRESENTED, PRESENTED),
+                           (make_basic("truncated", 1, 12), make_basic("truncated", 3, 3))]:
+        m = rng.uniform(-1.0, 1.0, size=(target.dim, source.dim))
+        m[:, source.unit_index] = np.eye(target.dim)[target.unit_index]
+        cases.append((source, target, m))
+    for source, target, m in cases:
+        with pytest.raises(NotMultiplicative) as err:
+            make_hom(source, target, m)
+        assert (err.value.pair, "%.3e" % err.value.deviation) == _einsum_hom_defect(source, target, m)
+
+
+@pytest.mark.parametrize("kind", ["truncated(1,63)", "tensor(truncated(1,7),truncated(1,7))"])
+def test_a_hom_over_a_dim_64_algebra_is_checked_in_bounded_time(kind):
+    t17 = make_basic("truncated", 1, 7)
+    a = make_basic("truncated", 1, 63) if kind.startswith("truncated") else tensor(t17, t17)
+    start = time.perf_counter()
+    make_hom(a, a, np.eye(a.dim))
+    assert time.perf_counter() - start < 0.1  # the dense einsum took about 1.6 s
 
 
 def test_hom_composes_pointwise():

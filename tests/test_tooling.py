@@ -403,7 +403,13 @@ def test_the_paired_snapshot_alternates_the_sides_and_stamps_each(tmp_path, monk
     assert out[1].split() == [
         "verify-all", "wall_s", "0.32", "0.22", "-31.2%", "s", "0.315..0.325", "0.215..0.225", "resolved", "3/3",
     ]
-    assert len(out) == 1 + len(doc["diff"]) == 5
+    # the end-to-end table, then the traced metrics both sides hold; the
+    # profiles are empty, so no counter table
+    assert out.index("") == 1 + len(doc["diff"]) == 5
+    assert out[6].split()[:2] == ["workload", "trace"]
+    assert [line.split()[:4] for line in out[7:]] == [
+        ["verify-all", "algebra.mul.calls", "7", "7"], ["render", "algebra.mul.calls", "7", "7"],
+    ]
     # the change's BENCHMARK.json declares no end-to-end metric: no verdict
     assert (row["won"], row["pairs"], row["over_bound"]) == (None, 3, None)
     # a one-sided file has nothing to compare
@@ -451,3 +457,61 @@ def test_the_bench_snapshot_diff_of_a_two_sided_file_gives_the_pipelines_verdict
     assert out[1].split()[:2] == ["render", "wall_s"] and out[1].split()[-2:] == ["0/3", "OVER-BOUND"]
     assert [line.split()[1] for line in out[2:]] == ["wall_s", "items_per_s", "peak_rss_mb"]
     assert [line.split()[-1] for line in out[2:]] == ["4/5", "3/5", "0/5"]
+
+
+def test_the_bench_snapshot_diff_of_a_two_sided_file_sums_the_exact_counters(tmp_path, capsys):
+    snap = _bench_snapshot()
+
+    def side(products, compiles, traced):
+        doc = _canned_snapshot({"taylor-lift": {"wall_s": [0.03, 0.03, 0.03]}, "render": {"wall_s": 0.05}})
+        doc["verify_profile"] = [
+            {"suite": "sigma", "label": "S", "samples": 25, "wall_s": 0.0137, "algebra_products": 0,
+             "product_compiles": compiles[0]},
+            {"suite": "bracket", "label": "dims 1-3", "samples": 1200, "wall_s": 0.028,
+             "algebra_products": products, "product_compiles": compiles[1]},
+        ]
+        doc["workloads"]["taylor-lift"]["trace"] = {
+            name: {"value": value, "unit": unit} for name, (value, unit) in traced.items()
+        }
+        return doc
+
+    parent = side(2_303_000_000_001, (1, 8), {"algebra.analytic.calls": (768.0, "count"),
+                                              "algebra.analytic.self_s": (0.0199, "s"),
+                                              "algebra.mul.calls": (4352.0, "count")})
+    # one more product than the parent, the compiles moved between units:
+    # the totals, not the units, are compared; a metric one side lacks is left out
+    change = side(2_303_000_000_002, (0, 9), {"algebra.analytic.calls": (768.0, "count"),
+                                              "algebra.analytic.self_s": (0.0108, "s")})
+    assert snap.counter_rows(parent, change) == [
+        ("samples", 1225, 1225), ("algebra_products", 2_303_000_000_001, 2_303_000_000_002),
+        ("product_compiles", 9, 9),
+    ]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    path = tmp_path / "BENCH_pair.json"
+    path.write_text(json.dumps({"parent": parent, "change": change}))
+    assert snap.main(["--diff", str(path), "--root", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    first = out.index("")
+    assert [line.split()[:2] for line in out[1:first]] == [["taylor-lift", "wall_s"], ["render", "wall_s"]]
+    counters = out[first + 1:]
+    assert counters[0].split() == ["counter", "old", "new"]
+    # exact integers, with no rounding, and the differing row marked
+    assert [line.split() for line in counters[1:4]] == [
+        ["samples", "1225", "1225"],
+        ["algebra_products", "2303000000001", "2303000000002", "DIFFERS"],
+        ["product_compiles", "9", "9"],
+    ]
+    assert counters[4] == ""
+    assert counters[5].split() == ["workload", "trace", "old", "new", "change", "unit"]
+    assert [line.split() for line in counters[6:]] == [
+        ["taylor-lift", "algebra.analytic.calls", "768", "768", "+0.0%", "count"],
+        ["taylor-lift", "algebra.analytic.self_s", "0.0199", "0.0108", "-45.7%", "s"],
+    ]
+    # a file without profiles or traces prints the end-to-end table alone
+    for doc in (parent, change):
+        del doc["verify_profile"]
+        for wl in doc["workloads"].values():
+            wl.pop("trace", None)
+    path.write_text(json.dumps({"parent": parent, "change": change}))
+    assert snap.main(["--diff", str(path), "--root", str(tmp_path)]) == 0
+    assert "" not in capsys.readouterr().out.splitlines()

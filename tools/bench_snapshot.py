@@ -28,7 +28,8 @@ With `--parent ROOT` the file holds two such snapshots, "parent" of the
 checkout at ROOT and "change" of the one at --root, measured in one
 session: for each workload the two run alternately, RUNS times each, and
 each pair starts on the other side from the pair before (`order` lists
-the runs as made).  Its "diff" holds the rows that `--diff` prints.
+the runs as made).  Its "diff" holds the end-to-end rows that `--diff`
+prints.
 
 `--diff OLD NEW`, or `--diff FILE` of a two-sided file, prints, for each
 workload and end-to-end metric both sides hold, the two medians, the
@@ -40,7 +41,12 @@ also shows the pairs the change won (pair i is the i-th run of each side;
 "won" follows the metric's `better` in the BENCHMARK.json of --root, and
 a tie counts for neither side), and rows whose change median is worse
 than the parent's by more than the metric's `bound` come first, marked
-`OVER-BOUND`: the rows a benchmark gate would refuse.
+`OVER-BOUND`: the rows a benchmark gate would refuse.  Two more tables
+follow for a two-sided file: each work counter of the `verify_profile`
+units (every integer field), summed over the units of each side as an
+exact integer, with `DIFFERS` where the sides differ; then each traced
+`trace` metric that both sides hold for a workload.  The counters do not
+depend on the machine, so a change in them is the code's.
 """
 
 from __future__ import annotations
@@ -319,6 +325,53 @@ def format_diff(rows, verdicts=None) -> str:
     return "\n".join([head] + [line for _, line in lines])
 
 
+def counter_rows(old: dict, new: dict) -> list:
+    """(counter, old total, new total) for each integer field of the
+    `verify_profile` units, summed over each side's units, in the order the
+    old side's units name them first; None for a side without the field."""
+
+    def totals(doc):
+        out = {}
+        for unit in doc.get("verify_profile", []):
+            for key, value in unit.items():
+                if type(value) is int:
+                    out[key] = out.get(key, 0) + value
+        return out
+
+    before, after = totals(old), totals(new)
+    return [(k, before.get(k), after.get(k)) for k in list(before) + [k for k in after if k not in before]]
+
+
+def trace_rows(old: dict, new: dict) -> list:
+    """(workload, metric, unit, old value, new value) for each traced metric
+    that both sides hold for a workload, in the old side's order."""
+    rows = []
+    for workload, before in old["workloads"].items():
+        after = new["workloads"].get(workload, {}).get("trace", {})
+        for name, metric in before.get("trace", {}).items():
+            if name in after:
+                rows.append((workload, name, metric["unit"], metric["value"], after[name]["value"]))
+    return rows
+
+
+def format_counters(counters, traces) -> str:
+    """The counter rows, each differing one marked, then the trace rows;
+    a table with no rows is left out."""
+    lines = []
+    if counters:
+        lines += ["", "%-24s %14s %14s" % ("counter", "old", "new")]
+        for name, a, b in counters:
+            line = "%-24s %14s %14s %s" % (name, "-" if a is None else a, "-" if b is None else b,
+                                           "DIFFERS" if a != b else "")
+            lines.append(line.rstrip())
+    if traces:
+        lines += ["", "%-12s %-42s %12s %12s %8s  %s" % ("workload", "trace", "old", "new", "change", "unit")]
+        for workload, name, unit, a, b in traces:
+            change = 100 * (b - a) / a if a else float("nan")
+            lines.append("%-12s %-42s %12.6g %12.6g %+7.1f%%  %s" % (workload, name, a, b, change, unit))
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     action = parser.add_mutually_exclusive_group(required=True)
@@ -339,6 +392,9 @@ def main(argv=None) -> int:
         old, new = (docs[0][side] for side in SIDES)
         rows = diff_rows(old, new)
         print(format_diff(rows, verdicts(old, new, rows, metric_specs(Path(args.root)))))
+        tables = format_counters(counter_rows(old, new), trace_rows(old, new))
+        if tables:
+            print(tables)
         return 0
     root = Path(args.root).resolve()
     out = snapshot(root) if args.parent is None else paired_snapshot(Path(args.parent).resolve(), root)
