@@ -827,7 +827,8 @@ def test_the_sweep_is_the_fixed_point_on_every_carrier(a, carrier, data):
         assert _counted_outcome(lambda: x / y, table) == _counted_outcome(lambda: _ref_div(x, y), table)
 
 
-def test_building_an_algebra_compiles_no_kernel_and_the_first_division_one(monkeypatch):
+def _kernel_builds(monkeypatch) -> list:
+    """The list that the kernel compilers append their names to, in order."""
     built = []
 
     def counted(compile_kernel):
@@ -836,8 +837,13 @@ def test_building_an_algebra_compiles_no_kernel_and_the_first_division_one(monke
             return compile_kernel(*args)
         return run
 
-    for name in ("_compile_product", "_compile_divide"):
+    for name in ("_compile_product", "_compile_divide", "_compile_series"):
         monkeypatch.setattr(algebra, name, counted(getattr(algebra, name)))
+    return built
+
+
+def test_building_an_algebra_compiles_no_kernel_and_the_first_division_one(monkeypatch):
+    built = _kernel_builds(monkeypatch)
     a = WeilAlgebra("t", make_basic("truncated", 2, 3).basis_labels, make_basic("truncated", 2, 3).structure)
     assert built == []
     x = AlgebraElement(a, [1.0 + i for i in range(a.dim)])
@@ -942,19 +948,20 @@ def test_a_derivative_that_overflows_to_inf_reaches_every_coefficient():
     got = x.analytic("log")
     assert got.coeffs[12] == -math.inf and all(math.isnan(c) for c in got.coeffs[:12])
     assert _counted_outcome(lambda: got, {})[0] == _counted_outcome(lambda: _ref_analytic(x, "log"), {})[0]
+    # an inf derivative at every step, over every basis: the coefficients
+    # that n^1 reached hold an inf that a later 0.0*inf turns into a NaN
+    for a in ANALYTIC_ALGEBRAS:
+        for name, real in [("exp", math.inf), ("sqrt", math.inf), ("log", 5e-26)]:
+            coeffs = [0.5 + 0.25 * i for i in range(a.dim)]
+            coeffs[a.unit_index] = real
+            x = AlgebraElement(a, coeffs)
+            with np.errstate(all="ignore"):
+                assert _counted_outcome(lambda: x.analytic(name), {}) == _counted_outcome(
+                    lambda: _ref_analytic(x, name), {})
 
 
 def test_the_series_is_compiled_on_the_first_analytic_and_the_product_at_the_first_power(monkeypatch):
-    built = []
-
-    def counted(compile_kernel):
-        def run(*args):
-            built.append(compile_kernel.__name__)
-            return compile_kernel(*args)
-        return run
-
-    for name in ("_compile_product", "_compile_divide", "_compile_series"):
-        monkeypatch.setattr(algebra, name, counted(getattr(algebra, name)))
+    built = _kernel_builds(monkeypatch)
     t23 = make_basic("truncated", 2, 3)
     a = WeilAlgebra("t", t23.basis_labels, t23.structure)
     assert built == [] and a._series is None
