@@ -19,9 +19,11 @@ Taylor series (`analytic`) runs as one compiled kernel per algebra
 (`WeilAlgebra.series`) that skips the structural zeros of the powers n^j,
 the coefficients outside their support in the basis; `**` runs on
 coefficient tuples through the product.  Each wraps only its result in an
-element.  Division by an element is one
-triangular solve (`WeilAlgebra.divide`) where the basis allows it, as
-every monomial basis does, and the fixed point q = (a - q*n)/b0 otherwise.
+element.  Division by an element is one triangular solve
+(`WeilAlgebra.divide`) where the basis allows it, as every monomial basis
+does, and the fixed point q = (a - q*n)/b0 otherwise.  The solve and the
+series read one walk of the supports of n^j (`_supports`); validation's
+walk of the ideal's powers gives the width from the first, N^2.
 """
 
 from __future__ import annotations
@@ -112,8 +114,7 @@ class WeilAlgebra:
         self._product = None
         self._divide = False  # not built yet
         self._series = None
-        self.height = self._validate()
-        self.width = self._minimal_width()
+        self.height, self.width = self._validate()
         self._key = (
             self.name, self.basis_labels, self.unit_index, self.structure.tobytes(), self.generators
         )
@@ -129,7 +130,7 @@ class WeilAlgebra:
 
     # -- validation ---------------------------------------------------
 
-    def _validate(self) -> int:
+    def _validate(self) -> tuple:
         c = self.structure
         u = self.unit_index
         d = self.dim
@@ -156,41 +157,32 @@ class WeilAlgebra:
                 % (*where, worst)
             )
         rest = [i for i in range(d) if i != u]
-        if rest:
-            gap = np.abs(c[np.ix_(rest, rest)][:, :, u])
-            if gap.max() > STRUCT_TOL:
-                a, b = np.unravel_index(int(gap.argmax()), gap.shape)
-                raise InvariantViolation(
-                    "product of basis vectors %d and %d has a unit component; "
-                    "the complement of the unit is not a nilpotent ideal"
-                    % (rest[a], rest[b])
-                )
-        # iterated ideal powers must terminate
         if not rest:
-            return 0
-        cur = eye[rest]
-        ideal = eye[rest]
-        h = 1
+            return 0, 0
+        gap = np.abs(c[np.ix_(rest, rest)][:, :, u])
+        if gap.max() > STRUCT_TOL:
+            a, b = np.unravel_index(int(gap.argmax()), gap.shape)
+            raise InvariantViolation(
+                "product of basis vectors %d and %d has a unit component; "
+                "the complement of the unit is not a nilpotent ideal"
+                % (rest[a], rest[b])
+            )
+        # iterated ideal powers must terminate; the first, N^2, gives the
+        # minimal generator count of the ideal, dim N - dim N^2
+        cur = ideal = eye[rest]
+        h, width = 1, len(rest)
         while True:
             prods = _products(cur, ideal, c)
             if prods.size == 0 or np.abs(prods).max() <= STRUCT_TOL:
-                return h
+                return h, width
             cur = _row_basis(prods)
+            if h == 1:
+                width -= len(cur)
             h += 1
             if h > d:
                 raise InvariantViolation(
                     "ideal powers do not vanish: not a Weil algebra"
                 )
-
-    def _minimal_width(self) -> int:
-        # minimal generator count of the ideal is dim N - dim N^2
-        rest = [i for i in range(self.dim) if i != self.unit_index]
-        if not rest:
-            return 0
-        n = np.eye(self.dim)[rest]
-        prods = _products(n, n, self.structure)
-        nsq = _row_basis(prods)
-        return len(rest) - nsq.shape[0]
 
     # -- element plumbing ----------------------------------------------
 
@@ -297,53 +289,74 @@ def _compile_product(dim: int, nonzeros):
     consts = {}
     empty, body = _sum_lines(nonzeros, dim, "(isinstance(a{0}, float) and a{0} == 0.0)", "a", "b", "o", consts)
     head = (
-        ["%s, = a" % ", ".join("a%d" % i for i in range(dim)),
-         "%s, = b" % ", ".join("b%d" % j for j in range(dim))]
+        ["%s, = %s" % (", ".join("%s%d" % (v, k) for k in range(dim)), v) for v in "ab"]
         + ["z%d = isinstance(b%d, float) and b%d == 0.0" % (j, j, j) for j in sorted({e[1] for e in nonzeros})]
         + ["o%d = %s" % (k, empty[k]) for k in sorted(empty)]
     )
     out = ["0.0 if o%d is %s else o%d" % (k, empty[k], k) if k in empty else "0.0" for k in range(dim)]
+    return _kernel("product(a, b)", head + body, "(%s,)" % ", ".join(out), consts, E=_NO_TERM)
+
+
+def _kernel(signature: str, body, tail: str, consts: dict, **names):
+    """The function `def <signature>: <body>; return <tail>`, compiled with
+    `names` as its globals.  Its source holds only integer indices: the
+    constant c numbered consts[c] = n is c<n>, a local of the closure
+    make(C) that returns the function, bound from the tuple C."""
+    name = signature[:signature.index("(")]
     source = "\n".join(
         ["def make(C):"]
         + (["    %s, = C" % ", ".join("c%d" % n for n in range(len(consts)))] if consts else [])
-        + ["    def product(a, b):"]
-        + ["        " + line for line in head + body]
-        + ["        return (%s,)" % ", ".join(out), "    return product"]
+        + ["    def %s:" % signature]
+        + ["        " + line for line in body]
+        + ["        return %s" % tail, "    return %s" % name]
     )
-    namespace = {"E": _NO_TERM}
-    exec(compile(source, "<weil product>", "exec"), namespace)
-    return namespace["make"](tuple(consts))
+    exec(compile(source, "<weil %s>" % name, "exec"), names)
+    return names["make"](tuple(consts))
+
+
+def _supports(dim: int, unit: int, nonzeros, count: int) -> list:
+    """[S_1, S_2, ...], at most count of them, up to the first empty one:
+    S_j holds the indices where n^j may be nonzero for an n whose real part
+    is 0.0.  S_1 is every non-unit index, and S_(j+1) the outputs k of the
+    entries (i, l, k, c) with i in S_j and l not the unit."""
+    reach = [set() for _ in range(dim)]
+    for i, l, k, _ in nonzeros:
+        if l != unit:
+            reach[i].add(k)
+    supports, support = [], [k for k in range(dim) if k != unit]
+    while support and len(supports) < count:
+        supports.append(support)
+        support = sorted(set().union(*(reach[i] for i in support)))
+    return supports
 
 
 def _compile_divide(dim: int, unit: int, nonzeros, height: int):
     """divide(a, n, b0): the fixed point's last round in one sweep, or None.
 
-    Entry (i, j, k, c) with j not the unit makes q_k depend on q_i.  If no
-    chain of these edges is a cycle or longer than `height`, the fixed
-    point's q_k stops changing at the round equal to its chain depth, so
-    one sweep by depth gives its last round bit for bit: q_k is
-    over(a_k - s_k, b0), s_k summing q_i*n_j*c under the product's rules
-    (`_compile_product`).  Two source lines per entry, a few per output.
+    Entry (i, j, k, c) with j not the unit makes q_k depend on q_i.  The
+    unit's row makes every non-unit k depend on it, so the longest chain of
+    these edges into k is the last j with k in S_j (`_supports`), and no
+    chain is a cycle or longer than `height` exactly when S_(height+1) is
+    empty.  Then the fixed point's q_k stops changing at the round equal
+    to its chain depth, so one sweep by depth gives its last round bit for
+    bit: q_k is over(a_k - s_k, b0), s_k summing q_i*n_j*c under the
+    product's rules (`_compile_product`).  Two source lines per entry, a
+    few per output.
     """
+    supports = _supports(dim, unit, nonzeros, height + 1)
+    if len(supports) > height:
+        return None
+    depth = {k: j for j, support in enumerate(supports, 1) for k in support}
     terms = [[] for _ in range(dim)]
     for i, j, k, c in nonzeros:
         if j != unit:
             terms[k].append((i, j, c))
-    # after round r, depth[k] is the longest chain of at most r edges into
-    # k; it settles by round height + 1 unless a chain is longer or a cycle
-    depth = [0] * dim
-    for _ in range(height + 1):
-        longer = [max([depth[i] + 1 for i, _, _ in terms[k]], default=0) for k in range(dim)]
-        if longer == depth:
-            break
-        depth = longer
-    else:
-        return None
     consts = {}
     sources = {i for ts in terms for i, _, _ in ts}
     factors = sorted({j for ts in terms for _, j, _ in ts})
-    body = ["z%d = isinstance(n%d, float) and n%d == 0.0" % (j, j, j) for j in factors]
-    for k in sorted(range(dim), key=lambda k: (depth[k], k)):
+    body = ["%s, = %s" % (", ".join("%s%d" % (v, k) for k in range(dim)), v) for v in "an"]
+    body += ["z%d = isinstance(n%d, float) and n%d == 0.0" % (j, j, j) for j in factors]
+    for k in sorted(range(dim), key=lambda k: (depth.get(k, 0), k)):
         body.append("o = None")
         for i, j, c in terms[k]:
             t = "q%d * n%d" % (i, j) + ("" if c == 1.0 else " * c%d" % consts.setdefault(c, len(consts)))
@@ -351,40 +364,7 @@ def _compile_divide(dim: int, unit: int, nonzeros, height: int):
         body.append("q%d = over(a%d - (0.0 if o is None else o), b0)" % (k, k))
         if k in sources:
             body.append("w%d = isinstance(q%d, float) and q%d == 0.0" % (k, k, k))
-    source = "\n".join(
-        ["def divide(a, n, b0):"]
-        + ["    %s, = %s" % (", ".join("%s%d" % (v, k) for k in range(dim)), v) for v in "an"]
-        + ["    " + line for line in body]
-        + ["    return (%s,)" % ", ".join("q%d" % k for k in range(dim))]
-    )
-    namespace = {"over": _over, **{"c%d" % n: c for c, n in consts.items()}}
-    exec(compile(source, "<weil divide>", "exec"), namespace)
-    return namespace["divide"]
-
-
-def _series_plan(dim: int, unit: int, nonzeros, height: int):
-    """(supports, entries) of the Taylor sum: supports[j - 1] is S_j, where
-    n^j may be nonzero for an n whose real part is 0.0, and entries[j - 1]
-    counts the entries (i, l, k, c) with i in S_j and l not the unit, the
-    ones the product n^j * n can use.  S_1 is every non-unit index, and
-    S_(j+1) the outputs of those entries.  Both stop at an empty support or
-    at the height: step `height` makes no product."""
-    reach = [set() for _ in range(dim)]
-    count = [0] * dim
-    for i, l, k, _ in nonzeros:
-        if l != unit:
-            reach[i].add(k)
-            count[i] += 1
-    support = [k for k in range(dim) if k != unit]
-    supports, entries = [], []
-    for j in range(1, height + 1):
-        if not support:
-            break
-        supports.append(support)
-        if j < height:
-            entries.append(sum(count[i] for i in support))
-            support = sorted(set().union(*(reach[i] for i in support)))
-    return supports, entries
+    return _kernel("divide(a, n, b0)", body, "(%s,)" % ", ".join("q%d" % k for k in range(dim)), consts, over=_over)
 
 
 def _compile_series(dim: int, unit: int, nonzeros, height: int, product):
@@ -392,7 +372,7 @@ def _compile_series(dim: int, unit: int, nonzeros, height: int, product):
     f0 + sum_j rule(y, name, shift + j)/j! n^j, as one generated function.
 
     It does what a loop over j of full-width sums and products does, term
-    for term, but step j reads only S_j (`_series_plan`): outside it n^j
+    for term, but step j reads only S_j (`_supports`): outside it n^j
     is the literal 0.0 of a product output with no term.  The loop stopped
     at the first n^j of float zeros; here only S_j is tested.  For k in
     S_j, o_k = o_k + p_k*s.  For k outside it the loop added 0.0*s: the
@@ -409,14 +389,17 @@ def _compile_series(dim: int, unit: int, nonzeros, height: int, product):
     total stays within len(nonzeros); the others call the compiled
     `product()`, fetched at the first power, where the loop first asked
     for it.  So the source holds at most as many entries as the product's
-    and O(height * dim) more lines.
+    and O(height * dim) more lines.  Step `height` makes no product.
     """
-    supports, entries = _series_plan(dim, unit, nonzeros, height)
+    supports = _supports(dim, unit, nonzeros, height)
+    # the entries that the product n^j * n can use, per power it makes
+    count = Counter(i for i, l, _, _ in nonzeros if l != unit)
+    entries = {j: sum(count[i] for i in support) for j, support in enumerate(supports[:height - 1], 1)}
     inline, budget = set(), len(nonzeros)
-    for j in sorted(range(1, len(entries) + 1), key=lambda j: entries[j - 1]):
-        if entries[j - 1] > budget:
+    for j in sorted(entries, key=entries.get):
+        if entries[j] > budget:
             break
-        budget -= entries[j - 1]
+        budget -= entries[j]
         inline.add(j)
     others = [k for k in range(dim) if k != unit]
     consts = {}
@@ -456,20 +439,14 @@ def _compile_series(dim: int, unit: int, nonzeros, height: int, product):
                 ", ".join("%s%d" % (p, k) if k in support else "0.0" for k in range(dim)),
             ))
         p, w = "p", "w"
-    source = "\n".join(
-        ["def series(n, f0, rule, y, name, shift):"]
-        + ["    " + line for line in head]
-        + ["    while True:"]
-        + ["        " + line for line in body + ["break"]]
-        + ["    return (%s,)" % ", ".join("o%d" % k for k in range(dim))]
-    )
-    namespace = {
-        "COUNTS": COUNTS, "E": _NO_TERM, "product": product,
+    return _kernel(
+        "series(n, f0, rule, y, name, shift)",
+        head + ["while True:"] + ["    " + line for line in body + ["break"]],
+        "(%s,)" % ", ".join("o%d" % k for k in range(dim)),
+        consts,
+        COUNTS=COUNTS, E=_NO_TERM, product=product,
         **{"I%d" % j: _INVERSE_FACTORIALS[j] for j in range(1, len(supports) + 1)},
-        **{"c%d" % n: c for c, n in consts.items()},
-    }
-    exec(compile(source, "<weil series>", "exec"), namespace)
-    return namespace["series"]
+    )
 
 
 def _sum_lines(terms, dim: int, row_zero: str, a: str, b: str, out: str, consts: dict) -> tuple:

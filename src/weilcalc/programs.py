@@ -375,8 +375,11 @@ def run_points(x, body):
     None.  A block goes through `run_columns`: its n columns with count B,
     and, on the per-row fallback, each row as a point.  `body` gives its
     result for one point, or for a block those results stacked along a
-    first axis of length B.
+    first axis of length B.  Complex coordinates are refused, since the
+    float runs would drop their imaginary parts.
     """
+    if np.iscomplexobj(x):
+        raise ShapeMismatch("points must be real, got coordinates of the complex carrier %s" % np.asarray(x).dtype)
     if np.ndim(x) == 2:
         return run_columns(
             x,

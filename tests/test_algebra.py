@@ -1039,6 +1039,66 @@ def test_analytic_over_nested_coefficients_is_the_tensor_product_lift(name):
     assert np.allclose(got.coeffs, want.coeffs, rtol=0.0, atol=1e-12)
 
 
+# -- the width and the sweep against the walks that once computed them --------
+
+
+def _ref_width(a):
+    """dim N - dim N^2 from a product of its own, as the width was computed
+    apart from the height."""
+    rest = [i for i in range(a.dim) if i != a.unit_index]
+    if not rest:
+        return 0
+    n = np.eye(a.dim)[rest]
+    return len(rest) - algebra._row_basis(algebra._products(n, n, a.structure)).shape[0]
+
+
+def _ref_depth(dim, unit, nonzeros, height):
+    """The longest chain into each output of the division's support graph,
+    by the fixed point the sweep ran on its own; None if it has not settled
+    within height + 1 rounds, for a cycle or a chain longer than height."""
+    sources = [[] for _ in range(dim)]
+    for i, j, k, _ in nonzeros:
+        if j != unit:
+            sources[k].append(i)
+    depth = [0] * dim
+    for _ in range(height + 1):
+        longer = [max([depth[i] + 1 for i in sources[k]], default=0) for k in range(dim)]
+        if longer == depth:
+            return depth
+        depth = longer
+    return None
+
+
+def _reference_algebras():
+    """Every algebra this module builds, those of the verify suites and the
+    CLI tests, and the dim-64 ones, each once."""
+    t17 = make_basic("truncated", 1, 7)
+    return list(dict.fromkeys(
+        PRODUCT_ALGEBRAS + LARGE + SWEEP_ALGEBRAS + FIXED_POINT_ALGEBRAS + ANALYTIC_ALGEBRAS
+        + [make_basic("truncated", k, r) for k in (1, 2, 3) for r in range(5)]
+        + [tensor(DD, DD), tensor(DUAL, T12), tensor(DUAL, T21), tensor(make_S().algebra, DUAL)]
+        + [sum_algebra(DD, DD), sum_algebra(DUAL, T12), _presented(make_basic("truncated", 1, 6))[0]]
+        + [make_basic("truncated", 1, 40), make_basic("truncated", 1, 63), tensor(t17, t17)]
+    ))
+
+
+def test_the_width_and_the_sweep_are_those_of_the_walks_they_replaced():
+    # the width from the first ideal power; the sweep where the fixed point
+    # settles within the height, in the order of its chain depths
+    algebras = _reference_algebras()
+    assert {DUALSWAP, T12_SKEW, PRESENTED, T13_DRIFT} <= set(algebras) and len(algebras) > 35
+    for a in algebras:
+        assert a.width == _ref_width(a), a.name
+        for height in range(a.height + 2):
+            depth = _ref_depth(a.dim, a.unit_index, a.nonzeros(), height)
+            if depth is None:
+                assert algebra._compile_divide(a.dim, a.unit_index, a.nonzeros(), height) is None, (a.name, height)
+                continue
+            source = _source(partial(algebra._compile_divide, a.dim, a.unit_index, a.nonzeros(), height))
+            order = [int(k) for k in re.findall(r"^ *q(\d+) = over\(", source, re.M)]
+            assert order == sorted(range(a.dim), key=lambda k: (depth[k], k)), (a.name, height)
+
+
 # -- an element divided by a number rounds as the float run -------------------
 
 

@@ -19,7 +19,7 @@ from weilcalc import cli, functional, functor, jets, prolong, strongdiff
 from weilcalc.algebra import (
     MAX_DIM, WeilAlgebra, algebra_to_json, exchange, make_basic, save_algebra, tensor,
 )
-from weilcalc.errors import DomainError, WeilError
+from weilcalc.errors import DomainError, InvariantViolation, WeilError
 from weilcalc.exprs import PRIMITIVES, Const, IntPow, Mul, Var, intpow, prim, simplify
 from weilcalc.functional import FunctionalVectorField, functional_field_to_json
 from weilcalc.programs import Program, VectorField, evaluate, field_to_json, program_to_json
@@ -767,6 +767,25 @@ def _calls_in_one_process(*argvs) -> list:
     return json.loads(run.stdout)
 
 
+# the totals of a `verify --suite all --seed 7` pass in a fresh process, as
+# measured when each Taylor series became one compiled kernel: a change may
+# lower a count of work, and must name any count it raises
+WORK_BUDGET = {
+    "tape_compiles": 129, "ops_compiled": 11191, "ops_run": 27045, "algebra_products": 2303,
+    "product_compiles": 9, "jacobian_oracle_calls": 9, "flow_oracle_calls": 60,
+}
+
+
+def test_a_fresh_verify_pass_does_no_more_work_than_its_budget(tmp_path):
+    profile = tmp_path / "p.json"
+    [(rc, _, _)] = _calls_in_one_process(["verify", "--suite", "all", "--seed", "7", "--profile", str(profile)])
+    assert rc == 0
+    units = json.loads(profile.read_text())
+    totals = {name: sum(u[name] for u in units) for name in ["samples", *WORK_BUDGET]}
+    assert totals["samples"] == 5229
+    assert {name: n for name, n in totals.items() if n > WORK_BUDGET.get(name, n)} == {}
+
+
 def test_the_parser_is_built_once_and_keeps_no_state_between_calls(manifold_fields):
     assert cli._parser() is cli._parser()
     sq, one = manifold_fields
@@ -1023,6 +1042,34 @@ def test_algebra_check_flags_axiom_failures(tmp_path, capsys):
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == "" and captured.err.startswith("axiom failure:")
+
+
+def _non_local(dim):
+    """R x R[x]/(x^(dim-1)) on the basis 1, e, v, ..., v^(dim-2), with e*e = e
+    and e*v = 0 (dim 2 is R x R): a unital algebra whose non-unit span is
+    an ideal that holds the idempotent e, so no power of it vanishes."""
+    c = np.zeros((dim, dim, dim))
+    c[0] = c[:, 0] = np.eye(dim)
+    c[1, 1, 1] = 1.0
+    for a in range(1, dim - 1):
+        for b in range(1, dim - 1 - a):
+            c[a + 1, b + 1, a + b + 1] = 1.0
+    return ["1", "e"] + ["v^%d" % a for a in range(1, dim - 1)], c
+
+
+@pytest.mark.parametrize("dim", [2, 5], ids=["RxR", "RxR[x]/(x^4)"])
+def test_an_algebra_with_an_idempotent_is_refused_as_not_local(tmp_path, capsys, dim):
+    basis, c = _non_local(dim)
+    with pytest.raises(InvariantViolation, match="ideal powers do not vanish"):
+        WeilAlgebra("nonlocal", basis, c)
+    doc = {"name": "nonlocal", "dim": dim, "basis": basis, "unit_index": 0,
+           "structure": [[*map(int, at), 1.0] for at in zip(*np.nonzero(c))]}
+    path = tmp_path / "nonlocal.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["algebra", "check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("axiom failure:")
+    assert "ideal powers do not vanish" in captured.err
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 10**400], ids=["inf", "nan", "10^400"])

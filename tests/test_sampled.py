@@ -12,7 +12,7 @@ import pytest
 
 from weilcalc import cli, functional, functor, jets, programs, prolong, strongdiff
 from weilcalc.algebra import make_basic
-from weilcalc.errors import DomainError
+from weilcalc.errors import DomainError, ShapeMismatch
 from weilcalc.exprs import Var, prim
 from weilcalc.programs import Program, VectorField, evaluate, random_poly_field, sampled_deviations, stack_columns
 from weilcalc.reports import tally
@@ -167,3 +167,22 @@ def test_a_failing_block_runs_each_leading_row_once_on_the_point_path(monkeypatc
         tally(devs, 1e-6)
     assert str(got.value) == str(alone.value)
     assert point_rows == [row.tobytes() for row in block[:4]]
+
+
+@pytest.mark.parametrize("shape", ["point", "block"])
+def test_complex_coordinates_are_refused_not_cut_to_their_real_parts(shape):
+    # the float runs would drop the imaginary part with only a warning:
+    # evaluate_points at 1+1j once gave 2.0 where x0^3 + 1 is -1+2j
+    prog = Program(1, [Var(0) * Var(0) * Var(0) + 1.0])
+    field = VectorField(1, prog)
+    at = {"point": [1 + 1j], "block": np.array([[0.5], [1 + 1j]])}[shape]
+    lifted = {"point": [1 + 1j, 0.0], "block": np.array([[0.5, 1.0], [1 + 1j, 0.0]])}[shape]
+    for run in (
+        lambda: programs.evaluate_points(prog, at),
+        lambda: strongdiff.bracket_value(field, field, at),
+        lambda: programs.jacobian_oracle(prog, at),
+        lambda: prolong.field_prolong(DUAL, field).value_at(lifted),
+    ):
+        with pytest.raises(ShapeMismatch, match="complex carrier complex128"):
+            run()
+    assert evaluate(prog, [1 + 1j]) == [(-1 + 2j)]

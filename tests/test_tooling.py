@@ -515,3 +515,33 @@ def test_the_bench_snapshot_diff_of_a_two_sided_file_sums_the_exact_counters(tmp
     path.write_text(json.dumps({"parent": parent, "change": change}))
     assert snap.main(["--diff", str(path), "--root", str(tmp_path)]) == 0
     assert "" not in capsys.readouterr().out.splitlines()
+
+
+def test_the_bench_snapshot_diff_of_a_two_sided_file_prints_each_sides_stamp(tmp_path, capsys):
+    # the stamps go to stderr, so the tables on stdout keep their shape
+    snap = _bench_snapshot()
+    parent = _canned_snapshot({"verify-all": {"wall_s": [0.12, 0.12, 0.12]}})
+    change = _canned_snapshot({"verify-all": {"wall_s": [0.12, 0.11, 0.12]}})
+    parent.update(stamp={"commit": "a" * 40, "dirty": False, "diff_sha256": "0" * 64},
+                  env={"weilcalc_lines": 5511}, tier1={"wall_s": 52.8, "tests": 631, "outcomes": {"passed": 631}})
+    # a side may lack what an older snapshot did not record
+    change.update(stamp={"commit": "b" * 40, "dirty": True, "diff_sha256": "1" * 64}, env={"weilcalc_lines": 5491})
+    path = tmp_path / "BENCH_pair.json"
+    path.write_text(json.dumps({"parent": parent, "change": change}))
+    assert snap.main(["--diff", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert [line.split() for line in captured.out.splitlines()[1:]] == [
+        ["verify-all", "wall_s", "0.12", "0.12", "+0.0%", "s", "0.12..0.12", "0.115..0.12", "unresolved", "1/3"],
+    ]
+    assert [line.split() for line in captured.err.splitlines()] == [
+        ["side", "commit", "dirty", "weilcalc_lines", "tier1_tests", "tier1_wall_s"],
+        ["parent", "a" * 40, "False", "5511", "631", "52.8"],
+        ["change", "b" * 40, "True", "5491", "-", "-"],
+    ]
+    # a file whose sides hold no stamp prints none
+    for side in (parent, change):
+        for key in ("stamp", "env", "tier1"):
+            side.pop(key, None)
+    path.write_text(json.dumps({"parent": parent, "change": change}))
+    assert snap.main(["--diff", str(path)]) == 0
+    assert capsys.readouterr().err == ""

@@ -46,7 +46,10 @@ follow for a two-sided file: each work counter of the `verify_profile`
 units (every integer field), summed over the units of each side as an
 exact integer, with `DIFFERS` where the sides differ; then each traced
 `trace` metric that both sides hold for a workload.  The counters do not
-depend on the machine, so a change in them is the code's.
+depend on the machine, so a change in them is the code's.  Each side's
+stamp goes to stderr, so the tables on stdout keep their shape: its
+commit and dirty flag, `env.weilcalc_lines`, and the tier-1 test count
+and wall time, which show what a change did to the code's size and tests.
 """
 
 from __future__ import annotations
@@ -372,6 +375,24 @@ def format_counters(counters, traces) -> str:
     return "\n".join(lines)
 
 
+def stamp_rows(doc: dict) -> list:
+    """(side, commit, dirty, weilcalc_lines, tier-1 tests, tier-1 wall_s)
+    of each side of a two-sided file; None for what a side does not hold."""
+    rows = []
+    for side in SIDES:
+        stamp, env, tier1 = (doc[side].get(key) or {} for key in ("stamp", "env", "tier1"))
+        rows.append((side, stamp.get("commit"), stamp.get("dirty"), env.get("weilcalc_lines"),
+                     tier1.get("tests"), tier1.get("wall_s")))
+    return rows
+
+
+def format_stamps(rows) -> str:
+    """The stamp rows as a table, "-" for what a side does not hold."""
+    line = "%-8s %-40s %-5s %14s %11s %12s"
+    head = line % ("side", "commit", "dirty", "weilcalc_lines", "tier1_tests", "tier1_wall_s")
+    return "\n".join([head] + [line % tuple("-" if v is None else v for v in row) for row in rows])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     action = parser.add_mutually_exclusive_group(required=True)
@@ -395,6 +416,9 @@ def main(argv=None) -> int:
         tables = format_counters(counter_rows(old, new), trace_rows(old, new))
         if tables:
             print(tables)
+        stamps = stamp_rows(docs[0])
+        if any(v is not None for row in stamps for v in row[1:]):
+            print(format_stamps(stamps), file=sys.stderr)
         return 0
     root = Path(args.root).resolve()
     out = snapshot(root) if args.parent is None else paired_snapshot(Path(args.parent).resolve(), root)
